@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import closed_forms, lattice
-from .fock import verify_all
+from .fock import MAX_MODES, verify_all
 from .protocol import run_protocol, sample_suboptimal, scan_m
 from .states import ValidationError, load_covariance, save_covariance, validate
 
@@ -89,8 +89,8 @@ def _cmd_scan_m(args) -> int:
 
 def _cmd_oracle(args) -> int:
     state, split = load_covariance(args.state)
-    if state.n_modes > 6:
-        raise ValidationError("oracle verification is limited to 6 modes")
+    if state.n_modes > MAX_MODES:
+        raise ValidationError(f"oracle verification is limited to {MAX_MODES} modes")
     from .protocol import optimal_choice
     from .states import maximally_entangled_projection, projection_frame, restrict
 
@@ -202,7 +202,7 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    kern = lattice.kernel(args.L, -(args.N + args.L))
+    kern = lattice.ToeplitzKernel(args.L, -(args.N + args.L))
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal(args.L)
     for _ in range(3):

@@ -1,8 +1,8 @@
 """Exact dense simulation of small fermionic systems.
 
 Everything here works on the full 2^n-dimensional Hilbert space and is
-used to verify the Pfaffian formulas by brute force.  n is capped at 7
-(a 128 x 128 space) as a memory/time guard.
+used to verify the Pfaffian formulas by brute force.  n is capped at
+MAX_MODES = 6 (a 64 x 64 space) as a memory/time guard.
 
 Convention note: the ladder operators are defined so that c_k^* (not
 c_k) annihilates the reference vacuum, i.e. our c_k is the creation
@@ -34,7 +34,7 @@ from .states import (
     target_orientation,
 )
 
-MAX_MODES = 7
+MAX_MODES = 6
 
 __all__ = [
     "majorana_ops",
@@ -284,8 +284,6 @@ def verify_all(
     """
     m = _matrix(s)
     n = m.shape[0] // 2
-    if n > 6:
-        raise ValidationError("verify_all is limited to 6 modes")
     ops = majorana_ops(n)
     rho = density_from_covariance(s, ops)
     dev: dict[str, float] = {}

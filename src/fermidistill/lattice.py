@@ -8,7 +8,8 @@ to the blocks are Toeplitz: the kernel value at offset q is
 
 so matrix-vector products cost O(L log L) via circulant embedding and
 the FFT, and the few dominant singular triplets of the cross block come
-out of Golub-Kahan bidiagonalization.  The restricted 2m-mode covariance
+out of Golub-Kahan bidiagonalization of its two parity-sublattice
+blocks (t vanishes at even q).  The restricted 2m-mode covariance
 is then assembled analytically in the singular basis (the lift from the
 L x L kernel to the full off-diagonal block doubles every singular
 value's multiplicity), and the exact Pfaffian formulas take over.
@@ -25,6 +26,7 @@ import numpy as np
 from .protocol import DistillationReport, hashing_rate, run_protocol
 from .states import (
     BipartiteSplit,
+    ConvergenceError,
     CovarianceMatrix,
     RealProjectionPair,
     ValidationError,
@@ -37,8 +39,6 @@ __all__ = [
     "LatticeGeometry",
     "SingularTriplet",
     "ConvergenceError",
-    "kernel",
-    "toeplitz_matvec",
     "top_singular_triplets",
     "restricted_covariance",
     "lattice_point",
@@ -49,14 +49,6 @@ __all__ = [
     "dense_covariance",
     "SWEEP_HEADER",
 ]
-
-
-class ConvergenceError(RuntimeError):
-    """Iterative solver failed to converge; carries the best residuals."""
-
-    def __init__(self, message: str, residuals=None):
-        super().__init__(message)
-        self.residuals = residuals
 
 
 @dataclass(frozen=True)
@@ -93,64 +85,75 @@ class ToeplitzKernel:
     Stores the generating values for offsets j - k in [-(L-1), L-1] and
     the FFT of their circulant embedding (size = next power of two
     >= 2L - 1), so products with the matrix and its transpose cost two
-    FFTs each.
+    FFTs each.  `_parity_blocks` builds the kernel's sublattice blocks
+    as instances too: rows x cols operators with entries t(2(a - b) + r).
     """
 
     def __init__(self, L: int, r: int):
         if L < 1:
             raise ValidationError("kernel size must be >= 1")
-        self.L = int(L)
         self.r = int(r)
-        offsets = np.arange(-(L - 1), L)
-        self.values = _sine_kernel(offsets + self.r)
+        self._embed(int(L), int(L), 1)
+
+    @classmethod
+    def _strided(cls, rows: int, cols: int, r: int) -> ToeplitzKernel:
+        kern = cls.__new__(cls)
+        kern.r = r
+        kern._embed(rows, cols, 2)
+        return kern
+
+    def _embed(self, rows: int, cols: int, stride: int):
+        self.L = rows
+        self.shape = (rows, cols)
+        # values[i] sits on the diagonal j - k = i - (cols - 1)
+        self.values = _sine_kernel(stride * np.arange(-(cols - 1), rows) + self.r)
         m = 1
-        while m < max(2 * L - 1, 2):
+        while m < max(rows + cols - 1, 2):
             m <<= 1
         self._fft_len = m
         col = np.zeros(m)
-        col[:L] = self.values[L - 1:]            # t(0 + r) .. t(L-1 + r)
-        if L > 1:
-            col[m - (L - 1):] = self.values[: L - 1]   # t(-(L-1) + r) .. t(-1 + r)
+        col[:rows] = self.values[cols - 1:]
+        col[m - (cols - 1):] = self.values[: cols - 1]
         self._fft = np.fft.rfft(col)
-        self._fft_t: np.ndarray | None = None
-
-    def entry(self, j: np.ndarray | int, k: np.ndarray | int) -> np.ndarray:
-        """Entrywise evaluation, mostly for small-L cross checks."""
-        return _sine_kernel(np.asarray(j) - np.asarray(k) + self.r)
 
     def dense(self) -> np.ndarray:
-        j = np.arange(self.L)
-        return self.entry(j[:, None], j[None, :])
+        rows, cols = self.shape
+        return self.values[np.subtract.outer(np.arange(rows), np.arange(cols)) + cols - 1]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
-        if x.shape != (self.L,):
-            raise ValidationError(f"expected vector of length {self.L}, got {x.shape}")
+        if x.shape != (self.shape[1],):
+            raise ValidationError(f"expected vector of length {self.shape[1]}, got {x.shape}")
         big = np.fft.rfft(x, self._fft_len)
-        return np.fft.irfft(self._fft * big, self._fft_len)[: self.L]
+        return np.fft.irfft(self._fft * big, self._fft_len)[: self.shape[0]]
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """Product with the transpose (kernel offsets negated)."""
-        if self._fft_t is None:
-            m = self._fft_len
-            col = np.zeros(m)
-            col[: self.L] = self.values[self.L - 1:: -1]
-            if self.L > 1:
-                col[m - (self.L - 1):] = self.values[: self.L - 1: -1]
-            self._fft_t = np.fft.rfft(col)
-        if x.shape != (self.L,):
-            raise ValidationError(f"expected vector of length {self.L}, got {x.shape}")
+        """Product with the transpose: a real circulant's transpose has the conjugate spectrum."""
+        if x.shape != (self.shape[0],):
+            raise ValidationError(f"expected vector of length {self.shape[0]}, got {x.shape}")
         big = np.fft.rfft(x, self._fft_len)
-        return np.fft.irfft(self._fft_t * big, self._fft_len)[: self.L]
+        return np.fft.irfft(np.conj(self._fft) * big, self._fft_len)[: self.shape[1]]
 
 
-def kernel(L: int, r: int) -> ToeplitzKernel:
-    """Toeplitz kernel for block correlations at offset r."""
-    return ToeplitzKernel(L, r)
+def _parity_blocks(kern: ToeplitzKernel) -> list[tuple[ToeplitzKernel, list[tuple[int, int]]]]:
+    """The sine kernel as an exact direct sum of two stride-2 Toeplitz blocks.
 
-
-def toeplitz_matvec(kern: ToeplitzKernel, x: np.ndarray) -> np.ndarray:
-    """FFT-based product kern @ x (function-style entry point)."""
-    return kern.matvec(np.asarray(x, dtype=float))
+    t vanishes at even offsets, so rows j = 2a + p couple only to columns
+    k = 2b + q with q = (p + r + 1) mod 2, through t(2(a - b) + s) where
+    s = p - q + r (Peschel, J. Phys. A 36 (2003) L205).  Returns each
+    distinct block with the (p, q) sublattice pairs it occupies: when L
+    is even and r odd both pairs carry the same block, which is where the
+    kernel's exactly doubled singular values come from.
+    """
+    blocks: dict[tuple[int, int, int], tuple[ToeplitzKernel, list[tuple[int, int]]]] = {}
+    for p in (0, 1):
+        q = (p + kern.r + 1) % 2
+        rows, cols = (kern.L - p + 1) // 2, (kern.L - q + 1) // 2
+        if rows and cols:
+            key = (rows, cols, p - q + kern.r)
+            if key not in blocks:
+                blocks[key] = (ToeplitzKernel._strided(*key), [])
+            blocks[key][1].append((p, q))
+    return list(blocks.values())
 
 
 @dataclass(frozen=True)
@@ -160,34 +163,35 @@ class SingularTriplet:
     v: np.ndarray
 
 
-def _gk_bidiagonalize(matvec, rmatvec, L, k, tol, max_iter, rng):
-    """Golub-Kahan bidiagonalization for the top-k triplets of an operator.
+def _gk_bidiagonalize(matvec, rmatvec, rows, cols, k, tol, max_iter, rng):
+    """Golub-Kahan bidiagonalization for the top-k triplets of a rows x cols operator.
 
     Full reorthogonalization at every step (the Krylov basis stays small
     here, so the cost is negligible and ghost values are excluded).
     Convergence requires the residual bound beta_j |P_ji| <= tol * sigma_1
-    for each kept triplet.
+    for each kept triplet.  The step cap min(rows, cols) + 1 lets a wide
+    operator reach the u-side exhaustion exit.
     """
-    v = rng.standard_normal(L)
+    v = rng.standard_normal(cols)
     v /= np.linalg.norm(v)
-    max_iter = min(max_iter, L)
+    max_iter = min(max_iter, min(rows, cols) + 1)
     # Grow the stored bases geometrically; convergence typically needs a
     # few dozen vectors, far less than max_iter.
     cap = min(max(32, 2 * k + 8), max_iter + 1)
-    vmat = np.zeros((L, cap))
-    umat = np.zeros((L, cap))
+    vmat = np.zeros((cols, cap))
+    umat = np.zeros((rows, cap))
     vmat[:, 0] = v
     alphas = np.zeros(max_iter)
     betas = np.zeros(max_iter)
     best_res = None
 
-    def ensure_capacity(cols: int):
+    def ensure_capacity(n: int):
         nonlocal vmat, umat, cap
-        if cols >= cap:
-            cap = min(max(2 * cap, cols + 1), max_iter + 1)
-            vnew = np.zeros((L, cap))
+        if n >= cap:
+            cap = min(max(2 * cap, n + 1), max_iter + 1)
+            vnew = np.zeros((cols, cap))
             vnew[:, : vmat.shape[1]] = vmat
-            unew = np.zeros((L, cap))
+            unew = np.zeros((rows, cap))
             unew[:, : umat.shape[1]] = umat
             vmat, umat = vnew, unew
 
@@ -200,8 +204,8 @@ def _gk_bidiagonalize(matvec, rmatvec, L, k, tol, max_iter, rng):
         return p, sv, qt
 
     def extract(p, sv, qt, ju, jv, iters):
-        # exhaustion may deliver fewer than k triplets (degenerate
-        # operators); the caller recovers the rest by deflated probes
+        # exhaustion may deliver fewer than k triplets (rank below k);
+        # the caller counts what the blocks delivered
         out = []
         for i in range(min(k, len(sv))):
             u = umat[:, :ju] @ p[:, i]
@@ -260,73 +264,40 @@ def top_singular_triplets(
     max_iter: int = 300,
     seed: int = 0,
 ) -> tuple[list[SingularTriplet], int]:
-    """Top-k singular triplets, robust against exact multiplicities.
+    """Top-k singular triplets of a sine kernel, one Krylov solve per parity block.
 
-    A single-vector Krylov space sees one copy of each degenerate
-    singular subspace, and the sine kernel has exactly doubled values
-    whenever the offset is odd (the matrix decouples into two identical
-    parity sublattices).  After the main solve, deflated probe solves
-    look for a value above the kept set; any hit is merged and the probe
-    repeats, so missed duplicates are recovered deterministically.
-    Every returned triplet satisfies ||F v - sigma u|| <= 10 tol sigma_1
-    against the original operator.
+    The kernel splits into two stride-2 Toeplitz blocks on its parity
+    sublattices (`_parity_blocks`).  Each distinct block is solved once by
+    Golub-Kahan bidiagonalization; its singular values decay geometrically
+    (the block is Cauchy-like, Beckermann & Townsend, SIAM J. Matrix Anal.
+    Appl. 38, 2017), so one single-vector solve per block suffices.  The
+    block triplets are lifted onto their sublattices and merged by sigma,
+    and a block shared by both sublattice pairs yields each of its values
+    twice, with orthogonal vectors of disjoint support.  Every returned
+    triplet satisfies ||F v - sigma u|| <= 10 tol sigma_1 against the
+    full kernel.  Returns the triplets and the Krylov steps of all solves.
     """
     L = kern.L
     if k < 1:
         raise ValidationError("need k >= 1 triplets")
     if k > L:
         raise ValidationError("cannot extract more triplets than the dimension")
-    streams = np.random.SeedSequence(seed).spawn(k + 4)
-    found, iters = _gk_bidiagonalize(
-        kern.matvec, kern.rmatvec, L, k, tol, max_iter, np.random.default_rng(streams[0])
-    )
-    total_iters = iters
-
-    def deflated_ops(triplets):
-        us = np.column_stack([t.u for t in triplets])
-        vs = np.column_stack([t.v for t in triplets])
-        sg = np.array([t.sigma for t in triplets])
-
-        def mv(x):
-            return kern.matvec(x) - us @ (sg * (vs.T @ x))
-
-        def rmv(x):
-            return kern.rmatvec(x) - vs @ (sg * (us.T @ x))
-
-        return mv, rmv, us, vs
-
-    if not found:
-        raise ConvergenceError("no singular triplet found (zero operator?)")
-    if k < L or len(found) < k:
-        margin = max(100.0 * tol, 1e-8) * max(found[0].sigma, 1e-300)
-        for round_idx in range(1, k + 4):
-            mv, rmv, us, vs = deflated_ops(found)
-            probe, iters = _gk_bidiagonalize(
-                mv, rmv, L, 1, tol, max_iter, np.random.default_rng(streams[round_idx])
-            )
-            total_iters += iters
-            filling = len(found) < k
-            if not probe:
-                if filling:
-                    raise ConvergenceError(
-                        f"operator rank appears smaller than the requested k = {k}"
-                    )
-                break
-            if not filling and probe[0].sigma <= found[-1].sigma + margin:
-                break
-            # recovered a missed duplicate (or filling up after early
-            # Krylov exhaustion): orthogonalize against the kept set
-            u, v = probe[0].u, probe[0].v
-            for _ in range(2):
-                u -= us @ (us.T @ u)
-                v -= vs @ (vs.T @ v)
-            u /= np.linalg.norm(u)
-            v /= np.linalg.norm(v)
-            found.append(SingularTriplet(probe[0].sigma, u, v))
-            found.sort(key=lambda t: -t.sigma)
-            found = found[:k]
-        else:
-            raise ConvergenceError("deflated probes kept finding missed singular values")
+    rng = np.random.default_rng(seed)
+    found, total_iters = [], 0
+    for block, placements in _parity_blocks(kern):
+        rows, cols = block.shape
+        half, iters = _gk_bidiagonalize(
+            block.matvec, block.rmatvec, rows, cols, min(k, rows, cols), tol, max_iter, rng
+        )
+        total_iters += iters
+        for t in half:
+            for p, q in placements:
+                u, v = np.zeros(L), np.zeros(L)
+                u[p::2], v[q::2] = t.u, t.v
+                found.append(SingularTriplet(t.sigma, u, v))
+    if len(found) < k:
+        raise ConvergenceError(f"operator rank appears smaller than the requested k = {k}")
+    found = sorted(found, key=lambda t: -t.sigma)[:k]
 
     sigma1 = max(found[0].sigma, 1e-300)
     for i, t in enumerate(found):
@@ -390,9 +361,9 @@ def restricted_covariance(
     L, N = geometry.L, geometry.N
     if 2 * m > 2 * L:
         raise ValidationError("2m may not exceed the 2L modes available")
-    cross = kernel(L, -(N + L))
+    cross = ToeplitzKernel(L, -(N + L))
     triplets, iters = top_singular_triplets(cross, m, tol=tol, max_iter=max_iter, seed=seed)
-    intra = kernel(L, 0)
+    intra = ToeplitzKernel(L, 0)
     w = np.column_stack([t.u for t in triplets])
     z = np.column_stack([t.v for t in triplets])
     sig = np.array([t.sigma for t in triplets])
@@ -522,7 +493,7 @@ def _sweep_point(args) -> SweepRow:
     try:
         report = lattice_point(LatticeGeometry(L, N), m=m, tol=tol, max_iter=max_iter, seed=seed)
         return SweepRow(L, N, report, (time.perf_counter() - start) * 1e3)
-    except Exception as exc:  # per-point failures recorded in-row
+    except (ValidationError, ConvergenceError) as exc:  # per-point failures recorded in-row
         return SweepRow(L, N, None, (time.perf_counter() - start) * 1e3, error=str(exc))
 
 

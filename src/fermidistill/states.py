@@ -38,6 +38,7 @@ __all__ = [
     "ValidationReport",
     "ProtocolQuantities",
     "ValidationError",
+    "ConvergenceError",
     "validate",
     "blocks",
     "assemble_covariance",
@@ -60,6 +61,14 @@ __all__ = [
 
 class ValidationError(ValueError):
     """Raised when an input violates a structural invariant."""
+
+
+class ConvergenceError(RuntimeError):
+    """An iterative or sampling procedure ran out of steps; carries the best residuals."""
+
+    def __init__(self, message: str, residuals=None):
+        super().__init__(message)
+        self.residuals = residuals
 
 
 # ---------------------------------------------------------------------------
@@ -633,7 +642,7 @@ def random_x_zero_covariance(
         sv = svd(blocks(s, split).y)[1]
         if sv[-1] > min_singular:
             return s, split
-    raise RuntimeError("failed to sample a well-conditioned X = 0 state")
+    raise ConvergenceError("failed to sample a well-conditioned X = 0 state in 200 draws")
 
 
 # ---------------------------------------------------------------------------

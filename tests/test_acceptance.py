@@ -30,9 +30,9 @@ from fermidistill.fock import (
 )
 from fermidistill.lattice import (
     LatticeGeometry,
+    ToeplitzKernel,
     dense_lattice_point,
     fit_power_law,
-    kernel,
     lattice_point,
     min_length,
 )
@@ -267,7 +267,7 @@ def test_criterion_6_lattice_trends():
 def test_criterion_7_performance_floor():
     """Matrix-free product under 50 ms at L = 2^17; one 1e6-site point under 5 min."""
     L = 1 << 17
-    kern = kernel(L, -(L + 1))
+    kern = ToeplitzKernel(L, -(L + 1))
     rng = np.random.default_rng(0)
     x = rng.standard_normal(L)
     for _ in range(3):

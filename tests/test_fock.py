@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from fermidistill.cli import main
 from fermidistill.fock import (
+    MAX_MODES,
     density_from_covariance,
     fock_vector,
     joint_parity,
@@ -22,6 +24,7 @@ from fermidistill.states import (
     partner_projection,
     random_basis_projection,
     random_covariance,
+    save_covariance,
     target_orientation,
 )
 
@@ -60,11 +63,25 @@ class TestMajorana:
         null_dim = dim * dim - np.linalg.matrix_rank(stacked, tol=1e-10)
         assert null_dim == 1
 
-    def test_out_of_range(self):
+    def test_out_of_range(self, tmp_path, capsys, rng):
+        # one limit, the one the README documents, for the operators, the
+        # oracle check and the CLI
+        assert MAX_MODES == 6
         with pytest.raises(ValidationError):
             majorana_ops(0)
         with pytest.raises(ValidationError):
-            majorana_ops(8)
+            majorana_ops(MAX_MODES + 1)
+        split = BipartiteSplit.halves(2 * MAX_MODES)
+        e = maximally_entangled_projection(random_orthogonal(MAX_MODES, rng), split)
+        assert verify_all(random_covariance(MAX_MODES, rng), e, split).max_deviation <= 1e-9
+        big = random_covariance(MAX_MODES + 1, rng)
+        big_split = BipartiteSplit.from_alice(range(MAX_MODES + 1), 2 * MAX_MODES + 2)
+        with pytest.raises(ValidationError):
+            verify_all(big, big, big_split)
+        path = tmp_path / "big.json"
+        save_covariance(path, big, big_split)
+        assert main(["oracle", str(path)]) == 1
+        assert f"limited to {MAX_MODES} modes" in capsys.readouterr().err
 
 
 class TestDensity:

@@ -1,21 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from fermidistill import lattice
 from fermidistill.lattice import (
     ConvergenceError,
     LatticeGeometry,
+    ToeplitzKernel,
     dense_covariance,
     dense_lattice_point,
     fit_power_law,
-    kernel,
     lattice_point,
     min_length,
     restricted_covariance,
     sweep,
     sweep_to_csv,
-    toeplitz_matvec,
     top_singular_triplets,
 )
+from fermidistill.lattice import _parity_blocks
 from fermidistill.states import ValidationError, validate
 
 from helpers import dense_sine_toeplitz
@@ -23,7 +26,7 @@ from helpers import dense_sine_toeplitz
 
 class TestKernel:
     def test_offset_zero_entries(self):
-        k = kernel(8, 0)
+        k = ToeplitzKernel(8, 0)
         d = k.dense()
         assert d[0, 0] == 0.0
         assert d[0, 1] == pytest.approx(-(-1) / np.pi)  # t(-1) = sin(-pi/2)/(-pi)
@@ -31,43 +34,43 @@ class TestKernel:
         assert d[0, 2] == 0.0  # even offsets vanish
 
     def test_inverse_distance_decay(self):
-        k = kernel(64, 0)
+        k = ToeplitzKernel(64, 0)
         d = k.dense()
         for sep in (1, 3, 5, 11):
             assert abs(d[0, sep]) == pytest.approx(1 / (np.pi * sep))
 
     def test_entry_magnitude_bound(self):
         for r in (0, 3, 10):
-            assert np.abs(kernel(32, r).values).max() <= 1 / np.pi + 1e-15
+            assert np.abs(ToeplitzKernel(32, r).values).max() <= 1 / np.pi + 1e-15
 
     def test_matches_entrywise_construction(self):
         for r in (0, 1, 7, -50):
             np.testing.assert_allclose(
-                kernel(50, r).dense(), dense_sine_toeplitz(50, r), atol=1e-15
+                ToeplitzKernel(50, r).dense(), dense_sine_toeplitz(50, r), atol=1e-15
             )
 
 
 class TestMatvec:
     def test_unit_vectors_give_columns(self):
-        k = kernel(12, -5)
+        k = ToeplitzKernel(12, -5)
         d = k.dense()
         for j in range(12):
             e = np.zeros(12)
             e[j] = 1.0
-            np.testing.assert_allclose(toeplitz_matvec(k, e), d[:, j], atol=1e-14)
+            np.testing.assert_allclose(k.matvec(e), d[:, j], atol=1e-14)
 
     def test_random_vectors_match_dense(self, rng):
         # quantified over 100+ random vectors across sizes up to 512
         for L, r, reps in ((64, -70, 40), (257, -258, 40), (512, -513, 40)):
-            k = kernel(L, r)
+            k = ToeplitzKernel(L, r)
             d = k.dense()
             for _ in range(reps):
                 x = rng.standard_normal(L)
-                got = toeplitz_matvec(k, x)
+                got = k.matvec(x)
                 np.testing.assert_allclose(got, d @ x, atol=1e-10 * np.linalg.norm(x))
 
     def test_transpose_matches_dense(self, rng):
-        k = kernel(48, -55)
+        k = ToeplitzKernel(48, -55)
         d = k.dense()
         for _ in range(10):
             x = rng.standard_normal(48)
@@ -75,11 +78,11 @@ class TestMatvec:
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
-            kernel(8, 0).matvec(np.zeros(9))
+            ToeplitzKernel(8, 0).matvec(np.zeros(9))
 
     @pytest.mark.parametrize("L", [31, 32, 33, 100])
     def test_various_sizes(self, L, rng):
-        k = kernel(L, -(L + 1))
+        k = ToeplitzKernel(L, -(L + 1))
         d = k.dense()
         x = rng.standard_normal(L)
         np.testing.assert_allclose(k.matvec(x), d @ x, atol=1e-11)
@@ -88,14 +91,14 @@ class TestMatvec:
 class TestTriplets:
     @pytest.mark.parametrize("L,N", [(64, 0), (128, 1), (128, 10), (200, 3), (512, 0), (512, 1)])
     def test_matches_dense_svd(self, L, N):
-        k = kernel(L, -(N + L))
+        k = ToeplitzKernel(L, -(N + L))
         triplets, _ = top_singular_triplets(k, 4, seed=3)
         dense_sv = np.linalg.svd(k.dense(), compute_uv=False)
         got = [t.sigma for t in triplets]
         np.testing.assert_allclose(got, dense_sv[:4], atol=1e-8)
 
     def test_residuals_and_norms(self):
-        k = kernel(96, -97)
+        k = ToeplitzKernel(96, -97)
         triplets, _ = top_singular_triplets(k, 3, seed=1)
         for t in triplets:
             assert np.linalg.norm(t.u) == pytest.approx(1.0, abs=1e-10)
@@ -106,11 +109,11 @@ class TestTriplets:
     def test_values_bounded_by_half(self):
         # covariance boundedness forces singular values <= 1/2
         for L, N in ((64, 0), (128, 5), (256, 50)):
-            triplets, _ = top_singular_triplets(kernel(L, -(N + L)), 2, seed=0)
+            triplets, _ = top_singular_triplets(ToeplitzKernel(L, -(N + L)), 2, seed=0)
             assert all(t.sigma <= 0.5 + 1e-10 for t in triplets)
 
     def test_deterministic_per_seed(self):
-        k = kernel(64, -65)
+        k = ToeplitzKernel(64, -65)
         a, ia = top_singular_triplets(k, 2, seed=42)
         b, ib = top_singular_triplets(k, 2, seed=42)
         assert ia == ib
@@ -119,15 +122,15 @@ class TestTriplets:
 
     def test_nonconvergence_raises(self):
         with pytest.raises(ConvergenceError):
-            top_singular_triplets(kernel(256, -257), 4, tol=1e-14, max_iter=6)
+            top_singular_triplets(ToeplitzKernel(256, -257), 4, tol=1e-14, max_iter=6)
 
     @pytest.mark.parametrize("L", [500, 1024, 5000])
     def test_exact_duplicates_recovered(self, L):
-        # odd offsets decouple the kernel into two identical parity
-        # sublattices, so every singular value has multiplicity two; a
-        # single-vector Krylov solve sees one copy and the deflated
-        # probes must recover the partner
-        k = kernel(L, -(L + 1))
+        # with L even and an odd offset the kernel decouples into two
+        # identical parity sublattices, so every singular value has
+        # multiplicity two; the shared block's triplets are placed on
+        # both sublattices, which must yield the partner copy
+        k = ToeplitzKernel(L, -(L + 1))
         triplets, _ = top_singular_triplets(k, 2, seed=0)
         assert triplets[0].sigma == pytest.approx(triplets[1].sigma, abs=1e-9)
         # and the two vectors are genuinely orthogonal, not rediscoveries
@@ -136,10 +139,62 @@ class TestTriplets:
     def test_tiny_kernel_exhaustion_exact(self):
         # L=4 exhausts the Krylov space in two steps; the exhaustion
         # paths must keep the trailing coupling to stay exact
-        k = kernel(4, -5)
+        k = ToeplitzKernel(4, -5)
         triplets, _ = top_singular_triplets(k, 2, seed=0)
         sv = np.linalg.svd(k.dense(), compute_uv=False)
         np.testing.assert_allclose([t.sigma for t in triplets], sv[:2], atol=1e-12)
+
+
+class TestParitySplitOracle:
+    """The per-sublattice solve against dense linear algebra on the full kernel."""
+
+    # L odd with N odd gives rectangular half blocks, L even with N even
+    # two identical ones, N = 0 the adjacent blocks
+    @settings(max_examples=60, deadline=None)
+    @given(L=st.integers(2, 200), N=st.integers(0, 50), pick=st.floats(0.0, 1.0))
+    @example(L=2, N=0, pick=1.0)
+    @example(L=3, N=1, pick=1.0)
+    @example(L=199, N=1, pick=1.0)
+    @example(L=199, N=0, pick=1.0)
+    @example(L=200, N=50, pick=1.0)
+    def test_matches_dense(self, L, N, pick):
+        tol = 1e-10
+        kern = ToeplitzKernel(L, -(N + L))
+        d = kern.dense()
+        rng = np.random.default_rng(1000 * L + N)
+
+        covered = 0.0
+        for block, placements in _parity_blocks(kern):
+            blk = block.dense()
+            for p, q in placements:
+                np.testing.assert_array_equal(blk, d[p::2, q::2])
+                covered += np.sum(blk**2)
+            x = rng.standard_normal(block.shape[0])
+            np.testing.assert_allclose(block.rmatvec(x), blk.T @ x, atol=1e-12)
+        assert covered == pytest.approx(np.sum(d**2), rel=1e-12)  # a direct sum
+        x = rng.standard_normal(L)
+        np.testing.assert_allclose(kern.rmatvec(x), d.T @ x, atol=1e-12)
+
+        sv = np.linalg.svd(d, compute_uv=False)
+        # values below tol * sigma_1 lie under what the solve resolves
+        rank = int(np.sum(sv > tol * sv[0]))
+        k = 1 + int(pick * (rank - 1))
+        triplets, _ = top_singular_triplets(kern, k, tol=tol, seed=L + N)
+        np.testing.assert_allclose([t.sigma for t in triplets], sv[:k], atol=1e-8)
+        for t in triplets:
+            resid = max(
+                np.linalg.norm(d @ t.v - t.sigma * t.u), np.linalg.norm(d.T @ t.u - t.sigma * t.v)
+            )
+            assert resid <= 10 * tol * sv[0]
+        u = np.column_stack([t.u for t in triplets])
+        v = np.column_stack([t.v for t in triplets])
+        np.testing.assert_allclose(u.T @ u, np.eye(k), atol=1e-8)
+        np.testing.assert_allclose(v.T @ v, np.eye(k), atol=1e-8)
+
+    def test_k_above_rank_raises(self):
+        # both 2 x 1 and 1 x 2 half blocks have rank one
+        with pytest.raises(ConvergenceError):
+            top_singular_triplets(ToeplitzKernel(3, -4), 3)
 
 
 class TestRestrictedCovariance:
@@ -224,6 +279,14 @@ class TestSweep:
         assert "error" in text
         header, row = text.splitlines()
         assert len(row.split("  #")[0].split(",")) == len(header.split(","))
+
+    def test_programming_errors_propagate(self, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("not a domain failure")
+
+        monkeypatch.setattr(lattice, "lattice_point", broken)
+        with pytest.raises(TypeError):
+            sweep([16], [1], seed=0, jobs=1)
 
     def test_empty_lists_rejected(self):
         with pytest.raises(ValidationError):

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from fermidistill.linalg import random_orthogonal
 from fermidistill.states import (
     BipartiteSplit,
+    ConvergenceError,
     CovarianceMatrix,
     RealProjectionPair,
     ValidationError,
@@ -21,6 +22,7 @@ from fermidistill.states import (
     protocol_quantities,
     random_basis_projection,
     random_covariance,
+    random_x_zero_covariance,
     restrict,
     save_covariance,
     target_orientation,
@@ -48,6 +50,12 @@ class TestValidate:
     def test_random_covariance_valid(self, rng):
         for _ in range(10):
             assert validate(random_covariance(4, rng)).passed
+
+    def test_x_zero_sampler_failure_is_typed(self):
+        # this seed draws no Y block with singular values above 0.05 in
+        # the sampler's 200 attempts at 8 modes per side
+        with pytest.raises(ConvergenceError):
+            random_x_zero_covariance(8, np.random.default_rng(13))
 
     def test_spectrum_violation_detected(self):
         g = np.zeros((4, 4))
