@@ -18,13 +18,13 @@ from pathlib import Path
 import numpy as np
 
 from fermidistill.lattice import (
-    LatticeGeometry,
+    ConvergenceError,
     fit_power_law,
-    lattice_point,
     min_length,
     sweep,
     sweep_to_csv,
 )
+from fermidistill.states import ValidationError
 
 
 def main():
@@ -75,12 +75,12 @@ def main():
         # but keep single evaluations affordable
         hi = min(10_000 * max(1, N), 600_000) if args.full else 200000
         try:
-            L, monotonic = min_length(N, target, L_lo=lo, L_hi=hi, seed=args.seed)
-        except Exception as exc:
+            L = min_length(N, target, L_lo=lo, L_hi=hi, seed=args.seed)
+        except (ValidationError, ConvergenceError) as exc:
             print(f"  N={N}: {exc}")
             continue
         lengths.append((N, L))
-        print(f"  N={N:>5}: L = {L}{'' if monotonic else '  (non-monotonic region hit)'}")
+        print(f"  N={N:>5}: L = {L}")
     if len(lengths) >= 2:
         ns = np.array([n for n, _ in lengths], dtype=float)
         ls = np.array([l for _, l in lengths], dtype=float)

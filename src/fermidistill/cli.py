@@ -10,6 +10,7 @@ FERMIDISTILL_SEED environment variable, making outputs reproducible.
 from __future__ import annotations
 
 import argparse
+import csv
 import json
 import os
 import sys
@@ -20,8 +21,15 @@ import numpy as np
 
 from . import closed_forms, lattice
 from .fock import MAX_MODES, verify_all
-from .protocol import run_protocol, sample_suboptimal, scan_m
-from .states import ValidationError, load_covariance, save_covariance, validate
+from .protocol import optimal_choice, run_protocol, sample_suboptimal, scan_m
+from .states import (
+    ValidationError,
+    load_covariance,
+    maximally_entangled_projection,
+    restrict,
+    save_covariance,
+    validate,
+)
 
 
 def _default_seed() -> int:
@@ -91,15 +99,10 @@ def _cmd_oracle(args) -> int:
     state, split = load_covariance(args.state)
     if state.n_modes > MAX_MODES:
         raise ValidationError(f"oracle verification is limited to {MAX_MODES} modes")
-    from .protocol import optimal_choice
-    from .states import maximally_entangled_projection, projection_frame, restrict
-
     choice = optimal_choice(state, split, args.m)
     # restrict to the kept modes and express the canonical target there
     restricted, rsplit = restrict(state, split, choice.d)
-    ua = projection_frame(choice.d.d_a)
-    ub = projection_frame(choice.d.d_b)
-    vp = ua.T @ choice.v @ ub
+    vp = choice.d.ua.T @ choice.v @ choice.d.ub
     target = maximally_entangled_projection(vp, rsplit, dim=restricted.dim)
     report = verify_all(restricted, target, rsplit)
     print(report.summary())
@@ -169,17 +172,24 @@ def _cmd_lattice(args) -> int:
         return 0
     if args.action == "fit":
         samples = []
-        for line in Path(args.data).read_text().splitlines()[1:]:
-            cells = line.split(",")
-            if len(cells) < 4 or "error" in line:
-                continue
-            L, N = int(cells[0]), int(cells[1])
-            if N != args.N:
-                continue
-            value = float(cells[2 if args.value == "p" else 3])
-            if not np.isfinite(value):
-                continue
-            samples.append((L, value))
+        with open(args.data, newline="") as fh:
+            reader = csv.DictReader(fh)
+            missing = {"L", "N", args.value} - set(reader.fieldnames or ())
+            if missing:
+                raise ValidationError(f"sweep CSV lacks columns {sorted(missing)}")
+            for row in reader:
+                try:
+                    L, N = int(row["L"]), int(row["N"])
+                except (TypeError, ValueError) as exc:
+                    raise ValidationError(f"sweep CSV line {reader.line_num}: {exc}") from exc
+                if N != args.N:
+                    continue
+                try:
+                    value = float(row[args.value])
+                except (TypeError, ValueError):  # error rows and short rows
+                    continue
+                if np.isfinite(value):
+                    samples.append((L, value))
         a, b, rms, warnings = lattice.fit_power_law(samples, args.L_min)
         payload = {
             "N": args.N,
@@ -193,10 +203,8 @@ def _cmd_lattice(args) -> int:
         _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
         return 0
     # minlen
-    L, monotonic = lattice.min_length(
-        args.N, args.x, args.L_lo, args.L_hi, m=args.m, seed=args.seed
-    )
-    payload = {"N": args.N, "x": args.x, "L": L, "monotonic": monotonic}
+    L = lattice.min_length(args.N, args.x, args.L_lo, args.L_hi, m=args.m, seed=args.seed)
+    payload = {"N": args.N, "x": args.x, "L": L}
     _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
     return 0
 

@@ -47,7 +47,6 @@ __all__ = [
     "fit_power_law",
     "min_length",
     "dense_covariance",
-    "SWEEP_HEADER",
 ]
 
 
@@ -169,7 +168,10 @@ def _gk_bidiagonalize(matvec, rmatvec, rows, cols, k, tol, max_iter, rng):
     Full reorthogonalization at every step (the Krylov basis stays small
     here, so the cost is negligible and ghost values are excluded).
     Convergence requires the residual bound beta_j |P_ji| <= tol * sigma_1
-    for each kept triplet.  The step cap min(rows, cols) + 1 lets a wide
+    for each kept triplet.  A Krylov space counts as exhausted when the
+    new alpha or beta falls to machine epsilon times the largest alpha or
+    beta seen so far, so the floor follows the operator's scale rather
+    than an absolute value.  The step cap min(rows, cols) + 1 lets a wide
     operator reach the u-side exhaustion exit.
     """
     v = rng.standard_normal(cols)
@@ -184,6 +186,8 @@ def _gk_bidiagonalize(matvec, rmatvec, rows, cols, k, tol, max_iter, rng):
     alphas = np.zeros(max_iter)
     betas = np.zeros(max_iter)
     best_res = None
+    eps = np.finfo(float).eps
+    scale = 0.0
 
     def ensure_capacity(n: int):
         nonlocal vmat, umat, cap
@@ -223,7 +227,8 @@ def _gk_bidiagonalize(matvec, rmatvec, rows, cols, k, tol, max_iter, rng):
             u -= umat[:, :j] @ (umat[:, :j].T @ u)
             u -= umat[:, :j] @ (umat[:, :j].T @ u)
         alphas[j] = np.linalg.norm(u)
-        if alphas[j] < 1e-14:
+        scale = max(scale, alphas[j])
+        if alphas[j] <= eps * scale:
             # u-side Krylov space exhausted: the last v column stays coupled
             # through the trailing beta, so the exact restriction of the
             # operator is the rectangular j x (j+1) bidiagonal matrix.
@@ -238,18 +243,22 @@ def _gk_bidiagonalize(matvec, rmatvec, rows, cols, k, tol, max_iter, rng):
         w -= vmat[:, : j + 1] @ (vmat[:, : j + 1].T @ w)
         w -= vmat[:, : j + 1] @ (vmat[:, : j + 1].T @ w)
         betas[j] = np.linalg.norm(w)
+        scale = max(scale, betas[j])
 
         jj = j + 1
-        if jj >= k and (jj % 4 == 0 or jj == max_iter or betas[j] < 1e-14):
+        if betas[j] <= eps * scale:
+            # v-side exhaustion: the square bidiagonal block is exact
+            p, sv, qt = ritz(jj)
+            return extract(p, sv, qt, jj, jj, jj)
+        # Convergence is tested every 4th step on purpose: each test costs a
+        # dense SVD of the bidiagonal, and stopping up to three steps late
+        # only tightens the residuals.
+        if jj >= k and (jj % 4 == 0 or jj == max_iter):
             p, sv, qt = ritz(jj)
             res = betas[j] * np.abs(p[-1, :k])
             best_res = res
-            if np.all(res <= tol * max(sv[0], 1e-300)) or betas[j] < 1e-14:
+            if np.all(res <= tol * max(sv[0], 1e-300)):
                 return extract(p, sv, qt, jj, jj, jj)
-        if betas[j] < 1e-14:
-            # v-side exhaustion: the square bidiagonal block is exact
-            p, sv, qt = ritz(j + 1)
-            return extract(p, sv, qt, j + 1, j + 1, j + 1)
         vmat[:, j + 1] = w / betas[j]
 
     raise ConvergenceError(
@@ -458,9 +467,6 @@ def _sweep_header(m: int) -> list[str]:
     )
 
 
-SWEEP_HEADER = _sweep_header(2)
-
-
 @dataclass
 class SweepRow:
     L: int
@@ -564,13 +570,14 @@ def min_length(
     m: int = 2,
     tol: float = 1e-10,
     seed: int = 0,
-) -> tuple[int, bool]:
+) -> int:
     """Smallest L in [L_lo, L_hi] with f(L, N) >= x.
 
     Exponential bracketing plus bisection under the empirically
-    validated monotonicity of f in L; if a monotonicity violation is
-    detected along the way, falls back to a linear scan and flags it.
-    Returns (L, monotonic) and raises if the target is unreachable.
+    validated monotonicity of f in L, so about 2 log2(L_hi) lattice
+    points are evaluated.  Raises ValidationError if the target is
+    unreachable, or if a bisection point's f falls outside the values at
+    its bracket ends, naming that (L, f) triple.
     """
     if not 0.0 < x < 1.0:
         raise ValidationError("target fidelity must be in (0, 1)")
@@ -588,7 +595,7 @@ def min_length(
     if fid(L_hi) < x:
         raise ValidationError(f"target f >= {x} unreachable: f({L_hi}, {N}) = {fid(L_hi):.6f}")
     if fid(L_lo) >= x:
-        return L_lo, True
+        return L_lo
 
     # exponential bracketing upward from L_lo
     lo, hi = L_lo, L_lo
@@ -597,20 +604,16 @@ def min_length(
         lo = hi
         hi = min(L_hi, hi + step)
         step *= 2
-    monotonic = True
     while hi - lo > 1:
         mid = (lo + hi) // 2
         fm = fid(mid)
         if fm < fid(lo) - 1e-9 or fm > fid(hi) + 1e-9:
-            monotonic = False
-            break
+            raise ValidationError(
+                f"f is not monotone in L at N = {N}: f({lo}) = {fid(lo):.9f}, "
+                f"f({mid}) = {fm:.9f}, f({hi}) = {fid(hi):.9f}"
+            )
         if fm >= x:
             hi = mid
         else:
             lo = mid
-    if monotonic:
-        return hi, True
-    for L in range(L_lo, L_hi + 1):
-        if fid(L) >= x:
-            return L, False
-    raise ValidationError("linear scan failed to reach target (non-monotonic data)")
+    return hi

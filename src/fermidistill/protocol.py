@@ -47,7 +47,7 @@ class InsufficientRankError(ValidationError):
 
 @dataclass(frozen=True)
 class ProtocolChoice:
-    """One protocol instance: target size m, projections and isometry."""
+    """One protocol instance: target size m, kept-mode frames and isometry."""
 
     m: int
     d: RealProjectionPair
@@ -123,7 +123,7 @@ def optimal_choice(
         )
     ua = u[:, :cut]
     ub = vh[:cut].T
-    d = RealProjectionPair(ua @ ua.T, ub @ ub.T)
+    d = RealProjectionPair(ua, ub)
     v, _ = polar_decompose(ua.T @ y @ ub)
     return ProtocolChoice(m=m, d=d, v=ua @ v @ ub.T, lambdas=sv[:cut].copy(), warnings=tuple(warnings))
 
@@ -266,7 +266,7 @@ def sample_suboptimal(
         ua = random_orthogonal(ka, rng)[:, : 2 * m]
         ub = random_orthogonal(kb, rng)[:, : 2 * m]
         o = random_orthogonal(2 * m, rng)
-        d = RealProjectionPair(ua @ ua.T, ub @ ub.T)
+        d = RealProjectionPair(ua, ub)
         v = ua @ o @ ub.T
         q = protocol_quantities(s, split, d, v)
         if best is None or q.pf > best.best_pf:

@@ -78,21 +78,14 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Covariance matrix of a quasifree state in a canonical real basis.
-
-    orientation is the +-1 sign convention for the parity operator of
-    this basis; it multiplies parity expectations and probabilities.
-    """
+    """Covariance matrix of a quasifree state in a canonical real basis."""
 
     matrix: np.ndarray
-    orientation: int = 1
 
     def __post_init__(self):
         m = np.asarray(self.matrix, dtype=complex)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
             raise ValidationError(f"covariance must be 2n x 2n, got {m.shape}")
-        if self.orientation not in (-1, 1):
-            raise ValidationError("orientation must be +1 or -1")
         object.__setattr__(self, "matrix", m)
 
     @property
@@ -106,12 +99,6 @@ class CovarianceMatrix:
 
 def _matrix(s: CovarianceMatrix | np.ndarray) -> np.ndarray:
     return np.asarray(getattr(s, "matrix", s), dtype=complex)
-
-
-def _orientation(s, override: int | None) -> int:
-    if override is not None:
-        return int(override)
-    return int(getattr(s, "orientation", 1))
 
 
 @dataclass(frozen=True)
@@ -163,25 +150,38 @@ class BlockDecomposition:
 
 @dataclass(frozen=True)
 class RealProjectionPair:
-    """Real projections (D_A, D_B) selecting the kept modes on each side."""
+    """Kept modes on each side, held as real orthonormal frames (ua, ub).
 
-    d_a: np.ndarray
-    d_b: np.ndarray
+    The columns of ua span Ran D_A and those of ub span Ran D_B; each
+    frame has an even number of columns (whole modes).  The projections
+    D_A = ua ua^T and D_B = ub ub^T are derived from the frames.
+    """
+
+    ua: np.ndarray
+    ub: np.ndarray
 
     def __post_init__(self):
-        for name, d in (("d_a", self.d_a), ("d_b", self.d_b)):
-            d = np.asarray(d)
-            if np.abs(d @ d - d).max() > STRUCT_ATOL:
-                raise ValidationError(f"{name} is not idempotent")
-            if np.abs(d - d.T.conj()).max() > STRUCT_ATOL:
-                raise ValidationError(f"{name} is not selfadjoint")
-            if np.iscomplexobj(d) and np.abs(d.imag).max() > STRUCT_ATOL:
+        for name, u in (("ua", self.ua), ("ub", self.ub)):
+            u = np.asarray(u)
+            if np.iscomplexobj(u) and np.abs(u.imag).max(initial=0.0) > STRUCT_ATOL:
                 raise ValidationError(f"{name} is not real")
-            object.__setattr__(self, name, np.real(d))
+            u = np.real(u).astype(float)
+            if u.ndim != 2 or u.shape[1] % 2 != 0:
+                raise ValidationError(
+                    f"{name} must be 2-D with an even number of columns (whole modes), "
+                    f"got shape {u.shape}"
+                )
+            if np.abs(u.T @ u - np.eye(u.shape[1])).max(initial=0.0) > STRUCT_ATOL:
+                raise ValidationError(f"{name} does not have orthonormal columns")
+            object.__setattr__(self, name, u)
 
     @property
-    def rank(self) -> int:
-        return int(round(np.trace(self.d_a)))
+    def d_a(self) -> np.ndarray:
+        return self.ua @ self.ua.T
+
+    @property
+    def d_b(self) -> np.ndarray:
+        return self.ub @ self.ub.T
 
     @classmethod
     def identity(cls, dim_a: int, dim_b: int) -> "RealProjectionPair":
@@ -233,13 +233,6 @@ def validate(s: CovarianceMatrix | np.ndarray, atol: float = STRUCT_ATOL) -> Val
     return report
 
 
-def require_valid(s: CovarianceMatrix | np.ndarray, atol: float = STRUCT_ATOL):
-    report = validate(s, atol)
-    if not report.passed:
-        bad = "; ".join(f"{n} = {m:.3e}" for n, m, _ in report.violations)
-        raise ValidationError(f"invalid covariance matrix: {bad}")
-
-
 def blocks(s: CovarianceMatrix | np.ndarray, split: BipartiteSplit) -> BlockDecomposition:
     """Real block decomposition X = -i(2 S_AA - 1), Z likewise, Y = -2i S_AB."""
     m = _matrix(s)
@@ -259,17 +252,13 @@ def blocks(s: CovarianceMatrix | np.ndarray, split: BipartiteSplit) -> BlockDeco
     return BlockDecomposition(*out)
 
 
-def assemble_covariance(
-    block: BlockDecomposition, orientation: int = 1
-) -> tuple[CovarianceMatrix, BipartiteSplit]:
+def assemble_covariance(block: BlockDecomposition) -> tuple[CovarianceMatrix, BipartiteSplit]:
     """Inverse of `blocks` for the grouped index ordering (all A, then all B)."""
     x, y, z = block.x, block.y, block.z
     na, nb = x.shape[0], z.shape[0]
     g = 0.5 * np.block([[x, y], [-y.T, z]])
     s = 0.5 * np.eye(na + nb) + 1j * g
-    return CovarianceMatrix(s, orientation), BipartiteSplit(
-        tuple(range(na)), tuple(range(na, na + nb))
-    )
+    return CovarianceMatrix(s), BipartiteSplit(tuple(range(na)), tuple(range(na, na + nb)))
 
 
 def _skew_part(s: CovarianceMatrix | np.ndarray) -> np.ndarray:
@@ -290,7 +279,7 @@ def _skew_part(s: CovarianceMatrix | np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def parity_expectation(s: CovarianceMatrix | np.ndarray, orientation: int | None = None) -> float:
+def parity_expectation(s: CovarianceMatrix | np.ndarray, orientation: int = 1) -> float:
     """Expectation of the parity operator: 2^n (-1)^n Pf(-i(S - 1/2)).
 
     The sign refers to the parity operator built from the basis the
@@ -298,13 +287,13 @@ def parity_expectation(s: CovarianceMatrix | np.ndarray, orientation: int | None
     """
     g = _skew_part(s)
     n = g.shape[0] // 2
-    val = _orientation(s, orientation) * (2.0 ** n) * ((-1.0) ** n) * pfaffian(g)
+    val = orientation * (2.0 ** n) * ((-1.0) ** n) * pfaffian(g)
     if abs(val) > 1 + STRUCT_ATOL:
         raise ValidationError(f"parity expectation {val:.6f} outside [-1, 1]")
     return float(np.clip(val, -1.0, 1.0))
 
 
-def parity_probability(s: CovarianceMatrix | np.ndarray, orientation: int | None = None) -> float:
+def parity_probability(s: CovarianceMatrix | np.ndarray, orientation: int = 1) -> float:
     """Probability that a joint parity measurement lands in the target sector.
 
     For 2m modes: p = (1 + orientation * (-4)^m Pf(-i(S - 1/2))) / 2.
@@ -317,7 +306,7 @@ def parity_probability(s: CovarianceMatrix | np.ndarray, orientation: int | None
     if g.shape[0] % 4 != 0:
         raise ValidationError("parity probability needs an even number of modes")
     m = g.shape[0] // 4
-    p = (1.0 + _orientation(s, orientation) * ((-4.0) ** m) * pfaffian(g)) / 2.0
+    p = (1.0 + orientation * ((-4.0) ** m) * pfaffian(g)) / 2.0
     if p < -STRUCT_ATOL or p > 1 + STRUCT_ATOL:
         raise ValidationError(
             f"parity probability {p:.3e} outside [0, 1]: orientation bug or invalid state"
@@ -362,7 +351,7 @@ def partner_projection(
     ia, ib = list(split.a), list(split.b)
     m[np.ix_(ia, ib)] *= -1
     m[np.ix_(ib, ia)] *= -1
-    out = CovarianceMatrix(m, _orientation(e, None))
+    out = CovarianceMatrix(m)
     if np.abs(m @ m - m).max() > STRUCT_ATOL:
         raise ValidationError("partner projection lost idempotence")
     return out
@@ -408,19 +397,6 @@ def target_orientation(e: CovarianceMatrix | np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 
 
-def projection_frame(d: np.ndarray, atol: float = STRUCT_ATOL) -> np.ndarray:
-    """Real orthonormal basis of the range of a real projection."""
-    d = np.real(np.asarray(d))
-    w, vecs = np.linalg.eigh((d + d.T) / 2)
-    rank = int(np.sum(w > 0.5))
-    frame = vecs[:, w > 0.5]
-    if np.abs(w - np.rint(w)).max() > atol:
-        raise ValidationError("projection eigenvalues are not 0/1")
-    if rank % 2 != 0:
-        raise ValidationError("projection rank must be even (whole modes)")
-    return frame
-
-
 @dataclass(frozen=True)
 class ProtocolQuantities:
     """Success probability, output fidelity and their product for one run.
@@ -450,18 +426,17 @@ def protocol_quantities(
         pf = det(V') (-1)^m 2^(-2m) [Pf(M+) + Pf(M-)],
         M+- = [[X', Y' +- V'], [-(Y' +- V')^T, Z']],
 
-    where primes are compressions onto orthonormal frames of Ran D_A/B
-    and det(V') fixes the orientation of the target.  Whenever X' or Z'
-    vanishes the result is cross-checked against the determinant form
+    where primes are compressions onto the kept-mode frames d.ua and
+    d.ub and det(V') fixes the orientation of the target.  Whenever X'
+    or Z' vanishes the result is cross-checked against the determinant form
         (|det(Y' + V')| + |det(Y' - V')|) / 2^(2m).
     """
     split.check_even()
     blk = blocks(s, split)
-    ua = projection_frame(d.d_a)
-    ub = projection_frame(d.d_b)
+    ua, ub = d.ua, d.ub
     r = ua.shape[1]
     if ub.shape[1] != r:
-        raise ValidationError("D_A and D_B must have equal rank")
+        raise ValidationError("frames ua and ub must have equal rank")
     m = r // 2
 
     xp = ua.T @ blk.x @ ua
@@ -562,20 +537,20 @@ def output_fidelity(fid_e: float, fid_partner: float, p: float, m: int) -> tuple
 def restrict(
     s: CovarianceMatrix | np.ndarray, split: BipartiteSplit, d: RealProjectionPair
 ) -> tuple[CovarianceMatrix, BipartiteSplit]:
-    """Compress S to the range of D = D_A + D_B, keeping the A/B structure.
+    """Compress S onto the kept-mode frames d.ua and d.ub, keeping the A/B structure.
 
-    Returns the covariance of the restricted quasifree state together
-    with the split of the new (grouped) index set.
+    Returns the covariance of the restricted quasifree state, expressed
+    in those frames, together with the split of the new (grouped) index
+    set.
     """
     m = _matrix(s)
-    ua = projection_frame(d.d_a)
-    ub = projection_frame(d.d_b)
+    ua, ub = d.ua, d.ub
     ia, ib = list(split.a), list(split.b)
     frame = np.zeros((m.shape[0], ua.shape[1] + ub.shape[1]))
     frame[ia, : ua.shape[1]] = ua
     frame[ib, ua.shape[1]:] = ub
     sr = frame.T @ m @ frame
-    out = CovarianceMatrix(sr, _orientation(s, None))
+    out = CovarianceMatrix(sr)
     report = validate(out)
     if not report.passed:
         raise ValidationError("restricted covariance failed validation:\n" + report.summary())

@@ -246,9 +246,9 @@ def test_criterion_6_lattice_trends():
         worst_rms = max(worst_rms, rms)
 
     lengths = [
-        min_length(1, 0.9, L_lo=500, L_hi=20000)[0],
-        min_length(10, 0.9, L_lo=2000, L_hi=200000)[0],
-        min_length(100, 0.9, L_lo=20000, L_hi=800000)[0],
+        min_length(1, 0.9, L_lo=500, L_hi=20000),
+        min_length(10, 0.9, L_lo=2000, L_hi=200000),
+        min_length(100, 0.9, L_lo=20000, L_hi=800000),
     ]
     lengths_ok = lengths[0] <= lengths[1] <= lengths[2]
 

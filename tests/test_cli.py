@@ -154,6 +154,30 @@ class TestLatticeCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["a"] > 0 and payload["b"] > 0
 
+    def test_fit_reads_columns_by_name(self, tmp_path, capsys):
+        # reordered columns, an error row whose message holds commas, and
+        # a row for another distance
+        data = tmp_path / "sweep.csv"
+        rows = ["f,N,L,p"]
+        rows += [f"{1 - 2 / L**0.5!r},1,{L},0.5" for L in (100, 400, 1600, 6400)]
+        rows += ["error,1,800,error  # failed, twice", "0.99,2,3200,0.5"]
+        data.write_text("\n".join(rows) + "\n")
+        assert main(["lattice", "fit", "--data", str(data), "--N", "1", "--L-min", "0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["points_used"] == 4
+        assert payload["a"] == pytest.approx(0.5, abs=1e-9)
+        assert payload["b"] == pytest.approx(2.0, abs=1e-9)
+
+    def test_fit_malformed_input(self, tmp_path, capsys):
+        data = tmp_path / "sweep.csv"
+        fit = ["lattice", "fit", "--data", str(data), "--N", "1", "--L-min", "0"]
+        data.write_text("L,N,p\n100,1,0.5\n")
+        assert main(fit) == 1
+        assert "lacks columns ['f']" in capsys.readouterr().err
+        data.write_text("L,N,p,f\n100,1,0.5,0.6\n200,x,0.5,0.7\n")
+        assert main(fit) == 1
+        assert "sweep CSV line 3" in capsys.readouterr().err
+
     def test_sweep_range_syntax(self, tmp_path):
         out = str(tmp_path / "sweep.csv")
         assert main(["lattice", "sweep", "--L", "16:49:16", "--N", "0,1", "--out", out]) == 0

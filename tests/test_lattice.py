@@ -1,3 +1,6 @@
+import math
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -191,6 +194,17 @@ class TestParitySplitOracle:
         np.testing.assert_allclose(u.T @ u, np.eye(k), atol=1e-8)
         np.testing.assert_allclose(v.T @ v, np.eye(k), atol=1e-8)
 
+    @pytest.mark.parametrize("L,r,k,seed", [(36, -86, 14, 12), (17, -64, 12, 0)])
+    def test_trailing_values_near_exhaustion_floor(self, L, r, k, seed):
+        # k is the count of dense sigma above 1e-12 sigma_1; the trailing
+        # values sit near 1e-14, where an absolute exhaustion floor
+        # stopped the solve short of k triplets
+        kern = ToeplitzKernel(L, r)
+        sv = np.linalg.svd(kern.dense(), compute_uv=False)
+        assert k == np.sum(sv > 1e-12 * sv[0])
+        triplets, _ = top_singular_triplets(kern, k, seed=seed)
+        np.testing.assert_allclose([t.sigma for t in triplets], sv[:k], atol=1e-8 * sv[0])
+
     def test_k_above_rank_raises(self):
         # both 2 x 1 and 1 x 2 half blocks have rank one
         with pytest.raises(ConvergenceError):
@@ -351,19 +365,37 @@ class TestFit:
 class TestMinLength:
     def test_boundary_hit(self):
         f16 = lattice_point(LatticeGeometry(16, 1)).f
-        L, monotonic = min_length(1, f16 + 1e-6, L_lo=16, L_hi=64)
+        L = min_length(1, f16 + 1e-6, L_lo=16, L_hi=64)
         assert L in (17, 18)
-        assert monotonic
 
     def test_already_satisfied(self):
-        L, _ = min_length(1, 0.1, L_lo=16, L_hi=64)
+        L = min_length(1, 0.1, L_lo=16, L_hi=64)
         assert L == 16
 
     def test_unreachable(self):
         with pytest.raises(ValidationError, match="unreachable"):
             min_length(1, 0.999999, L_lo=4, L_hi=16)
 
+    def test_monotonicity_violation_bounded_and_typed(self, monkeypatch):
+        # f dips below its bracket's lower end at L = 393216, the first
+        # bisection point inside (262144, 524288)
+        def f_of(L):
+            if L >= 500_000:
+                return 0.6
+            return 0.4 if 100_000 <= L < 390_000 else 0.3
+
+        calls = []
+
+        def fake_point(geometry, **kwargs):
+            calls.append(geometry.L)
+            return SimpleNamespace(f=f_of(geometry.L))
+
+        monkeypatch.setattr(lattice, "lattice_point", fake_point)
+        with pytest.raises(ValidationError, match="not monotone.*393216"):
+            min_length(1, 0.5, L_lo=2, L_hi=800_000)
+        assert len(calls) <= 2 * math.log2(800_000) + 4
+
     def test_nondecreasing_in_distance(self):
         target = 0.55
-        lengths = [min_length(N, target, L_lo=4, L_hi=512)[0] for N in (0, 1, 5)]
+        lengths = [min_length(N, target, L_lo=4, L_hi=512) for N in (0, 1, 5)]
         assert lengths == sorted(lengths)

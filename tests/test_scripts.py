@@ -1,0 +1,35 @@
+"""The study scripts run end to end on small inputs.
+
+Each script's main() runs in-process through runpy, so an API change
+that breaks a script fails here rather than at the next manual run.
+"""
+
+import json
+import runpy
+import sys
+from pathlib import Path
+
+SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+
+
+def _run(monkeypatch, script: str, *argv: str):
+    monkeypatch.setattr(sys, "argv", [script, *argv])
+    runpy.run_path(str(SCRIPTS / script), run_name="__main__")
+
+
+def test_optimality_study(monkeypatch, capsys):
+    _run(monkeypatch, "optimality_study.py", "--states", "2", "--trials", "20")
+    out = capsys.readouterr().out
+    assert "max sampled excess over the bound" in out
+    assert "canonical choice beaten on" in out
+
+
+def test_lattice_study(monkeypatch, capsys, tmp_path):
+    _run(monkeypatch, "lattice_study.py", "--out-dir", str(tmp_path))
+    assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 6 * 3
+    fits = json.loads((tmp_path / "fits.json").read_text())
+    assert {(f["N"], f["value"]) for f in fits} == {
+        (N, v) for N in (1, 10, 100) for v in ("f", "p")
+    }
+    lengths = json.loads((tmp_path / "min_lengths.json").read_text())["lengths"]
+    assert [N for N, _ in lengths] == [1, 10, 100]

@@ -237,6 +237,53 @@ class TestProtocolQuantities:
             )
 
 
+class TestFrames:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31))
+    def test_rotation_within_span_invariant(self, seed):
+        # p, f and pf depend on the kept subspaces and V, not on the
+        # orthonormal basis chosen for each subspace
+        rng = np.random.default_rng(seed)
+        split = BipartiteSplit.halves(16)
+        s = random_covariance(8, rng)
+        ua = random_orthogonal(8, rng)[:, :4]
+        ub = random_orthogonal(8, rng)[:, :4]
+        v = ua @ random_orthogonal(4, rng) @ ub.T
+        oa, ob = random_orthogonal(4, rng), random_orthogonal(4, rng)
+        q = protocol_quantities(s, split, RealProjectionPair(ua, ub), v)
+        q_rot = protocol_quantities(s, split, RealProjectionPair(ua @ oa, ub @ ob), v)
+        assert q_rot.p == pytest.approx(q.p, abs=1e-12)
+        assert q_rot.pf == pytest.approx(q.pf, abs=1e-12)
+        if q.f is not None:
+            assert q_rot.f == pytest.approx(q.f, abs=1e-12)
+
+    def test_non_orthonormal_rejected(self, rng):
+        u = random_orthogonal(4, rng)[:, :2]
+        with pytest.raises(ValidationError, match="orthonormal"):
+            RealProjectionPair(1.01 * u, u)
+        with pytest.raises(ValidationError, match="orthonormal"):
+            RealProjectionPair(u, u @ u.T)  # a projection is not a frame
+
+    def test_odd_column_count_rejected(self, rng):
+        u = random_orthogonal(4, rng)
+        with pytest.raises(ValidationError, match="even number of columns"):
+            RealProjectionPair(u[:, :3], u[:, :2])
+        with pytest.raises(ValidationError, match="even number of columns"):
+            RealProjectionPair(u[:, :2], u[:, 0])
+
+    def test_complex_rejected(self, rng):
+        u = random_orthogonal(4, rng)[:, :2]
+        with pytest.raises(ValidationError, match="not real"):
+            RealProjectionPair(u, 1j * u)
+
+    def test_unequal_ranks_rejected(self, rng):
+        split = BipartiteSplit.halves(8)
+        s = random_covariance(4, rng)
+        u = random_orthogonal(4, rng)
+        with pytest.raises(ValidationError, match="equal rank"):
+            protocol_quantities(s, split, RealProjectionPair(u[:, :2], u), np.eye(4))
+
+
 class TestTwirl:
     def test_pure_target(self):
         lam_p, lam_m, mu_p, mu_m = twirl_coefficients(1.0, 1.0, 0.0, 2)
@@ -328,7 +375,7 @@ class TestRestrict:
     def test_maximally_mixed_stays_mixed(self, rng):
         split = BipartiteSplit.halves(8)
         u = random_orthogonal(4, rng)[:, :2]
-        pair = RealProjectionPair(u @ u.T, u @ u.T)
+        pair = RealProjectionPair(u, u)
         out, _ = restrict(mixed(4), split, pair)
         np.testing.assert_allclose(out.matrix, 0.5 * np.eye(4), atol=1e-12)
 
@@ -337,7 +384,7 @@ class TestRestrict:
         s = random_covariance(6, rng)
         ua = random_orthogonal(6, rng)[:, :4]
         ub = random_orthogonal(6, rng)[:, :4]
-        out, new_split = restrict(s, split, RealProjectionPair(ua @ ua.T, ub @ ub.T))
+        out, new_split = restrict(s, split, RealProjectionPair(ua, ub))
         assert validate(out).passed
         assert out.n_modes == 4
         assert len(new_split.a) == len(new_split.b) == 4
