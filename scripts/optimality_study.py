@@ -16,6 +16,7 @@ import numpy as np
 from fermidistill.protocol import optimal_pf_bound, run_protocol, sample_suboptimal
 from fermidistill.states import (
     BipartiteSplit,
+    ValidationError,
     random_covariance,
     random_x_zero_covariance,
 )
@@ -50,7 +51,7 @@ def main():
         split = BipartiteSplit.halves(4 * k)
         try:
             rep = run_protocol(s, split, 2)
-        except Exception:
+        except ValidationError:
             continue
         sample = sample_suboptimal(s, split, 2, trials=args.trials, seed=args.seed + 90_000 + i)
         if sample.best_pf > rep.pf + 1e-9:

@@ -17,12 +17,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import polar_decompose, random_orthogonal, svd, RANK_RTOL
+from .linalg import haar_frame, polar_decompose, svd, RANK_RTOL
 from .states import (
+    P_FLOOR,
     BipartiteSplit,
     CovarianceMatrix,
     RealProjectionPair,
     ValidationError,
+    _protocol_quantities_stack,
     blocks,
     protocol_quantities,
 )
@@ -43,6 +45,22 @@ __all__ = [
 
 class InsufficientRankError(ValidationError):
     """The off-diagonal block has too few nonzero singular values for m."""
+
+
+# Trials evaluated per stacked batch in sample_suboptimal: large enough to
+# amortise the per-call numpy overhead, small enough to bound memory.
+SAMPLE_CHUNK = 256
+
+
+def _check_target(split: BipartiteSplit, m: int) -> None:
+    """Reject a target size m that no protocol on this split can reach."""
+    if m < 2:
+        raise ValidationError("protocol needs m >= 2")
+    split.check_even()
+    if 2 * m > len(split.a):
+        raise InsufficientRankError(
+            f"m = {m} needs rank 2m = {2 * m} but each side has only {len(split.a)} dimensions"
+        )
 
 
 @dataclass(frozen=True)
@@ -100,13 +118,7 @@ def optimal_choice(
     to be strictly positive; a degenerate value at the cut makes the
     subspace basis-dependent, which is reported as a warning.
     """
-    if m < 2:
-        raise ValidationError("protocol needs m >= 2")
-    split.check_even()
-    if 2 * m > len(split.a):
-        raise InsufficientRankError(
-            f"m = {m} needs rank 2m = {2 * m} but each side has only {len(split.a)} dimensions"
-        )
+    _check_target(split, m)
     y = blocks(s, split).y
     u, sv, vh = svd(y)
     cut = 2 * m
@@ -253,22 +265,38 @@ def sample_suboptimal(
 
     D_A and D_B are spanned by random orthogonal frames, V is a random
     orthogonal pairing between them.  Used as an empirical optimality
-    probe against the canonical choice.
+    probe against the canonical choice.  Trial t draws from stream t of
+    SeedSequence(seed).spawn(trials); trials are evaluated as stacks of
+    SAMPLE_CHUNK, and the first trial with the largest pf wins.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
-    split.check_even()
-    ka, kb = len(split.a), len(split.b)
+    _check_target(split, m)
+    blk = blocks(s, split)
+    ka, kb, r = len(split.a), len(split.b), 2 * m
+    root = np.random.SeedSequence(seed)
     best: SuboptimalSample | None = None
-    streams = np.random.SeedSequence(seed).spawn(trials)
-    for t, stream in enumerate(streams):
-        rng = np.random.default_rng(stream)
-        ua = random_orthogonal(ka, rng)[:, : 2 * m]
-        ub = random_orthogonal(kb, rng)[:, : 2 * m]
-        o = random_orthogonal(2 * m, rng)
-        d = RealProjectionPair(ua, ub)
-        v = ua @ o @ ub.T
-        q = protocol_quantities(s, split, d, v)
-        if best is None or q.pf > best.best_pf:
-            best = SuboptimalSample(q.pf, q.p, q.f, t, d, v)
+    for start in range(0, trials, SAMPLE_CHUNK):
+        count = min(SAMPLE_CHUNK, trials - start)
+        sides = np.empty((2, count, ka, r))  # ka == kb after _check_target
+        pairing = np.empty((count, r, r))
+        for i, stream in enumerate(root.spawn(count)):
+            rng = np.random.default_rng(stream)
+            # full square draws keep each stream's sequence; only the
+            # first r columns of the side draws enter the frames
+            sides[0, i] = rng.standard_normal((ka, ka))[:, :r]
+            sides[1, i] = rng.standard_normal((kb, kb))[:, :r]
+            pairing[i] = rng.standard_normal((r, r))
+        ua, ub = haar_frame(sides)
+        o = haar_frame(pairing)
+        v = ua @ o @ np.swapaxes(ub, 1, 2)
+        vp = np.swapaxes(ua, 1, 2) @ v @ ub
+        p, pf = _protocol_quantities_stack(blk, ua, ub, vp)
+        i = int(np.argmax(pf))
+        if best is None or pf[i] > best.best_pf:
+            pi, pfi = float(p[i]), float(pf[i])
+            best = SuboptimalSample(
+                pfi, pi, pfi / pi if pi > P_FLOOR else None, start + i,
+                RealProjectionPair(ua[i], ub[i]), v[i],
+            )
     return best

@@ -29,6 +29,7 @@ from .linalg import pfaffian, random_orthogonal, svd
 
 STRUCT_ATOL = 1e-10          # structural tolerances (hermiticity, realness, ...)
 CROSS_CHECK_ATOL = 1e-8      # agreement between independent formulas
+P_FLOOR = 1e-12              # below this success probability f is undefined
 
 __all__ = [
     "CovarianceMatrix",
@@ -329,8 +330,8 @@ def fock_fidelity(s: CovarianceMatrix | np.ndarray, e: CovarianceMatrix | np.nda
     for name, mat in (("1 - S - E", arg), ("1 - 2E", ref)):
         if np.abs(mat.imag).max() > 1e-8:
             raise ValidationError(f"-i({name}) has imaginary residue above 1e-8")
-    num = pfaffian((arg.real - arg.real.T) / 2)
-    den = pfaffian((ref.real - ref.real.T) / 2)
+    pair = np.stack([arg.real, ref.real])
+    num, den = pfaffian((pair - np.swapaxes(pair, 1, 2)) / 2)
     if abs(abs(den) - 1.0) > 1e-6:
         raise ValidationError("E is not a basis projection (orientation Pfaffian != +-1)")
     fid = num / round(den)
@@ -415,7 +416,7 @@ def protocol_quantities(
     d: RealProjectionPair,
     v: np.ndarray,
     *,
-    p_floor: float = 1e-12,
+    p_floor: float = P_FLOOR,
 ) -> ProtocolQuantities:
     """Evaluate one protocol instance (D, V) on the state S.
 
@@ -432,48 +433,82 @@ def protocol_quantities(
         (|det(Y' + V')| + |det(Y' - V')|) / 2^(2m).
     """
     split.check_even()
-    blk = blocks(s, split)
     ua, ub = d.ua, d.ub
-    r = ua.shape[1]
-    if ub.shape[1] != r:
-        raise ValidationError("frames ua and ub must have equal rank")
-    m = r // 2
-
-    xp = ua.T @ blk.x @ ua
-    yp = ua.T @ blk.y @ ub
-    zp = ub.T @ blk.z @ ub
     vp = ua.T @ np.real(np.asarray(v)) @ ub
-    if np.abs(vp.T @ vp - np.eye(r)).max() > 1e-8:
-        raise ValidationError("V is not a partial isometry between Ran D_B and Ran D_A")
-    detv = int(round(np.linalg.det(vp)))
+    p, pf = _protocol_quantities_stack(blocks(s, split), ua[None], ub[None], vp[None])
+    p, pf = float(p[0]), float(pf[0])
+    return ProtocolQuantities(p=p, f=pf / p if p > p_floor else None, pf=pf)
 
-    g = 0.5 * np.block([[xp, yp], [-yp.T, zp]])
-    p = (1.0 + detv * ((-4.0) ** m) * pfaffian((g - g.T) / 2)) / 2.0
-    if p < -STRUCT_ATOL or p > 1 + STRUCT_ATOL:
-        raise ValidationError(f"restricted parity probability {p:.3e} outside [0, 1]")
-    p = float(np.clip(p, 0.0, 1.0))
 
-    def _half(sign: float) -> float:
-        k = yp + sign * vp
-        mat = np.block([[xp, k], [-k.T, zp]])
-        return pfaffian((mat - mat.T) / 2)
+def _protocol_quantities_stack(
+    blk: BlockDecomposition, ua: np.ndarray, ub: np.ndarray, vp: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """p and pf of `protocol_quantities` for a stack of protocol instances.
 
-    pf = detv * ((-1.0) ** m) * (_half(+1.0) + _half(-1.0)) / (2.0 ** r)
+    ua (b, |A|, r) and ub (b, |B|, r) are the kept-mode frames of each
+    member and vp (b, r, r) its compressed isometry ua^T V ub.  The
+    three 2r x 2r Pfaffian matrices (G', M+, M-) of every member go
+    through one `pfaffian` call.  Every check of the single evaluation
+    runs on every member, and a failure names the first offending one.
+    """
+    b, r = ua.shape[0], ua.shape[2]
 
-    if min(np.abs(xp).max(initial=0.0), np.abs(zp).max(initial=0.0)) < STRUCT_ATOL:
-        det_form = (
-            abs(np.linalg.det(yp + vp)) + abs(np.linalg.det(yp - vp))
+    def check(bad: np.ndarray, message) -> None:
+        if np.any(bad):
+            i = int(np.argmax(bad))
+            prefix = f"stack member {i}: " if b > 1 else ""
+            raise ValidationError(prefix + message(i))
+
+    if ub.shape[2] != r:
+        raise ValidationError("frames ua and ub must have equal rank")
+    for name, u in (("ua", ua), ("ub", ub)):
+        gram = np.swapaxes(u, 1, 2) @ u
+        check(np.abs(gram - np.eye(r)).max(axis=(1, 2), initial=0.0) > STRUCT_ATOL,
+              lambda i: f"{name} does not have orthonormal columns")
+    m = r // 2
+    iso = np.abs(np.swapaxes(vp, 1, 2) @ vp - np.eye(r)).max(axis=(1, 2), initial=0.0)
+    check(iso > 1e-8, lambda i: "V is not a partial isometry between Ran D_B and Ran D_A")
+    detv = np.rint(np.linalg.det(vp))
+
+    uat, ubt = np.swapaxes(ua, 1, 2), np.swapaxes(ub, 1, 2)
+    xp = uat @ blk.x @ ua
+    yp = uat @ blk.y @ ub
+    zp = ubt @ blk.z @ ub
+    xa = (xp - np.swapaxes(xp, 1, 2)) / 2
+    za = (zp - np.swapaxes(zp, 1, 2)) / 2
+
+    # mats[0] = G' = [[X', Y'], [-Y'^T, Z']] / 2, mats[1], mats[2] = M+, M-
+    mats = np.empty((3, b, 2 * r, 2 * r))
+    mats[:, :, :r, :r] = xa
+    mats[:, :, r:, r:] = za
+    mats[0, :, :r, r:] = yp
+    mats[1, :, :r, r:] = yp + vp
+    mats[2, :, :r, r:] = yp - vp
+    mats[:, :, r:, :r] = -np.swapaxes(mats[:, :, :r, r:], 2, 3)
+    mats[0] *= 0.5
+    pfs = pfaffian(mats)
+
+    p = (1.0 + detv * ((-4.0) ** m) * pfs[0]) / 2.0
+    check((p < -STRUCT_ATOL) | (p > 1 + STRUCT_ATOL),
+          lambda i: f"restricted parity probability {p[i]:.3e} outside [0, 1]")
+    p = np.clip(p, 0.0, 1.0)
+
+    pf = detv * ((-1.0) ** m) * (pfs[1] + pfs[2]) / (2.0 ** r)
+
+    vanish = np.minimum(np.abs(xp).max(axis=(1, 2), initial=0.0),
+                        np.abs(zp).max(axis=(1, 2), initial=0.0)) < STRUCT_ATOL
+    if np.any(vanish):
+        det_form = np.full(b, np.nan)
+        det_form[vanish] = (
+            np.abs(np.linalg.det(yp[vanish] + vp[vanish]))
+            + np.abs(np.linalg.det(yp[vanish] - vp[vanish]))
         ) / (2.0 ** r)
-        if abs(pf - det_form) > CROSS_CHECK_ATOL:
-            raise ValidationError(
-                f"block-Pfaffian and determinant forms disagree: {pf:.12e} vs {det_form:.12e}"
-            )
+        check(vanish & (np.abs(pf - det_form) > CROSS_CHECK_ATOL),
+              lambda i: "block-Pfaffian and determinant forms disagree: "
+                        f"{pf[i]:.12e} vs {det_form[i]:.12e}")
 
-    if pf < -STRUCT_ATOL:
-        raise ValidationError(f"pf = {pf:.3e} negative beyond tolerance")
-    pf = float(max(pf, 0.0))
-    f = pf / p if p > p_floor else None
-    return ProtocolQuantities(p=p, f=f, pf=pf)
+    check(pf < -STRUCT_ATOL, lambda i: f"pf = {pf[i]:.3e} negative beyond tolerance")
+    return p, np.maximum(pf, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +673,10 @@ def save_covariance(
     Path(path).write_text(json.dumps(payload, sort_keys=True))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_covariance(path: str | Path) -> tuple[CovarianceMatrix, BipartiteSplit]:
     """Read a covariance JSON file; raises ValidationError on malformed data."""
     try:
@@ -645,16 +684,22 @@ def load_covariance(path: str | Path) -> tuple[CovarianceMatrix, BipartiteSplit]
     except json.JSONDecodeError as exc:
         raise ValidationError(f"not valid JSON: {exc}") from exc
     try:
-        n = int(payload["modes"])
-        split_a = payload["split_a"]
-        entries = payload["entries"]
+        n, split_a, entries = payload["modes"], payload["split_a"], payload["entries"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"missing covariance file field: {exc}") from exc
+    if not _is_int(n) or n <= 0:
+        raise ValidationError(f"modes must be a positive integer, got {n!r}")
+    if not isinstance(split_a, list) or not all(_is_int(i) for i in split_a):
+        raise ValidationError(f"split_a must be a list of integer indices, got {split_a!r}")
     dim = 2 * n
-    if len(entries) != dim * dim:
-        raise ValidationError(
-            f"expected {dim * dim} entries for {n} modes, got {len(entries)}"
-        )
-    flat = np.array([complex(re, im) for re, im in entries])
-    s = CovarianceMatrix(flat.reshape(dim, dim))
+    if not isinstance(entries, list) or len(entries) != dim * dim:
+        got = len(entries) if isinstance(entries, list) else type(entries).__name__
+        raise ValidationError(f"expected {dim * dim} entries for {n} modes, got {got}")
+    try:
+        pairs = np.array(entries)
+    except ValueError:  # ragged nesting
+        pairs = None
+    if pairs is None or pairs.shape != (dim * dim, 2) or pairs.dtype.kind not in "iuf":
+        raise ValidationError("entries must be [re, im] pairs of numbers")
+    s = CovarianceMatrix(pairs.astype(float).view(complex).reshape(dim, dim))
     return s, BipartiteSplit.from_alice(split_a, dim)

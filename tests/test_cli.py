@@ -55,6 +55,20 @@ class TestValidate:
         assert main(["validate", str(path)]) == 1
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("entries", [[1, 0, 0]] * 4), ("entries", [["a", "b"]] * 4),
+         ("modes", 0), ("split_a", [0.5])],
+    )
+    def test_malformed_field_is_error_line(self, tmp_path, capsys, field, value):
+        path = tmp_path / "bad.json"
+        payload = {"modes": 1, "split_a": [0], "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        assert main(["validate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
 
 class TestProtocolCommand:
     def test_report_json(self, four_mode_file, capsys):

@@ -1,9 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermidistill.linalg import pfaffian, polar_decompose, random_orthogonal, svd
+from fermidistill.linalg import haar_frame, pfaffian, polar_decompose, random_orthogonal, svd
 
 from helpers import pfaffian_combinatorial, random_antisymmetric
 
@@ -72,6 +74,79 @@ class TestPfaffian:
         lhs = pfaffian(b.T @ a @ b)
         rhs = np.linalg.det(b) * pfaffian(a)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-12)
+
+
+def _oracle_stack(n: int, lead: tuple, seed: int, complex_entries: bool) -> np.ndarray:
+    """Random antisymmetric stack seeded with the members elimination finds hard.
+
+    Member 0 is all-zero, member 1 has a vanishing first column, member 2
+    is member 3 under an odd row/column permutation (so its Pfaffian has
+    the opposite sign and a different pivot sequence).
+    """
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(lead + (n, n))
+    if complex_entries:
+        a = a + 1j * rng.standard_normal(lead + (n, n))
+    a = (a - np.swapaxes(a, -1, -2)) / 2
+    flat = a.reshape((math.prod(lead), n, n))
+    if n and len(flat) >= 4:
+        flat[0] = 0.0
+        flat[1, :, 0] = flat[1, 0, :] = 0.0
+        perm = np.arange(n)
+        perm[[0, n - 1]] = perm[[n - 1, 0]]
+        flat[2] = flat[3][np.ix_(perm, perm)]
+    return flat.reshape(a.shape)
+
+
+class TestPfaffianStack:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.sampled_from([0, 2, 4, 6, 8]),
+        lead=st.one_of(
+            st.tuples(st.integers(min_value=1, max_value=40)),
+            st.tuples(st.integers(min_value=1, max_value=5), st.integers(min_value=1, max_value=8)),
+        ),
+        seed=st.integers(min_value=0, max_value=2**31),
+        complex_entries=st.booleans(),
+    )
+    def test_members_match_oracle_and_scalar_call(self, n, lead, seed, complex_entries):
+        a = _oracle_stack(n, lead, seed, complex_entries)
+        with np.errstate(divide="raise", invalid="raise"):
+            pf = pfaffian(a)
+        assert pf.shape == lead
+        assert pf.dtype == (complex if complex_entries else float)
+        for idx in np.ndindex(lead):
+            ref = pfaffian_combinatorial(a[idx])
+            assert pf[idx] == pytest.approx(ref, rel=1e-9, abs=1e-12)
+            # same operations per member; complex products may round differently
+            assert pf[idx] == pytest.approx(pfaffian(a[idx]), rel=1e-13, abs=1e-15)
+        flat = pf.reshape(-1)
+        if n and flat.size >= 4:
+            assert flat[0] == 0.0 and flat[1] == 0.0
+            assert flat[2] == pytest.approx(-flat[3], rel=1e-12, abs=1e-15)
+
+    def test_scalar_call_returns_python_scalar(self, rng):
+        assert type(pfaffian(random_antisymmetric(4, rng))) is float
+        assert type(pfaffian(random_antisymmetric(4, rng, complex_entries=True))) is complex
+        assert pfaffian(np.zeros((0, 0))) == 1.0
+        np.testing.assert_array_equal(pfaffian(np.zeros((3, 0, 0))), np.ones(3))
+
+    def test_non_antisymmetric_member_rejected(self, rng):
+        a = np.stack([random_antisymmetric(6, rng) for _ in range(5)])
+        a[3, 0, 2] += 1e-3
+        with pytest.raises(ValueError, match=r"stack member \(3,\) is not antisymmetric"):
+            pfaffian(a)
+
+    def test_tolerance_is_per_member(self, rng):
+        # a roundoff-sized defect passes next to a tiny member, whose own
+        # scale sets its tolerance
+        big = random_antisymmetric(4, rng) * 1e6
+        big[0, 1] += 1e-8
+        tiny = random_antisymmetric(4, rng) * 1e-6
+        pfaffian(np.stack([big, tiny]))
+        tiny[0, 1] += 1e-15
+        with pytest.raises(ValueError, match=r"stack member \(1,\)"):
+            pfaffian(np.stack([big, tiny]))
 
 
 class TestSvd:
@@ -145,3 +220,10 @@ class TestRandomOrthogonal:
     def test_bad_dim(self):
         with pytest.raises(ValueError):
             random_orthogonal(0, 1)
+
+    def test_frame_is_leading_columns_of_square_draw(self, rng):
+        g = rng.standard_normal((3, 8, 8))
+        frames = haar_frame(g[:, :, :4])
+        for gi, frame in zip(g, frames):
+            np.testing.assert_allclose(frame, haar_frame(gi)[:, :4], atol=1e-12)
+            np.testing.assert_allclose(frame.T @ frame, np.eye(4), atol=1e-12)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from fermidistill.linalg import random_orthogonal, svd
 from fermidistill.protocol import (
+    SAMPLE_CHUNK,
     InsufficientRankError,
     hashing_rate,
     optimal_choice,
@@ -18,6 +19,7 @@ from fermidistill.protocol import (
 from fermidistill.states import (
     BipartiteSplit,
     CovarianceMatrix,
+    RealProjectionPair,
     ValidationError,
     blocks,
     maximally_entangled_projection,
@@ -182,7 +184,51 @@ class TestScanM:
         assert "insufficient rank" in reason
 
 
+def _reference_sample(s, split, m, trials, seed):
+    """Per-trial loop: full Haar draws per side and one evaluation per trial."""
+    ka, kb = len(split.a), len(split.b)
+    best = None
+    for t, stream in enumerate(np.random.SeedSequence(seed).spawn(trials)):
+        rng = np.random.default_rng(stream)
+        ua = random_orthogonal(ka, rng)[:, : 2 * m]
+        ub = random_orthogonal(kb, rng)[:, : 2 * m]
+        o = random_orthogonal(2 * m, rng)
+        v = ua @ o @ ub.T
+        q = protocol_quantities(s, split, RealProjectionPair(ua, ub), v)
+        if best is None or q.pf > best[1].pf:
+            best = (t, q, ua, ub, v)
+    return best
+
+
 class TestSampleSuboptimal:
+    @pytest.mark.parametrize("trials", [1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1])
+    @pytest.mark.parametrize("kind", ["x_zero", "general"])
+    def test_matches_per_trial_reference(self, trials, kind):
+        rng = np.random.default_rng(404)
+        if kind == "x_zero":
+            s, split = random_x_zero_covariance(4, rng)
+        else:
+            s, split = random_covariance(8, rng), BipartiteSplit.halves(16)
+        sample = sample_suboptimal(s, split, 2, trials, seed=trials)
+        t, q, ua, ub, v = _reference_sample(s, split, 2, trials, seed=trials)
+        assert sample.trial == t
+        assert sample.best_pf == pytest.approx(q.pf, abs=1e-12)
+        assert sample.best_p == pytest.approx(q.p, abs=1e-12)
+        assert sample.best_f == pytest.approx(q.f, abs=1e-10)
+        np.testing.assert_allclose(sample.d.ua, ua, atol=1e-12)
+        np.testing.assert_allclose(sample.d.ub, ub, atol=1e-12)
+        np.testing.assert_allclose(sample.v, v, atol=1e-12)
+
+    def test_m_below_two_rejected(self, rng):
+        s, split = random_x_zero_covariance(4, rng)
+        with pytest.raises(ValidationError, match="m >= 2"):
+            sample_suboptimal(s, split, 1, trials=3, seed=0)
+
+    def test_m_beyond_rank_rejected(self, rng):
+        s, split = random_x_zero_covariance(2, rng)
+        with pytest.raises(InsufficientRankError, match="needs rank 2m = 6"):
+            sample_suboptimal(s, split, 3, trials=3, seed=0)
+
     def test_never_beats_optimal_on_x_zero(self, rng):
         s, split = random_x_zero_covariance(4, rng)
         report = run_protocol(s, split, 2)

@@ -24,6 +24,16 @@ def test_optimality_study(monkeypatch, capsys):
     assert "canonical choice beaten on" in out
 
 
+def test_optimality_study_defaults(monkeypatch, capsys):
+    # the documented invocation: 25 + 25 states x 400 trials
+    _run(monkeypatch, "optimality_study.py")
+    out = capsys.readouterr().out
+    assert "(25 states x 400 trials)" in out
+    excess = float(out.split("max sampled excess over the bound:")[1].split()[0])
+    assert excess <= 1e-9
+    assert "canonical choice beaten on" in out
+
+
 def test_lattice_study(monkeypatch, capsys, tmp_path):
     _run(monkeypatch, "lattice_study.py", "--out-dir", str(tmp_path))
     assert len((tmp_path / "sweep.csv").read_text().splitlines()) == 1 + 6 * 3

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,6 +31,23 @@ from fermidistill.states import (
     twirl_coefficients,
     validate,
 )
+from fermidistill.states import _protocol_quantities_stack
+
+
+# (field, value, message) of a one-mode covariance file with one bad field
+MALFORMED_FIELDS = [
+    ("entries", [[1, 0, 0], [0, 0], [0, 0], [0, 0]], "pairs of numbers"),
+    ("entries", [[1, 0, 0]] * 4, "pairs of numbers"),
+    ("entries", [["a", "b"], [0, 0], [0, 0], [0, 0]], "pairs of numbers"),
+    ("entries", [[None, 0], [0, 0], [0, 0], [0, 0]], "pairs of numbers"),
+    ("entries", 7, "expected 4 entries"),
+    ("modes", 0, "positive integer"),
+    ("modes", -1, "positive integer"),
+    ("modes", "1", "positive integer"),
+    ("split_a", [0.5], "integer indices"),
+    ("split_a", ["0"], "integer indices"),
+    ("split_a", 0, "integer indices"),
+]
 
 
 def mixed(n):
@@ -237,6 +256,38 @@ class TestProtocolQuantities:
             )
 
 
+class TestProtocolQuantitiesStack:
+    @staticmethod
+    def _stack(rng, count=5):
+        split = BipartiteSplit.halves(16)
+        s = random_covariance(8, rng)
+        ua = np.stack([random_orthogonal(8, rng)[:, :4] for _ in range(count)])
+        ub = np.stack([random_orthogonal(8, rng)[:, :4] for _ in range(count)])
+        vp = np.stack([random_orthogonal(4, rng) for _ in range(count)])
+        return s, split, ua, ub, vp
+
+    def test_members_match_single_evaluation(self, rng):
+        s, split, ua, ub, vp = self._stack(rng)
+        p, pf = _protocol_quantities_stack(blocks(s, split), ua, ub, vp)
+        for i in range(len(ua)):
+            q = protocol_quantities(s, split, RealProjectionPair(ua[i], ub[i]),
+                                    ua[i] @ vp[i] @ ub[i].T)
+            assert p[i] == pytest.approx(q.p, abs=1e-13)
+            assert pf[i] == pytest.approx(q.pf, abs=1e-13)
+
+    def test_failure_names_first_offending_member(self, rng):
+        s, split, ua, ub, vp = self._stack(rng)
+        blk = blocks(s, split)
+        bad = vp.copy()
+        bad[[2, 4]] *= 1.1
+        with pytest.raises(ValidationError, match="stack member 2: V is not a partial isometry"):
+            _protocol_quantities_stack(blk, ua, ub, bad)
+        bad = ub.copy()
+        bad[3] *= 1.01
+        with pytest.raises(ValidationError, match="stack member 3: ub does not have orthonormal"):
+            _protocol_quantities_stack(blk, ua, bad, vp)
+
+
 class TestFrames:
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31))
@@ -400,6 +451,21 @@ class TestFileFormat:
         np.testing.assert_allclose(s.matrix, s2.matrix, atol=0)
         assert split2.a == split.a
 
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), n=st.integers(min_value=1, max_value=3))
+    def test_roundtrip_property(self, tmp_path_factory, data, n):
+        dim = 2 * n
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        parts = data.draw(st.lists(finite, min_size=2 * dim * dim, max_size=2 * dim * dim))
+        matrix = np.array(parts).view(complex).reshape(dim, dim)
+        split_a = data.draw(st.lists(st.integers(0, dim - 1), unique=True, max_size=dim))
+        split = BipartiteSplit.from_alice(split_a, dim)
+        path = tmp_path_factory.mktemp("roundtrip") / "state.json"
+        save_covariance(path, CovarianceMatrix(matrix), split)
+        s2, split2 = load_covariance(path)
+        np.testing.assert_array_equal(s2.matrix, matrix)
+        assert (split2.a, split2.b) == (split.a, split.b)
+
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"modes": 2, "split_a": [0, 1]}')
@@ -410,6 +476,15 @@ class TestFileFormat:
         path = tmp_path / "short.json"
         path.write_text('{"modes": 2, "split_a": [0, 1], "entries": [[0.5, 0.0]]}')
         with pytest.raises(ValidationError, match="expected 16 entries"):
+            load_covariance(path)
+
+    @pytest.mark.parametrize("field, value, message", MALFORMED_FIELDS)
+    def test_malformed_field_rejected(self, tmp_path, field, value, message):
+        path = tmp_path / "bad.json"
+        payload = {"modes": 1, "split_a": [0], "entries": [[0.5, 0], [0, 0], [0, 0], [0.5, 0]]}
+        payload[field] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=message):
             load_covariance(path)
 
 
