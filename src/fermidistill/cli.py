@@ -32,10 +32,6 @@ from .states import (
 )
 
 
-def _default_seed() -> int:
-    return int(os.environ.get("FERMIDISTILL_SEED", "0"))
-
-
 def _parse_range(text: str) -> list[int]:
     """start:stop:step (stop exclusive) or a comma-separated list."""
     if ":" in text:
@@ -241,6 +237,10 @@ def _cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # argparse converts a string default with `type` only when --seed is
+    # parsed, so a malformed FERMIDISTILL_SEED is a usage error of the
+    # seeded commands alone
+    seed = os.environ.get("FERMIDISTILL_SEED", "0")
     parser = argparse.ArgumentParser(
         prog="fermidistill",
         description="Entanglement distillation toolkit for fermionic quasifree states",
@@ -255,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--sample-suboptimal", type=int, default=0, metavar="T")
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_protocol)
 
@@ -300,7 +300,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--m", type=int, default=2)
     q.add_argument("--tol", type=float, default=1e-10)
     q.add_argument("--jobs", type=int, default=1)
-    q.add_argument("--seed", type=int, default=_default_seed())
+    q.add_argument("--seed", type=int, default=seed)
     q.add_argument("--out")
     q.set_defaults(func=_cmd_lattice)
     q = act.add_parser("fit")
@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--L-lo", type=int, default=2)
     q.add_argument("--L-hi", type=int, default=100000)
     q.add_argument("--m", type=int, default=2)
-    q.add_argument("--seed", type=int, default=_default_seed())
+    q.add_argument("--seed", type=int, default=seed)
     q.add_argument("--out")
     q.set_defaults(func=_cmd_lattice)
 
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=1)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--repeat", type=int, default=9)
-    p.add_argument("--seed", type=int, default=_default_seed())
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bench)
 

@@ -9,10 +9,12 @@ to the blocks are Toeplitz: the kernel value at offset q is
 so matrix-vector products cost O(L log L) via circulant embedding and
 the FFT, and the few dominant singular triplets of the cross block come
 out of Golub-Kahan bidiagonalization of its two parity-sublattice
-blocks (t vanishes at even q).  The restricted 2m-mode covariance
-is then assembled analytically in the singular basis (the lift from the
-L x L kernel to the full off-diagonal block doubles every singular
-value's multiplicity), and the exact Pfaffian formulas take over.
+blocks (t vanishes at even q).  The kernel's own singular values come
+in exactly equal pairs if and only if N is odd.  The restricted 2m-mode
+covariance is then assembled analytically in the singular basis (the
+lift from the L x L kernel to the full off-diagonal block doubles every
+singular value's multiplicity), and the point is evaluated by the same
+`protocol._evaluate` as the dense route.
 """
 
 from __future__ import annotations
@@ -23,14 +25,22 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import DistillationReport, hashing_rate, run_protocol
+from .protocol import (
+    DistillationReport,
+    ProtocolChoice,
+    _degenerate_cut_warning,
+    _evaluate,
+    run_protocol,
+)
 from .states import (
     BipartiteSplit,
+    BlockDecomposition,
     ConvergenceError,
     CovarianceMatrix,
     RealProjectionPair,
     ValidationError,
-    protocol_quantities,
+    assemble_covariance,
+    protocol_quantities,  # noqa: F401 -- perfbench/spans.targets looks it and validate up here
     validate,
 )
 
@@ -139,9 +149,11 @@ def _parity_blocks(kern: ToeplitzKernel) -> list[tuple[ToeplitzKernel, list[tupl
     t vanishes at even offsets, so rows j = 2a + p couple only to columns
     k = 2b + q with q = (p + r + 1) mod 2, through t(2(a - b) + s) where
     s = p - q + r (Peschel, J. Phys. A 36 (2003) L205).  Returns each
-    distinct block with the (p, q) sublattice pairs it occupies: when L
-    is even and r odd both pairs carry the same block, which is where the
-    kernel's exactly doubled singular values come from.
+    distinct block with the (p, q) sublattice pairs it occupies.  For the
+    cross block (r = -(N + L)) the singular values are exactly doubled if
+    and only if N is odd: with L even both pairs then carry the same block,
+    and with L odd the two blocks are mirror images (one is the other
+    transposed and index-reversed), so their spectra coincide.
     """
     blocks: dict[tuple[int, int, int], tuple[ToeplitzKernel, list[tuple[int, int]]]] = {}
     for p in (0, 1):
@@ -335,26 +347,13 @@ def _interleave(p: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class LatticeRestriction:
-    """Restricted covariance plus the canonical protocol data for it."""
-
-    covariance: CovarianceMatrix
-    split: BipartiteSplit
-    d: RealProjectionPair
-    v: np.ndarray
-    lambdas: np.ndarray
-    sigmas: np.ndarray
-    iterations: int
-
-
 def restricted_covariance(
     geometry: LatticeGeometry,
     m: int = 2,
     tol: float = 1e-10,
     max_iter: int = 300,
     seed: int = 0,
-) -> LatticeRestriction:
+) -> tuple[CovarianceMatrix, BipartiteSplit, ProtocolChoice]:
     """Covariance of the kept 2m modes, built from m cross-block triplets.
 
     The cross block between the parties is Toeplitz with offset -(N+L)
@@ -363,7 +362,9 @@ def restricted_covariance(
     of the assembled covariance is exactly diag(s_1, s_1, ..., s_m, s_m)
     in the chosen frame, so the canonical isometry is the identity, and
     the diagonal blocks are interleavings of the compressions
-    w^T F_0 w and z^T F_0 z of the intra-block kernel.
+    w^T F_0 w and z^T F_0 z of the intra-block kernel.  Returns the
+    covariance, its split and the canonical choice, as `optimal_choice`
+    would give them for the dense covariance.
     """
     if m < 2:
         raise ValidationError("protocol needs m >= 2")
@@ -371,35 +372,25 @@ def restricted_covariance(
     if 2 * m > 2 * L:
         raise ValidationError("2m may not exceed the 2L modes available")
     cross = ToeplitzKernel(L, -(N + L))
-    triplets, iters = top_singular_triplets(cross, m, tol=tol, max_iter=max_iter, seed=seed)
+    triplets, steps = top_singular_triplets(cross, m, tol=tol, max_iter=max_iter, seed=seed)
     intra = ToeplitzKernel(L, 0)
     w = np.column_stack([t.u for t in triplets])
     z = np.column_stack([t.v for t in triplets])
-    sig = np.array([t.sigma for t in triplets])
+    lam = np.repeat(2.0 * np.array([t.sigma for t in triplets]), 2)
 
     f0w = np.column_stack([intra.matvec(w[:, i]) for i in range(m)])
     f0z = np.column_stack([intra.matvec(z[:, i]) for i in range(m)])
-    p_blk = w.T @ f0w
-    q_blk = z.T @ f0z
-
-    x = 2.0 * _interleave(p_blk)
-    zb = 2.0 * _interleave(q_blk)
-    y = 2.0 * np.diag(np.repeat(sig, 2))
-    g = 0.5 * np.block([[x, y], [-y.T, zb]])
-    cov = CovarianceMatrix(0.5 * np.eye(4 * m) + 1j * g)
+    cov, split = assemble_covariance(
+        BlockDecomposition(2.0 * _interleave(w.T @ f0w), np.diag(lam), 2.0 * _interleave(z.T @ f0z))
+    )
     report = validate(cov)
     if not report.passed:
         raise ValidationError("assembled lattice covariance invalid:\n" + report.summary())
-    split = BipartiteSplit(tuple(range(2 * m)), tuple(range(2 * m, 4 * m)))
-    return LatticeRestriction(
-        covariance=cov,
-        split=split,
-        d=RealProjectionPair.identity(2 * m, 2 * m),
-        v=np.eye(2 * m),
-        lambdas=np.repeat(2.0 * sig, 2),
-        sigmas=sig,
-        iterations=iters,
-    )
+    # the kernel's sigma come in exact pairs iff N is odd, so the cut after
+    # sigma_m splits a pair iff m is odd as well
+    warnings = (_degenerate_cut_warning(2 * m),) if N % 2 and m % 2 else ()
+    identity = RealProjectionPair.identity(2 * m, 2 * m)
+    return cov, split, ProtocolChoice(m, identity, np.eye(2 * m), lam, warnings, steps)
 
 
 def lattice_point(
@@ -410,23 +401,7 @@ def lattice_point(
     seed: int = 0,
 ) -> DistillationReport:
     """Protocol quantities for one (L, N) geometry via the iterative route."""
-    restriction = restricted_covariance(geometry, m=m, tol=tol, max_iter=max_iter, seed=seed)
-    q = protocol_quantities(
-        restriction.covariance, restriction.split, restriction.d, restriction.v
-    )
-    # the intra-block correlations make X = Z != 0 here, so the product
-    # formula is a reference value rather than an attained bound
-    rate = hashing_rate(q.p, q.f) if (m == 2 and q.f is not None) else None
-    return DistillationReport(
-        m=m,
-        p=q.p,
-        f=q.f,
-        pf=q.pf,
-        rate=rate,
-        lambdas=[float(v) for v in restriction.lambdas],
-        distillable=bool(q.f is not None and q.f > 1.0 / (2 ** (m - 1))),
-        warnings=[f"iterations={restriction.iterations}"],
-    )
+    return _evaluate(*restricted_covariance(geometry, m=m, tol=tol, max_iter=max_iter, seed=seed))
 
 
 def dense_covariance(geometry: LatticeGeometry) -> tuple[CovarianceMatrix, BipartiteSplit]:
@@ -480,15 +455,12 @@ class SweepRow:
             cells = [str(self.L), str(self.N)] + ["error"] * (5 + 2 * m) + [f"{self.wall_ms:.3f}"]
             return ",".join(cells) + f"  # {self.error}"
         r = self.report
-        iters = next(
-            (w.split("=", 1)[1] for w in r.warnings if w.startswith("iterations=")), "0"
-        )
         cells = (
             [str(self.L), str(self.N)]
             + [repr(float(v)) for v in (r.p, r.f if r.f is not None else float("nan"), r.pf)]
             + [repr(float(r.rate)) if r.rate is not None else ""]
             + [repr(float(v)) for v in r.lambdas]
-            + [iters, f"{self.wall_ms:.3f}"]
+            + [str(r.krylov_steps), f"{self.wall_ms:.3f}"]
         )
         return ",".join(cells)
 

@@ -65,18 +65,23 @@ def _check_target(split: BipartiteSplit, m: int) -> None:
 
 @dataclass(frozen=True)
 class ProtocolChoice:
-    """One protocol instance: target size m, kept-mode frames and isometry."""
+    """One protocol instance: target size m, kept-mode frames and isometry.
+
+    `krylov_steps` counts the Golub-Kahan steps spent finding the frames
+    on the lattice route; a choice made by dense SVD leaves it at 0.
+    """
 
     m: int
     d: RealProjectionPair
     v: np.ndarray
     lambdas: np.ndarray
     warnings: tuple[str, ...] = ()
+    krylov_steps: int = 0
 
 
 @dataclass
 class DistillationReport:
-    """Outcome of one protocol run."""
+    """Outcome of one protocol run; `krylov_steps` is the choice's count."""
 
     m: int
     p: float
@@ -86,6 +91,7 @@ class DistillationReport:
     lambdas: list[float]
     distillable: bool
     warnings: list[str] = field(default_factory=list)
+    krylov_steps: int = 0
 
     def to_dict(self) -> dict:
         return {
@@ -101,6 +107,13 @@ class DistillationReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True)
+
+
+def _degenerate_cut_warning(cut: int) -> str:
+    return (
+        f"degenerate singular value at the cut (lambda_{cut} == lambda_{cut + 1}); "
+        "the kept subspace depends on the SVD basis choice"
+    )
 
 
 def optimal_choice(
@@ -129,10 +142,7 @@ def optimal_choice(
         )
     warnings = []
     if cut < len(sv) and sv[cut - 1] - sv[cut] <= 1e-10 * sv[0]:
-        warnings.append(
-            f"degenerate singular value at the cut (lambda_{cut} == lambda_{cut + 1}); "
-            "the kept subspace depends on the SVD basis choice"
-        )
+        warnings.append(_degenerate_cut_warning(cut))
     ua = u[:, :cut]
     ub = vh[:cut].T
     d = RealProjectionPair(ua, ub)
@@ -211,6 +221,7 @@ def _evaluate(s, split, choice: ProtocolChoice) -> DistillationReport:
         lambdas=[float(v) for v in choice.lambdas],
         distillable=bool(distillable),
         warnings=warnings,
+        krylov_steps=choice.krylov_steps,
     )
 
 

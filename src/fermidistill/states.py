@@ -114,6 +114,10 @@ class BipartiteSplit:
         object.__setattr__(self, "b", tuple(int(i) for i in self.b))
         if set(self.a) & set(self.b):
             raise ValidationError("split index sets must be disjoint")
+        for side in (self.a, self.b):
+            if len(set(side)) != len(side):
+                repeated = next(i for i in side if side.count(i) > 1)
+                raise ValidationError(f"split index {repeated} appears more than once")
 
     @classmethod
     def from_alice(cls, a_indices, dim: int) -> "BipartiteSplit":

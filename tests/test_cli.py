@@ -70,6 +70,16 @@ class TestValidate:
         assert err.startswith("error: ") and "Traceback" not in err
 
 
+    def test_repeated_split_index_is_error_line(self, tmp_path, capsys):
+        path = tmp_path / "repeated.json"
+        entries = [[0.5 * (i == j), 0] for i in range(6) for j in range(6)]
+        path.write_text(json.dumps({"modes": 3, "split_a": [0, 0, 0, 1], "entries": entries}))
+        assert main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert "valid" not in captured.out
+        assert captured.err == "error: split index 0 appears more than once\n"
+
+
 class TestProtocolCommand:
     def test_report_json(self, four_mode_file, capsys):
         path, params = four_mode_file
@@ -228,6 +238,26 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["validate", mixed_state_file, "--bogus"])
         assert exc.value.code == 2
+
+    def test_malformed_seed_variable(self, monkeypatch, mixed_state_file, four_mode_file, capsys):
+        # only the commands that take --seed read FERMIDISTILL_SEED
+        monkeypatch.setenv("FERMIDISTILL_SEED", "abc")
+        assert main(["validate", mixed_state_file]) == 0
+        with pytest.raises(SystemExit) as exc:
+            main(["protocol", four_mode_file[0], "--sample-suboptimal", "4"])
+        assert exc.value.code == 2
+        assert "invalid int value: 'abc'" in capsys.readouterr().err
+        # an explicit --seed overrides the malformed default
+        assert main(["protocol", four_mode_file[0], "--sample-suboptimal", "4", "--seed", "3"]) == 0
+
+    def test_seed_variable_is_default(self, monkeypatch, four_mode_file, capsys):
+        path = four_mode_file[0]
+        monkeypatch.setenv("FERMIDISTILL_SEED", "11")
+        assert main(["protocol", path, "--sample-suboptimal", "20"]) == 0
+        from_env = capsys.readouterr().out
+        monkeypatch.delenv("FERMIDISTILL_SEED")
+        assert main(["protocol", path, "--sample-suboptimal", "20", "--seed", "11"]) == 0
+        assert capsys.readouterr().out == from_env
 
     def test_bad_range(self):
         with pytest.raises(SystemExit) as exc:

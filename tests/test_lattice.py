@@ -1,9 +1,11 @@
+import csv
+import io
 import math
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from fermidistill import lattice
@@ -214,25 +216,93 @@ class TestParitySplitOracle:
 class TestRestrictedCovariance:
     @pytest.mark.parametrize("L,N", [(16, 0), (16, 1), (32, 10), (48, 3)])
     def test_output_valid(self, L, N):
-        restriction = restricted_covariance(LatticeGeometry(L, N), m=2)
-        assert validate(restriction.covariance).passed
+        s, _, _ = restricted_covariance(LatticeGeometry(L, N), m=2)
+        assert validate(s).passed
 
     def test_y_block_is_doubled_sigmas(self):
-        restriction = restricted_covariance(LatticeGeometry(32, 1), m=2)
-        g = (-1j * (restriction.covariance.matrix - 0.5 * np.eye(8))).real
+        s, _, choice = restricted_covariance(LatticeGeometry(32, 1), m=2)
+        triplets, _ = top_singular_triplets(ToeplitzKernel(32, -33), 2)
+        sigmas = np.array([t.sigma for t in triplets])
+        g = (-1j * (s.matrix - 0.5 * np.eye(8))).real
         y_block = g[:4, 4:]
-        expected = np.diag(np.repeat(restriction.sigmas, 2))
+        expected = np.diag(np.repeat(sigmas, 2))
         np.testing.assert_allclose(y_block, expected, atol=1e-10)
-        np.testing.assert_allclose(restriction.lambdas, 2 * np.repeat(restriction.sigmas, 2))
+        np.testing.assert_allclose(choice.lambdas, 2 * np.repeat(sigmas, 2))
+
+    def test_choice_is_canonical_identity(self):
+        _, split, choice = restricted_covariance(LatticeGeometry(40, 3), m=3)
+        assert split.a == tuple(range(6)) and split.b == tuple(range(6, 12))
+        np.testing.assert_array_equal(choice.d.ua, np.eye(6))
+        np.testing.assert_array_equal(choice.d.ub, np.eye(6))
+        np.testing.assert_array_equal(choice.v, np.eye(6))
+        assert choice.m == 3 and choice.krylov_steps > 0
+
+    @staticmethod
+    def _assert_reports_agree(fast, ref):
+        assert fast.m == ref.m
+        for name in ("p", "f", "pf"):
+            assert getattr(fast, name) == pytest.approx(getattr(ref, name), abs=1e-8), name
+        if ref.rate is None:
+            assert fast.rate is None
+        else:
+            assert fast.rate == pytest.approx(ref.rate, abs=1e-8)
+        assert fast.distillable == ref.distillable
+        np.testing.assert_allclose(fast.lambdas, ref.lambdas, atol=1e-8)
 
     @pytest.mark.parametrize("L", [16, 32, 64, 128])
     @pytest.mark.parametrize("N", [0, 1, 10])
     def test_agrees_with_dense_route(self, L, N):
         geometry = LatticeGeometry(L, N)
-        fast = lattice_point(geometry, m=2)
-        ref = dense_lattice_point(geometry, m=2)
-        assert fast.p == pytest.approx(ref.p, abs=1e-8)
-        assert fast.f == pytest.approx(ref.f, abs=1e-8)
+        self._assert_reports_agree(lattice_point(geometry, m=2), dense_lattice_point(geometry, m=2))
+
+    @pytest.mark.parametrize("L", [16, 32, 64, 128])
+    @pytest.mark.parametrize("N", [0, 10])
+    def test_agrees_with_dense_route_m3(self, L, N):
+        # even N: no exact pair straddles the cut, so the kept subspace is unique
+        geometry = LatticeGeometry(L, N)
+        self._assert_reports_agree(lattice_point(geometry, m=3), dense_lattice_point(geometry, m=3))
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("N", [0, 1, 2, 5])
+    @pytest.mark.parametrize("L", [4, 7, 16, 17])
+    def test_degenerate_cut_warned_like_dense_route(self, L, N, m):
+        # the kernel's sigma are exactly paired iff N is odd, so the cut
+        # after sigma_m splits a pair iff N and m are both odd
+        geometry = LatticeGeometry(L, N)
+
+        def cut_warnings(report):
+            return [w for w in report.warnings if w.startswith("degenerate singular value")]
+
+        fast = cut_warnings(lattice_point(geometry, m=m))
+        assert fast == cut_warnings(dense_lattice_point(geometry, m=m))
+        assert bool(fast) == bool(N % 2 and m % 2)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        L=st.integers(2, 200),
+        N=st.integers(0, 50),
+        m=st.sampled_from([2, 3]),
+        seeds=st.lists(st.integers(0, 2**32 - 1), min_size=2, max_size=2, unique=True),
+    )
+    @example(L=16, N=1, m=3, seeds=[0, 1])  # degenerate cut
+    @example(L=200, N=49, m=3, seeds=[5, 6])
+    @example(L=2, N=0, m=2, seeds=[0, 1])
+    @example(L=3, N=1, m=3, seeds=[0, 1])  # rank 2 < m
+    def test_independent_of_krylov_seed(self, L, N, m, seeds):
+        assume(m <= L)
+        geometry = LatticeGeometry(L, N)
+        outcomes = []
+        for seed in seeds:
+            try:
+                outcomes.append(lattice_point(geometry, m=m, seed=seed))
+            except ConvergenceError as exc:  # too few triplets, for every seed
+                outcomes.append(type(exc))
+        if outcomes[0] is ConvergenceError:
+            assert outcomes[1] is ConvergenceError
+            return
+        a, b = outcomes
+        assert abs(a.p - b.p) <= 1e-9
+        assert abs(a.f - b.f) <= 1e-9
 
     def test_m_beyond_modes_rejected(self):
         with pytest.raises(ValidationError):
@@ -285,6 +355,12 @@ class TestSweep:
         text = sweep_to_csv(sweep([16], [0], seed=1))
         header = text.splitlines()[0]
         assert header == "L,N,p,f,pf,rate,sigma_1,sigma_2,sigma_3,sigma_4,iters,wall_ms"
+
+    def test_iters_cell_is_typed_step_count(self):
+        rows = sweep([16, 17], [0, 1], m=2, seed=2)
+        for row, cells in zip(rows, csv.DictReader(io.StringIO(sweep_to_csv(rows)))):
+            assert row.report.krylov_steps > 0
+            assert cells["iters"] == str(row.report.krylov_steps)
 
     def test_error_recorded_in_row(self):
         rows = sweep([2], [0], m=3, seed=0)  # m too large for L = 2

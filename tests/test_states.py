@@ -47,11 +47,24 @@ MALFORMED_FIELDS = [
     ("split_a", [0.5], "integer indices"),
     ("split_a", ["0"], "integer indices"),
     ("split_a", 0, "integer indices"),
+    ("split_a", [0, 0], "index 0 appears more than once"),
 ]
 
 
 def mixed(n):
     return CovarianceMatrix(0.5 * np.eye(2 * n))
+
+
+class TestBipartiteSplit:
+    def test_repeated_index_rejected(self):
+        with pytest.raises(ValidationError, match="index 0 appears more than once"):
+            BipartiteSplit((0, 0, 0, 1), (2, 3, 4, 5))
+        with pytest.raises(ValidationError, match="index 5 appears more than once"):
+            BipartiteSplit((0, 1), (2, 5, 5))
+
+    def test_from_alice_rejects_repeated_index(self):
+        with pytest.raises(ValidationError, match="index 0 appears more than once"):
+            BipartiteSplit.from_alice([0, 0, 0, 1], 6)
 
 
 class TestValidate:
