@@ -96,10 +96,9 @@ def _cmd_oracle(args) -> int:
     if state.n_modes > MAX_MODES:
         raise ValidationError(f"oracle verification is limited to {MAX_MODES} modes")
     choice = optimal_choice(state, split, args.m)
-    # restrict to the kept modes and express the canonical target there
+    # restrict to the kept modes, in whose frames the canonical isometry is the identity
     restricted, rsplit = restrict(state, split, choice.d)
-    vp = choice.d.ua.T @ choice.v @ choice.d.ub
-    target = maximally_entangled_projection(vp, rsplit, dim=restricted.dim)
+    target = maximally_entangled_projection(np.eye(2 * args.m), rsplit, dim=restricted.dim)
     report = verify_all(restricted, target, rsplit)
     print(report.summary())
     ok = report.max_deviation <= args.tol

@@ -19,6 +19,8 @@ singular value's multiplicity), and the point is evaluated by the same
 
 from __future__ import annotations
 
+import csv
+import io
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -40,6 +42,7 @@ from .states import (
     RealProjectionPair,
     ValidationError,
     assemble_covariance,
+    blocks,
     protocol_quantities,  # noqa: F401 -- perfbench/spans.targets looks it and validate up here
     validate,
 )
@@ -348,11 +351,7 @@ def _interleave(p: np.ndarray) -> np.ndarray:
 
 
 def restricted_covariance(
-    geometry: LatticeGeometry,
-    m: int = 2,
-    tol: float = 1e-10,
-    max_iter: int = 300,
-    seed: int = 0,
+    geometry: LatticeGeometry, m: int = 2, tol: float = 1e-10, seed: int = 0
 ) -> tuple[CovarianceMatrix, BipartiteSplit, ProtocolChoice]:
     """Covariance of the kept 2m modes, built from m cross-block triplets.
 
@@ -372,7 +371,7 @@ def restricted_covariance(
     if 2 * m > 2 * L:
         raise ValidationError("2m may not exceed the 2L modes available")
     cross = ToeplitzKernel(L, -(N + L))
-    triplets, steps = top_singular_triplets(cross, m, tol=tol, max_iter=max_iter, seed=seed)
+    triplets, steps = top_singular_triplets(cross, m, tol=tol, seed=seed)
     intra = ToeplitzKernel(L, 0)
     w = np.column_stack([t.u for t in triplets])
     z = np.column_stack([t.v for t in triplets])
@@ -390,18 +389,15 @@ def restricted_covariance(
     # sigma_m splits a pair iff m is odd as well
     warnings = (_degenerate_cut_warning(2 * m),) if N % 2 and m % 2 else ()
     identity = RealProjectionPair.identity(2 * m, 2 * m)
-    return cov, split, ProtocolChoice(m, identity, np.eye(2 * m), lam, warnings, steps)
+    return cov, split, ProtocolChoice(m, identity, lam, warnings, steps)
 
 
 def lattice_point(
-    geometry: LatticeGeometry,
-    m: int = 2,
-    tol: float = 1e-10,
-    max_iter: int = 300,
-    seed: int = 0,
+    geometry: LatticeGeometry, m: int = 2, tol: float = 1e-10, seed: int = 0
 ) -> DistillationReport:
     """Protocol quantities for one (L, N) geometry via the iterative route."""
-    return _evaluate(*restricted_covariance(geometry, m=m, tol=tol, max_iter=max_iter, seed=seed))
+    cov, split, choice = restricted_covariance(geometry, m=m, tol=tol, seed=seed)
+    return _evaluate(blocks(cov, split), choice)
 
 
 def dense_covariance(geometry: LatticeGeometry) -> tuple[CovarianceMatrix, BipartiteSplit]:
@@ -438,7 +434,7 @@ def _sweep_header(m: int) -> list[str]:
     return (
         ["L", "N", "p", "f", "pf", "rate"]
         + [f"sigma_{i + 1}" for i in range(2 * m)]
-        + ["iters", "wall_ms"]
+        + ["iters", "status", "message", "wall_ms"]
     )
 
 
@@ -450,26 +446,25 @@ class SweepRow:
     wall_ms: float
     error: str | None = None
 
-    def as_csv(self, m: int) -> str:
+    def cells(self, m: int) -> list[str]:
         if self.report is None:
-            cells = [str(self.L), str(self.N)] + ["error"] * (5 + 2 * m) + [f"{self.wall_ms:.3f}"]
-            return ",".join(cells) + f"  # {self.error}"
-        r = self.report
-        cells = (
-            [str(self.L), str(self.N)]
-            + [repr(float(v)) for v in (r.p, r.f if r.f is not None else float("nan"), r.pf)]
-            + [repr(float(r.rate)) if r.rate is not None else ""]
-            + [repr(float(v)) for v in r.lambdas]
-            + [str(r.krylov_steps), f"{self.wall_ms:.3f}"]
-        )
-        return ",".join(cells)
+            values = [""] * (5 + 2 * m) + ["error", self.error]
+        else:
+            r = self.report
+            values = (
+                [repr(float(v)) for v in (r.p, r.f if r.f is not None else float("nan"), r.pf)]
+                + [repr(float(r.rate)) if r.rate is not None else ""]
+                + [repr(float(v)) for v in r.lambdas]
+                + [str(r.krylov_steps), "ok", ""]
+            )
+        return [str(self.L), str(self.N)] + values + [f"{self.wall_ms:.3f}"]
 
 
 def _sweep_point(args) -> SweepRow:
-    L, N, m, tol, max_iter, seed = args
+    L, N, m, tol, seed = args
     start = time.perf_counter()
     try:
-        report = lattice_point(LatticeGeometry(L, N), m=m, tol=tol, max_iter=max_iter, seed=seed)
+        report = lattice_point(LatticeGeometry(L, N), m=m, tol=tol, seed=seed)
         return SweepRow(L, N, report, (time.perf_counter() - start) * 1e3)
     except (ValidationError, ConvergenceError) as exc:  # per-point failures recorded in-row
         return SweepRow(L, N, None, (time.perf_counter() - start) * 1e3, error=str(exc))
@@ -480,7 +475,6 @@ def sweep(
     N_values,
     m: int = 2,
     tol: float = 1e-10,
-    max_iter: int = 300,
     seed: int = 0,
     jobs: int = 1,
 ) -> list[SweepRow]:
@@ -496,7 +490,7 @@ def sweep(
     for i, L in enumerate(L_values):
         for j, N in enumerate(N_values):
             point_seed = int(np.random.SeedSequence([seed, i, j]).generate_state(1)[0])
-            tasks.append((int(L), int(N), m, tol, max_iter, point_seed))
+            tasks.append((int(L), int(N), m, tol, point_seed))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_sweep_point, tasks))
@@ -504,7 +498,11 @@ def sweep(
 
 
 def sweep_to_csv(rows: list[SweepRow], m: int = 2) -> str:
-    return "\n".join([",".join(_sweep_header(m))] + [r.as_csv(m) for r in rows]) + "\n"
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(_sweep_header(m))
+    writer.writerows(r.cells(m) for r in rows)
+    return out.getvalue()
 
 
 def fit_power_law(samples, L_min: float) -> tuple[float, float, float, list[str]]:

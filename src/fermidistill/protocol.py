@@ -17,10 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import haar_frame, polar_decompose, svd, RANK_RTOL
+from .linalg import haar_frame, svd, RANK_RTOL
 from .states import (
     P_FLOOR,
     BipartiteSplit,
+    BlockDecomposition,
     CovarianceMatrix,
     RealProjectionPair,
     ValidationError,
@@ -65,18 +66,24 @@ def _check_target(split: BipartiteSplit, m: int) -> None:
 
 @dataclass(frozen=True)
 class ProtocolChoice:
-    """One protocol instance: target size m, kept-mode frames and isometry.
+    """One canonical protocol instance: target size m and kept-mode frames.
 
+    Column i of d.ua and d.ub is the i-th left and right singular vector
+    of Y (value lambdas[i] > 0), so V pairs them: v = d.ua d.ub^T.
     `krylov_steps` counts the Golub-Kahan steps spent finding the frames
     on the lattice route; a choice made by dense SVD leaves it at 0.
     """
 
     m: int
     d: RealProjectionPair
-    v: np.ndarray
     lambdas: np.ndarray
     warnings: tuple[str, ...] = ()
     krylov_steps: int = 0
+
+    @property
+    def v(self) -> np.ndarray:
+        """The partial isometry from Ran D_B onto Ran D_A pairing the frames' columns."""
+        return self.d.ua @ self.d.ub.T
 
 
 @dataclass
@@ -117,25 +124,25 @@ def _degenerate_cut_warning(cut: int) -> str:
 
 
 def optimal_choice(
-    s: CovarianceMatrix | np.ndarray,
-    split: BipartiteSplit,
-    m: int,
-    *,
-    rank_rtol: float = RANK_RTOL,
+    s: CovarianceMatrix | np.ndarray, split: BipartiteSplit, m: int
 ) -> ProtocolChoice:
-    """Canonical (D, V) for target size m from the SVD of the Y block.
+    """Canonical choice for target size m from the SVD of the Y block.
 
-    D_B projects onto the top-2m right singular vectors of Y, D_A is its
-    image under the polar isometry of Y, and V is the polar factor of
-    the compressed block D_A Y D_B.  Requires the 2m-th singular value
-    to be strictly positive; a degenerate value at the cut makes the
-    subspace basis-dependent, which is reported as a warning.
+    D_A and D_B project onto the top-2m left and right singular vectors
+    of Y, in whose frames D_A Y D_B is diag(lambda) > 0, so V is read off
+    the frames (`ProtocolChoice.v`).  Requires lambda_2m > RANK_RTOL *
+    lambda_1; a degenerate value at the cut makes the subspace
+    basis-dependent, which is reported as a warning.
     """
     _check_target(split, m)
-    y = blocks(s, split).y
-    u, sv, vh = svd(y)
+    return _choice(svd(blocks(s, split).y), m)
+
+
+def _choice(y_svd: tuple[np.ndarray, np.ndarray, np.ndarray], m: int) -> ProtocolChoice:
+    """Canonical choice for m from the SVD (u, sv, vh) of Y, shared by every m."""
+    u, sv, vh = y_svd
     cut = 2 * m
-    tol = rank_rtol * sv[0] if sv[0] > 0 else 0.0
+    tol = RANK_RTOL * sv[0] if sv[0] > 0 else 0.0
     if sv[cut - 1] <= tol:
         raise InsufficientRankError(
             f"insufficient rank: singular value {cut} of Y is {sv[cut - 1]:.3e}"
@@ -143,11 +150,8 @@ def optimal_choice(
     warnings = []
     if cut < len(sv) and sv[cut - 1] - sv[cut] <= 1e-10 * sv[0]:
         warnings.append(_degenerate_cut_warning(cut))
-    ua = u[:, :cut]
-    ub = vh[:cut].T
-    d = RealProjectionPair(ua, ub)
-    v, _ = polar_decompose(ua.T @ y @ ub)
-    return ProtocolChoice(m=m, d=d, v=ua @ v @ ub.T, lambdas=sv[:cut].copy(), warnings=tuple(warnings))
+    d = RealProjectionPair(u[:, :cut], vh[:cut].T)
+    return ProtocolChoice(m=m, d=d, lambdas=sv[:cut].copy(), warnings=tuple(warnings))
 
 
 def optimal_pf_bound(lambdas) -> float:
@@ -182,11 +186,10 @@ def hashing_rate(p: float, f: float) -> float:
     return p * max(0.0, bracket)
 
 
-def _evaluate(s, split, choice: ProtocolChoice) -> DistillationReport:
-    q = protocol_quantities(s, split, choice.d, choice.v)
+def _evaluate(blk: BlockDecomposition, choice: ProtocolChoice) -> DistillationReport:
+    q = protocol_quantities(blk, choice.d, choice.v)
     warnings = list(choice.warnings)
     bound = optimal_pf_bound(choice.lambdas)
-    blk = blocks(s, split)
     x_zero = np.abs(blk.x).max(initial=0.0) < 1e-10
     z_zero = np.abs(blk.z).max(initial=0.0) < 1e-10
     if x_zero or z_zero:
@@ -236,18 +239,23 @@ def run_protocol(
     rate is reported for m = 2 (qubit pairs); for larger m the report
     carries p, f and pf with d = 2^(m-1) implied.
     """
-    choice = optimal_choice(s, split, m)
-    return _evaluate(s, split, choice)
+    _check_target(split, m)
+    blk = blocks(s, split)
+    return _evaluate(blk, _choice(svd(blk.y), m))
 
 
 def scan_m(
     s: CovarianceMatrix | np.ndarray, split: BipartiteSplit, m_max: int
 ) -> tuple[list[DistillationReport], str | None]:
-    """Reports for m = 2..m_max; truncates with a reason when rank runs out."""
-    reports = []
+    """Reports for m = 2..m_max from one SVD of Y; truncates with a reason when rank runs out."""
+    reports, blk, y_svd = [], None, None
     for m in range(2, m_max + 1):
         try:
-            reports.append(run_protocol(s, split, m))
+            _check_target(split, m)
+            if blk is None:
+                blk = blocks(s, split)
+                y_svd = svd(blk.y)
+            reports.append(_evaluate(blk, _choice(y_svd, m)))
         except InsufficientRankError as exc:
             return reports, str(exc)
     return reports, None

@@ -124,8 +124,8 @@ class BipartiteSplit:
         a = tuple(int(i) for i in a_indices)
         if any(i < 0 or i >= dim for i in a):
             raise ValidationError("split indices out of range")
-        b = tuple(i for i in range(dim) if i not in set(a))
-        return cls(a, b)
+        alice = set(a)
+        return cls(a, tuple(i for i in range(dim) if i not in alice))
 
     @classmethod
     def halves(cls, dim: int) -> "BipartiteSplit":
@@ -415,14 +415,9 @@ class ProtocolQuantities:
 
 
 def protocol_quantities(
-    s: CovarianceMatrix | np.ndarray,
-    split: BipartiteSplit,
-    d: RealProjectionPair,
-    v: np.ndarray,
-    *,
-    p_floor: float = P_FLOOR,
+    blk: BlockDecomposition, d: RealProjectionPair, v: np.ndarray
 ) -> ProtocolQuantities:
-    """Evaluate one protocol instance (D, V) on the state S.
+    """Evaluate one protocol instance (D, V) on the state S with `blk = blocks(S, split)`.
 
     p is the parity probability of the restricted state D S D; the
     combined quantity pf = <psi_E, rho psi_E> + <psi_partner, rho
@@ -436,12 +431,11 @@ def protocol_quantities(
     or Z' vanishes the result is cross-checked against the determinant form
         (|det(Y' + V')| + |det(Y' - V')|) / 2^(2m).
     """
-    split.check_even()
     ua, ub = d.ua, d.ub
     vp = ua.T @ np.real(np.asarray(v)) @ ub
-    p, pf = _protocol_quantities_stack(blocks(s, split), ua[None], ub[None], vp[None])
+    p, pf = _protocol_quantities_stack(blk, ua[None], ub[None], vp[None])
     p, pf = float(p[0]), float(pf[0])
-    return ProtocolQuantities(p=p, f=pf / p if p > p_floor else None, pf=pf)
+    return ProtocolQuantities(p=p, f=pf / p if p > P_FLOOR else None, pf=pf)
 
 
 def _protocol_quantities_stack(

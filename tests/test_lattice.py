@@ -354,7 +354,9 @@ class TestSweep:
     def test_csv_header(self):
         text = sweep_to_csv(sweep([16], [0], seed=1))
         header = text.splitlines()[0]
-        assert header == "L,N,p,f,pf,rate,sigma_1,sigma_2,sigma_3,sigma_4,iters,wall_ms"
+        assert header == (
+            "L,N,p,f,pf,rate,sigma_1,sigma_2,sigma_3,sigma_4,iters,status,message,wall_ms"
+        )
 
     def test_iters_cell_is_typed_step_count(self):
         rows = sweep([16, 17], [0, 1], m=2, seed=2)
@@ -363,12 +365,16 @@ class TestSweep:
             assert cells["iters"] == str(row.report.krylov_steps)
 
     def test_error_recorded_in_row(self):
-        rows = sweep([2], [0], m=3, seed=0)  # m too large for L = 2
-        assert rows[0].error is not None
-        text = sweep_to_csv(rows, m=3)
-        assert "error" in text
-        header, row = text.splitlines()
-        assert len(row.split("  #")[0].split(",")) == len(header.split(","))
+        rows = sweep([2, 16], [0], m=3, seed=0)  # m too large for L = 2
+        assert rows[0].error is not None and rows[1].error is None
+        rows.append(lattice.SweepRow(3, 1, None, 0.5, error="failed, twice"))
+        header, *records = csv.reader(io.StringIO(sweep_to_csv(rows, m=3)))
+        assert [len(r) for r in records] == [len(header)] * 3
+        cells = [dict(zip(header, r)) for r in records]
+        assert [c["status"] for c in cells] == ["error", "ok", "error"]
+        assert [c["message"] for c in cells] == [rows[0].error, "", "failed, twice"]
+        assert cells[0]["p"] == cells[0]["iters"] == ""
+        assert float(cells[0]["wall_ms"]) >= 0 and cells[2]["wall_ms"] == "0.500"
 
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):

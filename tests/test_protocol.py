@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermidistill.linalg import random_orthogonal, svd
+from fermidistill.linalg import polar_decompose, random_orthogonal, svd
 from fermidistill.protocol import (
     SAMPLE_CHUNK,
     InsufficientRankError,
@@ -194,7 +194,7 @@ def _reference_sample(s, split, m, trials, seed):
         ub = random_orthogonal(kb, rng)[:, : 2 * m]
         o = random_orthogonal(2 * m, rng)
         v = ua @ o @ ub.T
-        q = protocol_quantities(s, split, RealProjectionPair(ua, ub), v)
+        q = protocol_quantities(blocks(s, split), RealProjectionPair(ua, ub), v)
         if best is None or q.pf > best[1].pf:
             best = (t, q, ua, ub, v)
     return best
@@ -245,7 +245,7 @@ class TestSampleSuboptimal:
     def test_sampled_quantities_consistent(self, rng):
         s, split = random_x_zero_covariance(4, rng)
         sample = sample_suboptimal(s, split, 2, trials=4, seed=3)
-        q = protocol_quantities(s, split, sample.d, sample.v)
+        q = protocol_quantities(blocks(s, split), sample.d, sample.v)
         assert q.pf == pytest.approx(sample.best_pf, abs=1e-12)
 
     def test_general_states_recorded(self, rng):
@@ -279,3 +279,98 @@ class TestLargerM:
         assert reason is None
         pfs = [r.pf for r in reports]
         assert all(a >= b - 1e-11 for a, b in zip(pfs, pfs[1:]))
+
+
+class TestSingleEvaluationPath:
+    @staticmethod
+    def _count(monkeypatch, owners, name):
+        # wrap `name` under every module that looks it up, so calls made
+        # through any of them are counted
+        calls = []
+        for owner in owners:
+            original = getattr(owner, name, None)
+            if original is None:
+                continue
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    def _counters(self, monkeypatch):
+        from fermidistill import lattice, linalg, protocol, states
+
+        return (self._count(monkeypatch, (states, protocol, lattice), "blocks"),
+                self._count(monkeypatch, (linalg, protocol), "svd"))
+
+    def test_one_extraction_and_one_svd_per_state(self, monkeypatch, rng):
+        s, split = random_covariance(8, rng), BipartiteSplit.halves(16)
+        block_calls, svd_calls = self._counters(monkeypatch)
+        run_protocol(s, split, 2)
+        assert (len(block_calls), len(svd_calls)) == (1, 1)
+        block_calls.clear()
+        svd_calls.clear()
+        reports, reason = scan_m(s, split, 4)
+        assert reason is None and len(reports) == 3
+        assert (len(block_calls), len(svd_calls)) == (1, 1)
+
+    def test_lattice_point_extracts_blocks_once(self, monkeypatch):
+        from fermidistill.lattice import LatticeGeometry, lattice_point
+
+        block_calls, _ = self._counters(monkeypatch)
+        lattice_point(LatticeGeometry(32, 1), m=2)
+        assert len(block_calls) == 1
+
+    @staticmethod
+    def _rank_deficient():
+        # rank-6 Y on 8 + 8 dimensions: m = 2, 3 exist, m = 4 does not
+        y = np.diag([0.9, 0.7, 0.7, 0.5, 0.4, 0.2, 0.0, 0.0])
+        g = np.block([[np.zeros((8, 8)), y], [-y.T, np.zeros((8, 8))]]) / 2
+        return CovarianceMatrix(0.5 * np.eye(16) + 1j * g), BipartiteSplit.halves(16)
+
+    @pytest.mark.parametrize("kind", ["general", "x_zero", "rank_deficient"])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_scan_equals_per_m_runs(self, kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "general":
+            s, split = random_covariance(8, rng), BipartiteSplit.halves(16)
+        elif kind == "x_zero":
+            s, split = random_x_zero_covariance(4, rng)
+        else:
+            s, split = self._rank_deficient()
+        reports, reason = scan_m(s, split, 5)
+        expected, expected_reason = [], None
+        for m in range(2, 6):
+            try:
+                expected.append(run_protocol(s, split, m))
+            except InsufficientRankError as exc:
+                expected_reason = str(exc)
+                break
+        assert [r.to_dict() for r in reports] == [r.to_dict() for r in expected]
+        assert reason == expected_reason
+        if kind == "rank_deficient":
+            assert [r.m for r in reports] == [2, 3] and "insufficient rank" in reason
+        else:
+            assert [r.m for r in reports] == [2, 3, 4] and "needs rank 2m = 10" in reason
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        values=st.lists(st.sampled_from([0.15, 0.4, 0.4, 0.75, 0.95]), min_size=8, max_size=8),
+        signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=8, max_size=8),
+        m=st.sampled_from([2, 3, 4]),
+    )
+    def test_v_is_polar_factor_of_compressed_y(self, seed, values, signs, m):
+        # degenerate spectra (repeated values) and negative coupling
+        # (negative diagonal entries before the random rotations)
+        rng = np.random.default_rng(seed)
+        y = np.diag(np.multiply(values, signs))
+        y = random_orthogonal(8, rng) @ y @ random_orthogonal(8, rng)
+        g = np.block([[np.zeros((8, 8)), y], [-y.T, np.zeros((8, 8))]]) / 2
+        s, split = CovarianceMatrix(0.5 * np.eye(16) + 1j * g), BipartiteSplit.halves(16)
+        choice = optimal_choice(s, split, m)
+        ua, ub = choice.d.ua, choice.d.ub
+        reference = ua @ polar_decompose(ua.T @ y @ ub)[0] @ ub.T
+        np.testing.assert_allclose(choice.v, reference, rtol=0, atol=1e-12)

@@ -242,14 +242,14 @@ class TestProtocolQuantities:
         split = BipartiteSplit.halves(8)
         v = random_orthogonal(4, rng)
         e = maximally_entangled_projection(v, split)
-        q = protocol_quantities(e, split, RealProjectionPair.identity(4, 4), v)
+        q = protocol_quantities(blocks(e, split), RealProjectionPair.identity(4, 4), v)
         assert q.p == pytest.approx(1.0, abs=1e-10)
         assert q.f == pytest.approx(1.0, abs=1e-10)
 
     def test_maximally_mixed(self, rng):
         split = BipartiteSplit.halves(8)
         v = random_orthogonal(4, rng)
-        q = protocol_quantities(mixed(4), split, RealProjectionPair.identity(4, 4), v)
+        q = protocol_quantities(blocks(mixed(4), split), RealProjectionPair.identity(4, 4), v)
         assert q.p == pytest.approx(0.5, abs=1e-12)
         assert q.f == pytest.approx(0.25, abs=1e-12)
 
@@ -257,7 +257,7 @@ class TestProtocolQuantities:
         split = BipartiteSplit.halves(8)
         s = random_covariance(4, rng)
         v = random_orthogonal(4, rng)
-        q = protocol_quantities(s, split, RealProjectionPair.identity(4, 4), v)
+        q = protocol_quantities(blocks(s, split), RealProjectionPair.identity(4, 4), v)
         assert q.pf == pytest.approx(q.p * q.f, abs=1e-12)
 
     def test_non_isometry_rejected(self, rng):
@@ -265,7 +265,7 @@ class TestProtocolQuantities:
         s = random_covariance(4, rng)
         with pytest.raises(ValidationError, match="isometry"):
             protocol_quantities(
-                s, split, RealProjectionPair.identity(4, 4), np.ones((4, 4))
+                blocks(s, split), RealProjectionPair.identity(4, 4), np.ones((4, 4))
             )
 
 
@@ -283,7 +283,7 @@ class TestProtocolQuantitiesStack:
         s, split, ua, ub, vp = self._stack(rng)
         p, pf = _protocol_quantities_stack(blocks(s, split), ua, ub, vp)
         for i in range(len(ua)):
-            q = protocol_quantities(s, split, RealProjectionPair(ua[i], ub[i]),
+            q = protocol_quantities(blocks(s, split), RealProjectionPair(ua[i], ub[i]),
                                     ua[i] @ vp[i] @ ub[i].T)
             assert p[i] == pytest.approx(q.p, abs=1e-13)
             assert pf[i] == pytest.approx(q.pf, abs=1e-13)
@@ -314,8 +314,8 @@ class TestFrames:
         ub = random_orthogonal(8, rng)[:, :4]
         v = ua @ random_orthogonal(4, rng) @ ub.T
         oa, ob = random_orthogonal(4, rng), random_orthogonal(4, rng)
-        q = protocol_quantities(s, split, RealProjectionPair(ua, ub), v)
-        q_rot = protocol_quantities(s, split, RealProjectionPair(ua @ oa, ub @ ob), v)
+        q = protocol_quantities(blocks(s, split), RealProjectionPair(ua, ub), v)
+        q_rot = protocol_quantities(blocks(s, split), RealProjectionPair(ua @ oa, ub @ ob), v)
         assert q_rot.p == pytest.approx(q.p, abs=1e-12)
         assert q_rot.pf == pytest.approx(q.pf, abs=1e-12)
         if q.f is not None:
@@ -345,7 +345,7 @@ class TestFrames:
         s = random_covariance(4, rng)
         u = random_orthogonal(4, rng)
         with pytest.raises(ValidationError, match="equal rank"):
-            protocol_quantities(s, split, RealProjectionPair(u[:, :2], u), np.eye(4))
+            protocol_quantities(blocks(s, split), RealProjectionPair(u[:, :2], u), np.eye(4))
 
 
 class TestTwirl:
@@ -515,7 +515,7 @@ class TestPipelineComposition:
             p = parity_probability(s, orientation=target_orientation(e))
             assert p > 1e-6
             f_twirl, distillable = output_fidelity(fid_e, fid_t, p, 2)
-            q = protocol_quantities(s, split, RealProjectionPair.identity(4, 4), v)
+            q = protocol_quantities(blocks(s, split), RealProjectionPair.identity(4, 4), v)
             assert q.p == pytest.approx(p, abs=1e-12)
             assert q.f == pytest.approx(f_twirl, abs=1e-10)
             assert distillable == (q.f > 0.5)
@@ -536,7 +536,7 @@ class TestBasisCovariance:
         split = BipartiteSplit.halves(8)
         s = random_covariance(4, rng)
         v = random_orthogonal(4, rng)
-        q = protocol_quantities(s, split, RealProjectionPair.identity(4, 4), v)
+        q = protocol_quantities(blocks(s, split), RealProjectionPair.identity(4, 4), v)
 
         ra = random_orthogonal(4, rng)
         rb = random_orthogonal(4, rng)
@@ -545,7 +545,7 @@ class TestBasisCovariance:
         r[4:, 4:] = rb
         s_rot = CovarianceMatrix(r.T @ s.matrix @ r)
         v_rot = ra.T @ v @ rb
-        q_rot = protocol_quantities(s_rot, split, RealProjectionPair.identity(4, 4), v_rot)
+        q_rot = protocol_quantities(blocks(s_rot, split), RealProjectionPair.identity(4, 4), v_rot)
         assert q_rot.p == pytest.approx(q.p, abs=1e-11)
         assert q_rot.pf == pytest.approx(q.pf, abs=1e-11)
 
