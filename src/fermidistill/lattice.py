@@ -7,14 +7,17 @@ to the blocks are Toeplitz: the kernel value at offset q is
     t(q) = sin(q pi / 2) / (q pi),   t(0) -> handled per matrix,
 
 so matrix-vector products cost O(L log L) via circulant embedding and
-the FFT, and the few dominant singular triplets of the cross block come
-out of Golub-Kahan bidiagonalization of its two parity-sublattice
-blocks (t vanishes at even q).  The kernel's own singular values come
-in exactly equal pairs if and only if N is odd.  The restricted 2m-mode
-covariance is then assembled analytically in the singular basis (the
-lift from the L x L kernel to the full off-diagonal block doubles every
-singular value's multiplicity), and the point is evaluated by the same
-`protocol._evaluate` as the dense route.
+the FFT.  Because t vanishes at even q, every kernel splits into two
+Toeplitz blocks on its parity sublattices.  The few dominant singular
+triplets of the cross block come out of Golub-Kahan bidiagonalization
+of those blocks, one solve per block up to mirror images.  The kernel's
+own singular values come in exactly equal pairs if and only if N is
+odd.  The restricted 2m-mode covariance is then assembled analytically
+in the singular basis (the lift from the L x L kernel to the full
+off-diagonal block doubles every singular value's multiplicity), with
+the intra-block compressions taken from half-length products on the
+intra kernel's own parity blocks, and the point is evaluated by the
+same `protocol._evaluate` as the dense route.
 """
 
 from __future__ import annotations
@@ -146,58 +149,82 @@ class ToeplitzKernel:
         return np.fft.irfft(np.conj(self._fft) * big, self._fft_len)[: self.shape[1]]
 
 
-def _parity_blocks(kern: ToeplitzKernel) -> list[tuple[ToeplitzKernel, list[tuple[int, int]]]]:
-    """The sine kernel as an exact direct sum of two stride-2 Toeplitz blocks.
+def _parity_blocks(L: int, r: int) -> list[tuple[ToeplitzKernel, list[tuple[int, int]]]]:
+    """The L x L sine kernel with offset r as an exact direct sum of two stride-2 Toeplitz blocks.
 
     t vanishes at even offsets, so rows j = 2a + p couple only to columns
     k = 2b + q with q = (p + r + 1) mod 2, through t(2(a - b) + s) where
     s = p - q + r (Peschel, J. Phys. A 36 (2003) L205).  Returns each
-    distinct block with the (p, q) sublattice pairs it occupies.  For the
-    cross block (r = -(N + L)) the singular values are exactly doubled if
-    and only if N is odd: with L even both pairs then carry the same block,
-    and with L odd the two blocks are mirror images (one is the other
-    transposed and index-reversed), so their spectra coincide.
+    distinct block with the (p, q) sublattice pairs it occupies, built
+    without the L x L kernel.  For the cross block (r = -(N + L)) the
+    singular values are exactly doubled if and only if N is odd: with L
+    even both pairs then carry the same block, and with L odd the two
+    blocks are mirror images (`_is_mirror`), so their spectra coincide.
+    For the intra kernel (r = 0) each block occupies one pair (1 - q, q).
     """
     blocks: dict[tuple[int, int, int], tuple[ToeplitzKernel, list[tuple[int, int]]]] = {}
     for p in (0, 1):
-        q = (p + kern.r + 1) % 2
-        rows, cols = (kern.L - p + 1) // 2, (kern.L - q + 1) // 2
+        q = (p + r + 1) % 2
+        rows, cols = (L - p + 1) // 2, (L - q + 1) // 2
         if rows and cols:
-            key = (rows, cols, p - q + kern.r)
+            key = (rows, cols, p - q + r)
             if key not in blocks:
                 blocks[key] = (ToeplitzKernel._strided(*key), [])
             blocks[key][1].append((p, q))
     return list(blocks.values())
 
 
+def _is_mirror(a: ToeplitzKernel, b: ToeplitzKernel) -> bool:
+    """Whether b = R a^T R, with R the index reversal.
+
+    The mirror of a rows x cols block with offset s is the cols x rows
+    block with offset s + 2(rows - cols), since (R a^T R)[i, j] =
+    a[rows - 1 - j, cols - 1 - i].
+    """
+    rows, cols = a.shape
+    return b.shape == (cols, rows) and b.r == a.r + 2 * (rows - cols)
+
+
 @dataclass(frozen=True)
 class SingularTriplet:
+    """sigma with unit vectors u, v.  For a triplet of a whole sine kernel,
+    `sublattices` = (p, q): u lives on the sites p::2 and v on q::2."""
+
     sigma: float
     u: np.ndarray
     v: np.ndarray
+    sublattices: tuple[int, int] | None = None
+
+
+def _check_tol(tol: float):
+    # comparisons with nan are false, so a nan tol would pass every residual check
+    if not 0.0 < tol < 1.0:
+        raise ValidationError(f"tolerance must be finite and in (0, 1), got {tol}")
 
 
 def _gk_bidiagonalize(matvec, rmatvec, rows, cols, k, tol, max_iter, rng):
     """Golub-Kahan bidiagonalization for the top-k triplets of a rows x cols operator.
 
     Full reorthogonalization at every step (the Krylov basis stays small
-    here, so the cost is negligible and ghost values are excluded).
-    Convergence requires the residual bound beta_j |P_ji| <= tol * sigma_1
-    for each kept triplet.  A Krylov space counts as exhausted when the
-    new alpha or beta falls to machine epsilon times the largest alpha or
-    beta seen so far, so the floor follows the operator's scale rather
-    than an absolute value.  The step cap min(rows, cols) + 1 lets a wide
-    operator reach the u-side exhaustion exit.
+    here, so the cost is negligible and ghost values are excluded).  The
+    bases are stored row-major, so basis vector j is the contiguous row
+    `vmat[j]` and reorthogonalization is (V w) V over the rows filled so
+    far.  Convergence requires the residual bound beta_j |P_ji| <= tol *
+    sigma_1 for each kept triplet.  A Krylov space counts as exhausted
+    when the new alpha or beta falls to machine epsilon times the largest
+    alpha or beta seen so far, so the floor follows the operator's scale
+    rather than an absolute value.  The step cap min(rows, cols) + 1 lets
+    a wide operator reach the u-side exhaustion exit.
     """
     v = rng.standard_normal(cols)
     v /= np.linalg.norm(v)
     max_iter = min(max_iter, min(rows, cols) + 1)
-    # Grow the stored bases geometrically; convergence typically needs a
-    # few dozen vectors, far less than max_iter.
-    cap = min(max(32, 2 * k + 8), max_iter + 1)
-    vmat = np.zeros((cols, cap))
-    umat = np.zeros((rows, cap))
-    vmat[:, 0] = v
+    # Grow the stored bases geometrically; convergence typically needs
+    # about eight vectors per block, far less than max_iter.
+    cap = min(max(16, 2 * k + 8), max_iter + 1)
+    vmat = np.zeros((cap, cols))
+    umat = np.zeros((cap, rows))
+    vmat[0] = v
     alphas = np.zeros(max_iter)
     betas = np.zeros(max_iter)
     best_res = None
@@ -208,10 +235,10 @@ def _gk_bidiagonalize(matvec, rmatvec, rows, cols, k, tol, max_iter, rng):
         nonlocal vmat, umat, cap
         if n >= cap:
             cap = min(max(2 * cap, n + 1), max_iter + 1)
-            vnew = np.zeros((cols, cap))
-            vnew[:, : vmat.shape[1]] = vmat
-            unew = np.zeros((rows, cap))
-            unew[:, : umat.shape[1]] = umat
+            vnew = np.zeros((cap, cols))
+            vnew[: len(vmat)] = vmat
+            unew = np.zeros((cap, rows))
+            unew[: len(umat)] = umat
             vmat, umat = vnew, unew
 
     def ritz(j: int):
@@ -227,8 +254,8 @@ def _gk_bidiagonalize(matvec, rmatvec, rows, cols, k, tol, max_iter, rng):
         # the caller counts what the blocks delivered
         out = []
         for i in range(min(k, len(sv))):
-            u = umat[:, :ju] @ p[:, i]
-            w = vmat[:, :jv] @ qt[i]
+            u = p[:, i] @ umat[:ju]
+            w = qt[i] @ vmat[:jv]
             u /= np.linalg.norm(u)
             w /= np.linalg.norm(w)
             out.append(SingularTriplet(float(sv[i]), u, w))
@@ -236,15 +263,15 @@ def _gk_bidiagonalize(matvec, rmatvec, rows, cols, k, tol, max_iter, rng):
 
     for j in range(max_iter):
         ensure_capacity(j + 1)
-        u = matvec(vmat[:, j])
+        u = matvec(vmat[j])
         if j > 0:
-            u -= betas[j - 1] * umat[:, j - 1]
-            u -= umat[:, :j] @ (umat[:, :j].T @ u)
-            u -= umat[:, :j] @ (umat[:, :j].T @ u)
+            u -= betas[j - 1] * umat[j - 1]
+            u -= (umat[:j] @ u) @ umat[:j]
+            u -= (umat[:j] @ u) @ umat[:j]
         alphas[j] = np.linalg.norm(u)
         scale = max(scale, alphas[j])
         if alphas[j] <= eps * scale:
-            # u-side Krylov space exhausted: the last v column stays coupled
+            # u-side Krylov space exhausted: the last v row stays coupled
             # through the trailing beta, so the exact restriction of the
             # operator is the rectangular j x (j+1) bidiagonal matrix.
             bhat = np.zeros((j, j + 1))
@@ -252,11 +279,11 @@ def _gk_bidiagonalize(matvec, rmatvec, rows, cols, k, tol, max_iter, rng):
             bhat[np.arange(j), np.arange(1, j + 1)] = betas[:j]
             p, sv, qt = np.linalg.svd(bhat)
             return extract(p, sv, qt, j, j + 1, j)
-        umat[:, j] = u / alphas[j]
+        umat[j] = u / alphas[j]
 
-        w = rmatvec(umat[:, j]) - alphas[j] * vmat[:, j]
-        w -= vmat[:, : j + 1] @ (vmat[:, : j + 1].T @ w)
-        w -= vmat[:, : j + 1] @ (vmat[:, : j + 1].T @ w)
+        w = rmatvec(umat[j]) - alphas[j] * vmat[j]
+        w -= (vmat[: j + 1] @ w) @ vmat[: j + 1]
+        w -= (vmat[: j + 1] @ w) @ vmat[: j + 1]
         betas[j] = np.linalg.norm(w)
         scale = max(scale, betas[j])
 
@@ -274,7 +301,7 @@ def _gk_bidiagonalize(matvec, rmatvec, rows, cols, k, tol, max_iter, rng):
             best_res = res
             if np.all(res <= tol * max(sv[0], 1e-300)):
                 return extract(p, sv, qt, jj, jj, jj)
-        vmat[:, j + 1] = w / betas[j]
+        vmat[j + 1] = w / betas[j]
 
     raise ConvergenceError(
         f"bidiagonalization did not converge in {max_iter} iterations", residuals=best_res
@@ -294,31 +321,39 @@ def top_singular_triplets(
     sublattices (`_parity_blocks`).  Each distinct block is solved once by
     Golub-Kahan bidiagonalization; its singular values decay geometrically
     (the block is Cauchy-like, Beckermann & Townsend, SIAM J. Matrix Anal.
-    Appl. 38, 2017), so one single-vector solve per block suffices.  The
-    block triplets are lifted onto their sublattices and merged by sigma,
-    and a block shared by both sublattice pairs yields each of its values
-    twice, with orthogonal vectors of disjoint support.  Every returned
-    triplet satisfies ||F v - sigma u|| <= 10 tol sigma_1 against the
-    full kernel.  Returns the triplets and the Krylov steps of all solves.
+    Appl. 38, 2017), so one single-vector solve per block suffices.  A
+    block that mirrors the one before it (`_is_mirror`, odd L with odd N)
+    is not solved: it equals R B^T R, so its triplets are (sigma, R v, R u)
+    of B's.  The block triplets are lifted onto their sublattices and
+    merged by sigma, and a block shared by both sublattice pairs yields
+    each of its values twice, with orthogonal vectors of disjoint support.
+    Every returned triplet satisfies ||F v - sigma u|| <= 10 tol sigma_1
+    against the full kernel.  Returns the triplets and the Krylov steps of
+    the solves that ran.  `tol` must lie in (0, 1).
     """
     L = kern.L
     if k < 1:
         raise ValidationError("need k >= 1 triplets")
     if k > L:
         raise ValidationError("cannot extract more triplets than the dimension")
+    _check_tol(tol)
     rng = np.random.default_rng(seed)
-    found, total_iters = [], 0
-    for block, placements in _parity_blocks(kern):
+    found, total_iters, prev = [], 0, None
+    for block, placements in _parity_blocks(L, kern.r):
         rows, cols = block.shape
-        half, iters = _gk_bidiagonalize(
-            block.matvec, block.rmatvec, rows, cols, min(k, rows, cols), tol, max_iter, rng
-        )
-        total_iters += iters
+        if prev is not None and _is_mirror(prev[0], block):
+            half = [SingularTriplet(t.sigma, t.v[::-1], t.u[::-1]) for t in prev[1]]
+        else:
+            half, iters = _gk_bidiagonalize(
+                block.matvec, block.rmatvec, rows, cols, min(k, rows, cols), tol, max_iter, rng
+            )
+            total_iters += iters
+        prev = (block, half)
         for t in half:
             for p, q in placements:
                 u, v = np.zeros(L), np.zeros(L)
                 u[p::2], v[q::2] = t.u, t.v
-                found.append(SingularTriplet(t.sigma, u, v))
+                found.append(SingularTriplet(t.sigma, u, v, (p, q)))
     if len(found) < k:
         raise ConvergenceError(f"operator rank appears smaller than the requested k = {k}")
     found = sorted(found, key=lambda t: -t.sigma)[:k]
@@ -361,7 +396,10 @@ def restricted_covariance(
     of the assembled covariance is exactly diag(s_1, s_1, ..., s_m, s_m)
     in the chosen frame, so the canonical isometry is the identity, and
     the diagonal blocks are interleavings of the compressions
-    w^T F_0 w and z^T F_0 z of the intra-block kernel.  Returns the
+    w^T F_0 w and z^T F_0 z of the intra-block kernel.  F_0 couples only
+    opposite sublattices and each w_i, z_i lives on one, so every column
+    takes one product with the half block of F_0 that acts on its
+    sublattice; the L x L intra kernel is never built.  Returns the
     covariance, its split and the canonical choice, as `optimal_choice`
     would give them for the dense covariance.
     """
@@ -372,15 +410,24 @@ def restricted_covariance(
         raise ValidationError("2m may not exceed the 2L modes available")
     cross = ToeplitzKernel(L, -(N + L))
     triplets, steps = top_singular_triplets(cross, m, tol=tol, seed=seed)
-    intra = ToeplitzKernel(L, 0)
-    w = np.column_stack([t.u for t in triplets])
-    z = np.column_stack([t.v for t in triplets])
-    lam = np.repeat(2.0 * np.array([t.sigma for t in triplets]), 2)
+    # the intra half block at (1 - q, q) maps sublattice q onto 1 - q
+    halves = {q: block for block, placements in _parity_blocks(L, 0) for _, q in placements}
 
-    f0w = np.column_stack([intra.matvec(w[:, i]) for i in range(m)])
-    f0z = np.column_stack([intra.matvec(z[:, i]) for i in range(m)])
+    def compress(side: int) -> np.ndarray:
+        # x^T F_0 x for the triplets' u (side 0) or v (side 1) vectors x:
+        # F_0 x_j lives on sublattice 1 - q, so the x_i on q contribute exact zeros
+        x = np.array([(t.u, t.v)[side] for t in triplets])
+        out = np.empty((m, m))
+        for j, t in enumerate(triplets):
+            q = t.sublattices[side]
+            out[:, j] = x[:, 1 - q :: 2] @ halves[q].matvec(x[j, q::2])
+        return out
+
+    lam = np.repeat(2.0 * np.array([t.sigma for t in triplets]), 2)
     cov, split = assemble_covariance(
-        BlockDecomposition(2.0 * _interleave(w.T @ f0w), np.diag(lam), 2.0 * _interleave(z.T @ f0z))
+        BlockDecomposition(
+            2.0 * _interleave(compress(0)), np.diag(lam), 2.0 * _interleave(compress(1))
+        )
     )
     report = validate(cov)
     if not report.passed:
@@ -486,6 +533,9 @@ def sweep(
     """
     if not len(L_values) or not len(N_values):
         raise ValidationError("sweep needs nonempty L and N lists")
+    if jobs < 1:
+        raise ValidationError(f"jobs must be >= 1, got {jobs}")
+    _check_tol(tol)
     tasks = []
     for i, L in enumerate(L_values):
         for j, N in enumerate(N_values):
@@ -553,6 +603,7 @@ def min_length(
         raise ValidationError("target fidelity must be in (0, 1)")
     if L_lo < 2 or L_hi < L_lo:
         raise ValidationError("need 2 <= L_lo <= L_hi")
+    _check_tol(tol)
 
     cache: dict[int, float] = {}
 

@@ -208,6 +208,13 @@ class TestLatticeCommands:
         lines = open(out).read().splitlines()
         assert len(lines) == 1 + 3 * 2  # L in (16, 32, 48) x N in (0, 1)
 
+    @pytest.mark.parametrize("setting", ["--tol=nan", "--tol=0", "--jobs=0", "--jobs=-3"])
+    def test_sweep_setting_rejected(self, setting, tmp_path, capsys):
+        out = tmp_path / "sweep.csv"
+        assert main(["lattice", "sweep", "--L", "16", "--N", "1", setting, "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_minlen(self, capsys):
         assert main(["lattice", "minlen", "--N", "1", "--x", "0.5", "--L-lo", "4",
                      "--L-hi", "128"]) == 0

@@ -23,8 +23,8 @@ from fermidistill.lattice import (
     sweep_to_csv,
     top_singular_triplets,
 )
-from fermidistill.lattice import _parity_blocks
-from fermidistill.states import ValidationError, validate
+from fermidistill.lattice import _gk_bidiagonalize, _interleave, _is_mirror, _parity_blocks
+from fermidistill.states import ValidationError, blocks, validate
 
 from helpers import dense_sine_toeplitz
 
@@ -149,6 +149,24 @@ class TestTriplets:
         sv = np.linalg.svd(k.dense(), compute_uv=False)
         np.testing.assert_allclose([t.sigma for t in triplets], sv[:2], atol=1e-12)
 
+    def test_bases_grow_past_initial_capacity(self, rng):
+        # a flat spectrum keeps the top triplets unresolved until the Krylov
+        # space is exhausted, far beyond the initial max(16, 2k + 8) rows
+        rows, cols, k = 60, 40, 3
+        q1, _ = np.linalg.qr(rng.standard_normal((rows, cols)))
+        q2, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
+        op = (q1 * np.linspace(1.0, 0.9, cols)) @ q2.T
+        triplets, steps = _gk_bidiagonalize(
+            lambda x: op @ x, lambda y: op.T @ y, rows, cols, k, 1e-10, 300, rng
+        )
+        assert steps > 2 * max(16, 2 * k + 8)  # grown twice
+        u, sv, vt = np.linalg.svd(op)
+        np.testing.assert_allclose([t.sigma for t in triplets], sv[:k], atol=1e-12)
+        for i, t in enumerate(triplets):
+            assert abs(t.u @ u[:, i]) == pytest.approx(1.0, abs=1e-9)
+            assert abs(t.v @ vt[i]) == pytest.approx(1.0, abs=1e-9)
+            assert np.linalg.norm(op @ t.v - t.sigma * t.u) <= 1e-12
+
 
 class TestParitySplitOracle:
     """The per-sublattice solve against dense linear algebra on the full kernel."""
@@ -169,7 +187,7 @@ class TestParitySplitOracle:
         rng = np.random.default_rng(1000 * L + N)
 
         covered = 0.0
-        for block, placements in _parity_blocks(kern):
+        for block, placements in _parity_blocks(kern.L, kern.r):
             blk = block.dense()
             for p, q in placements:
                 np.testing.assert_array_equal(blk, d[p::2, q::2])
@@ -206,6 +224,28 @@ class TestParitySplitOracle:
         assert k == np.sum(sv > 1e-12 * sv[0])
         triplets, _ = top_singular_triplets(kern, k, seed=seed)
         np.testing.assert_allclose([t.sigma for t in triplets], sv[:k], atol=1e-8 * sv[0])
+
+    @pytest.mark.parametrize("L,N,k", [(3, 1, 2), (17, 3, 4), (199, 1, 6), (5001, 1, 2)])
+    def test_mirror_block_solved_once(self, L, N, k):
+        # odd L with odd N: the second parity block is the first one
+        # transposed and index-reversed, so only the first is solved
+        kern = ToeplitzKernel(L, -(N + L))
+        (first, _), (second, _) = _parity_blocks(L, kern.r)
+        assert _is_mirror(first, second)
+        if L < 1000:
+            np.testing.assert_array_equal(second.dense(), first.dense().T[::-1, ::-1])
+        rows, cols = first.shape
+        _, one_solve = _gk_bidiagonalize(
+            first.matvec, first.rmatvec, rows, cols, min(k, rows, cols), 1e-10, 300,
+            np.random.default_rng(5),
+        )
+        triplets, steps = top_singular_triplets(kern, k, seed=5)
+        assert steps == one_solve
+        sigmas = [t.sigma for t in triplets]
+        assert sigmas[0::2] == sigmas[1::2]  # bit-equal pairs
+        if L < 1000:
+            sv = np.linalg.svd(kern.dense(), compute_uv=False)
+            np.testing.assert_allclose(sigmas, sv[:k], atol=1e-8)
 
     def test_k_above_rank_raises(self):
         # both 2 x 1 and 1 x 2 half blocks have rank one
@@ -304,9 +344,85 @@ class TestRestrictedCovariance:
         assert abs(a.p - b.p) <= 1e-9
         assert abs(a.f - b.f) <= 1e-9
 
+    @settings(max_examples=40, deadline=None)
+    @given(L=st.integers(2, 200), N=st.integers(0, 50), m=st.sampled_from([2, 3]))
+    @example(L=2, N=0, m=2)
+    @example(L=3, N=1, m=2)
+    @example(L=199, N=1, m=3)
+    @example(L=200, N=50, m=3)
+    def test_intra_compression_matches_dense(self, L, N, m):
+        # X' = w^T F0 w and Z' = z^T F0 z from half-length products on the
+        # intra kernel's parity blocks, against the dense L x L intra kernel
+        assume(m <= L)
+        cross = ToeplitzKernel(L, -(N + L))
+        shapes = []
+        matvec = ToeplitzKernel.matvec
+
+        def recorded(kern, x):
+            shapes.append(kern.shape)
+            return matvec(kern, x)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ToeplitzKernel, "matvec", recorded)
+            try:
+                s, split, _ = restricted_covariance(LatticeGeometry(L, N), m=m)
+            except ConvergenceError:  # rank below m
+                with pytest.raises(ConvergenceError):
+                    top_singular_triplets(cross, m)
+                return
+        # the only full-length products are the residual check's
+        assert shapes.count((L, L)) == m
+        triplets, _ = top_singular_triplets(cross, m)
+        f0 = ToeplitzKernel(L, 0).dense()
+        w = np.column_stack([t.u for t in triplets])
+        z = np.column_stack([t.v for t in triplets])
+        blk = blocks(s, split)
+        np.testing.assert_allclose(blk.x, 2 * _interleave(w.T @ f0 @ w), atol=1e-12)
+        np.testing.assert_allclose(blk.z, 2 * _interleave(z.T @ f0 @ z), atol=1e-12)
+
+    @pytest.mark.parametrize("L,N,m", [(200, 0, 2), (2000, 1, 3), (5001, 1, 2), (1001, 10, 3)])
+    def test_every_product_goes_through_the_kernel(self, L, N, m, monkeypatch):
+        # one product each way per Krylov step, two per triplet in the
+        # residual check, one per kept vector on each side in the intra
+        # compression; an FFT outside ToeplitzKernel would break the count
+        calls = []
+        for name in ("matvec", "rmatvec"):
+            original = getattr(ToeplitzKernel, name)
+
+            def counted(kern, x, original=original):
+                calls.append(kern.shape)
+                return original(kern, x)
+
+            monkeypatch.setattr(ToeplitzKernel, name, counted)
+        report = lattice_point(LatticeGeometry(L, N), m=m)
+        assert len(calls) == 2 * report.krylov_steps + 2 * m + 2 * m
+
     def test_m_beyond_modes_rejected(self):
         with pytest.raises(ValidationError):
             restricted_covariance(LatticeGeometry(2, 0), m=3)
+
+
+class TestRejectedSettings:
+    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, 2.0])
+    def test_tolerance_outside_unit_interval(self, tol, monkeypatch):
+        # a nan tol would pass the residual check vacuously, and tol = 0
+        # would fail it with a message that blames the residual
+        with pytest.raises(ValidationError, match="tolerance"):
+            top_singular_triplets(ToeplitzKernel(2000, -2001), 2, tol=tol)
+        with pytest.raises(ValidationError, match="tolerance"):
+            lattice_point(LatticeGeometry(2000, 1), tol=tol)
+        points = []
+        monkeypatch.setattr(lattice, "lattice_point", lambda *a, **kw: points.append(a))
+        with pytest.raises(ValidationError, match="tolerance"):
+            sweep([16], [1], tol=tol)
+        with pytest.raises(ValidationError, match="tolerance"):
+            min_length(1, 0.5, L_lo=4, L_hi=64, tol=tol)
+        assert points == []  # rejected before the first point
+
+    @pytest.mark.parametrize("jobs", [0, -3])
+    def test_jobs_below_one(self, jobs):
+        with pytest.raises(ValidationError, match="jobs"):
+            sweep([16], [1], jobs=jobs)
 
 
 class TestDenseRoute:
