@@ -160,9 +160,7 @@ def _cmd_closed_form(args) -> int:
 
 def _cmd_lattice(args) -> int:
     if args.action == "sweep":
-        rows = lattice.sweep(
-            args.L, args.N, m=args.m, tol=args.tol, seed=args.seed, jobs=args.jobs
-        )
+        rows = lattice.sweep(args.L, args.N, m=args.m, seed=args.seed, jobs=args.jobs)
         _emit(lattice.sweep_to_csv(rows, m=args.m), args.out)
         return 0
     if args.action == "fit":
@@ -205,6 +203,8 @@ def _cmd_lattice(args) -> int:
 
 
 def _cmd_bench(args) -> int:
+    if args.repeat < 1:
+        raise ValidationError(f"repeat must be >= 1, got {args.repeat}")
     kern = lattice.ToeplitzKernel(args.L, -(args.N + args.L))
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal(args.L)
@@ -297,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--L", type=_parse_range, required=True)
     q.add_argument("--N", type=_parse_range, required=True)
     q.add_argument("--m", type=int, default=2)
-    q.add_argument("--tol", type=float, default=1e-10)
     q.add_argument("--jobs", type=int, default=1)
     q.add_argument("--seed", type=int, default=seed)
     q.add_argument("--out")

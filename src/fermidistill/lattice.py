@@ -81,17 +81,14 @@ class LatticeGeometry:
 
 
 def _sine_kernel(q: np.ndarray) -> np.ndarray:
-    """t(q) = sin(q pi/2)/(q pi) with the q = 0 entry set to zero.
+    """t(q) = sin(q pi/2)/(q pi) on integer offsets q, with the q = 0 entry set to zero.
 
-    Evaluated through the parity of q so that even offsets are exact
-    zeros (sin(q pi/2) alternates through 0, +-1 on integers); the zero
-    at q = 0 encodes the vanishing diagonal of the centered correlation
-    matrix at half filling.
+    sin(q pi/2) cycles through 0, 1, 0, -1 with q mod 4, so even offsets
+    are exact zeros; the zero at q = 0 encodes the vanishing diagonal of
+    the centered correlation matrix at half filling.
     """
-    qi = np.asarray(np.rint(q), dtype=np.int64)
-    sign = np.where(qi % 4 == 1, 1.0, np.where(qi % 4 == 3, -1.0, 0.0))
-    denom = np.where(qi == 0, 1, qi)
-    return sign / (denom * np.pi)
+    q = np.asarray(q)
+    return np.array([0.0, 1.0, 0.0, -1.0])[q & 3] / (np.where(q == 0, 1, q) * np.pi)
 
 
 class ToeplitzKernel:
@@ -196,73 +193,60 @@ class SingularTriplet:
     sublattices: tuple[int, int] | None = None
 
 
-def _check_tol(tol: float):
-    # comparisons with nan are false, so a nan tol would pass every residual check
-    if not 0.0 < tol < 1.0:
-        raise ValidationError(f"tolerance must be finite and in (0, 1), got {tol}")
+# The stopping rule of every Krylov solve, read at call time: a kept triplet
+# has converged once its residual bound is at most KRYLOV_TOL * sigma_1, and a
+# block that has not converged after MAX_STEPS Golub-Kahan steps is an error.
+KRYLOV_TOL = 1e-10
+MAX_STEPS = 300
 
 
-def _gk_bidiagonalize(matvec, rmatvec, rows, cols, k, tol, max_iter, rng):
+def _gk_bidiagonalize(matvec, rmatvec, rows, cols, k, rng):
     """Golub-Kahan bidiagonalization for the top-k triplets of a rows x cols operator.
 
     Full reorthogonalization at every step (the Krylov basis stays small
     here, so the cost is negligible and ghost values are excluded).  The
     bases are stored row-major, so basis vector j is the contiguous row
     `vmat[j]` and reorthogonalization is (V w) V over the rows filled so
-    far.  Convergence requires the residual bound beta_j |P_ji| <= tol *
-    sigma_1 for each kept triplet.  A Krylov space counts as exhausted
-    when the new alpha or beta falls to machine epsilon times the largest
-    alpha or beta seen so far, so the floor follows the operator's scale
-    rather than an absolute value.  The step cap min(rows, cols) + 1 lets
-    a wide operator reach the u-side exhaustion exit.
+    far; they start at max(16, 2k + 8) rows and double when full.
+
+    The solve has one exit, which lifts the SVD of a ju x jv upper
+    bidiagonal onto the bases.  Three conditions lead there:
+    - convergence: beta_j |P_ji| <= KRYLOV_TOL * sigma_1 for each kept
+      triplet, tested every 4th step on the SVD that is then lifted;
+    - v-side exhaustion: the new beta falls to machine epsilon times the
+      largest alpha or beta so far, and the square bidiagonal is exact;
+    - u-side exhaustion: the new alpha does, and the j x (j + 1)
+      bidiagonal keeps the trailing beta that couples the last v row.
+    The exhaustion floor follows the operator's scale rather than an
+    absolute value.  At most min(MAX_STEPS, min(rows, cols) + 1) steps
+    run, so a wide operator can reach the u-side exit; past them
+    ConvergenceError is raised.  Returns the triplets (fewer than k when
+    the rank is lower) and the step count ju.
     """
+    steps = min(MAX_STEPS, min(rows, cols) + 1)
     v = rng.standard_normal(cols)
     v /= np.linalg.norm(v)
-    max_iter = min(max_iter, min(rows, cols) + 1)
-    # Grow the stored bases geometrically; convergence typically needs
-    # about eight vectors per block, far less than max_iter.
-    cap = min(max(16, 2 * k + 8), max_iter + 1)
+    cap = min(max(16, 2 * k + 8), steps + 1)
     vmat = np.zeros((cap, cols))
     umat = np.zeros((cap, rows))
     vmat[0] = v
-    alphas = np.zeros(max_iter)
-    betas = np.zeros(max_iter)
+    alphas = np.zeros(steps)
+    betas = np.zeros(steps)
     best_res = None
     eps = np.finfo(float).eps
     scale = 0.0
 
-    def ensure_capacity(n: int):
-        nonlocal vmat, umat, cap
-        if n >= cap:
-            cap = min(max(2 * cap, n + 1), max_iter + 1)
-            vnew = np.zeros((cap, cols))
-            vnew[: len(vmat)] = vmat
-            unew = np.zeros((cap, rows))
-            unew[: len(umat)] = umat
-            vmat, umat = vnew, unew
+    def ritz(ju: int, jv: int):
+        b = np.zeros((ju, jv))
+        b[np.arange(ju), np.arange(ju)] = alphas[:ju]
+        b[np.arange(jv - 1), np.arange(1, jv)] = betas[: jv - 1]
+        return np.linalg.svd(b)
 
-    def ritz(j: int):
-        b = np.zeros((j, j))
-        b[np.arange(j), np.arange(j)] = alphas[:j]
-        if j > 1:
-            b[np.arange(j - 1), np.arange(1, j)] = betas[: j - 1]
-        p, sv, qt = np.linalg.svd(b)
-        return p, sv, qt
-
-    def extract(p, sv, qt, ju, jv, iters):
-        # exhaustion may deliver fewer than k triplets (rank below k);
-        # the caller counts what the blocks delivered
-        out = []
-        for i in range(min(k, len(sv))):
-            u = p[:, i] @ umat[:ju]
-            w = qt[i] @ vmat[:jv]
-            u /= np.linalg.norm(u)
-            w /= np.linalg.norm(w)
-            out.append(SingularTriplet(float(sv[i]), u, w))
-        return out, iters
-
-    for j in range(max_iter):
-        ensure_capacity(j + 1)
+    for j in range(steps):
+        if j + 1 == len(vmat):
+            extra = min(len(vmat), steps + 1 - len(vmat))
+            vmat = np.concatenate((vmat, np.zeros((extra, cols))))
+            umat = np.concatenate((umat, np.zeros((extra, rows))))
         u = matvec(vmat[j])
         if j > 0:
             u -= betas[j - 1] * umat[j - 1]
@@ -271,14 +255,8 @@ def _gk_bidiagonalize(matvec, rmatvec, rows, cols, k, tol, max_iter, rng):
         alphas[j] = np.linalg.norm(u)
         scale = max(scale, alphas[j])
         if alphas[j] <= eps * scale:
-            # u-side Krylov space exhausted: the last v row stays coupled
-            # through the trailing beta, so the exact restriction of the
-            # operator is the rectangular j x (j+1) bidiagonal matrix.
-            bhat = np.zeros((j, j + 1))
-            bhat[np.arange(j), np.arange(j)] = alphas[:j]
-            bhat[np.arange(j), np.arange(1, j + 1)] = betas[:j]
-            p, sv, qt = np.linalg.svd(bhat)
-            return extract(p, sv, qt, j, j + 1, j)
+            svd = ritz(j, j + 1)
+            break
         umat[j] = u / alphas[j]
 
         w = rmatvec(umat[j]) - alphas[j] * vmat[j]
@@ -289,31 +267,33 @@ def _gk_bidiagonalize(matvec, rmatvec, rows, cols, k, tol, max_iter, rng):
 
         jj = j + 1
         if betas[j] <= eps * scale:
-            # v-side exhaustion: the square bidiagonal block is exact
-            p, sv, qt = ritz(jj)
-            return extract(p, sv, qt, jj, jj, jj)
-        # Convergence is tested every 4th step on purpose: each test costs a
-        # dense SVD of the bidiagonal, and stopping up to three steps late
-        # only tightens the residuals.
-        if jj >= k and (jj % 4 == 0 or jj == max_iter):
-            p, sv, qt = ritz(jj)
-            res = betas[j] * np.abs(p[-1, :k])
-            best_res = res
-            if np.all(res <= tol * max(sv[0], 1e-300)):
-                return extract(p, sv, qt, jj, jj, jj)
+            svd = ritz(jj, jj)
+            break
+        # Each convergence test costs a dense SVD of the bidiagonal, and
+        # stopping up to three steps late only tightens the residuals.
+        if jj >= k and (jj % 4 == 0 or jj == steps):
+            svd = ritz(jj, jj)
+            best_res = betas[j] * np.abs(svd[0][-1, :k])
+            if np.all(best_res <= KRYLOV_TOL * max(svd[1][0], 1e-300)):
+                break
         vmat[j + 1] = w / betas[j]
+    else:
+        raise ConvergenceError(
+            f"bidiagonalization did not converge in {steps} iterations", residuals=best_res
+        )
 
-    raise ConvergenceError(
-        f"bidiagonalization did not converge in {max_iter} iterations", residuals=best_res
-    )
+    p, sv, qt = svd
+    ju, jv = len(p), len(qt)
+    out = []
+    for i in range(min(k, len(sv))):
+        u = p[:, i] @ umat[:ju]
+        w = qt[i] @ vmat[:jv]
+        out.append(SingularTriplet(float(sv[i]), u / np.linalg.norm(u), w / np.linalg.norm(w)))
+    return out, ju
 
 
 def top_singular_triplets(
-    kern: ToeplitzKernel,
-    k: int,
-    tol: float = 1e-10,
-    max_iter: int = 300,
-    seed: int = 0,
+    kern: ToeplitzKernel, k: int, seed: int = 0
 ) -> tuple[list[SingularTriplet], int]:
     """Top-k singular triplets of a sine kernel, one Krylov solve per parity block.
 
@@ -327,16 +307,15 @@ def top_singular_triplets(
     of B's.  The block triplets are lifted onto their sublattices and
     merged by sigma, and a block shared by both sublattice pairs yields
     each of its values twice, with orthogonal vectors of disjoint support.
-    Every returned triplet satisfies ||F v - sigma u|| <= 10 tol sigma_1
-    against the full kernel.  Returns the triplets and the Krylov steps of
-    the solves that ran.  `tol` must lie in (0, 1).
+    Every returned triplet satisfies ||F v - sigma u|| <= 10 KRYLOV_TOL
+    sigma_1 against the full kernel.  Returns the triplets and the Krylov
+    steps of the solves that ran.
     """
     L = kern.L
     if k < 1:
         raise ValidationError("need k >= 1 triplets")
     if k > L:
         raise ValidationError("cannot extract more triplets than the dimension")
-    _check_tol(tol)
     rng = np.random.default_rng(seed)
     found, total_iters, prev = [], 0, None
     for block, placements in _parity_blocks(L, kern.r):
@@ -345,7 +324,7 @@ def top_singular_triplets(
             half = [SingularTriplet(t.sigma, t.v[::-1], t.u[::-1]) for t in prev[1]]
         else:
             half, iters = _gk_bidiagonalize(
-                block.matvec, block.rmatvec, rows, cols, min(k, rows, cols), tol, max_iter, rng
+                block.matvec, block.rmatvec, rows, cols, min(k, rows, cols), rng
             )
             total_iters += iters
         prev = (block, half)
@@ -364,7 +343,7 @@ def top_singular_triplets(
             np.linalg.norm(kern.matvec(t.v) - t.sigma * t.u),
             np.linalg.norm(kern.rmatvec(t.u) - t.sigma * t.v),
         )
-        if resid > 10 * tol * sigma1:
+        if resid > 10 * KRYLOV_TOL * sigma1:
             raise ConvergenceError(
                 f"triplet {i} residual {resid:.3e} exceeds tolerance", residuals=[resid]
             )
@@ -386,7 +365,7 @@ def _interleave(p: np.ndarray) -> np.ndarray:
 
 
 def restricted_covariance(
-    geometry: LatticeGeometry, m: int = 2, tol: float = 1e-10, seed: int = 0
+    geometry: LatticeGeometry, m: int = 2, seed: int = 0
 ) -> tuple[CovarianceMatrix, BipartiteSplit, ProtocolChoice]:
     """Covariance of the kept 2m modes, built from m cross-block triplets.
 
@@ -409,7 +388,7 @@ def restricted_covariance(
     if 2 * m > 2 * L:
         raise ValidationError("2m may not exceed the 2L modes available")
     cross = ToeplitzKernel(L, -(N + L))
-    triplets, steps = top_singular_triplets(cross, m, tol=tol, seed=seed)
+    triplets, steps = top_singular_triplets(cross, m, seed=seed)
     # the intra half block at (1 - q, q) maps sublattice q onto 1 - q
     halves = {q: block for block, placements in _parity_blocks(L, 0) for _, q in placements}
 
@@ -439,11 +418,9 @@ def restricted_covariance(
     return cov, split, ProtocolChoice(m, identity, lam, warnings, steps)
 
 
-def lattice_point(
-    geometry: LatticeGeometry, m: int = 2, tol: float = 1e-10, seed: int = 0
-) -> DistillationReport:
+def lattice_point(geometry: LatticeGeometry, m: int = 2, seed: int = 0) -> DistillationReport:
     """Protocol quantities for one (L, N) geometry via the iterative route."""
-    cov, split, choice = restricted_covariance(geometry, m=m, tol=tol, seed=seed)
+    cov, split, choice = restricted_covariance(geometry, m=m, seed=seed)
     return _evaluate(blocks(cov, split), choice)
 
 
@@ -508,39 +485,34 @@ class SweepRow:
 
 
 def _sweep_point(args) -> SweepRow:
-    L, N, m, tol, seed = args
+    L, N, m, seed = args
     start = time.perf_counter()
     try:
-        report = lattice_point(LatticeGeometry(L, N), m=m, tol=tol, seed=seed)
+        report = lattice_point(LatticeGeometry(L, N), m=m, seed=seed)
         return SweepRow(L, N, report, (time.perf_counter() - start) * 1e3)
     except (ValidationError, ConvergenceError) as exc:  # per-point failures recorded in-row
         return SweepRow(L, N, None, (time.perf_counter() - start) * 1e3, error=str(exc))
 
 
-def sweep(
-    L_values,
-    N_values,
-    m: int = 2,
-    tol: float = 1e-10,
-    seed: int = 0,
-    jobs: int = 1,
-) -> list[SweepRow]:
+def sweep(L_values, N_values, m: int = 2, seed: int = 0, jobs: int = 1) -> list[SweepRow]:
     """Evaluate the (L, N) grid; points are independent and seedable.
 
     Per-point seeds are derived deterministically from the master seed
     and the point's position, so rows are reproducible regardless of
-    execution order or the number of workers.
+    execution order or the number of workers.  Settings that would fail
+    every point (m < 2, jobs < 1) are rejected before the first one.
     """
     if not len(L_values) or not len(N_values):
         raise ValidationError("sweep needs nonempty L and N lists")
+    if m < 2:
+        raise ValidationError(f"protocol needs m >= 2, got {m}")
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
-    _check_tol(tol)
     tasks = []
     for i, L in enumerate(L_values):
         for j, N in enumerate(N_values):
             point_seed = int(np.random.SeedSequence([seed, i, j]).generate_state(1)[0])
-            tasks.append((int(L), int(N), m, tol, point_seed))
+            tasks.append((int(L), int(N), m, point_seed))
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_sweep_point, tasks))
@@ -582,15 +554,7 @@ def fit_power_law(samples, L_min: float) -> tuple[float, float, float, list[str]
     return -slope, float(np.exp(intercept)), rms, warnings
 
 
-def min_length(
-    N: int,
-    x: float,
-    L_lo: int,
-    L_hi: int,
-    m: int = 2,
-    tol: float = 1e-10,
-    seed: int = 0,
-) -> int:
+def min_length(N: int, x: float, L_lo: int, L_hi: int, m: int = 2, seed: int = 0) -> int:
     """Smallest L in [L_lo, L_hi] with f(L, N) >= x.
 
     Exponential bracketing plus bisection under the empirically
@@ -603,13 +567,12 @@ def min_length(
         raise ValidationError("target fidelity must be in (0, 1)")
     if L_lo < 2 or L_hi < L_lo:
         raise ValidationError("need 2 <= L_lo <= L_hi")
-    _check_tol(tol)
 
     cache: dict[int, float] = {}
 
     def fid(L: int) -> float:
         if L not in cache:
-            rep = lattice_point(LatticeGeometry(L, N), m=m, tol=tol, seed=seed)
+            rep = lattice_point(LatticeGeometry(L, N), m=m, seed=seed)
             cache[L] = rep.f if rep.f is not None else 0.0
         return cache[L]
 

@@ -22,7 +22,7 @@ ANTISYMMETRY_RTOL = 1e-12
 RANK_RTOL = 1e-12
 
 
-def check_antisymmetric(a: np.ndarray, rtol: float = ANTISYMMETRY_RTOL) -> np.ndarray:
+def check_antisymmetric(a: np.ndarray) -> np.ndarray:
     """Validate that each matrix in `a` is square, even-dimensional and antisymmetric.
 
     `a` is one matrix or a stack (..., n, n).  Returns the array unchanged.  Raises ValueError on violation; the
@@ -39,13 +39,13 @@ def check_antisymmetric(a: np.ndarray, rtol: float = ANTISYMMETRY_RTOL) -> np.nd
         raise ValueError("matrix contains non-finite entries")
     scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
     resid = np.abs(a + np.swapaxes(a, -1, -2)).max(axis=(-2, -1), initial=0.0)
-    bad = resid > rtol * scale
+    bad = resid > ANTISYMMETRY_RTOL * scale
     if bad.any():
         idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
         member = f"stack member {tuple(int(i) for i in idx)}" if a.ndim > 2 else "matrix"
         raise ValueError(
             f"{member} is not antisymmetric: |A + A^T|_max = {resid[idx]:.3e}"
-            f" exceeds {rtol:.1e} * |A|_max"
+            f" exceeds {ANTISYMMETRY_RTOL:.1e} * |A|_max"
         )
     return a
 
@@ -104,18 +104,16 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.linalg.svd(a)
 
 
-def polar_decompose(
-    y: np.ndarray, rank_rtol: float = RANK_RTOL
-) -> tuple[np.ndarray, np.ndarray]:
+def polar_decompose(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Polar decomposition y = v @ p with p = (y^dag y)^(1/2) positive.
 
     v is the partial isometry vanishing on the kernel of |y|: singular
-    values below rank_rtol * sigma_max are treated as zero, so v^dag v
+    values below RANK_RTOL * sigma_max are treated as zero, so v^dag v
     is the projection onto the row space and v v^dag the projection
     onto the range of y.
     """
     u, s, vh = svd(y)
-    cutoff = rank_rtol * s[0] if s.size and s[0] > 0 else 0.0
+    cutoff = RANK_RTOL * s[0] if s.size and s[0] > 0 else 0.0
     r = int(np.sum(s > cutoff))
     v = u[:, :r] @ vh[:r]
     p = (vh.conj().T * s) @ vh

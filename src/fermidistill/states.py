@@ -223,18 +223,20 @@ class ValidationReport:
 # ---------------------------------------------------------------------------
 
 
-def validate(s: CovarianceMatrix | np.ndarray, atol: float = STRUCT_ATOL) -> ValidationReport:
-    """Diagnose covariance validity: reports, never raises."""
+def validate(s: CovarianceMatrix | np.ndarray) -> ValidationReport:
+    """Diagnose covariance validity to STRUCT_ATOL: reports, never raises."""
     m = _matrix(s)
     n2 = m.shape[0]
     report = ValidationReport()
-    report.add("hermitian |S - S^dag|_max", np.abs(m - m.conj().T).max(), atol)
-    report.add("reality |conj(S) - (1 - S)|_max", np.abs(m.conj() - (np.eye(n2) - m)).max(), atol)
+    report.add("hermitian |S - S^dag|_max", np.abs(m - m.conj().T).max(), STRUCT_ATOL)
+    report.add(
+        "reality |conj(S) - (1 - S)|_max", np.abs(m.conj() - (np.eye(n2) - m)).max(), STRUCT_ATOL
+    )
     try:
         ev = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        report.add("spectrum max(0 - ev, ev - 1)", max(0.0, -ev.min(), ev.max() - 1.0), atol)
+        report.add("spectrum max(0 - ev, ev - 1)", max(0.0, -ev.min(), ev.max() - 1.0), STRUCT_ATOL)
     except np.linalg.LinAlgError:
-        report.add("spectrum (eigensolver failed)", np.inf, atol)
+        report.add("spectrum (eigensolver failed)", np.inf, STRUCT_ATOL)
     return report
 
 
@@ -284,15 +286,15 @@ def _skew_part(s: CovarianceMatrix | np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def parity_expectation(s: CovarianceMatrix | np.ndarray, orientation: int = 1) -> float:
+def parity_expectation(s: CovarianceMatrix | np.ndarray) -> float:
     """Expectation of the parity operator: 2^n (-1)^n Pf(-i(S - 1/2)).
 
     The sign refers to the parity operator built from the basis the
-    covariance is expressed in, times the orientation (+-1).
+    covariance is expressed in.
     """
     g = _skew_part(s)
     n = g.shape[0] // 2
-    val = orientation * (2.0 ** n) * ((-1.0) ** n) * pfaffian(g)
+    val = (2.0 ** n) * ((-1.0) ** n) * pfaffian(g)
     if abs(val) > 1 + STRUCT_ATOL:
         raise ValidationError(f"parity expectation {val:.6f} outside [-1, 1]")
     return float(np.clip(val, -1.0, 1.0))
@@ -629,13 +631,12 @@ def random_basis_projection(n_modes: int, seed: int | np.random.Generator) -> Co
 def random_x_zero_covariance(
     n_modes_per_side: int,
     seed: int | np.random.Generator,
-    *,
-    min_singular: float = 0.05,
 ) -> tuple[CovarianceMatrix, BipartiteSplit]:
     """Random valid bipartite covariance with vanishing Alice block X.
 
-    The Y block is kept away from rank deficiency so that protocol
-    construction at any admissible m is well posed.
+    The Y block is kept away from rank deficiency (smallest singular
+    value above 0.05) so that protocol construction at any admissible m
+    is well posed.
     """
     rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
     k = 2 * n_modes_per_side
@@ -648,7 +649,7 @@ def random_x_zero_covariance(
         s = CovarianceMatrix(0.5 * np.eye(2 * k) + 1j * g)
         split = BipartiteSplit(tuple(range(k)), tuple(range(k, 2 * k)))
         sv = svd(blocks(s, split).y)[1]
-        if sv[-1] > min_singular:
+        if sv[-1] > 0.05:
             return s, split
     raise ConvergenceError("failed to sample a well-conditioned X = 0 state in 200 draws")
 

@@ -7,6 +7,9 @@ the file and compiles it in memory, so nothing is written under
 `perfbench/`.
 """
 
+import ast
+import importlib
+import inspect
 from pathlib import Path
 
 from fermidistill import fock, lattice, linalg, protocol, states
@@ -25,3 +28,99 @@ def test_every_traced_lookup_site_is_callable():
         if not callable(getattr(owner, attr, None))
     ]
     assert not missing, f"traced names absent from the package: {missing}"
+
+
+BENCH_SCRIPTS = ("workload.py", "record_reference.py")
+
+
+def _package_names(tree: ast.Module, inherited: dict) -> dict:
+    """Top-level names a bench script imports from fermidistill, directly or via `workload`."""
+    names = {}
+    for node in tree.body:
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        for alias in node.names:
+            if node.module == "workload" and alias.name in inherited:
+                names[alias.asname or alias.name] = inherited[alias.name]
+            elif node.module and node.module.split(".")[0] == "fermidistill":
+                try:
+                    obj = importlib.import_module(f"{node.module}.{alias.name}")
+                except ModuleNotFoundError:
+                    obj = getattr(importlib.import_module(node.module), alias.name)
+                names[alias.asname or alias.name] = obj
+    return names
+
+
+def _constants(tree: ast.Module) -> dict:
+    """Top-level `NAME = <literal>` assignments, to expand starred arguments."""
+    out = {}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and len(node.targets) == 1:
+            target = node.targets[0]
+            if isinstance(target, ast.Name):
+                try:
+                    out[target.id] = ast.literal_eval(node.value)
+                except ValueError:
+                    pass
+    return out
+
+
+def _resolve(expr: ast.expr, names: dict):
+    """The package object an expression like `lattice.sweep` names, or None."""
+    attrs = []
+    while isinstance(expr, ast.Attribute):
+        attrs.append(expr.attr)
+        expr = expr.value
+    if not isinstance(expr, ast.Name) or expr.id not in names:
+        return None
+    obj = names[expr.id]
+    for attr in reversed(attrs):
+        obj = getattr(obj, attr)
+    return obj
+
+
+def _bind(fn, args: list[ast.expr], keywords: list[ast.keyword], constants: dict):
+    positional = []
+    for arg in args:
+        if isinstance(arg, ast.Starred):
+            # a starred name must be a literal constant, or the check would be blind
+            positional.extend(constants[arg.value.id])
+        else:
+            positional.append(None)
+    assert all(kw.arg is not None for kw in keywords), "** arguments cannot be checked"
+    inspect.signature(fn).bind(*positional, **{kw.arg: None for kw in keywords})
+
+
+def test_bench_scripts_call_the_package_as_it_is():
+    """Every fermidistill call in the bench scripts binds to the current signature.
+
+    Covers direct calls and the callee of `tally.call(label, fn, *args,
+    **kwargs)`.  A refactor that drops or renames a parameter the bench
+    passes breaks the benchmark run; this test fails first.  The scripts
+    are parsed, not imported or run.
+    """
+    checked, inherited = [], {}
+    for script in BENCH_SCRIPTS:
+        path = SPANS.parent / script
+        tree = ast.parse(path.read_text(), str(path))
+        names, constants = _package_names(tree, inherited), _constants(tree)
+        inherited = names
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            fn, args = _resolve(node.func, names), node.args
+            if fn is None and isinstance(node.func, ast.Attribute) and node.func.attr == "call":
+                if len(args) >= 2:
+                    fn, args = _resolve(args[1], names), args[2:]
+            if fn is None:
+                continue
+            site = f"{script}:{node.lineno} {ast.unparse(node)[:60]}"
+            try:
+                _bind(fn, args, node.keywords, constants)
+            except TypeError as exc:
+                raise AssertionError(f"{site}: {exc}") from exc
+            checked.append(site)
+    # the sweep and point calls of the chain workloads must have been seen
+    assert sum("lattice.sweep(" in s for s in checked) >= 1
+    assert sum("record_reference" in s and "lattice_point" in s for s in checked) >= 1
+    assert len(checked) >= 15, checked

@@ -208,7 +208,7 @@ class TestLatticeCommands:
         lines = open(out).read().splitlines()
         assert len(lines) == 1 + 3 * 2  # L in (16, 32, 48) x N in (0, 1)
 
-    @pytest.mark.parametrize("setting", ["--tol=nan", "--tol=0", "--jobs=0", "--jobs=-3"])
+    @pytest.mark.parametrize("setting", ["--jobs=0", "--jobs=-3", "--m=1"])
     def test_sweep_setting_rejected(self, setting, tmp_path, capsys):
         out = tmp_path / "sweep.csv"
         assert main(["lattice", "sweep", "--L", "16", "--N", "1", setting, "--out", str(out)]) == 1
@@ -233,6 +233,11 @@ class TestBench:
         payload = json.loads(capsys.readouterr().out)
         assert payload["matvec_ms_median"] > 0
         assert payload["triplets_iterations"] > 0
+
+    @pytest.mark.parametrize("repeat", ["0", "-2"])
+    def test_repeat_below_one_rejected(self, repeat, capsys):
+        assert main(["bench", "--L", "64", "--repeat", repeat]) == 1
+        assert capsys.readouterr().err.startswith("error: repeat must be >= 1")
 
 
 class TestUsageErrors:

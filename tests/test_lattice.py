@@ -49,7 +49,7 @@ class TestKernel:
             assert np.abs(ToeplitzKernel(32, r).values).max() <= 1 / np.pi + 1e-15
 
     def test_matches_entrywise_construction(self):
-        for r in (0, 1, 7, -50):
+        for r in (0, 1, 7, -50, -(10**6 + 1)):
             np.testing.assert_allclose(
                 ToeplitzKernel(50, r).dense(), dense_sine_toeplitz(50, r), atol=1e-15
             )
@@ -125,9 +125,11 @@ class TestTriplets:
         np.testing.assert_array_equal([t.sigma for t in a], [t.sigma for t in b])
         np.testing.assert_array_equal(a[0].u, b[0].u)
 
-    def test_nonconvergence_raises(self):
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(lattice, "KRYLOV_TOL", 1e-14)
+        monkeypatch.setattr(lattice, "MAX_STEPS", 6)
         with pytest.raises(ConvergenceError):
-            top_singular_triplets(ToeplitzKernel(256, -257), 4, tol=1e-14, max_iter=6)
+            top_singular_triplets(ToeplitzKernel(256, -257), 4)
 
     @pytest.mark.parametrize("L", [500, 1024, 5000])
     def test_exact_duplicates_recovered(self, L):
@@ -157,7 +159,7 @@ class TestTriplets:
         q2, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
         op = (q1 * np.linspace(1.0, 0.9, cols)) @ q2.T
         triplets, steps = _gk_bidiagonalize(
-            lambda x: op @ x, lambda y: op.T @ y, rows, cols, k, 1e-10, 300, rng
+            lambda x: op @ x, lambda y: op.T @ y, rows, cols, k, rng
         )
         assert steps > 2 * max(16, 2 * k + 8)  # grown twice
         u, sv, vt = np.linalg.svd(op)
@@ -181,7 +183,7 @@ class TestParitySplitOracle:
     @example(L=199, N=0, pick=1.0)
     @example(L=200, N=50, pick=1.0)
     def test_matches_dense(self, L, N, pick):
-        tol = 1e-10
+        tol = lattice.KRYLOV_TOL
         kern = ToeplitzKernel(L, -(N + L))
         d = kern.dense()
         rng = np.random.default_rng(1000 * L + N)
@@ -202,7 +204,7 @@ class TestParitySplitOracle:
         # values below tol * sigma_1 lie under what the solve resolves
         rank = int(np.sum(sv > tol * sv[0]))
         k = 1 + int(pick * (rank - 1))
-        triplets, _ = top_singular_triplets(kern, k, tol=tol, seed=L + N)
+        triplets, _ = top_singular_triplets(kern, k, seed=L + N)
         np.testing.assert_allclose([t.sigma for t in triplets], sv[:k], atol=1e-8)
         for t in triplets:
             resid = max(
@@ -236,8 +238,7 @@ class TestParitySplitOracle:
             np.testing.assert_array_equal(second.dense(), first.dense().T[::-1, ::-1])
         rows, cols = first.shape
         _, one_solve = _gk_bidiagonalize(
-            first.matvec, first.rmatvec, rows, cols, min(k, rows, cols), 1e-10, 300,
-            np.random.default_rng(5),
+            first.matvec, first.rmatvec, rows, cols, min(k, rows, cols), np.random.default_rng(5)
         )
         triplets, steps = top_singular_triplets(kern, k, seed=5)
         assert steps == one_solve
@@ -403,26 +404,18 @@ class TestRestrictedCovariance:
 
 
 class TestRejectedSettings:
-    @pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1.0, 2.0])
-    def test_tolerance_outside_unit_interval(self, tol, monkeypatch):
-        # a nan tol would pass the residual check vacuously, and tol = 0
-        # would fail it with a message that blames the residual
-        with pytest.raises(ValidationError, match="tolerance"):
-            top_singular_triplets(ToeplitzKernel(2000, -2001), 2, tol=tol)
-        with pytest.raises(ValidationError, match="tolerance"):
-            lattice_point(LatticeGeometry(2000, 1), tol=tol)
-        points = []
-        monkeypatch.setattr(lattice, "lattice_point", lambda *a, **kw: points.append(a))
-        with pytest.raises(ValidationError, match="tolerance"):
-            sweep([16], [1], tol=tol)
-        with pytest.raises(ValidationError, match="tolerance"):
-            min_length(1, 0.5, L_lo=4, L_hi=64, tol=tol)
-        assert points == []  # rejected before the first point
-
     @pytest.mark.parametrize("jobs", [0, -3])
     def test_jobs_below_one(self, jobs):
         with pytest.raises(ValidationError, match="jobs"):
             sweep([16], [1], jobs=jobs)
+
+    def test_m_below_two(self, monkeypatch):
+        # every point would fail alike, so the sweep refuses before the first
+        points = []
+        monkeypatch.setattr(lattice, "lattice_point", lambda *a, **kw: points.append(a))
+        with pytest.raises(ValidationError, match="m >= 2"):
+            sweep([16, 32], [1], m=1)
+        assert points == []
 
 
 class TestDenseRoute:
