@@ -205,7 +205,8 @@ def _cmd_lattice(args) -> int:
 def _cmd_bench(args) -> int:
     if args.repeat < 1:
         raise ValidationError(f"repeat must be >= 1, got {args.repeat}")
-    kern = lattice.ToeplitzKernel(args.L, -(args.N + args.L))
+    geometry = lattice.LatticeGeometry(args.L, args.N)
+    kern = lattice.ToeplitzKernel(geometry.L, -(geometry.N + geometry.L))
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal(args.L)
     for _ in range(3):
@@ -220,6 +221,7 @@ def _cmd_bench(args) -> int:
     solve_ms = (time.perf_counter() - t0) * 1e3
     payload = {
         "L": args.L,
+        "fft_length": kern._fft_len,
         "matvec_ms_median": float(np.median(times)),
         "matvec_ms_best": float(min(times)),
         "triplets_k": args.k,

@@ -91,14 +91,35 @@ def _sine_kernel(q: np.ndarray) -> np.ndarray:
     return np.array([0.0, 1.0, 0.0, -1.0])[q & 3] / (np.where(q == 0, 1, q) * np.pi)
 
 
+def _smooth_length(n: int) -> int:
+    """The smallest integer >= max(n, 2) with no prime factor above 5.
+
+    FFTs of such lengths cost about as much per point as powers of two,
+    and they lie much closer to n (5000 rather than 8192, 2 * 10^6 rather
+    than 2^21).
+    """
+    n = max(n, 2)
+    best = 1 << (n - 1).bit_length()
+    p5 = 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            # the smallest p35 * 2^e >= n
+            best = min(best, p35 << ((n - 1) // p35).bit_length())
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
 class ToeplitzKernel:
     """Matrix-free L x L Toeplitz operator with entries t(j - k + r).
 
     Stores the generating values for offsets j - k in [-(L-1), L-1] and
-    the FFT of their circulant embedding (size = next power of two
-    >= 2L - 1), so products with the matrix and its transpose cost two
-    FFTs each.  `_parity_blocks` builds the kernel's sublattice blocks
-    as instances too: rows x cols operators with entries t(2(a - b) + r).
+    the FFT of their circulant embedding (size = `_smooth_length(2L - 1)`),
+    so products with the matrix and its transpose cost two FFTs each.
+    `_parity_blocks` builds the kernel's sublattice blocks as instances
+    too: rows x cols operators with entries t(2(a - b) + r), embedded in
+    `_smooth_length(rows + cols - 1)` points.
     """
 
     def __init__(self, L: int, r: int):
@@ -119,10 +140,7 @@ class ToeplitzKernel:
         self.shape = (rows, cols)
         # values[i] sits on the diagonal j - k = i - (cols - 1)
         self.values = _sine_kernel(stride * np.arange(-(cols - 1), rows) + self.r)
-        m = 1
-        while m < max(rows + cols - 1, 2):
-            m <<= 1
-        self._fft_len = m
+        self._fft_len = m = _smooth_length(rows + cols - 1)
         col = np.zeros(m)
         col[:rows] = self.values[cols - 1:]
         col[m - (cols - 1):] = self.values[: cols - 1]
@@ -212,7 +230,7 @@ def _gk_bidiagonalize(matvec, rmatvec, rows, cols, k, rng):
     The solve has one exit, which lifts the SVD of a ju x jv upper
     bidiagonal onto the bases.  Three conditions lead there:
     - convergence: beta_j |P_ji| <= KRYLOV_TOL * sigma_1 for each kept
-      triplet, tested every 4th step on the SVD that is then lifted;
+      triplet, tested at every step j >= k on the SVD that is then lifted;
     - v-side exhaustion: the new beta falls to machine epsilon times the
       largest alpha or beta so far, and the square bidiagonal is exact;
     - u-side exhaustion: the new alpha does, and the j x (j + 1)
@@ -269,9 +287,7 @@ def _gk_bidiagonalize(matvec, rmatvec, rows, cols, k, rng):
         if betas[j] <= eps * scale:
             svd = ritz(jj, jj)
             break
-        # Each convergence test costs a dense SVD of the bidiagonal, and
-        # stopping up to three steps late only tightens the residuals.
-        if jj >= k and (jj % 4 == 0 or jj == steps):
+        if jj >= k:
             svd = ritz(jj, jj)
             best_res = betas[j] * np.abs(svd[0][-1, :k])
             if np.all(best_res <= KRYLOV_TOL * max(svd[1][0], 1e-300)):

@@ -233,6 +233,15 @@ class TestBench:
         payload = json.loads(capsys.readouterr().out)
         assert payload["matvec_ms_median"] > 0
         assert payload["triplets_iterations"] > 0
+        assert payload["fft_length"] == 8192  # the smallest 5-smooth length >= 2L - 1
+
+    @pytest.mark.parametrize(
+        "L,N,message",
+        [("64", "-70", "block distance N must be >= 0"), ("1", "1", "block length L must be >= 2")],
+    )
+    def test_invalid_geometry_rejected(self, L, N, message, capsys):
+        assert main(["bench", "--L", L, "--N", N, "--repeat", "1"]) == 1
+        assert capsys.readouterr().err == f"error: {message}\n"
 
     @pytest.mark.parametrize("repeat", ["0", "-2"])
     def test_repeat_below_one_rejected(self, repeat, capsys):

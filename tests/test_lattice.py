@@ -23,7 +23,13 @@ from fermidistill.lattice import (
     sweep_to_csv,
     top_singular_triplets,
 )
-from fermidistill.lattice import _gk_bidiagonalize, _interleave, _is_mirror, _parity_blocks
+from fermidistill.lattice import (
+    _gk_bidiagonalize,
+    _interleave,
+    _is_mirror,
+    _parity_blocks,
+    _smooth_length,
+)
 from fermidistill.states import ValidationError, blocks, validate
 
 from helpers import dense_sine_toeplitz
@@ -93,6 +99,50 @@ class TestMatvec:
         np.testing.assert_allclose(k.matvec(x), d @ x, atol=1e-11)
 
 
+class TestSmoothLength:
+    def test_matches_brute_force(self):
+        def smooth(m):
+            for p in (2, 3, 5):
+                while m % p == 0:
+                    m //= p
+            return m == 1
+
+        for n in range(1, 4097):
+            m = max(n, 2)
+            while not smooth(m):
+                m += 1
+            assert _smooth_length(n) == m, n
+
+    @pytest.mark.parametrize(
+        "n,m", [(8191, 8192), (9999, 10000), (199999, 200000), (2 * 10**6 - 1, 2 * 10**6)]
+    )
+    def test_embedding_lengths(self, n, m):
+        assert _smooth_length(n) == m
+
+
+class TestEmbeddingLengths:
+    """Products against dense matrices on embeddings of every small length,
+    odd ones (L = 8 embeds in 15 points) and factors of 3 and 5 included."""
+
+    @staticmethod
+    def _check(kern, rng):
+        d = kern.dense()
+        rows, cols = kern.shape
+        assert kern._fft_len == _smooth_length(rows + cols - 1)
+        x, y = rng.standard_normal(cols), rng.standard_normal(rows)
+        np.testing.assert_allclose(kern.matvec(x), d @ x, atol=1e-13)
+        np.testing.assert_allclose(kern.rmatvec(y), d.T @ y, atol=1e-13)
+
+    @pytest.mark.parametrize("L", range(2, 41))
+    def test_full_kernel_and_parity_blocks(self, L, rng):
+        for r in (0, -(L + 1), -(L + 10)):
+            kern = ToeplitzKernel(L, r)
+            np.testing.assert_allclose(kern.dense(), dense_sine_toeplitz(L, r), atol=1e-15)
+            self._check(kern, rng)
+            for block, _ in _parity_blocks(L, r):
+                self._check(block, rng)
+
+
 class TestTriplets:
     @pytest.mark.parametrize("L,N", [(64, 0), (128, 1), (128, 10), (200, 3), (512, 0), (512, 1)])
     def test_matches_dense_svd(self, L, N):
@@ -130,6 +180,32 @@ class TestTriplets:
         monkeypatch.setattr(lattice, "MAX_STEPS", 6)
         with pytest.raises(ConvergenceError):
             top_singular_triplets(ToeplitzKernel(256, -257), 4)
+
+    def test_stops_at_first_passing_step(self, monkeypatch):
+        # a parity block of the cross kernel at L = 2000, N = 10 converges
+        # long before its Krylov space is exhausted, so MAX_STEPS is what
+        # binds; ju - 1 steps must not suffice, and ju must reproduce it
+        (block, _), _ = _parity_blocks(2000, -2010)
+
+        def solve():
+            return _gk_bidiagonalize(
+                block.matvec, block.rmatvec, *block.shape, 2, np.random.default_rng(3)
+            )
+
+        triplets, ju = solve()
+        assert ju < min(block.shape)
+        monkeypatch.setattr(lattice, "MAX_STEPS", ju - 1)
+        with pytest.raises(ConvergenceError):
+            solve()
+        monkeypatch.setattr(lattice, "MAX_STEPS", ju)
+        again, steps = solve()
+        assert steps == ju
+        # the bases may be allocated with other capacities, so BLAS may
+        # round differently; the same triplets up to that
+        for a, b in zip(triplets, again):
+            assert a.sigma == pytest.approx(b.sigma, rel=1e-14)
+            np.testing.assert_allclose(a.u, b.u, rtol=0, atol=1e-14)
+            np.testing.assert_allclose(a.v, b.v, rtol=0, atol=1e-14)
 
     @pytest.mark.parametrize("L", [500, 1024, 5000])
     def test_exact_duplicates_recovered(self, L):
@@ -505,6 +581,22 @@ class TestSweep:
             return [line.rsplit(",", 1)[0] for line in text.splitlines()]
 
         assert strip_timing(sweep_to_csv(serial)) == strip_timing(sweep_to_csv(parallel))
+
+    @settings(max_examples=4, deadline=None)
+    @given(
+        Ls=st.lists(st.integers(2, 64), min_size=1, max_size=3),
+        Ns=st.lists(st.integers(0, 12), min_size=1, max_size=2),
+        m=st.sampled_from([2, 3]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_rows_independent_of_jobs(self, Ls, Ns, m, seed):
+        # error rows (2m > 2L) included: their message is part of the row
+        def strip_timing(rows):
+            return [line.rsplit(",", 1)[0] for line in sweep_to_csv(rows, m=m).splitlines()]
+
+        serial = sweep(Ls, Ns, m=m, seed=seed, jobs=1)
+        parallel = sweep(Ls, Ns, m=m, seed=seed, jobs=2)
+        assert strip_timing(serial) == strip_timing(parallel)
 
 
 class TestScanOnLattice:
