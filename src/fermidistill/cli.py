@@ -45,6 +45,23 @@ def _parse_range(text: str) -> list[int]:
     return [int(p) for p in text.split(",") if p]
 
 
+def _seed(text: str) -> int:
+    """A --seed value: numpy seeds are non-negative integers."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"seed must be a non-negative integer, got {value}")
+    return value
+
+
+def _grid(lo: float, hi: float, num: float) -> np.ndarray:
+    if not (num >= 1 and float(num).is_integer()):
+        raise ValidationError(f"grid count must be a positive integer, got {num:g}")
+    return np.linspace(lo, hi, int(num))
+
+
 def _emit(text: str, out: str | None):
     if out:
         Path(out).write_text(text)
@@ -142,9 +159,7 @@ def _cmd_closed_form(args) -> int:
         _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
         return 0
     # fg-scan
-    xs = np.linspace(args.x[0], args.x[1], int(args.x[2]))
-    ys = np.linspace(args.y[0], args.y[1], int(args.y[2]))
-    rows = closed_forms.f_vs_g_scan(xs, ys, args.sigma)
+    rows = closed_forms.f_vs_g_scan(_grid(*args.x), _grid(*args.y), args.sigma)
     lines = ["x,y,sigma,f,g,f_ge_g"]
     for row in rows:
         if row["valid"]:
@@ -256,7 +271,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--sample-suboptimal", type=int, default=0, metavar="T")
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=_seed, default=seed)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_protocol)
 
@@ -300,7 +315,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--N", type=_parse_range, required=True)
     q.add_argument("--m", type=int, default=2)
     q.add_argument("--jobs", type=int, default=1)
-    q.add_argument("--seed", type=int, default=seed)
+    q.add_argument("--seed", type=_seed, default=seed)
     q.add_argument("--out")
     q.set_defaults(func=_cmd_lattice)
     q = act.add_parser("fit")
@@ -316,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--L-lo", type=int, default=2)
     q.add_argument("--L-hi", type=int, default=100000)
     q.add_argument("--m", type=int, default=2)
-    q.add_argument("--seed", type=int, default=seed)
+    q.add_argument("--seed", type=_seed, default=seed)
     q.add_argument("--out")
     q.set_defaults(func=_cmd_lattice)
 
@@ -325,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=1)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--repeat", type=int, default=9)
-    p.add_argument("--seed", type=int, default=seed)
+    p.add_argument("--seed", type=_seed, default=seed)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bench)
 

@@ -15,8 +15,8 @@ own singular values come in exactly equal pairs if and only if N is
 odd.  The restricted 2m-mode covariance is then assembled analytically
 in the singular basis (the lift from the L x L kernel to the full
 off-diagonal block doubles every singular value's multiplicity), with
-the intra-block compressions taken from half-length products on the
-intra kernel's own parity blocks, and the point is evaluated by the
+the intra-block compressions taken from half-length products with one
+parity block of the intra kernel, and the point is evaluated by the
 same `protocol._evaluate` as the dense route.
 """
 
@@ -393,8 +393,9 @@ def restricted_covariance(
     the diagonal blocks are interleavings of the compressions
     w^T F_0 w and z^T F_0 z of the intra-block kernel.  F_0 couples only
     opposite sublattices and each w_i, z_i lives on one, so every column
-    takes one product with the half block of F_0 that acts on its
-    sublattice; the L x L intra kernel is never built.  Returns the
+    takes one half-length product: with the block of F_0 from sublattice
+    1 onto 0, or with its transpose, the block from 0 onto 1, as F_0 is
+    symmetric.  The L x L intra kernel is never built.  Returns the
     covariance, its split and the canonical choice, as `optimal_choice`
     would give them for the dense covariance.
     """
@@ -405,8 +406,8 @@ def restricted_covariance(
         raise ValidationError("2m may not exceed the 2L modes available")
     cross = ToeplitzKernel(L, -(N + L))
     triplets, steps = top_singular_triplets(cross, m, seed=seed)
-    # the intra half block at (1 - q, q) maps sublattice q onto 1 - q
-    halves = {q: block for block, placements in _parity_blocks(L, 0) for _, q in placements}
+    # the block of F_0 from sublattice 1 onto 0: rows 0::2, columns 1::2
+    half = ToeplitzKernel._strided((L + 1) // 2, L // 2, -1)
 
     def compress(side: int) -> np.ndarray:
         # x^T F_0 x for the triplets' u (side 0) or v (side 1) vectors x:
@@ -415,7 +416,8 @@ def restricted_covariance(
         out = np.empty((m, m))
         for j, t in enumerate(triplets):
             q = t.sublattices[side]
-            out[:, j] = x[:, 1 - q :: 2] @ halves[q].matvec(x[j, q::2])
+            f0x = half.matvec(x[j, 1::2]) if q else half.rmatvec(x[j, 0::2])
+            out[:, j] = x[:, 1 - q :: 2] @ f0x
         return out
 
     lam = np.repeat(2.0 * np.array([t.sigma for t in triplets]), 2)

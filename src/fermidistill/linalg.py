@@ -128,8 +128,7 @@ def random_orthogonal(dim: int, seed: int | np.random.Generator) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError("dim must be >= 1")
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    return haar_frame(rng.standard_normal((dim, dim)))
+    return haar_frame(np.random.default_rng(seed).standard_normal((dim, dim)))
 
 
 def haar_frame(g: np.ndarray) -> np.ndarray:

@@ -248,6 +248,8 @@ def scan_m(
     s: CovarianceMatrix | np.ndarray, split: BipartiteSplit, m_max: int
 ) -> tuple[list[DistillationReport], str | None]:
     """Reports for m = 2..m_max from one SVD of Y; truncates with a reason when rank runs out."""
+    if m_max < 2:
+        raise ValidationError(f"protocol needs m >= 2, got m_max = {m_max}")
     reports, blk, y_svd = [], None, None
     for m in range(2, m_max + 1):
         try:
@@ -284,38 +286,34 @@ def sample_suboptimal(
 
     D_A and D_B are spanned by random orthogonal frames, V is a random
     orthogonal pairing between them.  Used as an empirical optimality
-    probe against the canonical choice.  Trial t draws from stream t of
-    SeedSequence(seed).spawn(trials); trials are evaluated as stacks of
-    SAMPLE_CHUNK, and the first trial with the largest pf wins.
+    probe against the canonical choice.  One default_rng(seed) feeds
+    every trial: row t of a (trials, (2k + r) r) standard-normal draw
+    (k = |A| = |B|, r = 2m) holds trial t's k x r Alice and Bob draws and
+    r x r pairing draw, row-major, each made a frame by `haar_frame`.
+    Rows are filled in order, so the trials do not depend on SAMPLE_CHUNK
+    and a longer run extends a shorter one.  Trials are evaluated as
+    stacks of SAMPLE_CHUNK; the first trial with the largest pf wins.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     _check_target(split, m)
     blk = blocks(s, split)
-    ka, kb, r = len(split.a), len(split.b), 2 * m
-    root = np.random.SeedSequence(seed)
+    k, r = len(split.a), 2 * m  # |A| == |B| after _check_target
+    rng = np.random.default_rng(seed)
     best: SuboptimalSample | None = None
     for start in range(0, trials, SAMPLE_CHUNK):
         count = min(SAMPLE_CHUNK, trials - start)
-        sides = np.empty((2, count, ka, r))  # ka == kb after _check_target
-        pairing = np.empty((count, r, r))
-        for i, stream in enumerate(root.spawn(count)):
-            rng = np.random.default_rng(stream)
-            # full square draws keep each stream's sequence; only the
-            # first r columns of the side draws enter the frames
-            sides[0, i] = rng.standard_normal((ka, ka))[:, :r]
-            sides[1, i] = rng.standard_normal((kb, kb))[:, :r]
-            pairing[i] = rng.standard_normal((r, r))
-        ua, ub = haar_frame(sides)
-        o = haar_frame(pairing)
-        v = ua @ o @ np.swapaxes(ub, 1, 2)
-        vp = np.swapaxes(ua, 1, 2) @ v @ ub
-        p, pf = _protocol_quantities_stack(blk, ua, ub, vp)
+        draw = rng.standard_normal((count, (2 * k + r) * r))
+        sides = haar_frame(draw[:, : 2 * k * r].reshape(count, 2, k, r))
+        ua, ub = sides[:, 0], sides[:, 1]
+        o = haar_frame(draw[:, 2 * k * r:].reshape(count, r, r))
+        # V = ua o ub^T compresses onto the frames as ua^T V ub = o
+        p, pf = _protocol_quantities_stack(blk, ua, ub, o)
         i = int(np.argmax(pf))
         if best is None or pf[i] > best.best_pf:
             pi, pfi = float(p[i]), float(pf[i])
             best = SuboptimalSample(
                 pfi, pi, pfi / pi if pi > P_FLOOR else None, start + i,
-                RealProjectionPair(ua[i], ub[i]), v[i],
+                RealProjectionPair(ua[i], ub[i]), ua[i] @ o[i] @ ub[i].T,
             )
     return best

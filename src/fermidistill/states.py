@@ -268,19 +268,6 @@ def assemble_covariance(block: BlockDecomposition) -> tuple[CovarianceMatrix, Bi
     return CovarianceMatrix(s), BipartiteSplit(tuple(range(na)), tuple(range(na, na + nb)))
 
 
-def _skew_part(s: CovarianceMatrix | np.ndarray) -> np.ndarray:
-    """Real antisymmetric G with S = 1/2 + iG; errors if S is off-basis."""
-    m = _matrix(s)
-    g = -1j * (m - 0.5 * np.eye(m.shape[0]))
-    if np.abs(g.imag).max() > STRUCT_ATOL:
-        raise ValidationError("S - 1/2 is not i * (real matrix); wrong basis convention")
-    g = g.real
-    scale = max(np.abs(g).max(), 1.0)
-    if np.abs(g + g.T).max() > STRUCT_ATOL * scale:
-        raise ValidationError("S - 1/2 is not antisymmetric under transposition")
-    return (g - g.T) / 2
-
-
 # ---------------------------------------------------------------------------
 # parity and fidelity
 # ---------------------------------------------------------------------------
@@ -290,11 +277,18 @@ def parity_expectation(s: CovarianceMatrix | np.ndarray) -> float:
     """Expectation of the parity operator: 2^n (-1)^n Pf(-i(S - 1/2)).
 
     The sign refers to the parity operator built from the basis the
-    covariance is expressed in.
+    covariance is expressed in, where S - 1/2 must be i times a real
+    antisymmetric matrix.
     """
-    g = _skew_part(s)
+    m = _matrix(s)
+    g = -1j * (m - 0.5 * np.eye(m.shape[0]))
+    if np.abs(g.imag).max() > STRUCT_ATOL:
+        raise ValidationError("S - 1/2 is not i * (real matrix); wrong basis convention")
+    g = g.real
+    if np.abs(g + g.T).max() > STRUCT_ATOL * max(np.abs(g).max(), 1.0):
+        raise ValidationError("S - 1/2 is not antisymmetric under transposition")
     n = g.shape[0] // 2
-    val = (2.0 ** n) * ((-1.0) ** n) * pfaffian(g)
+    val = (2.0 ** n) * ((-1.0) ** n) * pfaffian((g - g.T) / 2)
     if abs(val) > 1 + STRUCT_ATOL:
         raise ValidationError(f"parity expectation {val:.6f} outside [-1, 1]")
     return float(np.clip(val, -1.0, 1.0))
@@ -303,22 +297,16 @@ def parity_expectation(s: CovarianceMatrix | np.ndarray) -> float:
 def parity_probability(s: CovarianceMatrix | np.ndarray, orientation: int = 1) -> float:
     """Probability that a joint parity measurement lands in the target sector.
 
-    For 2m modes: p = (1 + orientation * (-4)^m Pf(-i(S - 1/2))) / 2.
+    For 2m modes: p = (1 + orientation (-1)^m parity_expectation(S)) / 2.
     orientation = +1 corresponds to a target maximally entangled state
     whose off-diagonal orthogonal block has determinant +1 in this basis
-    (see `target_orientation`); the (-1)^m hidden in (-4)^m accounts for
-    the parity sign of such a target.
+    (see `target_orientation`); the (-1)^m accounts for the parity sign
+    of such a target.
     """
-    g = _skew_part(s)
-    if g.shape[0] % 4 != 0:
+    n2 = _matrix(s).shape[0]
+    if n2 % 4 != 0:
         raise ValidationError("parity probability needs an even number of modes")
-    m = g.shape[0] // 4
-    p = (1.0 + orientation * ((-4.0) ** m) * pfaffian(g)) / 2.0
-    if p < -STRUCT_ATOL or p > 1 + STRUCT_ATOL:
-        raise ValidationError(
-            f"parity probability {p:.3e} outside [0, 1]: orientation bug or invalid state"
-        )
-    return float(np.clip(p, 0.0, 1.0))
+    return (1.0 + orientation * (-1.0) ** (n2 // 4) * parity_expectation(s)) / 2.0
 
 
 def fock_fidelity(s: CovarianceMatrix | np.ndarray, e: CovarianceMatrix | np.ndarray) -> float:
@@ -388,12 +376,10 @@ def maximally_entangled_projection(
 def target_orientation(e: CovarianceMatrix | np.ndarray) -> int:
     """Orientation (+-1) of the basis relative to a target basis projection E.
 
-    Equals (-4)^m Pf(-i(E - 1/2)), an exact sign; passing it to
+    Equals (-1)^m parity_expectation(E), an exact sign; passing it to
     parity_probability selects the parity sector containing the target.
     """
-    g = _skew_part(e)
-    m = g.shape[0] // 4
-    val = ((-4.0) ** m) * pfaffian(g)
+    val = (-1.0) ** (_matrix(e).shape[0] // 4) * parity_expectation(e)
     if abs(abs(val) - 1.0) > 1e-6:
         raise ValidationError("not a maximally entangled basis projection")
     return int(round(val))
@@ -607,7 +593,7 @@ def random_covariance(
     values approach the maximally mixed state.  Defaults to a uniform
     draw away from both extremes.
     """
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     g = rng.standard_normal((2 * n_modes, 2 * n_modes))
     g = (g - g.T) / 2
     top = np.linalg.norm(g, 2)
@@ -618,8 +604,7 @@ def random_covariance(
 
 def random_basis_projection(n_modes: int, seed: int | np.random.Generator) -> CovarianceMatrix:
     """Random pure-state covariance: E = 1/2 + iG with 2G orthogonal."""
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
-    r = random_orthogonal(2 * n_modes, rng)
+    r = random_orthogonal(2 * n_modes, seed)
     jc = np.zeros((2 * n_modes, 2 * n_modes))
     for k in range(n_modes):
         jc[2 * k, 2 * k + 1] = 1.0
@@ -638,7 +623,7 @@ def random_x_zero_covariance(
     value above 0.05) so that protocol construction at any admissible m
     is well posed.
     """
-    rng = np.random.default_rng(seed) if not isinstance(seed, np.random.Generator) else seed
+    rng = np.random.default_rng(seed)
     k = 2 * n_modes_per_side
     for _ in range(200):
         y = rng.standard_normal((k, k))

@@ -114,6 +114,12 @@ class TestScanM:
         payload = json.loads(capsys.readouterr().out)
         assert [r["m"] for r in payload["reports"]] == [2]
 
+    def test_m_max_below_two_rejected(self, four_mode_file, capsys):
+        assert main(["scan-m", four_mode_file[0], "--m-max", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "error: protocol needs m >= 2, got m_max = 1\n"
+        assert captured.out == ""
+
 
 class TestOracleCommand:
     def test_four_mode_agreement(self, four_mode_file, capsys):
@@ -161,6 +167,18 @@ class TestClosedFormCommands:
         lines = open(out).read().splitlines()
         assert lines[0] == "x,y,sigma,f,g,f_ge_g"
         assert len(lines) == 10
+
+    @pytest.mark.parametrize(
+        "axis,num", [("--x", "-3"), ("--x", "2.7"), ("--y", "0"), ("--y", "nan")]
+    )
+    def test_fg_scan_count_rejected(self, axis, num, tmp_path, capsys):
+        out = tmp_path / "grid.csv"
+        argv = ["closed-form", "fg-scan", axis, "-0.3", "0.3", num, "--out", str(out)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err.startswith(
+            "error: grid count must be a positive integer, got "
+        )
+        assert not out.exists()
 
 
 class TestLatticeCommands:
@@ -270,6 +288,27 @@ class TestUsageErrors:
         assert "invalid int value: 'abc'" in capsys.readouterr().err
         # an explicit --seed overrides the malformed default
         assert main(["protocol", four_mode_file[0], "--sample-suboptimal", "4", "--seed", "3"]) == 0
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["protocol", "STATE", "--sample-suboptimal", "4"],
+            ["lattice", "sweep", "--L", "16", "--N", "1"],
+            ["lattice", "minlen", "--N", "1", "--x", "0.5", "--L-hi", "16"],
+            ["bench", "--L", "64", "--repeat", "1"],
+        ],
+    )
+    def test_negative_seed(self, argv, monkeypatch, four_mode_file, capsys):
+        argv = [four_mode_file[0] if a == "STATE" else a for a in argv]
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--seed", "-1"])
+        assert exc.value.code == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        monkeypatch.setenv("FERMIDISTILL_SEED", "-1")
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
 
     def test_seed_variable_is_default(self, monkeypatch, four_mode_file, capsys):
         path = four_mode_file[0]

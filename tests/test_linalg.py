@@ -221,6 +221,11 @@ class TestRandomOrthogonal:
         with pytest.raises(ValueError):
             random_orthogonal(0, 1)
 
+    def test_generator_draws_like_its_seed(self):
+        np.testing.assert_array_equal(
+            random_orthogonal(6, 31), random_orthogonal(6, np.random.default_rng(31))
+        )
+
     def test_frame_is_leading_columns_of_square_draw(self, rng):
         g = rng.standard_normal((3, 8, 8))
         frames = haar_frame(g[:, :, :4])

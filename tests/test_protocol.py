@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermidistill.linalg import polar_decompose, random_orthogonal, svd
+from fermidistill import protocol
+from fermidistill.linalg import haar_frame, polar_decompose, random_orthogonal, svd
 from fermidistill.protocol import (
     SAMPLE_CHUNK,
     InsufficientRankError,
@@ -183,16 +184,23 @@ class TestScanM:
         assert [r.m for r in reports] == [2]
         assert "insufficient rank" in reason
 
+    @pytest.mark.parametrize("m_max", [1, 0, -3])
+    def test_m_max_below_two_rejected(self, m_max, rng):
+        s, split = random_x_zero_covariance(2, rng)
+        with pytest.raises(ValidationError, match=f"m >= 2, got m_max = {m_max}"):
+            scan_m(s, split, m_max)
+
 
 def _reference_sample(s, split, m, trials, seed):
-    """Per-trial loop: full Haar draws per side and one evaluation per trial."""
-    ka, kb = len(split.a), len(split.b)
+    """Per-trial loop: one row of one generator per trial and one evaluation per trial."""
+    k, r = len(split.a), 2 * m
+    rng = np.random.default_rng(seed)
     best = None
-    for t, stream in enumerate(np.random.SeedSequence(seed).spawn(trials)):
-        rng = np.random.default_rng(stream)
-        ua = random_orthogonal(ka, rng)[:, : 2 * m]
-        ub = random_orthogonal(kb, rng)[:, : 2 * m]
-        o = random_orthogonal(2 * m, rng)
+    for t in range(trials):
+        row = rng.standard_normal((2 * k + r) * r)
+        ua = haar_frame(row[: k * r].reshape(k, r))
+        ub = haar_frame(row[k * r: 2 * k * r].reshape(k, r))
+        o = haar_frame(row[2 * k * r:].reshape(r, r))
         v = ua @ o @ ub.T
         q = protocol_quantities(blocks(s, split), RealProjectionPair(ua, ub), v)
         if best is None or q.pf > best[1].pf:
@@ -241,6 +249,17 @@ class TestSampleSuboptimal:
         second = sample_suboptimal(s, split, 2, trials=8, seed=5)
         assert first.best_pf == second.best_pf
         assert first.trial == second.trial
+
+    def test_independent_of_chunk_size_and_prefix_stable(self, rng, monkeypatch):
+        s, split = random_x_zero_covariance(4, rng)
+        whole = sample_suboptimal(s, split, 2, trials=20, seed=9)
+        monkeypatch.setattr(protocol, "SAMPLE_CHUNK", 3)
+        chunked = sample_suboptimal(s, split, 2, trials=20, seed=9)
+        prefix = sample_suboptimal(s, split, 2, trials=whole.trial + 1, seed=9)
+        for other in (chunked, prefix):
+            assert other.trial == whole.trial
+            assert other.best_pf == pytest.approx(whole.best_pf, abs=1e-12)
+            np.testing.assert_allclose(other.v, whole.v, atol=1e-12)
 
     def test_sampled_quantities_consistent(self, rng):
         s, split = random_x_zero_covariance(4, rng)

@@ -567,3 +567,17 @@ class TestBasisCovariance:
         e_rot = CovarianceMatrix(r.T @ e.matrix @ r)
         p_rot = parity_probability(s_rot, orientation=target_orientation(e_rot))
         assert p_rot == pytest.approx(p, abs=1e-11)
+
+
+class TestRandomStates:
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda seed: random_covariance(3, seed).matrix,
+            lambda seed: random_basis_projection(3, seed).matrix,
+            lambda seed: random_x_zero_covariance(2, seed)[0].matrix,
+        ],
+        ids=["covariance", "basis_projection", "x_zero_covariance"],
+    )
+    def test_generator_draws_like_its_seed(self, draw):
+        np.testing.assert_array_equal(draw(17), draw(np.random.default_rng(17)))
