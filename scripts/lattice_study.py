@@ -17,6 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
+from fermidistill.cli import _seed
 from fermidistill.lattice import (
     ConvergenceError,
     fit_power_law,
@@ -34,7 +35,7 @@ def main():
                         help="denser grid up to L = 1e5 (minutes instead of seconds)")
     parser.add_argument("--target", type=float, default=None,
                         help="fidelity target for the minimal-length scan")
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     args = parser.parse_args()
 
     out = Path(args.out_dir)

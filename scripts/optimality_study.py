@@ -13,6 +13,7 @@ import argparse
 
 import numpy as np
 
+from fermidistill.cli import _seed
 from fermidistill.protocol import optimal_pf_bound, run_protocol, sample_suboptimal
 from fermidistill.states import (
     BipartiteSplit,
@@ -27,7 +28,7 @@ def main():
     parser.add_argument("--states", type=int, default=25)
     parser.add_argument("--trials", type=int, default=400)
     parser.add_argument("--modes-per-side", type=int, default=4)
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=_seed, default=0)
     args = parser.parse_args()
 
     k = args.modes_per_side

@@ -4,6 +4,12 @@ Everything here works on the full 2^n-dimensional Hilbert space and is
 used to verify the Pfaffian formulas by brute force.  n is capped at
 MAX_MODES = 6 (a 64 x 64 space) as a memory/time guard.
 
+The Jordan-Wigner operators, and every product of them, have one
+nonzero per row: op[i, i ^ x] = values[i].  The density matrix is built
+on this Pauli-string form (x, values), from the monomials of the first
+n and of the last n operators, tabulated separately, rather than from
+dense products.
+
 Convention note: the ladder operators are defined so that c_k^* (not
 c_k) annihilates the reference vacuum, i.e. our c_k is the creation
 operator in the more common convention.  Concretely the Majorana set is
@@ -86,36 +92,80 @@ def smear(ops: list[np.ndarray], x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _wick_table(s: np.ndarray) -> dict[int, complex]:
+def _bit_tables(bits: int) -> tuple[np.ndarray, np.ndarray]:
+    """Popcount and lowest set bit of every mask below 2^bits.
+
+    Built by doubling in int64: masks in [2^b, 2^(b+1)) are those below
+    2^b with bit b added.  The lowest bit of mask 0 is left at 0.
+    """
+    pop = np.zeros(1 << bits, dtype=np.int64)
+    low = np.zeros(1 << bits, dtype=np.int64)
+    for b in range(bits):
+        size = 1 << b
+        pop[size : 2 * size] = pop[:size] + 1
+        low[size : 2 * size] = low[:size]
+        low[size] = b
+    return pop, low
+
+
+def _wick_table(s: np.ndarray) -> np.ndarray:
     """Pfaffian of every even-subset minor of the two-point matrix.
 
-    Keyed by index bitmask; computed by the expansion along the lowest
-    set bit, memoized across subsets, so the whole table costs
-    O(4^n * n) scalar operations.
+    Indexed by bitmask over the 2n Majorana indices; odd masks hold 0.
+    Each Pfaffian is the Laplace expansion along the lowest set bit,
+    Pf(S_M) = sum_j (-1)^(pos_j - 1) S[low, j] Pf(S_{M - low - j}),
+    evaluated level by level over popcount with array operations, so a
+    level reads only the finished level below it.
     """
     dim = s.shape[0]
-    table: dict[int, complex] = {0: 1.0 + 0.0j}
-
-    def value(mask: int) -> complex:
-        cached = table.get(mask)
-        if cached is not None:
-            return cached
-        idx = [i for i in range(dim) if mask >> i & 1]
-        first = idx[0]
-        acc = 0.0 + 0.0j
-        sign = 1.0
-        for pos in range(1, len(idx)):
-            j = idx[pos]
-            sub = mask & ~(1 << first) & ~(1 << j)
-            acc += sign * s[first, j] * value(sub)
-            sign = -sign
-        table[mask] = acc
-        return acc
-
-    for mask in range(1 << dim):
-        if bin(mask).count("1") % 2 == 0:
-            value(mask)
+    pop, low = _bit_tables(dim)
+    table = np.zeros(1 << dim, dtype=complex)
+    table[0] = 1.0
+    for k in range(2, dim + 1, 2):
+        level = np.flatnonzero(pop == k)
+        first = low[level]
+        rest = level & ~(np.int64(1) << first)
+        acc = np.zeros(len(level), dtype=complex)
+        for j in range(1, dim):
+            bit = np.int64(1) << j
+            has = (rest & bit) != 0
+            sub = rest[has]
+            # pos_j - 1 = set bits of the mask strictly between low and j
+            sign = 1.0 - 2.0 * (pop[sub & (bit - 1)] % 2)
+            acc[has] += sign * s[first[has], j] * table[sub ^ bit]
+        table[level] = acc
     return table
+
+
+def _pauli_string(op: np.ndarray, hdim: int) -> tuple[int, np.ndarray]:
+    """(x, values) with op[i, i ^ x] = values[i] and zeros elsewhere."""
+    op = np.asarray(op)
+    if op.shape != (hdim, hdim):
+        raise ValidationError(f"operator of shape {op.shape} on a {hdim}-dimensional space")
+    row, col = divmod(int(np.argmax(np.abs(op))), hdim)
+    x = row ^ col
+    rows = np.arange(hdim)
+    values = op[rows, rows ^ x].astype(complex)
+    if np.count_nonzero(op) != np.count_nonzero(values):
+        raise ValidationError("operator is not a Pauli string (one nonzero per row, at i ^ x)")
+    return x, values
+
+
+def _monomials(strings: list[tuple[int, np.ndarray]], hdim: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pauli strings of the 2^len(strings) ordered monomials, by doubling.
+
+    Monomial `mask` is the product of the operators whose bits are set, in
+    ascending order; appending the operator of bit b to every monomial
+    below 2^b gives those in [2^b, 2^(b+1)).
+    """
+    rows = np.arange(hdim)
+    xs = np.zeros(1 << len(strings), dtype=np.int64)
+    values = np.ones((1 << len(strings), hdim), dtype=complex)
+    for b, (x_b, v_b) in enumerate(strings):
+        size = 1 << b
+        xs[size : 2 * size] = xs[:size] ^ x_b
+        values[size : 2 * size] = values[:size] * v_b[rows ^ xs[:size, None]]
+    return xs, values
 
 
 def density_from_covariance(
@@ -123,10 +173,15 @@ def density_from_covariance(
 ) -> np.ndarray:
     """Density matrix of the quasifree state with covariance S.
 
-    Expands rho over the orthogonal basis of ordered Majorana monomials;
-    the coefficient of each even monomial is fixed by matching its trace
-    against the Wick (Pfaffian) value of the corresponding moments.
-    Validates unit trace, hermiticity and positivity before returning.
+    rho = sum over even index sets M of 2^(|M| - n) conj(Pf S_M) B_M,
+    where B_M is the ordered Majorana monomial: matching traces against
+    the Wick (Pfaffian) moments fixes each coefficient.  Every operator
+    must be a Pauli string, one nonzero per row at column i ^ x, as the
+    Jordan-Wigner operators are; anything else raises ValidationError.
+    The monomials of ops[:n] and of ops[n:] are tabulated separately,
+    and B_M for M = a + b is the product of half monomials a and b,
+    scattered into rho one A-half monomial at a time.  Validates unit
+    trace, hermiticity and positivity before returning.
     """
     m = _matrix(s)
     dim = m.shape[0]
@@ -137,20 +192,28 @@ def density_from_covariance(
     if len(ops) != dim:
         raise ValidationError("operator list does not match covariance dimension")
 
-    wick = _wick_table(m)
-    hdim = ops[0].shape[0]
-    rho = np.zeros((hdim, hdim), dtype=complex)
+    hdim = 1 << n
+    strings = [_pauli_string(op, hdim) for op in ops]
+    xa, va = _monomials(strings[:n], hdim)
+    xb, vb = _monomials(strings[n:], hdim)
+    pop, _ = _bit_tables(n)
+    # coefficient of monomial a | b << n at [a, b]; odd sets have Pf 0
+    weight = 2.0 ** (pop[:, None] + pop[None, :] - n)
+    coef = weight * np.conj(_wick_table(m)).reshape(hdim, hdim).T
+    same_parity = [np.flatnonzero(pop % 2 == 0), np.flatnonzero(pop % 2 == 1)]
 
-    # Depth-first over index subsets, extending each monomial by one
-    # factor with a larger index, so every monomial costs one product.
-    stack: list[tuple[int, int, np.ndarray]] = [(0, 0, np.eye(hdim, dtype=complex))]
-    while stack:
-        mask, start, mono = stack.pop()
-        k = bin(mask).count("1")
-        if k % 2 == 0:
-            rho += (2.0 ** (k - n)) * np.conj(wick[mask]) * mono
-        for b in range(start, dim):
-            stack.append((mask | (1 << b), b + 1, mono @ ops[b]))
+    rows = np.arange(hdim)
+    real = np.zeros(hdim * hdim)
+    imag = np.zeros(hdim * hdim)
+    for a in range(hdim):
+        b = same_parity[pop[a] % 2]
+        cols = rows ^ xa[a]
+        vals = (coef[a, b, None] * va[a]) * vb[b[:, None], cols]
+        # a permuted operator list can repeat x within a half, so indices collide
+        flat = (rows * hdim + (cols ^ xb[b, None])).ravel()
+        real += np.bincount(flat, vals.real.ravel(), minlength=hdim * hdim)
+        imag += np.bincount(flat, vals.imag.ravel(), minlength=hdim * hdim)
+    rho = (real + 1j * imag).reshape(hdim, hdim)
 
     tr = np.trace(rho)
     if abs(tr - 1.0) > 1e-9:
@@ -289,7 +352,7 @@ def verify_all(
     dev: dict[str, float] = {}
 
     # parity expectation vs trace against the dense parity operator
-    theta = parity_operator(n)
+    theta = parity_from_indices(ops, range(2 * n))
     lhs = float(np.trace(rho @ theta).real)
     g = -1j * (m - 0.5 * np.eye(2 * n))
     rhs = (2.0 ** n) * ((-1.0) ** n) * pfaffian((g.real - g.real.T) / 2)

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import io
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -519,6 +520,7 @@ def sweep(L_values, N_values, m: int = 2, seed: int = 0, jobs: int = 1) -> list[
     and the point's position, so rows are reproducible regardless of
     execution order or the number of workers.  Settings that would fail
     every point (m < 2, jobs < 1) are rejected before the first one.
+    Workers are capped at the number of points and of CPUs.
     """
     if not len(L_values) or not len(N_values):
         raise ValidationError("sweep needs nonempty L and N lists")
@@ -531,6 +533,7 @@ def sweep(L_values, N_values, m: int = 2, seed: int = 0, jobs: int = 1) -> list[
         for j, N in enumerate(N_values):
             point_seed = int(np.random.SeedSequence([seed, i, j]).generate_state(1)[0])
             tasks.append((int(L), int(N), m, point_seed))
+    jobs = min(jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_sweep_point, tasks))

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermidistill.cli import main
 from fermidistill.fock import (
     MAX_MODES,
+    _wick_table,
     density_from_covariance,
     fock_vector,
     joint_parity,
@@ -27,6 +30,8 @@ from fermidistill.states import (
     save_covariance,
     target_orientation,
 )
+
+from helpers import density_dense_products, pfaffian_combinatorial, wick_table_recursive
 
 
 def mixed(n):
@@ -110,6 +115,58 @@ class TestDensity:
         g[0, 1], g[1, 0] = 0.8, -0.8
         with pytest.raises(ValidationError, match="negative eigenvalue"):
             density_from_covariance(CovarianceMatrix(0.5 * np.eye(4) + 1j * g))
+
+
+class TestDensityAgainstDenseProducts:
+    """The Pauli-string construction against one dense product per monomial."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), permute=st.booleans())
+    def test_small_states(self, n, seed, permute):
+        # a permuted list repeats x within a half: colliding scatter indices
+        rng = np.random.default_rng(seed)
+        ops = majorana_ops(n)
+        if permute:
+            ops = [ops[p] for p in rng.permutation(2 * n)]
+        s = random_covariance(n, rng).matrix
+        rho = density_from_covariance(s, ops)
+        np.testing.assert_allclose(rho, density_dense_products(s, ops), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n, perm_seed", [(5, None), (6, None), (6, 3)])
+    def test_five_and_six_modes(self, n, perm_seed):
+        rng = np.random.default_rng(100 + n)
+        ops = majorana_ops(n)
+        if perm_seed is not None:
+            ops = [ops[p] for p in np.random.default_rng(perm_seed).permutation(2 * n)]
+        s = random_covariance(n, rng).matrix
+        rho = density_from_covariance(s, ops)
+        np.testing.assert_allclose(rho, density_dense_products(s, ops), rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("n", [1, 3, 5])
+    def test_wick_table(self, n, rng):
+        s = random_covariance(n, rng).matrix
+        table = _wick_table(s)
+        reference = wick_table_recursive(s)
+        assert table.shape == (4**n,)
+        for mask in range(4**n):
+            expected = reference.get(mask, 0.0)
+            assert abs(table[mask] - expected) <= 1e-13
+        # sampled even minors against the sum over perfect matchings
+        for _ in range(20):
+            size = 2 * int(rng.integers(1, n + 1))
+            idx = np.sort(rng.choice(2 * n, size=size, replace=False))
+            mask = int(np.sum(1 << idx))
+            minor = s[np.ix_(idx, idx)]
+            assert abs(table[mask] - pfaffian_combinatorial(minor)) <= 1e-13
+
+    def test_non_pauli_operator_rejected(self, rng):
+        n = 2
+        ops = majorana_ops(n)
+        coeffs = np.zeros(2 * n)
+        coeffs[0] = coeffs[1] = np.sqrt(0.5)
+        mixed_ops = [smear(ops, coeffs)] + ops[1:]
+        with pytest.raises(ValidationError, match="Pauli string"):
+            density_from_covariance(random_covariance(n, rng), mixed_ops)
 
 
 class TestFockVector:

@@ -494,6 +494,35 @@ class TestRejectedSettings:
         assert points == []
 
 
+class TestSweepWorkers:
+    @pytest.mark.parametrize(
+        "jobs, cpus, workers",
+        [(64, 8, 3), (2, 8, 2), (64, 2, 2), (3, 1, None), (64, None, None)],
+    )
+    def test_capped_at_points_and_cpus(self, monkeypatch, jobs, cpus, workers):
+        # the executor only records its size and runs the points in-process
+        started = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(lattice, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(lattice.os, "cpu_count", lambda: cpus)
+        rows = sweep([16, 24, 32], [1], seed=0, jobs=jobs)
+        assert [row.L for row in rows] == [16, 24, 32]
+        assert started == ([] if workers is None else [workers])
+
+
 class TestDenseRoute:
     def test_covariance_valid(self):
         s, split = dense_covariance(LatticeGeometry(12, 1))

@@ -9,6 +9,8 @@ import runpy
 import sys
 from pathlib import Path
 
+import pytest
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -43,3 +45,14 @@ def test_lattice_study(monkeypatch, capsys, tmp_path):
     }
     lengths = json.loads((tmp_path / "min_lengths.json").read_text())["lengths"]
     assert [N for N, _ in lengths] == [1, 10, 100]
+
+
+@pytest.mark.parametrize("script", ["optimality_study.py", "lattice_study.py"])
+def test_negative_seed_is_a_usage_error(monkeypatch, capsys, script):
+    with pytest.raises(SystemExit) as exit_info:
+        _run(monkeypatch, script, "--seed", "-1")
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "usage:" in err
+    assert "seed must be a non-negative integer" in err
+    assert "Traceback" not in err
