@@ -6,7 +6,7 @@ them.  `fock` holds an exact dense oracle for small systems, `lattice`
 the scalable pipeline for the hopping chain.
 """
 
-from .linalg import pfaffian, polar_decompose, random_orthogonal, svd
+from .linalg import pfaffian, random_orthogonal, svd
 from .protocol import (
     DistillationReport,
     ProtocolChoice,
@@ -27,14 +27,12 @@ from .states import (
     fock_fidelity,
     load_covariance,
     maximally_entangled_projection,
-    output_fidelity,
     parity_expectation,
     parity_probability,
     partner_projection,
     protocol_quantities,
     restrict,
     save_covariance,
-    twirl_coefficients,
     validate,
 )
 
@@ -53,12 +51,10 @@ __all__ = [
     "maximally_entangled_projection",
     "optimal_choice",
     "optimal_pf_bound",
-    "output_fidelity",
     "parity_expectation",
     "parity_probability",
     "partner_projection",
     "pfaffian",
-    "polar_decompose",
     "protocol_quantities",
     "random_orthogonal",
     "restrict",
@@ -67,7 +63,6 @@ __all__ = [
     "save_covariance",
     "scan_m",
     "svd",
-    "twirl_coefficients",
     "validate",
 ]
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import closed_forms, lattice
-from .fock import MAX_MODES, verify_all
+from .fock import verify_all
 from .protocol import optimal_choice, run_protocol, sample_suboptimal, scan_m
 from .states import (
     ValidationError,
@@ -110,12 +110,10 @@ def _cmd_scan_m(args) -> int:
 
 def _cmd_oracle(args) -> int:
     state, split = load_covariance(args.state)
-    if state.n_modes > MAX_MODES:
-        raise ValidationError(f"oracle verification is limited to {MAX_MODES} modes")
     choice = optimal_choice(state, split, args.m)
     # restrict to the kept modes, in whose frames the canonical isometry is the identity
     restricted, rsplit = restrict(state, split, choice.d)
-    target = maximally_entangled_projection(np.eye(2 * args.m), rsplit, dim=restricted.dim)
+    target = maximally_entangled_projection(np.eye(2 * args.m), rsplit)
     report = verify_all(restricted, target, rsplit)
     print(report.summary())
     ok = report.max_deviation <= args.tol
@@ -179,25 +177,29 @@ def _cmd_lattice(args) -> int:
         _emit(lattice.sweep_to_csv(rows, m=args.m), args.out)
         return 0
     if args.action == "fit":
+        try:
+            with open(args.data, newline="") as fh:
+                lines = fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"sweep CSV is not text: {exc}") from exc
         samples = []
-        with open(args.data, newline="") as fh:
-            reader = csv.DictReader(fh)
-            missing = {"L", "N", args.value} - set(reader.fieldnames or ())
-            if missing:
-                raise ValidationError(f"sweep CSV lacks columns {sorted(missing)}")
-            for row in reader:
-                try:
-                    L, N = int(row["L"]), int(row["N"])
-                except (TypeError, ValueError) as exc:
-                    raise ValidationError(f"sweep CSV line {reader.line_num}: {exc}") from exc
-                if N != args.N:
-                    continue
-                try:
-                    value = float(row[args.value])
-                except (TypeError, ValueError):  # error rows and short rows
-                    continue
-                if np.isfinite(value):
-                    samples.append((L, value))
+        reader = csv.DictReader(lines)
+        missing = {"L", "N", args.value} - set(reader.fieldnames or ())
+        if missing:
+            raise ValidationError(f"sweep CSV lacks columns {sorted(missing)}")
+        for row in reader:
+            try:
+                L, N = int(row["L"]), int(row["N"])
+            except (TypeError, ValueError) as exc:
+                raise ValidationError(f"sweep CSV line {reader.line_num}: {exc}") from exc
+            if N != args.N:
+                continue
+            try:
+                value = float(row[args.value])
+            except (TypeError, ValueError):  # error rows and short rows
+                continue
+            if np.isfinite(value):
+                samples.append((L, value))
         a, b, rms, warnings = lattice.fit_power_law(samples, args.L_min)
         payload = {
             "N": args.N,
@@ -352,7 +354,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, lattice.ConvergenceError, FileNotFoundError) as exc:
+    except (ValidationError, lattice.ConvergenceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

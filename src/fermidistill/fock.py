@@ -28,13 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import pfaffian
+from .linalg import pfaffian  # noqa: F401 -- perfbench/spans.targets looks it up here
 from .states import (
     BipartiteSplit,
     CovarianceMatrix,
     ValidationError,
     _matrix,
     fock_fidelity,
+    parity_expectation,
     parity_probability,
     partner_projection,
     target_orientation,
@@ -47,7 +48,6 @@ __all__ = [
     "smear",
     "density_from_covariance",
     "fock_vector",
-    "parity_operator",
     "parity_from_indices",
     "joint_parity",
     "verify_all",
@@ -258,16 +258,6 @@ def fock_vector(
     return va[:, 0]
 
 
-def parity_operator(n: int, orientation: int = 1) -> np.ndarray:
-    """Parity operator 2^n i^n B_1 ... B_2n (times the orientation sign).
-
-    Selfadjoint unitary anticommuting with every B_a; its sign flips
-    under orientation-reversing relabelings of the basis.
-    """
-    _check_modes(n)
-    return parity_from_indices(majorana_ops(n), range(2 * n)) * (1 if orientation >= 0 else -1)
-
-
 def parity_from_indices(ops: list[np.ndarray], indices) -> np.ndarray:
     """Parity monomial 2^(k/2) i^(k/2) prod B_a over the given 2k indices.
 
@@ -354,9 +344,7 @@ def verify_all(
     # parity expectation vs trace against the dense parity operator
     theta = parity_from_indices(ops, range(2 * n))
     lhs = float(np.trace(rho @ theta).real)
-    g = -1j * (m - 0.5 * np.eye(2 * n))
-    rhs = (2.0 ** n) * ((-1.0) ** n) * pfaffian((g.real - g.real.T) / 2)
-    dev["parity_expectation"] = abs(lhs - rhs)
+    dev["parity_expectation"] = abs(lhs - parity_expectation(s))
 
     # parity probability vs the oracle sector weight of the target E
     orient = target_orientation(e)

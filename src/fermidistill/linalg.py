@@ -104,22 +104,6 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.linalg.svd(a)
 
 
-def polar_decompose(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Polar decomposition y = v @ p with p = (y^dag y)^(1/2) positive.
-
-    v is the partial isometry vanishing on the kernel of |y|: singular
-    values below RANK_RTOL * sigma_max are treated as zero, so v^dag v
-    is the projection onto the row space and v v^dag the projection
-    onto the range of y.
-    """
-    u, s, vh = svd(y)
-    cutoff = RANK_RTOL * s[0] if s.size and s[0] > 0 else 0.0
-    r = int(np.sum(s > cutoff))
-    v = u[:, :r] @ vh[:r]
-    p = (vh.conj().T * s) @ vh
-    return v, p
-
-
 def random_orthogonal(dim: int, seed: int | np.random.Generator) -> np.ndarray:
     """Haar-random real orthogonal matrix, deterministic per seed.
 

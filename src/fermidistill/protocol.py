@@ -11,7 +11,6 @@ function of f at fixed p, but much harder to optimize directly).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -111,9 +110,6 @@ class DistillationReport:
             "distillable": self.distillable,
             "warnings": list(self.warnings),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def _degenerate_cut_warning(cut: int) -> str:

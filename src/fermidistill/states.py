@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import pfaffian, random_orthogonal, svd
+from .linalg import pfaffian, svd
 
 STRUCT_ATOL = 1e-10          # structural tolerances (hermiticity, realness, ...)
 CROSS_CHECK_ATOL = 1e-8      # agreement between independent formulas
@@ -48,13 +48,10 @@ __all__ = [
     "fock_fidelity",
     "partner_projection",
     "protocol_quantities",
-    "twirl_coefficients",
-    "output_fidelity",
     "restrict",
     "maximally_entangled_projection",
     "target_orientation",
     "random_covariance",
-    "random_basis_projection",
     "load_covariance",
     "save_covariance",
 ]
@@ -92,10 +89,6 @@ class CovarianceMatrix:
     @property
     def n_modes(self) -> int:
         return self.matrix.shape[0] // 2
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
 
 
 def _matrix(s: CovarianceMatrix | np.ndarray) -> np.ndarray:
@@ -158,8 +151,8 @@ class RealProjectionPair:
     """Kept modes on each side, held as real orthonormal frames (ua, ub).
 
     The columns of ua span Ran D_A and those of ub span Ran D_B; each
-    frame has an even number of columns (whole modes).  The projections
-    D_A = ua ua^T and D_B = ub ub^T are derived from the frames.
+    frame has an even number of columns (whole modes).  Only the frames
+    are held; the projections are D_A = ua ua^T and D_B = ub ub^T.
     """
 
     ua: np.ndarray
@@ -180,14 +173,6 @@ class RealProjectionPair:
                 raise ValidationError(f"{name} does not have orthonormal columns")
             object.__setattr__(self, name, u)
 
-    @property
-    def d_a(self) -> np.ndarray:
-        return self.ua @ self.ua.T
-
-    @property
-    def d_b(self) -> np.ndarray:
-        return self.ub @ self.ub.T
-
     @classmethod
     def identity(cls, dim_a: int, dim_b: int) -> "RealProjectionPair":
         return cls(np.eye(dim_a), np.eye(dim_b))
@@ -205,10 +190,6 @@ class ValidationReport:
     @property
     def passed(self) -> bool:
         return all(mag <= tol for _, mag, tol in self.checks)
-
-    @property
-    def violations(self) -> list[tuple[str, float, float]]:
-        return [c for c in self.checks if c[1] > c[2]]
 
     def summary(self) -> str:
         lines = []
@@ -352,9 +333,7 @@ def partner_projection(
     return out
 
 
-def maximally_entangled_projection(
-    v: np.ndarray, split: BipartiteSplit, dim: int | None = None
-) -> CovarianceMatrix:
+def maximally_entangled_projection(v: np.ndarray, split: BipartiteSplit) -> CovarianceMatrix:
     """Basis projection of the maximally entangled state with Y-block v.
 
     v must be real orthogonal on (A, B); the diagonal blocks vanish.
@@ -363,10 +342,9 @@ def maximally_entangled_projection(
     k = v.shape[0]
     if v.shape != (k, k) or np.abs(v.T @ v - np.eye(k)).max() > STRUCT_ATOL:
         raise ValidationError("Y-block of a maximally entangled state must be orthogonal")
-    if dim is None:
-        dim = 2 * k
     if len(split.a) != k or len(split.b) != k:
         raise ValidationError("split size does not match the isometry")
+    dim = 2 * k
     g = np.zeros((dim, dim))
     g[np.ix_(list(split.a), list(split.b))] = v / 2
     g[np.ix_(list(split.b), list(split.a))] = -v.T / 2
@@ -498,59 +476,6 @@ def _protocol_quantities_stack(
 
 
 # ---------------------------------------------------------------------------
-# twirling and output fidelity
-# ---------------------------------------------------------------------------
-
-
-def twirl_coefficients(
-    p: float, fid_e: float, fid_partner: float, m: int
-) -> tuple[float, float, float, float]:
-    """Coefficients (lambda+, lambda-, mu+, mu-) of the twirled state.
-
-    Unique solution of
-        p/2       = (lambda+ + lambda-)/2 + mu+ d^2
-        (1 - p)/2 = mu- d^2
-        fid_e     = lambda+ + mu+
-        fid_partner = lambda- + mu+
-    with d = 2^(m-1).  The lambdas may legitimately be negative (the
-    target projectors overlap the sector projections; the twirled
-    state's eigenvalues are fid_e, fid_partner, mu+ and mu-).  Inputs
-    whose implied eigenvalues are negative beyond tolerance cannot come
-    from a state and are rejected.
-    """
-    if m < 2:
-        raise ValidationError("twirling needs m >= 2 (d >= 2)")
-    d2 = float(4 ** (m - 1))
-    mu_plus = (p - fid_e - fid_partner) / (2.0 * (d2 - 1.0))
-    mu_minus = (1.0 - p) / (2.0 * d2)
-    lam_plus = fid_e - mu_plus
-    lam_minus = fid_partner - mu_plus
-    eigen = (
-        ("fidelity on the target", fid_e),
-        ("fidelity on the partner", fid_partner),
-        ("mu+", mu_plus),
-        ("mu-", mu_minus),
-    )
-    for name, c in eigen:
-        if c < -STRUCT_ATOL:
-            raise ValidationError(
-                f"twirled-state eigenvalue {name} = {c:.3e} negative: inconsistent inputs"
-            )
-    return (float(lam_plus), float(lam_minus), float(mu_plus), float(mu_minus))
-
-
-def output_fidelity(fid_e: float, fid_partner: float, p: float, m: int) -> tuple[float, bool]:
-    """Fidelity (fid_e + fid_partner)/p of the kept isotropic state.
-
-    Also returns the distillability flag f > 1/d with d = 2^(m-1).
-    """
-    if p <= 0:
-        raise ValidationError("output fidelity undefined at p = 0")
-    f = (fid_e + fid_partner) / p
-    return float(f), bool(f > 1.0 / (2 ** (m - 1)))
-
-
-# ---------------------------------------------------------------------------
 # restriction and sampling
 # ---------------------------------------------------------------------------
 
@@ -599,17 +524,6 @@ def random_covariance(
     top = np.linalg.norm(g, 2)
     scale = purity if purity is not None else rng.uniform(0.2, 0.95)
     g *= 0.5 * scale / top
-    return CovarianceMatrix(0.5 * np.eye(2 * n_modes) + 1j * g)
-
-
-def random_basis_projection(n_modes: int, seed: int | np.random.Generator) -> CovarianceMatrix:
-    """Random pure-state covariance: E = 1/2 + iG with 2G orthogonal."""
-    r = random_orthogonal(2 * n_modes, seed)
-    jc = np.zeros((2 * n_modes, 2 * n_modes))
-    for k in range(n_modes):
-        jc[2 * k, 2 * k + 1] = 1.0
-        jc[2 * k + 1, 2 * k] = -1.0
-    g = r @ jc @ r.T / 2
     return CovarianceMatrix(0.5 * np.eye(2 * n_modes) + 1j * g)
 
 
@@ -665,6 +579,8 @@ def load_covariance(path: str | Path) -> tuple[CovarianceMatrix, BipartiteSplit]
     """Read a covariance JSON file; raises ValidationError on malformed data."""
     try:
         payload = json.loads(Path(path).read_text())
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"not a text file: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ValidationError(f"not valid JSON: {exc}") from exc
     try:

@@ -1,6 +1,16 @@
-"""Test-only oracles, kept independent of the library code paths they check."""
+"""Test-only oracles, kept independent of the library code paths they check.
+
+Also the reference constructions that only tests use: the polar
+decomposition (the V oracle), the twirl coefficients and output
+fidelity of the twirled-state route, random pure states, and the
+global parity operator.
+"""
 
 import numpy as np
+
+from fermidistill.fock import _check_modes, majorana_ops, parity_from_indices
+from fermidistill.linalg import RANK_RTOL, random_orthogonal, svd
+from fermidistill.states import STRUCT_ATOL, CovarianceMatrix, ValidationError
 
 
 def pfaffian_combinatorial(a: np.ndarray):
@@ -102,3 +112,88 @@ def density_dense_products(s: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:
         for b in range(start, dim):
             stack.append((mask | (1 << b), b + 1, mono @ ops[b]))
     return rho
+
+
+def polar_decompose(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Polar decomposition y = v @ p with p = (y^dag y)^(1/2) positive.
+
+    v is the partial isometry vanishing on the kernel of |y|: singular
+    values below RANK_RTOL * sigma_max are treated as zero, so v^dag v
+    is the projection onto the row space and v v^dag the projection
+    onto the range of y.
+    """
+    u, s, vh = svd(y)
+    cutoff = RANK_RTOL * s[0] if s.size and s[0] > 0 else 0.0
+    r = int(np.sum(s > cutoff))
+    v = u[:, :r] @ vh[:r]
+    p = (vh.conj().T * s) @ vh
+    return v, p
+
+
+def twirl_coefficients(
+    p: float, fid_e: float, fid_partner: float, m: int
+) -> tuple[float, float, float, float]:
+    """Coefficients (lambda+, lambda-, mu+, mu-) of the twirled state.
+
+    Unique solution of
+        p/2       = (lambda+ + lambda-)/2 + mu+ d^2
+        (1 - p)/2 = mu- d^2
+        fid_e     = lambda+ + mu+
+        fid_partner = lambda- + mu+
+    with d = 2^(m-1).  The lambdas may legitimately be negative (the
+    target projectors overlap the sector projections; the twirled
+    state's eigenvalues are fid_e, fid_partner, mu+ and mu-).  Inputs
+    whose implied eigenvalues are negative beyond tolerance cannot come
+    from a state and are rejected.
+    """
+    if m < 2:
+        raise ValidationError("twirling needs m >= 2 (d >= 2)")
+    d2 = float(4 ** (m - 1))
+    mu_plus = (p - fid_e - fid_partner) / (2.0 * (d2 - 1.0))
+    mu_minus = (1.0 - p) / (2.0 * d2)
+    lam_plus = fid_e - mu_plus
+    lam_minus = fid_partner - mu_plus
+    eigen = (
+        ("fidelity on the target", fid_e),
+        ("fidelity on the partner", fid_partner),
+        ("mu+", mu_plus),
+        ("mu-", mu_minus),
+    )
+    for name, c in eigen:
+        if c < -STRUCT_ATOL:
+            raise ValidationError(
+                f"twirled-state eigenvalue {name} = {c:.3e} negative: inconsistent inputs"
+            )
+    return (float(lam_plus), float(lam_minus), float(mu_plus), float(mu_minus))
+
+
+def output_fidelity(fid_e: float, fid_partner: float, p: float, m: int) -> tuple[float, bool]:
+    """Fidelity (fid_e + fid_partner)/p of the kept isotropic state.
+
+    Also returns the distillability flag f > 1/d with d = 2^(m-1).
+    """
+    if p <= 0:
+        raise ValidationError("output fidelity undefined at p = 0")
+    f = (fid_e + fid_partner) / p
+    return float(f), bool(f > 1.0 / (2 ** (m - 1)))
+
+
+def random_basis_projection(n_modes: int, seed: int | np.random.Generator) -> CovarianceMatrix:
+    """Random pure-state covariance: E = 1/2 + iG with 2G orthogonal."""
+    r = random_orthogonal(2 * n_modes, seed)
+    jc = np.zeros((2 * n_modes, 2 * n_modes))
+    for k in range(n_modes):
+        jc[2 * k, 2 * k + 1] = 1.0
+        jc[2 * k + 1, 2 * k] = -1.0
+    g = r @ jc @ r.T / 2
+    return CovarianceMatrix(0.5 * np.eye(2 * n_modes) + 1j * g)
+
+
+def parity_operator(n: int, orientation: int = 1) -> np.ndarray:
+    """Parity operator 2^n i^n B_1 ... B_2n (times the orientation sign).
+
+    Selfadjoint unitary anticommuting with every B_a; its sign flips
+    under orientation-reversing relabelings of the basis.
+    """
+    _check_modes(n)
+    return parity_from_indices(majorana_ops(n), range(2 * n)) * (1 if orientation >= 0 else -1)

@@ -26,7 +26,6 @@ from fermidistill.fock import (
     fock_vector,
     majorana_ops,
     parity_from_indices,
-    parity_operator,
 )
 from fermidistill.lattice import (
     LatticeGeometry,
@@ -53,6 +52,8 @@ from fermidistill.states import (
     random_x_zero_covariance,
     target_orientation,
 )
+
+from helpers import parity_operator
 
 
 def report(number: int, label: str, ok: bool, elapsed: float, detail: str = ""):

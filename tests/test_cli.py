@@ -136,6 +136,44 @@ class TestOracleCommand:
         )
         assert main(["oracle", str(path)]) == 1
 
+    def test_oracle_limit_is_on_the_restriction(self, tmp_path, capsys):
+        # an 8-mode file restricts to 2m modes, within the dense limit up to m = 3
+        path = tmp_path / "eight.json"
+        save_covariance(
+            path, random_covariance(8, np.random.default_rng(3)), BipartiteSplit.halves(16)
+        )
+        for m in ("2", "3"):
+            assert main(["oracle", str(path), "--m", m]) == 0
+            assert capsys.readouterr().out.endswith("agreement\n")
+        assert main(["oracle", str(path), "--m", "4"]) == 1
+        assert "dense oracle supports" in capsys.readouterr().err
+
+
+class TestUnreadablePaths:
+    @pytest.fixture
+    def binary_file(self, tmp_path):
+        path = tmp_path / "binary.dat"
+        path.write_bytes(bytes(range(256)))
+        return str(path)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "{dir}"],
+            ["validate", "{bin}"],
+            ["protocol", "{state}", "--out", "{dir}"],
+            ["lattice", "fit", "--data", "{dir}", "--N", "1"],
+            ["lattice", "fit", "--data", "{bin}", "--N", "1"],
+        ],
+        ids=["validate-dir", "validate-binary", "protocol-out-dir", "fit-dir", "fit-binary"],
+    )
+    def test_error_line_not_traceback(self, argv, tmp_path, binary_file, four_mode_file, capsys):
+        names = {"dir": str(tmp_path), "bin": binary_file, "state": four_mode_file[0]}
+        assert main([arg.format(**names) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
 
 class TestClosedFormCommands:
     def test_two_mode(self, capsys):

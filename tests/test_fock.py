@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermidistill import fock
 from fermidistill.cli import main
 from fermidistill.fock import (
     MAX_MODES,
@@ -12,7 +13,6 @@ from fermidistill.fock import (
     joint_parity,
     majorana_ops,
     parity_from_indices,
-    parity_operator,
     smear,
     verify_all,
 )
@@ -25,13 +25,18 @@ from fermidistill.states import (
     maximally_entangled_projection,
     parity_probability,
     partner_projection,
-    random_basis_projection,
     random_covariance,
     save_covariance,
     target_orientation,
 )
 
-from helpers import density_dense_products, pfaffian_combinatorial, wick_table_recursive
+from helpers import (
+    density_dense_products,
+    parity_operator,
+    pfaffian_combinatorial,
+    random_basis_projection,
+    wick_table_recursive,
+)
 
 
 def mixed(n):
@@ -83,10 +88,11 @@ class TestMajorana:
         big_split = BipartiteSplit.from_alice(range(MAX_MODES + 1), 2 * MAX_MODES + 2)
         with pytest.raises(ValidationError):
             verify_all(big, big, big_split)
+        # the CLI oracle runs on the 2m-mode restriction: 8 modes at m = 4
         path = tmp_path / "big.json"
-        save_covariance(path, big, big_split)
-        assert main(["oracle", str(path)]) == 1
-        assert f"limited to {MAX_MODES} modes" in capsys.readouterr().err
+        save_covariance(path, random_covariance(8, rng), BipartiteSplit.halves(16))
+        assert main(["oracle", str(path), "--m", "4"]) == 1
+        assert f"dense oracle supports 1 <= n <= {MAX_MODES}" in capsys.readouterr().err
 
 
 class TestDensity:
@@ -302,6 +308,18 @@ class TestVerifyAll:
         e = maximally_entangled_projection(random_orthogonal(4, rng), split)
         report = verify_all(e, e, split)
         assert report.max_deviation <= 1e-9
+
+    def test_checks_the_library_parity_formula(self, rng, monkeypatch):
+        # a wrong parity_expectation must show up as a deviation, so the
+        # oracle compares the trace with the library's formula itself
+        split = BipartiteSplit.halves(8)
+        s = random_covariance(4, rng)
+        e = maximally_entangled_projection(random_orthogonal(4, rng), split)
+        honest = verify_all(s, e, split).deviations["parity_expectation"]
+        monkeypatch.setattr(fock, "parity_expectation", lambda s: 2.0)
+        report = verify_all(s, e, split)
+        assert report.deviations["parity_expectation"] > 1.0
+        assert report.max_deviation > 1.0 and honest <= 1e-9
 
     def test_partner_overlap_identity(self, rng):
         # (fid_E + fid_partner)/p equals twice the kept posterior overlap

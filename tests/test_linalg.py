@@ -5,9 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermidistill.linalg import haar_frame, pfaffian, polar_decompose, random_orthogonal, svd
+from fermidistill.linalg import haar_frame, pfaffian, random_orthogonal, svd
 
-from helpers import pfaffian_combinatorial, random_antisymmetric
+from helpers import pfaffian_combinatorial, polar_decompose, random_antisymmetric
 
 
 class TestPfaffian:

@@ -1,0 +1,92 @@
+"""Static checks on the package source: dependencies, error handling, exports.
+
+numpy is the only runtime dependency, no handler swallows every error,
+and every name in an `__all__` list resolves to a definition, following
+relative imports to the module that defines it.  The sources are parsed
+with `ast`; nothing is imported from them or written.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+import pytest
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fermidistill"
+SOURCES = sorted(PACKAGE.glob("*.py"))
+TREES = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+ALLOWED_THIRD_PARTY = {"numpy"}
+
+
+def _all_entries(tree: ast.Module) -> list[str] | None:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return None
+
+
+EXPORTING = [stem for stem, tree in TREES.items() if _all_entries(tree) is not None]
+
+
+def _resolves(module: str, name: str) -> bool:
+    """Whether `module` binds `name` at top level, through relative imports to their source."""
+    for node in TREES[module].body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            if node.name == name:
+                return True
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            if any(isinstance(n, ast.Name) and n.id == name for t in targets for n in ast.walk(t)):
+                return True
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                if (alias.asname or alias.name).split(".")[0] != name:
+                    continue
+                if not isinstance(node, ast.ImportFrom) or node.level == 0:
+                    return True
+                if node.module is None:  # from . import submodule
+                    return alias.name in TREES
+                return node.module in TREES and _resolves(node.module, alias.name)
+    return False
+
+
+def test_package_exports_are_checked():
+    assert "__init__" in EXPORTING
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_imports_are_relative_numpy_or_stdlib(module):
+    foreign = []
+    for node in ast.walk(TREES[module]):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            top = name.split(".")[0]
+            if top not in sys.stdlib_module_names and top not in ALLOWED_THIRD_PARTY:
+                foreign.append(f"line {node.lineno}: {name}")
+    assert not foreign, f"{module} imports outside numpy and the standard library: {foreign}"
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_no_catch_all_handlers(module):
+    catch_all = []
+    for node in ast.walk(TREES[module]):
+        if not isinstance(node, ast.ExceptHandler):
+            continue
+        caught = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+        if any(t is None or isinstance(t, ast.Name) and t.id in {"Exception", "BaseException"}
+               for t in caught):
+            catch_all.append(node.lineno)
+    assert not catch_all, f"{module} catches every error at lines {catch_all}"
+
+
+@pytest.mark.parametrize("module", EXPORTING)
+def test_all_entries_resolve(module):
+    unresolved = [name for name in _all_entries(TREES[module]) if not _resolves(module, name)]
+    assert not unresolved, f"{module}.__all__ names nothing bound: {unresolved}"

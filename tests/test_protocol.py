@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermidistill import protocol
-from fermidistill.linalg import haar_frame, polar_decompose, random_orthogonal, svd
+from fermidistill.linalg import haar_frame, random_orthogonal, svd
 from fermidistill.protocol import (
     SAMPLE_CHUNK,
     InsufficientRankError,
@@ -29,6 +29,8 @@ from fermidistill.states import (
     random_x_zero_covariance,
 )
 
+from helpers import polar_decompose
+
 
 class TestOptimalChoice:
     def test_perfect_state_full_m(self, rng):
@@ -36,8 +38,8 @@ class TestOptimalChoice:
         v = random_orthogonal(4, rng)
         e = maximally_entangled_projection(v, split)
         choice = optimal_choice(e, split, 2)
-        np.testing.assert_allclose(choice.d.d_a, np.eye(4), atol=1e-10)
-        np.testing.assert_allclose(choice.d.d_b, np.eye(4), atol=1e-10)
+        np.testing.assert_allclose(choice.d.ua @ choice.d.ua.T, np.eye(4), atol=1e-10)
+        np.testing.assert_allclose(choice.d.ub @ choice.d.ub.T, np.eye(4), atol=1e-10)
         np.testing.assert_allclose(choice.v, v, atol=1e-10)
         np.testing.assert_allclose(choice.lambdas, np.ones(4), atol=1e-10)
 
@@ -51,8 +53,8 @@ class TestOptimalChoice:
         split = BipartiteSplit.halves(12)
         choice = optimal_choice(s, split, 2)
         expected = np.diag([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
-        np.testing.assert_allclose(choice.d.d_a, expected, atol=1e-10)
-        np.testing.assert_allclose(choice.d.d_b, expected, atol=1e-10)
+        np.testing.assert_allclose(choice.d.ua @ choice.d.ua.T, expected, atol=1e-10)
+        np.testing.assert_allclose(choice.d.ub @ choice.d.ub.T, expected, atol=1e-10)
         np.testing.assert_allclose(choice.v, expected, atol=1e-10)
 
     def test_insufficient_rank(self):
@@ -148,7 +150,7 @@ class TestRunProtocol:
     def test_report_serialization(self, rng):
         s, split = random_x_zero_covariance(4, rng)
         report = run_protocol(s, split, 2)
-        payload = json.loads(report.to_json())
+        payload = json.loads(json.dumps(report.to_dict()))
         assert set(payload) == {
             "m", "p", "f", "pf", "rate", "lambdas", "distillable", "warnings",
         }
