@@ -5,10 +5,11 @@ used to verify the Pfaffian formulas by brute force.  n is capped at
 MAX_MODES = 6 (a 64 x 64 space) as a memory/time guard.
 
 The Jordan-Wigner operators, and every product of them, have one
-nonzero per row: op[i, i ^ x] = values[i].  The density matrix is built
-on this Pauli-string form (x, values), from the monomials of the first
-n and of the last n operators, tabulated separately, rather than from
-dense products.
+nonzero per row: op[i, i ^ x] = values[i].  The operators are built in
+this Pauli-string form (x, values) straight from the Jordan-Wigner
+formula, and the density matrix from the monomials of the first n and
+of the last n strings, tabulated separately, rather than from dense
+products.
 
 Convention note: the ladder operators are defined so that c_k^* (not
 c_k) annihilates the reference vacuum, i.e. our c_k is the creation
@@ -18,8 +19,9 @@ operator in the more common convention.  Concretely the Majorana set is
     B_{a+n} = i (c_a - c_a^*) / sqrt(2)        a = 1..n
 
 indexed canonically: position-like operators first, momentum-like
-second.  For a covariance expressed in a different real-basis ordering,
-permute the operator list accordingly.
+second.  A covariance S expressed in another real-basis ordering, whose
+index k labels canonical operator perm[k], is permuted to the canonical
+ordering first: S[np.ix_(inv, inv)] with inv = np.argsort(perm).
 """
 
 from __future__ import annotations
@@ -60,26 +62,40 @@ def _check_modes(n: int):
         raise ValidationError(f"dense oracle supports 1 <= n <= {MAX_MODES}, got {n}")
 
 
+def _majorana_strings(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Pauli strings (xs, values) of the 2n Majorana operators.
+
+    B_a[i, i ^ xs[a]] = values[a, i].  Mode j flips bit n - 1 - j (the
+    first Kronecker factor is the most significant bit) and carries the
+    Jordan-Wigner sign z(i), the parity of i's bits for modes 0..j-1;
+    B_j has values z / sqrt(2) and B_{j+n} has i (2 occupied_j(i) - 1)
+    z / sqrt(2).
+    """
+    _check_modes(n)
+    pop, _ = _bit_tables(n)
+    rows = np.arange(1 << n)
+    shift = n - np.arange(n)[:, None]  # modes 0..j-1 are the top j bits
+    z = 1.0 - 2.0 * (pop[rows >> shift] % 2)
+    occupied = (rows >> (shift - 1)) & 1
+    flips = np.int64(1) << (shift[:, 0] - 1)
+    values = np.concatenate([z, 1j * (2 * occupied - 1) * z]) / np.sqrt(2)
+    return np.concatenate([flips, flips]), values
+
+
 def majorana_ops(n: int) -> list[np.ndarray]:
     """The 2n Majorana operators on the 2^n-dimensional Fock space.
 
     Selfadjoint, with anticommutators {B_a, B_b} = delta_ab * 1 (note the
-    normalization B_a^2 = 1/2).  Built from Jordan-Wigner ladder
-    operators.
+    normalization B_a^2 = 1/2).  The dense view of the Jordan-Wigner
+    Pauli strings, one scatter per operator.
     """
-    _check_modes(n)
-    eye2 = np.eye(2)
-    zphase = np.diag([1.0, -1.0])
-    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
-    ladders = []
-    for j in range(n):
-        factors = [zphase] * j + [lower] + [eye2] * (n - j - 1)
-        op = factors[0]
-        for f in factors[1:]:
-            op = np.kron(op, f)
-        ladders.append(op)
-    ops = [(a.conj().T + a) / np.sqrt(2) for a in ladders]
-    ops += [1j * (a.conj().T - a) / np.sqrt(2) for a in ladders]
+    xs, values = _majorana_strings(n)
+    rows = np.arange(1 << n)
+    ops = []
+    for x, v in zip(xs, values):
+        op = np.zeros((1 << n, 1 << n), dtype=complex)
+        op[rows, rows ^ x] = v
+        ops.append(op)
     return ops
 
 
@@ -137,65 +153,40 @@ def _wick_table(s: np.ndarray) -> np.ndarray:
     return table
 
 
-def _pauli_string(op: np.ndarray, hdim: int) -> tuple[int, np.ndarray]:
-    """(x, values) with op[i, i ^ x] = values[i] and zeros elsewhere."""
-    op = np.asarray(op)
-    if op.shape != (hdim, hdim):
-        raise ValidationError(f"operator of shape {op.shape} on a {hdim}-dimensional space")
-    row, col = divmod(int(np.argmax(np.abs(op))), hdim)
-    x = row ^ col
-    rows = np.arange(hdim)
-    values = op[rows, rows ^ x].astype(complex)
-    if np.count_nonzero(op) != np.count_nonzero(values):
-        raise ValidationError("operator is not a Pauli string (one nonzero per row, at i ^ x)")
-    return x, values
-
-
-def _monomials(strings: list[tuple[int, np.ndarray]], hdim: int) -> tuple[np.ndarray, np.ndarray]:
-    """Pauli strings of the 2^len(strings) ordered monomials, by doubling.
+def _monomials(xs: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pauli strings of the 2^len(xs) ordered monomials, by doubling.
 
     Monomial `mask` is the product of the operators whose bits are set, in
     ascending order; appending the operator of bit b to every monomial
     below 2^b gives those in [2^b, 2^(b+1)).
     """
-    rows = np.arange(hdim)
-    xs = np.zeros(1 << len(strings), dtype=np.int64)
-    values = np.ones((1 << len(strings), hdim), dtype=complex)
-    for b, (x_b, v_b) in enumerate(strings):
+    rows = np.arange(values.shape[1])
+    out_x = np.zeros(1 << len(xs), dtype=np.int64)
+    out_v = np.ones((1 << len(xs), len(rows)), dtype=complex)
+    for b, (x_b, v_b) in enumerate(zip(xs, values)):
         size = 1 << b
-        xs[size : 2 * size] = xs[:size] ^ x_b
-        values[size : 2 * size] = values[:size] * v_b[rows ^ xs[:size, None]]
-    return xs, values
+        out_x[size : 2 * size] = out_x[:size] ^ x_b
+        out_v[size : 2 * size] = out_v[:size] * v_b[rows ^ out_x[:size, None]]
+    return out_x, out_v
 
 
-def density_from_covariance(
-    s: CovarianceMatrix | np.ndarray, ops: list[np.ndarray] | None = None
-) -> np.ndarray:
+def density_from_covariance(s: CovarianceMatrix | np.ndarray) -> np.ndarray:
     """Density matrix of the quasifree state with covariance S.
 
     rho = sum over even index sets M of 2^(|M| - n) conj(Pf S_M) B_M,
     where B_M is the ordered Majorana monomial: matching traces against
-    the Wick (Pfaffian) moments fixes each coefficient.  Every operator
-    must be a Pauli string, one nonzero per row at column i ^ x, as the
-    Jordan-Wigner operators are; anything else raises ValidationError.
-    The monomials of ops[:n] and of ops[n:] are tabulated separately,
-    and B_M for M = a + b is the product of half monomials a and b,
-    scattered into rho one A-half monomial at a time.  Validates unit
-    trace, hermiticity and positivity before returning.
+    the Wick (Pfaffian) moments fixes each coefficient.  The monomials of
+    the first n and of the last n Pauli strings are tabulated
+    separately, and B_M for M = a + b is the product of half monomials
+    a and b, scattered into rho one A-half monomial at a time.  Validates
+    unit trace, hermiticity and positivity before returning.
     """
     m = _matrix(s)
-    dim = m.shape[0]
-    n = dim // 2
-    _check_modes(n)
-    if ops is None:
-        ops = majorana_ops(n)
-    if len(ops) != dim:
-        raise ValidationError("operator list does not match covariance dimension")
-
+    n = m.shape[0] // 2
+    xs, values = _majorana_strings(n)
     hdim = 1 << n
-    strings = [_pauli_string(op, hdim) for op in ops]
-    xa, va = _monomials(strings[:n], hdim)
-    xb, vb = _monomials(strings[n:], hdim)
+    xa, va = _monomials(xs[:n], values[:n])
+    xb, vb = _monomials(xs[n:], values[n:])
     pop, _ = _bit_tables(n)
     # coefficient of monomial a | b << n at [a, b]; odd sets have Pf 0
     weight = 2.0 ** (pop[:, None] + pop[None, :] - n)
@@ -203,17 +194,11 @@ def density_from_covariance(
     same_parity = [np.flatnonzero(pop % 2 == 0), np.flatnonzero(pop % 2 == 1)]
 
     rows = np.arange(hdim)
-    real = np.zeros(hdim * hdim)
-    imag = np.zeros(hdim * hdim)
+    rho = np.zeros((hdim, hdim), dtype=complex)
     for a in range(hdim):
         b = same_parity[pop[a] % 2]
         cols = rows ^ xa[a]
-        vals = (coef[a, b, None] * va[a]) * vb[b[:, None], cols]
-        # a permuted operator list can repeat x within a half, so indices collide
-        flat = (rows * hdim + (cols ^ xb[b, None])).ravel()
-        real += np.bincount(flat, vals.real.ravel(), minlength=hdim * hdim)
-        imag += np.bincount(flat, vals.imag.ravel(), minlength=hdim * hdim)
-    rho = (real + 1j * imag).reshape(hdim, hdim)
+        rho[rows, cols ^ xb[b, None]] += (coef[a, b, None] * va[a]) * vb[b[:, None], cols]
 
     tr = np.trace(rho)
     if abs(tr - 1.0) > 1e-9:
@@ -228,9 +213,7 @@ def density_from_covariance(
     return rho
 
 
-def fock_vector(
-    e: CovarianceMatrix | np.ndarray, ops: list[np.ndarray] | None = None
-) -> np.ndarray:
+def fock_vector(e: CovarianceMatrix | np.ndarray) -> np.ndarray:
     """State vector of the pure quasifree state with basis projection E.
 
     The vector is the common null vector of the smeared operators B(g)
@@ -238,10 +221,7 @@ def fock_vector(
     returned here is whatever the eigensolver produces.
     """
     m = _matrix(e)
-    n = m.shape[0] // 2
-    _check_modes(n)
-    if ops is None:
-        ops = majorana_ops(n)
+    ops = majorana_ops(m.shape[0] // 2)
     w, vecs = np.linalg.eigh(m)
     if np.abs(w - np.rint(w)).max() > 1e-8:
         raise ValidationError("E is not a projection (eigenvalues not 0/1)")
@@ -258,17 +238,19 @@ def fock_vector(
     return va[:, 0]
 
 
-def parity_from_indices(ops: list[np.ndarray], indices) -> np.ndarray:
+def parity_from_indices(n: int, indices) -> np.ndarray:
     """Parity monomial 2^(k/2) i^(k/2) prod B_a over the given 2k indices.
 
-    The product is taken in ascending index order; using a subset that
-    spans one party's reference space yields that party's local parity.
+    The product of the n-mode operators is taken in ascending index
+    order; using a subset that spans one party's reference space yields
+    that party's local parity.
     """
     idx = sorted(int(i) for i in indices)
     if len(idx) % 2 != 0:
         raise ValidationError("parity monomial needs an even number of indices")
     half = len(idx) // 2
-    out = np.eye(ops[0].shape[0], dtype=complex)
+    ops = majorana_ops(n)
+    out = np.eye(1 << n, dtype=complex)
     for a in idx:
         out = out @ ops[a]
     return (2.0 ** half) * (1j ** half) * out
@@ -280,19 +262,23 @@ class JointParityResult:
     posterior: dict[str, np.ndarray]
 
 
-def joint_parity(rho: np.ndarray, split: BipartiteSplit, ops: list[np.ndarray]) -> JointParityResult:
-    """Joint local-parity measurement of rho over the given split.
+def joint_parity(rho: np.ndarray, split: BipartiteSplit) -> JointParityResult:
+    """Joint local-parity measurement of an n-mode rho over the given split.
 
-    Builds theta_A as the parity monomial over Alice's indices and
-    theta_B = theta * theta_A, so the product of local parities is the
-    global parity by construction.  Returns outcome probabilities and
-    unnormalized posterior operators P rho P for the four outcomes.
+    n is read off the 2^n x 2^n shape of rho.  Builds theta_A as the
+    parity monomial over Alice's indices and theta_B = theta * theta_A,
+    so the product of local parities is the global parity by
+    construction.  Returns outcome probabilities and unnormalized
+    posterior operators P rho P for the four outcomes.
     """
-    dim = len(ops)
-    theta = parity_from_indices(ops, range(dim))
-    theta_a = parity_from_indices(ops, split.a)
+    shape = np.shape(rho)
+    n = shape[0].bit_length() - 1 if shape else 0
+    if n < 0 or shape != (1 << n, 1 << n):
+        raise ValidationError(f"density matrix of shape {shape} is not 2^n x 2^n")
+    theta = parity_from_indices(n, range(2 * n))
+    theta_a = parity_from_indices(n, split.a)
     theta_b = theta @ theta_a
-    eye = np.eye(rho.shape[0])
+    eye = np.eye(1 << n)
     probs: dict[str, float] = {}
     post: dict[str, np.ndarray] = {}
     for ja, la in (("+", 1), ("-", -1)):
@@ -337,18 +323,17 @@ def verify_all(
     """
     m = _matrix(s)
     n = m.shape[0] // 2
-    ops = majorana_ops(n)
-    rho = density_from_covariance(s, ops)
+    rho = density_from_covariance(s)
     dev: dict[str, float] = {}
 
     # parity expectation vs trace against the dense parity operator
-    theta = parity_from_indices(ops, range(2 * n))
+    theta = parity_from_indices(n, range(2 * n))
     lhs = float(np.trace(rho @ theta).real)
     dev["parity_expectation"] = abs(lhs - parity_expectation(s))
 
     # parity probability vs the oracle sector weight of the target E
     orient = target_orientation(e)
-    result = joint_parity(rho, split, ops)
+    result = joint_parity(rho, split)
     sector = orient * ((-1) ** (n // 2))
     if sector > 0:
         p_oracle = result.probabilities["++"] + result.probabilities["--"]
@@ -358,11 +343,11 @@ def verify_all(
     dev["parity_probability"] = abs(p_oracle - p_formula)
 
     # fidelity with E and with its partner
-    psi_e = fock_vector(e, ops)
+    psi_e = fock_vector(e)
     fid_e_oracle = float((psi_e.conj() @ rho @ psi_e).real)
     dev["fidelity"] = abs(fid_e_oracle - fock_fidelity(s, e))
     e_part = partner_projection(e, split)
-    psi_t = fock_vector(e_part, ops)
+    psi_t = fock_vector(e_part)
     fid_t_oracle = float((psi_t.conj() @ rho @ psi_t).real)
     dev["fidelity_partner"] = abs(fid_t_oracle - fock_fidelity(s, e_part))
 

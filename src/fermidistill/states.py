@@ -86,10 +86,6 @@ class CovarianceMatrix:
             raise ValidationError(f"covariance must be 2n x 2n, got {m.shape}")
         object.__setattr__(self, "matrix", m)
 
-    @property
-    def n_modes(self) -> int:
-        return self.matrix.shape[0] // 2
-
 
 def _matrix(s: CovarianceMatrix | np.ndarray) -> np.ndarray:
     return np.asarray(getattr(s, "matrix", s), dtype=complex)
@@ -105,6 +101,9 @@ class BipartiteSplit:
     def __post_init__(self):
         object.__setattr__(self, "a", tuple(int(i) for i in self.a))
         object.__setattr__(self, "b", tuple(int(i) for i in self.b))
+        negative = [i for i in self.a + self.b if i < 0]
+        if negative:
+            raise ValidationError(f"split index {negative[0]} is negative")
         if set(self.a) & set(self.b):
             raise ValidationError("split index sets must be disjoint")
         for side in (self.a, self.b):
@@ -345,6 +344,9 @@ def maximally_entangled_projection(v: np.ndarray, split: BipartiteSplit) -> Cova
     if len(split.a) != k or len(split.b) != k:
         raise ValidationError("split size does not match the isometry")
     dim = 2 * k
+    out_of_range = [i for i in split.a + split.b if i >= dim]
+    if out_of_range:
+        raise ValidationError(f"split index {out_of_range[0]} out of range for {dim} indices")
     g = np.zeros((dim, dim))
     g[np.ix_(list(split.a), list(split.b))] = v / 2
     g[np.ix_(list(split.b), list(split.a))] = -v.T / 2

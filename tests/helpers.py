@@ -1,14 +1,14 @@
 """Test-only oracles, kept independent of the library code paths they check.
 
-Also the reference constructions that only tests use: the polar
-decomposition (the V oracle), the twirl coefficients and output
-fidelity of the twirled-state route, random pure states, and the
-global parity operator.
+Also the reference constructions that only tests use: the Kronecker-
+product Majorana operators, the polar decomposition (the V oracle), the
+twirl coefficients and output fidelity of the twirled-state route,
+random pure states, and the global parity operator.
 """
 
 import numpy as np
 
-from fermidistill.fock import _check_modes, majorana_ops, parity_from_indices
+from fermidistill.fock import _check_modes, parity_from_indices
 from fermidistill.linalg import RANK_RTOL, random_orthogonal, svd
 from fermidistill.states import STRUCT_ATOL, CovarianceMatrix, ValidationError
 
@@ -89,6 +89,28 @@ def wick_table_recursive(s: np.ndarray) -> dict[int, complex]:
         if bin(mask).count("1") % 2 == 0:
             value(mask)
     return table
+
+
+def majorana_ops_kron(n: int) -> list[np.ndarray]:
+    """The 2n Majorana operators as Kronecker products of 2 x 2 factors.
+
+    Jordan-Wigner ladder operators Z x ... x Z x lower x 1 x ... x 1,
+    the first factor acting on the most significant bit.
+    """
+    _check_modes(n)
+    eye2 = np.eye(2)
+    zphase = np.diag([1.0, -1.0])
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    ladders = []
+    for j in range(n):
+        factors = [zphase] * j + [lower] + [eye2] * (n - j - 1)
+        op = factors[0]
+        for f in factors[1:]:
+            op = np.kron(op, f)
+        ladders.append(op)
+    ops = [(a.conj().T + a) / np.sqrt(2) for a in ladders]
+    ops += [1j * (a.conj().T - a) / np.sqrt(2) for a in ladders]
+    return ops
 
 
 def density_dense_products(s: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:
@@ -196,4 +218,4 @@ def parity_operator(n: int, orientation: int = 1) -> np.ndarray:
     under orientation-reversing relabelings of the basis.
     """
     _check_modes(n)
-    return parity_from_indices(majorana_ops(n), range(2 * n)) * (1 if orientation >= 0 else -1)
+    return parity_from_indices(n, range(2 * n)) * (1 if orientation >= 0 else -1)

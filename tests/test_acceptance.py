@@ -78,17 +78,16 @@ def test_criterion_1_oracle_equivalence():
     count = 0
     rng = np.random.default_rng(7)
     for n_modes, runs in ((4, 160), (6, 48)):
-        ops = majorana_ops(n_modes)
         split = BipartiteSplit.halves(2 * n_modes)
         half = n_modes  # reference-space dimension per side
-        theta = parity_from_indices(ops, range(2 * n_modes))
+        theta = parity_from_indices(n_modes, range(2 * n_modes))
         eye = np.eye(2**n_modes)
         for _ in range(runs):
             s = random_covariance(n_modes, rng)
             v = random_orthogonal(half, rng)
             e = maximally_entangled_projection(v, split)
-            rho = density_from_covariance(s, ops)
-            psi = fock_vector(e, ops)
+            rho = density_from_covariance(s)
+            psi = fock_vector(e)
 
             orient = target_orientation(e)
             sector = orient * ((-1) ** (n_modes // 2))
@@ -304,7 +303,7 @@ def test_criterion_8_parity_identities():
         for op in ops:
             worst = max(worst, np.abs(theta @ op + op @ theta).max())
         s = random_covariance(n, rng)
-        rho = density_from_covariance(s, ops)
+        rho = density_from_covariance(s)
         lhs = float(np.trace(rho @ theta).real)
         g = (-1j * (s.matrix - 0.5 * np.eye(2 * n))).real
         rhs = (2.0**n) * ((-1.0) ** n) * pfaffian((g - g.T) / 2)
@@ -312,11 +311,10 @@ def test_criterion_8_parity_identities():
     # adapted-basis parity of the target state: (-1)^m
     for m in (1, 2, 3):
         n = 2 * m
-        ops = majorana_ops(n)
         split = BipartiteSplit.halves(2 * n)
         e = maximally_entangled_projection(np.eye(n), split)
-        psi = fock_vector(e, ops)
-        theta = parity_from_indices(ops, range(2 * n))
+        psi = fock_vector(e)
+        theta = parity_from_indices(n, range(2 * n))
         value = float((psi.conj() @ theta @ psi).real)
         worst = max(worst, abs(value - (-1.0) ** m))
     elapsed = time.perf_counter() - start

@@ -127,7 +127,7 @@ class TestOracleCommand:
         assert main(["oracle", path]) == 0
         assert "agreement" in capsys.readouterr().out
 
-    def test_too_many_modes(self, tmp_path, capsys):
+    def test_unequal_split_rejected(self, tmp_path, capsys):
         path = tmp_path / "big.json"
         save_covariance(
             path,
@@ -135,6 +135,7 @@ class TestOracleCommand:
             BipartiteSplit.from_alice(range(8), 14),
         )
         assert main(["oracle", str(path)]) == 1
+        assert "protocol operations need |A| = |B|" in capsys.readouterr().err
 
     def test_oracle_limit_is_on_the_restriction(self, tmp_path, capsys):
         # an 8-mode file restricts to 2m modes, within the dense limit up to m = 3

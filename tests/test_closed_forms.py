@@ -27,7 +27,7 @@ from fermidistill.states import (
     validate,
 )
 
-from helpers import orthogonal_2x2_grid
+from helpers import density_dense_products, orthogonal_2x2_grid
 
 
 def random_two_mode(rng):
@@ -98,12 +98,13 @@ class TestTwoMode:
         # site-1 operators sqrt(2) B_a, site-2 operators need the parity string
         params = random_two_mode(rng)
         s = two_mode_covariance(params)
-        ops = majorana_ops(2)
         # section basis order (A1, A2, B1, B2) = canonical (0, 2, 1, 3)
         perm = [0, 2, 1, 3]
-        ops_sec = [ops[p] for p in perm]
-        s_sec = s.matrix
-        rho = density_from_covariance(s_sec, ops_sec)
+        inv = np.argsort(perm)
+        rho = density_from_covariance(s.matrix[np.ix_(inv, inv)])
+        ops_sec = [majorana_ops(2)[p] for p in perm]
+        reference = density_dense_products(s.matrix, ops_sec)
+        np.testing.assert_allclose(rho, reference, rtol=0, atol=1e-13)
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         sy = np.array([[0, -1j], [1j, 0]])
         sz = np.diag([1.0, -1.0]).astype(complex)
@@ -207,9 +208,12 @@ class TestFourMode:
         # assign one Majorana pair per normal-form mode; any consistent
         # assignment represents the same abstract state
         perm = [0, 4, 1, 5, 2, 6, 3, 7]
+        inv = np.argsort(perm)
         ops = majorana_ops(4)
         ops_sec = [ops[p] for p in perm]
-        rho = density_from_covariance(s.matrix, ops_sec)
+        rho = density_from_covariance(s.matrix[np.ix_(inv, inv)])
+        reference = density_dense_products(s.matrix, ops_sec)
+        np.testing.assert_allclose(rho, reference, rtol=0, atol=1e-13)
         prod = np.eye(16, dtype=complex)
         for a in (0, 2, 4, 6):
             prod = prod @ ops_sec[a] @ ops_sec[a + 1]
@@ -218,8 +222,8 @@ class TestFourMode:
         assert p_oracle == pytest.approx(four_mode_p(params), abs=1e-9)
 
         e = maximally_entangled_projection(np.sign(params.sigma) * np.eye(4), split)
-        psi_e = fock_vector(e, ops_sec)
-        psi_t = fock_vector(partner_projection(e, split), ops_sec)
+        psi_e = fock_vector(e.matrix[np.ix_(inv, inv)])
+        psi_t = fock_vector(partner_projection(e, split).matrix[np.ix_(inv, inv)])
         fid_sum = float((psi_e.conj() @ rho @ psi_e).real) + float(
             (psi_t.conj() @ rho @ psi_t).real
         )

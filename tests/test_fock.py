@@ -12,7 +12,6 @@ from fermidistill.fock import (
     fock_vector,
     joint_parity,
     majorana_ops,
-    parity_from_indices,
     smear,
     verify_all,
 )
@@ -32,6 +31,7 @@ from fermidistill.states import (
 
 from helpers import (
     density_dense_products,
+    majorana_ops_kron,
     parity_operator,
     pfaffian_combinatorial,
     random_basis_projection,
@@ -54,6 +54,14 @@ class TestMajorana:
                 anti = op_a @ op_b + op_b @ op_a
                 expected = np.eye(dim) if a == b else np.zeros((dim, dim))
                 np.testing.assert_allclose(anti, expected, atol=1e-12)
+
+    @pytest.mark.parametrize("n", range(1, MAX_MODES + 1))
+    def test_matches_kron_reference(self, n):
+        ops = majorana_ops(n)
+        reference = majorana_ops_kron(n)
+        assert len(ops) == len(reference) == 2 * n
+        for op, ref in zip(ops, reference):
+            assert op.dtype == ref.dtype and np.abs(op - ref).max() == 0
 
     def test_single_mode_squares(self):
         ops = majorana_ops(1)
@@ -104,7 +112,7 @@ class TestDensity:
         n = 3
         s = random_covariance(n, rng)
         ops = majorana_ops(n)
-        rho = density_from_covariance(s, ops)
+        rho = density_from_covariance(s)
         for a in range(2 * n):
             for b in range(2 * n):
                 moment = np.trace(rho @ ops[a] @ ops[b])
@@ -124,28 +132,34 @@ class TestDensity:
 
 
 class TestDensityAgainstDenseProducts:
-    """The Pauli-string construction against one dense product per monomial."""
+    """The Pauli-string construction against one dense product per monomial.
+
+    A covariance in another ordering, whose index k labels canonical
+    operator perm[k], is the reference's covariance with the permuted
+    operators, and the canonical S[np.ix_(inv, inv)] for the library.
+    """
 
     @settings(max_examples=30, deadline=None)
     @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), permute=st.booleans())
     def test_small_states(self, n, seed, permute):
-        # a permuted list repeats x within a half: colliding scatter indices
         rng = np.random.default_rng(seed)
-        ops = majorana_ops(n)
-        if permute:
-            ops = [ops[p] for p in rng.permutation(2 * n)]
+        perm = rng.permutation(2 * n) if permute else np.arange(2 * n)
         s = random_covariance(n, rng).matrix
-        rho = density_from_covariance(s, ops)
+        inv = np.argsort(perm)
+        rho = density_from_covariance(s[np.ix_(inv, inv)])
+        ops = [majorana_ops(n)[p] for p in perm]
         np.testing.assert_allclose(rho, density_dense_products(s, ops), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n, perm_seed", [(5, None), (6, None), (6, 3)])
     def test_five_and_six_modes(self, n, perm_seed):
         rng = np.random.default_rng(100 + n)
-        ops = majorana_ops(n)
+        perm = np.arange(2 * n)
         if perm_seed is not None:
-            ops = [ops[p] for p in np.random.default_rng(perm_seed).permutation(2 * n)]
+            perm = np.random.default_rng(perm_seed).permutation(2 * n)
         s = random_covariance(n, rng).matrix
-        rho = density_from_covariance(s, ops)
+        inv = np.argsort(perm)
+        rho = density_from_covariance(s[np.ix_(inv, inv)])
+        ops = [majorana_ops(n)[p] for p in perm]
         np.testing.assert_allclose(rho, density_dense_products(s, ops), rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("n", [1, 3, 5])
@@ -165,15 +179,6 @@ class TestDensityAgainstDenseProducts:
             minor = s[np.ix_(idx, idx)]
             assert abs(table[mask] - pfaffian_combinatorial(minor)) <= 1e-13
 
-    def test_non_pauli_operator_rejected(self, rng):
-        n = 2
-        ops = majorana_ops(n)
-        coeffs = np.zeros(2 * n)
-        coeffs[0] = coeffs[1] = np.sqrt(0.5)
-        mixed_ops = [smear(ops, coeffs)] + ops[1:]
-        with pytest.raises(ValidationError, match="Pauli string"):
-            density_from_covariance(random_covariance(n, rng), mixed_ops)
-
 
 class TestFockVector:
     def test_canonical_vacuum(self):
@@ -187,14 +192,14 @@ class TestFockVector:
         for a in range(2 * n):
             for b in range(2 * n):
                 e[a, b] = vac.conj() @ ops[a] @ ops[b] @ vac
-        psi = fock_vector(CovarianceMatrix(e), ops)
+        psi = fock_vector(CovarianceMatrix(e))
         assert abs(np.vdot(psi, vac)) == pytest.approx(1.0, abs=1e-10)
 
     def test_two_point_function(self, rng):
         n = 3
         e = random_basis_projection(n, rng)
         ops = majorana_ops(n)
-        psi = fock_vector(e, ops)
+        psi = fock_vector(e)
         for a in range(2 * n):
             for b in range(2 * n):
                 val = psi.conj() @ ops[a] @ ops[b] @ psi
@@ -203,12 +208,11 @@ class TestFockVector:
     def test_fidelity_formula_vs_oracle(self, rng):
         # |<psi_E, rho_S psi_E>| equals the Pfaffian formula
         n = 3
-        ops = majorana_ops(n)
         for _ in range(5):
             s = random_covariance(n, rng)
             e = random_basis_projection(n, rng)
-            rho = density_from_covariance(s, ops)
-            psi = fock_vector(e, ops)
+            rho = density_from_covariance(s)
+            psi = fock_vector(e)
             overlap = float((psi.conj() @ rho @ psi).real)
             assert overlap == pytest.approx(fock_fidelity(s, e), abs=1e-9)
 
@@ -233,10 +237,9 @@ class TestParityOperator:
     def test_trace_formula(self, rng):
         # tr(rho theta) = 2^n (-1)^n Pf(-i(S - 1/2))
         for n in (2, 3):
-            ops = majorana_ops(n)
             th = parity_operator(n)
             s = random_covariance(n, rng)
-            rho = density_from_covariance(s, ops)
+            rho = density_from_covariance(s)
             lhs = float(np.trace(rho @ th).real)
             g = (-1j * (s.matrix - 0.5 * np.eye(2 * n))).real
             rhs = (2.0**n) * ((-1.0) ** n) * pfaffian((g - g.T) / 2)
@@ -262,19 +265,17 @@ class TestParityOperator:
 class TestJointParity:
     def test_maximally_mixed_uniform(self):
         split = BipartiteSplit.halves(8)
-        ops = majorana_ops(4)
         rho = np.eye(16) / 16
-        result = joint_parity(rho, split, ops)
+        result = joint_parity(rho, split)
         for key in ("++", "+-", "-+", "--"):
             assert result.probabilities[key] == pytest.approx(0.25, abs=1e-12)
 
     def test_maximally_entangled_same_parity(self, rng):
         split = BipartiteSplit.halves(8)
-        ops = majorana_ops(4)
         v = random_orthogonal(4, rng)
         e = maximally_entangled_projection(v, split)
-        rho = density_from_covariance(e, ops)
-        result = joint_parity(rho, split, ops)
+        rho = density_from_covariance(e)
+        result = joint_parity(rho, split)
         same = result.probabilities["++"] + result.probabilities["--"]
         diff = result.probabilities["+-"] + result.probabilities["-+"]
         # all weight on one parity-product sector, which one set by det(v)
@@ -286,13 +287,17 @@ class TestJointParity:
     def test_matches_pfaffian_probability(self, rng):
         # total modes 4 (m = 2): sector labels line up with the formula
         split = BipartiteSplit.halves(8)
-        ops = majorana_ops(4)
         for _ in range(5):
             s = random_covariance(4, rng)
-            rho = density_from_covariance(s, ops)
-            result = joint_parity(rho, split, ops)
+            rho = density_from_covariance(s)
+            result = joint_parity(rho, split)
             same = result.probabilities["++"] + result.probabilities["--"]
             assert same == pytest.approx(parity_probability(s), abs=1e-9)
+
+    @pytest.mark.parametrize("shape", [(16, 8), (12, 12), (0, 0), (16,)])
+    def test_shape_not_a_power_of_two_rejected(self, shape):
+        with pytest.raises(ValidationError, match="not 2\\^n x 2\\^n"):
+            joint_parity(np.zeros(shape), BipartiteSplit.halves(8))
 
 
 class TestVerifyAll:
@@ -324,13 +329,12 @@ class TestVerifyAll:
     def test_partner_overlap_identity(self, rng):
         # (fid_E + fid_partner)/p equals twice the kept posterior overlap
         split = BipartiteSplit.halves(8)
-        ops = majorana_ops(4)
         s = random_covariance(4, rng)
         v = random_orthogonal(4, rng)
         e = maximally_entangled_projection(v, split)
-        rho = density_from_covariance(s, ops)
-        psi = fock_vector(e, ops)
-        result = joint_parity(rho, split, ops)
+        rho = density_from_covariance(s)
+        psi = fock_vector(e)
+        result = joint_parity(rho, split)
         orient = target_orientation(e)
         keep = ("++", "--") if orient > 0 else ("+-", "-+")
         overlap = sum(float((psi.conj() @ result.posterior[k] @ psi).real) for k in keep)

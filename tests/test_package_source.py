@@ -1,9 +1,10 @@
 """Static checks on the package source: dependencies, error handling, exports.
 
 numpy is the only runtime dependency, no handler swallows every error,
-and every name in an `__all__` list resolves to a definition, following
-relative imports to the module that defines it.  The sources are parsed
-with `ast`; nothing is imported from them or written.
+every name in an `__all__` list resolves to a definition, following
+relative imports to the module that defines it, and every module-level
+import is used or exported.  The sources are parsed with `ast`; nothing
+is imported from them or written.
 """
 
 import ast
@@ -12,7 +13,8 @@ from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "fermidistill"
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "fermidistill"
 SOURCES = sorted(PACKAGE.glob("*.py"))
 TREES = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
 ALLOWED_THIRD_PARTY = {"numpy"}
@@ -90,3 +92,43 @@ def test_no_catch_all_handlers(module):
 def test_all_entries_resolve(module):
     unresolved = [name for name in _all_entries(TREES[module]) if not _resolves(module, name)]
     assert not unresolved, f"{module}.__all__ names nothing bound: {unresolved}"
+
+
+def _traced_lookups() -> set[tuple[str, str]]:
+    """(module, name) pairs that `perfbench/spans.targets` looks up on a package module."""
+    spans = ast.parse((ROOT / "perfbench" / "spans.py").read_text())
+    func = next(n for n in spans.body if isinstance(n, ast.FunctionDef) and n.name == "targets")
+    modules = {arg.arg for arg in func.args.args}
+    return {
+        (node.elts[0].id, node.elts[1].value)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Tuple)
+        and len(node.elts) > 1
+        and isinstance(node.elts[0], ast.Name)
+        and node.elts[0].id in modules
+        and isinstance(node.elts[1], ast.Constant)
+    }
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_imports_are_used(module):
+    # the one exception: a `# noqa: F401` import the benchmark tracer wraps there
+    tree = TREES[module]
+    lines = (PACKAGE / f"{module}.py").read_text().splitlines()
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used |= set(_all_entries(tree) or ())
+    traced = _traced_lookups()
+    unused = []
+    for node in tree.body:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        for alias in node.names:
+            name = (alias.asname or alias.name).split(".")[0]
+            if name in used:
+                continue
+            if "# noqa: F401" in lines[alias.lineno - 1] and (module, name) in traced:
+                continue
+            unused.append(f"line {alias.lineno}: {name}")
+    assert not unused, f"{module} imports names it neither uses nor exports: {unused}"

@@ -61,6 +61,12 @@ class TestBipartiteSplit:
         with pytest.raises(ValidationError, match="index 5 appears more than once"):
             BipartiteSplit((0, 1), (2, 5, 5))
 
+    def test_negative_index_rejected(self):
+        with pytest.raises(ValidationError, match="index -1 is negative"):
+            BipartiteSplit((0, -1), (1, 2))
+        with pytest.raises(ValidationError, match="index -1 is negative"):
+            BipartiteSplit((0, 1, 2, -1), (3, 4, 5, 7))
+
     def test_from_alice_rejects_repeated_index(self):
         with pytest.raises(ValidationError, match="index 0 appears more than once"):
             BipartiteSplit.from_alice([0, 0, 0, 1], 6)
@@ -116,6 +122,10 @@ class TestBlocks:
         assert np.abs(blk.x).max() < 1e-12
         assert np.abs(blk.z).max() < 1e-12
         np.testing.assert_allclose(blk.y.T @ blk.y, np.eye(4), atol=1e-12)
+
+    def test_maximally_entangled_split_out_of_range(self):
+        with pytest.raises(ValidationError, match="index 4 out of range for 4 indices"):
+            maximally_entangled_projection(np.eye(2), BipartiteSplit((0, 1), (4, 5)))
 
     def test_antisymmetry_of_diagonal_blocks(self, rng):
         s = random_covariance(4, rng)
@@ -449,7 +459,7 @@ class TestRestrict:
         ub = random_orthogonal(6, rng)[:, :4]
         out, new_split = restrict(s, split, RealProjectionPair(ua, ub))
         assert validate(out).passed
-        assert out.n_modes == 4
+        assert out.matrix.shape == (8, 8)
         assert len(new_split.a) == len(new_split.b) == 4
 
 
