@@ -223,6 +223,7 @@ def _cmd_bench(args) -> int:
     if args.repeat < 1:
         raise ValidationError(f"repeat must be >= 1, got {args.repeat}")
     geometry = lattice.LatticeGeometry(args.L, args.N)
+    lattice._check_memory(geometry.L, args.k)
     kern = lattice.ToeplitzKernel(geometry.L, -(geometry.N + geometry.L))
     rng = np.random.default_rng(args.seed)
     x = rng.standard_normal(args.L)

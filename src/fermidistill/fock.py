@@ -248,6 +248,10 @@ def parity_from_indices(n: int, indices) -> np.ndarray:
     idx = sorted(int(i) for i in indices)
     if len(idx) % 2 != 0:
         raise ValidationError("parity monomial needs an even number of indices")
+    if idx and not 0 <= idx[0] <= idx[-1] < 2 * n:
+        raise ValidationError(f"parity indices must lie in [0, {2 * n}), got {idx[0]}..{idx[-1]}")
+    if len(set(idx)) < len(idx):
+        raise ValidationError("parity indices must be distinct")
     half = len(idx) // 2
     ops = majorana_ops(n)
     out = np.eye(1 << n, dtype=complex)

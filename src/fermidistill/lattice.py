@@ -9,8 +9,13 @@ to the blocks are Toeplitz: the kernel value at offset q is
 so matrix-vector products cost O(L log L) via circulant embedding and
 the FFT.  Because t vanishes at even q, every kernel splits into two
 Toeplitz blocks on its parity sublattices.  The few dominant singular
-triplets of the cross block come out of Golub-Kahan bidiagonalization
-of those blocks, one solve per block up to mirror images.  The kernel's
+triplets of the cross block come out of Lanczos on those blocks, one
+solve per block up to mirror images and one Toeplitz product per step:
+a square block B is persymmetric, so J B (J the index reversal) is a
+symmetric Hankel matrix whose eigenpairs give B's singular triplets,
+and the rectangular blocks of odd L with odd N run as [[0, B], [B^T, 0]]
+applying B or B^T in turn.  A point whose estimated memory exceeds the
+installed memory is rejected before its first kernel.  The kernel's
 own singular values come in exactly equal pairs if and only if N is
 odd.  The restricted 2m-mode covariance is then assembled analytically
 in the singular basis (the lift from the L x L kernel to the full
@@ -110,6 +115,35 @@ def _smooth_length(n: int) -> int:
             p35 *= 3
         p5 *= 5
     return best
+
+
+# Installed memory in bytes, read at call time (tests monkeypatch it): a lattice
+# point whose estimated peak exceeds it is rejected before its first kernel.
+try:
+    PHYSICAL_MEMORY = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+except (AttributeError, ValueError, OSError):  # the platform does not report it
+    PHYSICAL_MEMORY = None
+
+
+def _check_memory(L: int, m: int):
+    """Raise ValidationError when a lattice point at block length L, m pairs, cannot fit.
+
+    The estimate, with M = `_smooth_length(2L - 1)`: the cross kernel's
+    2L - 1 values and M/2 + 1 spectral coefficients, as much again for its
+    parity blocks; one M-point product's buffers (the padded input, two
+    spectra and the inverse transform); and the Lanczos basis at its start
+    capacity, rows of at most L doubles.
+    """
+    M = _smooth_length(2 * int(L) - 1)
+    kernel = 8 * (2 * L - 1) + 16 * (M // 2 + 1)
+    product = 16 * M + 32 * (M // 2 + 1)
+    basis = 8 * L * max(16, 4 * m + 8)
+    need = 2 * kernel + product + basis
+    if PHYSICAL_MEMORY is not None and need > PHYSICAL_MEMORY:
+        raise ValidationError(
+            f"block length L = {L} needs about {need / 2**30:.3g} GiB, "
+            f"more than the {PHYSICAL_MEMORY / 2**30:.3g} GiB of memory installed"
+        )
 
 
 class ToeplitzKernel:
@@ -212,101 +246,112 @@ class SingularTriplet:
     sublattices: tuple[int, int] | None = None
 
 
-# The stopping rule of every Krylov solve, read at call time: a kept triplet
+# The stopping rule of every Krylov solve, read at call time: a kept Ritz pair
 # has converged once its residual bound is at most KRYLOV_TOL * sigma_1, and a
-# block that has not converged after MAX_STEPS Golub-Kahan steps is an error.
+# block that has not converged after MAX_STEPS Lanczos steps is an error.
 KRYLOV_TOL = 1e-10
 MAX_STEPS = 300
 
 
-def _gk_bidiagonalize(matvec, rmatvec, rows, cols, k, rng):
-    """Golub-Kahan bidiagonalization for the top-k triplets of a rows x cols operator.
+def _lanczos(matvec, start, k):
+    """Symmetric Lanczos for the k Ritz pairs of largest |theta| of an n x n operator.
 
-    Full reorthogonalization at every step (the Krylov basis stays small
-    here, so the cost is negligible and ghost values are excluded).  The
-    bases are stored row-major, so basis vector j is the contiguous row
-    `vmat[j]` and reorthogonalization is (V w) V over the rows filled so
-    far; they start at max(16, 2k + 8) rows and double when full.
+    One product per step.  Full reorthogonalization at every step (the
+    Krylov basis stays small here, so the cost is negligible and ghost
+    values are excluded).  The basis is stored row-major, so basis vector
+    j is the contiguous row `q[j]` and reorthogonalization is (Q w) Q over
+    the rows filled so far; it starts at max(16, 2k + 8) rows and doubles
+    when full.
 
-    The solve has one exit, which lifts the SVD of a ju x jv upper
-    bidiagonal onto the bases.  Three conditions lead there:
-    - convergence: beta_j |P_ji| <= KRYLOV_TOL * sigma_1 for each kept
-      triplet, tested at every step j >= k on the SVD that is then lifted;
-    - v-side exhaustion: the new beta falls to machine epsilon times the
-      largest alpha or beta so far, and the square bidiagonal is exact;
-    - u-side exhaustion: the new alpha does, and the j x (j + 1)
-      bidiagonal keeps the trailing beta that couples the last v row.
+    The solve has one exit, which lifts the eigenpairs of the j x j
+    tridiagonal T onto the basis.  Two conditions lead there:
+    - convergence: beta_j |s_ji| <= KRYLOV_TOL * sigma_1 for each kept
+      pair, with s_i its eigenvector of T and sigma_1 the largest |theta|,
+      tested at every step j >= k;
+    - exhaustion: the new beta falls to machine epsilon times the largest
+      |alpha| or beta so far, or the basis spans all n dimensions, and T
+      is exact.
     The exhaustion floor follows the operator's scale rather than an
-    absolute value.  At most min(MAX_STEPS, min(rows, cols) + 1) steps
-    run, so a wide operator can reach the u-side exit; past them
-    ConvergenceError is raised.  Returns the triplets (fewer than k when
-    the rank is lower) and the step count ju.
+    absolute value.  Past min(MAX_STEPS, n) steps ConvergenceError is
+    raised.  Returns the kept Ritz values (fewer than k when the Krylov
+    space is smaller), their unit vectors as rows and the step count.
     """
-    steps = min(MAX_STEPS, min(rows, cols) + 1)
-    v = rng.standard_normal(cols)
-    v /= np.linalg.norm(v)
-    cap = min(max(16, 2 * k + 8), steps + 1)
-    vmat = np.zeros((cap, cols))
-    umat = np.zeros((cap, rows))
-    vmat[0] = v
+    n = len(start)
+    steps = min(MAX_STEPS, n)
+    q = np.zeros((min(max(16, 2 * k + 8), steps + 1), n))
+    q[0] = start / np.linalg.norm(start)
     alphas = np.zeros(steps)
     betas = np.zeros(steps)
-    best_res = None
+    res = None
     eps = np.finfo(float).eps
     scale = 0.0
-
-    def ritz(ju: int, jv: int):
-        b = np.zeros((ju, jv))
-        b[np.arange(ju), np.arange(ju)] = alphas[:ju]
-        b[np.arange(jv - 1), np.arange(1, jv)] = betas[: jv - 1]
-        return np.linalg.svd(b)
-
     for j in range(steps):
-        if j + 1 == len(vmat):
-            extra = min(len(vmat), steps + 1 - len(vmat))
-            vmat = np.concatenate((vmat, np.zeros((extra, cols))))
-            umat = np.concatenate((umat, np.zeros((extra, rows))))
-        u = matvec(vmat[j])
+        if j + 1 == len(q):
+            q = np.concatenate((q, np.zeros((min(len(q), steps + 1 - len(q)), n))))
+        w = matvec(q[j])
+        alphas[j] = q[j] @ w
+        w = w - alphas[j] * q[j]
         if j > 0:
-            u -= betas[j - 1] * umat[j - 1]
-            u -= (umat[:j] @ u) @ umat[:j]
-            u -= (umat[:j] @ u) @ umat[:j]
-        alphas[j] = np.linalg.norm(u)
-        scale = max(scale, alphas[j])
-        if alphas[j] <= eps * scale:
-            svd = ritz(j, j + 1)
-            break
-        umat[j] = u / alphas[j]
-
-        w = rmatvec(umat[j]) - alphas[j] * vmat[j]
-        w -= (vmat[: j + 1] @ w) @ vmat[: j + 1]
-        w -= (vmat[: j + 1] @ w) @ vmat[: j + 1]
+            w -= betas[j - 1] * q[j - 1]
+        w -= (q[: j + 1] @ w) @ q[: j + 1]
+        w -= (q[: j + 1] @ w) @ q[: j + 1]
         betas[j] = np.linalg.norm(w)
-        scale = max(scale, betas[j])
+        scale = max(scale, abs(alphas[j]), betas[j])
 
         jj = j + 1
-        if betas[j] <= eps * scale:
-            svd = ritz(jj, jj)
-            break
-        if jj >= k:
-            svd = ritz(jj, jj)
-            best_res = betas[j] * np.abs(svd[0][-1, :k])
-            if np.all(best_res <= KRYLOV_TOL * max(svd[1][0], 1e-300)):
+        exhausted = betas[j] <= eps * scale or jj == n
+        if exhausted or jj >= k:
+            theta, s = np.linalg.eigh(np.diag(alphas[:jj]) + np.diag(betas[: jj - 1], -1))
+            keep = np.argsort(-np.abs(theta), kind="stable")[:k]
+            res = betas[j] * np.abs(s[-1, keep])
+            if exhausted or np.all(res <= KRYLOV_TOL * max(abs(theta[keep[0]]), 1e-300)):
                 break
-        vmat[j + 1] = w / betas[j]
+        q[jj] = w / betas[j]
     else:
-        raise ConvergenceError(
-            f"bidiagonalization did not converge in {steps} iterations", residuals=best_res
-        )
+        raise ConvergenceError(f"Lanczos did not converge in {steps} steps", residuals=res)
 
-    p, sv, qt = svd
-    ju, jv = len(p), len(qt)
-    out = []
-    for i in range(min(k, len(sv))):
-        u = p[:, i] @ umat[:ju]
-        w = qt[i] @ vmat[:jv]
-        out.append(SingularTriplet(float(sv[i]), u / np.linalg.norm(u), w / np.linalg.norm(w)))
-    return out, ju
+    x = s[:, keep].T @ q[:jj]
+    return theta[keep], x / np.linalg.norm(x, axis=1)[:, None], jj
+
+
+def _block_triplets(block: ToeplitzKernel, k: int, rng) -> tuple[list[SingularTriplet], int]:
+    """Top-k triplets of one parity block by Lanczos, one Toeplitz product per step.
+
+    A square Toeplitz block is persymmetric, B^T = J B J with J the index
+    reversal, so H = J B is symmetric (Hankel).  A Ritz pair H x = theta x
+    gives sigma = |theta|, v = x and u = sign(theta) J x, and both triplet
+    residuals equal the Ritz residual.  A rectangular block (odd L with
+    odd N) is solved through [[0, B], [B^T, 0]] from a start that is zero
+    on the u half: the basis then alternates between the halves, each step
+    applies only B or B^T, the Krylov space is Golub-Kahan's, and each
+    singular value appears as the pair +-sigma, of which the + member
+    carries (u, v) as its halves.  Returns the triplets and the steps.
+    """
+    rows, cols = block.shape
+    if rows == cols:
+        theta, x, steps = _lanczos(lambda y: block.matvec(y)[::-1], rng.standard_normal(rows), k)
+        return [
+            SingularTriplet(float(abs(th)), np.copysign(1.0, th) * xi[::-1], xi)
+            for th, xi in zip(theta, x)
+        ], steps
+
+    def product(y):
+        # every basis vector lives on one half exactly (alpha = x^T H x is 0
+        # for such x, so no step mixes them), and the other product is zero
+        out = np.zeros(rows + cols)
+        if y[rows:].any():
+            out[:rows] = block.matvec(y[rows:])
+        else:
+            out[rows:] = block.rmatvec(y[:rows])
+        return out
+
+    start = np.concatenate((np.zeros(rows), rng.standard_normal(cols)))
+    theta, x, steps = _lanczos(product, start, 2 * k)
+    halves = [(th, xi[:rows], xi[rows:]) for th, xi in zip(theta, x) if th > 0]
+    return [
+        SingularTriplet(float(th), u / np.linalg.norm(u), v / np.linalg.norm(v))
+        for th, u, v in halves[:k]
+    ], steps
 
 
 def top_singular_triplets(
@@ -316,7 +361,7 @@ def top_singular_triplets(
 
     The kernel splits into two stride-2 Toeplitz blocks on its parity
     sublattices (`_parity_blocks`).  Each distinct block is solved once by
-    Golub-Kahan bidiagonalization; its singular values decay geometrically
+    Lanczos (`_block_triplets`); its singular values decay geometrically
     (the block is Cauchy-like, Beckermann & Townsend, SIAM J. Matrix Anal.
     Appl. 38, 2017), so one single-vector solve per block suffices.  A
     block that mirrors the one before it (`_is_mirror`, odd L with odd N)
@@ -325,8 +370,8 @@ def top_singular_triplets(
     merged by sigma, and a block shared by both sublattice pairs yields
     each of its values twice, with orthogonal vectors of disjoint support.
     Every returned triplet satisfies ||F v - sigma u|| <= 10 KRYLOV_TOL
-    sigma_1 against the full kernel.  Returns the triplets and the Krylov
-    steps of the solves that ran.
+    sigma_1 against the full kernel.  Returns the triplets and the Lanczos
+    steps of the solves that ran, one Toeplitz product each.
     """
     L = kern.L
     if k < 1:
@@ -336,13 +381,10 @@ def top_singular_triplets(
     rng = np.random.default_rng(seed)
     found, total_iters, prev = [], 0, None
     for block, placements in _parity_blocks(L, kern.r):
-        rows, cols = block.shape
         if prev is not None and _is_mirror(prev[0], block):
             half = [SingularTriplet(t.sigma, t.v[::-1], t.u[::-1]) for t in prev[1]]
         else:
-            half, iters = _gk_bidiagonalize(
-                block.matvec, block.rmatvec, rows, cols, min(k, rows, cols), rng
-            )
+            half, iters = _block_triplets(block, min(k, *block.shape), rng)
             total_iters += iters
         prev = (block, half)
         for t in half:
@@ -405,6 +447,7 @@ def restricted_covariance(
     L, N = geometry.L, geometry.N
     if 2 * m > 2 * L:
         raise ValidationError("2m may not exceed the 2L modes available")
+    _check_memory(L, m)
     cross = ToeplitzKernel(L, -(N + L))
     triplets, steps = top_singular_triplets(cross, m, seed=seed)
     # the block of F_0 from sublattice 1 onto 0: rows 0::2, columns 1::2
@@ -519,7 +562,8 @@ def sweep(L_values, N_values, m: int = 2, seed: int = 0, jobs: int = 1) -> list[
     Per-point seeds are derived deterministically from the master seed
     and the point's position, so rows are reproducible regardless of
     execution order or the number of workers.  Settings that would fail
-    every point (m < 2, jobs < 1) are rejected before the first one.
+    every point (m < 2, jobs < 1) are rejected before the first one, and
+    so is a grid whose largest L would not fit in memory.
     Workers are capped at the number of points and of CPUs.
     """
     if not len(L_values) or not len(N_values):
@@ -528,6 +572,7 @@ def sweep(L_values, N_values, m: int = 2, seed: int = 0, jobs: int = 1) -> list[
         raise ValidationError(f"protocol needs m >= 2, got {m}")
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
+    _check_memory(max(L_values), m)
     tasks = []
     for i, L in enumerate(L_values):
         for j, N in enumerate(N_values):

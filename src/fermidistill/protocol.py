@@ -69,8 +69,9 @@ class ProtocolChoice:
 
     Column i of d.ua and d.ub is the i-th left and right singular vector
     of Y (value lambdas[i] > 0), so V pairs them: v = d.ua d.ub^T.
-    `krylov_steps` counts the Golub-Kahan steps spent finding the frames
-    on the lattice route; a choice made by dense SVD leaves it at 0.
+    `krylov_steps` counts the Lanczos steps, one Toeplitz product each,
+    spent finding the frames on the lattice route; a choice made by dense
+    SVD leaves it at 0.
     """
 
     m: int

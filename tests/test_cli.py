@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from fermidistill import lattice
 from fermidistill.cli import main
 from fermidistill.closed_forms import (
     FourModeParams,
@@ -277,6 +278,23 @@ class TestLatticeCommands:
                      "--L-hi", "128"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert 4 <= payload["L"] <= 128
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["lattice", "sweep", "--L", "64,4096", "--N", "1"],
+            ["lattice", "minlen", "--N", "1", "--x", "0.5", "--L-hi", "4096"],
+            ["bench", "--L", "4096", "--repeat", "1"],
+        ],
+    )
+    def test_beyond_memory_is_error_line(self, argv, monkeypatch, capsys):
+        # the route's estimate at L = 4096 is about 1.05e6 bytes
+        monkeypatch.setattr(lattice, "PHYSICAL_MEMORY", 10**6)
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: block length L = 4096 needs about")
+        assert captured.err.count("\n") == 1
 
     def test_minlen_unreachable(self, capsys):
         assert main(["lattice", "minlen", "--N", "1", "--x", "0.99999", "--L-lo", "4",

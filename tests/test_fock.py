@@ -12,6 +12,7 @@ from fermidistill.fock import (
     fock_vector,
     joint_parity,
     majorana_ops,
+    parity_from_indices,
     smear,
     verify_all,
 )
@@ -260,6 +261,22 @@ class TestParityOperator:
 
     def test_orientation_argument(self):
         np.testing.assert_allclose(parity_operator(2, -1), -parity_operator(2, 1), atol=0)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: parity_from_indices(2, [0, 5]),
+            lambda: parity_from_indices(2, [0, -1]),
+            lambda: parity_from_indices(2, [0, 1, 1, 2]),
+            lambda: joint_parity(np.eye(16) / 16, BipartiteSplit.halves(20)),
+        ],
+        ids=["index-beyond-2n", "negative-index", "repeated-index", "split-wider-than-rho"],
+    )
+    def test_malformed_indices_rejected(self, call):
+        # an index >= 2n used to end in IndexError, a negative one picked
+        # B[-1], and a repeated one gave an anti-Hermitian "parity"
+        with pytest.raises(ValidationError):
+            call()
 
 
 class TestJointParity:

@@ -24,7 +24,7 @@ from fermidistill.lattice import (
     top_singular_triplets,
 )
 from fermidistill.lattice import (
-    _gk_bidiagonalize,
+    _block_triplets,
     _interleave,
     _is_mirror,
     _parity_blocks,
@@ -188,9 +188,7 @@ class TestTriplets:
         (block, _), _ = _parity_blocks(2000, -2010)
 
         def solve():
-            return _gk_bidiagonalize(
-                block.matvec, block.rmatvec, *block.shape, 2, np.random.default_rng(3)
-            )
+            return _block_triplets(block, 2, np.random.default_rng(3))
 
         triplets, ju = solve()
         assert ju < min(block.shape)
@@ -229,15 +227,17 @@ class TestTriplets:
 
     def test_bases_grow_past_initial_capacity(self, rng):
         # a flat spectrum keeps the top triplets unresolved until the Krylov
-        # space is exhausted, far beyond the initial max(16, 2k + 8) rows
+        # space is exhausted, far beyond the initial max(16, 2k' + 8) rows;
+        # the rectangular operator runs as [[0, B], [B^T, 0]] with k' = 2k
         rows, cols, k = 60, 40, 3
         q1, _ = np.linalg.qr(rng.standard_normal((rows, cols)))
         q2, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
         op = (q1 * np.linspace(1.0, 0.9, cols)) @ q2.T
-        triplets, steps = _gk_bidiagonalize(
-            lambda x: op @ x, lambda y: op.T @ y, rows, cols, k, rng
+        block = SimpleNamespace(
+            shape=(rows, cols), matvec=lambda x: op @ x, rmatvec=lambda y: op.T @ y
         )
-        assert steps > 2 * max(16, 2 * k + 8)  # grown twice
+        triplets, steps = _block_triplets(block, k, rng)
+        assert steps > 2 * max(16, 2 * (2 * k) + 8)  # grown twice
         u, sv, vt = np.linalg.svd(op)
         np.testing.assert_allclose([t.sigma for t in triplets], sv[:k], atol=1e-12)
         for i, t in enumerate(triplets):
@@ -303,6 +303,25 @@ class TestParitySplitOracle:
         triplets, _ = top_singular_triplets(kern, k, seed=seed)
         np.testing.assert_allclose([t.sigma for t in triplets], sv[:k], atol=1e-8 * sv[0])
 
+    @settings(max_examples=100, deadline=None)
+    @given(L=st.integers(2, 120), N=st.integers(0, 60))
+    @example(L=2, N=0)
+    @example(L=3, N=1)
+    def test_blocks_are_hankel_symmetric_or_mirror_pair(self, L, N):
+        # the Lanczos route's premise: J B is symmetric for a square block
+        # B (J the index reversal); only odd L with odd N gives rectangular
+        # blocks, and those two mirror each other
+        pairs = _parity_blocks(L, -(N + L))
+        if L % 2 and N % 2:
+            (first, _), (second, _) = pairs
+            assert first.shape[0] != first.shape[1] and _is_mirror(first, second)
+            np.testing.assert_array_equal(second.dense(), first.dense().T[::-1, ::-1])
+        else:
+            for block, _ in pairs:
+                hankel = block.dense()[::-1]
+                assert hankel.shape[0] == hankel.shape[1]
+                np.testing.assert_array_equal(hankel, hankel.T)
+
     @pytest.mark.parametrize("L,N,k", [(3, 1, 2), (17, 3, 4), (199, 1, 6), (5001, 1, 2)])
     def test_mirror_block_solved_once(self, L, N, k):
         # odd L with odd N: the second parity block is the first one
@@ -312,10 +331,7 @@ class TestParitySplitOracle:
         assert _is_mirror(first, second)
         if L < 1000:
             np.testing.assert_array_equal(second.dense(), first.dense().T[::-1, ::-1])
-        rows, cols = first.shape
-        _, one_solve = _gk_bidiagonalize(
-            first.matvec, first.rmatvec, rows, cols, min(k, rows, cols), np.random.default_rng(5)
-        )
+        _, one_solve = _block_triplets(first, min(k, *first.shape), np.random.default_rng(5))
         triplets, steps = top_singular_triplets(kern, k, seed=5)
         assert steps == one_solve
         sigmas = [t.sigma for t in triplets]
@@ -459,9 +475,9 @@ class TestRestrictedCovariance:
 
     @pytest.mark.parametrize("L,N,m", [(200, 0, 2), (2000, 1, 3), (5001, 1, 2), (1001, 10, 3)])
     def test_every_product_goes_through_the_kernel(self, L, N, m, monkeypatch):
-        # one product each way per Krylov step, two per triplet in the
-        # residual check, one per kept vector on each side in the intra
-        # compression; an FFT outside ToeplitzKernel would break the count
+        # one product per Lanczos step, two per triplet in the residual
+        # check, one per kept vector on each side in the intra compression;
+        # an FFT outside ToeplitzKernel would break the count
         calls = []
         for name in ("matvec", "rmatvec"):
             original = getattr(ToeplitzKernel, name)
@@ -472,7 +488,7 @@ class TestRestrictedCovariance:
 
             monkeypatch.setattr(ToeplitzKernel, name, counted)
         report = lattice_point(LatticeGeometry(L, N), m=m)
-        assert len(calls) == 2 * report.krylov_steps + 2 * m + 2 * m
+        assert len(calls) == report.krylov_steps + 2 * m + 2 * m
 
     def test_m_beyond_modes_rejected(self):
         with pytest.raises(ValidationError):
@@ -492,6 +508,21 @@ class TestRejectedSettings:
         with pytest.raises(ValidationError, match="m >= 2"):
             sweep([16, 32], [1], m=1)
         assert points == []
+
+    def test_point_beyond_memory_rejected_before_allocation(self, monkeypatch):
+        # the estimate at L = 4096 is about 1.05e6 bytes and at L = 64 about
+        # 1.6e4; no kernel may be built for a point that cannot fit
+        monkeypatch.setattr(lattice, "PHYSICAL_MEMORY", 10**6)
+        assert lattice_point(LatticeGeometry(64, 1)).f is not None
+
+        def no_kernel(*args):
+            raise AssertionError("kernel allocated")
+
+        monkeypatch.setattr(ToeplitzKernel, "_embed", no_kernel)
+        with pytest.raises(ValidationError, match="L = 4096 needs about"):
+            lattice_point(LatticeGeometry(4096, 1))
+        with pytest.raises(ValidationError, match="L = 4096 needs about"):
+            sweep([64, 4096], [1])
 
 
 class TestSweepWorkers:
