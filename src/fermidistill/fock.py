@@ -5,11 +5,13 @@ used to verify the Pfaffian formulas by brute force.  n is capped at
 MAX_MODES = 6 (a 64 x 64 space) as a memory/time guard.
 
 The Jordan-Wigner operators, and every product of them, have one
-nonzero per row: op[i, i ^ x] = values[i].  The operators are built in
-this Pauli-string form (x, values) straight from the Jordan-Wigner
-formula, and the density matrix from the monomials of the first n and
-of the last n strings, tabulated separately, rather than from dense
-products.
+nonzero per row: op[i, i ^ x] = values[i].  Every operator of the
+oracle is built in this Pauli-string form (x, values) straight from the
+Jordan-Wigner formula: the Majorana operators, the parity monomials and
+joint-parity projectors, the annihilator sum whose null vector is a
+Fock vector, and the monomials of the density matrix, one gather per
+flip pattern.  Dense matrices appear only in rho, its posteriors and
+the eigh calls.
 
 Convention note: the ladder operators are defined so that c_k^* (not
 c_k) annihilates the reference vacuum, i.e. our c_k is the creation
@@ -44,10 +46,13 @@ from .states import (
 )
 
 MAX_MODES = 6
+# Flip patterns per gather in density_from_covariance.  Two keep each
+# temporary at 2 * 4^n complex numbers (128 KiB at n = 6); four or more
+# raised the peak RSS of a process running the oracle by about 0.5 MB.
+_GATHER_BLOCK = 2
 
 __all__ = [
     "majorana_ops",
-    "smear",
     "density_from_covariance",
     "fock_vector",
     "parity_from_indices",
@@ -60,6 +65,30 @@ __all__ = [
 def _check_modes(n: int):
     if not 1 <= n <= MAX_MODES:
         raise ValidationError(f"dense oracle supports 1 <= n <= {MAX_MODES}, got {n}")
+
+
+def _oracle_matrix(s: CovarianceMatrix | np.ndarray) -> tuple[np.ndarray, int]:
+    """The matrix of a covariance-like oracle input and its mode count n.
+
+    The one shape check of every entry point that takes a covariance:
+    square, 2n x 2n, with 1 <= n <= MAX_MODES.
+    """
+    m = _matrix(s)
+    n = m.shape[0] // 2 if m.ndim == 2 else 0
+    if m.shape != (2 * n, 2 * n) or not 1 <= n <= MAX_MODES:
+        raise ValidationError(
+            f"dense oracle supports 1 <= n <= {MAX_MODES}, i.e. a square 2n x 2n input;"
+            f" got shape {m.shape}"
+        )
+    return m, n
+
+
+def _dense(x: int, values: np.ndarray) -> np.ndarray:
+    """The matrix of the Pauli string (x, values): op[i, i ^ x] = values[i]."""
+    rows = np.arange(len(values))
+    op = np.zeros((len(rows), len(rows)), dtype=complex)
+    op[rows, rows ^ x] = values
+    return op
 
 
 def _majorana_strings(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -90,22 +119,7 @@ def majorana_ops(n: int) -> list[np.ndarray]:
     Pauli strings, one scatter per operator.
     """
     xs, values = _majorana_strings(n)
-    rows = np.arange(1 << n)
-    ops = []
-    for x, v in zip(xs, values):
-        op = np.zeros((1 << n, 1 << n), dtype=complex)
-        op[rows, rows ^ x] = v
-        ops.append(op)
-    return ops
-
-
-def smear(ops: list[np.ndarray], x: np.ndarray) -> np.ndarray:
-    """B(x) = sum_a x_a B_a, complex linear in the reference vector x."""
-    out = np.zeros_like(ops[0])
-    for coeff, op in zip(np.asarray(x), ops):
-        if coeff != 0:
-            out = out + coeff * op
-    return out
+    return [_dense(x, v) for x, v in zip(xs, values)]
 
 
 def _bit_tables(bits: int) -> tuple[np.ndarray, np.ndarray]:
@@ -178,27 +192,32 @@ def density_from_covariance(s: CovarianceMatrix | np.ndarray) -> np.ndarray:
     the Wick (Pfaffian) moments fixes each coefficient.  The monomials of
     the first n and of the last n Pauli strings are tabulated
     separately, and B_M for M = a + b is the product of half monomials
-    a and b, scattered into rho one A-half monomial at a time.  Validates
-    unit trace, hermiticity and positivity before returning.
+    a and b.  B_j and B_{j+n} flip the same bit, so both tables share
+    the flips xa and B_M flips xa[a ^ b]: each flip pattern d (even, as
+    odd sets have Pf 0) fills rho[i, i ^ xa[d]] with one gather and sum,
+    sum_a coef[a, a ^ d] va[a, i] vb[a ^ d, i ^ xa[a]], taken a block of
+    patterns at a time to bound the memory.  Validates unit trace,
+    hermiticity and positivity before returning.
     """
-    m = _matrix(s)
-    n = m.shape[0] // 2
+    m, n = _oracle_matrix(s)
     xs, values = _majorana_strings(n)
     hdim = 1 << n
     xa, va = _monomials(xs[:n], values[:n])
-    xb, vb = _monomials(xs[n:], values[n:])
+    _, vb = _monomials(xs[n:], values[n:])
     pop, _ = _bit_tables(n)
-    # coefficient of monomial a | b << n at [a, b]; odd sets have Pf 0
+    # coefficient of monomial a | b << n at [a, b]
     weight = 2.0 ** (pop[:, None] + pop[None, :] - n)
     coef = weight * np.conj(_wick_table(m)).reshape(hdim, hdim).T
-    same_parity = [np.flatnonzero(pop % 2 == 0), np.flatnonzero(pop % 2 == 1)]
 
     rows = np.arange(hdim)
+    cols = rows ^ xa[:, None]  # [a, i] = i ^ xa[a]
+    even = np.flatnonzero(pop % 2 == 0)
     rho = np.zeros((hdim, hdim), dtype=complex)
-    for a in range(hdim):
-        b = same_parity[pop[a] % 2]
-        cols = rows ^ xa[a]
-        rho[rows, cols ^ xb[b, None]] += (coef[a, b, None] * va[a]) * vb[b[:, None], cols]
+    for start in range(0, len(even), _GATHER_BLOCK):
+        d = even[start : start + _GATHER_BLOCK, None]
+        b = rows ^ d  # [d, a] = a ^ d
+        shifted = vb.ravel()[(b[:, :, None] << n) | cols]  # vb[a ^ d, i ^ xa[a]]
+        rho[rows, rows ^ xa[d]] = ((coef[rows, b][:, :, None] * va) * shifted).sum(axis=1)
 
     tr = np.trace(rho)
     if abs(tr - 1.0) > 1e-9:
@@ -216,21 +235,31 @@ def density_from_covariance(s: CovarianceMatrix | np.ndarray) -> np.ndarray:
 def fock_vector(e: CovarianceMatrix | np.ndarray) -> np.ndarray:
     """State vector of the pure quasifree state with basis projection E.
 
-    The vector is the common null vector of the smeared operators B(g)
-    over the kernel of E; it is unique up to phase, and the phase
-    returned here is whatever the eigensolver produces.
+    The vector is the common null vector of the smeared operators
+    B(g) = sum_a g_a B_a over the kernel of E, found as the null vector
+    of sum_k B(g_k)^* B(g_k) = sum_ab C_ab B_a B_b with C = conj(K) K^T
+    over the kernel columns K.  Each B_a B_b is the Pauli string
+    (x_a ^ x_b, v_a[i] v_b[i ^ x_a]), so the sum is one scatter.  The
+    vector is unique up to phase, and the phase returned here is
+    whatever the eigensolver produces.
     """
-    m = _matrix(e)
-    ops = majorana_ops(m.shape[0] // 2)
+    m, n = _oracle_matrix(e)
     w, vecs = np.linalg.eigh(m)
     if np.abs(w - np.rint(w)).max() > 1e-8:
         raise ValidationError("E is not a projection (eigenvalues not 0/1)")
     kernel = vecs[:, w < 0.5]
-    acc = np.zeros_like(ops[0])
-    for k in range(kernel.shape[1]):
-        op = smear(ops, kernel[:, k])
-        acc += op.conj().T @ op
-    wa, va = np.linalg.eigh(acc)
+    xs, values = _majorana_strings(n)
+    hdim = 1 << n
+    rows = np.arange(hdim)
+    cols = rows ^ xs[:, None]  # [a, i] = i ^ x_a
+    c = kernel.conj() @ kernel.T
+    # [a, b, i]: C_ab v_a[i] v_b[i ^ x_a], at column i ^ x_a ^ x_b of row i
+    terms = c[:, :, None] * values[:, None] * values[:, cols].swapaxes(0, 1)
+    flat = (rows * hdim + (cols[:, None] ^ xs[:, None])).ravel()
+    acc = np.bincount(flat, terms.real.ravel(), hdim * hdim) + 1j * np.bincount(
+        flat, terms.imag.ravel(), hdim * hdim
+    )
+    wa, va = np.linalg.eigh(acc.reshape(hdim, hdim))
     if wa[0] > 1e-9 or (len(wa) > 1 and wa[1] < 1e-8):
         raise ValidationError(
             f"annihilator null space is not one-dimensional: lowest eigenvalues {wa[:3]}"
@@ -245,6 +274,11 @@ def parity_from_indices(n: int, indices) -> np.ndarray:
     order; using a subset that spans one party's reference space yields
     that party's local parity.
     """
+    return _dense(*_parity_string(n, indices))
+
+
+def _parity_string(n: int, indices) -> tuple[int, np.ndarray]:
+    """The parity monomial of parity_from_indices as a Pauli string (x, values)."""
     idx = sorted(int(i) for i in indices)
     if len(idx) % 2 != 0:
         raise ValidationError("parity monomial needs an even number of indices")
@@ -253,11 +287,13 @@ def parity_from_indices(n: int, indices) -> np.ndarray:
     if len(set(idx)) < len(idx):
         raise ValidationError("parity indices must be distinct")
     half = len(idx) // 2
-    ops = majorana_ops(n)
-    out = np.eye(1 << n, dtype=complex)
+    xs, values = _majorana_strings(n)
+    rows = np.arange(1 << n)
+    x, v = 0, np.ones(1 << n, dtype=complex)
     for a in idx:
-        out = out @ ops[a]
-    return (2.0 ** half) * (1j ** half) * out
+        v = v * values[a][rows ^ x]
+        x ^= xs[a]
+    return x, (2.0 ** half) * (1j ** half) * v
 
 
 @dataclass(frozen=True)
@@ -272,25 +308,31 @@ def joint_parity(rho: np.ndarray, split: BipartiteSplit) -> JointParityResult:
     n is read off the 2^n x 2^n shape of rho.  Builds theta_A as the
     parity monomial over Alice's indices and theta_B = theta * theta_A,
     so the product of local parities is the global parity by
-    construction.  Returns outcome probabilities and unnormalized
-    posterior operators P rho P for the four outcomes.
+    construction.  The global parity theta flips no bit, so theta_B and
+    theta_A theta_B are Pauli strings too, and each projector
+    (1 + la theta_A)(1 + lb theta_B)/4 is the scatter of four strings.
+    Returns outcome probabilities and unnormalized posterior operators
+    P rho P for the four outcomes.
     """
     shape = np.shape(rho)
     n = shape[0].bit_length() - 1 if shape else 0
     if n < 0 or shape != (1 << n, 1 << n):
         raise ValidationError(f"density matrix of shape {shape} is not 2^n x 2^n")
-    theta = parity_from_indices(n, range(2 * n))
-    theta_a = parity_from_indices(n, split.a)
-    theta_b = theta @ theta_a
-    eye = np.eye(1 << n)
+    _, theta = _parity_string(n, range(2 * n))
+    xa, theta_a = _parity_string(n, split.a)
+    rows = np.arange(1 << n)
+    theta_b = theta * theta_a  # flips xa
+    both = theta_a * theta_b[rows ^ xa]  # theta_A theta_B flips no bit
     probs: dict[str, float] = {}
     post: dict[str, np.ndarray] = {}
     for ja, la in (("+", 1), ("-", -1)):
         for jb, lb in (("+", 1), ("-", -1)):
-            proj = 0.25 * (eye + la * theta_a) @ (eye + lb * theta_b)
+            proj = _dense(xa, 0.25 * (la * theta_a + lb * theta_b))
+            proj[rows, rows] += 0.25 * (1 + la * lb * both)
             key = ja + jb
-            probs[key] = float(np.trace(proj @ rho).real)
-            post[key] = proj @ rho @ proj
+            left = proj @ rho
+            probs[key] = float(np.trace(left).real)
+            post[key] = left @ proj
     total = sum(probs.values())
     if abs(total - 1.0) > 1e-10:
         raise ValidationError(f"joint parity probabilities sum to {total:.12f}")
@@ -325,14 +367,14 @@ def verify_all(
     relating posterior overlaps to the two fidelities.  All comparisons
     are phase-insensitive.
     """
-    m = _matrix(s)
-    n = m.shape[0] // 2
     rho = density_from_covariance(s)
+    n = len(rho).bit_length() - 1
     dev: dict[str, float] = {}
 
-    # parity expectation vs trace against the dense parity operator
-    theta = parity_from_indices(n, range(2 * n))
-    lhs = float(np.trace(rho @ theta).real)
+    # parity expectation vs trace against the parity operator, which
+    # flips no bit: tr(rho theta) = sum_i rho[i, i] theta[i]
+    _, theta = _parity_string(n, range(2 * n))
+    lhs = float((np.diagonal(rho) @ theta).real)
     dev["parity_expectation"] = abs(lhs - parity_expectation(s))
 
     # parity probability vs the oracle sector weight of the target E

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -80,6 +81,15 @@ class LatticeGeometry:
     N: int
 
     def __post_init__(self):
+        # numpy integers become ints, so the FFT sizing sees plain Python
+        # integers; floats, strings and other non-integers are refused
+        for name in ("L", "N"):
+            try:
+                object.__setattr__(self, name, operator.index(getattr(self, name)))
+            except TypeError:
+                raise ValidationError(
+                    f"{name} must be an integer, got {getattr(self, name)!r}"
+                ) from None
         if self.L < 2:
             raise ValidationError("block length L must be >= 2")
         if self.N < 0:

@@ -1,14 +1,21 @@
 """Test-only oracles, kept independent of the library code paths they check.
 
 Also the reference constructions that only tests use: the Kronecker-
-product Majorana operators, the polar decomposition (the V oracle), the
-twirl coefficients and output fidelity of the twirled-state route,
-random pure states, and the global parity operator.
+product Majorana operators, the dense-matrix routes of the Fock oracle
+(smeared operators, Fock vectors, parity monomials, joint parity), the
+polar decomposition (the V oracle), the twirl coefficients and output
+fidelity of the twirled-state route, random pure states, and the global
+parity operator.
 """
 
 import numpy as np
 
-from fermidistill.fock import _check_modes, parity_from_indices
+from fermidistill.fock import (
+    JointParityResult,
+    _check_modes,
+    majorana_ops,
+    parity_from_indices,
+)
 from fermidistill.linalg import RANK_RTOL, random_orthogonal, svd
 from fermidistill.states import STRUCT_ATOL, CovarianceMatrix, ValidationError
 
@@ -134,6 +141,74 @@ def density_dense_products(s: np.ndarray, ops: list[np.ndarray]) -> np.ndarray:
         for b in range(start, dim):
             stack.append((mask | (1 << b), b + 1, mono @ ops[b]))
     return rho
+
+
+def smear(ops: list[np.ndarray], x: np.ndarray) -> np.ndarray:
+    """B(x) = sum_a x_a B_a, complex linear in the reference vector x."""
+    out = np.zeros_like(ops[0])
+    for coeff, op in zip(np.asarray(x), ops):
+        if coeff != 0:
+            out = out + coeff * op
+    return out
+
+
+def fock_vector_smeared(e: np.ndarray) -> np.ndarray:
+    """State vector of the pure quasifree state with basis projection E.
+
+    The null vector of sum_k B(g_k)^* B(g_k) over the kernel vectors g_k
+    of E, each B(g_k) smeared from the dense operators and multiplied
+    densely.  Unique up to phase.
+    """
+    m = np.asarray(e, dtype=complex)
+    ops = majorana_ops(m.shape[0] // 2)
+    w, vecs = np.linalg.eigh(m)
+    if np.abs(w - np.rint(w)).max() > 1e-8:
+        raise ValidationError("E is not a projection (eigenvalues not 0/1)")
+    kernel = vecs[:, w < 0.5]
+    acc = np.zeros_like(ops[0])
+    for k in range(kernel.shape[1]):
+        op = smear(ops, kernel[:, k])
+        acc += op.conj().T @ op
+    wa, va = np.linalg.eigh(acc)
+    if wa[0] > 1e-9 or (len(wa) > 1 and wa[1] < 1e-8):
+        raise ValidationError(
+            f"annihilator null space is not one-dimensional: lowest eigenvalues {wa[:3]}"
+        )
+    return va[:, 0]
+
+
+def parity_dense_products(n: int, indices) -> np.ndarray:
+    """Parity monomial 2^(k/2) i^(k/2) prod B_a as dense products, ascending."""
+    idx = sorted(int(i) for i in indices)
+    half = len(idx) // 2
+    ops = majorana_ops(n)
+    out = np.eye(1 << n, dtype=complex)
+    for a in idx:
+        out = out @ ops[a]
+    return (2.0 ** half) * (1j ** half) * out
+
+
+def joint_parity_dense_products(rho: np.ndarray, split) -> JointParityResult:
+    """Joint local-parity measurement from dense projector products.
+
+    theta_A over Alice's indices, theta_B = theta @ theta_A, and each
+    projector (1 + la theta_A)(1 + lb theta_B)/4 as a matrix product.
+    No shape or normalisation check.
+    """
+    n = rho.shape[0].bit_length() - 1
+    theta = parity_dense_products(n, range(2 * n))
+    theta_a = parity_dense_products(n, split.a)
+    theta_b = theta @ theta_a
+    eye = np.eye(1 << n)
+    probs: dict[str, float] = {}
+    post: dict[str, np.ndarray] = {}
+    for ja, la in (("+", 1), ("-", -1)):
+        for jb, lb in (("+", 1), ("-", -1)):
+            proj = 0.25 * (eye + la * theta_a) @ (eye + lb * theta_b)
+            key = ja + jb
+            probs[key] = float(np.trace(proj @ rho).real)
+            post[key] = proj @ rho @ proj
+    return JointParityResult(probs, post)
 
 
 def polar_decompose(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from fermidistill.fock import (
     joint_parity,
     majorana_ops,
     parity_from_indices,
-    smear,
     verify_all,
 )
 from fermidistill.linalg import pfaffian, random_orthogonal
@@ -32,10 +33,14 @@ from fermidistill.states import (
 
 from helpers import (
     density_dense_products,
+    fock_vector_smeared,
+    joint_parity_dense_products,
     majorana_ops_kron,
+    parity_dense_products,
     parity_operator,
     pfaffian_combinatorial,
     random_basis_projection,
+    smear,
     wick_table_recursive,
 )
 
@@ -179,6 +184,105 @@ class TestDensityAgainstDenseProducts:
             mask = int(np.sum(1 << idx))
             minor = s[np.ix_(idx, idx)]
             assert abs(table[mask] - pfaffian_combinatorial(minor)) <= 1e-13
+
+
+def _permuted(matrix, rng):
+    """The covariance in a random other ordering of the real basis."""
+    inv = np.argsort(rng.permutation(len(matrix)))
+    return matrix[np.ix_(inv, inv)]
+
+
+def _even_subsets(n, rng, count=4):
+    """The empty and the full index set and `count` random even-size ones."""
+    sizes = 2 * rng.integers(0, n + 1, size=count)
+    return [(), tuple(range(2 * n))] + [
+        tuple(rng.choice(2 * n, size=k, replace=False)) for k in sizes
+    ]
+
+
+def _assert_fock_vector_matches(e):
+    n = len(e) // 2
+    psi = fock_vector(e)
+    assert abs(abs(np.vdot(fock_vector_smeared(e), psi)) - 1.0) <= 1e-12
+    w, vecs = np.linalg.eigh(e)
+    ops = majorana_ops(n)
+    for g in vecs[:, w < 0.5].T:
+        assert np.linalg.norm(smear(ops, g) @ psi) <= 1e-12
+
+
+def _assert_joint_parity_matches(rho, split):
+    got = joint_parity(rho, split)
+    ref = joint_parity_dense_products(rho, split)
+    assert got.probabilities.keys() == ref.probabilities.keys()
+    for key, p in ref.probabilities.items():
+        assert abs(got.probabilities[key] - p) <= 1e-13
+        np.testing.assert_allclose(got.posterior[key], ref.posterior[key], rtol=0, atol=1e-13)
+
+
+class TestStringsAgainstDenseRoutes:
+    """Parity monomials, joint parity and Fock vectors against dense products.
+
+    The references in helpers build every operator as a dense matrix and
+    every product as a matrix product.
+    """
+
+    @pytest.mark.parametrize("n", range(1, MAX_MODES + 1))
+    def test_parity_monomials_exact(self, n, rng):
+        for idx in _even_subsets(n, rng):
+            got = parity_from_indices(n, idx)
+            assert np.array_equal(got, parity_dense_products(n, idx)), idx
+
+    @pytest.mark.parametrize("permute", [False, True], ids=["canonical", "permuted"])
+    @pytest.mark.parametrize("n", range(1, MAX_MODES + 1))
+    def test_fock_vectors(self, n, permute, rng):
+        for _ in range(2):
+            e = random_basis_projection(n, rng).matrix
+            _assert_fock_vector_matches(_permuted(e, rng) if permute else e)
+
+    @pytest.mark.parametrize("permute", [False, True], ids=["canonical", "permuted"])
+    @pytest.mark.parametrize("n", range(1, MAX_MODES + 1))
+    def test_joint_parity(self, n, permute, rng):
+        s = random_covariance(n, rng).matrix
+        rho = density_from_covariance(_permuted(s, rng) if permute else s)
+        for alice in _even_subsets(n, rng):
+            _assert_joint_parity_matches(rho, BipartiteSplit.from_alice(alice, 2 * n))
+
+    @settings(max_examples=25, deadline=None)
+    @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), permute=st.booleans())
+    def test_small_states(self, n, seed, permute):
+        rng = np.random.default_rng(seed)
+        s = random_covariance(n, rng).matrix
+        e = random_basis_projection(n, rng).matrix
+        if permute:
+            s, e = _permuted(s, rng), _permuted(e, rng)
+        alice = _even_subsets(n, rng, count=1)[-1]
+        assert np.array_equal(parity_from_indices(n, alice), parity_dense_products(n, alice))
+        _assert_fock_vector_matches(e)
+        _assert_joint_parity_matches(
+            density_from_covariance(s), BipartiteSplit.from_alice(alice, 2 * n)
+        )
+
+
+class TestMalformedOracleInput:
+    @pytest.mark.parametrize(
+        "call, shape",
+        [
+            (lambda: density_from_covariance(np.eye(3) * 0.5), (3, 3)),
+            (lambda: density_from_covariance(np.full(4, 0.5)), (4,)),
+            (lambda: density_from_covariance(np.eye(2 * MAX_MODES + 2) * 0.5), (14, 14)),
+            (lambda: fock_vector(np.ones((2, 3))), (2, 3)),
+            (lambda: fock_vector(np.eye(3)), (3, 3)),
+            (lambda: fock_vector(np.zeros((0, 0))), (0, 0)),
+            (lambda: verify_all(np.eye(3) * 0.5, np.eye(4), BipartiteSplit.halves(4)), (3, 3)),
+        ],
+        ids=["odd-side", "vector", "seven-modes", "rectangular", "odd-projection", "empty",
+             "verify-all"],
+    )
+    def test_shape_named(self, call, shape):
+        # these used to end in ValueError from reshape, LinAlgError, or a
+        # misleading "null space is not one-dimensional"
+        with pytest.raises(ValidationError, match=f"got shape {re.escape(str(shape))}"):
+            call()
 
 
 class TestFockVector:

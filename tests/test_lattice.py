@@ -494,6 +494,21 @@ class TestRestrictedCovariance:
         with pytest.raises(ValidationError):
             restricted_covariance(LatticeGeometry(2, 0), m=3)
 
+    def test_numpy_integer_lengths(self):
+        # the FFT sizing calls int.bit_length, which numpy integers lack
+        geometry = LatticeGeometry(np.int64(64), np.int32(1))
+        assert type(geometry.L) is int and type(geometry.N) is int
+        s, _, _ = restricted_covariance(geometry, m=2)
+        reference, _, _ = restricted_covariance(LatticeGeometry(64, 1), m=2)
+        np.testing.assert_array_equal(s.matrix, reference.matrix)
+
+    @pytest.mark.parametrize(
+        "L, N", [(64.0, 1), ("64", 1), (64, 1.0)], ids=["float-L", "string-L", "float-N"]
+    )
+    def test_non_integer_lengths_rejected(self, L, N):
+        with pytest.raises(ValidationError, match="must be an integer"):
+            LatticeGeometry(L, N)
+
 
 class TestRejectedSettings:
     @pytest.mark.parametrize("jobs", [0, -3])
