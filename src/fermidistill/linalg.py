@@ -3,9 +3,12 @@
 The Pfaffian is the workhorse: every probability and fidelity in this
 package is a Pfaffian of a real antisymmetric matrix, and its *sign*
 carries physical meaning, so we use a sign-exact elimination algorithm
-instead of sqrt(det).  It runs over a leading batch axis, so a stack of
-small matrices (one per sampled protocol) costs one vectorised
-elimination rather than one Python loop per matrix.
+instead of sqrt(det).  Both `pfaffian` and `haar_frame` take a stack of
+small matrices (one per sampled protocol) and work on one batch-last
+copy of it, so every step is a contiguous operation over the whole
+stack rather than one Python loop per matrix.  Malformed input raises
+`ValidationError`, the package's one error type for structural
+violations.
 """
 
 from __future__ import annotations
@@ -22,32 +25,15 @@ ANTISYMMETRY_RTOL = 1e-12
 RANK_RTOL = 1e-12
 
 
-def check_antisymmetric(a: np.ndarray) -> np.ndarray:
-    """Validate that each matrix in `a` is square, even-dimensional and antisymmetric.
+class ValidationError(ValueError):
+    """Raised when an input violates a structural invariant."""
 
-    `a` is one matrix or a stack (..., n, n).  Returns the array unchanged.  Raises ValueError on violation; the
-    tolerance is relative to each matrix's own largest entry so that
-    rescaled inputs behave identically, and the message names the first
-    offending member of a stack.
-    """
-    a = np.asarray(a)
-    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"expected a square matrix or a stack of them, got shape {a.shape}")
-    if a.shape[-1] % 2 != 0:
-        raise ValueError(f"Pfaffian requires even dimension, got {a.shape[-1]}")
-    if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
-    scale = np.abs(a).max(axis=(-2, -1), initial=0.0)
-    resid = np.abs(a + np.swapaxes(a, -1, -2)).max(axis=(-2, -1), initial=0.0)
-    bad = resid > ANTISYMMETRY_RTOL * scale
-    if bad.any():
-        idx = np.unravel_index(int(np.argmax(bad)), bad.shape)
-        member = f"stack member {tuple(int(i) for i in idx)}" if a.ndim > 2 else "matrix"
-        raise ValueError(
-            f"{member} is not antisymmetric: |A + A^T|_max = {resid[idx]:.3e}"
-            f" exceeds {ANTISYMMETRY_RTOL:.1e} * |A|_max"
-        )
-    return a
+
+def _member(index: int, lead: tuple[int, ...]) -> str:
+    """Name stack member `index` (flat) of a stack with leading shape `lead`."""
+    if not lead:
+        return "matrix"
+    return f"stack member {tuple(int(i) for i in np.unravel_index(index, lead))}"
 
 
 def pfaffian(a: np.ndarray) -> float | complex | np.ndarray:
@@ -59,40 +45,70 @@ def pfaffian(a: np.ndarray) -> float | complex | np.ndarray:
     factor).  Satisfies Pf(A)^2 = det(A) with the sign fixed by the
     identity ordering of the rows, ie Pf([[0, a], [-a, 0]]) = a.
 
-    `a` has shape (..., n, n).  Every member picks its own pivot; a
-    member whose pivot column vanishes is singular and gets exactly 0.
-    A 2-D input returns a Python float (complex for complex input); a
-    stack returns an array of shape a.shape[:-2].
+    `a` has shape (..., n, n).  It is copied once into a batch-last
+    array (n, n, count), on which the checks run and every elimination
+    step is a contiguous operation over the stack.  Raises
+    ValidationError unless every member is square, even-dimensional,
+    finite and antisymmetric to ANTISYMMETRY_RTOL times its own largest
+    entry; the message names the first offending member.  Every member
+    picks its own pivot; a member whose pivot column vanishes is
+    singular and gets exactly 0.  A 2-D input returns a Python float
+    (complex for complex input); a stack returns an array of shape
+    a.shape[:-2].
     """
-    a = check_antisymmetric(a)
+    a = np.asarray(a)
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise ValidationError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     n = a.shape[-1]
+    if n % 2:
+        raise ValidationError(f"Pfaffian requires even dimension, got {n}")
+    lead = a.shape[:-2]
+    count = math.prod(lead)
     complex_in = np.iscomplexobj(a)
     dtype = complex if complex_in else float
-    count = math.prod(a.shape[:-2])
-    work = np.array(a, dtype=dtype).reshape(count, n, n)
-    pf = np.ones(count, dtype=dtype)
-    members = np.arange(count)[:, None]
-    pair = np.empty((count, 2), dtype=int)
-    for k in range(0, n - 2, 2):
+    work = np.array(a.reshape(count, n * n).T, dtype=dtype, order="C").reshape(n, n, count)
+    scale = np.abs(work).max(axis=(0, 1), initial=0.0)
+    if not scale.max(initial=0.0) < math.inf:  # NaN and inf carry through max
+        raise ValidationError("matrix contains non-finite entries")
+    resid = work + work.transpose(1, 0, 2)
+    # |A + A^T| in place (for complex input it lands in the real parts)
+    resid = np.abs(resid, out=resid).real.max(axis=(0, 1), initial=0.0)
+    bad = resid > ANTISYMMETRY_RTOL * scale
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise ValidationError(
+            f"{_member(i, lead)} is not antisymmetric: |A + A^T|_max = {resid[i]:.3e}"
+            f" exceeds {ANTISYMMETRY_RTOL:.1e} * |A|_max"
+        )
+    pivots = np.empty((n // 2, count), dtype=dtype)
+    moved = np.zeros((n // 2, count), dtype=np.intp)  # step s swapped iff moved[s] != 0
+    pair = np.empty((3, n, count), dtype=dtype)  # tau, c, -tau of the current step
+    members = np.arange(count)
+    for s, k in enumerate(range(0, n - 2, 2)):
         # Largest element in column k below the diagonal becomes the pivot;
-        # rows and columns k + 1 and kp swap places (in place where kp == k + 1).
-        kp = k + 1 + np.argmax(np.abs(work[:, k + 1:, k]), axis=1)
-        pair[:, 0] = k + 1
-        pair[:, 1] = kp
-        work[members, pair] = work[members, pair[:, ::-1]]
-        work[members, :, pair] = work[members, :, pair[:, ::-1]]
-        pivot = work[:, k, k + 1]
-        pf *= np.where(kp == k + 1, pivot, -pivot)
+        # indices k + 1 and kp swap places.  Row k + 1 moves to row kp, then
+        # column kp is read out as the new column k + 1 (col) and column
+        # k + 1 moves to column kp; row and column k + 1 are never read again.
+        kp = np.abs(work[k + 1:, k]).argmax(axis=0, out=moved[s]) + (k + 1)
+        work[kp, k + 1:, members] = work[k + 1, k + 1:].T
+        col = work[k:, kp, members]
+        work[k:, kp, members] = work[k:, k + 1]
+        pivot = pivots[s] = col[0]
+        m = n - k - 2
+        tau, c, neg = pair[:, :m]
         # A zero pivot means the column vanishes: that member's pf is now 0,
         # and dividing by 1 instead keeps its elimination finite.
-        tau = work[:, k, k + 2:] / np.where(pivot == 0, 1.0, pivot)[:, None]
-        outer = tau[:, :, None] * work[:, None, k + 2:, k + 1]
-        work[:, k + 2:, k + 2:] += outer - np.swapaxes(outer, 1, 2)
+        np.divide(work[k, k + 2:], np.where(pivot == 0, 1.0, pivot), out=tau)
+        c[...] = col[2:]
+        np.negative(tau, out=neg)
+        # rank-2 update tau c^T - c tau^T in one pass
+        work[k + 2:, k + 2:] += np.einsum("xib,xjb->ijb", pair[:2, :m], pair[1:, :m])
     if n:
         # the last 2 x 2 block has a single candidate pivot
-        pf *= work[:, n - 2, n - 1]
-    if a.ndim > 2:
-        return pf.reshape(a.shape[:-2])
+        pivots[-1] = work[n - 2, n - 1]
+    pf = np.where(moved, -pivots, pivots).prod(axis=0)
+    if lead:
+        return pf.reshape(lead)
     return complex(pf[0]) if complex_in else float(pf[0])
 
 
@@ -100,28 +116,49 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Singular value decomposition a = u @ diag(s) @ vh, s decreasing."""
     a = np.asarray(a)
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix contains non-finite entries")
+        raise ValidationError("matrix contains non-finite entries")
     return np.linalg.svd(a)
 
 
 def random_orthogonal(dim: int, seed: int | np.random.Generator) -> np.ndarray:
-    """Haar-random real orthogonal matrix, deterministic per seed.
-
-    QR of a Gaussian matrix with the sign of diag(R) absorbed into Q,
-    which makes the distribution exactly Haar.
-    """
+    """Haar-random real orthogonal matrix, deterministic per seed: `haar_frame` of a Gaussian draw."""
     if dim < 1:
-        raise ValueError("dim must be >= 1")
+        raise ValidationError("dim must be >= 1")
     return haar_frame(np.random.default_rng(seed).standard_normal((dim, dim)))
 
 
 def haar_frame(g: np.ndarray) -> np.ndarray:
-    """Q of the reduced QR of g (..., n, k) with the sign of diag(R) absorbed.
+    """Orthonormal frame of the columns of g (..., n, k), k <= n, by Gram-Schmidt.
 
-    For Gaussian g the k columns are a Haar-random orthonormal frame.
-    The first j columns of Q depend only on the first j columns of g, so
-    the frame equals the first k columns of `random_orthogonal` on the
-    full square draw.
+    Each column is orthogonalised twice against the earlier ones
+    (classical Gram-Schmidt applied twice is orthogonal to working
+    precision: Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005)
+    and normalised, on one batch-last copy of the stack.  This is Q of
+    the reduced QR of g with diag(R) > 0, the QR with the signs of
+    diag(R) absorbed, so for Gaussian g the k columns are a Haar-random
+    orthonormal frame.  The first j columns of the frame depend only on
+    the first j columns of g, so the frame equals the first k columns of
+    `random_orthogonal` on the full square draw.  A column with no
+    component outside the span of the earlier ones (residual at most
+    RANK_RTOL times its norm) raises ValidationError naming it.
     """
-    q, r = np.linalg.qr(g)
-    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
+    g = np.asarray(g, dtype=float)
+    lead, (n, k) = g.shape[:-2], g.shape[-2:]
+    count = math.prod(lead)
+    q = np.array(g.reshape(count, n * k).T, order="C").reshape(n, k, count)
+    size = np.sqrt(np.einsum("ijb,ijb->jb", q, q))
+    for j in range(k):
+        v = q[:, j]
+        if j:
+            done = q[:, :j]
+            for _ in range(2):
+                v -= np.einsum("ilb,lb->ib", done, np.einsum("ilb,ib->lb", done, v))
+        norm = np.sqrt(np.einsum("ib,ib->b", v, v))
+        fine = norm > RANK_RTOL * size[j]
+        if not fine.all():
+            raise ValidationError(
+                f"{_member(int(np.argmin(fine)), lead)}: column {j} has no component"
+                " outside the span of the earlier columns"
+            )
+        v /= norm
+    return q.reshape(n * k, count).T.reshape(g.shape)

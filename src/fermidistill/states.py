@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import pfaffian, svd
+from .linalg import ValidationError, pfaffian, svd
 
 STRUCT_ATOL = 1e-10          # structural tolerances (hermiticity, realness, ...)
 CROSS_CHECK_ATOL = 1e-8      # agreement between independent formulas
@@ -55,10 +55,6 @@ __all__ = [
     "load_covariance",
     "save_covariance",
 ]
-
-
-class ValidationError(ValueError):
-    """Raised when an input violates a structural invariant."""
 
 
 class ConvergenceError(RuntimeError):
@@ -168,7 +164,8 @@ class RealProjectionPair:
                     f"{name} must be 2-D with an even number of columns (whole modes), "
                     f"got shape {u.shape}"
                 )
-            if np.abs(u.T @ u - np.eye(u.shape[1])).max(initial=0.0) > STRUCT_ATOL:
+            err = np.abs(u.T @ u - np.eye(u.shape[1])).max(initial=0.0)
+            if not err <= STRUCT_ATOL:  # NaN fails too
                 raise ValidationError(f"{name} does not have orthonormal columns")
             object.__setattr__(self, name, u)
 
@@ -298,14 +295,16 @@ def fock_fidelity(s: CovarianceMatrix | np.ndarray, e: CovarianceMatrix | np.nda
     ms, me = _matrix(s), _matrix(e)
     if ms.shape != me.shape:
         raise ValidationError("S and E must have the same dimension")
-    n2 = ms.shape[0]
-    arg = -1j * (np.eye(n2) - ms - me)
-    ref = -1j * (np.eye(n2) - 2 * me)
-    for name, mat in (("1 - S - E", arg), ("1 - 2E", ref)):
-        if np.abs(mat.imag).max() > 1e-8:
+    # With S = 1/2 + i G_S and E = 1/2 + i G_E, -i(1 - S - E) = -(G_S + G_E)
+    # and -i(1 - 2E) = -2 G_E; their imaginary parts Re(S + E) - 1 and
+    # 2 Re E - 1 must vanish.
+    diagonal = slice(None, None, ms.shape[0] + 1)
+    for name, residue in (("1 - S - E", ms.real + me.real), ("1 - 2E", 2 * me.real)):
+        residue.flat[diagonal] -= 1.0
+        if not np.abs(residue).max(initial=0.0) <= 1e-8:
             raise ValidationError(f"-i({name}) has imaginary residue above 1e-8")
-    pair = np.stack([arg.real, ref.real])
-    num, den = pfaffian((pair - np.swapaxes(pair, 1, 2)) / 2)
+    g = np.stack([ms.imag + me.imag, 2 * me.imag])
+    num, den = pfaffian((np.swapaxes(g, 1, 2) - g) / 2)
     if abs(abs(den) - 1.0) > 1e-6:
         raise ValidationError("E is not a basis projection (orientation Pfaffian != +-1)")
     fid = num / round(den)
@@ -429,11 +428,11 @@ def _protocol_quantities_stack(
         raise ValidationError("frames ua and ub must have equal rank")
     for name, u in (("ua", ua), ("ub", ub)):
         gram = np.swapaxes(u, 1, 2) @ u
-        check(np.abs(gram - np.eye(r)).max(axis=(1, 2), initial=0.0) > STRUCT_ATOL,
+        check(~(np.abs(gram - np.eye(r)).max(axis=(1, 2), initial=0.0) <= STRUCT_ATOL),
               lambda i: f"{name} does not have orthonormal columns")
     m = r // 2
     iso = np.abs(np.swapaxes(vp, 1, 2) @ vp - np.eye(r)).max(axis=(1, 2), initial=0.0)
-    check(iso > 1e-8, lambda i: "V is not a partial isometry between Ran D_B and Ran D_A")
+    check(~(iso <= 1e-8), lambda i: "V is not a partial isometry between Ran D_B and Ran D_A")
     detv = np.rint(np.linalg.det(vp))
 
     uat, ubt = np.swapaxes(ua, 1, 2), np.swapaxes(ub, 1, 2)
@@ -455,7 +454,7 @@ def _protocol_quantities_stack(
     pfs = pfaffian(mats)
 
     p = (1.0 + detv * ((-4.0) ** m) * pfs[0]) / 2.0
-    check((p < -STRUCT_ATOL) | (p > 1 + STRUCT_ATOL),
+    check(~((p >= -STRUCT_ATOL) & (p <= 1 + STRUCT_ATOL)),
           lambda i: f"restricted parity probability {p[i]:.3e} outside [0, 1]")
     p = np.clip(p, 0.0, 1.0)
 
@@ -603,5 +602,11 @@ def load_covariance(path: str | Path) -> tuple[CovarianceMatrix, BipartiteSplit]
         pairs = None
     if pairs is None or pairs.shape != (dim * dim, 2) or pairs.dtype.kind not in "iuf":
         raise ValidationError("entries must be [re, im] pairs of numbers")
+    finite = np.isfinite(pairs).all(axis=1)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise ValidationError(
+            f"entry {i} (row {i // dim}, column {i % dim}) is not finite: {entries[i]!r}"
+        )
     s = CovarianceMatrix(pairs.astype(float).view(complex).reshape(dim, dim))
     return s, BipartiteSplit.from_alice(split_a, dim)

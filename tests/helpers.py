@@ -3,7 +3,8 @@
 Also the reference constructions that only tests use: the Kronecker-
 product Majorana operators, the dense-matrix routes of the Fock oracle
 (smeared operators, Fock vectors, parity monomials, joint parity), the
-polar decomposition (the V oracle), the twirl coefficients and output
+Householder QR frames (the Gram-Schmidt frame oracle), the polar
+decomposition (the V oracle), the twirl coefficients and output
 fidelity of the twirled-state route, random pure states, and the global
 parity operator.
 """
@@ -209,6 +210,12 @@ def joint_parity_dense_products(rho: np.ndarray, split) -> JointParityResult:
             probs[key] = float(np.trace(proj @ rho).real)
             post[key] = proj @ rho @ proj
     return JointParityResult(probs, post)
+
+
+def haar_frame_householder(g: np.ndarray) -> np.ndarray:
+    """Q of the Householder QR of g (..., n, k) with the signs of diag(R) absorbed."""
+    q, r = np.linalg.qr(g)
+    return q * np.sign(np.diagonal(r, axis1=-2, axis2=-1))[..., None, :]
 
 
 def polar_decompose(y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

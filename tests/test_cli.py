@@ -177,6 +177,26 @@ class TestUnreadablePaths:
         assert "Traceback" not in err
 
 
+class TestNonFiniteFile:
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["NaN", "Infinity"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["protocol", "--m", "2"], ["scan-m", "--m-max", "2"], ["oracle", "--m", "2"]],
+        ids=["protocol", "scan-m", "oracle"],
+    )
+    def test_error_line_not_traceback(self, tmp_path, capsys, argv, value):
+        path = tmp_path / "state.json"
+        save_covariance(path, random_covariance(4, 5), BipartiteSplit.halves(8))
+        payload = json.loads(path.read_text())
+        payload["entries"][4][1] = value  # Im S[0, 4], in the cross block
+        path.write_text(json.dumps(payload))
+        assert json.dumps(value) in path.read_text()
+        assert main([argv[0], str(path), *argv[1:]]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "entry 4" in err and "Traceback" not in err
+
+
 class TestClosedFormCommands:
     def test_two_mode(self, capsys):
         code = main(["closed-form", "two-mode", "--params", "0", "0", "1", "1"])

@@ -5,9 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermidistill.linalg import haar_frame, pfaffian, random_orthogonal, svd
+from fermidistill import linalg, states
+from fermidistill.linalg import ValidationError, haar_frame, pfaffian, random_orthogonal, svd
 
-from helpers import pfaffian_combinatorial, polar_decompose, random_antisymmetric
+from helpers import (
+    haar_frame_householder,
+    pfaffian_combinatorial,
+    polar_decompose,
+    random_antisymmetric,
+)
 
 
 class TestPfaffian:
@@ -48,12 +54,12 @@ class TestPfaffian:
             assert pfaffian_combinatorial(a) == pytest.approx(expected, rel=1e-12)
 
     def test_odd_dimension_rejected(self):
-        with pytest.raises(ValueError, match="even"):
+        with pytest.raises(ValidationError, match="even"):
             pfaffian(np.zeros((3, 3)))
 
     def test_symmetry_violation_rejected(self, rng):
         a = rng.standard_normal((4, 4))
-        with pytest.raises(ValueError, match="antisymmetric"):
+        with pytest.raises(ValidationError, match="antisymmetric"):
             pfaffian(a)
 
     def test_singular_matrix_gives_zero(self):
@@ -134,7 +140,7 @@ class TestPfaffianStack:
     def test_non_antisymmetric_member_rejected(self, rng):
         a = np.stack([random_antisymmetric(6, rng) for _ in range(5)])
         a[3, 0, 2] += 1e-3
-        with pytest.raises(ValueError, match=r"stack member \(3,\) is not antisymmetric"):
+        with pytest.raises(ValidationError, match=r"stack member \(3,\) is not antisymmetric"):
             pfaffian(a)
 
     def test_tolerance_is_per_member(self, rng):
@@ -145,8 +151,27 @@ class TestPfaffianStack:
         tiny = random_antisymmetric(4, rng) * 1e-6
         pfaffian(np.stack([big, tiny]))
         tiny[0, 1] += 1e-15
-        with pytest.raises(ValueError, match=r"stack member \(1,\)"):
+        with pytest.raises(ValidationError, match=r"stack member \(1,\)"):
             pfaffian(np.stack([big, tiny]))
+
+
+class TestMalformedInput:
+    def test_one_error_type(self):
+        assert states.ValidationError is linalg.ValidationError
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_member_rejected(self, rng, value):
+        a = np.stack([random_antisymmetric(4, rng) for _ in range(3)])
+        a[1, 0, 2], a[1, 2, 0] = value, -value
+        with pytest.raises(ValidationError, match="non-finite"):
+            pfaffian(a)
+        with pytest.raises(ValidationError, match="non-finite"):
+            pfaffian(a[1])
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 4, 2)])
+    def test_shape_rejected(self, shape):
+        with pytest.raises(ValidationError, match="square"):
+            pfaffian(np.zeros(shape))
 
 
 class TestSvd:
@@ -167,7 +192,7 @@ class TestSvd:
         assert np.all(np.diff(s) <= 0)
 
     def test_nonfinite_rejected(self):
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValidationError, match="finite"):
             svd(np.array([[np.nan, 0.0], [0.0, 1.0]]))
 
 
@@ -218,7 +243,7 @@ class TestRandomOrthogonal:
         np.testing.assert_array_equal(random_orthogonal(5, 123), random_orthogonal(5, 123))
 
     def test_bad_dim(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             random_orthogonal(0, 1)
 
     def test_generator_draws_like_its_seed(self):
@@ -232,3 +257,43 @@ class TestRandomOrthogonal:
         for gi, frame in zip(g, frames):
             np.testing.assert_allclose(frame, haar_frame(gi)[:, :4], atol=1e-12)
             np.testing.assert_allclose(frame.T @ frame, np.eye(4), atol=1e-12)
+
+
+class TestHaarFrame:
+    @pytest.mark.parametrize("shape", [(1, 1), (6, 6), (8, 4), (5, 1), (3, 8, 3), (4, 2, 6, 6)])
+    def test_matches_householder_reference(self, rng, shape):
+        g = rng.standard_normal(shape)
+        frame = haar_frame(g)
+        assert frame.shape == shape
+        np.testing.assert_allclose(frame, haar_frame_householder(g), rtol=0, atol=1e-12)
+        k = shape[-1]
+        gram = np.swapaxes(frame, -1, -2) @ frame
+        np.testing.assert_allclose(gram, np.broadcast_to(np.eye(k), gram.shape), atol=1e-13)
+
+    def test_ill_conditioned_columns_stay_orthonormal(self, rng):
+        # one column within 1e-8 of the span of the others: classical
+        # Gram-Schmidt once loses orthogonality here, twice keeps it
+        g = rng.standard_normal((8, 4))
+        g[:, 3] = g[:, :3] @ rng.standard_normal(3) + 1e-8 * rng.standard_normal(8)
+        frame = haar_frame(g)
+        np.testing.assert_allclose(frame.T @ frame, np.eye(4), atol=1e-13)
+        np.testing.assert_allclose(frame, haar_frame_householder(g), atol=1e-7)
+
+    @pytest.mark.parametrize("column", [0, 2])
+    def test_rank_deficient_column_rejected(self, rng, column):
+        g = rng.standard_normal((6, 4))
+        g[:, column] = 2.0 * g[:, column - 1] if column else 0.0
+        with pytest.raises(ValidationError, match=f"matrix: column {column} has no component"):
+            haar_frame(g)
+
+    def test_rank_deficient_member_named(self, rng):
+        g = rng.standard_normal((3, 2, 5, 3))
+        g[2, 1, :, 2] = g[2, 1, :, 0] - g[2, 1, :, 1]
+        with pytest.raises(ValidationError, match=r"stack member \(2, 1\): column 2"):
+            haar_frame(g)
+
+    def test_non_finite_column_rejected(self, rng):
+        g = rng.standard_normal((5, 3))
+        g[1, 1] = np.nan
+        with pytest.raises(ValidationError, match="column 1"):
+            haar_frame(g)

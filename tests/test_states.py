@@ -209,6 +209,18 @@ class TestFidelity:
         with pytest.raises(ValidationError):
             fock_fidelity(mixed(2), random_basis_projection(3, rng))
 
+    def test_each_check_named(self, rng):
+        s, e = random_covariance(2, rng).matrix, random_basis_projection(2, rng).matrix
+        shift = np.full((4, 4), 0.25)  # real symmetric: breaks S = 1/2 + iG
+        with pytest.raises(ValidationError, match=r"-i\(1 - S - E\) has imaginary residue"):
+            fock_fidelity(s + shift, e)
+        with pytest.raises(ValidationError, match=r"-i\(1 - S - E\) has imaginary residue"):
+            fock_fidelity(np.full((4, 4), np.nan), e)
+        with pytest.raises(ValidationError, match=r"-i\(1 - 2E\) has imaginary residue"):
+            fock_fidelity(s - shift, e + shift)
+        with pytest.raises(ValidationError, match="orientation Pfaffian"):
+            fock_fidelity(s, mixed(2))
+
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=2**31))
     def test_fidelity_sum_bounded_by_parity_probability(self, seed):
@@ -309,6 +321,18 @@ class TestProtocolQuantitiesStack:
         with pytest.raises(ValidationError, match="stack member 3: ub does not have orthonormal"):
             _protocol_quantities_stack(blk, ua, bad, vp)
 
+    def test_nan_frame_and_isometry_named(self, rng):
+        s, split, ua, ub, vp = self._stack(rng)
+        blk = blocks(s, split)
+        bad = ua.copy()
+        bad[1] = np.nan
+        with pytest.raises(ValidationError, match="stack member 1: ua does not have orthonormal"):
+            _protocol_quantities_stack(blk, bad, ub, vp)
+        bad = vp.copy()
+        bad[4, 0, 0] = np.nan
+        with pytest.raises(ValidationError, match="stack member 4: V is not a partial isometry"):
+            _protocol_quantities_stack(blk, ua, ub, bad)
+
 
 class TestFrames:
     @settings(max_examples=40, deadline=None)
@@ -336,6 +360,12 @@ class TestFrames:
             RealProjectionPair(1.01 * u, u)
         with pytest.raises(ValidationError, match="orthonormal"):
             RealProjectionPair(u, u @ u.T)  # a projection is not a frame
+
+    def test_nan_frame_rejected(self):
+        with pytest.raises(ValidationError, match="ua does not have orthonormal"):
+            RealProjectionPair(np.full((4, 4), np.nan), np.eye(4))
+        with pytest.raises(ValidationError, match="ub does not have orthonormal"):
+            RealProjectionPair(np.eye(4), np.full((4, 2), np.nan))
 
     def test_odd_column_count_rejected(self, rng):
         u = random_orthogonal(4, rng)
@@ -498,6 +528,16 @@ class TestFileFormat:
         path = tmp_path / "short.json"
         path.write_text('{"modes": 2, "split_a": [0, 1], "entries": [[0.5, 0.0]]}')
         with pytest.raises(ValidationError, match="expected 16 entries"):
+            load_covariance(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_entry_named(self, tmp_path, rng, value):
+        path = tmp_path / "state.json"
+        save_covariance(path, random_covariance(2, rng), BipartiteSplit.halves(4))
+        payload = json.loads(path.read_text())
+        payload["entries"][6][1] = value
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match=r"entry 6 \(row 1, column 2\) is not finite"):
             load_covariance(path)
 
     @pytest.mark.parametrize("field, value, message", MALFORMED_FIELDS)
