@@ -6,7 +6,7 @@ them.  `fock` holds an exact dense oracle for small systems, `lattice`
 the scalable pipeline for the hopping chain.
 """
 
-from .linalg import pfaffian, random_orthogonal, svd
+from .linalg import pfaffian, svd
 from .protocol import (
     DistillationReport,
     ProtocolChoice,
@@ -56,7 +56,6 @@ __all__ = [
     "partner_projection",
     "pfaffian",
     "protocol_quantities",
-    "random_orthogonal",
     "restrict",
     "run_protocol",
     "sample_suboptimal",

@@ -28,6 +28,7 @@ ordering first: S[np.ix_(inv, inv)] with inv = np.argsort(perm).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,7 +53,6 @@ MAX_MODES = 6
 _GATHER_BLOCK = 2
 
 __all__ = [
-    "majorana_ops",
     "density_from_covariance",
     "fock_vector",
     "parity_from_indices",
@@ -91,6 +91,7 @@ def _dense(x: int, values: np.ndarray) -> np.ndarray:
     return op
 
 
+@functools.cache
 def _majorana_strings(n: int) -> tuple[np.ndarray, np.ndarray]:
     """Pauli strings (xs, values) of the 2n Majorana operators.
 
@@ -98,7 +99,8 @@ def _majorana_strings(n: int) -> tuple[np.ndarray, np.ndarray]:
     first Kronecker factor is the most significant bit) and carries the
     Jordan-Wigner sign z(i), the parity of i's bits for modes 0..j-1;
     B_j has values z / sqrt(2) and B_{j+n} has i (2 occupied_j(i) - 1)
-    z / sqrt(2).
+    z / sqrt(2).  Built once per n (n <= MAX_MODES) and returned
+    read-only, since every caller shares the cached arrays.
     """
     _check_modes(n)
     pop, _ = _bit_tables(n)
@@ -108,25 +110,18 @@ def _majorana_strings(n: int) -> tuple[np.ndarray, np.ndarray]:
     occupied = (rows >> (shift - 1)) & 1
     flips = np.int64(1) << (shift[:, 0] - 1)
     values = np.concatenate([z, 1j * (2 * occupied - 1) * z]) / np.sqrt(2)
-    return np.concatenate([flips, flips]), values
+    xs = np.concatenate([flips, flips])
+    xs.flags.writeable = values.flags.writeable = False
+    return xs, values
 
 
-def majorana_ops(n: int) -> list[np.ndarray]:
-    """The 2n Majorana operators on the 2^n-dimensional Fock space.
-
-    Selfadjoint, with anticommutators {B_a, B_b} = delta_ab * 1 (note the
-    normalization B_a^2 = 1/2).  The dense view of the Jordan-Wigner
-    Pauli strings, one scatter per operator.
-    """
-    xs, values = _majorana_strings(n)
-    return [_dense(x, v) for x, v in zip(xs, values)]
-
-
+@functools.cache
 def _bit_tables(bits: int) -> tuple[np.ndarray, np.ndarray]:
     """Popcount and lowest set bit of every mask below 2^bits.
 
     Built by doubling in int64: masks in [2^b, 2^(b+1)) are those below
-    2^b with bit b added.  The lowest bit of mask 0 is left at 0.
+    2^b with bit b added.  The lowest bit of mask 0 is left at 0.  Built
+    once per size (bits <= 2 * MAX_MODES) and returned read-only.
     """
     pop = np.zeros(1 << bits, dtype=np.int64)
     low = np.zeros(1 << bits, dtype=np.int64)
@@ -135,6 +130,7 @@ def _bit_tables(bits: int) -> tuple[np.ndarray, np.ndarray]:
         pop[size : 2 * size] = pop[:size] + 1
         low[size : 2 * size] = low[:size]
         low[size] = b
+    pop.flags.writeable = low.flags.writeable = False
     return pop, low
 
 
@@ -144,26 +140,28 @@ def _wick_table(s: np.ndarray) -> np.ndarray:
     Indexed by bitmask over the 2n Majorana indices; odd masks hold 0.
     Each Pfaffian is the Laplace expansion along the lowest set bit,
     Pf(S_M) = sum_j (-1)^(pos_j - 1) S[low, j] Pf(S_{M - low - j}),
-    evaluated level by level over popcount with array operations, so a
-    level reads only the finished level below it.
+    evaluated one popcount level at a time: every (mask, j) pair of a
+    level comes from one `np.nonzero`, and its terms, which read only
+    the finished level below, are summed per mask with one
+    `np.bincount` pair.
     """
     dim = s.shape[0]
     pop, low = _bit_tables(dim)
     table = np.zeros(1 << dim, dtype=complex)
     table[0] = 1.0
+    bits = np.arange(dim)
     for k in range(2, dim + 1, 2):
         level = np.flatnonzero(pop == k)
         first = low[level]
         rest = level & ~(np.int64(1) << first)
-        acc = np.zeros(len(level), dtype=complex)
-        for j in range(1, dim):
-            bit = np.int64(1) << j
-            has = (rest & bit) != 0
-            sub = rest[has]
-            # pos_j - 1 = set bits of the mask strictly between low and j
-            sign = 1.0 - 2.0 * (pop[sub & (bit - 1)] % 2)
-            acc[has] += sign * s[first[has], j] * table[sub ^ bit]
-        table[level] = acc
+        row, j = np.nonzero((rest[:, None] >> bits) & 1)
+        sub, bit = rest[row], np.int64(1) << j
+        # pos_j - 1 = set bits of the mask strictly between low and j
+        sign = 1.0 - 2.0 * (pop[sub & (bit - 1)] % 2)
+        terms = sign * s[first[row], j] * table[sub ^ bit]
+        table[level] = np.bincount(row, terms.real, len(level)) + 1j * np.bincount(
+            row, terms.imag, len(level)
+        )
     return table
 
 

@@ -42,7 +42,6 @@ from .protocol import (
     ProtocolChoice,
     _degenerate_cut_warning,
     _evaluate,
-    run_protocol,
 )
 from .states import (
     BipartiteSplit,
@@ -69,7 +68,6 @@ __all__ = [
     "sweep_to_csv",
     "fit_power_law",
     "min_length",
-    "dense_covariance",
 ]
 
 
@@ -494,31 +492,6 @@ def lattice_point(geometry: LatticeGeometry, m: int = 2, seed: int = 0) -> Disti
     """Protocol quantities for one (L, N) geometry via the iterative route."""
     cov, split, choice = restricted_covariance(geometry, m=m, seed=seed)
     return _evaluate(blocks(cov, split), choice)
-
-
-def dense_covariance(geometry: LatticeGeometry) -> tuple[CovarianceMatrix, BipartiteSplit]:
-    """Reference route: the full 4L x 4L restricted covariance, built densely.
-
-    Index layout: position-like coordinates of all 2L sites first (Alice
-    block then Bob block), momentum-like second.  Only feasible for
-    small L; used to validate the iterative pipeline.
-    """
-    L, N = geometry.L, geometry.N
-    sites = np.concatenate([np.arange(-L, 0), np.arange(N, N + L)])
-    diff = sites[:, None] - sites[None, :]
-    centered = _sine_kernel(diff)   # zero diagonal = centered at half filling
-    g = np.block(
-        [[np.zeros((2 * L, 2 * L)), centered], [-centered, np.zeros((2 * L, 2 * L))]]
-    )
-    s = CovarianceMatrix(0.5 * np.eye(4 * L) + 1j * g)
-    alice = list(range(L)) + list(range(2 * L, 3 * L))
-    return s, BipartiteSplit.from_alice(alice, 4 * L)
-
-
-def dense_lattice_point(geometry: LatticeGeometry, m: int = 2) -> DistillationReport:
-    """Dense reference evaluation of one geometry (small L only)."""
-    s, split = dense_covariance(geometry)
-    return run_protocol(s, split, m)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,10 @@ carries physical meaning, so we use a sign-exact elimination algorithm
 instead of sqrt(det).  Both `pfaffian` and `haar_frame` take a stack of
 small matrices (one per sampled protocol) and work on one batch-last
 copy of it, so every step is a contiguous operation over the whole
-stack rather than one Python loop per matrix.  Malformed input raises
+stack rather than one Python loop per matrix.  Each is a thin wrapper
+around an in-place core on batch-last memory, `_eliminate` and
+`_orthonormalise`, which `sample_suboptimal` calls on buffers it keeps
+for all of its trials.  Malformed input raises
 `ValidationError`, the package's one error type for structural
 violations.
 """
@@ -46,15 +49,14 @@ def pfaffian(a: np.ndarray) -> float | complex | np.ndarray:
     identity ordering of the rows, ie Pf([[0, a], [-a, 0]]) = a.
 
     `a` has shape (..., n, n).  It is copied once into a batch-last
-    array (n, n, count), on which the checks run and every elimination
-    step is a contiguous operation over the stack.  Raises
-    ValidationError unless every member is square, even-dimensional,
-    finite and antisymmetric to ANTISYMMETRY_RTOL times its own largest
-    entry; the message names the first offending member.  Every member
-    picks its own pivot; a member whose pivot column vanishes is
-    singular and gets exactly 0.  A 2-D input returns a Python float
-    (complex for complex input); a stack returns an array of shape
-    a.shape[:-2].
+    array (n, n, count), which `_eliminate` checks and eliminates in
+    place.  Raises ValidationError unless every member is square,
+    even-dimensional, finite and antisymmetric to ANTISYMMETRY_RTOL
+    times its own largest entry; the message names the first offending
+    member.  Every member picks its own pivot; a member whose pivot
+    column vanishes is singular and gets exactly 0.  A 2-D input returns
+    a Python float (complex for complex input); a stack returns an array
+    of shape a.shape[:-2].
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -67,12 +69,39 @@ def pfaffian(a: np.ndarray) -> float | complex | np.ndarray:
     complex_in = np.iscomplexobj(a)
     dtype = complex if complex_in else float
     work = np.array(a.reshape(count, n * n).T, dtype=dtype, order="C").reshape(n, n, count)
-    scale = np.abs(work).max(axis=(0, 1), initial=0.0)
+    pf = _eliminate(work, np.empty(_scratch_size(n, count), dtype=dtype), lead)
+    if lead:
+        return pf.reshape(lead)
+    return complex(pf[0]) if complex_in else float(pf[0])
+
+
+def _scratch_size(n: int, count: int) -> int:
+    """Entries of scratch `_eliminate` needs for count n x n matrices: one stack and the step buffers."""
+    return (n * n + 3 * n) * count
+
+
+def _eliminate(work: np.ndarray, scratch: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
+    """Check and eliminate the batch-last stack work (n, n, count) in place; its Pfaffians.
+
+    The core of `pfaffian`, for callers that keep their own buffers:
+    work is overwritten and scratch, a flat array of at least
+    `_scratch_size(n, count)` entries of work's dtype, holds every
+    temporary of the stack's size.  Checks finiteness (from each
+    member's max |A|, through which NaN and inf carry) and antisymmetry
+    per member; an error names the member by its index in `lead`, whose
+    C-order flattening is the last axis of work.  Each step touches only
+    the live block.  The pivot search writes |column| into scratch laid
+    out (count, m), so argmax runs over its contiguous last axis; ties
+    go to the first maximum.
+    """
+    n, _, count = work.shape
+    full = scratch[: n * n * count].reshape(n, n, count)
+    scale = np.abs(work, out=full).real.max(axis=(0, 1), initial=0.0)
     if not scale.max(initial=0.0) < math.inf:  # NaN and inf carry through max
         raise ValidationError("matrix contains non-finite entries")
-    resid = work + work.transpose(1, 0, 2)
-    # |A + A^T| in place (for complex input it lands in the real parts)
-    resid = np.abs(resid, out=resid).real.max(axis=(0, 1), initial=0.0)
+    # |A + A^T| (for complex input it lands in the real parts)
+    np.add(work, work.transpose(1, 0, 2), out=full)
+    resid = np.abs(full, out=full).real.max(axis=(0, 1), initial=0.0)
     bad = resid > ANTISYMMETRY_RTOL * scale
     if bad.any():
         i = int(np.argmax(bad))
@@ -80,36 +109,38 @@ def pfaffian(a: np.ndarray) -> float | complex | np.ndarray:
             f"{_member(i, lead)} is not antisymmetric: |A + A^T|_max = {resid[i]:.3e}"
             f" exceeds {ANTISYMMETRY_RTOL:.1e} * |A|_max"
         )
-    pivots = np.empty((n // 2, count), dtype=dtype)
+    pivots = np.empty((n // 2, count), dtype=work.dtype)
     moved = np.zeros((n // 2, count), dtype=np.intp)  # step s swapped iff moved[s] != 0
-    pair = np.empty((3, n, count), dtype=dtype)  # tau, c, -tau of the current step
+    pair = scratch[: 3 * n * count].reshape(3, n, count)  # tau, c, -tau of the current step
+    update = scratch[3 * n * count :]
     members = np.arange(count)
     for s, k in enumerate(range(0, n - 2, 2)):
         # Largest element in column k below the diagonal becomes the pivot;
         # indices k + 1 and kp swap places.  Row k + 1 moves to row kp, then
         # column kp is read out as the new column k + 1 (col) and column
         # k + 1 moves to column kp; row and column k + 1 are never read again.
-        kp = np.abs(work[k + 1:, k]).argmax(axis=0, out=moved[s]) + (k + 1)
-        work[kp, k + 1:, members] = work[k + 1, k + 1:].T
+        size = n - k - 1
+        mags = np.abs(work[k + 1 :, k].T, out=scratch[: count * size].reshape(count, size))
+        kp = mags.argmax(axis=1, out=moved[s]) + (k + 1)
+        work[kp, k + 1 :, members] = work[k + 1, k + 1 :].T
         col = work[k:, kp, members]
         work[k:, kp, members] = work[k:, k + 1]
         pivot = pivots[s] = col[0]
         m = n - k - 2
-        tau, c, neg = pair[:, :m]
+        tau, c, neg = pair[0, :m], pair[1, :m], pair[2, :m]
         # A zero pivot means the column vanishes: that member's pf is now 0,
         # and dividing by 1 instead keeps its elimination finite.
-        np.divide(work[k, k + 2:], np.where(pivot == 0, 1.0, pivot), out=tau)
+        np.divide(work[k, k + 2 :], pivot + (pivot == 0), out=tau)
         c[...] = col[2:]
         np.negative(tau, out=neg)
         # rank-2 update tau c^T - c tau^T in one pass
-        work[k + 2:, k + 2:] += np.einsum("xib,xjb->ijb", pair[:2, :m], pair[1:, :m])
+        block = update[: m * m * count].reshape(m, m, count)
+        np.einsum("xib,xjb->ijb", pair[:2, :m], pair[1:, :m], out=block)
+        work[k + 2 :, k + 2 :] += block
     if n:
         # the last 2 x 2 block has a single candidate pivot
         pivots[-1] = work[n - 2, n - 1]
-    pf = np.where(moved, -pivots, pivots).prod(axis=0)
-    if lead:
-        return pf.reshape(lead)
-    return complex(pf[0]) if complex_in else float(pf[0])
+    return np.where(moved, -pivots, pivots).prod(axis=0)
 
 
 def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -120,32 +151,39 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.linalg.svd(a)
 
 
-def random_orthogonal(dim: int, seed: int | np.random.Generator) -> np.ndarray:
-    """Haar-random real orthogonal matrix, deterministic per seed: `haar_frame` of a Gaussian draw."""
-    if dim < 1:
-        raise ValidationError("dim must be >= 1")
-    return haar_frame(np.random.default_rng(seed).standard_normal((dim, dim)))
-
-
 def haar_frame(g: np.ndarray) -> np.ndarray:
     """Orthonormal frame of the columns of g (..., n, k), k <= n, by Gram-Schmidt.
 
     Each column is orthogonalised twice against the earlier ones
     (classical Gram-Schmidt applied twice is orthogonal to working
     precision: Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005)
-    and normalised, on one batch-last copy of the stack.  This is Q of
-    the reduced QR of g with diag(R) > 0, the QR with the signs of
-    diag(R) absorbed, so for Gaussian g the k columns are a Haar-random
-    orthonormal frame.  The first j columns of the frame depend only on
-    the first j columns of g, so the frame equals the first k columns of
-    `random_orthogonal` on the full square draw.  A column with no
-    component outside the span of the earlier ones (residual at most
-    RANK_RTOL times its norm) raises ValidationError naming it.
+    and normalised, by `_orthonormalise` on one batch-last copy of the
+    stack.  This is Q of the reduced QR of g with diag(R) > 0, the QR
+    with the signs of diag(R) absorbed, so for Gaussian g the k columns
+    are a Haar-random orthonormal frame.  The first j columns of the
+    frame depend only on the first j columns of g, so the frame of a
+    square n x n draw starts with the frame of its first k columns.  A
+    column with no component outside the span of the earlier ones
+    (residual at most RANK_RTOL times its norm) raises ValidationError
+    naming it.
     """
     g = np.asarray(g, dtype=float)
     lead, (n, k) = g.shape[:-2], g.shape[-2:]
     count = math.prod(lead)
     q = np.array(g.reshape(count, n * k).T, order="C").reshape(n, k, count)
+    _orthonormalise(q, lead)
+    return q.reshape(n * k, count).T.reshape(g.shape)
+
+
+def _orthonormalise(q: np.ndarray, lead: tuple[int, ...]) -> None:
+    """Gram-Schmidt, applied twice, on the batch-last stack q (n, k, count) in place.
+
+    The core of `haar_frame`, for callers that keep their own buffers;
+    it allocates nothing of the stack's size.  A rank
+    failure names the member by its index in `lead`, whose C-order
+    flattening is the last axis of q, and the column.
+    """
+    n, k, count = q.shape
     size = np.sqrt(np.einsum("ijb,ijb->jb", q, q))
     for j in range(k):
         v = q[:, j]
@@ -161,4 +199,3 @@ def haar_frame(g: np.ndarray) -> np.ndarray:
                 " outside the span of the earlier columns"
             )
         v /= norm
-    return q.reshape(n * k, count).T.reshape(g.shape)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import haar_frame, svd, RANK_RTOL
+from .linalg import RANK_RTOL, _orthonormalise, _scratch_size, svd
 from .states import (
     P_FLOOR,
     BipartiteSplit,
@@ -286,10 +286,17 @@ def sample_suboptimal(
     probe against the canonical choice.  One default_rng(seed) feeds
     every trial: row t of a (trials, (2k + r) r) standard-normal draw
     (k = |A| = |B|, r = 2m) holds trial t's k x r Alice and Bob draws and
-    r x r pairing draw, row-major, each made a frame by `haar_frame`.
-    Rows are filled in order, so the trials do not depend on SAMPLE_CHUNK
-    and a longer run extends a shorter one.  Trials are evaluated as
-    stacks of SAMPLE_CHUNK; the first trial with the largest pf wins.
+    r x r pairing draw, row-major, each made a frame by Gram-Schmidt as
+    in `haar_frame`.  Rows are filled in order, so the trials do not
+    depend on SAMPLE_CHUNK and a longer run extends a shorter one.
+
+    Trials are evaluated as stacks of C = SAMPLE_CHUNK in one workspace,
+    a single allocation per call: the draw, filled with
+    `standard_normal(out=)`, the batch-last frames (k, r, 2, C) and
+    (r, r, C), the Pfaffian matrices (2r, 2r, 3, C) and the elimination
+    scratch.  Each chunk, the last partial one included, runs in views
+    of their first count trials, so no chunk allocates a stack-sized
+    array.  The first trial with the largest pf wins.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -297,20 +304,35 @@ def sample_suboptimal(
     blk = blocks(s, split)
     k, r = len(split.a), 2 * m  # |A| == |B| after _check_target
     rng = np.random.default_rng(seed)
+    size = min(SAMPLE_CHUNK, trials)
+    # draw, frames (k, r, 2, C) and (r, r, C), Pfaffian matrices, scratch;
+    # one allocation, as separate buffers were mapped afresh by most calls
+    per_trial = [(2 * k + r) * r, 2 * k * r, r * r, 3 * (2 * r) ** 2]
+    lengths = [size * w for w in per_trial] + [_scratch_size(2 * r, 3 * size)]
+    draw, side_buf, pair_buf, mats_buf, scratch = np.split(
+        np.empty(sum(lengths)), np.cumsum(lengths)[:-1]
+    )
+    draw = draw.reshape(size, per_trial[0])
     best: SuboptimalSample | None = None
-    for start in range(0, trials, SAMPLE_CHUNK):
-        count = min(SAMPLE_CHUNK, trials - start)
-        draw = rng.standard_normal((count, (2 * k + r) * r))
-        sides = haar_frame(draw[:, : 2 * k * r].reshape(count, 2, k, r))
-        ua, ub = sides[:, 0], sides[:, 1]
-        o = haar_frame(draw[:, 2 * k * r:].reshape(count, r, r))
+    for start in range(0, trials, size):
+        count = min(size, trials - start)
+        rows = rng.standard_normal(out=draw[:count])
+        sides = side_buf[: k * r * 2 * count].reshape(k, r, 2, count)
+        sides[...] = rows[:, : 2 * k * r].reshape(count, 2, k, r).transpose(2, 3, 1, 0)
+        _orthonormalise(sides.reshape(k, r, 2 * count), (2, count))
+        pairing = pair_buf[: r * r * count].reshape(r, r, count)
+        pairing[...] = rows[:, 2 * k * r :].reshape(count, r, r).transpose(1, 2, 0)
+        _orthonormalise(pairing, (count,))
+        # trial-first views of the batch-last frames
+        ua, ub, o = (f.transpose(2, 0, 1) for f in (sides[:, :, 0], sides[:, :, 1], pairing))
+        mats = mats_buf[: (2 * r) ** 2 * 3 * count].reshape(2 * r, 2 * r, 3, count)
         # V = ua o ub^T compresses onto the frames as ua^T V ub = o
-        p, pf = _protocol_quantities_stack(blk, ua, ub, o)
+        p, pf = _protocol_quantities_stack(blk, ua, ub, o, mats, scratch)
         i = int(np.argmax(pf))
         if best is None or pf[i] > best.best_pf:
             pi, pfi = float(p[i]), float(pf[i])
             best = SuboptimalSample(
                 pfi, pi, pfi / pi if pi > P_FLOOR else None, start + i,
-                RealProjectionPair(ua[i], ub[i]), ua[i] @ o[i] @ ub[i].T,
+                RealProjectionPair(ua[i].copy(), ub[i].copy()), ua[i] @ o[i] @ ub[i].T,
             )
     return best

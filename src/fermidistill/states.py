@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import ValidationError, pfaffian, svd
+from .linalg import ValidationError, _eliminate, _scratch_size, pfaffian, svd
 
 STRUCT_ATOL = 1e-10          # structural tolerances (hermiticity, realness, ...)
 CROSS_CHECK_ATOL = 1e-8      # agreement between independent formulas
@@ -406,17 +406,29 @@ def protocol_quantities(
 
 
 def _protocol_quantities_stack(
-    blk: BlockDecomposition, ua: np.ndarray, ub: np.ndarray, vp: np.ndarray
+    blk: BlockDecomposition,
+    ua: np.ndarray,
+    ub: np.ndarray,
+    vp: np.ndarray,
+    mats: np.ndarray | None = None,
+    scratch: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """p and pf of `protocol_quantities` for a stack of protocol instances.
 
     ua (b, |A|, r) and ub (b, |B|, r) are the kept-mode frames of each
-    member and vp (b, r, r) its compressed isometry ua^T V ub.  The
-    three 2r x 2r Pfaffian matrices (G', M+, M-) of every member go
-    through one `pfaffian` call.  Every check of the single evaluation
-    runs on every member, and a failure names the first offending one.
+    member and vp (b, r, r) its compressed isometry ua^T V ub; any
+    strides will do, so they may be views of batch-last memory.  The
+    three 2r x 2r Pfaffian matrices (G', M+, M-) of every member are
+    written batch-last into mats (2r, 2r, 3, b) and eliminated in place
+    by `linalg._eliminate` with `scratch`; a caller evaluating many
+    stacks passes both, else they are allocated here.  Every check of
+    the single evaluation runs on every member, and a failure names the
+    first offending one.
     """
     b, r = ua.shape[0], ua.shape[2]
+    if mats is None:
+        mats = np.empty((2 * r, 2 * r, 3, b))
+        scratch = np.empty(_scratch_size(2 * r, 3 * b))
 
     def check(bad: np.ndarray, message) -> None:
         if np.any(bad):
@@ -426,32 +438,38 @@ def _protocol_quantities_stack(
 
     if ub.shape[2] != r:
         raise ValidationError("frames ua and ub must have equal rank")
-    for name, u in (("ua", ua), ("ub", ub)):
-        gram = np.swapaxes(u, 1, 2) @ u
-        check(~(np.abs(gram - np.eye(r)).max(axis=(1, 2), initial=0.0) <= STRUCT_ATOL),
-              lambda i: f"{name} does not have orthonormal columns")
+    # batch-last views (row, column, member): each product below is an
+    # einsum over the contiguous member axis when the frames are views of
+    # batch-last memory
+    fa, fb, o = (u.transpose(1, 2, 0) for u in (ua, ub, vp))
+    eye = np.eye(r)[:, :, None]
+
+    def gram_error(u: np.ndarray) -> np.ndarray:
+        return np.abs(np.einsum("iab,icb->acb", u, u) - eye).max(axis=(0, 1), initial=0.0)
+
+    for name, u in (("ua", fa), ("ub", fb)):
+        check(~(gram_error(u) <= STRUCT_ATOL), lambda i: f"{name} does not have orthonormal columns")
     m = r // 2
-    iso = np.abs(np.swapaxes(vp, 1, 2) @ vp - np.eye(r)).max(axis=(1, 2), initial=0.0)
-    check(~(iso <= 1e-8), lambda i: "V is not a partial isometry between Ran D_B and Ran D_A")
+    check(~(gram_error(o) <= 1e-8),
+          lambda i: "V is not a partial isometry between Ran D_B and Ran D_A")
     detv = np.rint(np.linalg.det(vp))
 
-    uat, ubt = np.swapaxes(ua, 1, 2), np.swapaxes(ub, 1, 2)
-    xp = uat @ blk.x @ ua
-    yp = uat @ blk.y @ ub
-    zp = ubt @ blk.z @ ub
-    xa = (xp - np.swapaxes(xp, 1, 2)) / 2
-    za = (zp - np.swapaxes(zp, 1, 2)) / 2
+    def compress(left: np.ndarray, g: np.ndarray, right: np.ndarray) -> np.ndarray:
+        return np.einsum("iab,icb->acb", left, np.einsum("ij,jcb->icb", g, right))
 
-    # mats[0] = G' = [[X', Y'], [-Y'^T, Z']] / 2, mats[1], mats[2] = M+, M-
-    mats = np.empty((3, b, 2 * r, 2 * r))
-    mats[:, :, :r, :r] = xa
-    mats[:, :, r:, r:] = za
-    mats[0, :, :r, r:] = yp
-    mats[1, :, :r, r:] = yp + vp
-    mats[2, :, :r, r:] = yp - vp
-    mats[:, :, r:, :r] = -np.swapaxes(mats[:, :, :r, r:], 2, 3)
-    mats[0] *= 0.5
-    pfs = pfaffian(mats)
+    xp, yp, zp = compress(fa, blk.x, fa), compress(fa, blk.y, fb), compress(fb, blk.z, fb)
+
+    # mats[:, :, 0] = G' = [[X', Y'], [-Y'^T, Z']] / 2, then M+ and M-, with
+    # X' and Z' antisymmetrised; each lower left block is minus the upper
+    # right one transposed
+    mats[:r, :r] = ((xp - xp.transpose(1, 0, 2)) / 2)[:, :, None]
+    mats[r:, r:] = ((zp - zp.transpose(1, 0, 2)) / 2)[:, :, None]
+    mats[:r, r:, 0] = yp
+    np.add(yp, o, out=mats[:r, r:, 1])
+    np.subtract(yp, o, out=mats[:r, r:, 2])
+    np.negative(mats[:r, r:].transpose(1, 0, 2, 3), out=mats[r:, :r])
+    mats[:, :, 0] *= 0.5
+    pfs = _eliminate(mats.reshape(2 * r, 2 * r, 3 * b), scratch, (3, b)).reshape(3, b)
 
     p = (1.0 + detv * ((-4.0) ** m) * pfs[0]) / 2.0
     check(~((p >= -STRUCT_ATOL) & (p <= 1 + STRUCT_ATOL)),
@@ -460,13 +478,13 @@ def _protocol_quantities_stack(
 
     pf = detv * ((-1.0) ** m) * (pfs[1] + pfs[2]) / (2.0 ** r)
 
-    vanish = np.minimum(np.abs(xp).max(axis=(1, 2), initial=0.0),
-                        np.abs(zp).max(axis=(1, 2), initial=0.0)) < STRUCT_ATOL
+    vanish = np.minimum(np.abs(xp).max(axis=(0, 1), initial=0.0),
+                        np.abs(zp).max(axis=(0, 1), initial=0.0)) < STRUCT_ATOL
     if np.any(vanish):
         det_form = np.full(b, np.nan)
+        yv, ov = yp[:, :, vanish].transpose(2, 0, 1), o[:, :, vanish].transpose(2, 0, 1)
         det_form[vanish] = (
-            np.abs(np.linalg.det(yp[vanish] + vp[vanish]))
-            + np.abs(np.linalg.det(yp[vanish] - vp[vanish]))
+            np.abs(np.linalg.det(yv + ov)) + np.abs(np.linalg.det(yv - ov))
         ) / (2.0 ** r)
         check(vanish & (np.abs(pf - det_form) > CROSS_CHECK_ATOL),
               lambda i: "block-Pfaffian and determinant forms disagree: "

@@ -1,9 +1,11 @@
 """Test-only oracles, kept independent of the library code paths they check.
 
-Also the reference constructions that only tests use: the Kronecker-
-product Majorana operators, the dense-matrix routes of the Fock oracle
-(smeared operators, Fock vectors, parity monomials, joint parity), the
-Householder QR frames (the Gram-Schmidt frame oracle), the polar
+Also the reference constructions that only tests use: the dense
+Majorana operators (from the package's Pauli strings and from Kronecker
+products), the dense-matrix routes of the Fock oracle (smeared
+operators, Fock vectors, parity monomials, joint parity), the dense
+lattice route, Haar-random orthogonal matrices, the Householder QR
+frames (the Gram-Schmidt frame oracle), the polar
 decomposition (the V oracle), the twirl coefficients and output
 fidelity of the twirled-state route, random pure states, and the global
 parity operator.
@@ -14,11 +16,14 @@ import numpy as np
 from fermidistill.fock import (
     JointParityResult,
     _check_modes,
-    majorana_ops,
+    _dense,
+    _majorana_strings,
     parity_from_indices,
 )
-from fermidistill.linalg import RANK_RTOL, random_orthogonal, svd
-from fermidistill.states import STRUCT_ATOL, CovarianceMatrix, ValidationError
+from fermidistill.lattice import LatticeGeometry, _sine_kernel
+from fermidistill.linalg import RANK_RTOL, haar_frame, svd
+from fermidistill.protocol import DistillationReport, run_protocol
+from fermidistill.states import STRUCT_ATOL, BipartiteSplit, CovarianceMatrix, ValidationError
 
 
 def pfaffian_combinatorial(a: np.ndarray):
@@ -61,6 +66,31 @@ def dense_sine_toeplitz(L: int, r: int) -> np.ndarray:
     return out
 
 
+def dense_covariance(geometry: LatticeGeometry) -> tuple[CovarianceMatrix, BipartiteSplit]:
+    """Reference route: the full 4L x 4L restricted covariance, built densely.
+
+    Index layout: position-like coordinates of all 2L sites first (Alice
+    block then Bob block), momentum-like second.  Only feasible for
+    small L; used to validate the iterative pipeline.
+    """
+    L, N = geometry.L, geometry.N
+    sites = np.concatenate([np.arange(-L, 0), np.arange(N, N + L)])
+    diff = sites[:, None] - sites[None, :]
+    centered = _sine_kernel(diff)   # zero diagonal = centered at half filling
+    g = np.block(
+        [[np.zeros((2 * L, 2 * L)), centered], [-centered, np.zeros((2 * L, 2 * L))]]
+    )
+    s = CovarianceMatrix(0.5 * np.eye(4 * L) + 1j * g)
+    alice = list(range(L)) + list(range(2 * L, 3 * L))
+    return s, BipartiteSplit.from_alice(alice, 4 * L)
+
+
+def dense_lattice_point(geometry: LatticeGeometry, m: int = 2) -> DistillationReport:
+    """Dense reference evaluation of one geometry (small L only)."""
+    s, split = dense_covariance(geometry)
+    return run_protocol(s, split, m)
+
+
 def orthogonal_2x2_grid(steps: int = 2001):
     """All of O(2) on an angle grid: rotations and reflections."""
     for phi in np.linspace(0.0, 2.0 * np.pi, steps):
@@ -97,6 +127,17 @@ def wick_table_recursive(s: np.ndarray) -> dict[int, complex]:
         if bin(mask).count("1") % 2 == 0:
             value(mask)
     return table
+
+
+def majorana_ops(n: int) -> list[np.ndarray]:
+    """The 2n Majorana operators on the 2^n-dimensional Fock space.
+
+    Selfadjoint, with anticommutators {B_a, B_b} = delta_ab * 1 (note the
+    normalization B_a^2 = 1/2).  The dense view of the Jordan-Wigner
+    Pauli strings, one scatter per operator.
+    """
+    xs, values = _majorana_strings(n)
+    return [_dense(x, v) for x, v in zip(xs, values)]
 
 
 def majorana_ops_kron(n: int) -> list[np.ndarray]:
@@ -210,6 +251,13 @@ def joint_parity_dense_products(rho: np.ndarray, split) -> JointParityResult:
             probs[key] = float(np.trace(proj @ rho).real)
             post[key] = proj @ rho @ proj
     return JointParityResult(probs, post)
+
+
+def random_orthogonal(dim: int, seed: int | np.random.Generator) -> np.ndarray:
+    """Haar-random real orthogonal matrix, deterministic per seed: `haar_frame` of a Gaussian draw."""
+    if dim < 1:
+        raise ValidationError("dim must be >= 1")
+    return haar_frame(np.random.default_rng(seed).standard_normal((dim, dim)))
 
 
 def haar_frame_householder(g: np.ndarray) -> np.ndarray:

@@ -24,18 +24,16 @@ from fermidistill.closed_forms import (
 from fermidistill.fock import (
     density_from_covariance,
     fock_vector,
-    majorana_ops,
     parity_from_indices,
 )
 from fermidistill.lattice import (
     LatticeGeometry,
     ToeplitzKernel,
-    dense_lattice_point,
     fit_power_law,
     lattice_point,
     min_length,
 )
-from fermidistill.linalg import pfaffian, random_orthogonal
+from fermidistill.linalg import pfaffian
 from fermidistill.protocol import (
     optimal_pf_bound,
     run_protocol,
@@ -53,7 +51,7 @@ from fermidistill.states import (
     target_orientation,
 )
 
-from helpers import parity_operator
+from helpers import dense_lattice_point, majorana_ops, parity_operator, random_orthogonal
 
 
 def report(number: int, label: str, ok: bool, elapsed: float, detail: str = ""):

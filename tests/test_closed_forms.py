@@ -16,7 +16,7 @@ from fermidistill.closed_forms import (
     two_mode_max_fidelity,
     two_mode_split,
 )
-from fermidistill.fock import density_from_covariance, majorana_ops
+from fermidistill.fock import density_from_covariance
 from fermidistill.protocol import run_protocol
 from fermidistill.states import (
     ValidationError,
@@ -27,7 +27,7 @@ from fermidistill.states import (
     validate,
 )
 
-from helpers import density_dense_products, orthogonal_2x2_grid
+from helpers import density_dense_products, majorana_ops, orthogonal_2x2_grid
 
 
 def random_two_mode(rng):

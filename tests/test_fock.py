@@ -13,11 +13,10 @@ from fermidistill.fock import (
     density_from_covariance,
     fock_vector,
     joint_parity,
-    majorana_ops,
     parity_from_indices,
     verify_all,
 )
-from fermidistill.linalg import pfaffian, random_orthogonal
+from fermidistill.linalg import pfaffian
 from fermidistill.states import (
     BipartiteSplit,
     CovarianceMatrix,
@@ -35,11 +34,13 @@ from helpers import (
     density_dense_products,
     fock_vector_smeared,
     joint_parity_dense_products,
+    majorana_ops,
     majorana_ops_kron,
     parity_dense_products,
     parity_operator,
     pfaffian_combinatorial,
     random_basis_projection,
+    random_orthogonal,
     smear,
     wick_table_recursive,
 )
@@ -68,6 +69,17 @@ class TestMajorana:
         assert len(ops) == len(reference) == 2 * n
         for op, ref in zip(ops, reference):
             assert op.dtype == ref.dtype and np.abs(op - ref).max() == 0
+
+    def test_strings_cached_read_only(self):
+        # built once per size and shared, so no caller may write to them
+        for arrays in (fock._majorana_strings(3), fock._bit_tables(6)):
+            assert all(not x.flags.writeable for x in arrays)
+            with pytest.raises(ValueError, match="read-only"):
+                arrays[0][0] = 1
+        assert fock._majorana_strings(3) is fock._majorana_strings(3)
+        for _ in range(2):
+            with pytest.raises(ValidationError, match="1 <= n <= 6"):
+                fock._majorana_strings(MAX_MODES + 1)
 
     def test_single_mode_squares(self):
         ops = majorana_ops(1)

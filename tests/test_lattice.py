@@ -13,8 +13,6 @@ from fermidistill.lattice import (
     ConvergenceError,
     LatticeGeometry,
     ToeplitzKernel,
-    dense_covariance,
-    dense_lattice_point,
     fit_power_law,
     lattice_point,
     min_length,
@@ -32,7 +30,7 @@ from fermidistill.lattice import (
 )
 from fermidistill.states import ValidationError, blocks, validate
 
-from helpers import dense_sine_toeplitz
+from helpers import dense_covariance, dense_lattice_point, dense_sine_toeplitz
 
 
 class TestKernel:

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermidistill import linalg, states
-from fermidistill.linalg import ValidationError, haar_frame, pfaffian, random_orthogonal, svd
+from fermidistill.linalg import ValidationError, haar_frame, pfaffian, svd
 
 from helpers import (
     haar_frame_householder,
     pfaffian_combinatorial,
     polar_decompose,
     random_antisymmetric,
+    random_orthogonal,
 )
 
 
@@ -153,6 +154,28 @@ class TestPfaffianStack:
         tiny[0, 1] += 1e-15
         with pytest.raises(ValidationError, match=r"stack member \(1,\)"):
             pfaffian(np.stack([big, tiny]))
+
+    def test_workspace_reused_across_stacks(self):
+        # one work buffer and one scratch serve two full stacks and then a
+        # partial-count view, as in sample_suboptimal's chunks; scratch
+        # starts as NaN, so a read of a stale entry would show
+        n, size = 6, 12
+        work_buf = np.empty(n * n * size)
+        scratch = np.empty(linalg._scratch_size(n, size))
+        scratch[:] = np.nan
+        for count, seed in ((size, 1), (size, 2), (5, 3)):
+            a = _oracle_stack(n, (count,), seed, complex_entries=False)
+            # integer entries in {-1, 0, 1}: pivot columns full of ties
+            a[-1] = np.sign(a[-1])
+            work = work_buf[: n * n * count].reshape(n, n, count)
+            work[...] = a.transpose(1, 2, 0)
+            with np.errstate(divide="raise", invalid="raise"):
+                pf = linalg._eliminate(work, scratch, (count,))
+            assert pf.shape == (count,)
+            for i in range(count):
+                assert pf[i] == pytest.approx(pfaffian_combinatorial(a[i]), rel=1e-9, abs=1e-12)
+                assert pf[i] == pytest.approx(pfaffian(a[i]), rel=1e-13, abs=1e-15)
+            assert pf[0] == 0.0 and pf[1] == 0.0
 
 
 class TestMalformedInput:

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermidistill import protocol
-from fermidistill.linalg import haar_frame, random_orthogonal, svd
+from fermidistill.linalg import haar_frame, svd
 from fermidistill.protocol import (
     SAMPLE_CHUNK,
     InsufficientRankError,
@@ -29,7 +29,7 @@ from fermidistill.states import (
     random_x_zero_covariance,
 )
 
-from helpers import polar_decompose
+from helpers import polar_decompose, random_orthogonal
 
 
 class TestOptimalChoice:
@@ -211,7 +211,7 @@ def _reference_sample(s, split, m, trials, seed):
 
 
 class TestSampleSuboptimal:
-    @pytest.mark.parametrize("trials", [1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1])
+    @pytest.mark.parametrize("trials", [1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 2 * SAMPLE_CHUNK + 1])
     @pytest.mark.parametrize("kind", ["x_zero", "general"])
     def test_matches_per_trial_reference(self, trials, kind):
         rng = np.random.default_rng(404)

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fermidistill.linalg import random_orthogonal
 from fermidistill.states import (
     BipartiteSplit,
     ConvergenceError,
@@ -30,7 +29,7 @@ from fermidistill.states import (
 )
 from fermidistill.states import _protocol_quantities_stack
 
-from helpers import output_fidelity, random_basis_projection, twirl_coefficients
+from helpers import output_fidelity, random_basis_projection, random_orthogonal, twirl_coefficients
 
 
 # (field, value, message) of a one-mode covariance file with one bad field
