@@ -97,12 +97,13 @@ class LatticeGeometry:
 def _sine_kernel(q: np.ndarray) -> np.ndarray:
     """t(q) = sin(q pi/2)/(q pi) on integer offsets q, with the q = 0 entry set to zero.
 
-    sin(q pi/2) cycles through 0, 1, 0, -1 with q mod 4, so even offsets
-    are exact zeros; the zero at q = 0 encodes the vanishing diagonal of
-    the centered correlation matrix at half filling.
+    sin(q pi/2) cycles through 0, 1, 0, -1 with q mod 4, which is (q & 1)(1 - (q & 2)):
+    even offsets are exact zeros, and q | 1, equal to q at odd q, is never 0.
+    The zero at q = 0 encodes the vanishing diagonal of the centered
+    correlation matrix at half filling.
     """
     q = np.asarray(q)
-    return np.array([0.0, 1.0, 0.0, -1.0])[q & 3] / (np.where(q == 0, 1, q) * np.pi)
+    return (q & 1) * (1 - (q & 2)) / ((q | 1) * np.pi)
 
 
 def _smooth_length(n: int) -> int:
@@ -197,14 +198,18 @@ class ToeplitzKernel:
         if x.shape != (self.shape[1],):
             raise ValidationError(f"expected vector of length {self.shape[1]}, got {x.shape}")
         big = np.fft.rfft(x, self._fft_len)
-        return np.fft.irfft(self._fft * big, self._fft_len)[: self.shape[0]]
+        np.multiply(self._fft, big, out=big)  # F X: numpy rounds X F differently
+        return np.fft.irfft(big, self._fft_len)[: self.shape[0]]
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         """Product with the transpose: a real circulant's transpose has the conjugate spectrum."""
         if x.shape != (self.shape[0],):
             raise ValidationError(f"expected vector of length {self.shape[0]}, got {x.shape}")
         big = np.fft.rfft(x, self._fft_len)
-        return np.fft.irfft(np.conj(self._fft) * big, self._fft_len)[: self.shape[1]]
+        np.conjugate(big, out=big)  # conj(F) X = conj(F conj(X)) bit for bit, F not copied
+        np.multiply(self._fft, big, out=big)
+        np.conjugate(big, out=big)
+        return np.fft.irfft(big, self._fft_len)[: self.shape[1]]
 
 
 def _parity_blocks(L: int, r: int) -> list[tuple[ToeplitzKernel, list[tuple[int, int]]]]:
@@ -261,15 +266,23 @@ KRYLOV_TOL = 1e-10
 MAX_STEPS = 300
 
 
+def _gram_schmidt(basis: np.ndarray, w: np.ndarray):
+    """One classical Gram-Schmidt pass against the rows of basis: w -= (Q w) Q, in place."""
+    w -= (basis @ w) @ basis
+
+
 def _lanczos(matvec, start, k):
     """Symmetric Lanczos for the k Ritz pairs of largest |theta| of an n x n operator.
 
-    One product per step.  Full reorthogonalization at every step (the
-    Krylov basis stays small here, so the cost is negligible and ghost
-    values are excluded).  The basis is stored row-major, so basis vector
-    j is the contiguous row `q[j]` and reorthogonalization is (Q w) Q over
-    the rows filled so far; it starts at max(16, 2k + 8) rows and doubles
-    when full.
+    One product per step, whose result the step updates in place.  The
+    basis is stored row-major, so basis vector j is the contiguous row
+    `q[j]`; it starts at max(16, 2k + 8) rows and doubles when full.
+    After the three-term update one classical Gram-Schmidt pass (Q w) Q
+    over the rows filled so far reorthogonalizes w, repeated when it cut
+    ||w|| below 1/sqrt(2) of its value before the pass (Daniel, Gragg,
+    Kaufman & Stewart, Math. Comp. 30 (1976) 772; as in ARPACK).  The
+    basis stays orthogonal to working precision, so ghost values are
+    excluded.
 
     The solve has one exit, which lifts the eigenpairs of the j x j
     tridiagonal T onto the basis.  Two conditions lead there:
@@ -296,14 +309,17 @@ def _lanczos(matvec, start, k):
     for j in range(steps):
         if j + 1 == len(q):
             q = np.concatenate((q, np.zeros((min(len(q), steps + 1 - len(q)), n))))
-        w = matvec(q[j])
+        w = np.ascontiguousarray(matvec(q[j]))  # BLAS takes unit strides only
         alphas[j] = q[j] @ w
-        w = w - alphas[j] * q[j]
+        w -= alphas[j] * q[j]
         if j > 0:
             w -= betas[j - 1] * q[j - 1]
-        w -= (q[: j + 1] @ w) @ q[: j + 1]
-        w -= (q[: j + 1] @ w) @ q[: j + 1]
+        before = np.linalg.norm(w)
+        _gram_schmidt(q[: j + 1], w)
         betas[j] = np.linalg.norm(w)
+        if betas[j] < before / np.sqrt(2):  # the DGKS test
+            _gram_schmidt(q[: j + 1], w)
+            betas[j] = np.linalg.norm(w)
         scale = max(scale, abs(alphas[j]), betas[j])
 
         jj = j + 1
@@ -314,7 +330,7 @@ def _lanczos(matvec, start, k):
             res = betas[j] * np.abs(s[-1, keep])
             if exhausted or np.all(res <= KRYLOV_TOL * max(abs(theta[keep[0]]), 1e-300)):
                 break
-        q[jj] = w / betas[j]
+        np.divide(w, betas[j], out=q[jj])
     else:
         raise ConvergenceError(f"Lanczos did not converge in {steps} steps", residuals=res)
 

@@ -347,8 +347,9 @@ def maximally_entangled_projection(v: np.ndarray, split: BipartiteSplit) -> Cova
     if out_of_range:
         raise ValidationError(f"split index {out_of_range[0]} out of range for {dim} indices")
     g = np.zeros((dim, dim))
-    g[np.ix_(list(split.a), list(split.b))] = v / 2
-    g[np.ix_(list(split.b), list(split.a))] = -v.T / 2
+    a, b = np.array(split.a), np.array(split.b)
+    g[a[:, None], b] = v / 2
+    g[b[:, None], a] = -v.T / 2
     return CovarianceMatrix(0.5 * np.eye(dim) + 1j * g)
 
 

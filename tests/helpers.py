@@ -4,8 +4,9 @@ Also the reference constructions that only tests use: the dense
 Majorana operators (from the package's Pauli strings and from Kronecker
 products), the dense-matrix routes of the Fock oracle (smeared
 operators, Fock vectors, parity monomials, joint parity), the dense
-lattice route, Haar-random orthogonal matrices, the Householder QR
-frames (the Gram-Schmidt frame oracle), the polar
+lattice route, the sine kernel by a gather over q mod 4, Lanczos with
+two Gram-Schmidt passes at every step, Haar-random orthogonal matrices,
+the Householder QR frames (the Gram-Schmidt frame oracle), the polar
 decomposition (the V oracle), the twirl coefficients and output
 fidelity of the twirled-state route, random pure states, and the global
 parity operator.
@@ -20,7 +21,13 @@ from fermidistill.fock import (
     _majorana_strings,
     parity_from_indices,
 )
-from fermidistill.lattice import LatticeGeometry, _sine_kernel
+from fermidistill.lattice import (
+    KRYLOV_TOL,
+    MAX_STEPS,
+    ConvergenceError,
+    LatticeGeometry,
+    _sine_kernel,
+)
 from fermidistill.linalg import RANK_RTOL, haar_frame, svd
 from fermidistill.protocol import DistillationReport, run_protocol
 from fermidistill.states import STRUCT_ATOL, BipartiteSplit, CovarianceMatrix, ValidationError
@@ -64,6 +71,78 @@ def dense_sine_toeplitz(L: int, r: int) -> np.ndarray:
             if q != 0:
                 out[j, k] = np.sin(q * np.pi / 2.0) / (q * np.pi)
     return out
+
+
+def sine_kernel_gather(q: np.ndarray) -> np.ndarray:
+    """The sine kernel t(q) = sin(q pi/2)/(q pi), t(0) = 0, from a gather over q mod 4.
+
+    sin(q pi/2) cycles through 0, 1, 0, -1 with q mod 4, so even offsets
+    are exact zeros; the zero at q = 0 encodes the vanishing diagonal of
+    the centered correlation matrix at half filling.
+    """
+    q = np.asarray(q)
+    return np.array([0.0, 1.0, 0.0, -1.0])[q & 3] / (np.where(q == 0, 1, q) * np.pi)
+
+
+def lanczos_two_pass(matvec, start, k):
+    """Symmetric Lanczos for the k Ritz pairs of largest |theta| of an n x n operator.
+
+    One product per step.  Full reorthogonalization at every step (the
+    Krylov basis stays small here, so the cost is negligible and ghost
+    values are excluded).  The basis is stored row-major, so basis vector
+    j is the contiguous row `q[j]` and reorthogonalization is (Q w) Q over
+    the rows filled so far; it starts at max(16, 2k + 8) rows and doubles
+    when full.
+
+    The solve has one exit, which lifts the eigenpairs of the j x j
+    tridiagonal T onto the basis.  Two conditions lead there:
+    - convergence: beta_j |s_ji| <= KRYLOV_TOL * sigma_1 for each kept
+      pair, with s_i its eigenvector of T and sigma_1 the largest |theta|,
+      tested at every step j >= k;
+    - exhaustion: the new beta falls to machine epsilon times the largest
+      |alpha| or beta so far, or the basis spans all n dimensions, and T
+      is exact.
+    The exhaustion floor follows the operator's scale rather than an
+    absolute value.  Past min(MAX_STEPS, n) steps ConvergenceError is
+    raised.  Returns the kept Ritz values (fewer than k when the Krylov
+    space is smaller), their unit vectors as rows and the step count.
+    """
+    n = len(start)
+    steps = min(MAX_STEPS, n)
+    q = np.zeros((min(max(16, 2 * k + 8), steps + 1), n))
+    q[0] = start / np.linalg.norm(start)
+    alphas = np.zeros(steps)
+    betas = np.zeros(steps)
+    res = None
+    eps = np.finfo(float).eps
+    scale = 0.0
+    for j in range(steps):
+        if j + 1 == len(q):
+            q = np.concatenate((q, np.zeros((min(len(q), steps + 1 - len(q)), n))))
+        w = matvec(q[j])
+        alphas[j] = q[j] @ w
+        w = w - alphas[j] * q[j]
+        if j > 0:
+            w -= betas[j - 1] * q[j - 1]
+        w -= (q[: j + 1] @ w) @ q[: j + 1]
+        w -= (q[: j + 1] @ w) @ q[: j + 1]
+        betas[j] = np.linalg.norm(w)
+        scale = max(scale, abs(alphas[j]), betas[j])
+
+        jj = j + 1
+        exhausted = betas[j] <= eps * scale or jj == n
+        if exhausted or jj >= k:
+            theta, s = np.linalg.eigh(np.diag(alphas[:jj]) + np.diag(betas[: jj - 1], -1))
+            keep = np.argsort(-np.abs(theta), kind="stable")[:k]
+            res = betas[j] * np.abs(s[-1, keep])
+            if exhausted or np.all(res <= KRYLOV_TOL * max(abs(theta[keep[0]]), 1e-300)):
+                break
+        q[jj] = w / betas[j]
+    else:
+        raise ConvergenceError(f"Lanczos did not converge in {steps} steps", residuals=res)
+
+    x = s[:, keep].T @ q[:jj]
+    return theta[keep], x / np.linalg.norm(x, axis=1)[:, None], jj
 
 
 def dense_covariance(geometry: LatticeGeometry) -> tuple[CovarianceMatrix, BipartiteSplit]:

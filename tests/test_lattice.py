@@ -26,11 +26,19 @@ from fermidistill.lattice import (
     _interleave,
     _is_mirror,
     _parity_blocks,
+    _sine_kernel,
     _smooth_length,
 )
 from fermidistill.states import ValidationError, blocks, validate
 
-from helpers import dense_covariance, dense_lattice_point, dense_sine_toeplitz
+from helpers import (
+    dense_covariance,
+    dense_lattice_point,
+    dense_sine_toeplitz,
+    lanczos_two_pass,
+    random_orthogonal,
+    sine_kernel_gather,
+)
 
 
 class TestKernel:
@@ -58,6 +66,31 @@ class TestKernel:
                 ToeplitzKernel(50, r).dense(), dense_sine_toeplitz(50, r), atol=1e-15
             )
 
+    @staticmethod
+    def _assert_same_bits(got, ref):
+        # equal values and equal signs of zero
+        assert got.dtype == ref.dtype == np.float64 and got.shape == ref.shape
+        np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize(
+        "r", [0, 1, 2, 3, 4, 5, -1, -2, -3, -4, -(10**5 + 10), -(2 * 10**6 + 3)]
+    )
+    def test_sine_kernel_matches_gather(self, stride, r):
+        # the progressions ToeplitzKernel embeds: every residue mod 4,
+        # negative offsets, q = 0 whenever r is a multiple of the stride
+        self._assert_same_bits(
+            _sine_kernel(stride * np.arange(-41, 41) + r),
+            sine_kernel_gather(stride * np.arange(-41, 41) + r),
+        )
+
+    @pytest.mark.parametrize("L,N", [(2, 0), (5, 3), (8, 1), (13, 10)])
+    def test_sine_kernel_matches_gather_2d(self, L, N):
+        # the site-difference matrix of the dense route, zero diagonal included
+        sites = np.concatenate([np.arange(-L, 0), np.arange(N, N + L)])
+        diff = sites[:, None] - sites[None, :]
+        self._assert_same_bits(_sine_kernel(diff), sine_kernel_gather(diff))
+
 
 class TestMatvec:
     def test_unit_vectors_give_columns(self):
@@ -84,6 +117,17 @@ class TestMatvec:
         for _ in range(10):
             x = rng.standard_normal(48)
             np.testing.assert_allclose(k.rmatvec(x), d.T @ x, atol=1e-12)
+
+    def test_products_match_out_of_place_spectra(self, rng):
+        # the spectrum multiplied in place, and conjugated in place around
+        # the product for the transpose, gives the bits of the plain formulas
+        for kern in (ToeplitzKernel(97, -110), *(b for b, _ in _parity_blocks(97, -98))):
+            (rows, cols), n = kern.shape, kern._fft_len
+            x, y = rng.standard_normal(cols), rng.standard_normal(rows)
+            ref = np.fft.irfft(kern._fft * np.fft.rfft(x, n), n)[:rows]
+            ref_t = np.fft.irfft(np.conj(kern._fft) * np.fft.rfft(y, n), n)[:cols]
+            np.testing.assert_array_equal(kern.matvec(x), ref)
+            np.testing.assert_array_equal(kern.rmatvec(y), ref_t)
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
@@ -202,6 +246,69 @@ class TestTriplets:
             assert a.sigma == pytest.approx(b.sigma, rel=1e-14)
             np.testing.assert_allclose(a.u, b.u, rtol=0, atol=1e-14)
             np.testing.assert_allclose(a.v, b.v, rtol=0, atol=1e-14)
+
+    @pytest.mark.parametrize("L,N", [(2000, 1), (2000, 10), (5001, 1), (5001, 100)])
+    def test_matches_two_pass_reference(self, L, N, monkeypatch):
+        # one Gram-Schmidt pass per step under the DGKS test against two
+        # passes at every step, on the operators _block_triplets builds: J B
+        # for the square blocks, [[0, B], [B^T, 0]] for the rectangular ones
+        # of odd L with odd N
+        runs = []
+        for solver in (lattice._lanczos, lanczos_two_pass):
+
+            def recorded(matvec, start, k, solver=solver):
+                runs.append(solver(matvec, start, k))
+                return runs[-1]
+
+            monkeypatch.setattr(lattice, "_lanczos", recorded)
+            for block, _ in _parity_blocks(L, -(N + L)):
+                _block_triplets(block, 2, np.random.default_rng(L + N))
+        half = len(runs) // 2
+        for (theta, _, steps), (ref_theta, _, ref_steps) in zip(runs[:half], runs[half:]):
+            assert steps == ref_steps
+            # sorted: the rectangular operator's pairs +-sigma tie in |theta|
+            np.testing.assert_allclose(np.sort(theta), np.sort(ref_theta), rtol=0, atol=1e-12)
+
+    @staticmethod
+    def _symmetric(lam, rng):
+        basis = random_orthogonal(len(lam), rng)
+        return (basis * lam) @ basis.T
+
+    def test_no_ghosts_past_an_isolated_value(self):
+        # the isolated top value converges within a few steps; a basis that
+        # lost orthogonality would then grow spurious copies of it (ghosts)
+        # over the many steps the tight cluster below takes
+        n, k = 300, 6
+        lam = np.concatenate(([1.0], np.linspace(0.5, 0.5 + 1e-3, n - 1)))
+        rng = np.random.default_rng(11)
+        op = self._symmetric(lam, rng)
+        theta, x, steps = lattice._lanczos(lambda y: op @ y, rng.standard_normal(n), k)
+        assert steps > 100
+        assert np.all(np.diff(np.sort(theta)) > 1e-6)  # no value twice
+        np.testing.assert_allclose(np.sort(theta), np.sort(lam)[-k:], rtol=0, atol=1e-9)
+        np.testing.assert_allclose(x @ x.T, np.eye(k), rtol=0, atol=1e-12)
+
+    def test_dgks_repeat_fires_at_exhaustion(self, monkeypatch):
+        # asked for all n pairs, the solve runs to its n-th step, where the
+        # basis spans the whole space and w is rounding noise inside it: one
+        # pass cancels nearly all of w, so the DGKS test orders a second
+        passes = []
+        one_pass = lattice._gram_schmidt
+
+        def counted(basis, w):
+            passes.append(len(basis))
+            one_pass(basis, w)
+
+        monkeypatch.setattr(lattice, "_gram_schmidt", counted)
+        n = 40
+        lam = np.linspace(1.0, 2.0, n)
+        rng = np.random.default_rng(12)
+        op = self._symmetric(lam, rng)
+        theta, x, steps = lattice._lanczos(lambda y: op @ y, rng.standard_normal(n), n)
+        assert steps == n
+        assert passes.count(n) == 2  # the last step's pass ran twice
+        np.testing.assert_allclose(np.sort(theta), lam, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(x @ x.T, np.eye(n), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("L", [500, 1024, 5000])
     def test_exact_duplicates_recovered(self, L):

@@ -2,8 +2,9 @@
 
 numpy is the only runtime dependency, no handler swallows every error,
 every name in an `__all__` list resolves to a definition, following
-relative imports to the module that defines it, and every module-level
-import is used or exported.  The sources are parsed with `ast`; nothing
+relative imports to the module that defines it, every module-level
+import is used or exported, and no call needs a numpy newer than the
+declared floor.  The sources are parsed with `ast`; nothing
 is imported from them or written.
 """
 
@@ -132,3 +133,27 @@ def test_imports_are_used(module):
                 continue
             unused.append(f"line {alias.lineno}: {name}")
     assert not unused, f"{module} imports names it neither uses nor exports: {unused}"
+
+
+def _dotted(node: ast.expr) -> str:
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+    return ".".join(reversed(parts))
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_fft_calls_take_no_out_argument(module):
+    # pyproject.toml declares numpy >= 1.24; the np.fft functions accept
+    # `out=` only from numpy 2.0 on
+    flagged = [
+        f"line {node.lineno}: {_dotted(node.func)}"
+        for node in ast.walk(TREES[module])
+        if isinstance(node, ast.Call)
+        and _dotted(node.func).split(".")[:2] in (["np", "fft"], ["numpy", "fft"])
+        and any(kw.arg == "out" for kw in node.keywords)
+    ]
+    assert not flagged, f"{module} passes out= to numpy.fft: {flagged}"
