@@ -62,9 +62,9 @@ def main():
     for N in distances:
         for label, pick in (("f", lambda r: r.report.f), ("p", lambda r: r.report.p)):
             samples = [(r.L, pick(r)) for r in rows if r.N == N and r.report is not None]
-            a, b, rms, warnings = fit_power_law(samples, L_min=fit_cut)
+            a, b, rms, points_used, warnings = fit_power_law(samples, L_min=fit_cut)
             fits.append({"N": N, "value": label, "a": a, "b": b, "residual": rms,
-                         "L_min": fit_cut, "points_used": len(samples), "warnings": warnings})
+                         "L_min": fit_cut, "points_used": points_used, "warnings": warnings})
             print(f"  N={N:>5} {label}: 1 - {b:.4f}/L^{a:.4f}  (rms {rms:.4f})")
     (out / "fits.json").write_text(json.dumps(fits, indent=2, sort_keys=True))
 

@@ -14,7 +14,7 @@ import argparse
 import numpy as np
 
 from fermidistill.cli import _seed
-from fermidistill.protocol import optimal_pf_bound, run_protocol, sample_suboptimal
+from fermidistill.protocol import BOUND_ATOL, optimal_pf_bound, run_protocol, sample_suboptimal
 from fermidistill.states import (
     BipartiteSplit,
     ValidationError,
@@ -55,7 +55,7 @@ def main():
         except ValidationError:
             continue
         sample = sample_suboptimal(s, split, 2, trials=args.trials, seed=args.seed + 90_000 + i)
-        if sample.best_pf > rep.pf + 1e-9:
+        if sample.best_pf > rep.pf + BOUND_ATOL:
             beaten += 1
             worst_excess = max(worst_excess, sample.best_pf - rep.pf)
     print(f"  canonical choice beaten on {beaten}/{args.states} states"

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import closed_forms, lattice
 from .fock import verify_all
-from .protocol import optimal_choice, run_protocol, sample_suboptimal, scan_m
+from .protocol import BOUND_ATOL, optimal_choice, run_protocol, sample_suboptimal, scan_m
 from .states import (
     ValidationError,
     load_covariance,
@@ -94,7 +94,7 @@ def _cmd_protocol(args) -> int:
             "best_p": sample.best_p,
             "best_f": sample.best_f,
             "best_trial": sample.trial,
-            "exceeds_optimal": bool(sample.best_pf > report.pf + 1e-9),
+            "exceeds_optimal": bool(sample.best_pf > report.pf + BOUND_ATOL),
         }
     _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
     return 0
@@ -174,7 +174,7 @@ def _cmd_closed_form(args) -> int:
 def _cmd_lattice(args) -> int:
     if args.action == "sweep":
         rows = lattice.sweep(args.L, args.N, m=args.m, seed=args.seed, jobs=args.jobs)
-        _emit(lattice.sweep_to_csv(rows, m=args.m), args.out)
+        _emit(lattice.sweep_to_csv(rows), args.out)
         return 0
     if args.action == "fit":
         try:
@@ -200,14 +200,14 @@ def _cmd_lattice(args) -> int:
                 continue
             if np.isfinite(value):
                 samples.append((L, value))
-        a, b, rms, warnings = lattice.fit_power_law(samples, args.L_min)
+        a, b, rms, points_used, warnings = lattice.fit_power_law(samples, args.L_min)
         payload = {
             "N": args.N,
             "a": a,
             "b": b,
             "residual": rms,
             "L_min": args.L_min,
-            "points_used": len([s for s in samples if s[0] >= args.L_min and s[1] < 1.0]),
+            "points_used": points_used,
             "warnings": warnings,
         }
         _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)

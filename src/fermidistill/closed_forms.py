@@ -17,8 +17,10 @@ import numpy as np
 
 from .states import (
     BipartiteSplit,
+    BlockDecomposition,
     CovarianceMatrix,
     ValidationError,
+    assemble_covariance,
     fock_fidelity,
     maximally_entangled_projection,
     validate,
@@ -74,6 +76,11 @@ class FourModeParams:
         return (self.nu1, self.nu2, self.nu3, self.nu4)
 
 
+def _normal_form(*nus: float) -> np.ndarray:
+    """The block diagonal sum of nu_k [[0, 1], [-1, 0]], one block per mode."""
+    return np.kron(np.diag(nus), [[0.0, 1.0], [-1.0, 0.0]])
+
+
 def two_mode_split() -> BipartiteSplit:
     return BipartiteSplit((0, 1), (2, 3))
 
@@ -82,19 +89,10 @@ def two_mode_covariance(params: TwoModeParams) -> CovarianceMatrix:
     """The 4x4 covariance with the stated blocks; raises if invalid."""
     params.check()
     a, b, c, d = params.a, params.b, params.c, params.d
-    s = 0.5 * np.array(
-        [
-            [1, 1j * a, 1j * c, 0],
-            [-1j * a, 1, 0, 1j * d],
-            [-1j * c, 0, 1, 1j * b],
-            [0, -1j * d, -1j * b, 1],
-        ],
-        dtype=complex,
+    out, _ = assemble_covariance(
+        BlockDecomposition(_normal_form(a), np.diag([c, d]), _normal_form(b))
     )
-    out = CovarianceMatrix(s)
-    report = validate(out)
-    if not report.passed:
-        raise ValidationError("two-mode parameters give an invalid state:\n" + report.summary())
+    validate(out).require("two-mode parameters give an invalid state")
     return out
 
 
@@ -150,22 +148,15 @@ def four_mode_split() -> BipartiteSplit:
 
 
 def four_mode_covariance(params: FourModeParams) -> CovarianceMatrix:
-    """The 8x8 covariance in normal form; raises if invalid."""
-    nus, sigma = params.nus, params.sigma
-    s = np.zeros((8, 8), dtype=complex)
-    for offset, nu in zip((0, 2, 4, 6), nus):
-        s[offset, offset + 1] = 1j * nu
-        s[offset + 1, offset] = -1j * nu
-    # mode 1 couples to mode 3, mode 2 to mode 4, each via i*sigma*I_2
-    for ra, rb in ((0, 4), (2, 6)):
-        for k in range(2):
-            s[ra + k, rb + k] = 1j * sigma
-            s[rb + k, ra + k] = -1j * sigma
-    s = (s + np.eye(8)) / 2.0
-    out = CovarianceMatrix(s)
-    report = validate(out)
-    if not report.passed:
-        raise ValidationError("four-mode parameters give an invalid state:\n" + report.summary())
+    """The 8x8 covariance in normal form; raises if invalid.
+
+    Mode 1 couples to mode 3 and mode 2 to mode 4, so Y = sigma * I_4.
+    """
+    n1, n2, n3, n4 = params.nus
+    out, _ = assemble_covariance(
+        BlockDecomposition(_normal_form(n1, n2), params.sigma * np.eye(4), _normal_form(n3, n4))
+    )
+    validate(out).require("four-mode parameters give an invalid state")
     return out
 
 

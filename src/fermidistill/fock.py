@@ -55,7 +55,6 @@ _GATHER_BLOCK = 2
 __all__ = [
     "density_from_covariance",
     "fock_vector",
-    "parity_from_indices",
     "joint_parity",
     "verify_all",
     "OracleReport",
@@ -265,18 +264,13 @@ def fock_vector(e: CovarianceMatrix | np.ndarray) -> np.ndarray:
     return va[:, 0]
 
 
-def parity_from_indices(n: int, indices) -> np.ndarray:
-    """Parity monomial 2^(k/2) i^(k/2) prod B_a over the given 2k indices.
+def _parity_string(n: int, indices) -> tuple[int, np.ndarray]:
+    """Parity monomial 2^(k/2) i^(k/2) prod B_a over 2k indices, as a Pauli string (x, values).
 
     The product of the n-mode operators is taken in ascending index
     order; using a subset that spans one party's reference space yields
     that party's local parity.
     """
-    return _dense(*_parity_string(n, indices))
-
-
-def _parity_string(n: int, indices) -> tuple[int, np.ndarray]:
-    """The parity monomial of parity_from_indices as a Pauli string (x, values)."""
     idx = sorted(int(i) for i in indices)
     if len(idx) % 2 != 0:
         raise ValidationError("parity monomial needs an even number of indices")

@@ -494,9 +494,7 @@ def restricted_covariance(
             2.0 * _interleave(compress(0)), np.diag(lam), 2.0 * _interleave(compress(1))
         )
     )
-    report = validate(cov)
-    if not report.passed:
-        raise ValidationError("assembled lattice covariance invalid:\n" + report.summary())
+    validate(cov).require("assembled lattice covariance invalid")
     # the kernel's sigma come in exact pairs iff N is odd, so the cut after
     # sigma_m splits a pair iff m is odd as well
     warnings = (_degenerate_cut_warning(2 * m),) if N % 2 and m % 2 else ()
@@ -515,25 +513,27 @@ def lattice_point(geometry: LatticeGeometry, m: int = 2, seed: int = 0) -> Disti
 # ---------------------------------------------------------------------------
 
 
-def _sweep_header(m: int) -> list[str]:
-    return (
-        ["L", "N", "p", "f", "pf", "rate"]
-        + [f"sigma_{i + 1}" for i in range(2 * m)]
-        + ["iters", "status", "message", "wall_ms"]
-    )
-
-
 @dataclass
 class SweepRow:
+    """One sweep point at target size m: its report, or the error that stopped it."""
+
     L: int
     N: int
+    m: int
     report: DistillationReport | None
     wall_ms: float
     error: str | None = None
 
-    def cells(self, m: int) -> list[str]:
+    def header(self) -> list[str]:
+        return (
+            ["L", "N", "p", "f", "pf", "rate"]
+            + [f"sigma_{i + 1}" for i in range(2 * self.m)]
+            + ["iters", "status", "message", "wall_ms"]
+        )
+
+    def cells(self) -> list[str]:
         if self.report is None:
-            values = [""] * (5 + 2 * m) + ["error", self.error]
+            values = [""] * (5 + 2 * self.m) + ["error", self.error]
         else:
             r = self.report
             values = (
@@ -550,9 +550,9 @@ def _sweep_point(args) -> SweepRow:
     start = time.perf_counter()
     try:
         report = lattice_point(LatticeGeometry(L, N), m=m, seed=seed)
-        return SweepRow(L, N, report, (time.perf_counter() - start) * 1e3)
+        return SweepRow(L, N, m, report, (time.perf_counter() - start) * 1e3)
     except (ValidationError, ConvergenceError) as exc:  # per-point failures recorded in-row
-        return SweepRow(L, N, None, (time.perf_counter() - start) * 1e3, error=str(exc))
+        return SweepRow(L, N, m, None, (time.perf_counter() - start) * 1e3, error=str(exc))
 
 
 def sweep(L_values, N_values, m: int = 2, seed: int = 0, jobs: int = 1) -> list[SweepRow]:
@@ -584,20 +584,24 @@ def sweep(L_values, N_values, m: int = 2, seed: int = 0, jobs: int = 1) -> list[
     return [_sweep_point(t) for t in tasks]
 
 
-def sweep_to_csv(rows: list[SweepRow], m: int = 2) -> str:
+def sweep_to_csv(rows: list[SweepRow]) -> str:
+    """The rows as CSV under their header; the rows must share one m, which sets its width."""
+    widths = sorted({r.m for r in rows})
+    if len(widths) != 1:
+        raise ValidationError(f"sweep CSV needs rows of one m, got m in {widths}")
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(_sweep_header(m))
-    writer.writerows(r.cells(m) for r in rows)
+    writer.writerow(rows[0].header())
+    writer.writerows(r.cells() for r in rows)
     return out.getvalue()
 
 
-def fit_power_law(samples, L_min: float) -> tuple[float, float, float, list[str]]:
+def fit_power_law(samples, L_min: float) -> tuple[float, float, float, int, list[str]]:
     """Fit value(L) = 1 - b / L^a on points with L >= L_min.
 
     Least squares on log(1 - value) against log(L).  Returns (a, b,
-    rms_residual, warnings); points with value >= 1 are skipped with a
-    warning, fewer than 3 usable points is an error.
+    rms_residual, points_used, warnings); points with value >= 1 are
+    skipped with a warning, fewer than 3 usable points is an error.
     """
     xs, ys, warnings = [], [], []
     for L, value in samples:
@@ -616,7 +620,7 @@ def fit_power_law(samples, L_min: float) -> tuple[float, float, float, list[str]
     slope, intercept = float(coeffs[0]), float(coeffs[1])
     resid = y - (slope * x + intercept)
     rms = float(np.sqrt(np.mean(resid ** 2)))
-    return -slope, float(np.exp(intercept)), rms, warnings
+    return -slope, float(np.exp(intercept)), rms, len(xs), warnings
 
 
 def min_length(N: int, x: float, L_lo: int, L_hi: int, m: int = 2, seed: int = 0) -> int:

@@ -3,13 +3,13 @@
 The Pfaffian is the workhorse: every probability and fidelity in this
 package is a Pfaffian of a real antisymmetric matrix, and its *sign*
 carries physical meaning, so we use a sign-exact elimination algorithm
-instead of sqrt(det).  Both `pfaffian` and `haar_frame` take a stack of
-small matrices (one per sampled protocol) and work on one batch-last
-copy of it, so every step is a contiguous operation over the whole
-stack rather than one Python loop per matrix.  Each is a thin wrapper
-around an in-place core on batch-last memory, `_eliminate` and
-`_orthonormalise`, which `sample_suboptimal` calls on buffers it keeps
-for all of its trials.  Malformed input raises
+instead of sqrt(det).  `pfaffian` takes a stack of small matrices (one
+per sampled protocol) and works on one batch-last copy of it, so every
+step is a contiguous operation over the whole stack rather than one
+Python loop per matrix.  It is a thin wrapper around the in-place core
+`_eliminate`; that core and `_orthonormalise`, which makes the random
+frames, run on batch-last buffers that `sample_suboptimal` keeps for all
+of its trials.  Malformed input raises
 `ValidationError`, the package's one error type for structural
 violations.
 """
@@ -151,37 +151,17 @@ def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.linalg.svd(a)
 
 
-def haar_frame(g: np.ndarray) -> np.ndarray:
-    """Orthonormal frame of the columns of g (..., n, k), k <= n, by Gram-Schmidt.
-
-    Each column is orthogonalised twice against the earlier ones
-    (classical Gram-Schmidt applied twice is orthogonal to working
-    precision: Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005)
-    and normalised, by `_orthonormalise` on one batch-last copy of the
-    stack.  This is Q of the reduced QR of g with diag(R) > 0, the QR
-    with the signs of diag(R) absorbed, so for Gaussian g the k columns
-    are a Haar-random orthonormal frame.  The first j columns of the
-    frame depend only on the first j columns of g, so the frame of a
-    square n x n draw starts with the frame of its first k columns.  A
-    column with no component outside the span of the earlier ones
-    (residual at most RANK_RTOL times its norm) raises ValidationError
-    naming it.
-    """
-    g = np.asarray(g, dtype=float)
-    lead, (n, k) = g.shape[:-2], g.shape[-2:]
-    count = math.prod(lead)
-    q = np.array(g.reshape(count, n * k).T, order="C").reshape(n, k, count)
-    _orthonormalise(q, lead)
-    return q.reshape(n * k, count).T.reshape(g.shape)
-
-
 def _orthonormalise(q: np.ndarray, lead: tuple[int, ...]) -> None:
     """Gram-Schmidt, applied twice, on the batch-last stack q (n, k, count) in place.
 
-    The core of `haar_frame`, for callers that keep their own buffers;
-    it allocates nothing of the stack's size.  A rank
-    failure names the member by its index in `lead`, whose C-order
-    flattening is the last axis of q, and the column.
+    Two classical passes are orthogonal to working precision (Giraud,
+    Langou & Rozloznik, Comput. Math. Appl. 50, 2005).  The result is Q
+    of the reduced QR of q with diag(R) > 0, so for Gaussian q the frame
+    is Haar-random.  It allocates nothing of the stack's size.  A column
+    with no component outside the span of the earlier ones (residual at
+    most RANK_RTOL times its norm) raises ValidationError naming the
+    member, by its index in `lead`, whose C-order flattening is the last
+    axis of q, and the column.
     """
     n, k, count = q.shape
     size = np.sqrt(np.einsum("ijb,ijb->jb", q, q))

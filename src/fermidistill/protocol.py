@@ -47,6 +47,10 @@ class InsufficientRankError(ValidationError):
     """The off-diagonal block has too few nonzero singular values for m."""
 
 
+# Absolute tolerance on pf against optimal_pf_bound: a pf above the bound by
+# more, or below it by more where the bound is attained, is reported.
+BOUND_ATOL = 1e-9
+
 # Trials evaluated per stacked batch in sample_suboptimal: large enough to
 # amortise the per-call numpy overhead, small enough to bound memory.
 SAMPLE_CHUNK = 256
@@ -192,15 +196,15 @@ def _evaluate(blk: BlockDecomposition, choice: ProtocolChoice) -> DistillationRe
     if x_zero or z_zero:
         # with a vanishing diagonal block the product formula is provably
         # optimal and attained, so any deviation is a bug
-        if q.pf > bound + 1e-9:
+        if q.pf > bound + BOUND_ATOL:
             raise ValidationError(
                 f"pf = {q.pf:.12e} exceeds the optimal-protocol bound {bound:.12e}"
             )
-        if abs(q.pf - bound) > 1e-9:
+        if abs(q.pf - bound) > BOUND_ATOL:
             warnings.append(
                 f"pf = {q.pf:.12e} misses the bound {bound:.12e} despite a vanishing diagonal block"
             )
-    elif q.pf > bound + 1e-9:
+    elif q.pf > bound + BOUND_ATOL:
         # outside the hypothesis the bound is only a reference point
         warnings.append(
             f"pf = {q.pf:.12e} above the vanishing-block reference {bound:.12e} "
@@ -286,8 +290,8 @@ def sample_suboptimal(
     probe against the canonical choice.  One default_rng(seed) feeds
     every trial: row t of a (trials, (2k + r) r) standard-normal draw
     (k = |A| = |B|, r = 2m) holds trial t's k x r Alice and Bob draws and
-    r x r pairing draw, row-major, each made a frame by Gram-Schmidt as
-    in `haar_frame`.  Rows are filled in order, so the trials do not
+    r x r pairing draw, row-major, each made a frame by Gram-Schmidt
+    (`linalg._orthonormalise`).  Rows are filled in order, so the trials do not
     depend on SAMPLE_CHUNK and a longer run extends a shorter one.
 
     Trials are evaluated as stacks of C = SAMPLE_CHUNK in one workspace,

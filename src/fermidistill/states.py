@@ -194,6 +194,11 @@ class ValidationReport:
             lines.append(f"{name}: {mag:.3e} (tol {tol:.1e}) {status}")
         return "\n".join(lines)
 
+    def require(self, what: str) -> None:
+        """Raise ValidationError, `what` followed by the summary, unless every check passed."""
+        if not self.passed:
+            raise ValidationError(f"{what}:\n{self.summary()}")
+
 
 # ---------------------------------------------------------------------------
 # validity and blocks
@@ -517,9 +522,7 @@ def restrict(
     frame[ib, ua.shape[1]:] = ub
     sr = frame.T @ m @ frame
     out = CovarianceMatrix(sr)
-    report = validate(out)
-    if not report.passed:
-        raise ValidationError("restricted covariance failed validation:\n" + report.summary())
+    validate(out).require("restricted covariance failed validation")
     new_split = BipartiteSplit(
         tuple(range(ua.shape[1])), tuple(range(ua.shape[1], ua.shape[1] + ub.shape[1]))
     )

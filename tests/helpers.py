@@ -6,11 +6,14 @@ products), the dense-matrix routes of the Fock oracle (smeared
 operators, Fock vectors, parity monomials, joint parity), the dense
 lattice route, the sine kernel by a gather over q mod 4, Lanczos with
 two Gram-Schmidt passes at every step, Haar-random orthogonal matrices,
-the Householder QR frames (the Gram-Schmidt frame oracle), the polar
-decomposition (the V oracle), the twirl coefficients and output
-fidelity of the twirled-state route, random pure states, and the global
-parity operator.
+the Gram-Schmidt frames of Gaussian draws and their Householder QR
+oracle, the polar decomposition (the V oracle), the twirl coefficients
+and output fidelity of the twirled-state route, random pure states, the
+global parity operator, and the closed-form covariances written out
+entry by entry (the oracle for their block assembly).
 """
+
+import math
 
 import numpy as np
 
@@ -19,7 +22,7 @@ from fermidistill.fock import (
     _check_modes,
     _dense,
     _majorana_strings,
-    parity_from_indices,
+    _parity_string,
 )
 from fermidistill.lattice import (
     KRYLOV_TOL,
@@ -28,9 +31,15 @@ from fermidistill.lattice import (
     LatticeGeometry,
     _sine_kernel,
 )
-from fermidistill.linalg import RANK_RTOL, haar_frame, svd
+from fermidistill.linalg import RANK_RTOL, _orthonormalise, svd
 from fermidistill.protocol import DistillationReport, run_protocol
-from fermidistill.states import STRUCT_ATOL, BipartiteSplit, CovarianceMatrix, ValidationError
+from fermidistill.states import (
+    STRUCT_ATOL,
+    BipartiteSplit,
+    CovarianceMatrix,
+    ValidationError,
+    validate,
+)
 
 
 def pfaffian_combinatorial(a: np.ndarray):
@@ -298,6 +307,16 @@ def fock_vector_smeared(e: np.ndarray) -> np.ndarray:
     return va[:, 0]
 
 
+def parity_from_indices(n: int, indices) -> np.ndarray:
+    """Parity monomial 2^(k/2) i^(k/2) prod B_a over the given 2k indices.
+
+    The product of the n-mode operators is taken in ascending index
+    order; using a subset that spans one party's reference space yields
+    that party's local parity.
+    """
+    return _dense(*_parity_string(n, indices))
+
+
 def parity_dense_products(n: int, indices) -> np.ndarray:
     """Parity monomial 2^(k/2) i^(k/2) prod B_a as dense products, ascending."""
     idx = sorted(int(i) for i in indices)
@@ -337,6 +356,30 @@ def random_orthogonal(dim: int, seed: int | np.random.Generator) -> np.ndarray:
     if dim < 1:
         raise ValidationError("dim must be >= 1")
     return haar_frame(np.random.default_rng(seed).standard_normal((dim, dim)))
+
+
+def haar_frame(g: np.ndarray) -> np.ndarray:
+    """Orthonormal frame of the columns of g (..., n, k), k <= n, by Gram-Schmidt.
+
+    Each column is orthogonalised twice against the earlier ones
+    (classical Gram-Schmidt applied twice is orthogonal to working
+    precision: Giraud, Langou & Rozloznik, Comput. Math. Appl. 50, 2005)
+    and normalised, by `_orthonormalise` on one batch-last copy of the
+    stack.  This is Q of the reduced QR of g with diag(R) > 0, the QR
+    with the signs of diag(R) absorbed, so for Gaussian g the k columns
+    are a Haar-random orthonormal frame.  The first j columns of the
+    frame depend only on the first j columns of g, so the frame of a
+    square n x n draw starts with the frame of its first k columns.  A
+    column with no component outside the span of the earlier ones
+    (residual at most RANK_RTOL times its norm) raises ValidationError
+    naming it.
+    """
+    g = np.asarray(g, dtype=float)
+    lead, (n, k) = g.shape[:-2], g.shape[-2:]
+    count = math.prod(lead)
+    q = np.array(g.reshape(count, n * k).T, order="C").reshape(n, k, count)
+    _orthonormalise(q, lead)
+    return q.reshape(n * k, count).T.reshape(g.shape)
 
 
 def haar_frame_householder(g: np.ndarray) -> np.ndarray:
@@ -428,3 +471,43 @@ def parity_operator(n: int, orientation: int = 1) -> np.ndarray:
     """
     _check_modes(n)
     return parity_from_indices(n, range(2 * n)) * (1 if orientation >= 0 else -1)
+
+
+def two_mode_covariance_explicit(params) -> CovarianceMatrix:
+    """`closed_forms.two_mode_covariance` written out entry by entry."""
+    params.check()
+    a, b, c, d = params.a, params.b, params.c, params.d
+    s = 0.5 * np.array(
+        [
+            [1, 1j * a, 1j * c, 0],
+            [-1j * a, 1, 0, 1j * d],
+            [-1j * c, 0, 1, 1j * b],
+            [0, -1j * d, -1j * b, 1],
+        ],
+        dtype=complex,
+    )
+    out = CovarianceMatrix(s)
+    report = validate(out)
+    if not report.passed:
+        raise ValidationError("two-mode parameters give an invalid state:\n" + report.summary())
+    return out
+
+
+def four_mode_covariance_explicit(params) -> CovarianceMatrix:
+    """`closed_forms.four_mode_covariance` written out entry by entry."""
+    nus, sigma = params.nus, params.sigma
+    s = np.zeros((8, 8), dtype=complex)
+    for offset, nu in zip((0, 2, 4, 6), nus):
+        s[offset, offset + 1] = 1j * nu
+        s[offset + 1, offset] = -1j * nu
+    # mode 1 couples to mode 3, mode 2 to mode 4, each via i*sigma*I_2
+    for ra, rb in ((0, 4), (2, 6)):
+        for k in range(2):
+            s[ra + k, rb + k] = 1j * sigma
+            s[rb + k, ra + k] = -1j * sigma
+    s = (s + np.eye(8)) / 2.0
+    out = CovarianceMatrix(s)
+    report = validate(out)
+    if not report.passed:
+        raise ValidationError("four-mode parameters give an invalid state:\n" + report.summary())
+    return out

@@ -21,11 +21,7 @@ from fermidistill.closed_forms import (
     two_mode_max_fidelity,
     two_mode_split,
 )
-from fermidistill.fock import (
-    density_from_covariance,
-    fock_vector,
-    parity_from_indices,
-)
+from fermidistill.fock import density_from_covariance, fock_vector
 from fermidistill.lattice import (
     LatticeGeometry,
     ToeplitzKernel,
@@ -51,7 +47,13 @@ from fermidistill.states import (
     target_orientation,
 )
 
-from helpers import dense_lattice_point, majorana_ops, parity_operator, random_orthogonal
+from helpers import (
+    dense_lattice_point,
+    majorana_ops,
+    parity_from_indices,
+    parity_operator,
+    random_orthogonal,
+)
 
 
 def report(number: int, label: str, ok: bool, elapsed: float, detail: str = ""):
@@ -239,7 +241,7 @@ def test_criterion_6_lattice_trends():
 
     worst_rms = 0.0
     for N in distances:
-        _, _, rms, warnings = fit_power_law(list(zip(grid, f_table[N])), L_min=20000)
+        _, _, rms, _, warnings = fit_power_law(list(zip(grid, f_table[N])), L_min=20000)
         assert not warnings
         worst_rms = max(worst_rms, rms)
 

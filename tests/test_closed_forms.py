@@ -1,3 +1,6 @@
+import itertools
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -27,7 +30,13 @@ from fermidistill.states import (
     validate,
 )
 
-from helpers import density_dense_products, majorana_ops, orthogonal_2x2_grid
+from helpers import (
+    density_dense_products,
+    four_mode_covariance_explicit,
+    majorana_ops,
+    orthogonal_2x2_grid,
+    two_mode_covariance_explicit,
+)
 
 
 def random_two_mode(rng):
@@ -253,3 +262,32 @@ class TestScan:
         rows = f_vs_g_scan([2.0], [2.0], 0.2)
         assert rows[0]["valid"] is False
         assert rows[0]["f"] is None
+
+
+@pytest.mark.parametrize(
+    "params_type, build, explicit",
+    [
+        (TwoModeParams, two_mode_covariance, two_mode_covariance_explicit),
+        (FourModeParams, four_mode_covariance, four_mode_covariance_explicit),
+    ],
+    ids=["two-mode", "four-mode"],
+)
+def test_assembly_matches_explicit_entries(params_type, build, explicit, rng):
+    # block assembly against the matrices written out entry by entry: equal
+    # matrices where the parameters are valid, the same error where not
+    size = len(fields(params_type))
+    grid = [*itertools.product((-1.0, 0.0, 0.5, 1.0), repeat=size)]
+    grid += [tuple(v) for v in rng.uniform(-1.0, 1.0, (500, size))]
+    valid = 0
+    for values in grid:
+        params = params_type(*values)
+        try:
+            expected = explicit(params).matrix
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as got:
+                build(params)
+            assert str(got.value) == str(exc), values
+            continue
+        assert np.array_equal(build(params).matrix, expected), values
+        valid += 1
+    assert 0 < valid < len(grid)

@@ -13,7 +13,6 @@ from fermidistill.fock import (
     density_from_covariance,
     fock_vector,
     joint_parity,
-    parity_from_indices,
     verify_all,
 )
 from fermidistill.linalg import pfaffian
@@ -37,6 +36,7 @@ from helpers import (
     majorana_ops,
     majorana_ops_kron,
     parity_dense_products,
+    parity_from_indices,
     parity_operator,
     pfaffian_combinatorial,
     random_basis_projection,

@@ -724,22 +724,33 @@ class TestSweep:
         )
 
     def test_iters_cell_is_typed_step_count(self):
-        rows = sweep([16, 17], [0, 1], m=2, seed=2)
-        for row, cells in zip(rows, csv.DictReader(io.StringIO(sweep_to_csv(rows)))):
-            assert row.report.krylov_steps > 0
-            assert cells["iters"] == str(row.report.krylov_steps)
+        # the rows' own m sets the number of sigma columns
+        for m in (2, 3):
+            rows = sweep([16, 17], [0, 1], m=m, seed=2)
+            for row, cells in zip(rows, csv.DictReader(io.StringIO(sweep_to_csv(rows)))):
+                assert row.report.krylov_steps > 0
+                assert cells["iters"] == str(row.report.krylov_steps)
+                assert cells["status"] == "ok"
+                assert cells[f"sigma_{2 * m}"] == repr(float(row.report.lambdas[-1]))
 
     def test_error_recorded_in_row(self):
         rows = sweep([2, 16], [0], m=3, seed=0)  # m too large for L = 2
         assert rows[0].error is not None and rows[1].error is None
-        rows.append(lattice.SweepRow(3, 1, None, 0.5, error="failed, twice"))
-        header, *records = csv.reader(io.StringIO(sweep_to_csv(rows, m=3)))
+        rows.append(lattice.SweepRow(3, 1, 3, None, 0.5, error="failed, twice"))
+        header, *records = csv.reader(io.StringIO(sweep_to_csv(rows)))
         assert [len(r) for r in records] == [len(header)] * 3
         cells = [dict(zip(header, r)) for r in records]
         assert [c["status"] for c in cells] == ["error", "ok", "error"]
         assert [c["message"] for c in cells] == [rows[0].error, "", "failed, twice"]
         assert cells[0]["p"] == cells[0]["iters"] == ""
         assert float(cells[0]["wall_ms"]) >= 0 and cells[2]["wall_ms"] == "0.500"
+
+    def test_rows_of_different_m_rejected(self):
+        rows = sweep([16], [1], m=2, seed=0) + sweep([16], [1], m=3, seed=0)
+        with pytest.raises(ValidationError, match=r"one m, got m in \[2, 3\]"):
+            sweep_to_csv(rows)
+        with pytest.raises(ValidationError, match="one m"):
+            sweep_to_csv([])
 
     def test_programming_errors_propagate(self, monkeypatch):
         def broken(*args, **kwargs):
@@ -772,7 +783,7 @@ class TestSweep:
     def test_rows_independent_of_jobs(self, Ls, Ns, m, seed):
         # error rows (2m > 2L) included: their message is part of the row
         def strip_timing(rows):
-            return [line.rsplit(",", 1)[0] for line in sweep_to_csv(rows, m=m).splitlines()]
+            return [line.rsplit(",", 1)[0] for line in sweep_to_csv(rows).splitlines()]
 
         serial = sweep(Ls, Ns, m=m, seed=seed, jobs=1)
         parallel = sweep(Ls, Ns, m=m, seed=seed, jobs=2)
@@ -794,31 +805,34 @@ class TestFit:
     def test_exact_model_recovery(self):
         L = np.array([1000, 2000, 5000, 10000, 20000])
         values = 1 - 3.0 / L**1.5
-        a, b, rms, warnings = fit_power_law(list(zip(L, values)), L_min=500)
+        a, b, rms, points_used, warnings = fit_power_law(list(zip(L, values)), L_min=500)
         assert a == pytest.approx(1.5, abs=1e-9)
         assert b == pytest.approx(3.0, abs=1e-9)
         assert rms < 1e-9
+        assert points_used == 5
         assert not warnings
 
     def test_noisy_recovery(self, rng):
         L = np.linspace(2000, 60000, 30)
         values = 1 - 2.0 / L**1.2 + rng.normal(0, 1e-4 / L**1.2, 30) * L**0
         # noise scaled to stay below the signal
-        a, b, rms, _ = fit_power_law(list(zip(L, values)), L_min=1000)
+        a, b, rms, _, _ = fit_power_law(list(zip(L, values)), L_min=1000)
         assert a == pytest.approx(1.2, abs=1e-2)
 
     def test_cutoff_changes_points(self):
         L = np.array([100, 200, 40000, 60000, 90000])
         values = 1 - 3.0 / L**1.5
         values[0] = 0.2  # small-L regime off the power law
-        a_all, _, rms_all, _ = fit_power_law(list(zip(L, values)), L_min=0)
-        a_cut, _, rms_cut, _ = fit_power_law(list(zip(L, values)), L_min=20000)
+        a_all, _, rms_all, used_all, _ = fit_power_law(list(zip(L, values)), L_min=0)
+        a_cut, _, rms_cut, used_cut, _ = fit_power_law(list(zip(L, values)), L_min=20000)
         assert rms_cut < rms_all
+        assert (used_all, used_cut) == (5, 3)
 
     def test_saturated_point_skipped(self):
         samples = [(1000, 0.9), (2000, 0.95), (4000, 1.0), (8000, 0.99)]
-        a, b, rms, warnings = fit_power_law(samples, L_min=0)
+        a, b, rms, points_used, warnings = fit_power_law(samples, L_min=0)
         assert any("skipped" in w for w in warnings)
+        assert points_used == 3
 
     def test_too_few_points(self):
         with pytest.raises(ValidationError):

@@ -6,9 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermidistill import linalg, states
-from fermidistill.linalg import ValidationError, haar_frame, pfaffian, svd
+from fermidistill.linalg import ValidationError, pfaffian, svd
 
 from helpers import (
+    haar_frame,
     haar_frame_householder,
     pfaffian_combinatorial,
     polar_decompose,

@@ -3,9 +3,9 @@
 numpy is the only runtime dependency, no handler swallows every error,
 every name in an `__all__` list resolves to a definition, following
 relative imports to the module that defines it, every module-level
-import is used or exported, and no call needs a numpy newer than the
-declared floor.  The sources are parsed with `ast`; nothing
-is imported from them or written.
+import is used or exported, every public name has a caller outside the
+tests, and no call needs a numpy newer than the declared floor.  The
+sources are parsed with `ast`; nothing is imported from them or written.
 """
 
 import ast
@@ -133,6 +133,42 @@ def test_imports_are_used(module):
                 continue
             unused.append(f"line {alias.lineno}: {name}")
     assert not unused, f"{module} imports names it neither uses nor exports: {unused}"
+
+
+def _references() -> set[str]:
+    """Names used in src/, scripts/ and perfbench/, each outside the definition it names."""
+    found = set()
+    for path in [*SOURCES, *sorted(ROOT.glob("scripts/*.py")), *sorted(ROOT.glob("perfbench/*.py"))]:
+        for node in ast.parse(path.read_text(), filename=str(path)).body:
+            names = set()
+            for n in ast.walk(node):
+                if isinstance(n, ast.Name):
+                    names.add(n.id)
+                elif isinstance(n, ast.Attribute):
+                    names.add(n.attr)
+                elif isinstance(n, ast.ImportFrom):
+                    names.update(alias.name for alias in n.names)
+            names.discard(getattr(node, "name", None))
+            found |= names
+    return found
+
+
+REFERENCES = _references()
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_public_names_have_callers(module):
+    # a public name that only tests use belongs in tests/helpers.py
+    tree = TREES[module]
+    public = set(_all_entries(tree) or ())
+    public |= {
+        node.name
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not node.name.startswith("_")
+    }
+    uncalled = sorted(public - REFERENCES)
+    assert not uncalled, f"{module} has public names nothing outside the tests uses: {uncalled}"
 
 
 def _dotted(node: ast.expr) -> str:

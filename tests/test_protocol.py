@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermidistill import protocol
-from fermidistill.linalg import haar_frame, svd
+from fermidistill.linalg import svd
 from fermidistill.protocol import (
     SAMPLE_CHUNK,
     InsufficientRankError,
@@ -29,7 +29,7 @@ from fermidistill.states import (
     random_x_zero_covariance,
 )
 
-from helpers import polar_decompose, random_orthogonal
+from helpers import haar_frame, polar_decompose, random_orthogonal
 
 
 class TestOptimalChoice:

@@ -43,6 +43,8 @@ def test_lattice_study(monkeypatch, capsys, tmp_path):
     assert {(f["N"], f["value"]) for f in fits} == {
         (N, v) for N in (1, 10, 100) for v in ("f", "p")
     }
+    # L >= L_min = 2000 keeps 2000, 4000, 8000 and 16000 of the six lengths
+    assert [f["points_used"] for f in fits] == [4] * 6
     lengths = json.loads((tmp_path / "min_lengths.json").read_text())["lengths"]
     assert [N for N, _ in lengths] == [1, 10, 100]
 
