@@ -198,8 +198,7 @@ def _cmd_lattice(args) -> int:
                 value = float(row[args.value])
             except (TypeError, ValueError):  # error rows and short rows
                 continue
-            if np.isfinite(value):
-                samples.append((L, value))
+            samples.append((L, value))
         a, b, rms, points_used, warnings = lattice.fit_power_law(samples, args.L_min)
         payload = {
             "N": args.N,

@@ -137,17 +137,21 @@ except (AttributeError, ValueError, OSError):  # the platform does not report it
 def _check_memory(L: int, m: int):
     """Raise ValidationError when a lattice point at block length L, m pairs, cannot fit.
 
-    The estimate, with M = `_smooth_length(2L - 1)`: the cross kernel's
-    2L - 1 values and M/2 + 1 spectral coefficients, as much again for its
-    parity blocks; one M-point product's buffers (the padded input, two
-    spectra and the inverse transform); and the Lanczos basis at its start
-    capacity, rows of at most L doubles.
+    The estimate, with M = `_smooth_length(2L - 1)`: the spectra of the
+    cross kernel and of the parity block being solved, at most M/2 + 1
+    coefficients each (a kernel holds nothing else); one M-point product's
+    buffers (the padded input, two spectra and the inverse transform); and
+    the Lanczos basis through its first doubling, 4c rows of at most L
+    doubles for c = max(16, 4m + 8) start rows, as the old rows, the zero
+    rows appended and the grown copy are held together (the rectangular
+    solve of odd L with odd N spans both sublattices).  A solve of 2c steps
+    or more doubles again and can exceed it.
     """
     M = _smooth_length(2 * int(L) - 1)
-    kernel = 8 * (2 * L - 1) + 16 * (M // 2 + 1)
+    spectra = 2 * 16 * (M // 2 + 1)
     product = 16 * M + 32 * (M // 2 + 1)
-    basis = 8 * L * max(16, 4 * m + 8)
-    need = 2 * kernel + product + basis
+    basis = 8 * L * 4 * max(16, 4 * m + 8)
+    need = spectra + product + basis
     if PHYSICAL_MEMORY is not None and need > PHYSICAL_MEMORY:
         raise ValidationError(
             f"block length L = {L} needs about {need / 2**30:.3g} GiB, "
@@ -158,12 +162,12 @@ def _check_memory(L: int, m: int):
 class ToeplitzKernel:
     """Matrix-free L x L Toeplitz operator with entries t(j - k + r).
 
-    Stores the generating values for offsets j - k in [-(L-1), L-1] and
-    the FFT of their circulant embedding (size = `_smooth_length(2L - 1)`),
-    so products with the matrix and its transpose cost two FFTs each.
-    `_parity_blocks` builds the kernel's sublattice blocks as instances
-    too: rows x cols operators with entries t(2(a - b) + r), embedded in
-    `_smooth_length(rows + cols - 1)` points.
+    Holds only the FFT of its circulant embedding (size =
+    `_smooth_length(2L - 1)`), so products with the matrix and its
+    transpose cost two FFTs each; `dense()`, for tests, recomputes the
+    entries.  `_strided` builds the sublattice blocks of `_parity_blocks`
+    as instances too: rows x cols operators with entries t(2(a - b) + s),
+    embedded in `_smooth_length(rows + cols - 1)` points.
     """
 
     def __init__(self, L: int, r: int):
@@ -182,17 +186,17 @@ class ToeplitzKernel:
     def _embed(self, rows: int, cols: int, stride: int):
         self.L = rows
         self.shape = (rows, cols)
-        # values[i] sits on the diagonal j - k = i - (cols - 1)
-        self.values = _sine_kernel(stride * np.arange(-(cols - 1), rows) + self.r)
+        self._stride = stride
         self._fft_len = m = _smooth_length(rows + cols - 1)
+        # the diagonal j - k = i sits at i mod m of the circulant's first column
         col = np.zeros(m)
-        col[:rows] = self.values[cols - 1:]
-        col[m - (cols - 1):] = self.values[: cols - 1]
+        col[:rows] = _sine_kernel(stride * np.arange(rows) + self.r)
+        col[m - cols + 1 :] = _sine_kernel(stride * np.arange(1 - cols, 0) + self.r)
         self._fft = np.fft.rfft(col)
 
     def dense(self) -> np.ndarray:
-        rows, cols = self.shape
-        return self.values[np.subtract.outer(np.arange(rows), np.arange(cols)) + cols - 1]
+        offsets = np.subtract.outer(np.arange(self.shape[0]), np.arange(self.shape[1]))
+        return _sine_kernel(self._stride * offsets + self.r)
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if x.shape != (self.shape[1],):
@@ -212,40 +216,37 @@ class ToeplitzKernel:
         return np.fft.irfft(big, self._fft_len)[: self.shape[1]]
 
 
-def _parity_blocks(L: int, r: int) -> list[tuple[ToeplitzKernel, list[tuple[int, int]]]]:
-    """The L x L sine kernel with offset r as an exact direct sum of two stride-2 Toeplitz blocks.
+def _parity_blocks(L: int, r: int) -> list[tuple[int, int, int, int, int]]:
+    """The L x L sine kernel with offset r as an exact direct sum of stride-2 Toeplitz blocks.
 
     t vanishes at even offsets, so rows j = 2a + p couple only to columns
     k = 2b + q with q = (p + r + 1) mod 2, through t(2(a - b) + s) where
-    s = p - q + r (Peschel, J. Phys. A 36 (2003) L205).  Returns each
-    distinct block with the (p, q) sublattice pairs it occupies, built
-    without the L x L kernel.  For the cross block (r = -(N + L)) the
-    singular values are exactly doubled if and only if N is odd: with L
-    even both pairs then carry the same block, and with L odd the two
-    blocks are mirror images (`_is_mirror`), so their spectra coincide.
-    For the intra kernel (r = 0) each block occupies one pair (1 - q, q).
+    s = p - q + r (Peschel, J. Phys. A 36 (2003) L205).  Returns one spec
+    (p, q, rows, cols, s) per non-empty pair, p = 0 first, and builds no
+    kernel (`ToeplitzKernel._strided(rows, cols, s)` does).  For the cross
+    block (r = -(N + L)) the second spec mirrors the first (`_is_mirror`),
+    so the singular values come in exactly equal pairs, if and only if N
+    is odd.  For the intra kernel (r = 0) the first spec is the block from
+    sublattice 1 onto 0.
     """
-    blocks: dict[tuple[int, int, int], tuple[ToeplitzKernel, list[tuple[int, int]]]] = {}
+    specs = []
     for p in (0, 1):
         q = (p + r + 1) % 2
         rows, cols = (L - p + 1) // 2, (L - q + 1) // 2
         if rows and cols:
-            key = (rows, cols, p - q + r)
-            if key not in blocks:
-                blocks[key] = (ToeplitzKernel._strided(*key), [])
-            blocks[key][1].append((p, q))
-    return list(blocks.values())
+            specs.append((p, q, rows, cols, p - q + r))
+    return specs
 
 
-def _is_mirror(a: ToeplitzKernel, b: ToeplitzKernel) -> bool:
-    """Whether b = R a^T R, with R the index reversal.
+def _is_mirror(a: tuple, b: tuple) -> bool:
+    """Whether block spec b describes R A^T R, with A a's block and R the index reversal.
 
     The mirror of a rows x cols block with offset s is the cols x rows
-    block with offset s + 2(rows - cols), since (R a^T R)[i, j] =
-    a[rows - 1 - j, cols - 1 - i].
+    block with offset s + 2(rows - cols), since (R A^T R)[i, j] =
+    A[rows - 1 - j, cols - 1 - i]; a square (persymmetric) block is its own.
     """
-    rows, cols = a.shape
-    return b.shape == (cols, rows) and b.r == a.r + 2 * (rows - cols)
+    _, _, rows, cols, s = a
+    return b[2:] == (cols, rows, s + 2 * (rows - cols))
 
 
 @dataclass(frozen=True)
@@ -384,18 +385,16 @@ def top_singular_triplets(
     """Top-k singular triplets of a sine kernel, one Krylov solve per parity block.
 
     The kernel splits into two stride-2 Toeplitz blocks on its parity
-    sublattices (`_parity_blocks`).  Each distinct block is solved once by
-    Lanczos (`_block_triplets`); its singular values decay geometrically
-    (the block is Cauchy-like, Beckermann & Townsend, SIAM J. Matrix Anal.
-    Appl. 38, 2017), so one single-vector solve per block suffices.  A
-    block that mirrors the one before it (`_is_mirror`, odd L with odd N)
-    is not solved: it equals R B^T R, so its triplets are (sigma, R v, R u)
-    of B's.  The block triplets are lifted onto their sublattices and
-    merged by sigma, and a block shared by both sublattice pairs yields
-    each of its values twice, with orthogonal vectors of disjoint support.
-    Every returned triplet satisfies ||F v - sigma u|| <= 10 KRYLOV_TOL
-    sigma_1 against the full kernel.  Returns the triplets and the Lanczos
-    steps of the solves that ran, one Toeplitz product each.
+    sublattices (`_parity_blocks`), each built just before its solve by
+    Lanczos (`_block_triplets`); their singular values decay geometrically
+    (Cauchy-like blocks, Beckermann & Townsend, SIAM J. Matrix Anal. Appl.
+    38, 2017), so one single-vector solve per block suffices.  The second
+    block is not built when it mirrors the first (`_is_mirror`, N odd): it
+    equals R B^T R, so its triplets are (sigma, R v, R u) of B's, for a
+    square B sign(theta) (sigma, u, v).  Only the k kept triplets are lifted
+    onto their sublattices.  Each satisfies ||F v - sigma u|| <= 10
+    KRYLOV_TOL sigma_1 against the full kernel.  Returns the triplets and
+    the Lanczos steps of the solves that ran, one Toeplitz product each.
     """
     L = kern.L
     if k < 1:
@@ -403,25 +402,29 @@ def top_singular_triplets(
     if k > L:
         raise ValidationError("cannot extract more triplets than the dimension")
     rng = np.random.default_rng(seed)
-    found, total_iters, prev = [], 0, None
-    for block, placements in _parity_blocks(L, kern.r):
-        if prev is not None and _is_mirror(prev[0], block):
-            half = [SingularTriplet(t.sigma, t.v[::-1], t.u[::-1]) for t in prev[1]]
+    found, total_iters, solved = [], 0, None
+    for spec in _parity_blocks(L, kern.r):
+        p, q, rows, cols, s = spec
+        if solved is not None and _is_mirror(solved[0], spec):
+            half = [SingularTriplet(t.sigma, t.v[::-1], t.u[::-1]) for t in solved[1]]
         else:
-            half, iters = _block_triplets(block, min(k, *block.shape), rng)
+            half, iters = _block_triplets(
+                ToeplitzKernel._strided(rows, cols, s), min(k, rows, cols), rng
+            )
             total_iters += iters
-        prev = (block, half)
-        for t in half:
-            for p, q in placements:
-                u, v = np.zeros(L), np.zeros(L)
-                u[p::2], v[q::2] = t.u, t.v
-                found.append(SingularTriplet(t.sigma, u, v, (p, q)))
+            solved = (spec, half)
+        found += [SingularTriplet(t.sigma, t.u, t.v, (p, q)) for t in half]
     if len(found) < k:
         raise ConvergenceError(f"operator rank appears smaller than the requested k = {k}")
-    found = sorted(found, key=lambda t: -t.sigma)[:k]
+    kept = []
+    for t in sorted(found, key=lambda t: -t.sigma)[:k]:
+        p, q = t.sublattices
+        u, v = np.zeros(L), np.zeros(L)
+        u[p::2], v[q::2] = t.u, t.v
+        kept.append(SingularTriplet(t.sigma, u, v, (p, q)))
 
-    sigma1 = max(found[0].sigma, 1e-300)
-    for i, t in enumerate(found):
+    sigma1 = max(kept[0].sigma, 1e-300)
+    for i, t in enumerate(kept):
         resid = max(
             np.linalg.norm(kern.matvec(t.v) - t.sigma * t.u),
             np.linalg.norm(kern.rmatvec(t.u) - t.sigma * t.v),
@@ -430,7 +433,7 @@ def top_singular_triplets(
             raise ConvergenceError(
                 f"triplet {i} residual {resid:.3e} exceeds tolerance", residuals=[resid]
             )
-    return found, total_iters
+    return kept, total_iters
 
 
 # ---------------------------------------------------------------------------
@@ -460,9 +463,9 @@ def restricted_covariance(
     the diagonal blocks are interleavings of the compressions
     w^T F_0 w and z^T F_0 z of the intra-block kernel.  F_0 couples only
     opposite sublattices and each w_i, z_i lives on one, so every column
-    takes one half-length product: with the block of F_0 from sublattice
-    1 onto 0, or with its transpose, the block from 0 onto 1, as F_0 is
-    symmetric.  The L x L intra kernel is never built.  Returns the
+    takes one half-length product: with F_0's first parity block, from
+    sublattice 1 onto 0, or with its transpose, the block from 0 onto 1,
+    as F_0 is symmetric.  The L x L intra kernel is never built.  Returns the
     covariance, its split and the canonical choice, as `optimal_choice`
     would give them for the dense covariance.
     """
@@ -474,8 +477,8 @@ def restricted_covariance(
     _check_memory(L, m)
     cross = ToeplitzKernel(L, -(N + L))
     triplets, steps = top_singular_triplets(cross, m, seed=seed)
-    # the block of F_0 from sublattice 1 onto 0: rows 0::2, columns 1::2
-    half = ToeplitzKernel._strided((L + 1) // 2, L // 2, -1)
+    # F_0's block from sublattice 1 onto 0: rows 0::2, columns 1::2
+    half = ToeplitzKernel._strided(*_parity_blocks(L, 0)[0][2:])
 
     def compress(side: int) -> np.ndarray:
         # x^T F_0 x for the triplets' u (side 0) or v (side 1) vectors x:
@@ -600,12 +603,16 @@ def fit_power_law(samples, L_min: float) -> tuple[float, float, float, int, list
     """Fit value(L) = 1 - b / L^a on points with L >= L_min.
 
     Least squares on log(1 - value) against log(L).  Returns (a, b,
-    rms_residual, points_used, warnings); points with value >= 1 are
-    skipped with a warning, fewer than 3 usable points is an error.
+    rms_residual, points_used, warnings); points with a non-finite value
+    or one >= 1 are skipped with a warning, and fewer than 3 usable
+    points, or usable points at one L only, are an error.
     """
     xs, ys, warnings = [], [], []
     for L, value in samples:
         if L < L_min:
+            continue
+        if not np.isfinite(value):
+            warnings.append(f"skipped L={L}: value {value} is not finite")
             continue
         if value >= 1.0:
             warnings.append(f"skipped L={L}: value {value} >= 1")
@@ -614,6 +621,8 @@ def fit_power_law(samples, L_min: float) -> tuple[float, float, float, int, list
         ys.append(np.log(1.0 - float(value)))
     if len(xs) < 3:
         raise ValidationError(f"need >= 3 usable points above L_min, have {len(xs)}")
+    if len(set(xs)) < 2:
+        raise ValidationError(f"the {len(xs)} usable points share one L; a fit needs two or more")
     x = np.asarray(xs)
     y = np.asarray(ys)
     coeffs = np.polyfit(x, y, 1)

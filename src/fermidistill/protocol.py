@@ -19,6 +19,7 @@ import numpy as np
 from .linalg import RANK_RTOL, _orthonormalise, _scratch_size, svd
 from .states import (
     P_FLOOR,
+    STRUCT_ATOL,
     BipartiteSplit,
     BlockDecomposition,
     CovarianceMatrix,
@@ -191,8 +192,8 @@ def _evaluate(blk: BlockDecomposition, choice: ProtocolChoice) -> DistillationRe
     q = protocol_quantities(blk, choice.d, choice.v)
     warnings = list(choice.warnings)
     bound = optimal_pf_bound(choice.lambdas)
-    x_zero = np.abs(blk.x).max(initial=0.0) < 1e-10
-    z_zero = np.abs(blk.z).max(initial=0.0) < 1e-10
+    x_zero = np.abs(blk.x).max(initial=0.0) < STRUCT_ATOL
+    z_zero = np.abs(blk.z).max(initial=0.0) < STRUCT_ATOL
     if x_zero or z_zero:
         # with a vanishing diagonal block the product formula is provably
         # optimal and attained, so any deviation is a bug

@@ -529,24 +529,17 @@ def restrict(
     return out, new_split
 
 
-def random_covariance(
-    n_modes: int,
-    seed: int | np.random.Generator,
-    *,
-    purity: float | None = None,
-) -> CovarianceMatrix:
+def random_covariance(n_modes: int, seed: int | np.random.Generator) -> CovarianceMatrix:
     """Random valid covariance: S = 1/2 + iG with spectrum scaled into bounds.
 
-    purity in (0, 1] scales the skew part: 1 gives a pure state, small
-    values approach the maximally mixed state.  Defaults to a uniform
-    draw away from both extremes.
+    The skew part's largest singular value is drawn uniformly from
+    [0.1, 0.475], away from both the pure and the maximally mixed state.
     """
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((2 * n_modes, 2 * n_modes))
     g = (g - g.T) / 2
     top = np.linalg.norm(g, 2)
-    scale = purity if purity is not None else rng.uniform(0.2, 0.95)
-    g *= 0.5 * scale / top
+    g *= 0.5 * rng.uniform(0.2, 0.95) / top
     return CovarianceMatrix(0.5 * np.eye(2 * n_modes) + 1j * g)
 
 

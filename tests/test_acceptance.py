@@ -31,6 +31,7 @@ from fermidistill.lattice import (
 )
 from fermidistill.linalg import pfaffian
 from fermidistill.protocol import (
+    BOUND_ATOL,
     optimal_pf_bound,
     run_protocol,
     sample_suboptimal,
@@ -169,12 +170,12 @@ def test_criterion_3_optimal_protocol_bound(x_zero_states):
         sample = sample_suboptimal(s, split, 2, trials=1000, seed=42 + idx)
         worst_exceed = max(worst_exceed, sample.best_pf - bound)
     elapsed = time.perf_counter() - start
-    ok = worst_eq <= 1e-9 and worst_exceed <= 1e-9 and elapsed < 600
+    ok = worst_eq <= BOUND_ATOL and worst_exceed <= BOUND_ATOL and elapsed < 600
     report(3, "optimal-protocol product bound on X = 0 states", ok, elapsed,
            f"50 states x 1000 samples, |pf - bound| {worst_eq:.2e}, "
            f"max excess {worst_exceed:.2e}")
-    assert worst_eq <= 1e-9
-    assert worst_exceed <= 1e-9
+    assert worst_eq <= BOUND_ATOL
+    assert worst_exceed <= BOUND_ATOL
     assert elapsed < 600
 
 

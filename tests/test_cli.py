@@ -282,6 +282,26 @@ class TestLatticeCommands:
         assert main(fit) == 1
         assert "sweep CSV line 3" in capsys.readouterr().err
 
+    def test_fit_one_length_rejected(self, tmp_path, capsys):
+        data = tmp_path / "sweep.csv"
+        data.write_text("L,N,f\n5000,1,0.9\n5000,1,0.91\n5000,1,0.92\n")
+        assert main(["lattice", "fit", "--data", str(data), "--N", "1", "--L-min", "0"]) == 1
+        assert capsys.readouterr().err.startswith("error: the 3 usable points share one L")
+
+    def test_fit_non_finite_values_warned(self, tmp_path, capsys):
+        data = tmp_path / "sweep.csv"
+        rows = ["L,N,f"] + [f"{L},1,{1 - 2 / L**0.5!r}" for L in (100, 400, 1600)]
+        rows += ["800,1,nan", "3200,1,-inf"]
+        data.write_text("\n".join(rows) + "\n")
+        assert main(["lattice", "fit", "--data", str(data), "--N", "1", "--L-min", "0"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["points_used"] == 3
+        assert payload["a"] == pytest.approx(0.5, abs=1e-9)
+        assert payload["warnings"] == [
+            "skipped L=800: value nan is not finite",
+            "skipped L=3200: value -inf is not finite",
+        ]
+
     def test_sweep_range_syntax(self, tmp_path):
         out = str(tmp_path / "sweep.csv")
         assert main(["lattice", "sweep", "--L", "16:49:16", "--N", "0,1", "--out", out]) == 0

@@ -335,7 +335,7 @@ class TestFockVector:
 
     def test_non_projection_rejected(self, rng):
         with pytest.raises(ValidationError, match="projection"):
-            fock_vector(random_covariance(2, rng, purity=0.5))
+            fock_vector(random_covariance(2, rng))
 
 
 class TestParityOperator:

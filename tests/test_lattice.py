@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -41,6 +42,12 @@ from helpers import (
 )
 
 
+def _block(spec) -> ToeplitzKernel:
+    """The parity block a `_parity_blocks` spec (p, q, rows, cols, s) describes."""
+    _, _, rows, cols, s = spec
+    return ToeplitzKernel._strided(rows, cols, s)
+
+
 class TestKernel:
     def test_offset_zero_entries(self):
         k = ToeplitzKernel(8, 0)
@@ -58,7 +65,7 @@ class TestKernel:
 
     def test_entry_magnitude_bound(self):
         for r in (0, 3, 10):
-            assert np.abs(ToeplitzKernel(32, r).values).max() <= 1 / np.pi + 1e-15
+            assert np.abs(ToeplitzKernel(32, r).dense()).max() <= 1 / np.pi + 1e-15
 
     def test_matches_entrywise_construction(self):
         for r in (0, 1, 7, -50, -(10**6 + 1)):
@@ -121,7 +128,7 @@ class TestMatvec:
     def test_products_match_out_of_place_spectra(self, rng):
         # the spectrum multiplied in place, and conjugated in place around
         # the product for the transpose, gives the bits of the plain formulas
-        for kern in (ToeplitzKernel(97, -110), *(b for b, _ in _parity_blocks(97, -98))):
+        for kern in (ToeplitzKernel(97, -110), *map(_block, _parity_blocks(97, -98))):
             (rows, cols), n = kern.shape, kern._fft_len
             x, y = rng.standard_normal(cols), rng.standard_normal(rows)
             ref = np.fft.irfft(kern._fft * np.fft.rfft(x, n), n)[:rows]
@@ -181,8 +188,8 @@ class TestEmbeddingLengths:
             kern = ToeplitzKernel(L, r)
             np.testing.assert_allclose(kern.dense(), dense_sine_toeplitz(L, r), atol=1e-15)
             self._check(kern, rng)
-            for block, _ in _parity_blocks(L, r):
-                self._check(block, rng)
+            for spec in _parity_blocks(L, r):
+                self._check(_block(spec), rng)
 
 
 class TestTriplets:
@@ -227,7 +234,7 @@ class TestTriplets:
         # a parity block of the cross kernel at L = 2000, N = 10 converges
         # long before its Krylov space is exhausted, so MAX_STEPS is what
         # binds; ju - 1 steps must not suffice, and ju must reproduce it
-        (block, _), _ = _parity_blocks(2000, -2010)
+        block = _block(_parity_blocks(2000, -2010)[0])
 
         def solve():
             return _block_triplets(block, 2, np.random.default_rng(3))
@@ -261,8 +268,8 @@ class TestTriplets:
                 return runs[-1]
 
             monkeypatch.setattr(lattice, "_lanczos", recorded)
-            for block, _ in _parity_blocks(L, -(N + L)):
-                _block_triplets(block, 2, np.random.default_rng(L + N))
+            for spec in _parity_blocks(L, -(N + L)):
+                _block_triplets(_block(spec), 2, np.random.default_rng(L + N))
         half = len(runs) // 2
         for (theta, _, steps), (ref_theta, _, ref_steps) in zip(runs[:half], runs[half:]):
             assert steps == ref_steps
@@ -370,11 +377,12 @@ class TestParitySplitOracle:
         rng = np.random.default_rng(1000 * L + N)
 
         covered = 0.0
-        for block, placements in _parity_blocks(kern.L, kern.r):
+        for spec in _parity_blocks(kern.L, kern.r):
+            block = _block(spec)
             blk = block.dense()
-            for p, q in placements:
-                np.testing.assert_array_equal(blk, d[p::2, q::2])
-                covered += np.sum(blk**2)
+            p, q = spec[:2]
+            np.testing.assert_array_equal(blk, d[p::2, q::2])
+            covered += np.sum(blk**2)
             x = rng.standard_normal(block.shape[0])
             np.testing.assert_allclose(block.rmatvec(x), blk.T @ x, atol=1e-12)
         assert covered == pytest.approx(np.sum(d**2), rel=1e-12)  # a direct sum
@@ -415,15 +423,18 @@ class TestParitySplitOracle:
     def test_blocks_are_hankel_symmetric_or_mirror_pair(self, L, N):
         # the Lanczos route's premise: J B is symmetric for a square block
         # B (J the index reversal); only odd L with odd N gives rectangular
-        # blocks, and those two mirror each other
-        pairs = _parity_blocks(L, -(N + L))
+        # blocks.  The second block mirrors the first iff N is odd: for even
+        # L the two are then one persymmetric square, its own mirror
+        first, second = _parity_blocks(L, -(N + L))
+        a, b = _block(first).dense(), _block(second).dense()
+        assert _is_mirror(first, second) == bool(N % 2)
+        if N % 2:
+            np.testing.assert_array_equal(b, a.T[::-1, ::-1])
         if L % 2 and N % 2:
-            (first, _), (second, _) = pairs
-            assert first.shape[0] != first.shape[1] and _is_mirror(first, second)
-            np.testing.assert_array_equal(second.dense(), first.dense().T[::-1, ::-1])
+            assert a.shape[0] != a.shape[1]
         else:
-            for block, _ in pairs:
-                hankel = block.dense()[::-1]
+            for blk in (a, b):
+                hankel = blk[::-1]
                 assert hankel.shape[0] == hankel.shape[1]
                 np.testing.assert_array_equal(hankel, hankel.T)
 
@@ -432,11 +443,14 @@ class TestParitySplitOracle:
         # odd L with odd N: the second parity block is the first one
         # transposed and index-reversed, so only the first is solved
         kern = ToeplitzKernel(L, -(N + L))
-        (first, _), (second, _) = _parity_blocks(L, kern.r)
+        first, second = _parity_blocks(L, kern.r)
         assert _is_mirror(first, second)
         if L < 1000:
-            np.testing.assert_array_equal(second.dense(), first.dense().T[::-1, ::-1])
-        _, one_solve = _block_triplets(first, min(k, *first.shape), np.random.default_rng(5))
+            np.testing.assert_array_equal(
+                _block(second).dense(), _block(first).dense().T[::-1, ::-1]
+            )
+        rng = np.random.default_rng(5)
+        _, one_solve = _block_triplets(_block(first), min(k, *first[2:4]), rng)
         triplets, steps = top_singular_triplets(kern, k, seed=5)
         assert steps == one_solve
         sigmas = [t.sigma for t in triplets]
@@ -444,6 +458,35 @@ class TestParitySplitOracle:
         if L < 1000:
             sv = np.linalg.svd(kern.dense(), compute_uv=False)
             np.testing.assert_allclose(sigmas, sv[:k], atol=1e-8)
+
+    @pytest.mark.parametrize("L,N", [(64, 1), (200, 3), (2000, 1), (65, 1), (199, 3), (2001, 1)])
+    def test_reused_triplets_equal_solved_up_to_joint_sign(self, L, N):
+        # N odd: the second block's triplets are the first's mirrored, not
+        # solved.  For even L the block is shared, and the Hankel route's
+        # u = sign(theta) R v makes the mirrored copy exactly sign(theta)
+        # times the solved triplet; for odd L the mirrored copy matches a
+        # direct solve of the second block up to one sign on both vectors
+        k = 4
+        kern = ToeplitzKernel(L, -(N + L))
+        first, second = _parity_blocks(L, kern.r)
+        triplets, _ = top_singular_triplets(kern, 2 * k, seed=7)
+        solved = [t for t in triplets if t.sublattices == first[:2]]
+        reused = [t for t in triplets if t.sublattices == second[:2]]
+        assert len(solved) == len(reused) == k
+        (p, q), (p2, q2) = first[:2], second[:2]
+        if L % 2 == 0:
+            for a, b in zip(solved, reused):
+                assert a.sigma == b.sigma
+                sign = 1.0 if b.u[p2::2] @ a.u[p::2] > 0 else -1.0
+                np.testing.assert_array_equal(b.u[p2::2], sign * a.u[p::2])
+                np.testing.assert_array_equal(b.v[q2::2], sign * a.v[q::2])
+        else:
+            direct, _ = _block_triplets(_block(second), k, np.random.default_rng(8))
+            for a, b in zip(direct, reused):
+                assert b.sigma == pytest.approx(a.sigma, rel=1e-12)
+                sign = 1.0 if b.u[p2::2] @ a.u > 0 else -1.0
+                np.testing.assert_allclose(b.u[p2::2], sign * a.u, rtol=0, atol=1e-8)
+                np.testing.assert_allclose(b.v[q2::2], sign * a.v, rtol=0, atol=1e-8)
 
     def test_k_above_rank_raises(self):
         # both 2 x 1 and 1 x 2 half blocks have rank one
@@ -595,6 +638,23 @@ class TestRestrictedCovariance:
         report = lattice_point(LatticeGeometry(L, N), m=m)
         assert len(calls) == report.krylov_steps + 2 * m + 2 * m
 
+    @pytest.mark.parametrize("L,N", [(64, 1), (64, 2), (65, 1), (65, 2), (2000, 11), (2001, 11)])
+    def test_mirror_block_never_built(self, L, N, monkeypatch):
+        # one block kernel per solve and one for the intra compression: the
+        # second cross block is built only when it does not mirror the first
+        built = []
+        strided = ToeplitzKernel._strided
+
+        def counted(cls, rows, cols, s):
+            built.append((rows, cols, s))
+            return strided(rows, cols, s)
+
+        monkeypatch.setattr(ToeplitzKernel, "_strided", classmethod(counted))
+        restricted_covariance(LatticeGeometry(L, N), m=2)
+        first, second = _parity_blocks(L, -(N + L))
+        solved = [first] if N % 2 else [first, second]
+        assert built == [spec[2:] for spec in solved + _parity_blocks(L, 0)[:1]]
+
     def test_m_beyond_modes_rejected(self):
         with pytest.raises(ValidationError):
             restricted_covariance(LatticeGeometry(2, 0), m=3)
@@ -630,8 +690,8 @@ class TestRejectedSettings:
         assert points == []
 
     def test_point_beyond_memory_rejected_before_allocation(self, monkeypatch):
-        # the estimate at L = 4096 is about 1.05e6 bytes and at L = 64 about
-        # 1.6e4; no kernel may be built for a point that cannot fit
+        # the estimate at L = 4096 is about 2.5e6 bytes and at L = 64 about
+        # 3.9e4; no kernel may be built for a point that cannot fit
         monkeypatch.setattr(lattice, "PHYSICAL_MEMORY", 10**6)
         assert lattice_point(LatticeGeometry(64, 1)).f is not None
 
@@ -643,6 +703,29 @@ class TestRejectedSettings:
             lattice_point(LatticeGeometry(4096, 1))
         with pytest.raises(ValidationError, match="L = 4096 needs about"):
             sweep([64, 4096], [1])
+
+    @pytest.mark.parametrize(
+        "L,N,tol",
+        [(65536, 1, None), (65536, 2, None), (65537, 2, None), (65537, 1, 1e-12)],
+        ids=["even-L-odd-N", "even-L-even-N", "odd-L-even-N", "odd-L-odd-N-grown"],
+    )
+    def test_guard_bounds_traced_peak(self, L, N, tol, monkeypatch):
+        # one point per (L mod 2, N mod 2) class; at the lower tolerance the
+        # rectangular solve takes 16 steps and doubles its 16-row basis
+        if tol is not None:
+            monkeypatch.setattr(lattice, "KRYLOV_TOL", tol)
+        geometry = LatticeGeometry(L, N)
+        tracemalloc.start()
+        try:
+            report = lattice_point(geometry)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        if tol is not None:
+            assert report.krylov_steps >= 16
+        monkeypatch.setattr(lattice, "PHYSICAL_MEMORY", peak)
+        with pytest.raises(ValidationError, match=f"L = {L} needs about"):
+            lattice_point(geometry)
 
 
 class TestSweepWorkers:
@@ -837,6 +920,20 @@ class TestFit:
     def test_too_few_points(self):
         with pytest.raises(ValidationError):
             fit_power_law([(1000, 0.5), (2000, 0.6)], L_min=0)
+
+    def test_one_length_rejected(self):
+        # three points at one L determine no power law in L
+        with pytest.raises(ValidationError, match="share one L"):
+            fit_power_law([(5000, 0.9), (5000, 0.91), (5000, 0.92), (100, 0.5)], L_min=1000)
+
+    @pytest.mark.parametrize("bad", [math.nan, -math.inf, math.inf])
+    def test_non_finite_value_skipped(self, bad):
+        L = np.array([1000, 2000, 5000, 10000])
+        values = list(1 - 3.0 / L**1.5)
+        samples = list(zip(L, values)) + [(20000, bad)]
+        a, b, rms, points_used, warnings = fit_power_law(samples, L_min=0)
+        assert (a, b, rms, points_used) == fit_power_law(samples[:-1], L_min=0)[:4]
+        assert warnings == [f"skipped L=20000: value {bad} is not finite"]
 
 
 class TestMinLength:

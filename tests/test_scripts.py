@@ -11,6 +11,8 @@ from pathlib import Path
 
 import pytest
 
+from fermidistill.protocol import BOUND_ATOL
+
 SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
 
 
@@ -32,7 +34,7 @@ def test_optimality_study_defaults(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "(25 states x 400 trials)" in out
     excess = float(out.split("max sampled excess over the bound:")[1].split()[0])
-    assert excess <= 1e-9
+    assert excess <= BOUND_ATOL
     assert "canonical choice beaten on" in out
 
 
