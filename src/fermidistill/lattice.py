@@ -6,23 +6,23 @@ to the blocks are Toeplitz: the kernel value at offset q is
 
     t(q) = sin(q pi / 2) / (q pi),   t(0) -> handled per matrix,
 
-so matrix-vector products cost O(L log L) via circulant embedding and
-the FFT.  Because t vanishes at even q, every kernel splits into two
-Toeplitz blocks on its parity sublattices.  The few dominant singular
-triplets of the cross block come out of Lanczos on those blocks, one
-solve per block up to mirror images and one Toeplitz product per step:
-a square block B is persymmetric, so J B (J the index reversal) is a
-symmetric Hankel matrix whose eigenpairs give B's singular triplets,
-and the rectangular blocks of odd L with odd N run as [[0, B], [B^T, 0]]
-applying B or B^T in turn.  A point whose estimated memory exceeds the
-installed memory is rejected before its first kernel.  The kernel's
-own singular values come in exactly equal pairs if and only if N is
-odd.  The restricted 2m-mode covariance is then assembled analytically
-in the singular basis (the lift from the L x L kernel to the full
-off-diagonal block doubles every singular value's multiplicity), with
-the intra-block compressions taken from half-length products with one
-parity block of the intra kernel, and the point is evaluated by the
-same `protocol._evaluate` as the dense route.
+so matrix-vector products cost O(L log L) via circulant embedding and the
+FFT.  Because t vanishes at even q, every kernel splits into two Toeplitz
+blocks on its parity sublattices.  The few dominant singular triplets of
+the cross block come out of Lanczos on those blocks, one solve per block
+up to mirror images and one Toeplitz product per step: a square block B
+is persymmetric, so J B (J the index reversal) is a symmetric Hankel
+matrix whose eigenpairs give B's singular triplets, and the rectangular
+blocks of odd L with odd N run as [[0, B], [B^T, 0]] with one basis per
+half, at its own length, applying B and B^T in turn.  A point whose
+estimated memory exceeds the installed memory is rejected before its
+first kernel.  The kernel's own singular values come in exactly equal
+pairs if and only if N is odd.  The restricted 2m-mode covariance is then
+assembled analytically in the singular basis (the lift from the L x L
+kernel to the full off-diagonal block doubles every singular value's
+multiplicity), with the intra-block compressions taken from half-length
+products with one parity block of the intra kernel, and the point is
+evaluated by the same `protocol._evaluate` as the dense route.
 """
 
 from __future__ import annotations
@@ -141,16 +141,16 @@ def _check_memory(L: int, m: int):
     cross kernel and of the parity block being solved, at most M/2 + 1
     coefficients each (a kernel holds nothing else); one M-point product's
     buffers (the padded input, two spectra and the inverse transform); and
-    the Lanczos basis through its first doubling, 4c rows of at most L
-    doubles for c = max(16, 4m + 8) start rows, as the old rows, the zero
-    rows appended and the grown copy are held together (the rectangular
-    solve of odd L with odd N spans both sublattices).  A solve of 2c steps
-    or more doubles again and can exceed it.
+    the Lanczos basis, rows of at most (L + 1)/2 doubles: c =
+    `_start_rows(2m)` rows on each of two halves (the rectangular solve of
+    odd L with odd N keeps 2m Ritz pairs), plus the 2c rows one full half
+    grows into while its old c are held, 4c rows in all.  A solve of more
+    than 2c steps grows again and can exceed it.
     """
     M = _smooth_length(2 * int(L) - 1)
     spectra = 2 * 16 * (M // 2 + 1)
     product = 16 * M + 32 * (M // 2 + 1)
-    basis = 8 * L * 4 * max(16, 4 * m + 8)
+    basis = 8 * ((L + 1) // 2) * 4 * _start_rows(2 * m)
     need = spectra + product + basis
     if PHYSICAL_MEMORY is not None and need > PHYSICAL_MEMORY:
         raise ValidationError(
@@ -272,18 +272,27 @@ def _gram_schmidt(basis: np.ndarray, w: np.ndarray):
     w -= (basis @ w) @ basis
 
 
-def _lanczos(matvec, start, k):
-    """Symmetric Lanczos for the k Ritz pairs of largest |theta| of an n x n operator.
+def _start_rows(k: int) -> int:
+    """Rows each half of a Lanczos basis starts with, for k kept Ritz pairs."""
+    return max(16, 2 * k + 8)
 
-    One product per step, whose result the step updates in place.  The
-    basis is stored row-major, so basis vector j is the contiguous row
-    `q[j]`; it starts at max(16, 2k + 8) rows and doubles when full.
-    After the three-term update one classical Gram-Schmidt pass (Q w) Q
-    over the rows filled so far reorthogonalizes w, repeated when it cut
-    ||w|| below 1/sqrt(2) of its value before the pass (Daniel, Gragg,
-    Kaufman & Stewart, Math. Comp. 30 (1976) 772; as in ARPACK).  The
-    basis stays orthogonal to working precision, so ghost values are
-    excluded.
+
+def _lanczos(ops, sizes, start, k):
+    """Lanczos for the k Ritz pairs of largest |theta| of a symmetric operator in halves.
+
+    Basis vector j lives on half j mod H, H = len(ops), at length
+    sizes[j mod H]; ops[h] maps half h onto half h + 1 mod H, one product
+    per step, whose result the step updates in place.  H = 1 is symmetric
+    Lanczos; H = 2 runs [[0, B], [B^T, 0]] with ops = [B, B^T] from a start
+    on half 0, where alpha = 0 exactly (Golub & Kahan, SIAM J. Numer. Anal.
+    B 2, 1965).  Each half is stored row-major at its own length, vector j
+    as row j // H, from `_start_rows(k)` rows; a full half grows into a
+    fresh array of twice the rows.  After the three-term update one
+    classical Gram-Schmidt pass (Q w) Q over the filled rows of w's half
+    reorthogonalizes w, repeated when it cut ||w|| below 1/sqrt(2) of its
+    value before the pass (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30
+    (1976) 772; as in ARPACK).  The basis stays orthogonal to working
+    precision, so ghost values are excluded.
 
     The solve has one exit, which lifts the eigenpairs of the j x j
     tridiagonal T onto the basis.  Two conditions lead there:
@@ -291,35 +300,37 @@ def _lanczos(matvec, start, k):
       pair, with s_i its eigenvector of T and sigma_1 the largest |theta|,
       tested at every step j >= k;
     - exhaustion: the new beta falls to machine epsilon times the largest
-      |alpha| or beta so far, or the basis spans all n dimensions, and T
-      is exact.
+      |alpha| or beta so far, or the basis spans all n = sum(sizes)
+      dimensions, and T is exact.
     The exhaustion floor follows the operator's scale rather than an
     absolute value.  Past min(MAX_STEPS, n) steps ConvergenceError is
     raised.  Returns the kept Ritz values (fewer than k when the Krylov
-    space is smaller), their unit vectors as rows and the step count.
+    space is smaller), for each half the unit components of their Ritz
+    vectors on it as rows, and the step count.
     """
-    n = len(start)
+    H, n = len(ops), sum(sizes)
     steps = min(MAX_STEPS, n)
-    q = np.zeros((min(max(16, 2 * k + 8), steps + 1), n))
-    q[0] = start / np.linalg.norm(start)
+    q = [np.zeros((_start_rows(k), size)) for size in sizes]
+    q[0][0] = start / np.linalg.norm(start)
     alphas = np.zeros(steps)
     betas = np.zeros(steps)
     res = None
     eps = np.finfo(float).eps
     scale = 0.0
     for j in range(steps):
-        if j + 1 == len(q):
-            q = np.concatenate((q, np.zeros((min(len(q), steps + 1 - len(q)), n))))
-        w = np.ascontiguousarray(matvec(q[j]))  # BLAS takes unit strides only
-        alphas[j] = q[j] @ w
-        w -= alphas[j] * q[j]
+        # w becomes vector j + 1, row `row` of half `nxt`
+        qj, nxt, row = q[j % H][j // H], (j + 1) % H, (j + 1) // H
+        w = np.ascontiguousarray(ops[j % H](qj))  # BLAS takes unit strides only
+        if H == 1:
+            alphas[j] = qj @ w
+            w -= alphas[j] * qj
         if j > 0:
-            w -= betas[j - 1] * q[j - 1]
+            w -= betas[j - 1] * q[nxt][(j - 1) // H]  # vector j - 1 lies on w's half
         before = np.linalg.norm(w)
-        _gram_schmidt(q[: j + 1], w)
+        _gram_schmidt(q[nxt][:row], w)
         betas[j] = np.linalg.norm(w)
         if betas[j] < before / np.sqrt(2):  # the DGKS test
-            _gram_schmidt(q[: j + 1], w)
+            _gram_schmidt(q[nxt][:row], w)
             betas[j] = np.linalg.norm(w)
         scale = max(scale, abs(alphas[j]), betas[j])
 
@@ -331,52 +342,41 @@ def _lanczos(matvec, start, k):
             res = betas[j] * np.abs(s[-1, keep])
             if exhausted or np.all(res <= KRYLOV_TOL * max(abs(theta[keep[0]]), 1e-300)):
                 break
-        np.divide(w, betas[j], out=q[jj])
+        if row == len(q[nxt]):
+            q[nxt] = np.pad(q[nxt], ((0, row), (0, 0)))
+        np.divide(w, betas[j], out=q[nxt][row])
     else:
         raise ConvergenceError(f"Lanczos did not converge in {steps} steps", residuals=res)
 
-    x = s[:, keep].T @ q[:jj]
-    return theta[keep], x / np.linalg.norm(x, axis=1)[:, None], jj
+    parts = [s[h::H, keep].T @ q[h][: len(s[h::H])] for h in range(H)]
+    return theta[keep], [x / np.linalg.norm(x, axis=1)[:, None] for x in parts], jj
 
 
 def _block_triplets(block: ToeplitzKernel, k: int, rng) -> tuple[list[SingularTriplet], int]:
     """Top-k triplets of one parity block by Lanczos, one Toeplitz product per step.
 
     A square Toeplitz block is persymmetric, B^T = J B J with J the index
-    reversal, so H = J B is symmetric (Hankel).  A Ritz pair H x = theta x
-    gives sigma = |theta|, v = x and u = sign(theta) J x, and both triplet
-    residuals equal the Ritz residual.  A rectangular block (odd L with
-    odd N) is solved through [[0, B], [B^T, 0]] from a start that is zero
-    on the u half: the basis then alternates between the halves, each step
-    applies only B or B^T, the Krylov space is Golub-Kahan's, and each
-    singular value appears as the pair +-sigma, of which the + member
-    carries (u, v) as its halves.  Returns the triplets and the steps.
+    reversal, so H = J B is symmetric (Hankel) and `_lanczos` runs it as
+    one half.  A Ritz pair H x = theta x gives sigma = |theta|, v = x and
+    u = sign(theta) J x, and both triplet residuals equal the Ritz
+    residual.  A rectangular block (odd L with odd N) runs as the two
+    halves v and u of [[0, B], [B^T, 0]], applying B and B^T in turn: each
+    singular value appears as the pair +-sigma, and the + member's unit
+    components are (v, u).  Returns the triplets and the steps.
     """
     rows, cols = block.shape
     if rows == cols:
-        theta, x, steps = _lanczos(lambda y: block.matvec(y)[::-1], rng.standard_normal(rows), k)
+        hankel = [lambda y: block.matvec(y)[::-1]]  # J B
+        theta, (x,), steps = _lanczos(hankel, [rows], rng.standard_normal(rows), k)
         return [
             SingularTriplet(float(abs(th)), np.copysign(1.0, th) * xi[::-1], xi)
             for th, xi in zip(theta, x)
         ], steps
-
-    def product(y):
-        # every basis vector lives on one half exactly (alpha = x^T H x is 0
-        # for such x, so no step mixes them), and the other product is zero
-        out = np.zeros(rows + cols)
-        if y[rows:].any():
-            out[:rows] = block.matvec(y[rows:])
-        else:
-            out[rows:] = block.rmatvec(y[:rows])
-        return out
-
-    start = np.concatenate((np.zeros(rows), rng.standard_normal(cols)))
-    theta, x, steps = _lanczos(product, start, 2 * k)
-    halves = [(th, xi[:rows], xi[rows:]) for th, xi in zip(theta, x) if th > 0]
-    return [
-        SingularTriplet(float(th), u / np.linalg.norm(u), v / np.linalg.norm(v))
-        for th, u, v in halves[:k]
-    ], steps
+    theta, (v, u), steps = _lanczos(
+        [block.matvec, block.rmatvec], [cols, rows], rng.standard_normal(cols), 2 * k
+    )
+    pairs = [SingularTriplet(float(th), ui, vi) for th, ui, vi in zip(theta, u, v) if th > 0]
+    return pairs[:k], steps
 
 
 def top_singular_triplets(

@@ -1,16 +1,17 @@
 """Test-only oracles, kept independent of the library code paths they check.
 
-Also the reference constructions that only tests use: the dense
-Majorana operators (from the package's Pauli strings and from Kronecker
+Also the reference constructions that only tests use: the dense Majorana
+operators (from the package's Pauli strings and from Kronecker
 products), the dense-matrix routes of the Fock oracle (smeared
 operators, Fock vectors, parity monomials, joint parity), the dense
-lattice route, the sine kernel by a gather over q mod 4, Lanczos with
-two Gram-Schmidt passes at every step, Haar-random orthogonal matrices,
-the Gram-Schmidt frames of Gaussian draws and their Householder QR
-oracle, the polar decomposition (the V oracle), the twirl coefficients
-and output fidelity of the twirled-state route, random pure states, the
-global parity operator, and the closed-form covariances written out
-entry by entry (the oracle for their block assembly).
+lattice route, the sine kernel by a gather over q mod 4, sampled rows of
+sine-kernel products by direct sums, Lanczos with two Gram-Schmidt
+passes at every step on one full-length basis, Haar-random orthogonal
+matrices, the Gram-Schmidt frames of Gaussian draws and their
+Householder QR oracle, the polar decomposition (the V oracle), the twirl
+coefficients and output fidelity of the twirled-state route, random pure
+states, the global parity operator, and the closed-form covariances
+written out entry by entry (the oracle for their block assembly).
 """
 
 import math
@@ -91,6 +92,19 @@ def sine_kernel_gather(q: np.ndarray) -> np.ndarray:
     """
     q = np.asarray(q)
     return np.array([0.0, 1.0, 0.0, -1.0])[q & 3] / (np.where(q == 0, 1, q) * np.pi)
+
+
+def sine_toeplitz_rows(shape, stride: int, r: int, x: np.ndarray, rows) -> np.ndarray:
+    """Rows `rows` of A x by direct sums, A the shape[0] x shape[1] matrix t(stride (j - k) + r).
+
+    (A x)_j = sum_k t(stride (j - k) + r) x_k, with t from `sine_kernel_gather`
+    and no FFT: O(shape[1]) per row, so a few sampled rows check products at
+    lengths no dense matrix reaches.  A^T is the same form with offset -r, as
+    t is even.
+    """
+    n_rows, cols = shape
+    t = sine_kernel_gather(stride * np.arange(1 - cols, n_rows) + r)  # t[j - k + cols - 1]
+    return np.array([t[j : j + cols] @ x[::-1] for j in rows])
 
 
 def lanczos_two_pass(matvec, start, k):

@@ -39,6 +39,7 @@ from helpers import (
     lanczos_two_pass,
     random_orthogonal,
     sine_kernel_gather,
+    sine_toeplitz_rows,
 )
 
 
@@ -247,34 +248,85 @@ class TestTriplets:
         monkeypatch.setattr(lattice, "MAX_STEPS", ju)
         again, steps = solve()
         assert steps == ju
-        # the bases may be allocated with other capacities, so BLAS may
-        # round differently; the same triplets up to that
+        # the bases start at the same rows whatever MAX_STEPS is, so the
+        # same triplets bit for bit
         for a, b in zip(triplets, again):
-            assert a.sigma == pytest.approx(b.sigma, rel=1e-14)
-            np.testing.assert_allclose(a.u, b.u, rtol=0, atol=1e-14)
-            np.testing.assert_allclose(a.v, b.v, rtol=0, atol=1e-14)
+            assert a.sigma == b.sigma
+            np.testing.assert_array_equal(a.u, b.u)
+            np.testing.assert_array_equal(a.v, b.v)
 
-    @pytest.mark.parametrize("L,N", [(2000, 1), (2000, 10), (5001, 1), (5001, 100)])
+    @pytest.mark.parametrize(
+        "L,N", [(3, 1), (65, 1), (2000, 1), (2000, 10), (5001, 1), (5001, 100)]
+    )
     def test_matches_two_pass_reference(self, L, N, monkeypatch):
-        # one Gram-Schmidt pass per step under the DGKS test against two
-        # passes at every step, on the operators _block_triplets builds: J B
-        # for the square blocks, [[0, B], [B^T, 0]] for the rectangular ones
-        # of odd L with odd N
-        runs = []
-        for solver in (lattice._lanczos, lanczos_two_pass):
+        # one Gram-Schmidt pass per step under the DGKS test, one basis per
+        # half, against two passes at every step on one full-length basis.
+        # The reference runs the operator of each solve _block_triplets
+        # hands to _lanczos: J B for a square block, and for the rectangular
+        # blocks of odd L with odd N [[0, B], [B^T, 0]] from the start
+        # zero-padded on the u half.  At L = 3 one half has a single row, and
+        # at L = 65 both halves are exhausted early
+        calls = []
+        solve = lattice._lanczos
 
-            def recorded(matvec, start, k, solver=solver):
-                runs.append(solver(matvec, start, k))
-                return runs[-1]
+        def recorded(ops, sizes, start, k):
+            calls.append((ops, sizes, start, k, solve(ops, sizes, start, k)))
+            return calls[-1][-1]
 
-            monkeypatch.setattr(lattice, "_lanczos", recorded)
-            for spec in _parity_blocks(L, -(N + L)):
-                _block_triplets(_block(spec), 2, np.random.default_rng(L + N))
-        half = len(runs) // 2
-        for (theta, _, steps), (ref_theta, _, ref_steps) in zip(runs[:half], runs[half:]):
+        monkeypatch.setattr(lattice, "_lanczos", recorded)
+        for spec in _parity_blocks(L, -(N + L)):
+            block = _block(spec)
+            k = min(2, *block.shape)  # as top_singular_triplets asks
+            triplets, _ = _block_triplets(block, k, np.random.default_rng(L + N))
+            assert len(triplets) == k
+            if L < 100:
+                dense = block.dense()
+                sv = np.linalg.svd(dense, compute_uv=False)
+                np.testing.assert_allclose([t.sigma for t in triplets], sv[:k], rtol=0, atol=1e-12)
+                for t in triplets:
+                    resid = max(
+                        np.linalg.norm(dense @ t.v - t.sigma * t.u),
+                        np.linalg.norm(dense.T @ t.u - t.sigma * t.v),
+                    )
+                    assert resid <= 10 * lattice.KRYLOV_TOL * sv[0]
+        for ops, sizes, start, k, (theta, _, steps) in calls:
+            if len(ops) == 1:
+                product = ops[0]
+            else:
+                (to_u, to_v), (cols, rows) = ops, sizes
+
+                def product(y, to_u=to_u, to_v=to_v, rows=rows, cols=cols):
+                    # every basis vector lives on one half exactly, and the
+                    # other product is zero
+                    out = np.zeros(rows + cols)
+                    if y[rows:].any():
+                        out[:rows] = to_u(y[rows:])
+                    else:
+                        out[rows:] = to_v(y[:rows])
+                    return out
+
+                start = np.concatenate((np.zeros(rows), start))
+            ref_theta, _, ref_steps = lanczos_two_pass(product, start, k)
             assert steps == ref_steps
             # sorted: the rectangular operator's pairs +-sigma tie in |theta|
             np.testing.assert_allclose(np.sort(theta), np.sort(ref_theta), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("L,N", [(2000, 1), (2000, 10), (5001, 1), (5001, 10)])
+    def test_one_pass_per_step_on_parity_blocks(self, L, N, monkeypatch):
+        # one point per (L mod 2, N mod 2) class.  The three-term update
+        # leaves w orthogonal to the basis up to rounding, so the DGKS repeat
+        # never fires here; an update that subtracted a wrong vector would
+        # still converge to the same triplets, repaired by repeated passes
+        passes = []
+        one_pass = lattice._gram_schmidt
+
+        def counted(basis, w):
+            passes.append(len(basis))
+            one_pass(basis, w)
+
+        monkeypatch.setattr(lattice, "_gram_schmidt", counted)
+        _, steps = top_singular_triplets(ToeplitzKernel(L, -(N + L)), 2)
+        assert len(passes) == steps
 
     @staticmethod
     def _symmetric(lam, rng):
@@ -289,7 +341,7 @@ class TestTriplets:
         lam = np.concatenate(([1.0], np.linspace(0.5, 0.5 + 1e-3, n - 1)))
         rng = np.random.default_rng(11)
         op = self._symmetric(lam, rng)
-        theta, x, steps = lattice._lanczos(lambda y: op @ y, rng.standard_normal(n), k)
+        theta, (x,), steps = lattice._lanczos([lambda y: op @ y], [n], rng.standard_normal(n), k)
         assert steps > 100
         assert np.all(np.diff(np.sort(theta)) > 1e-6)  # no value twice
         np.testing.assert_allclose(np.sort(theta), np.sort(lam)[-k:], rtol=0, atol=1e-9)
@@ -311,7 +363,7 @@ class TestTriplets:
         lam = np.linspace(1.0, 2.0, n)
         rng = np.random.default_rng(12)
         op = self._symmetric(lam, rng)
-        theta, x, steps = lattice._lanczos(lambda y: op @ y, rng.standard_normal(n), n)
+        theta, (x,), steps = lattice._lanczos([lambda y: op @ y], [n], rng.standard_normal(n), n)
         assert steps == n
         assert passes.count(n) == 2  # the last step's pass ran twice
         np.testing.assert_allclose(np.sort(theta), lam, rtol=0, atol=1e-12)
@@ -339,8 +391,9 @@ class TestTriplets:
 
     def test_bases_grow_past_initial_capacity(self, rng):
         # a flat spectrum keeps the top triplets unresolved until the Krylov
-        # space is exhausted, far beyond the initial max(16, 2k' + 8) rows;
-        # the rectangular operator runs as [[0, B], [B^T, 0]] with k' = 2k
+        # space is exhausted, far beyond the initial max(16, 2k' + 8) rows of
+        # each half; the rectangular operator runs as [[0, B], [B^T, 0]] with
+        # k' = 2k, and its basis vectors alternate between the halves
         rows, cols, k = 60, 40, 3
         q1, _ = np.linalg.qr(rng.standard_normal((rows, cols)))
         q2, _ = np.linalg.qr(rng.standard_normal((cols, cols)))
@@ -349,7 +402,7 @@ class TestTriplets:
             shape=(rows, cols), matvec=lambda x: op @ x, rmatvec=lambda y: op.T @ y
         )
         triplets, steps = _block_triplets(block, k, rng)
-        assert steps > 2 * max(16, 2 * (2 * k) + 8)  # grown twice
+        assert steps > 2 * max(16, 2 * (2 * k) + 8) + 1  # each half grew
         u, sv, vt = np.linalg.svd(op)
         np.testing.assert_allclose([t.sigma for t in triplets], sv[:k], atol=1e-12)
         for i, t in enumerate(triplets):
@@ -492,6 +545,58 @@ class TestParitySplitOracle:
         # both 2 x 1 and 1 x 2 half blocks have rank one
         with pytest.raises(ConvergenceError):
             top_singular_triplets(ToeplitzKernel(3, -4), 3)
+
+
+class TestDirectSumsAtScale:
+    """Sampled rows by direct sums against the FFT products and the kept
+    triplets, at lengths no dense route reaches; one point per (L mod 2,
+    N mod 2) class near 2^17, and the rectangular solve at L = 999999."""
+
+    @staticmethod
+    def _rows(n, rng):
+        # 32 sampled rows, the first and last included
+        return np.concatenate(([0, n - 1], rng.choice(np.arange(1, n - 1), 30, replace=False)))
+
+    @pytest.mark.parametrize("L,N", [(2**17, 1), (2**17, 2), (2**17 + 1, 1), (2**17 + 1, 2)])
+    def test_products_match_direct_sums(self, L, N):
+        # the full kernel and each parity block, both ways; A^T has offset
+        # -r.  An FFT product's rounding error grows with ||x|| and log2 of
+        # the embedding length
+        rng = np.random.default_rng(L + N)
+        kern = ToeplitzKernel(L, -(N + L))
+        ops = [(kern, 1, kern.r)] + [(_block(s), 2, s[4]) for s in _parity_blocks(L, kern.r)]
+        for op, stride, r in ops:
+            rows, cols = op.shape
+            scale = np.finfo(float).eps * np.log2(op._fft_len)
+            x, y = rng.standard_normal(cols), rng.standard_normal(rows)
+            at = self._rows(rows, rng)
+            direct = sine_toeplitz_rows((rows, cols), stride, r, x, at)
+            assert np.max(np.abs(op.matvec(x)[at] - direct)) <= scale * np.linalg.norm(x)
+            at = self._rows(cols, rng)
+            direct = sine_toeplitz_rows((cols, rows), stride, -r, y, at)
+            assert np.max(np.abs(op.rmatvec(y)[at] - direct)) <= scale * np.linalg.norm(y)
+
+    @pytest.mark.parametrize(
+        "L,N", [(2**17, 1), (2**17, 2), (2**17 + 1, 1), (2**17 + 1, 2), (999999, 1)]
+    )
+    def test_triplets_match_direct_sums(self, L, N):
+        # F v = sigma u and F^T u = sigma v on sampled rows, to the runtime
+        # check's bound plus the FFT rounding it was measured with
+        rng = np.random.default_rng(L + N)
+        kern = ToeplitzKernel(L, -(N + L))
+        triplets, _ = top_singular_triplets(kern, 2)
+        bound = 10 * lattice.KRYLOV_TOL * triplets[0].sigma
+        bound += np.finfo(float).eps * np.log2(kern._fft_len)
+        for t in triplets:
+            p, q = t.sublattices
+            assert np.linalg.norm(t.u) == pytest.approx(1.0, abs=1e-12)
+            assert np.linalg.norm(t.v) == pytest.approx(1.0, abs=1e-12)
+            assert not t.u[1 - p :: 2].any() and not t.v[1 - q :: 2].any()
+            at = self._rows(L, rng)
+            fv = sine_toeplitz_rows((L, L), 1, kern.r, t.v, at)
+            assert np.max(np.abs(fv - t.sigma * t.u[at])) <= bound
+            ftu = sine_toeplitz_rows((L, L), 1, -kern.r, t.u, at)
+            assert np.max(np.abs(ftu - t.sigma * t.v[at])) <= bound
 
 
 class TestRestrictedCovariance:
@@ -690,8 +795,8 @@ class TestRejectedSettings:
         assert points == []
 
     def test_point_beyond_memory_rejected_before_allocation(self, monkeypatch):
-        # the estimate at L = 4096 is about 2.5e6 bytes and at L = 64 about
-        # 3.9e4; no kernel may be built for a point that cannot fit
+        # the estimate at L = 4096 is about 1.4e6 bytes and at L = 64 about
+        # 2.3e4; no kernel may be built for a point that cannot fit
         monkeypatch.setattr(lattice, "PHYSICAL_MEMORY", 10**6)
         assert lattice_point(LatticeGeometry(64, 1)).f is not None
 
@@ -705,15 +810,16 @@ class TestRejectedSettings:
             sweep([64, 4096], [1])
 
     @pytest.mark.parametrize(
-        "L,N,tol",
-        [(65536, 1, None), (65536, 2, None), (65537, 2, None), (65537, 1, 1e-12)],
+        "L,N,start",
+        [(65536, 1, None), (65536, 2, None), (65537, 2, None), (65537, 1, 7)],
         ids=["even-L-odd-N", "even-L-even-N", "odd-L-even-N", "odd-L-odd-N-grown"],
     )
-    def test_guard_bounds_traced_peak(self, L, N, tol, monkeypatch):
-        # one point per (L mod 2, N mod 2) class; at the lower tolerance the
-        # rectangular solve takes 16 steps and doubles its 16-row basis
-        if tol is not None:
-            monkeypatch.setattr(lattice, "KRYLOV_TOL", tol)
+    def test_guard_bounds_traced_peak(self, L, N, start, monkeypatch):
+        # one point per (L mod 2, N mod 2) class; with 7 start rows per half
+        # the rectangular solve's 15 steps outgrow them, and the guard, which
+        # reads the same start-row rule, must still bound the peak
+        if start is not None:
+            monkeypatch.setattr(lattice, "_start_rows", lambda k: start)
         geometry = LatticeGeometry(L, N)
         tracemalloc.start()
         try:
@@ -721,8 +827,8 @@ class TestRejectedSettings:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        if tol is not None:
-            assert report.krylov_steps >= 16
+        if start is not None:
+            assert report.krylov_steps > 2 * start
         monkeypatch.setattr(lattice, "PHYSICAL_MEMORY", peak)
         with pytest.raises(ValidationError, match=f"L = {L} needs about"):
             lattice_point(geometry)
