@@ -352,29 +352,34 @@ def _lanczos(ops, sizes, start, k):
     return theta[keep], [x / np.linalg.norm(x, axis=1)[:, None] for x in parts], jj
 
 
-def _block_triplets(block: ToeplitzKernel, k: int, rng) -> tuple[list[SingularTriplet], int]:
+def _block_triplets(
+    block: ToeplitzKernel, k: int, rng, start=None
+) -> tuple[list[SingularTriplet], int]:
     """Top-k triplets of one parity block by Lanczos, one Toeplitz product per step.
 
-    A square Toeplitz block is persymmetric, B^T = J B J with J the index
-    reversal, so H = J B is symmetric (Hankel) and `_lanczos` runs it as
-    one half.  A Ritz pair H x = theta x gives sigma = |theta|, v = x and
-    u = sign(theta) J x, and both triplet residuals equal the Ritz
-    residual.  A rectangular block (odd L with odd N) runs as the two
-    halves v and u of [[0, B], [B^T, 0]], applying B and B^T in turn: each
-    singular value appears as the pair +-sigma, and the + member's unit
-    components are (v, u).  Returns the triplets and the steps.
+    k is clamped to the block's smaller side.  A square Toeplitz block is
+    persymmetric, B^T = J B J with J the index reversal, so H = J B is
+    symmetric (Hankel) and `_lanczos` runs it as one half.  A Ritz pair
+    H x = theta x gives sigma = |theta|, v = x and u = sign(theta) J x, and
+    both triplet residuals equal the Ritz residual.  A rectangular block
+    (odd L with odd N) runs as the two halves v and u of [[0, B], [B^T, 0]],
+    applying B and B^T in turn: each singular value appears as the pair
+    +-sigma, and the + member's unit components are (v, u).  The solve
+    starts from `start` on the v side, or from a draw of rng when it is
+    None or zero.  Returns the triplets and the steps.
     """
     rows, cols = block.shape
+    k = min(k, rows, cols)
+    if start is None or not np.any(start):
+        start = rng.standard_normal(cols)
     if rows == cols:
         hankel = [lambda y: block.matvec(y)[::-1]]  # J B
-        theta, (x,), steps = _lanczos(hankel, [rows], rng.standard_normal(rows), k)
+        theta, (x,), steps = _lanczos(hankel, [rows], start, k)
         return [
             SingularTriplet(float(abs(th)), np.copysign(1.0, th) * xi[::-1], xi)
             for th, xi in zip(theta, x)
         ], steps
-    theta, (v, u), steps = _lanczos(
-        [block.matvec, block.rmatvec], [cols, rows], rng.standard_normal(cols), 2 * k
-    )
+    theta, (v, u), steps = _lanczos([block.matvec, block.rmatvec], [cols, rows], start, 2 * k)
     pairs = [SingularTriplet(float(th), ui, vi) for th, ui, vi in zip(theta, u, v) if th > 0]
     return pairs[:k], steps
 
@@ -388,10 +393,14 @@ def top_singular_triplets(
     sublattices (`_parity_blocks`), each built just before its solve by
     Lanczos (`_block_triplets`); their singular values decay geometrically
     (Cauchy-like blocks, Beckermann & Townsend, SIAM J. Matrix Anal. Appl.
-    38, 2017), so one single-vector solve per block suffices.  The second
-    block is not built when it mirrors the first (`_is_mirror`, N odd): it
-    equals R B^T R, so its triplets are (sigma, R v, R u) of B's, for a
-    square B sign(theta) (sigma, u, v).  Only the k kept triplets are lifted
+    38, 2017), so one single-vector solve per block suffices.  The first
+    block starts from a draw of the seeded generator.  The second block is
+    not built when it mirrors the first (`_is_mirror`, N odd): it equals
+    R B^T R, so its triplets are (sigma, R v, R u) of B's, for a square B
+    sign(theta) (sigma, u, v).  Otherwise (N even) it is the first block
+    shifted by one row (even L) or the first's leading principal submatrix
+    (odd L), and its solve starts from the sum of the first block's right
+    vectors v, cut to its length.  Only the k kept triplets are lifted
     onto their sublattices.  Each satisfies ||F v - sigma u|| <= 10
     KRYLOV_TOL sigma_1 against the full kernel.  Returns the triplets and
     the Lanczos steps of the solves that ran, one Toeplitz product each.
@@ -408,9 +417,8 @@ def top_singular_triplets(
         if solved is not None and _is_mirror(solved[0], spec):
             half = [SingularTriplet(t.sigma, t.v[::-1], t.u[::-1]) for t in solved[1]]
         else:
-            half, iters = _block_triplets(
-                ToeplitzKernel._strided(rows, cols, s), min(k, rows, cols), rng
-            )
+            warm = sum(t.v[:cols] for t in solved[1]) if solved else None
+            half, iters = _block_triplets(ToeplitzKernel._strided(rows, cols, s), k, rng, warm)
             total_iters += iters
             solved = (spec, half)
         found += [SingularTriplet(t.sigma, t.u, t.v, (p, q)) for t in half]
@@ -461,13 +469,16 @@ def restricted_covariance(
     of the assembled covariance is exactly diag(s_1, s_1, ..., s_m, s_m)
     in the chosen frame, so the canonical isometry is the identity, and
     the diagonal blocks are interleavings of the compressions
-    w^T F_0 w and z^T F_0 z of the intra-block kernel.  F_0 couples only
-    opposite sublattices and each w_i, z_i lives on one, so every column
-    takes one half-length product: with F_0's first parity block, from
-    sublattice 1 onto 0, or with its transpose, the block from 0 onto 1,
-    as F_0 is symmetric.  The L x L intra kernel is never built.  Returns the
-    covariance, its split and the canonical choice, as `optimal_choice`
-    would give them for the dense covariance.
+    w^T F_0 w and z^T F_0 z of the intra-block kernel.  F_0 is symmetric
+    and couples only opposite sublattices, and each w_i, z_i lives on one,
+    so a compression has a zero diagonal and is filled from its strict
+    upper triangle by symmetry.  Column j of that triangle takes one
+    half-length product, and only when an earlier vector lies on the
+    other sublattice: with F_0's first parity block, from sublattice 1
+    onto 0, or with its transpose, the block from 0 onto 1.  The L x L
+    intra kernel is never built.  Returns the covariance, its split and
+    the canonical choice, as `optimal_choice` would give them for the
+    dense covariance.
     """
     if m < 2:
         raise ValidationError("protocol needs m >= 2")
@@ -481,15 +492,17 @@ def restricted_covariance(
     half = ToeplitzKernel._strided(*_parity_blocks(L, 0)[0][2:])
 
     def compress(side: int) -> np.ndarray:
-        # x^T F_0 x for the triplets' u (side 0) or v (side 1) vectors x:
-        # F_0 x_j lives on sublattice 1 - q, so the x_i on q contribute exact zeros
+        # x^T F_0 x for the triplets' u (side 0) or v (side 1) vectors x, by
+        # symmetry from its strict upper triangle: F_0 x_j lives on sublattice
+        # 1 - q_j, so the diagonal and the x_i on q_j give exact zeros
         x = np.array([(t.u, t.v)[side] for t in triplets])
-        out = np.empty((m, m))
-        for j, t in enumerate(triplets):
-            q = t.sublattices[side]
-            f0x = half.matvec(x[j, 1::2]) if q else half.rmatvec(x[j, 0::2])
-            out[:, j] = x[:, 1 - q :: 2] @ f0x
-        return out
+        subl = [t.sublattices[side] for t in triplets]
+        out = np.zeros((m, m))
+        for j, q in enumerate(subl):
+            if 1 - q in subl[:j]:
+                f0x = half.matvec(x[j, 1::2]) if q else half.rmatvec(x[j, 0::2])
+                out[:j, j] = x[:j, 1 - q :: 2] @ f0x
+        return out + out.T
 
     lam = np.repeat(2.0 * np.array([t.sigma for t in triplets]), 2)
     cov, split = assemble_covariance(

@@ -541,10 +541,110 @@ class TestParitySplitOracle:
                 np.testing.assert_allclose(b.u[p2::2], sign * a.u, rtol=0, atol=1e-8)
                 np.testing.assert_allclose(b.v[q2::2], sign * a.v, rtol=0, atol=1e-8)
 
+    def test_k_clamped_to_the_smaller_side(self):
+        # the 1 x 2 block of (L, N) = (3, 1), asked for two triplets, has
+        # one.  Unclamped, the odd-size tridiagonal's zero Ritz value passed
+        # as a second triplet whenever rounding left it positive (seed 4)
+        block = _block(_parity_blocks(3, -4)[1])
+        assert block.shape == (1, 2)
+        dense = block.dense()
+        for seed in range(10):
+            triplets, _ = _block_triplets(block, 2, np.random.default_rng(seed))
+            assert len(triplets) == 1
+            t = triplets[0]
+            assert t.sigma == pytest.approx(np.linalg.norm(dense), rel=1e-14)
+            np.testing.assert_allclose(dense @ t.v, t.sigma * t.u, rtol=0, atol=1e-15)
+
     def test_k_above_rank_raises(self):
         # both 2 x 1 and 1 x 2 half blocks have rank one
         with pytest.raises(ConvergenceError):
             top_singular_triplets(ToeplitzKernel(3, -4), 3)
+
+
+class TestWarmStart:
+    """N even: the second parity block, which does not mirror the first,
+    starts its Lanczos from the sum of the first block's right vectors."""
+
+    @staticmethod
+    def _solves(L, N, k, seed, monkeypatch):
+        # each _block_triplets call of top_singular_triplets, with its start
+        calls = []
+        solve = lattice._block_triplets
+
+        def recorded(block, k, rng, start=None):
+            calls.append((block, k, start, solve(block, k, rng, start)))
+            return calls[-1][-1]
+
+        monkeypatch.setattr(lattice, "_block_triplets", recorded)
+        top_singular_triplets(ToeplitzKernel(L, -(N + L)), k, seed=seed)
+        monkeypatch.undo()
+        return calls
+
+    @staticmethod
+    def _cold(block, k, seed, first_cols):
+        # a cold solve of the second block from the seeded generator's
+        # second draw, the one after the first block's
+        rng = np.random.default_rng(seed)
+        rng.standard_normal(first_cols)
+        return _block_triplets(block, k, rng)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "L,N",
+        [(64, 0), (200, 2), (2000, 10), (10000, 100), (65, 0), (201, 2), (2001, 10), (5001, 100)],
+    )
+    def test_matches_cold_solve_in_no_more_steps(self, L, N, k, monkeypatch):
+        seed = L + N + k
+        (first, _, cold_start, (head, _)), (block, kk, warm, (triplets, steps)) = self._solves(
+            L, N, k, seed, monkeypatch
+        )
+        assert cold_start is None
+        cols = block.shape[1]
+        np.testing.assert_array_equal(warm, sum(t.v[:cols] for t in head))
+        cold, cold_steps = self._cold(block, kk, seed, first.shape[1])
+        assert steps <= cold_steps
+        assert len(triplets) == len(cold) == min(k, cols)
+        for a, b in zip(triplets, cold):
+            assert a.sigma == pytest.approx(b.sigma, rel=1e-12)
+            sign = 1.0 if a.v @ b.v > 0 else -1.0
+            np.testing.assert_allclose(a.v, sign * b.v, rtol=0, atol=1e-8)
+            np.testing.assert_allclose(a.u, sign * b.u, rtol=0, atol=1e-8)
+
+    @pytest.mark.parametrize("start", [None, 0, "zeros"])
+    def test_zero_start_falls_back_to_seeded_draw(self, start):
+        # 0 is the sum over a first block that returned no triplet
+        block = _block(_parity_blocks(200, -202)[1])
+        start = np.zeros(block.shape[1]) if start == "zeros" else start
+        got, steps = _block_triplets(block, 2, np.random.default_rng(4), start)
+        ref, ref_steps = _block_triplets(block, 2, np.random.default_rng(4))
+        assert steps == ref_steps and len(got) == len(ref) == 2
+        for a, b in zip(got, ref):
+            assert a.sigma == b.sigma
+            np.testing.assert_array_equal(a.u, b.u)
+            np.testing.assert_array_equal(a.v, b.v)
+
+    @pytest.mark.parametrize("L", [200, 201])
+    def test_empty_first_block_falls_back_to_seeded_draw(self, L, monkeypatch):
+        # a first block that returned no triplet leaves the second block a
+        # cold start from the seeded generator's second draw
+        solve = lattice._block_triplets
+        calls = []
+
+        def first_empty(block, k, rng, start=None):
+            triplets, steps = solve(block, k, rng, start)
+            calls.append((block, start, triplets))
+            return ([], steps) if len(calls) == 1 else (triplets, steps)
+
+        monkeypatch.setattr(lattice, "_block_triplets", first_empty)
+        top_singular_triplets(ToeplitzKernel(L, -(L + 2)), 2, seed=9)
+        monkeypatch.undo()
+        (first, _, _), (block, start, triplets) = calls
+        assert not np.any(start)
+        cold, _ = self._cold(block, 2, 9, first.shape[1])
+        assert len(triplets) == len(cold) == 2
+        for a, b in zip(triplets, cold):
+            assert a.sigma == b.sigma
+            np.testing.assert_array_equal(a.v, b.v)
 
 
 class TestDirectSumsAtScale:
@@ -725,12 +825,26 @@ class TestRestrictedCovariance:
         blk = blocks(s, split)
         np.testing.assert_allclose(blk.x, 2 * _interleave(w.T @ f0 @ w), atol=1e-12)
         np.testing.assert_allclose(blk.z, 2 * _interleave(z.T @ f0 @ z), atol=1e-12)
+        # both interleave a P filled by symmetry: bit-exactly symmetric,
+        # with a zero diagonal
+        for side in (blk.x, blk.z):
+            p = side[0::2, 1::2]
+            np.testing.assert_array_equal(side, _interleave(p))
+            np.testing.assert_array_equal(p, p.T)
+            assert not p.diagonal().any()
 
     @pytest.mark.parametrize("L,N,m", [(200, 0, 2), (2000, 1, 3), (5001, 1, 2), (1001, 10, 3)])
     def test_every_product_goes_through_the_kernel(self, L, N, m, monkeypatch):
-        # one product per Lanczos step, two per triplet in the residual
-        # check, one per kept vector on each side in the intra compression;
-        # an FFT outside ToeplitzKernel would break the count
+        # one product per Lanczos step and two per triplet in the residual
+        # check.  The intra compression takes one per column j >= 1 of its
+        # strict upper triangle on each side, when an earlier kept vector
+        # lies on the other sublattice; an FFT outside ToeplitzKernel would
+        # break the count
+        kept, _ = top_singular_triplets(ToeplitzKernel(L, -(N + L)), m)
+        compression = 0
+        for side in (0, 1):
+            subl = [t.sublattices[side] for t in kept]
+            compression += sum(1 - q in subl[:j] for j, q in enumerate(subl))
         calls = []
         for name in ("matvec", "rmatvec"):
             original = getattr(ToeplitzKernel, name)
@@ -741,7 +855,8 @@ class TestRestrictedCovariance:
 
             monkeypatch.setattr(ToeplitzKernel, name, counted)
         report = lattice_point(LatticeGeometry(L, N), m=m)
-        assert len(calls) == report.krylov_steps + 2 * m + 2 * m
+        assert len(calls) == report.krylov_steps + 2 * m + compression
+        assert compression <= 2 * (m - 1)
 
     @pytest.mark.parametrize("L,N", [(64, 1), (64, 2), (65, 1), (65, 2), (2000, 11), (2001, 11)])
     def test_mirror_block_never_built(self, L, N, monkeypatch):
