@@ -8,21 +8,16 @@ to the blocks are Toeplitz: the kernel value at offset q is
 
 so matrix-vector products cost O(L log L) via circulant embedding and the
 FFT.  Because t vanishes at even q, every kernel splits into two Toeplitz
-blocks on its parity sublattices.  The few dominant singular triplets of
-the cross block come out of Lanczos on those blocks, one solve per block
-up to mirror images and one Toeplitz product per step: a square block B
-is persymmetric, so J B (J the index reversal) is a symmetric Hankel
-matrix whose eigenpairs give B's singular triplets, and the rectangular
-blocks of odd L with odd N run as [[0, B], [B^T, 0]] with one basis per
-half, at its own length, applying B and B^T in turn.  A point whose
-estimated memory exceeds the installed memory is rejected before its
-first kernel.  The kernel's own singular values come in exactly equal
-pairs if and only if N is odd.  The restricted 2m-mode covariance is then
-assembled analytically in the singular basis (the lift from the L x L
-kernel to the full off-diagonal block doubles every singular value's
-multiplicity), with the intra-block compressions taken from half-length
-products with one parity block of the intra kernel, and the point is
-evaluated by the same `protocol._evaluate` as the dense route.
+blocks on its parity sublattices.  The few dominant singular triplets of the
+cross block come out of Lanczos on those blocks (`_block_triplets`), one
+solve per block up to mirror images, one Toeplitz product per step, each
+block asked only for the triplets of the top k it can hold (`_asked`).  The
+restricted 2m-mode covariance is then assembled analytically in the singular
+basis (the lift from the L x L kernel to the full off-diagonal block doubles
+every singular value's multiplicity), with the intra-block compressions
+taken from half-length products with one parity block of the intra kernel,
+and the point is evaluated by the same `protocol._evaluate` as the dense
+route; `_check_memory` rejects a point too large for the installed memory.
 """
 
 from __future__ import annotations
@@ -97,13 +92,13 @@ class LatticeGeometry:
 def _sine_kernel(q: np.ndarray) -> np.ndarray:
     """t(q) = sin(q pi/2)/(q pi) on integer offsets q, with the q = 0 entry set to zero.
 
-    sin(q pi/2) cycles through 0, 1, 0, -1 with q mod 4, which is (q & 1)(1 - (q & 2)):
+    sin(q pi/2) is read from a table at q & 3 (q mod 4, also for negative q):
     even offsets are exact zeros, and q | 1, equal to q at odd q, is never 0.
     The zero at q = 0 encodes the vanishing diagonal of the centered
     correlation matrix at half filling.
     """
     q = np.asarray(q)
-    return (q & 1) * (1 - (q & 2)) / ((q | 1) * np.pi)
+    return np.array([0.0, 1.0, 0.0, -1.0])[q & 3] / ((q | 1) * np.pi)
 
 
 def _smooth_length(n: int) -> int:
@@ -141,16 +136,17 @@ def _check_memory(L: int, m: int):
     cross kernel and of the parity block being solved, at most M/2 + 1
     coefficients each (a kernel holds nothing else); one M-point product's
     buffers (the padded input, two spectra and the inverse transform); and
-    the Lanczos basis, rows of at most (L + 1)/2 doubles: c =
-    `_start_rows(2m)` rows on each of two halves (the rectangular solve of
-    odd L with odd N keeps 2m Ritz pairs), plus the 2c rows one full half
-    grows into while its old c are held, 4c rows in all.  A solve of more
-    than 2c steps grows again and can exceed it.
+    the Lanczos basis, rows of at most (L + 1)/2 doubles: c = `_start_rows(k)`
+    rows on each of two halves, k the most Ritz pairs a solve at this L keeps
+    (one per triplet `_asked` gives a square block, two on a rectangular one),
+    plus the 2c rows one full half grows into while its old c are held, 4c
+    rows in all.  A solve of more than 2c steps grows again and can exceed it.
     """
     M = _smooth_length(2 * int(L) - 1)
     spectra = 2 * 16 * (M // 2 + 1)
     product = 16 * M + 32 * (M // 2 + 1)
-    basis = 8 * ((L + 1) // 2) * 4 * _start_rows(2 * m)
+    asked = [a for N in (0, 1) for a in _asked(_parity_blocks(L, -(N + L)), m)]
+    basis = 8 * ((L + 1) // 2) * 4 * _start_rows(max(n * (1 + (b[2] != b[3])) for b, n in asked))
     need = spectra + product + basis
     if PHYSICAL_MEMORY is not None and need > PHYSICAL_MEMORY:
         raise ValidationError(
@@ -190,8 +186,8 @@ class ToeplitzKernel:
         self._fft_len = m = _smooth_length(rows + cols - 1)
         # the diagonal j - k = i sits at i mod m of the circulant's first column
         col = np.zeros(m)
-        col[:rows] = _sine_kernel(stride * np.arange(rows) + self.r)
-        col[m - cols + 1 :] = _sine_kernel(stride * np.arange(1 - cols, 0) + self.r)
+        col[:rows] = _sine_kernel(np.arange(self.r, self.r + stride * rows, stride))
+        col[m - cols + 1 :] = _sine_kernel(np.arange(self.r - stride * (cols - 1), self.r, stride))
         self._fft = np.fft.rfft(col)
 
     def dense(self) -> np.ndarray:
@@ -249,6 +245,22 @@ def _is_mirror(a: tuple, b: tuple) -> bool:
     return b[2:] == (cols, rows, s + 2 * (rows - cols))
 
 
+def _asked(specs: list[tuple], k: int) -> list[tuple[tuple, int]]:
+    """Each block spec with the count of the kernel's top k triplets it can hold.
+
+    That is h = ceil(k/2): a block's sigma_j, j > h, has k other values at
+    least as large by interlacing (Thompson, Linear Algebra Appl. 5 (1972) 1).
+    - N odd: the other block mirrors this one (`_is_mirror`): 2j - 1 values.
+    - N even, L even: the R x R blocks are the (R + 1) x R Toeplitz B~ less its
+      last or its first row, so sigma_i(B_1), sigma_i(B_2) >= sigma_{i+1}(B~)
+      >= sigma_{i+1}(B_1), sigma_{i+1}(B_2): 2(j - 1) values.
+    - N even, L odd: the second block is the first's leading principal
+      submatrix, sigma_i(B_2) <= sigma_i(B_1): 2j - 1 values; the first keeps k.
+    """
+    h = (k + 1) // 2
+    return [(a, k if a[2] > b[2] and a[3] > b[3] else h) for a, b in zip(specs, specs[::-1])]
+
+
 @dataclass(frozen=True)
 class SingularTriplet:
     """sigma with unit vectors u, v.  For a triplet of a whole sine kernel,
@@ -285,14 +297,15 @@ def _lanczos(ops, sizes, start, k):
     per step, whose result the step updates in place.  H = 1 is symmetric
     Lanczos; H = 2 runs [[0, B], [B^T, 0]] with ops = [B, B^T] from a start
     on half 0, where alpha = 0 exactly (Golub & Kahan, SIAM J. Numer. Anal.
-    B 2, 1965).  Each half is stored row-major at its own length, vector j
-    as row j // H, from `_start_rows(k)` rows; a full half grows into a
-    fresh array of twice the rows.  After the three-term update one
-    classical Gram-Schmidt pass (Q w) Q over the filled rows of w's half
-    reorthogonalizes w, repeated when it cut ||w|| below 1/sqrt(2) of its
-    value before the pass (Daniel, Gragg, Kaufman & Stewart, Math. Comp. 30
-    (1976) 772; as in ARPACK).  The basis stays orthogonal to working
-    precision, so ghost values are excluded.
+    B 2, 1965), and T's pairs +-theta come from the SVD of its block between
+    the halves, so each half stays orthonormal.  Each half is stored
+    row-major at its own length, vector j as row j // H, from
+    `_start_rows(k)` rows; a full half grows into a fresh array of twice the
+    rows.  After the three-term update one classical Gram-Schmidt pass
+    (Q w) Q over the filled rows of w's half reorthogonalizes w, repeated
+    when it cut ||w|| below 1/sqrt(2) of its value before the pass (Daniel,
+    Gragg, Kaufman & Stewart, Math. Comp. 30 (1976) 772; as in ARPACK).  The
+    basis stays orthogonal to working precision, so ghost values are excluded.
 
     The solve has one exit, which lifts the eigenpairs of the j x j
     tridiagonal T onto the basis.  Two conditions lead there:
@@ -337,7 +350,13 @@ def _lanczos(ops, sizes, start, k):
         jj = j + 1
         exhausted = betas[j] <= eps * scale or jj == n
         if exhausted or jj >= k:
-            theta, s = np.linalg.eigh(np.diag(alphas[:jj]) + np.diag(betas[: jj - 1], -1))
+            t = np.diag(alphas[:jj]) + np.diag(betas[: jj - 1], -1)
+            if H == 1:
+                theta, s = np.linalg.eigh(t)
+            else:  # pairs +-sigma from the SVD of t's bidiagonal block from half 0 onto half 1
+                y, sig, xt = np.linalg.svd(t[1::2, 0::2] + t[0::2, 1::2].T, full_matrices=False)
+                theta, s = np.concatenate((sig, -sig)), np.empty((jj, 2 * len(sig)))
+                s[0::2], s[1::2] = np.hstack((xt.T, xt.T)) / 2**0.5, np.hstack((y, -y)) / 2**0.5
             keep = np.argsort(-np.abs(theta), kind="stable")[:k]
             res = betas[j] * np.abs(s[-1, keep])
             if exhausted or np.all(res <= KRYLOV_TOL * max(abs(theta[keep[0]]), 1e-300)):
@@ -357,15 +376,15 @@ def _block_triplets(
 ) -> tuple[list[SingularTriplet], int]:
     """Top-k triplets of one parity block by Lanczos, one Toeplitz product per step.
 
-    k is clamped to the block's smaller side.  A square Toeplitz block is
-    persymmetric, B^T = J B J with J the index reversal, so H = J B is
-    symmetric (Hankel) and `_lanczos` runs it as one half.  A Ritz pair
-    H x = theta x gives sigma = |theta|, v = x and u = sign(theta) J x, and
-    both triplet residuals equal the Ritz residual.  A rectangular block
-    (odd L with odd N) runs as the two halves v and u of [[0, B], [B^T, 0]],
-    applying B and B^T in turn: each singular value appears as the pair
-    +-sigma, and the + member's unit components are (v, u).  The solve
-    starts from `start` on the v side, or from a draw of rng when it is
+    k (from `_asked`) is clamped to the block's smaller side.  A square
+    Toeplitz block is persymmetric, B^T = J B J with J the index reversal,
+    so H = J B is symmetric (Hankel) and `_lanczos` runs it as one half.  A
+    Ritz pair H x = theta x gives sigma = |theta|, v = x and u = sign(theta)
+    J x, and both triplet residuals equal the Ritz residual.  A rectangular
+    block (odd L with odd N) runs as the two halves v and u of [[0, B],
+    [B^T, 0]], applying B and B^T in turn: each singular value appears as
+    the pair +-sigma, and the + member's unit components are (v, u).  The
+    solve starts from `start` on the v side, or from a draw of rng when it is
     None or zero.  Returns the triplets and the steps.
     """
     rows, cols = block.shape
@@ -380,8 +399,7 @@ def _block_triplets(
             for th, xi in zip(theta, x)
         ], steps
     theta, (v, u), steps = _lanczos([block.matvec, block.rmatvec], [cols, rows], start, 2 * k)
-    pairs = [SingularTriplet(float(th), ui, vi) for th, ui, vi in zip(theta, u, v) if th > 0]
-    return pairs[:k], steps
+    return [SingularTriplet(float(th), ui, vi) for th, ui, vi in zip(theta, u, v) if th > 0], steps
 
 
 def top_singular_triplets(
@@ -391,19 +409,19 @@ def top_singular_triplets(
 
     The kernel splits into two stride-2 Toeplitz blocks on its parity
     sublattices (`_parity_blocks`), each built just before its solve by
-    Lanczos (`_block_triplets`); their singular values decay geometrically
-    (Cauchy-like blocks, Beckermann & Townsend, SIAM J. Matrix Anal. Appl.
-    38, 2017), so one single-vector solve per block suffices.  The first
-    block starts from a draw of the seeded generator.  The second block is
-    not built when it mirrors the first (`_is_mirror`, N odd): it equals
-    R B^T R, so its triplets are (sigma, R v, R u) of B's, for a square B
-    sign(theta) (sigma, u, v).  Otherwise (N even) it is the first block
-    shifted by one row (even L) or the first's leading principal submatrix
-    (odd L), and its solve starts from the sum of the first block's right
-    vectors v, cut to its length.  Only the k kept triplets are lifted
-    onto their sublattices.  Each satisfies ||F v - sigma u|| <= 10
-    KRYLOV_TOL sigma_1 against the full kernel.  Returns the triplets and
-    the Lanczos steps of the solves that ran, one Toeplitz product each.
+    Lanczos (`_block_triplets`) for the triplets of the top k it can hold
+    (`_asked`); their singular values decay geometrically (Cauchy-like
+    blocks, Beckermann & Townsend, SIAM J. Matrix Anal. Appl. 38, 2017), so
+    one single-vector solve per block suffices.  The first block starts from
+    a draw of the seeded generator.  The second block is not built when it
+    mirrors the first (`_is_mirror`, N odd): it equals R B^T R, so its
+    triplets are (sigma, R v, R u) of B's, for a square B sign(theta)
+    (sigma, u, v).  Otherwise (N even) it is the first shifted by one row or
+    cut to a principal submatrix (`_asked`), and its solve starts from the
+    sum of the first block's right vectors v, cut to its length.  Only the k
+    kept triplets are lifted onto their sublattices.  Each satisfies ||F v -
+    sigma u|| <= 10 KRYLOV_TOL sigma_1 against the full kernel.  Returns the
+    triplets and the Lanczos steps of the solves that ran, one product each.
     """
     L = kern.L
     if k < 1:
@@ -412,13 +430,13 @@ def top_singular_triplets(
         raise ValidationError("cannot extract more triplets than the dimension")
     rng = np.random.default_rng(seed)
     found, total_iters, solved = [], 0, None
-    for spec in _parity_blocks(L, kern.r):
+    for spec, asked in _asked(_parity_blocks(L, kern.r), k):
         p, q, rows, cols, s = spec
         if solved is not None and _is_mirror(solved[0], spec):
             half = [SingularTriplet(t.sigma, t.v[::-1], t.u[::-1]) for t in solved[1]]
         else:
             warm = sum(t.v[:cols] for t in solved[1]) if solved else None
-            half, iters = _block_triplets(ToeplitzKernel._strided(rows, cols, s), k, rng, warm)
+            half, iters = _block_triplets(ToeplitzKernel._strided(rows, cols, s), asked, rng, warm)
             total_iters += iters
             solved = (spec, half)
         found += [SingularTriplet(t.sigma, t.u, t.v, (p, q)) for t in half]
@@ -473,12 +491,11 @@ def restricted_covariance(
     and couples only opposite sublattices, and each w_i, z_i lives on one,
     so a compression has a zero diagonal and is filled from its strict
     upper triangle by symmetry.  Column j of that triangle takes one
-    half-length product, and only when an earlier vector lies on the
-    other sublattice: with F_0's first parity block, from sublattice 1
-    onto 0, or with its transpose, the block from 0 onto 1.  The L x L
-    intra kernel is never built.  Returns the covariance, its split and
-    the canonical choice, as `optimal_choice` would give them for the
-    dense covariance.
+    half-length product with F_0's block from sublattice 1 onto 0 or its
+    transpose, and only when an earlier vector lies on the other sublattice
+    (F_0 x_j lives on 1 - q_j).  The L x L intra kernel is never built.
+    Returns the covariance, its split and the canonical choice, as
+    `optimal_choice` would give them for the dense covariance.
     """
     if m < 2:
         raise ValidationError("protocol needs m >= 2")
@@ -492,9 +509,7 @@ def restricted_covariance(
     half = ToeplitzKernel._strided(*_parity_blocks(L, 0)[0][2:])
 
     def compress(side: int) -> np.ndarray:
-        # x^T F_0 x for the triplets' u (side 0) or v (side 1) vectors x, by
-        # symmetry from its strict upper triangle: F_0 x_j lives on sublattice
-        # 1 - q_j, so the diagonal and the x_i on q_j give exact zeros
+        # x^T F_0 x for the triplets' u (side 0) or v (side 1) vectors x
         x = np.array([(t.u, t.v)[side] for t in triplets])
         subl = [t.sublattices[side] for t in triplets]
         out = np.zeros((m, m))

@@ -23,6 +23,7 @@ from fermidistill.lattice import (
     top_singular_triplets,
 )
 from fermidistill.lattice import (
+    _asked,
     _block_triplets,
     _interleave,
     _is_mirror,
@@ -494,7 +495,8 @@ class TestParitySplitOracle:
     @pytest.mark.parametrize("L,N,k", [(3, 1, 2), (17, 3, 4), (199, 1, 6), (5001, 1, 2)])
     def test_mirror_block_solved_once(self, L, N, k):
         # odd L with odd N: the second parity block is the first one
-        # transposed and index-reversed, so only the first is solved
+        # transposed and index-reversed, so only the first is solved, for
+        # the ceil(k/2) triplets the top k can hold from it
         kern = ToeplitzKernel(L, -(N + L))
         first, second = _parity_blocks(L, kern.r)
         assert _is_mirror(first, second)
@@ -503,7 +505,7 @@ class TestParitySplitOracle:
                 _block(second).dense(), _block(first).dense().T[::-1, ::-1]
             )
         rng = np.random.default_rng(5)
-        _, one_solve = _block_triplets(_block(first), min(k, *first[2:4]), rng)
+        _, one_solve = _block_triplets(_block(first), min(-(-k // 2), *first[2:4]), rng)
         triplets, steps = top_singular_triplets(kern, k, seed=5)
         assert steps == one_solve
         sigmas = [t.sigma for t in triplets]
@@ -599,11 +601,12 @@ class TestWarmStart:
             L, N, k, seed, monkeypatch
         )
         assert cold_start is None
+        assert kk == -(-k // 2)  # the top k holds at most ceil(k/2) of the second block's
         cols = block.shape[1]
         np.testing.assert_array_equal(warm, sum(t.v[:cols] for t in head))
         cold, cold_steps = self._cold(block, kk, seed, first.shape[1])
         assert steps <= cold_steps
-        assert len(triplets) == len(cold) == min(k, cols)
+        assert len(triplets) == len(cold) == min(kk, cols)
         for a, b in zip(triplets, cold):
             assert a.sigma == pytest.approx(b.sigma, rel=1e-12)
             sign = 1.0 if a.v @ b.v > 0 else -1.0
@@ -626,7 +629,9 @@ class TestWarmStart:
     @pytest.mark.parametrize("L", [200, 201])
     def test_empty_first_block_falls_back_to_seeded_draw(self, L, monkeypatch):
         # a first block that returned no triplet leaves the second block a
-        # cold start from the seeded generator's second draw
+        # cold start from the seeded generator's second draw.  Of the top 2
+        # it is asked for the one triplet it can hold, so the two blocks
+        # leave the top 2 one short
         solve = lattice._block_triplets
         calls = []
 
@@ -636,15 +641,148 @@ class TestWarmStart:
             return ([], steps) if len(calls) == 1 else (triplets, steps)
 
         monkeypatch.setattr(lattice, "_block_triplets", first_empty)
-        top_singular_triplets(ToeplitzKernel(L, -(L + 2)), 2, seed=9)
+        with pytest.raises(ConvergenceError, match="rank appears smaller"):
+            top_singular_triplets(ToeplitzKernel(L, -(L + 2)), 2, seed=9)
         monkeypatch.undo()
         (first, _, _), (block, start, triplets) = calls
         assert not np.any(start)
-        cold, _ = self._cold(block, 2, 9, first.shape[1])
-        assert len(triplets) == len(cold) == 2
+        cold, _ = self._cold(block, 1, 9, first.shape[1])
+        assert len(triplets) == len(cold) == 1
         for a, b in zip(triplets, cold):
             assert a.sigma == b.sigma
             np.testing.assert_array_equal(a.v, b.v)
+
+
+class TestAskedCounts:
+    """Each parity block is asked only for the triplets of the top k it can
+    hold, by singular-value interlacing between the two blocks."""
+
+    @pytest.mark.parametrize("L", [2, 3, 8, 9, 40, 41, 130, 131, 200, 201])
+    @pytest.mark.parametrize("N", [0, 2, 10, 58])
+    def test_interlacing_between_the_blocks(self, L, N):
+        # even N.  Even L: both R x R blocks are one (R + 1) x R Toeplitz
+        # B~ less its last or its first row, so sigma_i(B_1), sigma_i(B_2)
+        # >= sigma_{i+1}(B~) >= sigma_{i+1}(B_1), sigma_{i+1}(B_2).  Odd L:
+        # the second block is the first's leading principal submatrix, so
+        # sigma_i(B_2) <= sigma_i(B_1).  Dense values, compared to 1e-15
+        # sigma_1 where they lie above 1e-13 sigma_1 (below it rounding
+        # orders them at random)
+        first, second = _parity_blocks(L, -(N + L))
+        b1, b2 = _block(first).dense(), _block(second).dense()
+        sv1, sv2 = (np.linalg.svd(b, compute_uv=False) for b in (b1, b2))
+        floor = 1e-13 * sv1[0]
+        slack = 1e-15 * sv1[0]
+
+        def at_least(big, small):
+            n = min(len(big), len(small))
+            big, small = big[:n], small[:n]
+            above = small > floor
+            assert np.all(big[above] >= small[above] - slack)
+
+        if L % 2 == 0:
+            rows, cols, s = first[2:]
+            offsets = np.subtract.outer(np.arange(rows + 1), np.arange(cols))
+            tilde = sine_kernel_gather(2 * offsets + s)
+            np.testing.assert_array_equal(b1, tilde[:-1])
+            np.testing.assert_array_equal(b2, tilde[1:])
+            svt = np.linalg.svd(tilde, compute_uv=False)
+            for b in (sv1, sv2):
+                at_least(b, svt[1:])
+                at_least(svt[1:], b[1:])
+        else:
+            np.testing.assert_array_equal(b2, b1[:-1, :-1])
+            at_least(sv1, sv2)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize("L,N", [(40, 1), (41, 1), (40, 2), (41, 2), (130, 58), (131, 58)])
+    def test_asked_counts_hold_the_dense_top_k(self, L, N, k):
+        # the top k of both blocks' dense values equals the top k of the
+        # first `asked` values of each block (N odd: of the mirror's too)
+        specs = _parity_blocks(L, -(N + L))
+        values = [np.linalg.svd(_block(spec).dense(), compute_uv=False) for spec in specs]
+        full = np.sort(np.concatenate(values))[::-1][:k]
+        short = np.concatenate([v[:n] for v, (_, n) in zip(values, _asked(specs, k))])
+        np.testing.assert_array_equal(np.sort(short)[::-1][:k], full)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5, 6])
+    @pytest.mark.parametrize(
+        "L,N",
+        [(200, 1), (200, 2), (201, 1), (201, 2), (5000, 11), (5000, 10), (5001, 11), (5001, 10)],
+    )
+    def test_each_block_asked_for_what_the_top_k_can_hold(self, L, N, k, monkeypatch):
+        # one solve when N is odd, for ceil(k/2); for even N two solves,
+        # each for ceil(k/2) at even L, and for k then ceil(k/2) at odd L,
+        # where the first block contains the second
+        asked = []
+        solve = lattice._block_triplets
+
+        def recorded(block, k, rng, start=None):
+            asked.append((block.shape, k))
+            return solve(block, k, rng, start)
+
+        monkeypatch.setattr(lattice, "_block_triplets", recorded)
+        triplets, _ = top_singular_triplets(ToeplitzKernel(L, -(N + L)), k, seed=k)
+        half = (k + 1) // 2
+        if N % 2:
+            assert [n for _, n in asked] == [half]
+        elif L % 2:
+            assert [n for _, n in asked] == [k, half]
+            (rows, cols), (rows2, cols2) = (shape for shape, _ in asked)
+            assert (rows2, cols2) == (rows - 1, cols - 1)
+        else:
+            assert [n for _, n in asked] == [half, half]
+        assert len(triplets) == k
+
+    @pytest.mark.parametrize("k", [3, 5])
+    @pytest.mark.parametrize(
+        "L,N", [(128, 10), (128, 11), (129, 10), (129, 11), (512, 2), (511, 3)]
+    )
+    def test_odd_k_matches_dense_svd(self, L, N, k):
+        # an odd k cuts between the blocks' values in every class
+        kern = ToeplitzKernel(L, -(N + L))
+        triplets, _ = top_singular_triplets(kern, k, seed=3)
+        dense = kern.dense()
+        sv = np.linalg.svd(dense, compute_uv=False)
+        np.testing.assert_allclose([t.sigma for t in triplets], sv[:k], atol=1e-8)
+        for t in triplets:
+            resid = np.linalg.norm(dense @ t.v - t.sigma * t.u)
+            assert resid <= 10 * lattice.KRYLOV_TOL * sv[0]
+
+    @pytest.mark.parametrize("L", [200, 201, 5000, 5001])
+    @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
+    def test_guard_reads_the_solves_ritz_pairs(self, L, m, monkeypatch):
+        # the memory guard sizes the basis for the most Ritz pairs any
+        # solve at this L keeps: those _lanczos is handed at N = 10 and 11
+        pairs = []
+        solve = lattice._lanczos
+
+        def recorded(ops, sizes, start, k):
+            pairs.append(k)
+            return solve(ops, sizes, start, k)
+
+        monkeypatch.setattr(lattice, "_lanczos", recorded)
+        for N in (10, 11):
+            top_singular_triplets(ToeplitzKernel(L, -(N + L)), m, seed=0)
+        guarded = []
+        rows = lattice._start_rows
+        monkeypatch.setattr(lattice, "_start_rows", lambda k: guarded.append(k) or rows(k))
+        lattice._check_memory(L, m)
+        assert guarded == [max(pairs)]
+
+    @pytest.mark.parametrize("L,N", [(133, 39), (167, 7), (197, 35)])
+    def test_rectangular_halves_orthonormal_at_the_tolerance_floor(self, L, N):
+        # odd L with odd N, asked for every value above KRYLOV_TOL sigma_1:
+        # the trailing Ritz pairs +-theta lie near 1e-10 ||T||, where an
+        # eigensolver on T mixed +theta with -theta and left the u and v
+        # halves non-orthogonal by 1.4e-8; the SVD of T's block between the
+        # halves keeps them orthonormal to rounding
+        kern = ToeplitzKernel(L, -(N + L))
+        sv = np.linalg.svd(kern.dense(), compute_uv=False)
+        k = int(np.sum(sv > lattice.KRYLOV_TOL * sv[0]))
+        triplets, _ = top_singular_triplets(kern, k, seed=L + N)
+        for side in ("u", "v"):
+            x = np.array([getattr(t, side) for t in triplets])
+            np.testing.assert_allclose(x @ x.T, np.eye(k), rtol=0, atol=1e-13)
 
 
 class TestDirectSumsAtScale:
@@ -926,12 +1064,12 @@ class TestRejectedSettings:
 
     @pytest.mark.parametrize(
         "L,N,start",
-        [(65536, 1, None), (65536, 2, None), (65537, 2, None), (65537, 1, 7)],
+        [(65536, 1, None), (65536, 2, None), (65537, 2, None), (65537, 1, 6)],
         ids=["even-L-odd-N", "even-L-even-N", "odd-L-even-N", "odd-L-odd-N-grown"],
     )
     def test_guard_bounds_traced_peak(self, L, N, start, monkeypatch):
-        # one point per (L mod 2, N mod 2) class; with 7 start rows per half
-        # the rectangular solve's 15 steps outgrow them, and the guard, which
+        # one point per (L mod 2, N mod 2) class; with 6 start rows per half
+        # the rectangular solve's 13 steps outgrow them, and the guard, which
         # reads the same start-row rule, must still bound the peak
         if start is not None:
             monkeypatch.setattr(lattice, "_start_rows", lambda k: start)
