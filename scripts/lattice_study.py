@@ -17,7 +17,6 @@ from pathlib import Path
 
 import numpy as np
 
-from fermidistill.cli import _seed
 from fermidistill.lattice import (
     ConvergenceError,
     fit_power_law,
@@ -35,7 +34,6 @@ def main():
                         help="denser grid up to L = 1e5 (minutes instead of seconds)")
     parser.add_argument("--target", type=float, default=None,
                         help="fidelity target for the minimal-length scan")
-    parser.add_argument("--seed", type=_seed, default=0)
     args = parser.parse_args()
 
     out = Path(args.out_dir)
@@ -54,7 +52,7 @@ def main():
 
     print(f"sweeping {len(grid)} lengths x {len(distances)} distances ...")
     t0 = time.time()
-    rows = sweep(grid, distances, m=2, seed=args.seed)
+    rows = sweep(grid, distances, m=2)
     (out / "sweep.csv").write_text(sweep_to_csv(rows))
     print(f"  wrote {out / 'sweep.csv'} ({time.time() - t0:.1f}s)")
 
@@ -76,7 +74,7 @@ def main():
         # but keep single evaluations affordable
         hi = min(10_000 * max(1, N), 600_000) if args.full else 200000
         try:
-            L = min_length(N, target, L_lo=lo, L_hi=hi, seed=args.seed)
+            L = min_length(N, target, L_lo=lo, L_hi=hi)
         except (ValidationError, ConvergenceError) as exc:
             print(f"  N={N}: {exc}")
             continue

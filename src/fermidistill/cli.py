@@ -3,8 +3,9 @@
 Single-object results are printed as JSON, grids and sweeps as CSV, so
 any plotting tool can consume the output.  Exit codes: 0 success,
 1 domain error (invalid state file, unreachable target, ...), 2 usage
-error.  All randomized commands take --seed and default to the
-FERMIDISTILL_SEED environment variable, making outputs reproducible.
+error.  Only `protocol --sample-suboptimal` is randomized: it takes --seed,
+defaulting to the FERMIDISTILL_SEED environment variable.  JSON output is
+strict: a non-finite number is an error, or null where documented.
 """
 
 from __future__ import annotations
@@ -56,17 +57,30 @@ def _seed(text: str) -> int:
     return value
 
 
-def _grid(lo: float, hi: float, num: float) -> np.ndarray:
+# The most grid points `closed-form fg-scan` evaluates; each builds and validates a state.
+FG_SCAN_MAX_POINTS = 10**6
+
+
+def _grid(lo: float, hi: float, num: float, most: int) -> np.ndarray:
     if not (num >= 1 and float(num).is_integer()):
         raise ValidationError(f"grid count must be a positive integer, got {num:g}")
+    if num > most:
+        raise ValidationError(f"fg-scan evaluates at most {FG_SCAN_MAX_POINTS} points")
+    if not np.isfinite(hi - lo):  # also when finite ends lie too far apart
+        raise ValidationError(f"grid from {lo:g} to {hi:g} is not finite")
     return np.linspace(lo, hi, int(num))
 
 
-def _emit(text: str, out: str | None):
+def _emit(payload, out: str | None):
+    if not isinstance(payload, str):  # JSON; CSV text is written as it is
+        try:
+            payload = json.dumps(payload, sort_keys=True, indent=2, allow_nan=False) + "\n"
+        except ValueError as exc:  # a non-finite number in a field that is never null
+            raise ValidationError(f"result is not finite: {exc}") from None
     if out:
-        Path(out).write_text(text)
+        Path(out).write_text(payload)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(payload)
 
 
 # ---------------------------------------------------------------------------
@@ -96,15 +110,14 @@ def _cmd_protocol(args) -> int:
             "best_trial": sample.trial,
             "exceeds_optimal": bool(sample.best_pf > report.pf + BOUND_ATOL),
         }
-    _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
+    _emit(payload, args.out)
     return 0
 
 
 def _cmd_scan_m(args) -> int:
     state, split = load_covariance(args.state)
     reports, reason = scan_m(state, split, args.m_max)
-    payload = {"reports": [r.to_dict() for r in reports], "truncated": reason}
-    _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
+    _emit({"reports": [r.to_dict() for r in reports], "truncated": reason}, args.out)
     return 0
 
 
@@ -122,58 +135,52 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_closed_form(args) -> int:
+    if args.family == "fg-scan":
+        x = _grid(*args.x, FG_SCAN_MAX_POINTS)
+        y = _grid(*args.y, FG_SCAN_MAX_POINTS // len(x))
+        if not np.isfinite(args.sigma):
+            raise ValidationError(f"sigma must be finite, got {args.sigma}")
+        lines = ["x,y,sigma,f,g,f_ge_g"]
+        for row in closed_forms.f_vs_g_scan(x, y, args.sigma):
+            if row["valid"]:
+                lines.append(
+                    f"{row['x']!r},{row['y']!r},{row['sigma']!r},"
+                    f"{row['f']!r},{row['g']!r},{int(row['f_ge_g'])}"
+                )
+            else:
+                lines.append(f"{row['x']!r},{row['y']!r},{row['sigma']!r},,,invalid")
+        _emit("\n".join(lines) + "\n", args.out)
+        return 0
+    # the state is built, and so validated, before any formula is evaluated
     if args.family == "two-mode":
         params = closed_forms.TwoModeParams(*args.params)
+        cov, split = closed_forms.two_mode_covariance(params), closed_forms.two_mode_split()
         value, optimizer = closed_forms.two_mode_max_fidelity(params)
         payload = {
-            "params": vars(params),
             "correlation": closed_forms.two_mode_correlation(params).tolist(),
             "max_fidelity": value,
             "optimizer": optimizer.tolist(),
         }
-        if args.emit:
-            save_covariance(
-                args.emit, closed_forms.two_mode_covariance(params), closed_forms.two_mode_split()
-            )
-            payload["emitted"] = args.emit
-        _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
-        return 0
-    if args.family == "four-mode":
+    else:
         params = closed_forms.FourModeParams(*args.params)
+        cov, split = closed_forms.four_mode_covariance(params), closed_forms.four_mode_split()
         payload = {
-            "params": vars(params),
             "p": closed_forms.four_mode_p(params),
             "f": closed_forms.four_mode_f(params),
             "g": closed_forms.four_mode_g(params),
             "max_singlet_fraction": closed_forms.max_singlet_fraction(params),
         }
-        if args.emit:
-            save_covariance(
-                args.emit,
-                closed_forms.four_mode_covariance(params),
-                closed_forms.four_mode_split(),
-            )
-            payload["emitted"] = args.emit
-        _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
-        return 0
-    # fg-scan
-    rows = closed_forms.f_vs_g_scan(_grid(*args.x), _grid(*args.y), args.sigma)
-    lines = ["x,y,sigma,f,g,f_ge_g"]
-    for row in rows:
-        if row["valid"]:
-            lines.append(
-                f"{row['x']!r},{row['y']!r},{row['sigma']!r},"
-                f"{row['f']!r},{row['g']!r},{int(row['f_ge_g'])}"
-            )
-        else:
-            lines.append(f"{row['x']!r},{row['y']!r},{row['sigma']!r},,,invalid")
-    _emit("\n".join(lines) + "\n", args.out)
+    payload["params"] = vars(params)
+    if args.emit:
+        save_covariance(args.emit, cov, split)
+        payload["emitted"] = args.emit
+    _emit(payload, args.out)
     return 0
 
 
 def _cmd_lattice(args) -> int:
     if args.action == "sweep":
-        rows = lattice.sweep(args.L, args.N, m=args.m, seed=args.seed, jobs=args.jobs)
+        rows = lattice.sweep(args.L, args.N, m=args.m, jobs=args.jobs)
         _emit(lattice.sweep_to_csv(rows), args.out)
         return 0
     if args.action == "fit":
@@ -209,12 +216,11 @@ def _cmd_lattice(args) -> int:
             "points_used": points_used,
             "warnings": warnings,
         }
-        _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
+        _emit(payload, args.out)
         return 0
     # minlen
-    L = lattice.min_length(args.N, args.x, args.L_lo, args.L_hi, m=args.m, seed=args.seed)
-    payload = {"N": args.N, "x": args.x, "L": L}
-    _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
+    L = lattice.min_length(args.N, args.x, args.L_lo, args.L_hi, m=args.m)
+    _emit({"N": args.N, "x": args.x, "L": L}, args.out)
     return 0
 
 
@@ -224,8 +230,7 @@ def _cmd_bench(args) -> int:
     geometry = lattice.LatticeGeometry(args.L, args.N)
     lattice._check_memory(geometry.L, args.k)
     kern = lattice.ToeplitzKernel(geometry.L, -(geometry.N + geometry.L))
-    rng = np.random.default_rng(args.seed)
-    x = rng.standard_normal(args.L)
+    x = np.random.default_rng(lattice.KRYLOV_SEED).standard_normal(args.L)
     for _ in range(3):
         kern.matvec(x)
     times = []
@@ -234,7 +239,7 @@ def _cmd_bench(args) -> int:
         kern.matvec(x)
         times.append((time.perf_counter() - t0) * 1e3)
     t0 = time.perf_counter()
-    _, iters = lattice.top_singular_triplets(kern, args.k, seed=args.seed)
+    _, iters = lattice.top_singular_triplets(kern, args.k)
     solve_ms = (time.perf_counter() - t0) * 1e3
     payload = {
         "L": args.L,
@@ -245,7 +250,7 @@ def _cmd_bench(args) -> int:
         "triplets_iterations": iters,
         "triplets_ms": solve_ms,
     }
-    _emit(json.dumps(payload, sort_keys=True, indent=2), args.out)
+    _emit(payload, args.out)
     return 0
 
 
@@ -255,10 +260,6 @@ def _cmd_bench(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    # argparse converts a string default with `type` only when --seed is
-    # parsed, so a malformed FERMIDISTILL_SEED is a usage error of the
-    # seeded commands alone
-    seed = os.environ.get("FERMIDISTILL_SEED", "0")
     parser = argparse.ArgumentParser(
         prog="fermidistill",
         description="Entanglement distillation toolkit for fermionic quasifree states",
@@ -273,7 +274,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("state")
     p.add_argument("--m", type=int, default=2)
     p.add_argument("--sample-suboptimal", type=int, default=0, metavar="T")
-    p.add_argument("--seed", type=_seed, default=seed)
+    # argparse converts a string default with `type` only when --seed is
+    # parsed, so a malformed FERMIDISTILL_SEED is a usage error of `protocol` alone
+    p.add_argument("--seed", type=_seed, default=os.environ.get("FERMIDISTILL_SEED", "0"))
     p.add_argument("--out")
     p.set_defaults(func=_cmd_protocol)
 
@@ -317,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--N", type=_parse_range, required=True)
     q.add_argument("--m", type=int, default=2)
     q.add_argument("--jobs", type=int, default=1)
-    q.add_argument("--seed", type=_seed, default=seed)
     q.add_argument("--out")
     q.set_defaults(func=_cmd_lattice)
     q = act.add_parser("fit")
@@ -333,7 +335,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--L-lo", type=int, default=2)
     q.add_argument("--L-hi", type=int, default=100000)
     q.add_argument("--m", type=int, default=2)
-    q.add_argument("--seed", type=_seed, default=seed)
     q.add_argument("--out")
     q.set_defaults(func=_cmd_lattice)
 
@@ -342,7 +343,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--N", type=int, default=1)
     p.add_argument("--k", type=int, default=2)
     p.add_argument("--repeat", type=int, default=9)
-    p.add_argument("--seed", type=_seed, default=seed)
     p.add_argument("--out")
     p.set_defaults(func=_cmd_bench)
 

@@ -87,6 +87,8 @@ class LatticeGeometry:
             raise ValidationError("block length L must be >= 2")
         if self.N < 0:
             raise ValidationError("block distance N must be >= 0")
+        if self.N + 2 * self.L - 1 > 2**63:  # kernel offsets reach -(N + 2L - 1)
+            raise ValidationError(f"L = {self.L}, N = {self.N}: kernel offsets leave int64")
 
 
 def _sine_kernel(q: np.ndarray) -> np.ndarray:
@@ -274,9 +276,11 @@ class SingularTriplet:
 
 # The stopping rule of every Krylov solve, read at call time: a kept Ritz pair
 # has converged once its residual bound is at most KRYLOV_TOL * sigma_1, and a
-# block that has not converged after MAX_STEPS Lanczos steps is an error.
+# block that has not converged after MAX_STEPS Lanczos steps is an error.  Each
+# `top_singular_triplets` call starts from a fresh np.random.default_rng(KRYLOV_SEED).
 KRYLOV_TOL = 1e-10
 MAX_STEPS = 300
+KRYLOV_SEED = 0
 
 
 def _gram_schmidt(basis: np.ndarray, w: np.ndarray):
@@ -384,8 +388,8 @@ def _block_triplets(
     block (odd L with odd N) runs as the two halves v and u of [[0, B],
     [B^T, 0]], applying B and B^T in turn: each singular value appears as
     the pair +-sigma, and the + member's unit components are (v, u).  The
-    solve starts from `start` on the v side, or from a draw of rng when it is
-    None or zero.  Returns the triplets and the steps.
+    solve starts from `start` on the v side, or from the next draw of rng
+    when it is None or zero.  Returns the triplets and the steps.
     """
     rows, cols = block.shape
     k = min(k, rows, cols)
@@ -402,9 +406,7 @@ def _block_triplets(
     return [SingularTriplet(float(th), ui, vi) for th, ui, vi in zip(theta, u, v) if th > 0], steps
 
 
-def top_singular_triplets(
-    kern: ToeplitzKernel, k: int, seed: int = 0
-) -> tuple[list[SingularTriplet], int]:
+def top_singular_triplets(kern: ToeplitzKernel, k: int) -> tuple[list[SingularTriplet], int]:
     """Top-k singular triplets of a sine kernel, one Krylov solve per parity block.
 
     The kernel splits into two stride-2 Toeplitz blocks on its parity
@@ -413,22 +415,24 @@ def top_singular_triplets(
     (`_asked`); their singular values decay geometrically (Cauchy-like
     blocks, Beckermann & Townsend, SIAM J. Matrix Anal. Appl. 38, 2017), so
     one single-vector solve per block suffices.  The first block starts from
-    a draw of the seeded generator.  The second block is not built when it
-    mirrors the first (`_is_mirror`, N odd): it equals R B^T R, so its
-    triplets are (sigma, R v, R u) of B's, for a square B sign(theta)
+    the first draw of `np.random.default_rng(KRYLOV_SEED)`, so the result is
+    a function of the kernel and k alone.  The second block is not built
+    when it mirrors the first (`_is_mirror`, N odd): it equals R B^T R, so
+    its triplets are (sigma, R v, R u) of B's, for a square B sign(theta)
     (sigma, u, v).  Otherwise (N even) it is the first shifted by one row or
     cut to a principal submatrix (`_asked`), and its solve starts from the
-    sum of the first block's right vectors v, cut to its length.  Only the k
-    kept triplets are lifted onto their sublattices.  Each satisfies ||F v -
-    sigma u|| <= 10 KRYLOV_TOL sigma_1 against the full kernel.  Returns the
-    triplets and the Lanczos steps of the solves that ran, one product each.
+    sum of the first block's right vectors v, cut to its length, or from the
+    generator's next draw when that sum is zero.  Only the k kept triplets
+    are lifted onto their sublattices.  Each satisfies ||F v - sigma u|| <=
+    10 KRYLOV_TOL sigma_1 against the full kernel.  Returns the triplets and
+    the Lanczos steps of the solves that ran, one product each.
     """
     L = kern.L
     if k < 1:
         raise ValidationError("need k >= 1 triplets")
     if k > L:
         raise ValidationError("cannot extract more triplets than the dimension")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(KRYLOV_SEED)
     found, total_iters, solved = [], 0, None
     for spec, asked in _asked(_parity_blocks(L, kern.r), k):
         p, q, rows, cols, s = spec
@@ -477,7 +481,7 @@ def _interleave(p: np.ndarray) -> np.ndarray:
 
 
 def restricted_covariance(
-    geometry: LatticeGeometry, m: int = 2, seed: int = 0
+    geometry: LatticeGeometry, m: int = 2
 ) -> tuple[CovarianceMatrix, BipartiteSplit, ProtocolChoice]:
     """Covariance of the kept 2m modes, built from m cross-block triplets.
 
@@ -504,7 +508,7 @@ def restricted_covariance(
         raise ValidationError("2m may not exceed the 2L modes available")
     _check_memory(L, m)
     cross = ToeplitzKernel(L, -(N + L))
-    triplets, steps = top_singular_triplets(cross, m, seed=seed)
+    triplets, steps = top_singular_triplets(cross, m)
     # F_0's block from sublattice 1 onto 0: rows 0::2, columns 1::2
     half = ToeplitzKernel._strided(*_parity_blocks(L, 0)[0][2:])
 
@@ -533,9 +537,10 @@ def restricted_covariance(
     return cov, split, ProtocolChoice(m, identity, lam, warnings, steps)
 
 
-def lattice_point(geometry: LatticeGeometry, m: int = 2, seed: int = 0) -> DistillationReport:
-    """Protocol quantities for one (L, N) geometry via the iterative route."""
-    cov, split, choice = restricted_covariance(geometry, m=m, seed=seed)
+def lattice_point(geometry: LatticeGeometry, m: int = 2, seed=None) -> DistillationReport:
+    """Protocol quantities for one (L, N) geometry via the iterative route, a
+    function of (L, N, m), Krylov steps included; `seed` is accepted and ignored."""
+    cov, split, choice = restricted_covariance(geometry, m=m)
     return _evaluate(blocks(cov, split), choice)
 
 
@@ -567,34 +572,31 @@ class SweepRow:
             values = [""] * (5 + 2 * self.m) + ["error", self.error]
         else:
             r = self.report
-            values = (
-                [repr(float(v)) for v in (r.p, r.f if r.f is not None else float("nan"), r.pf)]
-                + [repr(float(r.rate)) if r.rate is not None else ""]
-                + [repr(float(v)) for v in r.lambdas]
-                + [str(r.krylov_steps), "ok", ""]
-            )
+            values = ["" if v is None else repr(float(v)) for v in (r.p, r.f, r.pf, r.rate)]
+            values += [repr(float(v)) for v in r.lambdas]
+            values += [str(r.krylov_steps), "ok", "; ".join(r.warnings)]
         return [str(self.L), str(self.N)] + values + [f"{self.wall_ms:.3f}"]
 
 
 def _sweep_point(args) -> SweepRow:
-    L, N, m, seed = args
+    L, N, m = args
     start = time.perf_counter()
     try:
-        report = lattice_point(LatticeGeometry(L, N), m=m, seed=seed)
+        report = lattice_point(LatticeGeometry(L, N), m=m)
         return SweepRow(L, N, m, report, (time.perf_counter() - start) * 1e3)
     except (ValidationError, ConvergenceError) as exc:  # per-point failures recorded in-row
         return SweepRow(L, N, m, None, (time.perf_counter() - start) * 1e3, error=str(exc))
 
 
-def sweep(L_values, N_values, m: int = 2, seed: int = 0, jobs: int = 1) -> list[SweepRow]:
-    """Evaluate the (L, N) grid; points are independent and seedable.
+def sweep(L_values, N_values, m: int = 2, seed=None, jobs: int = 1) -> list[SweepRow]:
+    """Evaluate the (L, N) grid, one `lattice_point` per point.
 
-    Per-point seeds are derived deterministically from the master seed
-    and the point's position, so rows are reproducible regardless of
-    execution order or the number of workers.  Settings that would fail
-    every point (m < 2, jobs < 1) are rejected before the first one, and
-    so is a grid whose largest L would not fit in memory.
-    Workers are capped at the number of points and of CPUs.
+    A row is a function of its (L, N, m) alone, so it does not depend on
+    the point's grid position, the execution order or the number of
+    workers; `seed` is accepted and ignored, like `lattice_point`'s.
+    Settings that would fail every point (m < 2, jobs < 1) are rejected
+    before the first one, and so is a grid whose largest L would not fit
+    in memory.  Workers are capped at the number of points and of CPUs.
     """
     if not len(L_values) or not len(N_values):
         raise ValidationError("sweep needs nonempty L and N lists")
@@ -603,11 +605,7 @@ def sweep(L_values, N_values, m: int = 2, seed: int = 0, jobs: int = 1) -> list[
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
     _check_memory(max(L_values), m)
-    tasks = []
-    for i, L in enumerate(L_values):
-        for j, N in enumerate(N_values):
-            point_seed = int(np.random.SeedSequence([seed, i, j]).generate_state(1)[0])
-            tasks.append((int(L), int(N), m, point_seed))
+    tasks = [(int(L), int(N), m) for L in L_values for N in N_values]
     jobs = min(jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -660,7 +658,7 @@ def fit_power_law(samples, L_min: float) -> tuple[float, float, float, int, list
     return -slope, float(np.exp(intercept)), rms, len(xs), warnings
 
 
-def min_length(N: int, x: float, L_lo: int, L_hi: int, m: int = 2, seed: int = 0) -> int:
+def min_length(N: int, x: float, L_lo: int, L_hi: int, m: int = 2) -> int:
     """Smallest L in [L_lo, L_hi] with f(L, N) >= x.
 
     Exponential bracketing plus bisection under the empirically
@@ -678,7 +676,7 @@ def min_length(N: int, x: float, L_lo: int, L_hi: int, m: int = 2, seed: int = 0
 
     def fid(L: int) -> float:
         if L not in cache:
-            rep = lattice_point(LatticeGeometry(L, N), m=m, seed=seed)
+            rep = lattice_point(LatticeGeometry(L, N), m=m)
             cache[L] = rep.f if rep.f is not None else 0.0
         return cache[L]
 

@@ -1,7 +1,13 @@
+import contextlib
+import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fermidistill import lattice
 from fermidistill.cli import main
@@ -398,12 +404,22 @@ class TestUsageErrors:
         ],
     )
     def test_negative_seed(self, argv, monkeypatch, four_mode_file, capsys):
+        # protocol refuses a negative seed; the lattice commands and bench
+        # take no seed, so --seed is a usage error and FERMIDISTILL_SEED unread
         argv = [four_mode_file[0] if a == "STATE" else a for a in argv]
+        seeded = argv[0] == "protocol"
         with pytest.raises(SystemExit) as exc:
             main(argv + ["--seed", "-1"])
         assert exc.value.code == 2
-        assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+        assert (
+            "seed must be a non-negative integer, got -1"
+            if seeded
+            else "unrecognized arguments: --seed -1"
+        ) in capsys.readouterr().err
         monkeypatch.setenv("FERMIDISTILL_SEED", "-1")
+        if not seeded:
+            assert main(argv) == 0
+            return
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
@@ -422,3 +438,205 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as exc:
             main(["lattice", "sweep", "--L", "1:2:3:4", "--N", "1"])
         assert exc.value.code == 2
+
+
+class TestInputEdges:
+    """Typed failures where the arguments leave the domain."""
+
+    @pytest.mark.parametrize("params", [["5", "0", "0", "0", "0.9"], ["nan", "0", "0", "0", "0.9"]])
+    def test_invalid_four_mode_state_is_error_line(self, params, tmp_path, capsys):
+        # the state is built and checked before any formula, with --emit or without
+        emitted = tmp_path / "emitted.json"
+        argv = ["closed-form", "four-mode", "--params", *params]
+        for extra in ([], ["--emit", str(emitted)]):
+            assert main(argv + extra) == 1
+            captured = capsys.readouterr()
+            assert captured.out == "" and not emitted.exists()
+            assert captured.err.startswith("error: four-mode parameters give an invalid state")
+
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            (["0", "1", "1e12"], ["0", "1", "1e12"], "fg-scan evaluates at most 1000000 points"),
+            (["0", "1", "1001"], ["0", "1", "1000"], "fg-scan evaluates at most 1000000 points"),
+            # finite ends whose difference overflows; argparse reads "-9...9.0" as a number
+            ([f"-{'9' * 308}.0", "1e308", "3"], ["0", "1", "2"], "is not finite"),
+            (["nan", "1", "3"], ["0", "1", "2"], "is not finite"),
+            (["0", "1", "3"], ["inf", "1", "2"], "is not finite"),
+        ],
+    )
+    def test_fg_scan_grid_bounded_and_finite(self, x, y, message, capsys):
+        assert main(["closed-form", "fg-scan", "--x", *x, "--y", *y]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: ") and message in captured.err
+
+    def test_fg_scan_sigma_finite(self, capsys):
+        assert main(["closed-form", "fg-scan", "--sigma", "inf"]) == 1
+        assert capsys.readouterr().err == "error: sigma must be finite, got inf\n"
+
+    def test_offsets_beyond_int64(self, capsys):
+        # the sweep records the refused point in its row; minlen stops on it
+        assert main(["lattice", "sweep", "--L", "2", "--N", "10000000000000000000"]) == 0
+        header, row = csv.reader(io.StringIO(capsys.readouterr().out))
+        cells = dict(zip(header, row))
+        assert cells["status"] == "error"
+        assert cells["message"].startswith("L = 2, N = 10000000000000000000: kernel offsets")
+        argv = ["lattice", "minlen", "--N", "10000000000000000000", "--x", "0.5", "--L-hi", "16"]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: L = 16, N = 10000000000000000000: kernel offsets")
+
+    def test_sweep_warnings_read_back_by_fit(self, tmp_path, capsys):
+        # odd N with m = 3 cuts a degenerate pair: every row carries warnings
+        out = tmp_path / "sweep.csv"
+        assert main(["lattice", "sweep", "--L", "20,40,80", "--N", "1", "--m", "3",
+                     "--out", str(out)]) == 0
+        header, *records = csv.reader(io.StringIO(out.read_text()))
+        messages = [dict(zip(header, r))["message"] for r in records]
+        assert all(m.startswith("degenerate singular value at the cut") for m in messages)
+        assert main(["lattice", "fit", "--data", str(out), "--N", "1", "--L-min", "0"]) == 0
+        assert json.loads(capsys.readouterr().out)["points_used"] == 3
+
+    def test_non_finite_field_is_error_line(self, tmp_path, capsys):
+        # strict JSON: fit's L_min field is never null, so a NaN cutoff is an error
+        data = tmp_path / "sweep.csv"
+        data.write_text("L,N,f\n" + "".join(f"{L},1,{1 - 1 / L}\n" for L in (100, 200, 400)))
+        assert main(["lattice", "fit", "--data", str(data), "--N", "1", "--L-min", "nan"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.count("\n") == 1
+        assert captured.err.startswith("error: result is not finite: ")
+
+
+# Argument values for the property test below: valid values, and negative,
+# huge, non-finite and beyond-int64 strings.  Lengths stay small or far beyond
+# any memory, so no drawn command runs for long.
+ODD = ["-1", "-7", "-0.5", "1e12", "1e308", "nan", "NaN", "inf", "-inf",
+       "9223372036854775806", "18446744073709551617", "123456789012345678901234567890"]
+INTS = st.integers(-3, 40).map(str) | st.sampled_from(ODD)
+FLOATS = st.sampled_from(["0", "0.1", "0.25", "0.5", "0.9", "0.999", "1", "2"]) | st.sampled_from(ODD)
+LENGTHS = st.integers(2, 24).map(str) | st.sampled_from(
+    ["-1", "0", "1", "nan", "123456789012345678901234567890"]
+)
+STATES = ["state", "mixed", "garbage", "nonfinite", "badfield", "binary", "dir", "missing"]
+SWEEPS = ["sweep", "lacking", "badline", "nonfinite_csv", "one_length", "binary", "dir", "state"]
+
+
+@st.composite
+def _argv(draw, command):
+    file = st.sampled_from(STATES)
+    if command == "validate":
+        return ["validate", draw(file)]
+    if command == "protocol":
+        # trial counts stay small: a huge count is a long run, not an edge
+        trials = draw(st.sampled_from(["0", "3", "-2", "nan"]))
+        return ["protocol", draw(file), "--m", draw(INTS), "--sample-suboptimal", trials]
+    if command == "scan-m":
+        return ["scan-m", draw(file), "--m-max", draw(INTS)]
+    if command == "oracle":
+        return ["oracle", draw(file), "--m", draw(INTS), "--tol", draw(FLOATS)]
+    if command == "two-mode":
+        return ["closed-form", "two-mode", "--params", *[draw(FLOATS) for _ in range(4)]]
+    if command == "four-mode":
+        return ["closed-form", "four-mode", "--params", *[draw(FLOATS) for _ in range(5)]]
+    if command == "fg-scan":
+        x, y = ([draw(FLOATS), draw(FLOATS), draw(INTS)] for _ in range(2))
+        return ["closed-form", "fg-scan", "--x", *x, "--y", *y, "--sigma", draw(FLOATS)]
+    if command == "sweep":
+        Ls = ",".join(draw(st.lists(LENGTHS, min_size=1, max_size=2)))
+        return ["lattice", "sweep", "--L", Ls, "--N", draw(INTS), "--m", draw(INTS)]
+    if command == "fit":
+        data = draw(st.sampled_from(SWEEPS))
+        value = draw(st.sampled_from(["f", "p"]))
+        return ["lattice", "fit", "--data", data, "--N", draw(INTS),
+                "--L-min", draw(FLOATS), "--value", value]
+    if command == "minlen":
+        return ["lattice", "minlen", "--N", draw(INTS), "--x", draw(FLOATS),
+                "--L-lo", draw(LENGTHS), "--L-hi", draw(LENGTHS), "--m", draw(INTS)]
+    # bench: one timed repeat, as a huge count is a long run
+    return ["bench", "--L", draw(LENGTHS), "--N", draw(INTS), "--k", draw(INTS), "--repeat", "1"]
+
+
+@pytest.fixture(scope="module")
+def cli_files(tmp_path_factory):
+    """The malformed inputs of the tests above, and well-formed ones, by name."""
+    root = tmp_path_factory.mktemp("cli_files")
+    files = {name: root / name for name in STATES + SWEEPS}
+    files.update(dir=root, missing=root / "missing.json")
+    save_covariance(
+        files["state"],
+        four_mode_covariance(FourModeParams(0.2, -0.1, 0.3, 0.15, 0.45)),
+        four_mode_split(),
+    )
+    save_covariance(files["mixed"], CovarianceMatrix(0.5 * np.eye(8)), BipartiteSplit.halves(8))
+    files["garbage"].write_text("{not json")
+    save_covariance(files["nonfinite"], random_covariance(4, 5), BipartiteSplit.halves(8))
+    payload = json.loads(files["nonfinite"].read_text())
+    payload["entries"][4][1] = float("nan")
+    files["nonfinite"].write_text(json.dumps(payload))
+    files["badfield"].write_text(
+        json.dumps({"modes": 1, "split_a": [0], "entries": [[1, 0, 0]] * 4})
+    )
+    files["binary"].write_bytes(bytes(range(256)))
+    rows = [f"{1 - 2 / L**0.5!r},1,{L},0.5" for L in (100, 400, 1600, 6400)]
+    files["sweep"].write_text("\n".join(["f,N,L,p", *rows, 'error,1,800,"failed, twice"']) + "\n")
+    files["lacking"].write_text("L,N,p\n100,1,0.5\n")
+    files["badline"].write_text("L,N,p,f\n100,1,0.5,0.6\n200,x,0.5,0.7\n")
+    files["nonfinite_csv"].write_text("L,N,f\n100,1,0.8\n400,1,0.9\n800,1,nan\n3200,1,-inf\n")
+    files["one_length"].write_text("L,N,f\n5000,1,0.9\n5000,1,0.91\n5000,1,0.92\n")
+    return {name: str(path) for name, path in files.items()}
+
+
+def _strict_number(token):
+    raise ValueError(f"non-finite JSON number {token}")
+
+
+def _check_csv(out):
+    header, *records = csv.reader(io.StringIO(out))
+    for record in records:
+        assert len(record) == len(header)
+        for name, cell in zip(header, record):
+            if name in ("status", "message"):
+                continue
+            if name == "f_ge_g":
+                assert cell in ("0", "1", "invalid")
+            elif cell != "":  # the documented empties: error rows, undefined f or rate
+                assert math.isfinite(float(cell)), (name, cell)
+
+
+class TestArgumentSpace:
+    """Exit 0 prints strict JSON, CSV of finite cells or a verdict; any other
+    exit prints one `error:` line and no traceback."""
+
+    VERDICTS = {"validate": ("valid", "invalid"), "oracle": ("agreement", "DISAGREEMENT")}
+
+    @pytest.mark.parametrize(
+        "command",
+        ["validate", "protocol", "scan-m", "oracle", "two-mode", "four-mode", "fg-scan", "sweep",
+         "fit", "minlen", "bench"],
+    )
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_exit_matches_output(self, command, cli_files, data):
+        argv = [cli_files.get(arg, arg) for arg in data.draw(_argv(command))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        out, err = out.getvalue(), err.getvalue()
+        assert "Traceback" not in err
+        verdicts = self.VERDICTS.get(command)
+        if verdicts and out:  # a summary, then its verdict line
+            assert out.splitlines()[-1] == verdicts[code]
+        elif code == 0:
+            if command in ("fg-scan", "sweep"):
+                _check_csv(out)
+            else:
+                json.loads(out, parse_constant=_strict_number)
+        else:
+            assert code in (1, 2) and out == ""
+            assert err.count("error:") == 1
+            assert err.startswith("error: ") if code == 1 else "usage:" in err

@@ -196,16 +196,18 @@ class TestEmbeddingLengths:
 
 class TestTriplets:
     @pytest.mark.parametrize("L,N", [(64, 0), (128, 1), (128, 10), (200, 3), (512, 0), (512, 1)])
-    def test_matches_dense_svd(self, L, N):
+    def test_matches_dense_svd(self, L, N, monkeypatch):
+        monkeypatch.setattr(lattice, "KRYLOV_SEED", 3)
         k = ToeplitzKernel(L, -(N + L))
-        triplets, _ = top_singular_triplets(k, 4, seed=3)
+        triplets, _ = top_singular_triplets(k, 4)
         dense_sv = np.linalg.svd(k.dense(), compute_uv=False)
         got = [t.sigma for t in triplets]
         np.testing.assert_allclose(got, dense_sv[:4], atol=1e-8)
 
-    def test_residuals_and_norms(self):
+    def test_residuals_and_norms(self, monkeypatch):
+        monkeypatch.setattr(lattice, "KRYLOV_SEED", 1)
         k = ToeplitzKernel(96, -97)
-        triplets, _ = top_singular_triplets(k, 3, seed=1)
+        triplets, _ = top_singular_triplets(k, 3)
         for t in triplets:
             assert np.linalg.norm(t.u) == pytest.approx(1.0, abs=1e-10)
             assert np.linalg.norm(t.v) == pytest.approx(1.0, abs=1e-10)
@@ -215,13 +217,15 @@ class TestTriplets:
     def test_values_bounded_by_half(self):
         # covariance boundedness forces singular values <= 1/2
         for L, N in ((64, 0), (128, 5), (256, 50)):
-            triplets, _ = top_singular_triplets(ToeplitzKernel(L, -(N + L)), 2, seed=0)
+            triplets, _ = top_singular_triplets(ToeplitzKernel(L, -(N + L)), 2)
             assert all(t.sigma <= 0.5 + 1e-10 for t in triplets)
 
-    def test_deterministic_per_seed(self):
+    def test_deterministic_per_seed(self, monkeypatch):
+        # the same call twice, from the same start, gives bit-identical output
+        monkeypatch.setattr(lattice, "KRYLOV_SEED", 42)
         k = ToeplitzKernel(64, -65)
-        a, ia = top_singular_triplets(k, 2, seed=42)
-        b, ib = top_singular_triplets(k, 2, seed=42)
+        a, ia = top_singular_triplets(k, 2)
+        b, ib = top_singular_triplets(k, 2)
         assert ia == ib
         np.testing.assert_array_equal([t.sigma for t in a], [t.sigma for t in b])
         np.testing.assert_array_equal(a[0].u, b[0].u)
@@ -377,7 +381,7 @@ class TestTriplets:
         # multiplicity two; the shared block's triplets are placed on
         # both sublattices, which must yield the partner copy
         k = ToeplitzKernel(L, -(L + 1))
-        triplets, _ = top_singular_triplets(k, 2, seed=0)
+        triplets, _ = top_singular_triplets(k, 2)
         assert triplets[0].sigma == pytest.approx(triplets[1].sigma, abs=1e-9)
         # and the two vectors are genuinely orthogonal, not rediscoveries
         assert abs(triplets[0].v @ triplets[1].v) < 1e-8
@@ -386,7 +390,7 @@ class TestTriplets:
         # L=4 exhausts the Krylov space in two steps; the exhaustion
         # paths must keep the trailing coupling to stay exact
         k = ToeplitzKernel(4, -5)
-        triplets, _ = top_singular_triplets(k, 2, seed=0)
+        triplets, _ = top_singular_triplets(k, 2)
         sv = np.linalg.svd(k.dense(), compute_uv=False)
         np.testing.assert_allclose([t.sigma for t in triplets], sv[:2], atol=1e-12)
 
@@ -447,7 +451,9 @@ class TestParitySplitOracle:
         # values below tol * sigma_1 lie under what the solve resolves
         rank = int(np.sum(sv > tol * sv[0]))
         k = 1 + int(pick * (rank - 1))
-        triplets, _ = top_singular_triplets(kern, k, seed=L + N)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(lattice, "KRYLOV_SEED", L + N)
+            triplets, _ = top_singular_triplets(kern, k)
         np.testing.assert_allclose([t.sigma for t in triplets], sv[:k], atol=1e-8)
         for t in triplets:
             resid = max(
@@ -460,14 +466,15 @@ class TestParitySplitOracle:
         np.testing.assert_allclose(v.T @ v, np.eye(k), atol=1e-8)
 
     @pytest.mark.parametrize("L,r,k,seed", [(36, -86, 14, 12), (17, -64, 12, 0)])
-    def test_trailing_values_near_exhaustion_floor(self, L, r, k, seed):
+    def test_trailing_values_near_exhaustion_floor(self, L, r, k, seed, monkeypatch):
         # k is the count of dense sigma above 1e-12 sigma_1; the trailing
         # values sit near 1e-14, where an absolute exhaustion floor
         # stopped the solve short of k triplets
         kern = ToeplitzKernel(L, r)
         sv = np.linalg.svd(kern.dense(), compute_uv=False)
         assert k == np.sum(sv > 1e-12 * sv[0])
-        triplets, _ = top_singular_triplets(kern, k, seed=seed)
+        monkeypatch.setattr(lattice, "KRYLOV_SEED", seed)
+        triplets, _ = top_singular_triplets(kern, k)
         np.testing.assert_allclose([t.sigma for t in triplets], sv[:k], atol=1e-8 * sv[0])
 
     @settings(max_examples=100, deadline=None)
@@ -493,7 +500,7 @@ class TestParitySplitOracle:
                 np.testing.assert_array_equal(hankel, hankel.T)
 
     @pytest.mark.parametrize("L,N,k", [(3, 1, 2), (17, 3, 4), (199, 1, 6), (5001, 1, 2)])
-    def test_mirror_block_solved_once(self, L, N, k):
+    def test_mirror_block_solved_once(self, L, N, k, monkeypatch):
         # odd L with odd N: the second parity block is the first one
         # transposed and index-reversed, so only the first is solved, for
         # the ceil(k/2) triplets the top k can hold from it
@@ -506,7 +513,8 @@ class TestParitySplitOracle:
             )
         rng = np.random.default_rng(5)
         _, one_solve = _block_triplets(_block(first), min(-(-k // 2), *first[2:4]), rng)
-        triplets, steps = top_singular_triplets(kern, k, seed=5)
+        monkeypatch.setattr(lattice, "KRYLOV_SEED", 5)
+        triplets, steps = top_singular_triplets(kern, k)
         assert steps == one_solve
         sigmas = [t.sigma for t in triplets]
         assert sigmas[0::2] == sigmas[1::2]  # bit-equal pairs
@@ -515,7 +523,7 @@ class TestParitySplitOracle:
             np.testing.assert_allclose(sigmas, sv[:k], atol=1e-8)
 
     @pytest.mark.parametrize("L,N", [(64, 1), (200, 3), (2000, 1), (65, 1), (199, 3), (2001, 1)])
-    def test_reused_triplets_equal_solved_up_to_joint_sign(self, L, N):
+    def test_reused_triplets_equal_solved_up_to_joint_sign(self, L, N, monkeypatch):
         # N odd: the second block's triplets are the first's mirrored, not
         # solved.  For even L the block is shared, and the Hankel route's
         # u = sign(theta) R v makes the mirrored copy exactly sign(theta)
@@ -524,7 +532,8 @@ class TestParitySplitOracle:
         k = 4
         kern = ToeplitzKernel(L, -(N + L))
         first, second = _parity_blocks(L, kern.r)
-        triplets, _ = top_singular_triplets(kern, 2 * k, seed=7)
+        monkeypatch.setattr(lattice, "KRYLOV_SEED", 7)
+        triplets, _ = top_singular_triplets(kern, 2 * k)
         solved = [t for t in triplets if t.sublattices == first[:2]]
         reused = [t for t in triplets if t.sublattices == second[:2]]
         assert len(solved) == len(reused) == k
@@ -578,7 +587,8 @@ class TestWarmStart:
             return calls[-1][-1]
 
         monkeypatch.setattr(lattice, "_block_triplets", recorded)
-        top_singular_triplets(ToeplitzKernel(L, -(N + L)), k, seed=seed)
+        monkeypatch.setattr(lattice, "KRYLOV_SEED", seed)
+        top_singular_triplets(ToeplitzKernel(L, -(N + L)), k)
         monkeypatch.undo()
         return calls
 
@@ -641,8 +651,9 @@ class TestWarmStart:
             return ([], steps) if len(calls) == 1 else (triplets, steps)
 
         monkeypatch.setattr(lattice, "_block_triplets", first_empty)
+        monkeypatch.setattr(lattice, "KRYLOV_SEED", 9)
         with pytest.raises(ConvergenceError, match="rank appears smaller"):
-            top_singular_triplets(ToeplitzKernel(L, -(L + 2)), 2, seed=9)
+            top_singular_triplets(ToeplitzKernel(L, -(L + 2)), 2)
         monkeypatch.undo()
         (first, _, _), (block, start, triplets) = calls
         assert not np.any(start)
@@ -721,7 +732,8 @@ class TestAskedCounts:
             return solve(block, k, rng, start)
 
         monkeypatch.setattr(lattice, "_block_triplets", recorded)
-        triplets, _ = top_singular_triplets(ToeplitzKernel(L, -(N + L)), k, seed=k)
+        monkeypatch.setattr(lattice, "KRYLOV_SEED", k)
+        triplets, _ = top_singular_triplets(ToeplitzKernel(L, -(N + L)), k)
         half = (k + 1) // 2
         if N % 2:
             assert [n for _, n in asked] == [half]
@@ -737,10 +749,11 @@ class TestAskedCounts:
     @pytest.mark.parametrize(
         "L,N", [(128, 10), (128, 11), (129, 10), (129, 11), (512, 2), (511, 3)]
     )
-    def test_odd_k_matches_dense_svd(self, L, N, k):
+    def test_odd_k_matches_dense_svd(self, L, N, k, monkeypatch):
         # an odd k cuts between the blocks' values in every class
+        monkeypatch.setattr(lattice, "KRYLOV_SEED", 3)
         kern = ToeplitzKernel(L, -(N + L))
-        triplets, _ = top_singular_triplets(kern, k, seed=3)
+        triplets, _ = top_singular_triplets(kern, k)
         dense = kern.dense()
         sv = np.linalg.svd(dense, compute_uv=False)
         np.testing.assert_allclose([t.sigma for t in triplets], sv[:k], atol=1e-8)
@@ -762,7 +775,7 @@ class TestAskedCounts:
 
         monkeypatch.setattr(lattice, "_lanczos", recorded)
         for N in (10, 11):
-            top_singular_triplets(ToeplitzKernel(L, -(N + L)), m, seed=0)
+            top_singular_triplets(ToeplitzKernel(L, -(N + L)), m)
         guarded = []
         rows = lattice._start_rows
         monkeypatch.setattr(lattice, "_start_rows", lambda k: guarded.append(k) or rows(k))
@@ -770,7 +783,7 @@ class TestAskedCounts:
         assert guarded == [max(pairs)]
 
     @pytest.mark.parametrize("L,N", [(133, 39), (167, 7), (197, 35)])
-    def test_rectangular_halves_orthonormal_at_the_tolerance_floor(self, L, N):
+    def test_rectangular_halves_orthonormal_at_the_tolerance_floor(self, L, N, monkeypatch):
         # odd L with odd N, asked for every value above KRYLOV_TOL sigma_1:
         # the trailing Ritz pairs +-theta lie near 1e-10 ||T||, where an
         # eigensolver on T mixed +theta with -theta and left the u and v
@@ -779,7 +792,8 @@ class TestAskedCounts:
         kern = ToeplitzKernel(L, -(N + L))
         sv = np.linalg.svd(kern.dense(), compute_uv=False)
         k = int(np.sum(sv > lattice.KRYLOV_TOL * sv[0]))
-        triplets, _ = top_singular_triplets(kern, k, seed=L + N)
+        monkeypatch.setattr(lattice, "KRYLOV_SEED", L + N)
+        triplets, _ = top_singular_triplets(kern, k)
         for side in ("u", "v"):
             x = np.array([getattr(t, side) for t in triplets])
             np.testing.assert_allclose(x @ x.T, np.eye(k), rtol=0, atol=1e-13)
@@ -918,7 +932,9 @@ class TestRestrictedCovariance:
         outcomes = []
         for seed in seeds:
             try:
-                outcomes.append(lattice_point(geometry, m=m, seed=seed))
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(lattice, "KRYLOV_SEED", seed)
+                    outcomes.append(lattice_point(geometry, m=m))
             except ConvergenceError as exc:  # too few triplets, for every seed
                 outcomes.append(type(exc))
         if outcomes[0] is ConvergenceError:
@@ -1087,6 +1103,27 @@ class TestRejectedSettings:
             lattice_point(geometry)
 
 
+class TestInt64Offsets:
+    """A geometry whose kernel offsets, down to -(N + 2L - 1), leave int64 is refused."""
+
+    @pytest.mark.parametrize("L", [2, 3, 4, 17, 40])
+    def test_both_sides_of_the_bound(self, L):
+        N = 2**63 - 2 * L + 1  # the lowest offset is exactly -2^63
+        kern = ToeplitzKernel(L, -(N + L))
+        assert np.all(np.isfinite(kern.dense()))
+        for spec in _parity_blocks(L, kern.r):
+            assert np.all(np.isfinite(_block(spec).dense()))
+        LatticeGeometry(L, N)
+        with pytest.raises(ValidationError, match=f"L = {L}, N = {N + 1}: kernel offsets"):
+            LatticeGeometry(L, N + 1)
+
+    def test_last_point_evaluates_and_next_is_an_error_row(self):
+        report = lattice_point(LatticeGeometry(2, 2**63 - 3))
+        assert 0 < report.p <= 1 and 0 < report.f <= 1
+        (row,) = sweep([2], [2**63 - 2])
+        assert row.report is None and "N = 9223372036854775806" in row.error
+
+
 class TestSweepWorkers:
     @pytest.mark.parametrize(
         "jobs, cpus, workers",
@@ -1111,7 +1148,7 @@ class TestSweepWorkers:
 
         monkeypatch.setattr(lattice, "ProcessPoolExecutor", Recorder)
         monkeypatch.setattr(lattice.os, "cpu_count", lambda: cpus)
-        rows = sweep([16, 24, 32], [1], seed=0, jobs=jobs)
+        rows = sweep([16, 24, 32], [1], jobs=jobs)
         assert [row.L for row in rows] == [16, 24, 32]
         assert started == ([] if workers is None else [workers])
 
@@ -1143,7 +1180,7 @@ class TestTrends:
 
 class TestSweep:
     def test_singleton_matches_point(self):
-        rows = sweep([32], [1], m=2, seed=9)
+        rows = sweep([32], [1], m=2)
         assert len(rows) == 1
         point = lattice_point(LatticeGeometry(32, 1), m=2)
         assert rows[0].report.p == pytest.approx(point.p, abs=1e-12)
@@ -1154,12 +1191,13 @@ class TestSweep:
         def strip_timing(text):
             return [line.rsplit(",", 1)[0] for line in text.splitlines()]
 
-        a = sweep([16, 32], [0, 1], seed=5)
-        b = sweep([16, 32], [0, 1], seed=5)
+        # the same call twice
+        a = sweep([16, 32], [0, 1])
+        b = sweep([16, 32], [0, 1])
         assert strip_timing(sweep_to_csv(a)) == strip_timing(sweep_to_csv(b))
 
     def test_csv_header(self):
-        text = sweep_to_csv(sweep([16], [0], seed=1))
+        text = sweep_to_csv(sweep([16], [0]))
         header = text.splitlines()[0]
         assert header == (
             "L,N,p,f,pf,rate,sigma_1,sigma_2,sigma_3,sigma_4,iters,status,message,wall_ms"
@@ -1168,7 +1206,7 @@ class TestSweep:
     def test_iters_cell_is_typed_step_count(self):
         # the rows' own m sets the number of sigma columns
         for m in (2, 3):
-            rows = sweep([16, 17], [0, 1], m=m, seed=2)
+            rows = sweep([16, 17], [0, 1], m=m)
             for row, cells in zip(rows, csv.DictReader(io.StringIO(sweep_to_csv(rows)))):
                 assert row.report.krylov_steps > 0
                 assert cells["iters"] == str(row.report.krylov_steps)
@@ -1176,19 +1214,38 @@ class TestSweep:
                 assert cells[f"sigma_{2 * m}"] == repr(float(row.report.lambdas[-1]))
 
     def test_error_recorded_in_row(self):
-        rows = sweep([2, 16], [0], m=3, seed=0)  # m too large for L = 2
+        rows = sweep([2, 16], [0], m=3)  # m too large for L = 2
         assert rows[0].error is not None and rows[1].error is None
         rows.append(lattice.SweepRow(3, 1, 3, None, 0.5, error="failed, twice"))
         header, *records = csv.reader(io.StringIO(sweep_to_csv(rows)))
         assert [len(r) for r in records] == [len(header)] * 3
         cells = [dict(zip(header, r)) for r in records]
         assert [c["status"] for c in cells] == ["error", "ok", "error"]
-        assert [c["message"] for c in cells] == [rows[0].error, "", "failed, twice"]
+        # an ok row's message is its report's warnings (16, 0, m = 3 carries one)
+        warned = "; ".join(rows[1].report.warnings)
+        assert "above the vanishing-block reference" in warned
+        assert [c["message"] for c in cells] == [rows[0].error, warned, "failed, twice"]
         assert cells[0]["p"] == cells[0]["iters"] == ""
         assert float(cells[0]["wall_ms"]) >= 0 and cells[2]["wall_ms"] == "0.500"
 
+    def test_warnings_in_message(self):
+        # (20, 1) at m = 3 cuts a degenerate pair; csv.reader reads the joined cell back
+        (row,) = sweep([20], [1], m=3)
+        assert row.report.warnings[0].startswith("degenerate singular value at the cut")
+        header, record = csv.reader(io.StringIO(sweep_to_csv([row])))
+        assert dict(zip(header, record))["message"] == "; ".join(row.report.warnings)
+
+    def test_undefined_f_is_an_empty_cell(self):
+        report = SimpleNamespace(
+            p=0.0, f=None, pf=0.0, rate=None, lambdas=[0.0] * 4, krylov_steps=3, warnings=[]
+        )
+        row = lattice.SweepRow(2, 1, 2, report, 1.0)
+        header, record = csv.reader(io.StringIO(sweep_to_csv([row])))
+        cells = dict(zip(header, record))
+        assert cells["f"] == cells["rate"] == "" and cells["p"] == "0.0"
+
     def test_rows_of_different_m_rejected(self):
-        rows = sweep([16], [1], m=2, seed=0) + sweep([16], [1], m=3, seed=0)
+        rows = sweep([16], [1], m=2) + sweep([16], [1], m=3)
         with pytest.raises(ValidationError, match=r"one m, got m in \[2, 3\]"):
             sweep_to_csv(rows)
         with pytest.raises(ValidationError, match="one m"):
@@ -1200,15 +1257,15 @@ class TestSweep:
 
         monkeypatch.setattr(lattice, "lattice_point", broken)
         with pytest.raises(TypeError):
-            sweep([16], [1], seed=0, jobs=1)
+            sweep([16], [1], jobs=1)
 
     def test_empty_lists_rejected(self):
         with pytest.raises(ValidationError):
             sweep([], [1])
 
     def test_parallel_jobs_match_serial(self):
-        serial = sweep([16, 32], [0, 1], seed=7, jobs=1)
-        parallel = sweep([16, 32], [0, 1], seed=7, jobs=2)
+        serial = sweep([16, 32], [0, 1], jobs=1)
+        parallel = sweep([16, 32], [0, 1], jobs=2)
 
         def strip_timing(text):
             return [line.rsplit(",", 1)[0] for line in text.splitlines()]
@@ -1220,16 +1277,54 @@ class TestSweep:
         Ls=st.lists(st.integers(2, 64), min_size=1, max_size=3),
         Ns=st.lists(st.integers(0, 12), min_size=1, max_size=2),
         m=st.sampled_from([2, 3]),
-        seed=st.integers(0, 2**16),
     )
-    def test_rows_independent_of_jobs(self, Ls, Ns, m, seed):
+    def test_rows_independent_of_jobs(self, Ls, Ns, m):
         # error rows (2m > 2L) included: their message is part of the row
         def strip_timing(rows):
             return [line.rsplit(",", 1)[0] for line in sweep_to_csv(rows).splitlines()]
 
-        serial = sweep(Ls, Ns, m=m, seed=seed, jobs=1)
-        parallel = sweep(Ls, Ns, m=m, seed=seed, jobs=2)
+        serial = sweep(Ls, Ns, m=m, jobs=1)
+        parallel = sweep(Ls, Ns, m=m, jobs=2)
         assert strip_timing(serial) == strip_timing(parallel)
+
+
+class TestPointIsAFunctionOfGeometry:
+    """One (L, N, m) gives the same bits wherever it is asked for."""
+
+    POINT = (64, 1)
+
+    @staticmethod
+    def _bits(report):
+        return (report.p, report.f, report.pf, list(report.lambdas), report.krylov_steps)
+
+    def test_point_sweep_and_min_length_probe_agree(self, monkeypatch):
+        L, N = self.POINT
+        want = self._bits(lattice_point(LatticeGeometry(L, N)))
+        # last of four and first of four, serially and in two workers
+        for Ls, Ns, at in (([16, L], [0, N], 3), ([L, 32], [N, 3], 0)):
+            for jobs in (1, 2):
+                row = sweep(Ls, Ns, jobs=jobs)[at]
+                assert (row.L, row.N) == (L, N) and self._bits(row.report) == want
+        probes = []
+        point = lattice.lattice_point
+
+        def recorded(geometry, **kwargs):
+            probes.append((geometry.L, point(geometry, **kwargs)))
+            return probes[-1][1]
+
+        monkeypatch.setattr(lattice, "lattice_point", recorded)
+        min_length(N, 0.5, L_lo=16, L_hi=L)  # probes L_hi first
+        assert probes[0][0] == L and self._bits(probes[0][1]) == want
+
+    def test_seed_keyword_changes_nothing(self):
+        def strip_timing(rows):
+            return [line.rsplit(",", 1)[0] for line in sweep_to_csv(rows).splitlines()]
+
+        assert strip_timing(sweep([16, 17], [0, 1], seed=0)) == strip_timing(
+            sweep([16, 17], [0, 1], seed=12345)
+        )
+        geometry = LatticeGeometry(*self.POINT)
+        assert self._bits(lattice_point(geometry, seed=3)) == self._bits(lattice_point(geometry))
 
 
 class TestScanOnLattice:
