@@ -33,8 +33,8 @@ from .states import (
 )
 
 
-def _parse_range(text: str) -> list[int]:
-    """start:stop:step (stop exclusive) or a comma-separated list."""
+def _parse_range(text: str) -> range | list[int]:
+    """start:stop:step (stop exclusive) as a lazy range, or a comma-separated list."""
     if ":" in text:
         parts = text.split(":")
         if len(parts) != 3:
@@ -42,7 +42,7 @@ def _parse_range(text: str) -> list[int]:
         start, stop, step = (int(p) for p in parts)
         if step <= 0:
             raise argparse.ArgumentTypeError("range step must be positive")
-        return list(range(start, stop, step))
+        return range(start, stop, step)
     return [int(p) for p in text.split(",") if p]
 
 
@@ -57,8 +57,9 @@ def _seed(text: str) -> int:
     return value
 
 
-# The most grid points `closed-form fg-scan` evaluates; each builds and validates a state.
-FG_SCAN_MAX_POINTS = 10**6
+# The most grid points `closed-form fg-scan` evaluates (each builds and validates a state)
+# and `lattice sweep` evaluates (each solves a lattice point).
+FG_SCAN_MAX_POINTS = SWEEP_MAX_POINTS = 10**6
 
 
 def _grid(lo: float, hi: float, num: float, most: int) -> np.ndarray:
@@ -180,6 +181,10 @@ def _cmd_closed_form(args) -> int:
 
 def _cmd_lattice(args) -> int:
     if args.action == "sweep":
+        # len() of a range past sys.maxsize overflows; of its slice at the cap it does not
+        points = len(args.L[: SWEEP_MAX_POINTS + 1]) * len(args.N[: SWEEP_MAX_POINTS + 1])
+        if points > SWEEP_MAX_POINTS:
+            raise ValidationError(f"lattice sweep evaluates at most {SWEEP_MAX_POINTS} points")
         rows = lattice.sweep(args.L, args.N, m=args.m, jobs=args.jobs)
         _emit(lattice.sweep_to_csv(rows), args.out)
         return 0
@@ -197,7 +202,8 @@ def _cmd_lattice(args) -> int:
         for row in reader:
             try:
                 L, N = int(row["L"]), int(row["N"])
-            except (TypeError, ValueError) as exc:
+                float(L)  # the fit takes log(L)
+            except (TypeError, ValueError, OverflowError) as exc:
                 raise ValidationError(f"sweep CSV line {reader.line_num}: {exc}") from exc
             if N != args.N:
                 continue

@@ -7,8 +7,9 @@ to the blocks are Toeplitz: the kernel value at offset q is
     t(q) = sin(q pi / 2) / (q pi),   t(0) -> handled per matrix,
 
 so matrix-vector products cost O(L log L) via circulant embedding and the
-FFT.  Because t vanishes at even q, every kernel splits into two Toeplitz
-blocks on its parity sublattices.  The few dominant singular triplets of the
+FFT.  Because t vanishes at even q, the whole kernel's products run at half
+length (`ToeplitzKernel`), and every kernel splits into two Toeplitz blocks
+on its parity sublattices.  The few dominant singular triplets of the
 cross block come out of Lanczos on those blocks (`_block_triplets`), one
 solve per block up to mirror images, one Toeplitz product per step, each
 block asked only for the triplets of the top k it can hold (`_asked`).  The
@@ -103,6 +104,18 @@ def _sine_kernel(q: np.ndarray) -> np.ndarray:
     return np.array([0.0, 1.0, 0.0, -1.0])[q & 3] / ((q | 1) * np.pi)
 
 
+def _odd_spectrum(q0: int, lo: int, hi: int, m: int) -> np.ndarray:
+    """rfft of the length-m column holding t(q0 + 2i) at index i mod m for lo <= i < hi.
+
+    At odd q0 each t(q) = +-1/(q pi), + at q = 1 mod 4, the sign alternating along the
+    column: `_sine_kernel`'s values bit for bit (negation is exact), with no gather."""
+    first = q0 + 2 * lo
+    col = np.zeros(m)
+    col[: hi - lo] = 1.0 / (np.arange(first, q0 + 2 * hi, 2) * np.pi)
+    col[(first + 1) % 4 // 2 : hi - lo : 2] *= -1.0
+    return np.fft.rfft(np.roll(col, lo))
+
+
 def _smooth_length(n: int) -> int:
     """The smallest integer >= max(n, 2) with no prime factor above 5.
 
@@ -134,9 +147,9 @@ except (AttributeError, ValueError, OSError):  # the platform does not report it
 def _check_memory(L: int, m: int):
     """Raise ValidationError when a lattice point at block length L, m pairs, cannot fit.
 
-    The estimate, with M = `_smooth_length(2L - 1)`: the spectra of the
-    cross kernel and of the parity block being solved, at most M/2 + 1
-    coefficients each (a kernel holds nothing else); one M-point product's
+    The estimate, with h = `_smooth_length(L)`: the spectra of the cross
+    kernel and of the parity block being solved, at most h/2 + 1
+    coefficients each (a kernel holds nothing else); one h-point product's
     buffers (the padded input, two spectra and the inverse transform); and
     the Lanczos basis, rows of at most (L + 1)/2 doubles: c = `_start_rows(k)`
     rows on each of two halves, k the most Ritz pairs a solve at this L keeps
@@ -144,12 +157,11 @@ def _check_memory(L: int, m: int):
     plus the 2c rows one full half grows into while its old c are held, 4c
     rows in all.  A solve of more than 2c steps grows again and can exceed it.
     """
-    M = _smooth_length(2 * int(L) - 1)
-    spectra = 2 * 16 * (M // 2 + 1)
-    product = 16 * M + 32 * (M // 2 + 1)
+    h = _smooth_length(int(L))
+    buffers = 2 * 16 * (h // 2 + 1) + 16 * h + 32 * (h // 2 + 1)  # spectra, then one product
     asked = [a for N in (0, 1) for a in _asked(_parity_blocks(L, -(N + L)), m)]
     basis = 8 * ((L + 1) // 2) * 4 * _start_rows(max(n * (1 + (b[2] != b[3])) for b, n in asked))
-    need = spectra + product + basis
+    need = buffers + basis
     if PHYSICAL_MEMORY is not None and need > PHYSICAL_MEMORY:
         raise ValidationError(
             f"block length L = {L} needs about {need / 2**30:.3g} GiB, "
@@ -160,53 +172,64 @@ def _check_memory(L: int, m: int):
 class ToeplitzKernel:
     """Matrix-free L x L Toeplitz operator with entries t(j - k + r).
 
-    Holds only the FFT of its circulant embedding (size =
-    `_smooth_length(2L - 1)`), so products with the matrix and its
-    transpose cost two FFTs each; `dense()`, for tests, recomputes the
-    entries.  `_strided` builds the sublattice blocks of `_parity_blocks`
-    as instances too: rows x cols operators with entries t(2(a - b) + s),
-    embedded in `_smooth_length(rows + cols - 1)` points.
+    Holds only the rfft of d = c[pi::2] (`_fft_len` = h points), c the first
+    column of its circulant at even length 2h, h = `_smooth_length(L)`, and
+    pi = (r + 1) mod 2 the one index parity where c is nonzero (`_decimated`);
+    `dense()`, for tests, recomputes the entries.  `_strided` builds the
+    blocks of `_parity_blocks` as instances too: rows x cols operators,
+    entries t(2(a - b) + s), s odd, in `_smooth_length(rows + cols - 1)` points.
     """
 
     def __init__(self, L: int, r: int):
         if L < 1:
             raise ValidationError("kernel size must be >= 1")
-        self.r = int(r)
-        self._embed(int(L), int(L), 1)
+        self.r, self.L, self.shape, self._stride = int(r), int(L), (int(L), int(L)), 1
+        self._fft_len = _smooth_length(self.L)
+        # d[i mod h] = c[2i + pi] = t(2i + pi + r), at the odd offsets in (r - L, r + L)
+        pi = self._parity = (self.r + 1) % 2
+        lo, hi = -((self.L - 1 + pi) // 2), (self.L + 1 - pi) // 2
+        self._fft = _odd_spectrum(self.r + pi, lo, hi, self._fft_len)
 
     @classmethod
     def _strided(cls, rows: int, cols: int, r: int) -> ToeplitzKernel:
         kern = cls.__new__(cls)
-        kern.r = r
-        kern._embed(rows, cols, 2)
+        kern.r, kern.L, kern.shape, kern._stride = r, rows, (rows, cols), 2
+        kern._fft_len = _smooth_length(rows + cols - 1)
+        kern._fft = _odd_spectrum(r, 1 - cols, rows, kern._fft_len)
         return kern
-
-    def _embed(self, rows: int, cols: int, stride: int):
-        self.L = rows
-        self.shape = (rows, cols)
-        self._stride = stride
-        self._fft_len = m = _smooth_length(rows + cols - 1)
-        # the diagonal j - k = i sits at i mod m of the circulant's first column
-        col = np.zeros(m)
-        col[:rows] = _sine_kernel(np.arange(self.r, self.r + stride * rows, stride))
-        col[m - cols + 1 :] = _sine_kernel(np.arange(self.r - stride * (cols - 1), self.r, stride))
-        self._fft = np.fft.rfft(col)
 
     def dense(self) -> np.ndarray:
         offsets = np.subtract.outer(np.arange(self.shape[0]), np.arange(self.shape[1]))
         return _sine_kernel(self._stride * offsets + self.r)
 
+    def _convolve(self, x: np.ndarray) -> np.ndarray:
+        big = np.fft.rfft(x, self._fft_len)
+        np.multiply(self._fft, big, out=big)  # F X: numpy rounds X F differently
+        return np.fft.irfft(big, self._fft_len)
+
+    def _decimated(self, x: np.ndarray) -> np.ndarray:
+        """The whole kernel's F x, by decimation in time (Cooley & Tukey, Math. Comp. 19, 1965):
+        for each input parity q with a nonzero part, (F x)[p::2], p = (pi + q) mod 2, is one
+        length-h convolution of d with x[q::2], shifted one place when pi + q = 2."""
+        y = np.zeros(self.L)
+        for q in (0, 1):
+            if x[q::2].any():
+                out, shift = y[(self._parity + q) % 2 :: 2], (self._parity + q) // 2
+                conv = self._convolve(x[q::2])
+                out[shift:], out[:shift] = conv[: len(out) - shift], conv[-1]
+        return y
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if x.shape != (self.shape[1],):
             raise ValidationError(f"expected vector of length {self.shape[1]}, got {x.shape}")
-        big = np.fft.rfft(x, self._fft_len)
-        np.multiply(self._fft, big, out=big)  # F X: numpy rounds X F differently
-        return np.fft.irfft(big, self._fft_len)[: self.shape[0]]
+        return self._decimated(x) if self._stride == 1 else self._convolve(x)[: self.shape[0]]
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """Product with the transpose: a real circulant's transpose has the conjugate spectrum."""
+        """Product with the transpose: R F R x, F persymmetric, or a block's conjugate spectrum."""
         if x.shape != (self.shape[0],):
             raise ValidationError(f"expected vector of length {self.shape[0]}, got {x.shape}")
+        if self._stride == 1:
+            return self._decimated(x[::-1])[::-1]
         big = np.fft.rfft(x, self._fft_len)
         np.conjugate(big, out=big)  # conj(F) X = conj(F conj(X)) bit for bit, F not copied
         np.multiply(self._fft, big, out=big)

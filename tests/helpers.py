@@ -4,9 +4,11 @@ Also the reference constructions that only tests use: the dense Majorana
 operators (from the package's Pauli strings and from Kronecker
 products), the dense-matrix routes of the Fock oracle (smeared
 operators, Fock vectors, parity monomials, joint parity), the dense
-lattice route, the sine kernel by a gather over q mod 4, sampled rows of
-sine-kernel products by direct sums, Lanczos with two Gram-Schmidt
-passes at every step on one full-length basis, Haar-random orthogonal
+lattice route, the sine kernel by a gather over q mod 4, circulant
+embeddings built from it and the whole kernel's product through its
+full-length embedding, sampled rows of sine-kernel products by direct
+sums, Lanczos with two Gram-Schmidt passes at every step on one
+full-length basis, Haar-random orthogonal
 matrices, the Gram-Schmidt frames of Gaussian draws and their
 Householder QR oracle, the polar decomposition (the V oracle), the twirl
 coefficients and output fidelity of the twirled-state route, random pure
@@ -31,6 +33,7 @@ from fermidistill.lattice import (
     ConvergenceError,
     LatticeGeometry,
     _sine_kernel,
+    _smooth_length,
 )
 from fermidistill.linalg import RANK_RTOL, _orthonormalise, svd
 from fermidistill.protocol import DistillationReport, run_protocol
@@ -92,6 +95,31 @@ def sine_kernel_gather(q: np.ndarray) -> np.ndarray:
     """
     q = np.asarray(q)
     return np.array([0.0, 1.0, 0.0, -1.0])[q & 3] / (np.where(q == 0, 1, q) * np.pi)
+
+
+def circulant_column(shape, stride: int, r: int, m: int) -> np.ndarray:
+    """First column of the length-m circulant that embeds A, A[j, k] = t(stride (j - k) + r).
+
+    The diagonal j - k = i sits at i mod m, with t from `sine_kernel_gather`;
+    m >= shape[0] + shape[1] - 1 keeps the two ends apart.
+    """
+    rows, cols = shape
+    col = np.zeros(m)
+    col[:rows] = sine_kernel_gather(np.arange(r, r + stride * rows, stride))
+    col[m - cols + 1 :] = sine_kernel_gather(np.arange(r - stride * (cols - 1), r, stride))
+    return col
+
+
+def full_length_product(L: int, r: int, x: np.ndarray, transpose: bool = False) -> np.ndarray:
+    """F x (or F^T x) for the L x L sine kernel with offset r, by one FFT product
+    at `_smooth_length(2L - 1)` points: the full circulant, both parities of
+    its column, with no decimation.  A real circulant's transpose has the
+    conjugate spectrum."""
+    m = _smooth_length(2 * L - 1)
+    spectrum = np.fft.rfft(circulant_column((L, L), 1, r, m))
+    if transpose:
+        spectrum = np.conj(spectrum)
+    return np.fft.irfft(spectrum * np.fft.rfft(x, m), m)[:L]
 
 
 def sine_toeplitz_rows(shape, stride: int, r: int, x: np.ndarray, rows) -> np.ndarray:

@@ -12,6 +12,8 @@ import importlib
 import inspect
 from pathlib import Path
 
+import numpy as np
+
 from fermidistill import fock, lattice, linalg, protocol, states
 
 SPANS = Path(__file__).resolve().parent.parent / "perfbench" / "spans.py"
@@ -28,6 +30,27 @@ def test_every_traced_lookup_site_is_callable():
         if not callable(getattr(owner, attr, None))
     ]
     assert not missing, f"traced names absent from the package: {missing}"
+
+
+def test_each_kernel_product_is_one_span():
+    """`lattice.products` counts spans: a product built on the other would count twice."""
+    namespace = {"__name__": "spans"}
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), namespace)
+    tracer = namespace["Tracer"](namespace["targets"](linalg, states, protocol, lattice, fock))
+    x = np.random.default_rng(0).standard_normal(101)
+    kernels = [lattice.ToeplitzKernel(101, r) for r in (0, -102, -111)]
+    kernels.append(lattice.ToeplitzKernel._strided(51, 50, -101))
+    tracer.install()
+    try:
+        with tracer.operation("products"):
+            for kern in kernels:
+                kern.matvec(x[: kern.shape[1]])
+                kern.rmatvec(x[: kern.shape[0]])
+    finally:
+        tracer.uninstall()
+    products = [s for s in tracer.spans if s[0] == "lattice.product"]
+    assert len(products) == 2 * len(kernels)
+    assert all(s[3] == 0 for s in products)  # each a child of the operation, none of a product
 
 
 BENCH_SCRIPTS = ("workload.py", "record_reference.py")

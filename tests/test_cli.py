@@ -21,6 +21,7 @@ from fermidistill.protocol import BOUND_ATOL
 from fermidistill.states import (
     BipartiteSplit,
     CovarianceMatrix,
+    ValidationError,
     random_covariance,
     save_covariance,
 )
@@ -356,7 +357,7 @@ class TestBench:
         payload = json.loads(capsys.readouterr().out)
         assert payload["matvec_ms_median"] > 0
         assert payload["triplets_iterations"] > 0
-        assert payload["fft_length"] == 8192  # the smallest 5-smooth length >= 2L - 1
+        assert payload["fft_length"] == 4096  # the smallest 5-smooth h >= L, half of 2h >= 2L - 1
 
     @pytest.mark.parametrize(
         "L,N,message",
@@ -487,6 +488,37 @@ class TestInputEdges:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: L = 16, N = 10000000000000000000: kernel offsets")
+
+    @pytest.mark.parametrize(
+        "L,N,points",
+        [
+            ("2:100000000000000000000:1", "1", None),  # counted before any list is built
+            ("2:1002:1", "0:1001:1", None),
+            ("2:1002:1", "0:1000:1", (1000, 1000)),  # exactly the cap
+        ],
+    )
+    def test_sweep_grid_bounded(self, L, N, points, monkeypatch, capsys):
+        def sizes(L_values, N_values, **kwargs):
+            raise ValidationError(f"sweep of {len(L_values)} x {len(N_values)}")
+
+        monkeypatch.setattr(lattice, "sweep", sizes)
+        assert main(["lattice", "sweep", "--L", L, "--N", N]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        if points is None:
+            assert captured.err == "error: lattice sweep evaluates at most 1000000 points\n"
+        else:
+            assert captured.err == "error: sweep of %d x %d\n" % points
+
+    def test_fit_length_beyond_float_is_error_line(self, tmp_path, capsys):
+        # an L beyond the largest float, about 1.8e308, has no log for the fit
+        data = tmp_path / "sweep.csv"
+        rows = [f"{L},1,0.9" for L in (100, 400, 1600)] + [f"{10**309},1,0.99"]
+        data.write_text("\n".join(["L,N,f", *rows]) + "\n")
+        assert main(["lattice", "fit", "--data", str(data), "--N", "1", "--L-min", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: sweep CSV line 5: int too large to convert to float\n"
 
     def test_sweep_warnings_read_back_by_fit(self, tmp_path, capsys):
         # odd N with m = 3 cuts a degenerate pair: every row carries warnings

@@ -27,6 +27,7 @@ from fermidistill.lattice import (
     _block_triplets,
     _interleave,
     _is_mirror,
+    _odd_spectrum,
     _parity_blocks,
     _sine_kernel,
     _smooth_length,
@@ -34,9 +35,11 @@ from fermidistill.lattice import (
 from fermidistill.states import ValidationError, blocks, validate
 
 from helpers import (
+    circulant_column,
     dense_covariance,
     dense_lattice_point,
     dense_sine_toeplitz,
+    full_length_product,
     lanczos_two_pass,
     random_orthogonal,
     sine_kernel_gather,
@@ -93,6 +96,35 @@ class TestKernel:
             sine_kernel_gather(stride * np.arange(-41, 41) + r),
         )
 
+    @pytest.mark.parametrize("lo,hi,m", [(0, 0, 2), (0, 5, 8), (-3, 4, 9), (-39, 41, 80)])
+    @pytest.mark.parametrize("q0", [1, 3, 5, 7, -1, -3, -5, -7, -(10**5 + 11), -(2**63 - 81)])
+    def test_odd_spectrum_matches_gather_column(self, q0, lo, hi, m):
+        # the sign alternates from either residue mod 4, down to the int64 floor
+        i = np.arange(lo, hi)
+        col = np.zeros(m)
+        col[i % m] = sine_kernel_gather(q0 + 2 * i)
+        ref = np.fft.rfft(col)
+        self._assert_same_bits(_odd_spectrum(q0, lo, hi, m).view(np.float64), ref.view(np.float64))
+
+    @pytest.mark.parametrize("L", [1, 2, 3, 8, 9, 40, 41, 1000, 4097])
+    @pytest.mark.parametrize("N", [0, 1, 2, 11])
+    def test_spectra_match_gather_columns(self, L, N):
+        # every kernel's spectrum is the rfft of its circulant column from
+        # the gather: a parity block's at its own length, the whole
+        # kernel's at 2h decimated to its nonzero parity (r + 1) mod 2
+        for r in (0, -(N + L)):
+            kern = ToeplitzKernel(L, r)
+            h = _smooth_length(L)
+            col = circulant_column((L, L), 1, r, 2 * h)
+            assert not col[r % 2 :: 2].any()
+            ref = np.fft.rfft(col[(r + 1) % 2 :: 2])
+            self._assert_same_bits(kern._fft.view(np.float64), ref.view(np.float64))
+            for spec in _parity_blocks(L, r):
+                block = _block(spec)
+                col = circulant_column(block.shape, 2, spec[4], block._fft_len)
+                ref = np.fft.rfft(col)
+                self._assert_same_bits(block._fft.view(np.float64), ref.view(np.float64))
+
     @pytest.mark.parametrize("L,N", [(2, 0), (5, 3), (8, 1), (13, 10)])
     def test_sine_kernel_matches_gather_2d(self, L, N):
         # the site-difference matrix of the dense route, zero diagonal included
@@ -129,14 +161,47 @@ class TestMatvec:
 
     def test_products_match_out_of_place_spectra(self, rng):
         # the spectrum multiplied in place, and conjugated in place around
-        # the product for the transpose, gives the bits of the plain formulas
-        for kern in (ToeplitzKernel(97, -110), *map(_block, _parity_blocks(97, -98))):
+        # the product for a block's transpose, gives the bits of the plain
+        # formulas; the whole kernel's on its decimated layout, with the
+        # transpose as R F R
+        for kern in map(_block, _parity_blocks(97, -98)):
             (rows, cols), n = kern.shape, kern._fft_len
             x, y = rng.standard_normal(cols), rng.standard_normal(rows)
             ref = np.fft.irfft(kern._fft * np.fft.rfft(x, n), n)[:rows]
             ref_t = np.fft.irfft(np.conj(kern._fft) * np.fft.rfft(y, n), n)[:cols]
             np.testing.assert_array_equal(kern.matvec(x), ref)
             np.testing.assert_array_equal(kern.rmatvec(y), ref_t)
+
+        def decimated(kern, x):
+            y, h, pi = np.zeros(kern.L), kern._fft_len, (kern.r + 1) % 2
+            for q in (0, 1):
+                if x[q::2].any():
+                    conv = np.fft.irfft(kern._fft * np.fft.rfft(x[q::2], h), h)
+                    out = y[(pi + q) % 2 :: 2]
+                    out[:] = np.roll(conv, (pi + q) // 2)[: len(out)]
+            return y
+
+        for L, r in ((97, -110), (97, -111), (96, 0), (96, -97)):
+            kern = ToeplitzKernel(L, r)
+            for x in (rng.standard_normal(L), np.where(np.arange(L) % 2, 0.0, 1.0)):
+                np.testing.assert_array_equal(kern.matvec(x), decimated(kern, x))
+                np.testing.assert_array_equal(kern.rmatvec(x), decimated(kern, x[::-1])[::-1])
+
+    @pytest.mark.parametrize("L", [4097, 2**17 + 1])
+    @pytest.mark.parametrize("N", [1, 2])
+    def test_whole_kernel_matches_full_length_product(self, L, N, rng):
+        # on one sublattice or both, both ways, against the full circulant at
+        # _smooth_length(2L - 1) points; the rounding of either FFT product
+        # grows with ||x|| and log2 of its length
+        kern = ToeplitzKernel(L, -(N + L))
+        scale = np.finfo(float).eps * np.log2(_smooth_length(2 * L - 1))
+        for keep in (0, 1, None):
+            x = rng.standard_normal(L)
+            if keep is not None:
+                x[1 - keep :: 2] = 0.0
+            for transpose, got in ((False, kern.matvec(x)), (True, kern.rmatvec(x))):
+                ref = full_length_product(L, kern.r, x, transpose)
+                assert np.max(np.abs(got - ref)) <= scale * np.linalg.norm(x)
 
     def test_length_mismatch(self):
         with pytest.raises(ValidationError):
@@ -173,25 +238,36 @@ class TestSmoothLength:
 
 class TestEmbeddingLengths:
     """Products against dense matrices on embeddings of every small length,
-    odd ones (L = 8 embeds in 15 points) and factors of 3 and 5 included."""
+    odd ones (a 4 x 4 block embeds in 7 points) and factors of 3 and 5 included."""
 
     @staticmethod
-    def _check(kern, rng):
+    def _check(kern, rng, length):
         d = kern.dense()
         rows, cols = kern.shape
-        assert kern._fft_len == _smooth_length(rows + cols - 1)
-        x, y = rng.standard_normal(cols), rng.standard_normal(rows)
-        np.testing.assert_allclose(kern.matvec(x), d @ x, atol=1e-13)
-        np.testing.assert_allclose(kern.rmatvec(y), d.T @ y, atol=1e-13)
+        assert kern._fft_len == length and len(kern._fft) == length // 2 + 1
+        # inputs on both sublattices, and on each one alone
+        for keep in (None, 0, 1):
+            x, y = rng.standard_normal(cols), rng.standard_normal(rows)
+            if keep is not None:
+                x[1 - keep :: 2], y[1 - keep :: 2] = 0.0, 0.0
+            np.testing.assert_allclose(kern.matvec(x), d @ x, rtol=0, atol=1e-13)
+            np.testing.assert_allclose(kern.rmatvec(y), d.T @ y, rtol=0, atol=1e-13)
 
     @pytest.mark.parametrize("L", range(2, 41))
     def test_full_kernel_and_parity_blocks(self, L, rng):
         for r in (0, -(L + 1), -(L + 10)):
             kern = ToeplitzKernel(L, r)
             np.testing.assert_allclose(kern.dense(), dense_sine_toeplitz(L, r), atol=1e-15)
-            self._check(kern, rng)
+            self._check(kern, rng, _smooth_length(L))  # half of an even 2h >= 2L - 1
             for spec in _parity_blocks(L, r):
-                self._check(_block(spec), rng)
+                rows, cols = spec[2:4]
+                self._check(_block(spec), rng, _smooth_length(rows + cols - 1))
+
+    @pytest.mark.parametrize("L", [1, 101, 1000])
+    @pytest.mark.parametrize("N", [0, 1, 2, 3, 10, 11, 100])
+    def test_whole_kernel_at_larger_lengths(self, L, N, rng):
+        for r in (0, -(N + L)):
+            self._check(ToeplitzKernel(L, r), rng, _smooth_length(L))
 
 
 class TestTriplets:
@@ -570,6 +646,58 @@ class TestParitySplitOracle:
         # both 2 x 1 and 1 x 2 half blocks have rank one
         with pytest.raises(ConvergenceError):
             top_singular_triplets(ToeplitzKernel(3, -4), 3)
+
+
+class TestResidualCheckCatches:
+    """The check against the whole kernel catches a triplet assembled wrong
+    from its parity block: each mutation is a monkeypatch of one step."""
+
+    @staticmethod
+    def _check_fails(L, N):
+        with pytest.raises(ConvergenceError, match="residual .* exceeds tolerance"):
+            top_singular_triplets(ToeplitzKernel(L, -(N + L)), 2)
+
+    @pytest.mark.parametrize("L,N", [(64, 1), (64, 2), (65, 1), (65, 2), (2000, 11)])
+    def test_wrong_block_offset(self, L, N, monkeypatch):
+        strided = ToeplitzKernel._strided
+        monkeypatch.setattr(
+            ToeplitzKernel, "_strided", classmethod(lambda cls, rows, cols, s: strided(rows, cols, s + 2))
+        )
+        self._check_fails(L, N)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    @pytest.mark.parametrize("L,N", [(64, 1), (64, 2), (2000, 10)])
+    def test_wrong_sublattice_lift(self, L, N, side, monkeypatch):
+        # u (side 0) or v (side 1) lifted onto the other sublattice; at even
+        # L both hold L/2 sites
+        specs = lattice._parity_blocks
+
+        def flipped(L, r):
+            out = []
+            for p, q, *rest in specs(L, r):
+                out.append((1 - p, q, *rest) if side == 0 else (p, 1 - q, *rest))
+            return out
+
+        monkeypatch.setattr(lattice, "_parity_blocks", flipped)
+        self._check_fails(L, N)
+
+    @pytest.mark.parametrize("L,N", [(64, 0), (64, 2), (2000, 10)])
+    def test_wrong_mirror(self, L, N, monkeypatch):
+        # even N: the second block is taken for the first's mirror, which it is not
+        monkeypatch.setattr(lattice, "_is_mirror", lambda a, b: True)
+        self._check_fails(L, N)
+
+    @pytest.mark.parametrize("L,N", [(64, 1), (64, 2), (65, 2), (2000, 11)])
+    def test_swapped_u_and_v(self, L, N, monkeypatch):
+        # square blocks, so the swapped vectors still fit their sublattices
+        solve = lattice._block_triplets
+
+        def swapped(block, k, rng, start=None):
+            triplets, steps = solve(block, k, rng, start)
+            return [lattice.SingularTriplet(t.sigma, t.v, t.u) for t in triplets], steps
+
+        monkeypatch.setattr(lattice, "_block_triplets", swapped)
+        self._check_fails(L, N)
 
 
 class TestWarmStart:
@@ -1064,19 +1192,34 @@ class TestRejectedSettings:
         assert points == []
 
     def test_point_beyond_memory_rejected_before_allocation(self, monkeypatch):
-        # the estimate at L = 4096 is about 1.4e6 bytes and at L = 64 about
-        # 2.3e4; no kernel may be built for a point that cannot fit
+        # the estimate at L = 4096 is about 1.25e6 bytes and at L = 64 about
+        # 2.0e4; no kernel may be built for a point that cannot fit
         monkeypatch.setattr(lattice, "PHYSICAL_MEMORY", 10**6)
         assert lattice_point(LatticeGeometry(64, 1)).f is not None
 
         def no_kernel(*args):
             raise AssertionError("kernel allocated")
 
-        monkeypatch.setattr(ToeplitzKernel, "_embed", no_kernel)
+        monkeypatch.setattr(ToeplitzKernel, "__init__", no_kernel)
+        monkeypatch.setattr(ToeplitzKernel, "_strided", classmethod(no_kernel))
         with pytest.raises(ValidationError, match="L = 4096 needs about"):
             lattice_point(LatticeGeometry(4096, 1))
         with pytest.raises(ValidationError, match="L = 4096 needs about"):
             sweep([64, 4096], [1])
+
+    @pytest.mark.parametrize("L,need", [(4096, 1245248), (4097, 1256512)])
+    def test_guard_sizes_the_whole_kernel_at_half_length(self, L, need, monkeypatch):
+        # m = 2, h = _smooth_length(L) (4096 and 4320): two spectra of h/2 + 1
+        # coefficients, one h-point product (16 h + 32 (h/2 + 1) bytes) and
+        # 64 basis rows of (L + 1)/2 doubles, not the full circulant's
+        # _smooth_length(2L - 1) = 8192 and 8640 points
+        h = _smooth_length(L)
+        assert need == 32 * (h // 2 + 1) + 16 * h + 32 * (h // 2 + 1) + 8 * ((L + 1) // 2) * 64
+        monkeypatch.setattr(lattice, "PHYSICAL_MEMORY", need)
+        lattice._check_memory(L, 2)
+        monkeypatch.setattr(lattice, "PHYSICAL_MEMORY", need - 1)
+        with pytest.raises(ValidationError, match=f"L = {L} needs about"):
+            lattice._check_memory(L, 2)
 
     @pytest.mark.parametrize(
         "L,N,start",
