@@ -7,22 +7,23 @@ to the blocks are Toeplitz: the kernel value at offset q is
     t(q) = sin(q pi / 2) / (q pi),   t(0) -> handled per matrix,
 
 so matrix-vector products cost O(L log L) via circulant embedding and the
-FFT.  Because t vanishes at even q, the whole kernel's products run at half
-length (`ToeplitzKernel`), and every kernel splits into two Toeplitz blocks
-on its parity sublattices.  The few dominant singular triplets of the
-cross block come out of Lanczos on those blocks (`_block_triplets`), one
-solve per block up to mirror images, one Toeplitz product per step, each
-block asked only for the triplets of the top k it can hold (`_asked`).  The
-restricted 2m-mode covariance is then assembled analytically in the singular
-basis (the lift from the L x L kernel to the full off-diagonal block doubles
-every singular value's multiplicity), with the intra-block compressions
-taken from half-length products with one parity block of the intra kernel,
-and the point is evaluated by the same `protocol._evaluate` as the dense
-route; `_check_memory` rejects a point too large for the installed memory.
+FFT.  Because t vanishes at even q, every kernel splits into two Toeplitz
+blocks on its parity sublattices, each block product one half-length
+convolution with the kernel's one spectrum (`ToeplitzKernel.block`).  The
+few dominant singular triplets of the cross kernel come out of Lanczos on
+those blocks (`_block_triplets`), one solve per block up to mirror images,
+one product per step, each block asked only for the triplets of the top k
+it can hold (`_asked`).  The restricted 2m-mode covariance is then
+assembled analytically in the singular basis (the lift from the L x L
+kernel to the full off-diagonal block doubles every singular value's
+multiplicity), with the compressions from block products of the intra
+kernel, and evaluated by the same `protocol._evaluate` as the dense route;
+`_check_memory` rejects a point too large for the installed memory.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 import io
 import operator
@@ -92,23 +93,11 @@ class LatticeGeometry:
             raise ValidationError(f"L = {self.L}, N = {self.N}: kernel offsets leave int64")
 
 
-def _sine_kernel(q: np.ndarray) -> np.ndarray:
-    """t(q) = sin(q pi/2)/(q pi) on integer offsets q, with the q = 0 entry set to zero.
-
-    sin(q pi/2) is read from a table at q & 3 (q mod 4, also for negative q):
-    even offsets are exact zeros, and q | 1, equal to q at odd q, is never 0.
-    The zero at q = 0 encodes the vanishing diagonal of the centered
-    correlation matrix at half filling.
-    """
-    q = np.asarray(q)
-    return np.array([0.0, 1.0, 0.0, -1.0])[q & 3] / ((q | 1) * np.pi)
-
-
 def _odd_spectrum(q0: int, lo: int, hi: int, m: int) -> np.ndarray:
     """rfft of the length-m column holding t(q0 + 2i) at index i mod m for lo <= i < hi.
 
     At odd q0 each t(q) = +-1/(q pi), + at q = 1 mod 4, the sign alternating along the
-    column: `_sine_kernel`'s values bit for bit (negation is exact), with no gather."""
+    column, with no gather from a table at q mod 4."""
     first = q0 + 2 * lo
     col = np.zeros(m)
     col[: hi - lo] = 1.0 / (np.arange(first, q0 + 2 * hi, 2) * np.pi)
@@ -147,20 +136,21 @@ except (AttributeError, ValueError, OSError):  # the platform does not report it
 def _check_memory(L: int, m: int):
     """Raise ValidationError when a lattice point at block length L, m pairs, cannot fit.
 
-    The estimate, with h = `_smooth_length(L)`: the spectra of the cross
-    kernel and of the parity block being solved, at most h/2 + 1
-    coefficients each (a kernel holds nothing else); one h-point product's
-    buffers (the padded input, two spectra and the inverse transform); and
-    the Lanczos basis, rows of at most (L + 1)/2 doubles: c = `_start_rows(k)`
-    rows on each of two halves, k the most Ritz pairs a solve at this L keeps
-    (one per triplet `_asked` gives a square block, two on a rectangular one),
-    plus the 2c rows one full half grows into while its old c are held, 4c
-    rows in all.  A solve of more than 2c steps grows again and can exceed it.
+    The estimate, with h = `_smooth_length(L)`: the cross kernel's spectrum
+    of h/2 + 1 coefficients, the one alive during the solve (its blocks are
+    views); one h-point product's buffers (the padded input, two spectra and
+    the inverse transform); and the Lanczos basis, rows of at most (L + 1)/2
+    doubles.  A solve runs on H halves, one for a square block and two for a
+    rectangular one, keeping k = H times the count `_asked` gives it.  Each
+    half starts with c = `_start_rows(k)` rows, and one full half grows into
+    2c while its old c are held: (H + 2) c rows, the most over the solves at
+    this L.  A solve of more than 2c steps grows again and can exceed it.
     """
     h = _smooth_length(int(L))
-    buffers = 2 * 16 * (h // 2 + 1) + 16 * h + 32 * (h // 2 + 1)  # spectra, then one product
+    buffers = 16 * (h // 2 + 1) + 16 * h + 32 * (h // 2 + 1)  # the spectrum, one product
     asked = [a for N in (0, 1) for a in _asked(_parity_blocks(L, -(N + L)), m)]
-    basis = 8 * ((L + 1) // 2) * 4 * _start_rows(max(n * (1 + (b[2] != b[3])) for b, n in asked))
+    halves = [(1 + (b[2] != b[3]), n) for b, n in asked]
+    basis = 8 * ((L + 1) // 2) * max((H + 2) * _start_rows(H * n) for H, n in halves)
     need = buffers + basis
     if PHYSICAL_MEMORY is not None and need > PHYSICAL_MEMORY:
         raise ValidationError(
@@ -170,71 +160,61 @@ def _check_memory(L: int, m: int):
 
 
 class ToeplitzKernel:
-    """Matrix-free L x L Toeplitz operator with entries t(j - k + r).
+    """Matrix-free L x L Toeplitz operator F with entries t(j - k + r), or a parity block of F.
 
-    Holds only the rfft of d = c[pi::2] (`_fft_len` = h points), c the first
-    column of its circulant at even length 2h, h = `_smooth_length(L)`, and
-    pi = (r + 1) mod 2 the one index parity where c is nonzero (`_decimated`);
-    `dense()`, for tests, recomputes the entries.  `_strided` builds the
-    blocks of `_parity_blocks` as instances too: rows x cols operators,
-    entries t(2(a - b) + s), s odd, in `_smooth_length(rows + cols - 1)` points.
+    F's circulant column c at even length 2h, h = `_smooth_length(L)`, is
+    nonzero at the index parity pi = (r + 1) mod 2 only, and a kernel holds
+    just the rfft of d[i] = c[2i - pi] = t(2i - pi + r) (`_fft_len` = h).
+    The block F[p::2, q::2], p = (pi + q) mod 2, maps x to the window from
+    pi - (pi + q) // 2 of one length-h convolution of d with x (decimation in
+    time, Cooley & Tukey, Math. Comp. 19, 1965); `block(q)` views it as a
+    rows x cols kernel with F's L, r and spectrum.
     """
 
     def __init__(self, L: int, r: int):
         if L < 1:
             raise ValidationError("kernel size must be >= 1")
-        self.r, self.L, self.shape, self._stride = int(r), int(L), (int(L), int(L)), 1
+        # _q is a block view's input sublattice, None on the whole kernel
+        self.r, self.L, self.shape, self._q = int(r), int(L), (int(L), int(L)), None
         self._fft_len = _smooth_length(self.L)
-        # d[i mod h] = c[2i + pi] = t(2i + pi + r), at the odd offsets in (r - L, r + L)
+        # d at the odd offsets 2i - pi + r in (r - L, r + L)
         pi = self._parity = (self.r + 1) % 2
-        lo, hi = -((self.L - 1 + pi) // 2), (self.L + 1 - pi) // 2
-        self._fft = _odd_spectrum(self.r + pi, lo, hi, self._fft_len)
+        lo, hi = (2 - self.L + pi) // 2, (self.L + 1 + pi) // 2
+        self._fft = _odd_spectrum(self.r - pi, lo, hi, self._fft_len)
 
-    @classmethod
-    def _strided(cls, rows: int, cols: int, r: int) -> ToeplitzKernel:
-        kern = cls.__new__(cls)
-        kern.r, kern.L, kern.shape, kern._stride = r, rows, (rows, cols), 2
-        kern._fft_len = _smooth_length(rows + cols - 1)
-        kern._fft = _odd_spectrum(r, 1 - cols, rows, kern._fft_len)
-        return kern
+    def block(self, q: int) -> ToeplitzKernel:
+        """F[p::2, q::2], p = (pi + q) mod 2: a view that shares F's spectrum."""
+        view, rows = copy.copy(self), (self.L + 1 - (self._parity + q) % 2) // 2
+        view._q, view.shape = q, (rows, (self.L + 1 - q) // 2)
+        return view
 
-    def dense(self) -> np.ndarray:
-        offsets = np.subtract.outer(np.arange(self.shape[0]), np.arange(self.shape[1]))
-        return _sine_kernel(self._stride * offsets + self.r)
-
-    def _convolve(self, x: np.ndarray) -> np.ndarray:
+    def _product(self, x: np.ndarray, q: int | None, rows: int) -> np.ndarray:
+        """F[p::2, q::2] x (rows long), a view into one length-h convolution; with q None
+        the whole F x, one block product for each input parity with a nonzero part."""
+        if q is None:
+            y = np.zeros(self.L)
+            for q in (0, 1):
+                out = y[(self._parity + q) % 2 :: 2]
+                if x[q::2].any():
+                    out[:] = self._product(x[q::2], q, len(out))
+            return y
         big = np.fft.rfft(x, self._fft_len)
         np.multiply(self._fft, big, out=big)  # F X: numpy rounds X F differently
-        return np.fft.irfft(big, self._fft_len)
-
-    def _decimated(self, x: np.ndarray) -> np.ndarray:
-        """The whole kernel's F x, by decimation in time (Cooley & Tukey, Math. Comp. 19, 1965):
-        for each input parity q with a nonzero part, (F x)[p::2], p = (pi + q) mod 2, is one
-        length-h convolution of d with x[q::2], shifted one place when pi + q = 2."""
-        y = np.zeros(self.L)
-        for q in (0, 1):
-            if x[q::2].any():
-                out, shift = y[(self._parity + q) % 2 :: 2], (self._parity + q) // 2
-                conv = self._convolve(x[q::2])
-                out[shift:], out[:shift] = conv[: len(out) - shift], conv[-1]
-        return y
+        start = self._parity - (self._parity + q) // 2
+        return np.fft.irfft(big, self._fft_len)[start : start + rows]
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if x.shape != (self.shape[1],):
             raise ValidationError(f"expected vector of length {self.shape[1]}, got {x.shape}")
-        return self._decimated(x) if self._stride == 1 else self._convolve(x)[: self.shape[0]]
+        return self._product(x, self._q, self.shape[0])
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
-        """Product with the transpose: R F R x, F persymmetric, or a block's conjugate spectrum."""
+        """Product with the transpose, R F R x: F is square Toeplitz, so persymmetric, and R
+        maps a view's output sublattice p onto (L - 1 - p) mod 2 in reverse order."""
         if x.shape != (self.shape[0],):
             raise ValidationError(f"expected vector of length {self.shape[0]}, got {x.shape}")
-        if self._stride == 1:
-            return self._decimated(x[::-1])[::-1]
-        big = np.fft.rfft(x, self._fft_len)
-        np.conjugate(big, out=big)  # conj(F) X = conj(F conj(X)) bit for bit, F not copied
-        np.multiply(self._fft, big, out=big)
-        np.conjugate(big, out=big)
-        return np.fft.irfft(big, self._fft_len)[: self.shape[1]]
+        q = None if self._q is None else (self.L - 1 - self._parity - self._q) % 2
+        return self._product(x[::-1], q, self.shape[1])[::-1]
 
 
 def _parity_blocks(L: int, r: int) -> list[tuple[int, int, int, int, int]]:
@@ -243,12 +223,11 @@ def _parity_blocks(L: int, r: int) -> list[tuple[int, int, int, int, int]]:
     t vanishes at even offsets, so rows j = 2a + p couple only to columns
     k = 2b + q with q = (p + r + 1) mod 2, through t(2(a - b) + s) where
     s = p - q + r (Peschel, J. Phys. A 36 (2003) L205).  Returns one spec
-    (p, q, rows, cols, s) per non-empty pair, p = 0 first, and builds no
-    kernel (`ToeplitzKernel._strided(rows, cols, s)` does).  For the cross
-    block (r = -(N + L)) the second spec mirrors the first (`_is_mirror`),
-    so the singular values come in exactly equal pairs, if and only if N
-    is odd.  For the intra kernel (r = 0) the first spec is the block from
-    sublattice 1 onto 0.
+    (p, q, rows, cols, s) per non-empty pair, p = 0 first, and builds
+    nothing (`ToeplitzKernel.block(q)` is the block as an operator).  For the
+    cross block (r = -(N + L)) the second spec mirrors the first
+    (`_is_mirror`), so the singular values come in exactly equal pairs, if
+    and only if N is odd.
     """
     specs = []
     for p in (0, 1):
@@ -433,18 +412,19 @@ def top_singular_triplets(kern: ToeplitzKernel, k: int) -> tuple[list[SingularTr
     """Top-k singular triplets of a sine kernel, one Krylov solve per parity block.
 
     The kernel splits into two stride-2 Toeplitz blocks on its parity
-    sublattices (`_parity_blocks`), each built just before its solve by
-    Lanczos (`_block_triplets`) for the triplets of the top k it can hold
-    (`_asked`); their singular values decay geometrically (Cauchy-like
-    blocks, Beckermann & Townsend, SIAM J. Matrix Anal. Appl. 38, 2017), so
-    one single-vector solve per block suffices.  The first block starts from
-    the first draw of `np.random.default_rng(KRYLOV_SEED)`, so the result is
-    a function of the kernel and k alone.  The second block is not built
-    when it mirrors the first (`_is_mirror`, N odd): it equals R B^T R, so
-    its triplets are (sigma, R v, R u) of B's, for a square B sign(theta)
-    (sigma, u, v).  Otherwise (N even) it is the first shifted by one row or
-    cut to a principal submatrix (`_asked`), and its solve starts from the
-    sum of the first block's right vectors v, cut to its length, or from the
+    sublattices (`_parity_blocks`), each solved as a view of the kernel
+    (`ToeplitzKernel.block`) by Lanczos (`_block_triplets`) for the triplets
+    of the top k it can hold (`_asked`); their singular values decay
+    geometrically (Cauchy-like blocks, Beckermann & Townsend, SIAM J.
+    Matrix Anal. Appl. 38, 2017), so one single-vector solve per block
+    suffices.  The first block starts from the first draw of
+    `np.random.default_rng(KRYLOV_SEED)`, so the result is a function of the
+    kernel and k alone.  The second block is not solved when it mirrors the
+    first (`_is_mirror`, N odd): it equals R B^T R, so its triplets are
+    (sigma, R v, R u) of B's, for a square B sign(theta) (sigma, u, v).
+    Otherwise (N even) it is the first shifted by one row or cut to a
+    principal submatrix (`_asked`), and its solve starts from the sum of the
+    first block's right vectors v, cut to its length, or from the
     generator's next draw when that sum is zero.  Only the k kept triplets
     are lifted onto their sublattices.  Each satisfies ||F v - sigma u|| <=
     10 KRYLOV_TOL sigma_1 against the full kernel.  Returns the triplets and
@@ -458,12 +438,12 @@ def top_singular_triplets(kern: ToeplitzKernel, k: int) -> tuple[list[SingularTr
     rng = np.random.default_rng(KRYLOV_SEED)
     found, total_iters, solved = [], 0, None
     for spec, asked in _asked(_parity_blocks(L, kern.r), k):
-        p, q, rows, cols, s = spec
+        p, q, _, cols, _ = spec
         if solved is not None and _is_mirror(solved[0], spec):
             half = [SingularTriplet(t.sigma, t.v[::-1], t.u[::-1]) for t in solved[1]]
         else:
             warm = sum(t.v[:cols] for t in solved[1]) if solved else None
-            half, iters = _block_triplets(ToeplitzKernel._strided(rows, cols, s), asked, rng, warm)
+            half, iters = _block_triplets(kern.block(q), asked, rng, warm)
             total_iters += iters
             solved = (spec, half)
         found += [SingularTriplet(t.sigma, t.u, t.v, (p, q)) for t in half]
@@ -518,9 +498,10 @@ def restricted_covariance(
     and couples only opposite sublattices, and each w_i, z_i lives on one,
     so a compression has a zero diagonal and is filled from its strict
     upper triangle by symmetry.  Column j of that triangle takes one
-    half-length product with F_0's block from sublattice 1 onto 0 or its
-    transpose, and only when an earlier vector lies on the other sublattice
-    (F_0 x_j lives on 1 - q_j).  The L x L intra kernel is never built.
+    product with F_0's parity block on x_j's sublattice q_j
+    (`ToeplitzKernel.block`), and only when an earlier vector lies on the
+    other sublattice (F_0 x_j lives on 1 - q_j).  F_0 is held as its one
+    half-length spectrum, never as an L x L matrix.
     Returns the covariance, its split and the canonical choice, as
     `optimal_choice` would give them for the dense covariance.
     """
@@ -532,8 +513,7 @@ def restricted_covariance(
     _check_memory(L, m)
     cross = ToeplitzKernel(L, -(N + L))
     triplets, steps = top_singular_triplets(cross, m)
-    # F_0's block from sublattice 1 onto 0: rows 0::2, columns 1::2
-    half = ToeplitzKernel._strided(*_parity_blocks(L, 0)[0][2:])
+    intra = ToeplitzKernel(L, 0)
 
     def compress(side: int) -> np.ndarray:
         # x^T F_0 x for the triplets' u (side 0) or v (side 1) vectors x
@@ -542,7 +522,7 @@ def restricted_covariance(
         out = np.zeros((m, m))
         for j, q in enumerate(subl):
             if 1 - q in subl[:j]:
-                f0x = half.matvec(x[j, 1::2]) if q else half.rmatvec(x[j, 0::2])
+                f0x = intra.block(q).matvec(x[j, q::2])
                 out[:j, j] = x[:j, 1 - q :: 2] @ f0x
         return out + out.T
 

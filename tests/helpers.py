@@ -4,16 +4,18 @@ Also the reference constructions that only tests use: the dense Majorana
 operators (from the package's Pauli strings and from Kronecker
 products), the dense-matrix routes of the Fock oracle (smeared
 operators, Fock vectors, parity monomials, joint parity), the dense
-lattice route, the sine kernel by a gather over q mod 4, circulant
-embeddings built from it and the whole kernel's product through its
-full-length embedding, sampled rows of sine-kernel products by direct
-sums, Lanczos with two Gram-Schmidt passes at every step on one
-full-length basis, Haar-random orthogonal
-matrices, the Gram-Schmidt frames of Gaussian draws and their
-Householder QR oracle, the polar decomposition (the V oracle), the twirl
-coefficients and output fidelity of the twirled-state route, random pure
-states, the global parity operator, and the closed-form covariances
-written out entry by entry (the oracle for their block assembly).
+lattice route and the independent one at 10^4-10^5 sites (subspace
+iteration with power-of-two FFT products), the sine kernel by a gather
+over q mod 4, the dense matrix of a kernel or of a parity-block view
+from it, circulant embeddings built from it and the whole kernel's
+product through its full-length embedding, sampled rows of sine-kernel
+products by direct sums, Lanczos with two Gram-Schmidt passes at every
+step on one full-length basis, Haar-random orthogonal matrices, the
+Gram-Schmidt frames of Gaussian draws and their Householder QR oracle,
+the polar decomposition (the V oracle), the twirl coefficients and
+output fidelity of the twirled-state route, random pure states, the
+global parity operator, and the closed-form covariances written out
+entry by entry (the oracle for their block assembly).
 """
 
 import math
@@ -32,7 +34,6 @@ from fermidistill.lattice import (
     MAX_STEPS,
     ConvergenceError,
     LatticeGeometry,
-    _sine_kernel,
     _smooth_length,
 )
 from fermidistill.linalg import RANK_RTOL, _orthonormalise, svd
@@ -206,7 +207,7 @@ def dense_covariance(geometry: LatticeGeometry) -> tuple[CovarianceMatrix, Bipar
     L, N = geometry.L, geometry.N
     sites = np.concatenate([np.arange(-L, 0), np.arange(N, N + L)])
     diff = sites[:, None] - sites[None, :]
-    centered = _sine_kernel(diff)   # zero diagonal = centered at half filling
+    centered = sine_kernel_gather(diff)   # zero diagonal = centered at half filling
     g = np.block(
         [[np.zeros((2 * L, 2 * L)), centered], [-centered, np.zeros((2 * L, 2 * L))]]
     )
@@ -219,6 +220,62 @@ def dense_lattice_point(geometry: LatticeGeometry, m: int = 2) -> DistillationRe
     """Dense reference evaluation of one geometry (small L only)."""
     s, split = dense_covariance(geometry)
     return run_protocol(s, split, m)
+
+
+def independent_lattice_point(geometry: LatticeGeometry, m: int = 2) -> DistillationReport:
+    """Reference evaluation of one geometry at 10^4-10^5 sites, by another route than the
+    lattice pipeline's: no `ToeplitzKernel`, no parity block and no Lanczos.
+
+    Every product is one plain power-of-two FFT convolution of the circulant
+    column from `sine_kernel_gather` (`circulant_column`).  Block subspace
+    iteration on the whole cross kernel F (Rutishauser, Numer. Math. 16
+    (1970) 205; Halko, Martinsson & Tropp, SIAM Rev. 53 (2011) 217): b = 2m + 4
+    orthonormal columns V from a fixed seed, V <- qr(F^T F V), until the top
+    2m singular values of F V move by at most 1e-13 sigma_1.  The SVD of F V
+    gives the m triplets (sigma_i, u_i, V y_i); the covariance is
+    `dense_covariance`'s formula compressed to the frames u_i on x_A and p_A
+    and v_i on x_B and p_B, with the intra compressions from the same
+    convolution at offset 0, and `run_protocol` evaluates it.
+    """
+    L, N = geometry.L, geometry.N
+    n = 1 << (2 * L - 2).bit_length()  # the smallest power of two >= 2L - 1
+
+    def kernel(r):  # products with the rows of x
+        spectrum = np.fft.rfft(circulant_column((L, L), 1, r, n))
+        return lambda x: np.fft.irfft(spectrum * np.fft.rfft(x, n), n)[:, :L]
+
+    cross, cross_t, intra = kernel(-(N + L)), kernel(N + L), kernel(0)  # F^T has offset -r
+    v = np.linalg.qr(np.random.default_rng(0).standard_normal((L, 2 * m + 4)))[0].T
+    values = np.full(2 * m, np.inf)
+    for _ in range(50):
+        fv = cross(v)
+        left, sig, right = np.linalg.svd(fv.T, full_matrices=False)
+        if np.max(np.abs(sig[: 2 * m] - values)) <= 1e-13 * sig[0]:
+            break
+        values = sig[: 2 * m]
+        v = np.linalg.qr(cross_t(fv).T)[0].T
+    else:
+        raise ConvergenceError("subspace iteration did not converge in 50 steps")
+    u, z = left[:, :m].T, right[:m] @ v  # the triplets' vectors as rows
+    uz = u @ cross(z).T
+    c = np.block([[u @ intra(u).T, uz], [uz.T, z @ intra(z).T]])
+    c = (c + c.T) / 2  # the compression of a symmetric kernel, rounding removed
+    zero = np.zeros((2 * m, 2 * m))
+    s = CovarianceMatrix(0.5 * np.eye(4 * m) + 1j * np.block([[zero, c], [-c, zero]]))
+    alice = list(range(m)) + list(range(2 * m, 3 * m))
+    return run_protocol(s, BipartiteSplit.from_alice(alice, 4 * m), m)
+
+
+def kernel_matrix(kern) -> np.ndarray:
+    """The dense matrix of a `ToeplitzKernel` or of one of its parity-block views.
+
+    F[j, k] = t(j - k + r) from `sine_kernel_gather`; the view of input
+    sublattice q is F[p::2, q::2], p = (r + 1 + q) mod 2.
+    """
+    rows = cols = np.arange(kern.L)
+    if kern._q is not None:
+        rows, cols = rows[(kern.r + 1 + kern._q) % 2 :: 2], cols[kern._q :: 2]
+    return sine_kernel_gather(np.subtract.outer(rows, cols) + kern.r)
 
 
 def orthogonal_2x2_grid(steps: int = 2001):

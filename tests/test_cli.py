@@ -337,8 +337,8 @@ class TestLatticeCommands:
         ],
     )
     def test_beyond_memory_is_error_line(self, argv, monkeypatch, capsys):
-        # the route's estimate at L = 4096 is about 1.05e6 bytes
-        monkeypatch.setattr(lattice, "PHYSICAL_MEMORY", 10**6)
+        # the route's estimate at L = 4096 is about 9.5e5 bytes
+        monkeypatch.setattr(lattice, "PHYSICAL_MEMORY", 5 * 10**5)
         assert main(argv) == 1
         captured = capsys.readouterr()
         assert captured.out == ""

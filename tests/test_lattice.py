@@ -29,7 +29,6 @@ from fermidistill.lattice import (
     _is_mirror,
     _odd_spectrum,
     _parity_blocks,
-    _sine_kernel,
     _smooth_length,
 )
 from fermidistill.states import ValidationError, blocks, validate
@@ -40,6 +39,8 @@ from helpers import (
     dense_lattice_point,
     dense_sine_toeplitz,
     full_length_product,
+    independent_lattice_point,
+    kernel_matrix,
     lanczos_two_pass,
     random_orthogonal,
     sine_kernel_gather,
@@ -47,35 +48,33 @@ from helpers import (
 )
 
 
-def _block(spec) -> ToeplitzKernel:
-    """The parity block a `_parity_blocks` spec (p, q, rows, cols, s) describes."""
-    _, _, rows, cols, s = spec
-    return ToeplitzKernel._strided(rows, cols, s)
+def _block(L: int, r: int, i: int) -> ToeplitzKernel:
+    """The parity block of spec i of `_parity_blocks(L, r)`, (p, q, rows, cols, s): the view
+    on input sublattice q of the L x L kernel with offset r."""
+    return ToeplitzKernel(L, r).block(_parity_blocks(L, r)[i][1])
 
 
 class TestKernel:
     def test_offset_zero_entries(self):
-        k = ToeplitzKernel(8, 0)
-        d = k.dense()
+        d = kernel_matrix(ToeplitzKernel(8, 0))
         assert d[0, 0] == 0.0
         assert d[0, 1] == pytest.approx(-(-1) / np.pi)  # t(-1) = sin(-pi/2)/(-pi)
         assert d[1, 0] == pytest.approx(1 / np.pi)
         assert d[0, 2] == 0.0  # even offsets vanish
 
     def test_inverse_distance_decay(self):
-        k = ToeplitzKernel(64, 0)
-        d = k.dense()
+        d = kernel_matrix(ToeplitzKernel(64, 0))
         for sep in (1, 3, 5, 11):
             assert abs(d[0, sep]) == pytest.approx(1 / (np.pi * sep))
 
     def test_entry_magnitude_bound(self):
         for r in (0, 3, 10):
-            assert np.abs(ToeplitzKernel(32, r).dense()).max() <= 1 / np.pi + 1e-15
+            assert np.abs(kernel_matrix(ToeplitzKernel(32, r))).max() <= 1 / np.pi + 1e-15
 
     def test_matches_entrywise_construction(self):
         for r in (0, 1, 7, -50, -(10**6 + 1)):
             np.testing.assert_allclose(
-                ToeplitzKernel(50, r).dense(), dense_sine_toeplitz(50, r), atol=1e-15
+                kernel_matrix(ToeplitzKernel(50, r)), dense_sine_toeplitz(50, r), atol=1e-15
             )
 
     @staticmethod
@@ -84,17 +83,26 @@ class TestKernel:
         assert got.dtype == ref.dtype == np.float64 and got.shape == ref.shape
         np.testing.assert_array_equal(got.view(np.int64), ref.view(np.int64))
 
+    @staticmethod
+    def _assert_gather_matches_definition(q):
+        # sin(q pi/2)/(q pi) and t(0) = 0 in floating point: the rounded
+        # q pi/2 leaves sin at even q within about eps q of zero, so within
+        # eps/2 after the division
+        eps = np.finfo(float).eps
+        safe = np.where(q == 0, 1, q)
+        ref = np.where(q == 0, 0.0, np.sin(safe * np.pi / 2) / (safe * np.pi))
+        np.testing.assert_allclose(sine_kernel_gather(q), ref, rtol=4 * eps, atol=eps)
+
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize(
         "r", [0, 1, 2, 3, 4, 5, -1, -2, -3, -4, -(10**5 + 10), -(2 * 10**6 + 3)]
     )
     def test_sine_kernel_matches_gather(self, stride, r):
-        # the progressions ToeplitzKernel embeds: every residue mod 4,
-        # negative offsets, q = 0 whenever r is a multiple of the stride
-        self._assert_same_bits(
-            _sine_kernel(stride * np.arange(-41, 41) + r),
-            sine_kernel_gather(stride * np.arange(-41, 41) + r),
-        )
+        # the gather, which every dense kernel matrix here comes from
+        # (`kernel_matrix`, `dense_covariance`), against the definition on
+        # the progressions a kernel and its parity blocks hold: every residue
+        # mod 4, negative offsets, q = 0 whenever r is a multiple of the stride
+        self._assert_gather_matches_definition(stride * np.arange(-41, 41) + r)
 
     @pytest.mark.parametrize("lo,hi,m", [(0, 0, 2), (0, 5, 8), (-3, 4, 9), (-39, 41, 80)])
     @pytest.mark.parametrize("q0", [1, 3, 5, 7, -1, -3, -5, -7, -(10**5 + 11), -(2**63 - 81)])
@@ -109,34 +117,31 @@ class TestKernel:
     @pytest.mark.parametrize("L", [1, 2, 3, 8, 9, 40, 41, 1000, 4097])
     @pytest.mark.parametrize("N", [0, 1, 2, 11])
     def test_spectra_match_gather_columns(self, L, N):
-        # every kernel's spectrum is the rfft of its circulant column from
-        # the gather: a parity block's at its own length, the whole
-        # kernel's at 2h decimated to its nonzero parity (r + 1) mod 2
+        # a kernel's one spectrum is the rfft of its circulant column from
+        # the gather at 2h, decimated to its nonzero parity pi = (r + 1) mod 2
+        # and aligned by pi: d[i] = c[2i - pi].  Its parity blocks hold none
+        # of their own: each view shares it
         for r in (0, -(N + L)):
             kern = ToeplitzKernel(L, r)
-            h = _smooth_length(L)
+            h, pi = _smooth_length(L), (r + 1) % 2
             col = circulant_column((L, L), 1, r, 2 * h)
-            assert not col[r % 2 :: 2].any()
-            ref = np.fft.rfft(col[(r + 1) % 2 :: 2])
+            assert not col[1 - pi :: 2].any()
+            ref = np.fft.rfft(np.roll(col[pi::2], pi))
             self._assert_same_bits(kern._fft.view(np.float64), ref.view(np.float64))
             for spec in _parity_blocks(L, r):
-                block = _block(spec)
-                col = circulant_column(block.shape, 2, spec[4], block._fft_len)
-                ref = np.fft.rfft(col)
-                self._assert_same_bits(block._fft.view(np.float64), ref.view(np.float64))
+                assert kern.block(spec[1])._fft is kern._fft
 
     @pytest.mark.parametrize("L,N", [(2, 0), (5, 3), (8, 1), (13, 10)])
     def test_sine_kernel_matches_gather_2d(self, L, N):
         # the site-difference matrix of the dense route, zero diagonal included
         sites = np.concatenate([np.arange(-L, 0), np.arange(N, N + L)])
-        diff = sites[:, None] - sites[None, :]
-        self._assert_same_bits(_sine_kernel(diff), sine_kernel_gather(diff))
+        self._assert_gather_matches_definition(sites[:, None] - sites[None, :])
 
 
 class TestMatvec:
     def test_unit_vectors_give_columns(self):
         k = ToeplitzKernel(12, -5)
-        d = k.dense()
+        d = kernel_matrix(k)
         for j in range(12):
             e = np.zeros(12)
             e[j] = 1.0
@@ -146,7 +151,7 @@ class TestMatvec:
         # quantified over 100+ random vectors across sizes up to 512
         for L, r, reps in ((64, -70, 40), (257, -258, 40), (512, -513, 40)):
             k = ToeplitzKernel(L, r)
-            d = k.dense()
+            d = kernel_matrix(k)
             for _ in range(reps):
                 x = rng.standard_normal(L)
                 got = k.matvec(x)
@@ -154,38 +159,38 @@ class TestMatvec:
 
     def test_transpose_matches_dense(self, rng):
         k = ToeplitzKernel(48, -55)
-        d = k.dense()
+        d = kernel_matrix(k)
         for _ in range(10):
             x = rng.standard_normal(48)
             np.testing.assert_allclose(k.rmatvec(x), d.T @ x, atol=1e-12)
 
     def test_products_match_out_of_place_spectra(self, rng):
-        # the spectrum multiplied in place, and conjugated in place around
-        # the product for a block's transpose, gives the bits of the plain
-        # formulas; the whole kernel's on its decimated layout, with the
-        # transpose as R F R
-        for kern in map(_block, _parity_blocks(97, -98)):
-            (rows, cols), n = kern.shape, kern._fft_len
-            x, y = rng.standard_normal(cols), rng.standard_normal(rows)
-            ref = np.fft.irfft(kern._fft * np.fft.rfft(x, n), n)[:rows]
-            ref_t = np.fft.irfft(np.conj(kern._fft) * np.fft.rfft(y, n), n)[:cols]
-            np.testing.assert_array_equal(kern.matvec(x), ref)
-            np.testing.assert_array_equal(kern.rmatvec(y), ref_t)
+        # the spectrum multiplied in place gives the bits of the plain
+        # per-parity formula on the aligned layout: F[p::2, q::2] x is the
+        # window from pi - (pi + q) // 2 of one length-h convolution, for a
+        # view and inside the whole kernel, and each transpose is R F R
+        def window(kern, q, x):
+            h, pi = kern._fft_len, (kern.r + 1) % 2
+            conv = np.fft.irfft(kern._fft * np.fft.rfft(x, h), h)
+            return conv[pi - (pi + q) // 2 :][: (kern.L - (pi + q) % 2 + 1) // 2]
 
         def decimated(kern, x):
-            y, h, pi = np.zeros(kern.L), kern._fft_len, (kern.r + 1) % 2
+            y, pi = np.zeros(kern.L), (kern.r + 1) % 2
             for q in (0, 1):
                 if x[q::2].any():
-                    conv = np.fft.irfft(kern._fft * np.fft.rfft(x[q::2], h), h)
-                    out = y[(pi + q) % 2 :: 2]
-                    out[:] = np.roll(conv, (pi + q) // 2)[: len(out)]
+                    y[(pi + q) % 2 :: 2] = window(kern, q, x[q::2])
             return y
 
-        for L, r in ((97, -110), (97, -111), (96, 0), (96, -97)):
+        for L, r in ((97, -98), (97, -110), (97, -111), (96, 0), (96, -97)):
             kern = ToeplitzKernel(L, r)
             for x in (rng.standard_normal(L), np.where(np.arange(L) % 2, 0.0, 1.0)):
                 np.testing.assert_array_equal(kern.matvec(x), decimated(kern, x))
                 np.testing.assert_array_equal(kern.rmatvec(x), decimated(kern, x[::-1])[::-1])
+            for p, q, rows, cols, _ in _parity_blocks(L, r):
+                block, mirror = kern.block(q), (L - 1 - p) % 2  # R maps sublattice p there
+                x, y = rng.standard_normal(cols), rng.standard_normal(rows)
+                np.testing.assert_array_equal(block.matvec(x), window(kern, q, x))
+                np.testing.assert_array_equal(block.rmatvec(y), window(kern, mirror, y[::-1])[::-1])
 
     @pytest.mark.parametrize("L", [4097, 2**17 + 1])
     @pytest.mark.parametrize("N", [1, 2])
@@ -210,7 +215,7 @@ class TestMatvec:
     @pytest.mark.parametrize("L", [31, 32, 33, 100])
     def test_various_sizes(self, L, rng):
         k = ToeplitzKernel(L, -(L + 1))
-        d = k.dense()
+        d = kernel_matrix(k)
         x = rng.standard_normal(L)
         np.testing.assert_allclose(k.matvec(x), d @ x, atol=1e-11)
 
@@ -238,11 +243,11 @@ class TestSmoothLength:
 
 class TestEmbeddingLengths:
     """Products against dense matrices on embeddings of every small length,
-    odd ones (a 4 x 4 block embeds in 7 points) and factors of 3 and 5 included."""
+    odd ones and factors of 3 and 5 included."""
 
     @staticmethod
     def _check(kern, rng, length):
-        d = kern.dense()
+        d = kernel_matrix(kern)
         rows, cols = kern.shape
         assert kern._fft_len == length and len(kern._fft) == length // 2 + 1
         # inputs on both sublattices, and on each one alone
@@ -255,13 +260,15 @@ class TestEmbeddingLengths:
 
     @pytest.mark.parametrize("L", range(2, 41))
     def test_full_kernel_and_parity_blocks(self, L, rng):
+        # a parity block is a view that runs on its kernel's length h
         for r in (0, -(L + 1), -(L + 10)):
             kern = ToeplitzKernel(L, r)
-            np.testing.assert_allclose(kern.dense(), dense_sine_toeplitz(L, r), atol=1e-15)
+            np.testing.assert_allclose(kernel_matrix(kern), dense_sine_toeplitz(L, r), atol=1e-15)
             self._check(kern, rng, _smooth_length(L))  # half of an even 2h >= 2L - 1
             for spec in _parity_blocks(L, r):
-                rows, cols = spec[2:4]
-                self._check(_block(spec), rng, _smooth_length(rows + cols - 1))
+                block = kern.block(spec[1])
+                assert block.shape == spec[2:4]
+                self._check(block, rng, _smooth_length(L))
 
     @pytest.mark.parametrize("L", [1, 101, 1000])
     @pytest.mark.parametrize("N", [0, 1, 2, 3, 10, 11, 100])
@@ -276,7 +283,7 @@ class TestTriplets:
         monkeypatch.setattr(lattice, "KRYLOV_SEED", 3)
         k = ToeplitzKernel(L, -(N + L))
         triplets, _ = top_singular_triplets(k, 4)
-        dense_sv = np.linalg.svd(k.dense(), compute_uv=False)
+        dense_sv = np.linalg.svd(kernel_matrix(k), compute_uv=False)
         got = [t.sigma for t in triplets]
         np.testing.assert_allclose(got, dense_sv[:4], atol=1e-8)
 
@@ -316,7 +323,7 @@ class TestTriplets:
         # a parity block of the cross kernel at L = 2000, N = 10 converges
         # long before its Krylov space is exhausted, so MAX_STEPS is what
         # binds; ju - 1 steps must not suffice, and ju must reproduce it
-        block = _block(_parity_blocks(2000, -2010)[0])
+        block = _block(2000, -2010, 0)
 
         def solve():
             return _block_triplets(block, 2, np.random.default_rng(3))
@@ -355,13 +362,14 @@ class TestTriplets:
             return calls[-1][-1]
 
         monkeypatch.setattr(lattice, "_lanczos", recorded)
-        for spec in _parity_blocks(L, -(N + L)):
-            block = _block(spec)
+        kern = ToeplitzKernel(L, -(N + L))
+        for spec in _parity_blocks(L, kern.r):
+            block = kern.block(spec[1])
             k = min(2, *block.shape)  # as top_singular_triplets asks
             triplets, _ = _block_triplets(block, k, np.random.default_rng(L + N))
             assert len(triplets) == k
             if L < 100:
-                dense = block.dense()
+                dense = kernel_matrix(block)
                 sv = np.linalg.svd(dense, compute_uv=False)
                 np.testing.assert_allclose([t.sigma for t in triplets], sv[:k], rtol=0, atol=1e-12)
                 for t in triplets:
@@ -467,7 +475,7 @@ class TestTriplets:
         # paths must keep the trailing coupling to stay exact
         k = ToeplitzKernel(4, -5)
         triplets, _ = top_singular_triplets(k, 2)
-        sv = np.linalg.svd(k.dense(), compute_uv=False)
+        sv = np.linalg.svd(kernel_matrix(k), compute_uv=False)
         np.testing.assert_allclose([t.sigma for t in triplets], sv[:2], atol=1e-12)
 
     def test_bases_grow_past_initial_capacity(self, rng):
@@ -507,18 +515,20 @@ class TestParitySplitOracle:
     def test_matches_dense(self, L, N, pick):
         tol = lattice.KRYLOV_TOL
         kern = ToeplitzKernel(L, -(N + L))
-        d = kern.dense()
+        d = kernel_matrix(kern)
         rng = np.random.default_rng(1000 * L + N)
 
         covered = 0.0
         for spec in _parity_blocks(kern.L, kern.r):
-            block = _block(spec)
-            blk = block.dense()
+            block = kern.block(spec[1])
+            blk = kernel_matrix(block)
             p, q = spec[:2]
             np.testing.assert_array_equal(blk, d[p::2, q::2])
             covered += np.sum(blk**2)
             x = rng.standard_normal(block.shape[0])
             np.testing.assert_allclose(block.rmatvec(x), blk.T @ x, atol=1e-12)
+            x = rng.standard_normal(block.shape[1])
+            np.testing.assert_allclose(block.matvec(x), blk @ x, atol=1e-12)
         assert covered == pytest.approx(np.sum(d**2), rel=1e-12)  # a direct sum
         x = rng.standard_normal(L)
         np.testing.assert_allclose(kern.rmatvec(x), d.T @ x, atol=1e-12)
@@ -547,7 +557,7 @@ class TestParitySplitOracle:
         # values sit near 1e-14, where an absolute exhaustion floor
         # stopped the solve short of k triplets
         kern = ToeplitzKernel(L, r)
-        sv = np.linalg.svd(kern.dense(), compute_uv=False)
+        sv = np.linalg.svd(kernel_matrix(kern), compute_uv=False)
         assert k == np.sum(sv > 1e-12 * sv[0])
         monkeypatch.setattr(lattice, "KRYLOV_SEED", seed)
         triplets, _ = top_singular_triplets(kern, k)
@@ -563,7 +573,7 @@ class TestParitySplitOracle:
         # blocks.  The second block mirrors the first iff N is odd: for even
         # L the two are then one persymmetric square, its own mirror
         first, second = _parity_blocks(L, -(N + L))
-        a, b = _block(first).dense(), _block(second).dense()
+        a, b = (kernel_matrix(_block(L, -(N + L), i)) for i in (0, 1))
         assert _is_mirror(first, second) == bool(N % 2)
         if N % 2:
             np.testing.assert_array_equal(b, a.T[::-1, ::-1])
@@ -585,17 +595,17 @@ class TestParitySplitOracle:
         assert _is_mirror(first, second)
         if L < 1000:
             np.testing.assert_array_equal(
-                _block(second).dense(), _block(first).dense().T[::-1, ::-1]
+                kernel_matrix(kern.block(second[1])), kernel_matrix(kern.block(first[1])).T[::-1, ::-1]
             )
         rng = np.random.default_rng(5)
-        _, one_solve = _block_triplets(_block(first), min(-(-k // 2), *first[2:4]), rng)
+        _, one_solve = _block_triplets(kern.block(first[1]), min(-(-k // 2), *first[2:4]), rng)
         monkeypatch.setattr(lattice, "KRYLOV_SEED", 5)
         triplets, steps = top_singular_triplets(kern, k)
         assert steps == one_solve
         sigmas = [t.sigma for t in triplets]
         assert sigmas[0::2] == sigmas[1::2]  # bit-equal pairs
         if L < 1000:
-            sv = np.linalg.svd(kern.dense(), compute_uv=False)
+            sv = np.linalg.svd(kernel_matrix(kern), compute_uv=False)
             np.testing.assert_allclose(sigmas, sv[:k], atol=1e-8)
 
     @pytest.mark.parametrize("L,N", [(64, 1), (200, 3), (2000, 1), (65, 1), (199, 3), (2001, 1)])
@@ -621,7 +631,7 @@ class TestParitySplitOracle:
                 np.testing.assert_array_equal(b.u[p2::2], sign * a.u[p::2])
                 np.testing.assert_array_equal(b.v[q2::2], sign * a.v[q::2])
         else:
-            direct, _ = _block_triplets(_block(second), k, np.random.default_rng(8))
+            direct, _ = _block_triplets(kern.block(second[1]), k, np.random.default_rng(8))
             for a, b in zip(direct, reused):
                 assert b.sigma == pytest.approx(a.sigma, rel=1e-12)
                 sign = 1.0 if b.u[p2::2] @ a.u > 0 else -1.0
@@ -632,9 +642,9 @@ class TestParitySplitOracle:
         # the 1 x 2 block of (L, N) = (3, 1), asked for two triplets, has
         # one.  Unclamped, the odd-size tridiagonal's zero Ritz value passed
         # as a second triplet whenever rounding left it positive (seed 4)
-        block = _block(_parity_blocks(3, -4)[1])
+        block = _block(3, -4, 1)
         assert block.shape == (1, 2)
-        dense = block.dense()
+        dense = kernel_matrix(block)
         for seed in range(10):
             triplets, _ = _block_triplets(block, 2, np.random.default_rng(seed))
             assert len(triplets) == 1
@@ -659,9 +669,10 @@ class TestResidualCheckCatches:
 
     @pytest.mark.parametrize("L,N", [(64, 1), (64, 2), (65, 1), (65, 2), (2000, 11)])
     def test_wrong_block_offset(self, L, N, monkeypatch):
-        strided = ToeplitzKernel._strided
+        # every solved block is the view of the kernel with offset r + 2
+        block = ToeplitzKernel.block
         monkeypatch.setattr(
-            ToeplitzKernel, "_strided", classmethod(lambda cls, rows, cols, s: strided(rows, cols, s + 2))
+            ToeplitzKernel, "block", lambda kern, q: block(ToeplitzKernel(kern.L, kern.r + 2), q)
         )
         self._check_fails(L, N)
 
@@ -754,7 +765,7 @@ class TestWarmStart:
     @pytest.mark.parametrize("start", [None, 0, "zeros"])
     def test_zero_start_falls_back_to_seeded_draw(self, start):
         # 0 is the sum over a first block that returned no triplet
-        block = _block(_parity_blocks(200, -202)[1])
+        block = _block(200, -202, 1)
         start = np.zeros(block.shape[1]) if start == "zeros" else start
         got, steps = _block_triplets(block, 2, np.random.default_rng(4), start)
         ref, ref_steps = _block_triplets(block, 2, np.random.default_rng(4))
@@ -807,7 +818,7 @@ class TestAskedCounts:
         # sigma_1 where they lie above 1e-13 sigma_1 (below it rounding
         # orders them at random)
         first, second = _parity_blocks(L, -(N + L))
-        b1, b2 = _block(first).dense(), _block(second).dense()
+        b1, b2 = (kernel_matrix(_block(L, -(N + L), i)) for i in (0, 1))
         sv1, sv2 = (np.linalg.svd(b, compute_uv=False) for b in (b1, b2))
         floor = 1e-13 * sv1[0]
         slack = 1e-15 * sv1[0]
@@ -838,7 +849,8 @@ class TestAskedCounts:
         # the top k of both blocks' dense values equals the top k of the
         # first `asked` values of each block (N odd: of the mirror's too)
         specs = _parity_blocks(L, -(N + L))
-        values = [np.linalg.svd(_block(spec).dense(), compute_uv=False) for spec in specs]
+        kern = ToeplitzKernel(L, -(N + L))
+        values = [np.linalg.svd(kernel_matrix(kern.block(s[1])), compute_uv=False) for s in specs]
         full = np.sort(np.concatenate(values))[::-1][:k]
         short = np.concatenate([v[:n] for v, (_, n) in zip(values, _asked(specs, k))])
         np.testing.assert_array_equal(np.sort(short)[::-1][:k], full)
@@ -882,7 +894,7 @@ class TestAskedCounts:
         monkeypatch.setattr(lattice, "KRYLOV_SEED", 3)
         kern = ToeplitzKernel(L, -(N + L))
         triplets, _ = top_singular_triplets(kern, k)
-        dense = kern.dense()
+        dense = kernel_matrix(kern)
         sv = np.linalg.svd(dense, compute_uv=False)
         np.testing.assert_allclose([t.sigma for t in triplets], sv[:k], atol=1e-8)
         for t in triplets:
@@ -892,23 +904,30 @@ class TestAskedCounts:
     @pytest.mark.parametrize("L", [200, 201, 5000, 5001])
     @pytest.mark.parametrize("m", [2, 3, 4, 5, 6])
     def test_guard_reads_the_solves_ritz_pairs(self, L, m, monkeypatch):
-        # the memory guard sizes the basis for the most Ritz pairs any
-        # solve at this L keeps: those _lanczos is handed at N = 10 and 11
-        pairs = []
+        # the memory guard sizes the basis for the solves at this L, those
+        # _lanczos is handed at N = 10 and 11: H halves (one for a square
+        # block, two for a rectangular one) of c = _start_rows(k) rows for
+        # k Ritz pairs, plus the 2c rows one full half grows into while its
+        # old c are held, (H + 2) c rows of (L + 1)/2 doubles
+        solves = []
         solve = lattice._lanczos
 
         def recorded(ops, sizes, start, k):
-            pairs.append(k)
+            solves.append((len(ops), k))
             return solve(ops, sizes, start, k)
 
         monkeypatch.setattr(lattice, "_lanczos", recorded)
         for N in (10, 11):
             top_singular_triplets(ToeplitzKernel(L, -(N + L)), m)
-        guarded = []
-        rows = lattice._start_rows
-        monkeypatch.setattr(lattice, "_start_rows", lambda k: guarded.append(k) or rows(k))
+        assert {H for H, _ in solves} == ({1, 2} if L % 2 else {1})
+        h = _smooth_length(L)
+        rows = max((H + 2) * lattice._start_rows(k) for H, k in solves)
+        need = 16 * (h // 2 + 1) + 16 * h + 32 * (h // 2 + 1) + 8 * ((L + 1) // 2) * rows
+        monkeypatch.setattr(lattice, "PHYSICAL_MEMORY", need)
         lattice._check_memory(L, m)
-        assert guarded == [max(pairs)]
+        monkeypatch.setattr(lattice, "PHYSICAL_MEMORY", need - 1)
+        with pytest.raises(ValidationError, match=f"L = {L} needs about"):
+            lattice._check_memory(L, m)
 
     @pytest.mark.parametrize("L,N", [(133, 39), (167, 7), (197, 35)])
     def test_rectangular_halves_orthonormal_at_the_tolerance_floor(self, L, N, monkeypatch):
@@ -918,7 +937,7 @@ class TestAskedCounts:
         # halves non-orthogonal by 1.4e-8; the SVD of T's block between the
         # halves keeps them orthonormal to rounding
         kern = ToeplitzKernel(L, -(N + L))
-        sv = np.linalg.svd(kern.dense(), compute_uv=False)
+        sv = np.linalg.svd(kernel_matrix(kern), compute_uv=False)
         k = int(np.sum(sv > lattice.KRYLOV_TOL * sv[0]))
         monkeypatch.setattr(lattice, "KRYLOV_SEED", L + N)
         triplets, _ = top_singular_triplets(kern, k)
@@ -944,7 +963,7 @@ class TestDirectSumsAtScale:
         # the embedding length
         rng = np.random.default_rng(L + N)
         kern = ToeplitzKernel(L, -(N + L))
-        ops = [(kern, 1, kern.r)] + [(_block(s), 2, s[4]) for s in _parity_blocks(L, kern.r)]
+        ops = [(kern, 1, kern.r)] + [(kern.block(s[1]), 2, s[4]) for s in _parity_blocks(L, kern.r)]
         for op, stride, r in ops:
             rows, cols = op.shape
             scale = np.finfo(float).eps * np.log2(op._fft_len)
@@ -977,6 +996,35 @@ class TestDirectSumsAtScale:
             assert np.max(np.abs(fv - t.sigma * t.u[at])) <= bound
             ftu = sine_toeplitz_rows((L, L), 1, -kern.r, t.u, at)
             assert np.max(np.abs(ftu - t.sigma * t.v[at])) <= bound
+
+
+class TestIndependentOracle:
+    """p and f of the lattice route against block subspace iteration on the
+    whole kernel with plain power-of-two FFT products
+    (`independent_lattice_point`), at lengths no dense route reaches: both L
+    parities at N in {1, 10, 100} near 2 * 10^4 (2L - 1 just fits 2^15
+    points), and one point at 10^5."""
+
+    @pytest.mark.parametrize("L,N", [(200, 1), (201, 10)])
+    def test_oracle_matches_dense_route(self, L, N):
+        geometry = LatticeGeometry(L, N)
+        ref, dense = independent_lattice_point(geometry), dense_lattice_point(geometry)
+        for name in ("p", "f"):
+            assert getattr(ref, name) == pytest.approx(getattr(dense, name), rel=0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "L,N",
+        [(16384, 1), (16383, 1), (16384, 10), (16383, 10), (16384, 100), (16383, 100), (10**5, 10)],
+    )
+    def test_p_and_f_match(self, L, N):
+        # each route stops at its own solver's tolerance, so the bound is the
+        # runtime check's 10 KRYLOV_TOL, far above the 1e-13 seen
+        geometry = LatticeGeometry(L, N)
+        fast, ref = lattice_point(geometry), independent_lattice_point(geometry)
+        tol = 10 * lattice.KRYLOV_TOL
+        for name in ("p", "f"):
+            assert getattr(fast, name) == pytest.approx(getattr(ref, name), rel=0, abs=tol), name
+        np.testing.assert_allclose(fast.lambdas, ref.lambdas, rtol=0, atol=tol)
 
 
 class TestRestrictedCovariance:
@@ -1101,7 +1149,7 @@ class TestRestrictedCovariance:
         # the only full-length products are the residual check's
         assert shapes.count((L, L)) == m
         triplets, _ = top_singular_triplets(cross, m)
-        f0 = ToeplitzKernel(L, 0).dense()
+        f0 = kernel_matrix(ToeplitzKernel(L, 0))
         w = np.column_stack([t.u for t in triplets])
         z = np.column_stack([t.v for t in triplets])
         blk = blocks(s, split)
@@ -1142,20 +1190,30 @@ class TestRestrictedCovariance:
 
     @pytest.mark.parametrize("L,N", [(64, 1), (64, 2), (65, 1), (65, 2), (2000, 11), (2001, 11)])
     def test_mirror_block_never_built(self, L, N, monkeypatch):
-        # one block kernel per solve and one for the intra compression: the
-        # second cross block is built only when it does not mirror the first
-        built = []
-        strided = ToeplitzKernel._strided
+        # a point builds two spectra, the cross kernel's and the intra
+        # kernel's, and every parity block is a view that shares its
+        # kernel's.  The cross kernel gives one view per solve: the second
+        # block is viewed only when it does not mirror the first
+        spectra, viewed = [], []
+        odd_spectrum, block = lattice._odd_spectrum, ToeplitzKernel.block
 
-        def counted(cls, rows, cols, s):
-            built.append((rows, cols, s))
-            return strided(rows, cols, s)
+        def counted(*args):
+            spectra.append(odd_spectrum(*args))
+            return spectra[-1]
 
-        monkeypatch.setattr(ToeplitzKernel, "_strided", classmethod(counted))
+        def recorded(kern, q):
+            view = block(kern, q)
+            assert view._fft is kern._fft
+            viewed.append((kern.r, q))
+            return view
+
+        monkeypatch.setattr(lattice, "_odd_spectrum", counted)
+        monkeypatch.setattr(ToeplitzKernel, "block", recorded)
         restricted_covariance(LatticeGeometry(L, N), m=2)
+        assert len(spectra) == 2
         first, second = _parity_blocks(L, -(N + L))
         solved = [first] if N % 2 else [first, second]
-        assert built == [spec[2:] for spec in solved + _parity_blocks(L, 0)[:1]]
+        assert [q for r, q in viewed if r] == [spec[1] for spec in solved]
 
     def test_m_beyond_modes_rejected(self):
         with pytest.raises(ValidationError):
@@ -1192,29 +1250,31 @@ class TestRejectedSettings:
         assert points == []
 
     def test_point_beyond_memory_rejected_before_allocation(self, monkeypatch):
-        # the estimate at L = 4096 is about 1.25e6 bytes and at L = 64 about
-        # 2.0e4; no kernel may be built for a point that cannot fit
-        monkeypatch.setattr(lattice, "PHYSICAL_MEMORY", 10**6)
+        # the estimate at L = 4096 is about 9.5e5 bytes and at L = 64 about
+        # 1.5e4; no kernel may be built for a point that cannot fit (a parity
+        # block is a view of a kernel, so it needs one)
+        monkeypatch.setattr(lattice, "PHYSICAL_MEMORY", 5 * 10**5)
         assert lattice_point(LatticeGeometry(64, 1)).f is not None
 
         def no_kernel(*args):
             raise AssertionError("kernel allocated")
 
         monkeypatch.setattr(ToeplitzKernel, "__init__", no_kernel)
-        monkeypatch.setattr(ToeplitzKernel, "_strided", classmethod(no_kernel))
         with pytest.raises(ValidationError, match="L = 4096 needs about"):
             lattice_point(LatticeGeometry(4096, 1))
         with pytest.raises(ValidationError, match="L = 4096 needs about"):
             sweep([64, 4096], [1])
 
-    @pytest.mark.parametrize("L,need", [(4096, 1245248), (4097, 1256512)])
-    def test_guard_sizes_the_whole_kernel_at_half_length(self, L, need, monkeypatch):
-        # m = 2, h = _smooth_length(L) (4096 and 4320): two spectra of h/2 + 1
-        # coefficients, one h-point product (16 h + 32 (h/2 + 1) bytes) and
-        # 64 basis rows of (L + 1)/2 doubles, not the full circulant's
-        # _smooth_length(2L - 1) = 8192 and 8640 points
+    @pytest.mark.parametrize("L,need,rows", [(4096, 950320, 48), (4097, 1221936, 64)])
+    def test_guard_sizes_the_whole_kernel_at_half_length(self, L, need, rows, monkeypatch):
+        # m = 2, h = _smooth_length(L) (4096 and 4320): the cross kernel's one
+        # spectrum of h/2 + 1 coefficients, one h-point product (16 h +
+        # 32 (h/2 + 1) bytes), not the full circulant's _smooth_length(2L - 1)
+        # = 8192 and 8640 points, and basis rows of (L + 1)/2 doubles: 3 x 16
+        # on the one half of even L's square blocks, 4 x 16 on the two halves
+        # of odd L's rectangular block at odd N
         h = _smooth_length(L)
-        assert need == 32 * (h // 2 + 1) + 16 * h + 32 * (h // 2 + 1) + 8 * ((L + 1) // 2) * 64
+        assert need == 16 * (h // 2 + 1) + 16 * h + 32 * (h // 2 + 1) + 8 * ((L + 1) // 2) * rows
         monkeypatch.setattr(lattice, "PHYSICAL_MEMORY", need)
         lattice._check_memory(L, 2)
         monkeypatch.setattr(lattice, "PHYSICAL_MEMORY", need - 1)
@@ -1253,9 +1313,12 @@ class TestInt64Offsets:
     def test_both_sides_of_the_bound(self, L):
         N = 2**63 - 2 * L + 1  # the lowest offset is exactly -2^63
         kern = ToeplitzKernel(L, -(N + L))
-        assert np.all(np.isfinite(kern.dense()))
+        assert np.all(np.isfinite(kernel_matrix(kern)))
+        assert np.all(np.isfinite(kern.matvec(np.ones(L))))
         for spec in _parity_blocks(L, kern.r):
-            assert np.all(np.isfinite(_block(spec).dense()))
+            block = kern.block(spec[1])
+            assert np.all(np.isfinite(kernel_matrix(block)))
+            assert np.all(np.isfinite(block.matvec(np.ones(block.shape[1]))))
         LatticeGeometry(L, N)
         with pytest.raises(ValidationError, match=f"L = {L}, N = {N + 1}: kernel offsets"):
             LatticeGeometry(L, N + 1)

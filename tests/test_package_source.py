@@ -4,7 +4,8 @@ numpy is the only runtime dependency, no handler swallows every error,
 every name in an `__all__` list resolves to a definition, following
 relative imports to the module that defines it, every module-level
 import is used or exported, every public name has a caller outside the
-tests, and no call needs a numpy newer than the declared floor.  The
+tests, no call needs a numpy newer than the declared floor, and every
+FFT in lattice.py runs inside `ToeplitzKernel` or `_odd_spectrum`.  The
 sources are parsed with `ast`; nothing is imported from them or written.
 """
 
@@ -193,3 +194,32 @@ def test_fft_calls_take_no_out_argument(module):
         and any(kw.arg == "out" for kw in node.keywords)
     ]
     assert not flagged, f"{module} passes out= to numpy.fft: {flagged}"
+
+
+def test_lattice_ffts_stay_in_the_kernel():
+    # every FFT in lattice.py builds a spectrum (`_odd_spectrum`) or runs a
+    # product inside ToeplitzKernel, whose matvec and rmatvec the benchmark
+    # traces and the product-count tests count; an FFT anywhere else would be
+    # a product outside both
+    tree = TREES["lattice"]
+    inside = {
+        id(sub)
+        for node in tree.body
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+        and node.name in ("ToeplitzKernel", "_odd_spectrum")
+        for sub in ast.walk(node)
+    }
+    uses = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and _dotted(node).split(".")[:2] in (["np", "fft"], ["numpy", "fft"])
+    ]
+    assert any(id(node) in inside for node in uses)
+    stray = [f"line {n.lineno}: {_dotted(n)}" for n in uses if id(n) not in inside]
+    stray += [
+        f"line {n.lineno}: from {n.module} import"
+        for n in ast.walk(tree)
+        if isinstance(n, ast.ImportFrom) and (n.module or "").startswith("numpy.fft")
+    ]
+    assert not stray, f"lattice.py reaches numpy.fft outside ToeplitzKernel: {stray}"
