@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fermidistill import states
 from fermidistill.states import (
     BipartiteSplit,
+    BlockDecomposition,
     ConvergenceError,
     CovarianceMatrix,
     RealProjectionPair,
@@ -331,6 +333,34 @@ class TestProtocolQuantitiesStack:
         bad[4, 0, 0] = np.nan
         with pytest.raises(ValidationError, match="stack member 4: V is not a partial isometry"):
             _protocol_quantities_stack(blk, ua, ub, bad)
+
+    @pytest.mark.parametrize("vanishing", ["all", "some"])
+    def test_determinant_cross_check_fires(self, rng, monkeypatch, vanishing):
+        # member 3 has X' = 0 (with "some", only member 3 does); perturbing its
+        # Pf(M+) after elimination leaves the determinant form to notice
+        s, split = random_x_zero_covariance(4, rng)
+        blk = blocks(s, split)
+        ua = np.stack([random_orthogonal(8, rng)[:, :4] for _ in range(5)])
+        ub = np.stack([random_orthogonal(8, rng)[:, :4] for _ in range(5)])
+        vp = np.stack([random_orthogonal(4, rng) for _ in range(5)])
+        if vanishing == "some":
+            x = np.zeros((8, 8))
+            x[0, 1], x[1, 0] = 0.01, -0.01
+            blk = BlockDecomposition(x, blk.y, blk.z)
+            ua[3] = 0.0
+            ua[3, 2:] = random_orthogonal(6, rng)[:, :4]
+        _protocol_quantities_stack(blk, ua, ub, vp)
+        eliminate = states._eliminate
+
+        def perturbed(work, scratch, lead):
+            pfs = eliminate(work, scratch, lead)
+            pfs.reshape(lead)[1, 3] += 1e-3
+            return pfs
+
+        monkeypatch.setattr(states, "_eliminate", perturbed)
+        with pytest.raises(ValidationError, match="stack member 3: block-Pfaffian and determinant"
+                                                  " forms disagree"):
+            _protocol_quantities_stack(blk, ua, ub, vp)
 
 
 class TestFrames:
