@@ -76,8 +76,12 @@ def pfaffian(a: np.ndarray) -> float | complex | np.ndarray:
 
 
 def _scratch_size(n: int, count: int) -> int:
-    """Entries of scratch `_eliminate` needs for count n x n matrices: one stack and the step buffers."""
-    return (n * n + 3 * n) * count
+    """Entries of scratch `_eliminate` touches for count n x n matrices: exactly one stack.
+
+    The checks fill all n^2 entries per member; a step on the trailing m
+    x m block (m <= n - 2) needs 3m + m^2 of them.
+    """
+    return n * n * count
 
 
 def _eliminate(work: np.ndarray, scratch: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
@@ -111,8 +115,6 @@ def _eliminate(work: np.ndarray, scratch: np.ndarray, lead: tuple[int, ...]) -> 
         )
     pivots = np.empty((n // 2, count), dtype=work.dtype)
     moved = np.zeros((n // 2, count), dtype=np.intp)  # step s swapped iff moved[s] != 0
-    pair = scratch[: 3 * n * count].reshape(3, n, count)  # tau, c, -tau of the current step
-    update = scratch[3 * n * count :]
     members = np.arange(count)
     for s, k in enumerate(range(0, n - 2, 2)):
         # Largest element in column k below the diagonal becomes the pivot;
@@ -127,15 +129,16 @@ def _eliminate(work: np.ndarray, scratch: np.ndarray, lead: tuple[int, ...]) -> 
         work[k:, kp, members] = work[k:, k + 1]
         pivot = pivots[s] = col[0]
         m = n - k - 2
-        tau, c, neg = pair[0, :m], pair[1, :m], pair[2, :m]
+        pair = scratch[: 3 * m * count].reshape(3, m, count)  # tau, c, -tau
+        tau, c, neg = pair
         # A zero pivot means the column vanishes: that member's pf is now 0,
         # and dividing by 1 instead keeps its elimination finite.
         np.divide(work[k, k + 2 :], pivot + (pivot == 0), out=tau)
         c[...] = col[2:]
         np.negative(tau, out=neg)
         # rank-2 update tau c^T - c tau^T in one pass
-        block = update[: m * m * count].reshape(m, m, count)
-        np.einsum("xib,xjb->ijb", pair[:2, :m], pair[1:, :m], out=block)
+        block = scratch[3 * m * count : (3 + m) * m * count].reshape(m, m, count)
+        np.einsum("xib,xjb->ijb", pair[:2], pair[1:], out=block)
         work[k + 2 :, k + 2 :] += block
     if n:
         # the last 2 x 2 block has a single candidate pivot

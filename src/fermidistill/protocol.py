@@ -53,8 +53,9 @@ class InsufficientRankError(ValidationError):
 BOUND_ATOL = 1e-9
 
 # Trials evaluated per stacked batch in sample_suboptimal: large enough to
-# amortise the per-call numpy overhead, small enough to bound memory.
-SAMPLE_CHUNK = 256
+# amortise the per-call numpy overhead (about 1 ms a stack), small enough
+# to bound memory (464 doubles a trial at m = 2 on 4 + 4 modes).
+SAMPLE_CHUNK = 512
 
 
 def _check_target(split: BipartiteSplit, m: int) -> None:
@@ -296,12 +297,13 @@ def sample_suboptimal(
     depend on SAMPLE_CHUNK and a longer run extends a shorter one.
 
     Trials are evaluated as stacks of C = SAMPLE_CHUNK in one workspace,
-    a single allocation per call: the draw, filled with
-    `standard_normal(out=)`, the batch-last frames (k, r, 2, C) and
-    (r, r, C), the Pfaffian matrices (2r, 2r, 3, C) and the elimination
-    scratch.  Each chunk, the last partial one included, runs in views
-    of their first count trials, so no chunk allocates a stack-sized
-    array.  The first trial with the largest pf wins.
+    a single allocation per call: the elimination scratch, the batch-last
+    frames (k, r, 2, C) and (r, r, C) and the Pfaffian matrices (2r, 2r,
+    3, C).  The draw, filled with `standard_normal(out=)`, is a view at
+    the front of the scratch; it is copied into the frames before the
+    elimination runs, and the scratch grows to hold it when it is the
+    larger.  Each chunk, the last partial one included, runs in views of
+    their first count trials.  The first trial with the largest pf wins.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -310,14 +312,13 @@ def sample_suboptimal(
     k, r = len(split.a), 2 * m  # |A| == |B| after _check_target
     rng = np.random.default_rng(seed)
     size = min(SAMPLE_CHUNK, trials)
-    # draw, frames (k, r, 2, C) and (r, r, C), Pfaffian matrices, scratch;
-    # one allocation, as separate buffers were mapped afresh by most calls
-    per_trial = [(2 * k + r) * r, 2 * k * r, r * r, 3 * (2 * r) ** 2]
-    lengths = [size * w for w in per_trial] + [_scratch_size(2 * r, 3 * size)]
-    draw, side_buf, pair_buf, mats_buf, scratch = np.split(
-        np.empty(sum(lengths)), np.cumsum(lengths)[:-1]
-    )
-    draw = draw.reshape(size, per_trial[0])
+    # scratch holding the draw, frames (k, r, 2, C) and (r, r, C), Pfaffian
+    # matrices; one allocation, as separate buffers were mapped afresh by most calls
+    width = (2 * k + r) * r
+    lengths = [max(_scratch_size(2 * r, 3 * size), size * width),
+               size * 2 * k * r, size * r * r, size * 3 * (2 * r) ** 2]
+    scratch, side_buf, pair_buf, mats_buf = np.split(np.empty(sum(lengths)), np.cumsum(lengths)[:-1])
+    draw = scratch[: size * width].reshape(size, width)
     best: SuboptimalSample | None = None
     for start in range(0, trials, size):
         count = min(size, trials - start)

@@ -461,7 +461,9 @@ def _protocol_quantities_stack(
     detv = np.rint(np.linalg.det(vp))
 
     def compress(left: np.ndarray, g: np.ndarray, right: np.ndarray) -> np.ndarray:
-        return np.einsum("iab,icb->acb", left, np.einsum("ij,jcb->icb", g, right))
+        # g applied to the whole stack in one GEMM
+        gr = (g @ right.reshape(len(right), -1)).reshape(len(g), *right.shape[1:])
+        return np.einsum("iab,icb->acb", left, gr)
 
     xp, yp, zp = compress(fa, blk.x, fa), compress(fa, blk.y, fb), compress(fb, blk.z, fb)
 
@@ -475,6 +477,14 @@ def _protocol_quantities_stack(
     np.subtract(yp, o, out=mats[:r, r:, 2])
     np.negative(mats[:r, r:].transpose(1, 0, 2, 3), out=mats[r:, :r])
     mats[:, :, 0] *= 0.5
+    # with X' or Z' zero, (|det(Y' + V')| + |det(Y' - V')|) / 2^r is pf; read
+    # the blocks trial-first before elimination overwrites them
+    vanish = np.minimum(np.abs(xp).max(axis=(0, 1), initial=0.0),
+                        np.abs(zp).max(axis=(0, 1), initial=0.0)) < STRUCT_ATOL
+    det_form = np.full(b, np.nan)
+    if vanish.any():
+        sums = mats[:r, r:, 1:] if vanish.all() else mats[:r, r:, 1:, vanish]
+        det_form[vanish] = np.abs(np.linalg.det(sums.transpose(2, 3, 0, 1))).sum(axis=0) / 2.0 ** r
     pfs = _eliminate(mats.reshape(2 * r, 2 * r, 3 * b), scratch, (3, b)).reshape(3, b)
 
     p = (1.0 + detv * ((-4.0) ** m) * pfs[0]) / 2.0
@@ -484,17 +494,9 @@ def _protocol_quantities_stack(
 
     pf = detv * ((-1.0) ** m) * (pfs[1] + pfs[2]) / (2.0 ** r)
 
-    vanish = np.minimum(np.abs(xp).max(axis=(0, 1), initial=0.0),
-                        np.abs(zp).max(axis=(0, 1), initial=0.0)) < STRUCT_ATOL
-    if np.any(vanish):
-        det_form = np.full(b, np.nan)
-        yv, ov = yp[:, :, vanish].transpose(2, 0, 1), o[:, :, vanish].transpose(2, 0, 1)
-        det_form[vanish] = (
-            np.abs(np.linalg.det(yv + ov)) + np.abs(np.linalg.det(yv - ov))
-        ) / (2.0 ** r)
-        check(vanish & (np.abs(pf - det_form) > CROSS_CHECK_ATOL),
-              lambda i: "block-Pfaffian and determinant forms disagree: "
-                        f"{pf[i]:.12e} vs {det_form[i]:.12e}")
+    check(vanish & (np.abs(pf - det_form) > CROSS_CHECK_ATOL),
+          lambda i: "block-Pfaffian and determinant forms disagree: "
+                    f"{pf[i]:.12e} vs {det_form[i]:.12e}")
 
     check(pf < -STRUCT_ATOL, lambda i: f"pf = {pf[i]:.3e} negative beyond tolerance")
     return p, np.maximum(pf, 0.0)

@@ -158,25 +158,48 @@ class TestPfaffianStack:
 
     def test_workspace_reused_across_stacks(self):
         # one work buffer and one scratch serve two full stacks and then a
-        # partial-count view, as in sample_suboptimal's chunks; scratch
-        # starts as NaN, so a read of a stale entry would show
-        n, size = 6, 12
-        work_buf = np.empty(n * n * size)
-        scratch = np.empty(linalg._scratch_size(n, size))
-        scratch[:] = np.nan
-        for count, seed in ((size, 1), (size, 2), (5, 3)):
-            a = _oracle_stack(n, (count,), seed, complex_entries=False)
-            # integer entries in {-1, 0, 1}: pivot columns full of ties
-            a[-1] = np.sign(a[-1])
-            work = work_buf[: n * n * count].reshape(n, n, count)
-            work[...] = a.transpose(1, 2, 0)
-            with np.errstate(divide="raise", invalid="raise"):
-                pf = linalg._eliminate(work, scratch, (count,))
-            assert pf.shape == (count,)
-            for i in range(count):
-                assert pf[i] == pytest.approx(pfaffian_combinatorial(a[i]), rel=1e-9, abs=1e-12)
-                assert pf[i] == pytest.approx(pfaffian(a[i]), rel=1e-13, abs=1e-15)
-            assert pf[0] == 0.0 and pf[1] == 0.0
+        # partial-count view, as in sample_suboptimal's chunks; scratch starts
+        # as NaN, so a read of a stale entry would show.  _scratch_size is
+        # exact: each stack writes every entry up to its size and none past it
+        size = 12
+        for n in (2, 4, 6, 8, 16):
+            work_buf = np.empty(n * n * size)
+            scratch = np.full(linalg._scratch_size(n, size) + 8, np.nan)
+            for count, seed in ((size, 1), (size, 2), (5, 3)):
+                a, ref = _combinatorial_stack(n, count, seed)
+                work = work_buf[: n * n * count].reshape(n, n, count)
+                work[...] = a.transpose(1, 2, 0)
+                used = linalg._scratch_size(n, count)
+                scratch[used:] = np.nan
+                with np.errstate(divide="raise", invalid="raise"):
+                    pf = linalg._eliminate(work, scratch, (count,))
+                assert not np.isnan(scratch[:used]).any() and np.isnan(scratch[used:]).all()
+                assert pf.shape == (count,)
+                for i in range(count):
+                    assert pf[i] == pytest.approx(ref[i], rel=1e-9, abs=1e-12)
+                    assert pf[i] == pytest.approx(pfaffian(a[i]), rel=1e-13, abs=1e-15)
+                assert pf[0] == 0.0 and pf[1] == 0.0
+
+
+def _combinatorial_stack(n: int, count: int, seed: int) -> tuple[np.ndarray, list[float]]:
+    """A real `_oracle_stack` whose last member has entries in {-1, 0, 1}, and its Pfaffians.
+
+    The last member's pivot columns are full of ties.  Up to n = 8 the
+    Pfaffians are `pfaffian_combinatorial`'s; above, each member is
+    P (B + C) P^T for a random permutation P and two such n/2 members B
+    and C in direct sum, whose Pfaffian is det(P) Pf(B) Pf(C).
+    """
+    if n <= 8:
+        a = _oracle_stack(n, (count,), seed, complex_entries=False)
+        a[-1] = np.sign(a[-1])
+        return a, [pfaffian_combinatorial(member) for member in a]
+    h = n // 2
+    (b, pb), (c, pc) = _combinatorial_stack(h, count, seed), _combinatorial_stack(h, count, seed + 1)
+    a = np.zeros((count, n, n))
+    a[:, :h, :h], a[:, h:, h:] = b, c
+    perm = np.random.default_rng(seed).permutation(n)
+    sign = round(np.linalg.det(np.eye(n)[perm]))
+    return a[:, perm][:, :, perm], [sign * x * y for x, y in zip(pb, pc)]
 
 
 class TestMalformedInput:

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermidistill import protocol
-from fermidistill.linalg import svd
+from fermidistill.linalg import _scratch_size, svd
 from fermidistill.protocol import (
     SAMPLE_CHUNK,
     InsufficientRankError,
@@ -262,6 +263,45 @@ class TestSampleSuboptimal:
             assert other.trial == whole.trial
             assert other.best_pf == pytest.approx(whole.best_pf, abs=1e-12)
             np.testing.assert_allclose(other.v, whole.v, atol=1e-12)
+
+    def test_draw_larger_than_elimination_scratch(self, rng, monkeypatch):
+        # at |A| = 24 > 5.5 r a trial's draw outgrows its share of the
+        # elimination scratch, whose front holds it
+        s, split = random_covariance(24, rng), BipartiteSplit.halves(48)
+        k, r = 24, 4
+        assert (2 * k + r) * r > _scratch_size(2 * r, 3)
+        whole = sample_suboptimal(s, split, 2, trials=20, seed=9)
+        t, q, _, _, v = _reference_sample(s, split, 2, 20, seed=9)
+        assert whole.trial == t
+        assert whole.best_pf == pytest.approx(q.pf, abs=1e-12)
+        np.testing.assert_allclose(whole.v, v, atol=1e-12)
+        monkeypatch.setattr(protocol, "SAMPLE_CHUNK", 3)
+        chunked = sample_suboptimal(s, split, 2, trials=20, seed=9)
+        prefix = sample_suboptimal(s, split, 2, trials=whole.trial + 1, seed=9)
+        for other in (chunked, prefix):
+            assert other.trial == whole.trial
+            assert other.best_pf == pytest.approx(whole.best_pf, abs=1e-12)
+            np.testing.assert_allclose(other.v, whole.v, atol=1e-12)
+
+    def test_memory_bounded_in_trials(self, rng):
+        # the peak is set by the chunk, not the trial count: below the
+        # workspace (scratch, frames, Pfaffian matrices) plus one more
+        # Pfaffian stack and one more frame stack per trial
+        s, split = random_x_zero_covariance(4, rng)
+        k, r = 8, 4
+        sample_suboptimal(s, split, 2, trials=2, seed=1)
+        peaks = []
+        for trials in (2 * SAMPLE_CHUNK, 20 * SAMPLE_CHUNK):
+            tracemalloc.start()
+            try:
+                sample_suboptimal(s, split, 2, trials=trials, seed=1)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] == pytest.approx(peaks[0], rel=0.05)
+        pfaffian_stack = 3 * (2 * r) ** 2
+        workspace = 2 * pfaffian_stack + 2 * k * r + r * r
+        assert max(peaks) < 8 * SAMPLE_CHUNK * (workspace + pfaffian_stack + 2 * k * r)
 
     def test_sampled_quantities_consistent(self, rng):
         s, split = random_x_zero_covariance(4, rng)
