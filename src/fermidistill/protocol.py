@@ -53,8 +53,8 @@ class InsufficientRankError(ValidationError):
 BOUND_ATOL = 1e-9
 
 # Trials evaluated per stacked batch in sample_suboptimal: large enough to
-# amortise the per-call numpy overhead (about 1 ms a stack), small enough
-# to bound memory (464 doubles a trial at m = 2 on 4 + 4 modes).
+# amortise the fixed numpy overhead of a stack, small enough to bound
+# memory (464 doubles of workspace a trial at m = 2 on 4 + 4 modes).
 SAMPLE_CHUNK = 512
 
 

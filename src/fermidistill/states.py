@@ -461,7 +461,6 @@ def _protocol_quantities_stack(
     detv = np.rint(np.linalg.det(vp))
 
     def compress(left: np.ndarray, g: np.ndarray, right: np.ndarray) -> np.ndarray:
-        # g applied to the whole stack in one GEMM
         gr = (g @ right.reshape(len(right), -1)).reshape(len(g), *right.shape[1:])
         return np.einsum("iab,icb->acb", left, gr)
 
@@ -485,6 +484,7 @@ def _protocol_quantities_stack(
     if vanish.any():
         sums = mats[:r, r:, 1:] if vanish.all() else mats[:r, r:, 1:, vanish]
         det_form[vanish] = np.abs(np.linalg.det(sums.transpose(2, 3, 0, 1))).sum(axis=0) / 2.0 ** r
+    del xp, yp, zp  # freed before the elimination's own temporaries
     pfs = _eliminate(mats.reshape(2 * r, 2 * r, 3 * b), scratch, (3, b)).reshape(3, b)
 
     p = (1.0 + detv * ((-4.0) ** m) * pfs[0]) / 2.0

@@ -212,7 +212,8 @@ def _reference_sample(s, split, m, trials, seed):
 
 
 class TestSampleSuboptimal:
-    @pytest.mark.parametrize("trials", [1, SAMPLE_CHUNK, SAMPLE_CHUNK + 1, 2 * SAMPLE_CHUNK + 1])
+    @pytest.mark.parametrize("trials", [1, SAMPLE_CHUNK // 2, SAMPLE_CHUNK // 2 + 1, SAMPLE_CHUNK,
+                                        SAMPLE_CHUNK + 1, 2 * SAMPLE_CHUNK + 1])
     @pytest.mark.parametrize("kind", ["x_zero", "general"])
     def test_matches_per_trial_reference(self, trials, kind):
         rng = np.random.default_rng(404)
