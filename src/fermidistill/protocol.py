@@ -317,7 +317,9 @@ def sample_suboptimal(
     width = (2 * k + r) * r
     lengths = [max(_scratch_size(2 * r, 3 * size), size * width),
                size * 2 * k * r, size * r * r, size * 3 * (2 * r) ** 2]
-    scratch, side_buf, pair_buf, mats_buf = np.split(np.empty(sum(lengths)), np.cumsum(lengths)[:-1])
+    scratch, side_buf, pair_buf, mats_buf = np.split(
+        np.empty(sum(lengths)), np.cumsum(lengths)[:-1]
+    )
     draw = scratch[: size * width].reshape(size, width)
     best: SuboptimalSample | None = None
     for start in range(0, trials, size):

@@ -194,7 +194,8 @@ def _combinatorial_stack(n: int, count: int, seed: int) -> tuple[np.ndarray, lis
         a[-1] = np.sign(a[-1])
         return a, [pfaffian_combinatorial(member) for member in a]
     h = n // 2
-    (b, pb), (c, pc) = _combinatorial_stack(h, count, seed), _combinatorial_stack(h, count, seed + 1)
+    b, pb = _combinatorial_stack(h, count, seed)
+    c, pc = _combinatorial_stack(h, count, seed + 1)
     a = np.zeros((count, n, n))
     a[:, :h, :h], a[:, h:, h:] = b, c
     perm = np.random.default_rng(seed).permutation(n)
