@@ -54,7 +54,7 @@ BOUND_ATOL = 1e-9
 
 # Trials evaluated per stacked batch in sample_suboptimal: large enough to
 # amortise the fixed numpy overhead of a stack, small enough to bound
-# memory (464 doubles of workspace a trial at m = 2 on 4 + 4 modes).
+# memory.
 SAMPLE_CHUNK = 512
 
 

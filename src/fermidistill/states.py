@@ -482,8 +482,8 @@ def _protocol_quantities_stack(
                         np.abs(zp).max(axis=(0, 1), initial=0.0)) < STRUCT_ATOL
     det_form = np.full(b, np.nan)
     if vanish.any():
-        sums = mats[:r, r:, 1:] if vanish.all() else mats[:r, r:, 1:, vanish]
-        det_form[vanish] = np.abs(np.linalg.det(sums.transpose(2, 3, 0, 1))).sum(axis=0) / 2.0 ** r
+        det_form[vanish] = np.abs(np.linalg.det(
+            mats[:r, r:, 1:, vanish].transpose(2, 3, 0, 1))).sum(axis=0) / 2.0 ** r
     del xp, yp, zp  # freed before the elimination's own temporaries
     pfs = _eliminate(mats.reshape(2 * r, 2 * r, 3 * b), scratch, (3, b)).reshape(3, b)
 
