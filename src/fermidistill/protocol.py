@@ -287,23 +287,24 @@ def sample_suboptimal(
 ) -> SuboptimalSample:
     """Best pf over random (D, V) draws; deterministic per seed.
 
-    D_A and D_B are spanned by random orthogonal frames, V is a random
-    orthogonal pairing between them.  Used as an empirical optimality
+    D_A and D_B are spanned by random orthogonal frames ua and ub, and V
+    = ua ub^T pairs their columns; for Haar frames this is the law of a
+    Haar-random pairing between them.  Used as an empirical optimality
     probe against the canonical choice.  One default_rng(seed) feeds
-    every trial: row t of a (trials, (2k + r) r) standard-normal draw
-    (k = |A| = |B|, r = 2m) holds trial t's k x r Alice and Bob draws and
-    r x r pairing draw, row-major, each made a frame by Gram-Schmidt
-    (`linalg._orthonormalise`).  Rows are filled in order, so the trials do not
-    depend on SAMPLE_CHUNK and a longer run extends a shorter one.
+    every trial: row t of a (trials, 2kr) standard-normal draw (k = |A| =
+    |B|, r = 2m) holds trial t's k x r Alice and Bob draws, row-major,
+    each made a frame by Gram-Schmidt (`linalg._orthonormalise`).  Rows
+    are filled in order, so the trials do not depend on SAMPLE_CHUNK and
+    a longer run extends a shorter one.
 
     Trials are evaluated as stacks of C = SAMPLE_CHUNK in one workspace,
     a single allocation per call: the elimination scratch, the batch-last
-    frames (k, r, 2, C) and (r, r, C) and the Pfaffian matrices (2r, 2r,
-    3, C).  The draw, filled with `standard_normal(out=)`, is a view at
-    the front of the scratch; it is copied into the frames before the
-    elimination runs, and the scratch grows to hold it when it is the
-    larger.  Each chunk, the last partial one included, runs in views of
-    their first count trials.  The first trial with the largest pf wins.
+    frames (k, r, 2, C) and the Pfaffian matrices (2r, 2r, 3, C).  The
+    draw, filled with `standard_normal(out=)`, is a view at the front of
+    the scratch; it is copied into the frames before the elimination
+    runs, and the scratch grows to hold it when it is the larger.  Each
+    chunk, the last partial one included, runs in views of their first
+    count trials.  The first trial with the largest pf wins.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -312,35 +313,29 @@ def sample_suboptimal(
     k, r = len(split.a), 2 * m  # |A| == |B| after _check_target
     rng = np.random.default_rng(seed)
     size = min(SAMPLE_CHUNK, trials)
-    # scratch holding the draw, frames (k, r, 2, C) and (r, r, C), Pfaffian
-    # matrices; one allocation, as separate buffers were mapped afresh by most calls
-    width = (2 * k + r) * r
+    # scratch holding the draw, frames (k, r, 2, C), Pfaffian matrices; one
+    # allocation, as separate buffers were mapped afresh by most calls
+    width = 2 * k * r
     lengths = [max(_scratch_size(2 * r, 3 * size), size * width),
-               size * 2 * k * r, size * r * r, size * 3 * (2 * r) ** 2]
-    scratch, side_buf, pair_buf, mats_buf = np.split(
-        np.empty(sum(lengths)), np.cumsum(lengths)[:-1]
-    )
+               size * width, size * 3 * (2 * r) ** 2]
+    scratch, side_buf, mats_buf = np.split(np.empty(sum(lengths)), np.cumsum(lengths)[:-1])
     draw = scratch[: size * width].reshape(size, width)
     best: SuboptimalSample | None = None
     for start in range(0, trials, size):
         count = min(size, trials - start)
         rows = rng.standard_normal(out=draw[:count])
-        sides = side_buf[: k * r * 2 * count].reshape(k, r, 2, count)
-        sides[...] = rows[:, : 2 * k * r].reshape(count, 2, k, r).transpose(2, 3, 1, 0)
+        sides = side_buf[: width * count].reshape(k, r, 2, count)
+        sides[...] = rows.reshape(count, 2, k, r).transpose(2, 3, 1, 0)
         _orthonormalise(sides.reshape(k, r, 2 * count), (2, count))
-        pairing = pair_buf[: r * r * count].reshape(r, r, count)
-        pairing[...] = rows[:, 2 * k * r :].reshape(count, r, r).transpose(1, 2, 0)
-        _orthonormalise(pairing, (count,))
         # trial-first views of the batch-last frames
-        ua, ub, o = (f.transpose(2, 0, 1) for f in (sides[:, :, 0], sides[:, :, 1], pairing))
+        ua, ub = (sides[:, :, j].transpose(2, 0, 1) for j in range(2))
         mats = mats_buf[: (2 * r) ** 2 * 3 * count].reshape(2 * r, 2 * r, 3, count)
-        # V = ua o ub^T compresses onto the frames as ua^T V ub = o
-        p, pf = _protocol_quantities_stack(blk, ua, ub, o, mats, scratch)
+        p, pf = _protocol_quantities_stack(blk, ua, ub, mats, scratch)
         i = int(np.argmax(pf))
         if best is None or pf[i] > best.best_pf:
             pi, pfi = float(p[i]), float(pf[i])
             best = SuboptimalSample(
                 pfi, pi, pfi / pi if pi > P_FLOOR else None, start + i,
-                RealProjectionPair(ua[i].copy(), ub[i].copy()), ua[i] @ o[i] @ ub[i].T,
+                RealProjectionPair(ua[i].copy(), ub[i].copy()), ua[i] @ ub[i].T,
             )
     return best

@@ -87,6 +87,14 @@ def _matrix(s: CovarianceMatrix | np.ndarray) -> np.ndarray:
     return np.asarray(getattr(s, "matrix", s), dtype=complex)
 
 
+def _real(a, name: str) -> np.ndarray:
+    """a as a float array; ValidationError unless its imaginary part is within STRUCT_ATOL."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a) and not np.abs(a.imag).max(initial=0.0) <= STRUCT_ATOL:
+        raise ValidationError(f"{name} is not real")
+    return np.real(a).astype(float)
+
+
 @dataclass(frozen=True)
 class BipartiteSplit:
     """Bipartition of the 2n basis indices into Alice's and Bob's."""
@@ -155,10 +163,7 @@ class RealProjectionPair:
 
     def __post_init__(self):
         for name, u in (("ua", self.ua), ("ub", self.ub)):
-            u = np.asarray(u)
-            if np.iscomplexobj(u) and np.abs(u.imag).max(initial=0.0) > STRUCT_ATOL:
-                raise ValidationError(f"{name} is not real")
-            u = np.real(u).astype(float)
+            u = _real(u, name)
             if u.ndim != 2 or u.shape[1] % 2 != 0:
                 raise ValidationError(
                     f"{name} must be 2-D with an even number of columns (whole modes), "
@@ -341,7 +346,7 @@ def maximally_entangled_projection(v: np.ndarray, split: BipartiteSplit) -> Cova
 
     v must be real orthogonal on (A, B); the diagonal blocks vanish.
     """
-    v = np.asarray(v, dtype=float)
+    v = _real(v, "maximally entangled state: Y-block V")
     k = v.shape[0]
     if v.shape != (k, k) or np.abs(v.T @ v - np.eye(k)).max() > STRUCT_ATOL:
         raise ValidationError("Y-block of a maximally entangled state must be orthogonal")
@@ -392,21 +397,23 @@ def protocol_quantities(
 ) -> ProtocolQuantities:
     """Evaluate one protocol instance (D, V) on the state S with `blk = blocks(S, split)`.
 
-    p is the parity probability of the restricted state D S D; the
-    combined quantity pf = <psi_E, rho psi_E> + <psi_partner, rho
-    psi_partner> comes from the two-Pfaffian block formula
-
-        pf = det(V') (-1)^m 2^(-2m) [Pf(M+) + Pf(M-)],
-        M+- = [[X', Y' +- V'], [-(Y' +- V')^T, Z']],
-
-    where primes are compressions onto the kept-mode frames d.ua and
-    d.ub and det(V') fixes the orientation of the target.  Whenever X'
-    or Z' vanishes the result is cross-checked against the determinant form
-        (|det(Y' + V')| + |det(Y' - V')|) / 2^(2m).
+    p is the parity probability of the restricted state D S D and pf =
+    <psi_E, rho psi_E> + <psi_partner, rho psi_partner>.  V must be real,
+    with V' = d.ua^T V d.ub orthogonal.  Bob's frame becomes d.ub W^T,
+    W the polar factor of V' (V' itself up to rounding), so that V pairs
+    the frames' columns as `_protocol_quantities_stack` requires.  As
+    Pf(A M A^T) = det(A) Pf(M), this rotation absorbs the target's
+    orientation factor det(V') exactly.
     """
     ua, ub = d.ua, d.ub
-    vp = ua.T @ np.real(np.asarray(v)) @ ub
-    p, pf = _protocol_quantities_stack(blk, ua[None], ub[None], vp[None])
+    v = _real(v, "V")
+    if ub.shape[1] != ua.shape[1]:
+        raise ValidationError("frames ua and ub must have equal rank")
+    vp = ua.T @ v @ ub
+    if not np.abs(vp.T @ vp - np.eye(len(vp))).max(initial=0.0) <= 1e-8:  # NaN fails too
+        raise ValidationError("V is not a partial isometry between Ran D_B and Ran D_A")
+    w, _, wh = np.linalg.svd(vp)
+    p, pf = _protocol_quantities_stack(blk, ua[None], (ub @ (w @ wh).T)[None])
     p, pf = float(p[0]), float(pf[0])
     return ProtocolQuantities(p=p, f=pf / p if p > P_FLOOR else None, pf=pf)
 
@@ -415,21 +422,25 @@ def _protocol_quantities_stack(
     blk: BlockDecomposition,
     ua: np.ndarray,
     ub: np.ndarray,
-    vp: np.ndarray,
     mats: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """p and pf of `protocol_quantities` for a stack of protocol instances.
+    """p and pf for a stack of protocol instances, each given by its two frames.
 
     ua (b, |A|, r) and ub (b, |B|, r) are the kept-mode frames of each
-    member and vp (b, r, r) its compressed isometry ua^T V ub; any
-    strides will do, so they may be views of batch-last memory.  The
-    three 2r x 2r Pfaffian matrices (G', M+, M-) of every member are
-    written batch-last into mats (2r, 2r, 3, b) and eliminated in place
-    by `linalg._eliminate` with `scratch`; a caller evaluating many
-    stacks passes both, else they are allocated here.  Every check of
-    the single evaluation runs on every member, and a failure names the
-    first offending one.
+    member, whose columns V = ua ub^T pairs; any strides will do, so they
+    may be views of batch-last memory.  With primes for compressions onto
+    the frames and M+- = [[X', Y' +- 1], [-(Y' +- 1)^T, Z']],
+
+        p = (1 + (-4)^m Pf(G')) / 2,  G' = [[X', Y'], [-Y'^T, Z']] / 2,
+        pf = (-1)^m 2^(-2m) [Pf(M+) + Pf(M-)],
+
+    cross-checked against (|det(Y' + 1)| + |det(Y' - 1)|) / 2^(2m) when X'
+    or Z' vanishes.  The three Pfaffian matrices are written batch-last
+    into mats (2r, 2r, 3, b) and eliminated in place by
+    `linalg._eliminate` with `scratch`; a caller evaluating many stacks
+    passes both, else they are allocated here.  Every check runs on every
+    member, and a failure names the first offending one.
     """
     b, r = ua.shape[0], ua.shape[2]
     if mats is None:
@@ -442,23 +453,15 @@ def _protocol_quantities_stack(
             prefix = f"stack member {i}: " if b > 1 else ""
             raise ValidationError(prefix + message(i))
 
-    if ub.shape[2] != r:
-        raise ValidationError("frames ua and ub must have equal rank")
     # batch-last views (row, column, member): each product below is an
     # einsum over the contiguous member axis when the frames are views of
     # batch-last memory
-    fa, fb, o = (u.transpose(1, 2, 0) for u in (ua, ub, vp))
+    fa, fb = (u.transpose(1, 2, 0) for u in (ua, ub))
     eye = np.eye(r)[:, :, None]
-
-    def gram_error(u: np.ndarray) -> np.ndarray:
-        return np.abs(np.einsum("iab,icb->acb", u, u) - eye).max(axis=(0, 1), initial=0.0)
-
     for name, u in (("ua", fa), ("ub", fb)):
-        check(~(gram_error(u) <= STRUCT_ATOL), lambda i: f"{name} does not have orthonormal columns")
+        gram_error = np.abs(np.einsum("iab,icb->acb", u, u) - eye).max(axis=(0, 1), initial=0.0)
+        check(~(gram_error <= STRUCT_ATOL), lambda i: f"{name} does not have orthonormal columns")
     m = r // 2
-    check(~(gram_error(o) <= 1e-8),
-          lambda i: "V is not a partial isometry between Ran D_B and Ran D_A")
-    detv = np.rint(np.linalg.det(vp))
 
     def compress(left: np.ndarray, g: np.ndarray, right: np.ndarray) -> np.ndarray:
         gr = (g @ right.reshape(len(right), -1)).reshape(len(g), *right.shape[1:])
@@ -472,11 +475,11 @@ def _protocol_quantities_stack(
     mats[:r, :r] = ((xp - xp.transpose(1, 0, 2)) / 2)[:, :, None]
     mats[r:, r:] = ((zp - zp.transpose(1, 0, 2)) / 2)[:, :, None]
     mats[:r, r:, 0] = yp
-    np.add(yp, o, out=mats[:r, r:, 1])
-    np.subtract(yp, o, out=mats[:r, r:, 2])
+    np.add(yp, eye, out=mats[:r, r:, 1])
+    np.subtract(yp, eye, out=mats[:r, r:, 2])
     np.negative(mats[:r, r:].transpose(1, 0, 2, 3), out=mats[r:, :r])
     mats[:, :, 0] *= 0.5
-    # with X' or Z' zero, (|det(Y' + V')| + |det(Y' - V')|) / 2^r is pf; read
+    # with X' or Z' zero, (|det(Y' + 1)| + |det(Y' - 1)|) / 2^r is pf; read
     # the blocks trial-first before elimination overwrites them
     vanish = np.minimum(np.abs(xp).max(axis=(0, 1), initial=0.0),
                         np.abs(zp).max(axis=(0, 1), initial=0.0)) < STRUCT_ATOL
@@ -487,12 +490,12 @@ def _protocol_quantities_stack(
     del xp, yp, zp  # freed before the elimination's own temporaries
     pfs = _eliminate(mats.reshape(2 * r, 2 * r, 3 * b), scratch, (3, b)).reshape(3, b)
 
-    p = (1.0 + detv * ((-4.0) ** m) * pfs[0]) / 2.0
+    p = (1.0 + ((-4.0) ** m) * pfs[0]) / 2.0
     check(~((p >= -STRUCT_ATOL) & (p <= 1 + STRUCT_ATOL)),
           lambda i: f"restricted parity probability {p[i]:.3e} outside [0, 1]")
     p = np.clip(p, 0.0, 1.0)
 
-    pf = detv * ((-1.0) ** m) * (pfs[1] + pfs[2]) / (2.0 ** r)
+    pf = ((-1.0) ** m) * (pfs[1] + pfs[2]) / (2.0 ** r)
 
     check(vanish & (np.abs(pf - det_form) > CROSS_CHECK_ATOL),
           lambda i: "block-Pfaffian and determinant forms disagree: "

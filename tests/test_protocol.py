@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermidistill import protocol
+from fermidistill.fock import density_from_covariance, fock_vector, joint_parity
 from fermidistill.linalg import _scratch_size, svd
 from fermidistill.protocol import (
     SAMPLE_CHUNK,
@@ -25,9 +26,12 @@ from fermidistill.states import (
     ValidationError,
     blocks,
     maximally_entangled_projection,
+    partner_projection,
     protocol_quantities,
     random_covariance,
     random_x_zero_covariance,
+    restrict,
+    target_orientation,
 )
 
 from helpers import haar_frame, polar_decompose, random_orthogonal
@@ -200,11 +204,10 @@ def _reference_sample(s, split, m, trials, seed):
     rng = np.random.default_rng(seed)
     best = None
     for t in range(trials):
-        row = rng.standard_normal((2 * k + r) * r)
+        row = rng.standard_normal(2 * k * r)
         ua = haar_frame(row[: k * r].reshape(k, r))
-        ub = haar_frame(row[k * r: 2 * k * r].reshape(k, r))
-        o = haar_frame(row[2 * k * r:].reshape(r, r))
-        v = ua @ o @ ub.T
+        ub = haar_frame(row[k * r:].reshape(k, r))
+        v = ua @ ub.T
         q = protocol_quantities(blocks(s, split), RealProjectionPair(ua, ub), v)
         if best is None or q.pf > best[1].pf:
             best = (t, q, ua, ub, v)
@@ -266,11 +269,11 @@ class TestSampleSuboptimal:
             np.testing.assert_allclose(other.v, whole.v, atol=1e-12)
 
     def test_draw_larger_than_elimination_scratch(self, rng, monkeypatch):
-        # at |A| = 24 > 5.5 r a trial's draw outgrows its share of the
+        # at |A| = 26 > 6 r a trial's draw outgrows its share of the
         # elimination scratch, whose front holds it
-        s, split = random_covariance(24, rng), BipartiteSplit.halves(48)
-        k, r = 24, 4
-        assert (2 * k + r) * r > _scratch_size(2 * r, 3)
+        s, split = random_covariance(26, rng), BipartiteSplit.halves(52)
+        k, r = 26, 4
+        assert 2 * k * r > _scratch_size(2 * r, 3)
         whole = sample_suboptimal(s, split, 2, trials=20, seed=9)
         t, q, _, _, v = _reference_sample(s, split, 2, 20, seed=9)
         assert whole.trial == t
@@ -301,7 +304,7 @@ class TestSampleSuboptimal:
                 tracemalloc.stop()
         assert peaks[1] == pytest.approx(peaks[0], rel=0.05)
         pfaffian_stack = 3 * (2 * r) ** 2
-        workspace = 2 * pfaffian_stack + 2 * k * r + r * r
+        workspace = 2 * pfaffian_stack + 2 * k * r
         assert max(peaks) < 8 * SAMPLE_CHUNK * (workspace + pfaffian_stack + 2 * k * r)
 
     def test_sampled_quantities_consistent(self, rng):
@@ -321,6 +324,63 @@ class TestSampleSuboptimal:
         sample = sample_suboptimal(s, split, 2, trials=40, seed=7)
         assert 0.0 <= sample.best_pf <= 1.0
         assert sample.best_pf <= max(report.pf, sample.best_pf)
+
+
+def _oracle_p_pf(s, split, d, vp):
+    """p and pf of the protocol (d, d.ua vp d.ub^T) from the dense Fock oracle.
+
+    The state is restricted to the frames, where the target is the
+    maximally entangled state with Y-block vp: p is the joint-parity
+    weight of the target's sector and pf its fidelity plus its partner's.
+    """
+    rs, rsplit = restrict(s, split, d)
+    e = maximally_entangled_projection(vp, rsplit)
+    rho = density_from_covariance(rs)
+    n = len(rsplit.a)  # the restricted state has 2r indices, so r modes
+    probs = joint_parity(rho, rsplit).probabilities
+    sector = target_orientation(e) * (-1) ** (n // 2)
+    p = probs["++"] + probs["--"] if sector > 0 else probs["+-"] + probs["-+"]
+    pf = sum(float((psi.conj() @ rho @ psi).real)
+             for psi in (fock_vector(e), fock_vector(partner_projection(e, rsplit))))
+    return p, pf
+
+
+class TestTwoFrameOracle:
+    """A protocol evaluated through its two frames agrees with the dense oracle."""
+
+    @staticmethod
+    def _state(kind, seed):
+        rng = np.random.default_rng(seed)
+        if kind == "x_zero":
+            return random_x_zero_covariance(3, rng)
+        return random_covariance(6, rng), BipartiteSplit.halves(12)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["x_zero", "general"])
+    def test_sampled_winner(self, kind, seed):
+        # the winner's V = ua ub^T compresses onto its frames to the identity
+        s, split = self._state(kind, seed)
+        sample = sample_suboptimal(s, split, 2, trials=50, seed=seed)
+        np.testing.assert_allclose(sample.v, sample.d.ua @ sample.d.ub.T, atol=1e-15)
+        p, pf = _oracle_p_pf(s, split, sample.d, np.eye(4))
+        assert sample.best_p == pytest.approx(p, abs=1e-9)
+        assert sample.best_pf == pytest.approx(pf, abs=1e-9)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("kind", ["x_zero", "general"])
+    def test_reflection_pairing(self, kind, seed):
+        # det V' = -1: Bob's frame must turn by V' before the stack pairs columns
+        s, split = self._state(kind, seed)
+        rng = np.random.default_rng(100 + seed)
+        k = len(split.a)
+        d = RealProjectionPair(random_orthogonal(k, rng)[:, :4], random_orthogonal(k, rng)[:, :4])
+        vp = random_orthogonal(4, rng)
+        if np.linalg.det(vp) > 0:
+            vp[:, 0] *= -1
+        q = protocol_quantities(blocks(s, split), d, d.ua @ vp @ d.ub.T)
+        p, pf = _oracle_p_pf(s, split, d, vp)
+        assert q.p == pytest.approx(p, abs=1e-9)
+        assert q.pf == pytest.approx(pf, abs=1e-9)
 
 
 class TestLargerM:

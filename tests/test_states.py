@@ -124,6 +124,11 @@ class TestBlocks:
         assert np.abs(blk.z).max() < 1e-12
         np.testing.assert_allclose(blk.y.T @ blk.y, np.eye(4), atol=1e-12)
 
+    def test_maximally_entangled_complex_v_rejected(self):
+        # the real part alone is the identity, a valid Y-block
+        with pytest.raises(ValidationError, match="V is not real"):
+            maximally_entangled_projection((1 + 0.5j) * np.eye(4), BipartiteSplit.halves(8))
+
     def test_maximally_entangled_split_out_of_range(self):
         with pytest.raises(ValidationError, match="index 4 out of range for 4 indices"):
             maximally_entangled_projection(np.eye(2), BipartiteSplit((0, 1), (4, 5)))
@@ -285,25 +290,35 @@ class TestProtocolQuantities:
     def test_non_isometry_rejected(self, rng):
         split = BipartiteSplit.halves(8)
         s = random_covariance(4, rng)
-        with pytest.raises(ValidationError, match="isometry"):
-            protocol_quantities(
-                blocks(s, split), RealProjectionPair.identity(4, 4), np.ones((4, 4))
-            )
+        nan = random_orthogonal(4, rng)
+        nan[0, 0] = np.nan
+        for v in (np.ones((4, 4)), 1.1 * random_orthogonal(4, rng), nan):
+            with pytest.raises(ValidationError, match="V is not a partial isometry"):
+                protocol_quantities(blocks(s, split), RealProjectionPair.identity(4, 4), v)
+
+    def test_complex_v_rejected(self):
+        # the real part alone is the identity, a valid pairing
+        split = BipartiteSplit.halves(8)
+        v = (1 + 0.5j) * np.eye(4)
+        with pytest.raises(ValidationError, match="V is not real"):
+            protocol_quantities(blocks(mixed(4), split), RealProjectionPair.identity(4, 4), v)
 
 
 class TestProtocolQuantitiesStack:
     @staticmethod
     def _stack(rng, count=5):
+        # Bob's frames rotated by each member's V' = ua^T V ub, so that V
+        # pairs the frames' columns
         split = BipartiteSplit.halves(16)
         s = random_covariance(8, rng)
         ua = np.stack([random_orthogonal(8, rng)[:, :4] for _ in range(count)])
         ub = np.stack([random_orthogonal(8, rng)[:, :4] for _ in range(count)])
         vp = np.stack([random_orthogonal(4, rng) for _ in range(count)])
-        return s, split, ua, ub, vp
+        return s, split, ua, ub, vp, ub @ vp.transpose(0, 2, 1)
 
     def test_members_match_single_evaluation(self, rng):
-        s, split, ua, ub, vp = self._stack(rng)
-        p, pf = _protocol_quantities_stack(blocks(s, split), ua, ub, vp)
+        s, split, ua, ub, vp, paired = self._stack(rng)
+        p, pf = _protocol_quantities_stack(blocks(s, split), ua, paired)
         for i in range(len(ua)):
             q = protocol_quantities(blocks(s, split), RealProjectionPair(ua[i], ub[i]),
                                     ua[i] @ vp[i] @ ub[i].T)
@@ -311,28 +326,19 @@ class TestProtocolQuantitiesStack:
             assert pf[i] == pytest.approx(q.pf, abs=1e-13)
 
     def test_failure_names_first_offending_member(self, rng):
-        s, split, ua, ub, vp = self._stack(rng)
-        blk = blocks(s, split)
-        bad = vp.copy()
-        bad[[2, 4]] *= 1.1
-        with pytest.raises(ValidationError, match="stack member 2: V is not a partial isometry"):
-            _protocol_quantities_stack(blk, ua, ub, bad)
-        bad = ub.copy()
+        s, split, ua, _, _, paired = self._stack(rng)
+        bad = paired.copy()
         bad[3] *= 1.01
         with pytest.raises(ValidationError, match="stack member 3: ub does not have orthonormal"):
-            _protocol_quantities_stack(blk, ua, bad, vp)
+            _protocol_quantities_stack(blocks(s, split), ua, bad)
 
     def test_nan_frame_and_isometry_named(self, rng):
-        s, split, ua, ub, vp = self._stack(rng)
-        blk = blocks(s, split)
+        # a NaN in V is caught on the public path (test_non_isometry_rejected)
+        s, split, ua, _, _, paired = self._stack(rng)
         bad = ua.copy()
         bad[1] = np.nan
         with pytest.raises(ValidationError, match="stack member 1: ua does not have orthonormal"):
-            _protocol_quantities_stack(blk, bad, ub, vp)
-        bad = vp.copy()
-        bad[4, 0, 0] = np.nan
-        with pytest.raises(ValidationError, match="stack member 4: V is not a partial isometry"):
-            _protocol_quantities_stack(blk, ua, ub, bad)
+            _protocol_quantities_stack(blocks(s, split), bad, paired)
 
     @pytest.mark.parametrize("vanishing", ["all", "some"])
     def test_determinant_cross_check_fires(self, rng, monkeypatch, vanishing):
@@ -343,13 +349,14 @@ class TestProtocolQuantitiesStack:
         ua = np.stack([random_orthogonal(8, rng)[:, :4] for _ in range(5)])
         ub = np.stack([random_orthogonal(8, rng)[:, :4] for _ in range(5)])
         vp = np.stack([random_orthogonal(4, rng) for _ in range(5)])
+        ub = ub @ vp.transpose(0, 2, 1)
         if vanishing == "some":
             x = np.zeros((8, 8))
             x[0, 1], x[1, 0] = 0.01, -0.01
             blk = BlockDecomposition(x, blk.y, blk.z)
             ua[3] = 0.0
             ua[3, 2:] = random_orthogonal(6, rng)[:, :4]
-        _protocol_quantities_stack(blk, ua, ub, vp)
+        _protocol_quantities_stack(blk, ua, ub)
         eliminate = states._eliminate
 
         def perturbed(work, scratch, lead):
@@ -360,7 +367,7 @@ class TestProtocolQuantitiesStack:
         monkeypatch.setattr(states, "_eliminate", perturbed)
         with pytest.raises(ValidationError, match="stack member 3: block-Pfaffian and determinant"
                                                   " forms disagree"):
-            _protocol_quantities_stack(blk, ua, ub, vp)
+            _protocol_quantities_stack(blk, ua, ub)
 
 
 class TestFrames:
