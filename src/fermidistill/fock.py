@@ -38,7 +38,6 @@ from .states import (
     BipartiteSplit,
     CovarianceMatrix,
     ValidationError,
-    _matrix,
     fock_fidelity,
     parity_expectation,
     parity_probability,
@@ -67,12 +66,14 @@ def _check_modes(n: int):
 
 
 def _oracle_matrix(s: CovarianceMatrix | np.ndarray) -> tuple[np.ndarray, int]:
-    """The matrix of a covariance-like oracle input and its mode count n.
+    """The S of a covariance-like oracle input and its mode count n.
 
-    The one shape check of every entry point that takes a covariance:
+    A raw array is read as given, not through `CovarianceMatrix.from_s`,
+    so the oracle stays independent of the package's conversion.  This
+    is the one shape check of every entry point that takes a covariance:
     square, 2n x 2n, with 1 <= n <= MAX_MODES.
     """
-    m = _matrix(s)
+    m = np.asarray(getattr(s, "matrix", s), dtype=complex)
     n = m.shape[0] // 2 if m.ndim == 2 else 0
     if m.shape != (2 * n, 2 * n) or not 1 <= n <= MAX_MODES:
         raise ValidationError(

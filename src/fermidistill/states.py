@@ -7,7 +7,10 @@ Validity means
     S = S^dag,   0 <= S <= 1,   conj(S) = 1 - S,
 
 equivalently S = 1/2 + i*G with G real antisymmetric and ||G|| <= 1/2.
-Pure quasifree (Fock) states have idempotent S, called basis projections.
+A state is held as its G; S appears only at the edges, converted once
+by `CovarianceMatrix.from_s` and given back by `.matrix` for files and
+the dense oracle.  Pure quasifree (Fock) states have idempotent S
+(G^2 = -1/4), called basis projections.
 
 All probability/fidelity formulas reduce to Pfaffians of real
 antisymmetric matrices.  Pfaffian signs depend on the orientation of the
@@ -72,19 +75,35 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """Covariance matrix of a quasifree state in a canonical real basis."""
+    """A quasifree state as the real 2n x 2n G of S = 1/2 + iG; `validate` checks G."""
 
-    matrix: np.ndarray
+    g: np.ndarray
 
     def __post_init__(self):
-        m = np.asarray(self.matrix, dtype=complex)
-        if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] % 2 != 0:
-            raise ValidationError(f"covariance must be 2n x 2n, got {m.shape}")
-        object.__setattr__(self, "matrix", m)
+        g = _real(self.g, "covariance G")
+        if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2 != 0:
+            raise ValidationError(f"covariance must be 2n x 2n, got {g.shape}")
+        object.__setattr__(self, "g", g)
+
+    @classmethod
+    def from_s(cls, s) -> "CovarianceMatrix":
+        """The state G = Im S; Re S must be 1/2 (S hermitian then means G antisymmetric)."""
+        s = np.asarray(s, dtype=complex)
+        out = cls(s.imag)  # the shape check, before Re S is compared with 1/2
+        res = np.abs(s.real - 0.5 * np.eye(len(s))).max(initial=0.0)
+        if not res <= STRUCT_ATOL:  # NaN fails too
+            raise ValidationError(f"reality: Re S - 1/2 has residue {res:.3e}; not a real basis")
+        return out
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """S = 1/2 + iG, for files and the dense Fock oracle."""
+        return 0.5 * np.eye(len(self.g)) + 1j * self.g
 
 
-def _matrix(s: CovarianceMatrix | np.ndarray) -> np.ndarray:
-    return np.asarray(getattr(s, "matrix", s), dtype=complex)
+def _state(s: CovarianceMatrix | np.ndarray) -> CovarianceMatrix:
+    """s itself, or the state of the raw covariance S = s."""
+    return s if isinstance(s, CovarianceMatrix) else CovarianceMatrix.from_s(s)
 
 
 def _real(a, name: str) -> np.ndarray:
@@ -139,9 +158,10 @@ class BipartiteSplit:
 
 @dataclass(frozen=True)
 class BlockDecomposition:
-    """Real blocks of a bipartite covariance: X, Z antisymmetric, Y general.
+    """Real blocks of a bipartite state: X, Z antisymmetric, Y general.
 
-    S restricted to (A, B) reads S = 1/2 * [[1 + iX, iY], [-iY^T, 1 + iZ]].
+    They are the blocks of 2G: G restricted to (A, B) reads
+    G = 1/2 * [[X, Y], [-Y^T, Z]], so S = 1/2 * [[1 + iX, iY], [-iY^T, 1 + iZ]].
     """
 
     x: np.ndarray
@@ -211,39 +231,27 @@ class ValidationReport:
 
 
 def validate(s: CovarianceMatrix | np.ndarray) -> ValidationReport:
-    """Diagnose covariance validity to STRUCT_ATOL: reports, never raises."""
-    m = _matrix(s)
-    n2 = m.shape[0]
+    """Diagnose validity to STRUCT_ATOL: reports, never raises on a state.
+
+    S = 1/2 + iG has eigenvalues 1/2 +- sigma_i(G) for G antisymmetric.
+    """
+    g = _state(s).g
     report = ValidationReport()
-    report.add("hermitian |S - S^dag|_max", np.abs(m - m.conj().T).max(), STRUCT_ATOL)
-    report.add(
-        "reality |conj(S) - (1 - S)|_max", np.abs(m.conj() - (np.eye(n2) - m)).max(), STRUCT_ATOL
-    )
+    report.add("antisymmetry |G + G^T|_max", np.abs(g + g.T).max(initial=0.0), STRUCT_ATOL)
+    a = (g - g.T) / 2
     try:
-        ev = np.linalg.eigvalsh((m + m.conj().T) / 2)
-        report.add("spectrum max(0 - ev, ev - 1)", max(0.0, -ev.min(), ev.max() - 1.0), STRUCT_ATOL)
+        top = np.sqrt(max(np.linalg.eigvalsh(a @ a.T)[-1], 0.0))  # sigma_max(a)
+        report.add("spectrum max(0, sigma_max(G) - 1/2)", max(top - 0.5, 0.0), STRUCT_ATOL)
     except np.linalg.LinAlgError:
         report.add("spectrum (eigensolver failed)", np.inf, STRUCT_ATOL)
     return report
 
 
 def blocks(s: CovarianceMatrix | np.ndarray, split: BipartiteSplit) -> BlockDecomposition:
-    """Real block decomposition X = -i(2 S_AA - 1), Z likewise, Y = -2i S_AB."""
-    m = _matrix(s)
+    """Real block decomposition X = 2 G_AA, Y = 2 G_AB, Z = 2 G_BB."""
+    g2 = 2 * _state(s).g
     ia, ib = list(split.a), list(split.b)
-    x = -1j * (2 * m[np.ix_(ia, ia)] - np.eye(len(ia)))
-    z = -1j * (2 * m[np.ix_(ib, ib)] - np.eye(len(ib)))
-    y = -2j * m[np.ix_(ia, ib)]
-    out = []
-    for name, blk in (("X", x), ("Y", y), ("Z", z)):
-        res = np.abs(blk.imag).max() if blk.size else 0.0
-        if res > STRUCT_ATOL:
-            raise ValidationError(
-                f"block {name} has imaginary residue {res:.3e}; "
-                "the covariance is not in a canonical real basis"
-            )
-        out.append(blk.real)
-    return BlockDecomposition(*out)
+    return BlockDecomposition(g2[np.ix_(ia, ia)], g2[np.ix_(ia, ib)], g2[np.ix_(ib, ib)])
 
 
 def assemble_covariance(block: BlockDecomposition) -> tuple[CovarianceMatrix, BipartiteSplit]:
@@ -251,8 +259,7 @@ def assemble_covariance(block: BlockDecomposition) -> tuple[CovarianceMatrix, Bi
     x, y, z = block.x, block.y, block.z
     na, nb = x.shape[0], z.shape[0]
     g = 0.5 * np.block([[x, y], [-y.T, z]])
-    s = 0.5 * np.eye(na + nb) + 1j * g
-    return CovarianceMatrix(s), BipartiteSplit(tuple(range(na)), tuple(range(na, na + nb)))
+    return CovarianceMatrix(g), BipartiteSplit(tuple(range(na)), tuple(range(na, na + nb)))
 
 
 # ---------------------------------------------------------------------------
@@ -261,19 +268,14 @@ def assemble_covariance(block: BlockDecomposition) -> tuple[CovarianceMatrix, Bi
 
 
 def parity_expectation(s: CovarianceMatrix | np.ndarray) -> float:
-    """Expectation of the parity operator: 2^n (-1)^n Pf(-i(S - 1/2)).
+    """Expectation of the parity operator: 2^n (-1)^n Pf(G).
 
     The sign refers to the parity operator built from the basis the
-    covariance is expressed in, where S - 1/2 must be i times a real
-    antisymmetric matrix.
+    covariance is expressed in.
     """
-    m = _matrix(s)
-    g = -1j * (m - 0.5 * np.eye(m.shape[0]))
-    if np.abs(g.imag).max() > STRUCT_ATOL:
-        raise ValidationError("S - 1/2 is not i * (real matrix); wrong basis convention")
-    g = g.real
-    if np.abs(g + g.T).max() > STRUCT_ATOL * max(np.abs(g).max(), 1.0):
-        raise ValidationError("S - 1/2 is not antisymmetric under transposition")
+    g = _state(s).g
+    if not np.abs(g + g.T).max(initial=0.0) <= STRUCT_ATOL * max(np.abs(g).max(initial=0.0), 1.0):
+        raise ValidationError("G = -i(S - 1/2) is not antisymmetric under transposition")
     n = g.shape[0] // 2
     val = (2.0 ** n) * ((-1.0) ** n) * pfaffian((g - g.T) / 2)
     if abs(val) > 1 + STRUCT_ATOL:
@@ -290,7 +292,8 @@ def parity_probability(s: CovarianceMatrix | np.ndarray, orientation: int = 1) -
     (see `target_orientation`); the (-1)^m accounts for the parity sign
     of such a target.
     """
-    n2 = _matrix(s).shape[0]
+    s = _state(s)
+    n2 = s.g.shape[0]
     if n2 % 4 != 0:
         raise ValidationError("parity probability needs an even number of modes")
     return (1.0 + orientation * (-1.0) ** (n2 // 4) * parity_expectation(s)) / 2.0
@@ -299,21 +302,14 @@ def parity_probability(s: CovarianceMatrix | np.ndarray, orientation: int = 1) -
 def fock_fidelity(s: CovarianceMatrix | np.ndarray, e: CovarianceMatrix | np.ndarray) -> float:
     """Fidelity of the state S with the pure state of basis projection E.
 
-    Pf(-i(1 - S - E)) normalized by Pf(-i(1 - 2E)), which is an exact
-    +-1 fixing the orientation so that fock_fidelity(E, E) = 1.
+    Pf(-i(1 - S - E)) = Pf(-(G_S + G_E)) normalized by Pf(-i(1 - 2E)) =
+    Pf(-2 G_E), which is an exact +-1 fixing the orientation so that
+    fock_fidelity(E, E) = 1.
     """
-    ms, me = _matrix(s), _matrix(e)
-    if ms.shape != me.shape:
+    gs, ge = _state(s).g, _state(e).g
+    if gs.shape != ge.shape:
         raise ValidationError("S and E must have the same dimension")
-    # With S = 1/2 + i G_S and E = 1/2 + i G_E, -i(1 - S - E) = -(G_S + G_E)
-    # and -i(1 - 2E) = -2 G_E; their imaginary parts Re(S + E) - 1 and
-    # 2 Re E - 1 must vanish.
-    diagonal = slice(None, None, ms.shape[0] + 1)
-    for name, residue in (("1 - S - E", ms.real + me.real), ("1 - 2E", 2 * me.real)):
-        residue.flat[diagonal] -= 1.0
-        if not np.abs(residue).max(initial=0.0) <= 1e-8:
-            raise ValidationError(f"-i({name}) has imaginary residue above 1e-8")
-    g = np.stack([ms.imag + me.imag, 2 * me.imag])
+    g = np.stack([gs + ge, 2 * ge])
     num, den = pfaffian((np.swapaxes(g, 1, 2) - g) / 2)
     if abs(abs(den) - 1.0) > 1e-6:
         raise ValidationError("E is not a basis projection (orientation Pfaffian != +-1)")
@@ -331,14 +327,14 @@ def partner_projection(
     The corresponding pure state is locally indistinguishable from the
     original and carries the same orientation.
     """
-    m = _matrix(e).copy()
+    g = _state(e).g.copy()
     ia, ib = list(split.a), list(split.b)
-    m[np.ix_(ia, ib)] *= -1
-    m[np.ix_(ib, ia)] *= -1
-    out = CovarianceMatrix(m)
-    if np.abs(m @ m - m).max() > STRUCT_ATOL:
+    g[np.ix_(ia, ib)] *= -1
+    g[np.ix_(ib, ia)] *= -1
+    # S^2 = S reads G^2 = -1/4
+    if not np.abs(g @ g + 0.25 * np.eye(len(g))).max(initial=0.0) <= STRUCT_ATOL:  # NaN fails too
         raise ValidationError("partner projection lost idempotence")
-    return out
+    return CovarianceMatrix(g)
 
 
 def maximally_entangled_projection(v: np.ndarray, split: BipartiteSplit) -> CovarianceMatrix:
@@ -348,7 +344,7 @@ def maximally_entangled_projection(v: np.ndarray, split: BipartiteSplit) -> Cova
     """
     v = _real(v, "maximally entangled state: Y-block V")
     k = v.shape[0]
-    if v.shape != (k, k) or np.abs(v.T @ v - np.eye(k)).max() > STRUCT_ATOL:
+    if v.shape != (k, k) or not np.abs(v.T @ v - np.eye(k)).max() <= STRUCT_ATOL:  # NaN fails too
         raise ValidationError("Y-block of a maximally entangled state must be orthogonal")
     if len(split.a) != k or len(split.b) != k:
         raise ValidationError("split size does not match the isometry")
@@ -360,7 +356,7 @@ def maximally_entangled_projection(v: np.ndarray, split: BipartiteSplit) -> Cova
     a, b = np.array(split.a), np.array(split.b)
     g[a[:, None], b] = v / 2
     g[b[:, None], a] = -v.T / 2
-    return CovarianceMatrix(0.5 * np.eye(dim) + 1j * g)
+    return CovarianceMatrix(g)
 
 
 def target_orientation(e: CovarianceMatrix | np.ndarray) -> int:
@@ -369,7 +365,8 @@ def target_orientation(e: CovarianceMatrix | np.ndarray) -> int:
     Equals (-1)^m parity_expectation(E), an exact sign; passing it to
     parity_probability selects the parity sector containing the target.
     """
-    val = (-1.0) ** (_matrix(e).shape[0] // 4) * parity_expectation(e)
+    e = _state(e)
+    val = (-1.0) ** (e.g.shape[0] // 4) * parity_expectation(e)
     if abs(abs(val) - 1.0) > 1e-6:
         raise ValidationError("not a maximally entangled basis projection")
     return int(round(val))
@@ -519,14 +516,13 @@ def restrict(
     in those frames, together with the split of the new (grouped) index
     set.
     """
-    m = _matrix(s)
+    g = _state(s).g
     ua, ub = d.ua, d.ub
     ia, ib = list(split.a), list(split.b)
-    frame = np.zeros((m.shape[0], ua.shape[1] + ub.shape[1]))
+    frame = np.zeros((g.shape[0], ua.shape[1] + ub.shape[1]))
     frame[ia, : ua.shape[1]] = ua
     frame[ib, ua.shape[1]:] = ub
-    sr = frame.T @ m @ frame
-    out = CovarianceMatrix(sr)
+    out = CovarianceMatrix(frame.T @ g @ frame)
     validate(out).require("restricted covariance failed validation")
     new_split = BipartiteSplit(
         tuple(range(ua.shape[1])), tuple(range(ua.shape[1], ua.shape[1] + ub.shape[1]))
@@ -535,7 +531,7 @@ def restrict(
 
 
 def random_covariance(n_modes: int, seed: int | np.random.Generator) -> CovarianceMatrix:
-    """Random valid covariance: S = 1/2 + iG with spectrum scaled into bounds.
+    """Random valid state: G real antisymmetric with its norm scaled into bounds.
 
     The skew part's largest singular value is drawn uniformly from
     [0.1, 0.475], away from both the pure and the maximally mixed state.
@@ -545,7 +541,7 @@ def random_covariance(n_modes: int, seed: int | np.random.Generator) -> Covarian
     g = (g - g.T) / 2
     top = np.linalg.norm(g, 2)
     g *= 0.5 * rng.uniform(0.2, 0.95) / top
-    return CovarianceMatrix(0.5 * np.eye(2 * n_modes) + 1j * g)
+    return CovarianceMatrix(g)
 
 
 def random_x_zero_covariance(
@@ -566,7 +562,7 @@ def random_x_zero_covariance(
         z = (z - z.T) / 2
         g = np.block([[np.zeros((k, k)), y], [-y.T, z]]) / 2
         g *= 0.5 * rng.uniform(0.4, 0.95) / np.linalg.norm(g, 2)
-        s = CovarianceMatrix(0.5 * np.eye(2 * k) + 1j * g)
+        s = CovarianceMatrix(g)
         split = BipartiteSplit(tuple(range(k)), tuple(range(k, 2 * k)))
         sv = svd(blocks(s, split).y)[1]
         if sv[-1] > 0.05:
@@ -582,8 +578,8 @@ def random_x_zero_covariance(
 def save_covariance(
     path: str | Path, s: CovarianceMatrix | np.ndarray, split: BipartiteSplit
 ):
-    """Write the covariance JSON: modes, split_a, entries as [re, im] pairs."""
-    m = _matrix(s)
+    """Write the covariance JSON: modes, split_a, the entries of S as [re, im] pairs."""
+    m = _state(s).matrix
     payload = {
         "modes": m.shape[0] // 2,
         "split_a": list(split.a),
@@ -597,7 +593,7 @@ def _is_int(value) -> bool:
 
 
 def load_covariance(path: str | Path) -> tuple[CovarianceMatrix, BipartiteSplit]:
-    """Read a covariance JSON file; raises ValidationError on malformed data."""
+    """Read a covariance JSON file; raises ValidationError on malformed data or Re S != 1/2."""
     try:
         payload = json.loads(Path(path).read_text())
     except UnicodeDecodeError as exc:
@@ -628,5 +624,5 @@ def load_covariance(path: str | Path) -> tuple[CovarianceMatrix, BipartiteSplit]
         raise ValidationError(
             f"entry {i} (row {i // dim}, column {i % dim}) is not finite: {entries[i]!r}"
         )
-    s = CovarianceMatrix(pairs.astype(float).view(complex).reshape(dim, dim))
+    s = CovarianceMatrix.from_s(pairs.astype(float).view(complex).reshape(dim, dim))
     return s, BipartiteSplit.from_alice(split_a, dim)

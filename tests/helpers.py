@@ -211,7 +211,7 @@ def dense_covariance(geometry: LatticeGeometry) -> tuple[CovarianceMatrix, Bipar
     g = np.block(
         [[np.zeros((2 * L, 2 * L)), centered], [-centered, np.zeros((2 * L, 2 * L))]]
     )
-    s = CovarianceMatrix(0.5 * np.eye(4 * L) + 1j * g)
+    s = CovarianceMatrix(g)
     alice = list(range(L)) + list(range(2 * L, 3 * L))
     return s, BipartiteSplit.from_alice(alice, 4 * L)
 
@@ -261,7 +261,7 @@ def independent_lattice_point(geometry: LatticeGeometry, m: int = 2) -> Distilla
     c = np.block([[u @ intra(u).T, uz], [uz.T, z @ intra(z).T]])
     c = (c + c.T) / 2  # the compression of a symmetric kernel, rounding removed
     zero = np.zeros((2 * m, 2 * m))
-    s = CovarianceMatrix(0.5 * np.eye(4 * m) + 1j * np.block([[zero, c], [-c, zero]]))
+    s = CovarianceMatrix(np.block([[zero, c], [-c, zero]]))
     alice = list(range(m)) + list(range(2 * m, 3 * m))
     return run_protocol(s, BipartiteSplit.from_alice(alice, 4 * m), m)
 
@@ -559,7 +559,7 @@ def random_basis_projection(n_modes: int, seed: int | np.random.Generator) -> Co
         jc[2 * k, 2 * k + 1] = 1.0
         jc[2 * k + 1, 2 * k] = -1.0
     g = r @ jc @ r.T / 2
-    return CovarianceMatrix(0.5 * np.eye(2 * n_modes) + 1j * g)
+    return CovarianceMatrix(g)
 
 
 def parity_operator(n: int, orientation: int = 1) -> np.ndarray:
@@ -585,7 +585,7 @@ def two_mode_covariance_explicit(params) -> CovarianceMatrix:
         ],
         dtype=complex,
     )
-    out = CovarianceMatrix(s)
+    out = CovarianceMatrix.from_s(s)
     report = validate(out)
     if not report.passed:
         raise ValidationError("two-mode parameters give an invalid state:\n" + report.summary())
@@ -605,7 +605,7 @@ def four_mode_covariance_explicit(params) -> CovarianceMatrix:
             s[ra + k, rb + k] = 1j * sigma
             s[rb + k, ra + k] = -1j * sigma
     s = (s + np.eye(8)) / 2.0
-    out = CovarianceMatrix(s)
+    out = CovarianceMatrix.from_s(s)
     report = validate(out)
     if not report.passed:
         raise ValidationError("four-mode parameters give an invalid state:\n" + report.summary())

@@ -306,7 +306,7 @@ def test_criterion_8_parity_identities():
         s = random_covariance(n, rng)
         rho = density_from_covariance(s)
         lhs = float(np.trace(rho @ theta).real)
-        g = (-1j * (s.matrix - 0.5 * np.eye(2 * n))).real
+        g = s.g
         rhs = (2.0**n) * ((-1.0) ** n) * pfaffian((g - g.T) / 2)
         worst = max(worst, abs(lhs - rhs))
     # adapted-basis parity of the target state: (-1)^m

@@ -30,7 +30,7 @@ from fermidistill.states import (
 @pytest.fixture
 def mixed_state_file(tmp_path):
     path = tmp_path / "mixed.json"
-    save_covariance(path, CovarianceMatrix(0.5 * np.eye(8)), BipartiteSplit.halves(8))
+    save_covariance(path, CovarianceMatrix(np.zeros((8, 8))), BipartiteSplit.halves(8))
     return str(path)
 
 
@@ -49,10 +49,19 @@ class TestValidate:
 
     def test_invalid_file(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
-        save_covariance(path, np.eye(4), BipartiteSplit.halves(4))
+        g = np.kron(np.eye(2), [[0.0, 0.9], [-0.9, 0.0]])  # sigma_max(G) = 0.9 > 1/2
+        save_covariance(path, CovarianceMatrix(g), BipartiteSplit.halves(4))
         assert main(["validate", str(path)]) == 1
         out = capsys.readouterr().out
         assert "VIOLATED" in out and "invalid" in out
+        # S = 1 (Re S = 1, not 1/2) is refused at load
+        entries = [[float(i == j), 0.0] for i in range(4) for j in range(4)]
+        path.write_text(json.dumps({"modes": 2, "split_a": [0, 1], "entries": entries}))
+        assert main(["validate", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "reality" in captured.err
+        assert len(captured.err.splitlines()) == 1
 
     def test_missing_file(self, capsys):
         assert main(["validate", "/nonexistent/state.json"]) == 1
@@ -601,7 +610,7 @@ def cli_files(tmp_path_factory):
         four_mode_covariance(FourModeParams(0.2, -0.1, 0.3, 0.15, 0.45)),
         four_mode_split(),
     )
-    save_covariance(files["mixed"], CovarianceMatrix(0.5 * np.eye(8)), BipartiteSplit.halves(8))
+    save_covariance(files["mixed"], CovarianceMatrix(np.zeros((8, 8))), BipartiteSplit.halves(8))
     files["garbage"].write_text("{not json")
     save_covariance(files["nonfinite"], random_covariance(4, 5), BipartiteSplit.halves(8))
     payload = json.loads(files["nonfinite"].read_text())

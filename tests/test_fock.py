@@ -47,7 +47,7 @@ from helpers import (
 
 
 def mixed(n):
-    return CovarianceMatrix(0.5 * np.eye(2 * n))
+    return CovarianceMatrix(np.zeros((2 * n, 2 * n)))
 
 
 class TestMajorana:
@@ -146,7 +146,7 @@ class TestDensity:
         g = np.zeros((4, 4))
         g[0, 1], g[1, 0] = 0.8, -0.8
         with pytest.raises(ValidationError, match="negative eigenvalue"):
-            density_from_covariance(CovarianceMatrix(0.5 * np.eye(4) + 1j * g))
+            density_from_covariance(CovarianceMatrix(g))
 
 
 class TestDensityAgainstDenseProducts:
@@ -309,7 +309,7 @@ class TestFockVector:
         for a in range(2 * n):
             for b in range(2 * n):
                 e[a, b] = vac.conj() @ ops[a] @ ops[b] @ vac
-        psi = fock_vector(CovarianceMatrix(e))
+        psi = fock_vector(CovarianceMatrix.from_s(e))
         assert abs(np.vdot(psi, vac)) == pytest.approx(1.0, abs=1e-10)
 
     def test_two_point_function(self, rng):
@@ -358,7 +358,7 @@ class TestParityOperator:
             s = random_covariance(n, rng)
             rho = density_from_covariance(s)
             lhs = float(np.trace(rho @ th).real)
-            g = (-1j * (s.matrix - 0.5 * np.eye(2 * n))).real
+            g = s.g
             rhs = (2.0**n) * ((-1.0) ** n) * pfaffian((g - g.T) / 2)
             assert lhs == pytest.approx(rhs, abs=1e-10)
 

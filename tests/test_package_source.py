@@ -4,8 +4,9 @@ numpy is the only runtime dependency, no handler swallows every error,
 every name in an `__all__` list resolves to a definition, following
 relative imports to the module that defines it, every module-level
 import is used or exported, every public name has a caller outside the
-tests, no call needs a numpy newer than the declared floor, and every
-FFT in lattice.py runs inside `ToeplitzKernel` or `_odd_spectrum`.  The
+tests, no call needs a numpy newer than the declared floor, every FFT
+in lattice.py runs inside `ToeplitzKernel` or `_odd_spectrum`, and
+complex numbers stay where states.py converts an S to or from G.  The
 sources are parsed with `ast`; nothing is imported from them or written.
 """
 
@@ -223,3 +224,53 @@ def test_lattice_ffts_stay_in_the_kernel():
         if isinstance(n, ast.ImportFrom) and (n.module or "").startswith("numpy.fft")
     ]
     assert not stray, f"lattice.py reaches numpy.fft outside ToeplitzKernel: {stray}"
+
+
+def _complex_uses(node: ast.AST) -> list[ast.AST]:
+    """Complex literals, complex dtypes, `.imag` and `.matrix` (a state's S) under node."""
+    found = []
+    for n in ast.walk(node):
+        if isinstance(n, ast.Constant) and isinstance(n.value, complex):
+            found.append(n)
+        elif isinstance(n, ast.Name) and n.id == "complex":
+            found.append(n)
+        elif isinstance(n, ast.Attribute) and (
+            n.attr in ("imag", "matrix", "cdouble", "csingle") or n.attr.startswith("complex")
+        ):
+            found.append(n)
+        elif (
+            isinstance(n, ast.keyword)
+            and n.arg == "dtype"
+            and isinstance(n.value, ast.Constant)
+            and str(n.value.value).startswith(("complex", "c8", "c16"))
+        ):
+            found.append(n.value)
+    return found
+
+
+# where an S is converted to the state's real G or given back for files
+S_EDGES = ("CovarianceMatrix", "_real", "save_covariance", "load_covariance")
+
+
+def test_complex_arithmetic_stays_at_the_edges():
+    # a state is its real antisymmetric G: in states.py complex numbers
+    # appear only where an S enters or leaves, and the modules built on
+    # states never see one; linalg.py (complex input to `pfaffian`) and
+    # fock.py (the dense oracle) are exempt
+    edges = {
+        id(sub)
+        for node in TREES["states"].body
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in S_EDGES
+        for sub in ast.walk(node)
+    }
+    stray = {
+        module: [
+            f"line {n.lineno}: {ast.unparse(n)}"
+            for n in _complex_uses(TREES[module])
+            if module != "states" or id(n) not in edges
+        ]
+        for module in sorted(set(TREES) - {"linalg", "fock"})
+    }
+    assert any(id(n) in edges for n in _complex_uses(TREES["states"]))
+    stray = {module: lines for module, lines in stray.items() if lines}
+    assert not stray, f"complex arithmetic outside the S <-> G edges of states.py: {stray}"

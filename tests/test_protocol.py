@@ -54,7 +54,7 @@ class TestOptimalChoice:
         g = np.zeros((12, 12))
         g[:6, 6:] = np.diag(diag) / 2
         g[6:, :6] = -np.diag(diag) / 2
-        s = CovarianceMatrix(0.5 * np.eye(12) + 1j * g)
+        s = CovarianceMatrix(g)
         split = BipartiteSplit.halves(12)
         choice = optimal_choice(s, split, 2)
         expected = np.diag([1.0, 1.0, 1.0, 1.0, 0.0, 0.0])
@@ -65,14 +65,14 @@ class TestOptimalChoice:
     def test_insufficient_rank(self):
         split = BipartiteSplit.halves(8)
         with pytest.raises(InsufficientRankError, match="insufficient rank"):
-            optimal_choice(CovarianceMatrix(0.5 * np.eye(8)), split, 2)
+            optimal_choice(CovarianceMatrix(np.zeros((8, 8))), split, 2)
 
     def test_degenerate_cut_warns(self):
         diag = np.array([0.9, 0.8, 0.6, 0.6, 0.6, 0.2])  # lambda_4 == lambda_5
         g = np.zeros((12, 12))
         g[:6, 6:] = np.diag(diag) / 2
         g[6:, :6] = -np.diag(diag) / 2
-        s = CovarianceMatrix(0.5 * np.eye(12) + 1j * g)
+        s = CovarianceMatrix(g)
         choice = optimal_choice(s, BipartiteSplit.halves(12), 2)
         assert any("degenerate" in w for w in choice.warnings)
 
@@ -186,7 +186,7 @@ class TestScanM:
         g = np.zeros((12, 12))
         g[:6, 6:] = np.diag(diag) / 2
         g[6:, :6] = -np.diag(diag) / 2
-        s = CovarianceMatrix(0.5 * np.eye(12) + 1j * g)
+        s = CovarianceMatrix(g)
         reports, reason = scan_m(s, BipartiteSplit.halves(12), 4)
         assert [r.m for r in reports] == [2]
         assert "insufficient rank" in reason
@@ -450,7 +450,7 @@ class TestSingleEvaluationPath:
         # rank-6 Y on 8 + 8 dimensions: m = 2, 3 exist, m = 4 does not
         y = np.diag([0.9, 0.7, 0.7, 0.5, 0.4, 0.2, 0.0, 0.0])
         g = np.block([[np.zeros((8, 8)), y], [-y.T, np.zeros((8, 8))]]) / 2
-        return CovarianceMatrix(0.5 * np.eye(16) + 1j * g), BipartiteSplit.halves(16)
+        return CovarianceMatrix(g), BipartiteSplit.halves(16)
 
     @pytest.mark.parametrize("kind", ["general", "x_zero", "rank_deficient"])
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -491,7 +491,7 @@ class TestSingleEvaluationPath:
         y = np.diag(np.multiply(values, signs))
         y = random_orthogonal(8, rng) @ y @ random_orthogonal(8, rng)
         g = np.block([[np.zeros((8, 8)), y], [-y.T, np.zeros((8, 8))]]) / 2
-        s, split = CovarianceMatrix(0.5 * np.eye(16) + 1j * g), BipartiteSplit.halves(16)
+        s, split = CovarianceMatrix(g), BipartiteSplit.halves(16)
         choice = optimal_choice(s, split, m)
         ua, ub = choice.d.ua, choice.d.ub
         reference = ua @ polar_decompose(ua.T @ y @ ub)[0] @ ub.T

@@ -52,7 +52,7 @@ MALFORMED_FIELDS = [
 
 
 def mixed(n):
-    return CovarianceMatrix(0.5 * np.eye(2 * n))
+    return CovarianceMatrix(np.zeros((2 * n, 2 * n)))
 
 
 class TestBipartiteSplit:
@@ -81,9 +81,9 @@ class TestValidate:
         assert validate(random_basis_projection(3, rng)).passed
 
     def test_identity_invalid_reality(self):
-        report = validate(CovarianceMatrix(np.eye(4)))
-        assert not report.passed
-        assert any("reality" in name for name, mag, tol in report.checks if mag > tol)
+        # S = 1 has Re S = 1, not 1/2: refused where S is converted to G
+        with pytest.raises(ValidationError, match="reality"):
+            validate(np.eye(4))
 
     def test_random_covariance_valid(self, rng):
         for _ in range(10):
@@ -98,13 +98,13 @@ class TestValidate:
     def test_spectrum_violation_detected(self):
         g = np.zeros((4, 4))
         g[0, 1], g[1, 0] = 0.9, -0.9  # eigenvalues of iG reach 0.9 > 1/2
-        report = validate(CovarianceMatrix(0.5 * np.eye(4) + 1j * g))
+        report = validate(CovarianceMatrix(g))
         assert not report.passed
         assert any("spectrum" in name for name, mag, tol in report.checks if mag > tol)
 
     def test_reports_do_not_raise(self):
         # even garbage input produces a report rather than an exception
-        report = validate(np.ones((4, 4)))
+        report = validate(CovarianceMatrix(np.ones((4, 4))))
         assert not report.passed
 
 
@@ -128,6 +128,12 @@ class TestBlocks:
         # the real part alone is the identity, a valid Y-block
         with pytest.raises(ValidationError, match="V is not real"):
             maximally_entangled_projection((1 + 0.5j) * np.eye(4), BipartiteSplit.halves(8))
+
+    def test_maximally_entangled_nan_v_rejected(self):
+        v = np.eye(4)
+        v[0, 0] = np.nan
+        with pytest.raises(ValidationError, match="must be orthogonal"):
+            maximally_entangled_projection(v, BipartiteSplit.halves(8))
 
     def test_maximally_entangled_split_out_of_range(self):
         with pytest.raises(ValidationError, match="index 4 out of range for 4 indices"):
@@ -153,6 +159,10 @@ class TestBlocks:
         s = np.full((4, 4), 0.25) + 0.5 * np.eye(4)  # real symmetric, not 1/2 + i*antisym
         with pytest.raises(ValidationError, match="imaginary residue|basis"):
             blocks(s, BipartiteSplit.halves(4))
+        nan_real = mixed(2).matrix
+        nan_real[0, 1] = complex(np.nan, 0.0)
+        with pytest.raises(ValidationError, match="reality"):
+            blocks(nan_real, BipartiteSplit.halves(4))
 
 
 class TestParity:
@@ -218,12 +228,12 @@ class TestFidelity:
     def test_each_check_named(self, rng):
         s, e = random_covariance(2, rng).matrix, random_basis_projection(2, rng).matrix
         shift = np.full((4, 4), 0.25)  # real symmetric: breaks S = 1/2 + iG
-        with pytest.raises(ValidationError, match=r"-i\(1 - S - E\) has imaginary residue"):
+        with pytest.raises(ValidationError, match="reality"):
             fock_fidelity(s + shift, e)
-        with pytest.raises(ValidationError, match=r"-i\(1 - S - E\) has imaginary residue"):
+        with pytest.raises(ValidationError, match="reality"):
             fock_fidelity(np.full((4, 4), np.nan), e)
-        with pytest.raises(ValidationError, match=r"-i\(1 - 2E\) has imaginary residue"):
-            fock_fidelity(s - shift, e + shift)
+        with pytest.raises(ValidationError, match="reality"):
+            fock_fidelity(s, e + shift)
         with pytest.raises(ValidationError, match="orientation Pfaffian"):
             fock_fidelity(s, mixed(2))
 
@@ -255,6 +265,13 @@ class TestPartnerProjection:
         e = maximally_entangled_projection(random_orthogonal(4, rng), split)
         back = partner_projection(partner_projection(e, split), split)
         np.testing.assert_allclose(back.matrix, e.matrix, atol=1e-12)
+
+    def test_nan_entry_rejected(self):
+        split = BipartiteSplit.halves(8)
+        e = maximally_entangled_projection(np.eye(4), split).matrix
+        e[0, 5] = complex(0.0, np.nan)
+        with pytest.raises(ValidationError, match="idempotence"):
+            partner_projection(e, split)
 
     def test_same_orientation(self, rng):
         split = BipartiteSplit.halves(8)
@@ -542,17 +559,27 @@ class TestFileFormat:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), n=st.integers(min_value=1, max_value=3))
     def test_roundtrip_property(self, tmp_path_factory, data, n):
+        # every finite real G round-trips exactly; an S whose real part is
+        # off 1/2 is refused at load
         dim = 2 * n
         finite = st.floats(allow_nan=False, allow_infinity=False)
-        parts = data.draw(st.lists(finite, min_size=2 * dim * dim, max_size=2 * dim * dim))
-        matrix = np.array(parts).view(complex).reshape(dim, dim)
+        g = np.array(data.draw(st.lists(finite, min_size=dim * dim, max_size=dim * dim)))
+        g = g.reshape(dim, dim)
         split_a = data.draw(st.lists(st.integers(0, dim - 1), unique=True, max_size=dim))
         split = BipartiteSplit.from_alice(split_a, dim)
         path = tmp_path_factory.mktemp("roundtrip") / "state.json"
-        save_covariance(path, CovarianceMatrix(matrix), split)
+        save_covariance(path, CovarianceMatrix(g), split)
         s2, split2 = load_covariance(path)
-        np.testing.assert_array_equal(s2.matrix, matrix)
+        np.testing.assert_array_equal(s2.g, g)
         assert (split2.a, split2.b) == (split.a, split.b)
+
+        entry = data.draw(st.integers(0, dim * dim - 1))
+        off = data.draw(finite.filter(lambda x: abs(x) >= 10 * states.STRUCT_ATOL))
+        payload = json.loads(path.read_text())
+        payload["entries"][entry][0] += off
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match="reality"):
+            load_covariance(path)
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "bad.json"
@@ -628,7 +655,7 @@ class TestBasisCovariance:
         r = np.zeros((8, 8))
         r[:4, :4] = ra
         r[4:, 4:] = rb
-        s_rot = CovarianceMatrix(r.T @ s.matrix @ r)
+        s_rot = CovarianceMatrix(r.T @ s.g @ r)
         v_rot = ra.T @ v @ rb
         q_rot = protocol_quantities(blocks(s_rot, split), RealProjectionPair.identity(4, 4), v_rot)
         assert q_rot.p == pytest.approx(q.p, abs=1e-11)
@@ -648,8 +675,8 @@ class TestBasisCovariance:
         r = np.zeros((8, 8))
         r[:4, :4] = ra
         r[4:, 4:] = rb
-        s_rot = CovarianceMatrix(r.T @ s.matrix @ r)
-        e_rot = CovarianceMatrix(r.T @ e.matrix @ r)
+        s_rot = CovarianceMatrix(r.T @ s.g @ r)
+        e_rot = CovarianceMatrix(r.T @ e.g @ r)
         p_rot = parity_probability(s_rot, orientation=target_orientation(e_rot))
         assert p_rot == pytest.approx(p, abs=1e-11)
 
