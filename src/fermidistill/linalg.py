@@ -2,16 +2,16 @@
 
 The Pfaffian is the workhorse: every probability and fidelity in this
 package is a Pfaffian of a real antisymmetric matrix, and its *sign*
-carries physical meaning, so we use a sign-exact elimination algorithm
+carries physical meaning, so we use sign-exact Householder reflections
 instead of sqrt(det).  `pfaffian` takes a stack of small matrices (one
-per sampled protocol) and works on one batch-last copy of it, so every
-step is a contiguous operation over the whole stack rather than one
-Python loop per matrix.  It is a thin wrapper around the in-place core
-`_eliminate`; that core and `_orthonormalise`, which makes the random
-frames, run on batch-last buffers that `sample_suboptimal` keeps for all
-of its trials.  Malformed input raises
-`ValidationError`, the package's one error type for structural
-violations.
+per sampled protocol) and works on one batch-last copy of it; no step
+searches for a pivot, so every step is the same contiguous operation
+over the whole stack rather than one Python loop per matrix.  It is a
+thin wrapper around the in-place core `_eliminate`; that core and
+`_orthonormalise`, which makes the random frames, run on batch-last
+buffers that `sample_suboptimal` keeps for all of its trials.  Malformed
+input raises `ValidationError`, the package's one error type for
+structural violations.
 """
 
 from __future__ import annotations
@@ -42,10 +42,10 @@ def _member(index: int, lead: tuple[int, ...]) -> str:
 def pfaffian(a: np.ndarray) -> float | complex | np.ndarray:
     """Pfaffian of an even-dimensional antisymmetric matrix, or of each in a stack.
 
-    Skew-symmetric Parlett-Reid elimination with partial pivoting
-    (Wimmer, ACM TOMS 38, 2012): O(n^3) per matrix, tracks the sign
-    exactly (row/column swaps flip it, each 2x2 pivot contributes a
-    factor).  Satisfies Pf(A)^2 = det(A) with the sign fixed by the
+    Skew-symmetric Householder tridiagonalisation (Wimmer, ACM TOMS 38,
+    2012): O(n^3) per matrix, backward stable without pivoting, and sign
+    exact, since each reflection has determinant -1 and Pf(H A H^T) =
+    det(H) Pf(A).  Satisfies Pf(A)^2 = det(A) with the sign fixed by the
     identity ordering of the rows, ie Pf([[0, a], [-a, 0]]) = a.
 
     `a` has shape (..., n, n).  It is copied once into a batch-last
@@ -53,10 +53,9 @@ def pfaffian(a: np.ndarray) -> float | complex | np.ndarray:
     place.  Raises ValidationError unless every member is square,
     even-dimensional, finite and antisymmetric to ANTISYMMETRY_RTOL
     times its own largest entry; the message names the first offending
-    member.  Every member picks its own pivot; a member whose pivot
-    column vanishes is singular and gets exactly 0.  A 2-D input returns
-    a Python float (complex for complex input); a stack returns an array
-    of shape a.shape[:-2].
+    member.  A member whose column to reflect vanishes is singular and
+    gets exactly 0.  A 2-D input returns a Python float (complex for
+    complex input); a stack returns an array of shape a.shape[:-2].
     """
     a = np.asarray(a)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
@@ -79,7 +78,7 @@ def _scratch_size(n: int, count: int) -> int:
     """Entries of scratch `_eliminate` touches for count n x n matrices: exactly one stack.
 
     The checks fill all n^2 entries per member; a step on the trailing m
-    x m block (m <= n - 2) needs 3m + m^2 of them.
+    x m block (m <= n - 2) needs 3(m + 1) + m^2 of them.
     """
     return n * n * count
 
@@ -93,10 +92,9 @@ def _eliminate(work: np.ndarray, scratch: np.ndarray, lead: tuple[int, ...]) -> 
     temporary of the stack's size.  Checks finiteness (from each
     member's max |A|, through which NaN and inf carry) and antisymmetry
     per member; an error names the member by its index in `lead`, whose
-    C-order flattening is the last axis of work.  Each step touches only
-    the live block.  The pivot search writes |column| into scratch laid
-    out (count, m), so argmax runs over its contiguous last axis; ties
-    go to the first maximum.
+    C-order flattening is the last axis of work.  Each step reflects one
+    column of the live block, the same operations on every member: no
+    search, no per-member gather.
     """
     n, _, count = work.shape
     full = scratch[: n * n * count].reshape(n, n, count)
@@ -113,37 +111,41 @@ def _eliminate(work: np.ndarray, scratch: np.ndarray, lead: tuple[int, ...]) -> 
             f"{_member(i, lead)} is not antisymmetric: |A + A^T|_max = {resid[i]:.3e}"
             f" exceeds {ANTISYMMETRY_RTOL:.1e} * |A|_max"
         )
-    pivots = np.empty((n // 2, count), dtype=work.dtype)
-    moved = np.zeros((n // 2, count), dtype=np.intp)  # step s swapped iff moved[s] != 0
-    members = np.arange(count)
-    for s, k in enumerate(range(0, n - 2, 2)):
-        # Largest element in column k below the diagonal becomes the pivot;
-        # indices k + 1 and kp swap places.  Row k + 1 moves to row kp, then
-        # column kp is read out as the new column k + 1 (col) and column
-        # k + 1 moves to column kp; row and column k + 1 are never read again.
-        size = n - k - 1
-        mags = np.abs(work[k + 1 :, k].T, out=scratch[: count * size].reshape(count, size))
-        kp = mags.argmax(axis=1, out=moved[s]) + (k + 1)
-        work[kp, k + 1 :, members] = work[k + 1, k + 1 :].T
-        col = work[k:, kp, members]
-        work[k:, kp, members] = work[k:, k + 1]
-        pivot = pivots[s] = col[0]
-        m = n - k - 2
-        pair = scratch[: 3 * m * count].reshape(3, m, count)  # tau, c, -tau
-        tau, c, neg = pair
-        # A zero pivot means the column vanishes: that member's pf is now 0,
-        # and dividing by 1 instead keeps its elimination finite.
-        np.divide(work[k, k + 2 :], pivot + (pivot == 0), out=tau)
-        c[...] = col[2:]
-        np.negative(tau, out=neg)
-        # rank-2 update tau c^T - c tau^T in one pass
-        block = scratch[3 * m * count : (3 + m) * m * count].reshape(m, m, count)
+    pf = np.ones(count, dtype=work.dtype)
+    for k in range(0, n - 2, 2):
+        # H = 1 - u u^H / den maps x = A[k+1:, k] onto -s|x| e_1, for s the
+        # phase of x_0, u = x + s|x| e_1 and den = |x| (|x| + |x_0|).  Then
+        # Pf(A) = -s|x| Pf(T'), T' the trailing block of H T H^T = T + u y^T
+        # - y u^T with T = A[k+1:, k+1:] and y = T conj(u) / den.
+        size, m = n - k - 1, n - k - 2
+        x, x0 = work[k + 1 :, k], work[k + 1, k]
+        norm = np.sqrt(np.einsum("ib,ib->b", x, x.conj()).real)
+        mag = np.abs(x0)
+        if work.dtype.kind == "c":  # step = s|x|, s = 1 where x_0 = 0
+            step = (x0 / (mag + (mag == 0)) + (mag == 0)) * norm
+        else:
+            step = np.copysign(norm, x0)
+        pf *= step
+        den = norm * (norm + mag)
+        den += den == 0  # a vanishing column: pf is now 0, and u = y = 0
+        rows = scratch[: 3 * size * count].reshape(3, size, count)  # -y, u, y
+        rows[1] = x
+        rows[1, 0] += step
+        # -y = T^T conj(u) / den, with conj(u) / den held where y goes: the
+        # sum runs over the outer axis, so a lone matrix rounds exactly like
+        # a stack member
+        w = np.divide(rows[1].conj(), den, out=rows[2])
+        np.einsum("jib,jb->ib", work[k + 1 :, k + 2 :], w, out=rows[0, 1:])
+        np.negative(rows[0, 1:], out=rows[2, 1:])
+        # rank-2 update u y^T - y u^T of the trailing block in one pass
+        pair = rows[:, 1:]
+        block = scratch[3 * size * count : (3 * size + m * m) * count].reshape(m, m, count)
         np.einsum("xib,xjb->ijb", pair[:2], pair[1:], out=block)
         work[k + 2 :, k + 2 :] += block
     if n:
-        # the last 2 x 2 block has a single candidate pivot
-        pivots[-1] = work[n - 2, n - 1]
-    return np.where(moved, -pivots, pivots).prod(axis=0)
+        # the n/2 - 1 reflections' signs, and the last 2 x 2 block
+        pf *= (-1.0) ** (n // 2 - 1) * work[n - 2, n - 1]
+    return pf
 
 
 def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -26,7 +26,7 @@ from .states import (
     RealProjectionPair,
     ValidationError,
     _protocol_quantities_stack,
-    blocks,
+    _valid_blocks,
     protocol_quantities,
 )
 
@@ -135,10 +135,12 @@ def optimal_choice(
     of Y, in whose frames D_A Y D_B is diag(lambda) > 0, so V is read off
     the frames (`ProtocolChoice.v`).  Requires lambda_2m > RANK_RTOL *
     lambda_1; a degenerate value at the cut makes the subspace
-    basis-dependent, which is reported as a warning.
+    basis-dependent, which is reported as a warning.  Like `run_protocol`,
+    `scan_m` and `sample_suboptimal`, it refuses a state that fails
+    `validate` with ValidationError.
     """
     _check_target(split, m)
-    return _choice(svd(blocks(s, split).y), m)
+    return _choice(svd(_valid_blocks(s, split).y), m)
 
 
 def _choice(y_svd: tuple[np.ndarray, np.ndarray, np.ndarray], m: int) -> ProtocolChoice:
@@ -240,10 +242,10 @@ def run_protocol(
     exceeding it raises, missing it attaches a warning.  Outside the
     hypothesis the bound is recorded as a reference only.  The hashing
     rate is reported for m = 2 (qubit pairs); for larger m the report
-    carries p, f and pf with d = 2^(m-1) implied.
+    carries p, f and pf with d = 2^(m-1) implied.  An invalid state raises.
     """
     _check_target(split, m)
-    blk = blocks(s, split)
+    blk = _valid_blocks(s, split)
     return _evaluate(blk, _choice(svd(blk.y), m))
 
 
@@ -258,7 +260,7 @@ def scan_m(
         try:
             _check_target(split, m)
             if blk is None:
-                blk = blocks(s, split)
+                blk = _valid_blocks(s, split)
                 y_svd = svd(blk.y)
             reports.append(_evaluate(blk, _choice(y_svd, m)))
         except InsufficientRankError as exc:
@@ -309,7 +311,7 @@ def sample_suboptimal(
     if trials < 1:
         raise ValidationError("trials must be >= 1")
     _check_target(split, m)
-    blk = blocks(s, split)
+    blk = _valid_blocks(s, split)
     k, r = len(split.a), 2 * m  # |A| == |B| after _check_target
     rng = np.random.default_rng(seed)
     size = min(SAMPLE_CHUNK, trials)

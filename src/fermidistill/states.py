@@ -254,6 +254,12 @@ def blocks(s: CovarianceMatrix | np.ndarray, split: BipartiteSplit) -> BlockDeco
     return BlockDecomposition(g2[np.ix_(ia, ia)], g2[np.ix_(ia, ib)], g2[np.ix_(ib, ib)])
 
 
+def _valid_blocks(s: CovarianceMatrix | np.ndarray, split: BipartiteSplit) -> BlockDecomposition:
+    """`blocks` of s once `validate(s)` passes; else ValidationError naming the failed checks."""
+    validate(s).require("invalid state")
+    return blocks(s, split)
+
+
 def assemble_covariance(block: BlockDecomposition) -> tuple[CovarianceMatrix, BipartiteSplit]:
     """Inverse of `blocks` for the grouped index ordering (all A, then all B)."""
     x, y, z = block.x, block.y, block.z

@@ -126,6 +126,23 @@ class TestProtocolCommand:
         assert "insufficient rank" in capsys.readouterr().err
 
 
+class TestInvalidStateFile:
+    @pytest.mark.parametrize("command", [["protocol", "--m", "2"], ["scan-m", "--m-max", "2"]])
+    def test_refused(self, tmp_path, capsys, command):
+        # sigma_max(G) > 1/2, then G not antisymmetric: both load, neither is evaluated
+        g = random_covariance(4, 1).g
+        broken = g.copy()
+        broken[0, 5] += 0.3
+        for name, bad in (("spectrum", 3 * g), ("antisymmetry", broken)):
+            path = tmp_path / f"{name}.json"
+            save_covariance(path, CovarianceMatrix(bad), BipartiteSplit.halves(8))
+            assert main([command[0], str(path)] + command[1:]) == 1
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: invalid state:")
+            assert name in captured.err and "VIOLATED" in captured.err
+
+
 class TestScanM:
     def test_scan(self, four_mode_file, capsys):
         path, _ = four_mode_file

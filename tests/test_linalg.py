@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,7 +90,7 @@ def _oracle_stack(n: int, lead: tuple, seed: int, complex_entries: bool) -> np.n
 
     Member 0 is all-zero, member 1 has a vanishing first column, member 2
     is member 3 under an odd row/column permutation (so its Pfaffian has
-    the opposite sign and a different pivot sequence).
+    the opposite sign, reached through different reflections).
     """
     rng = np.random.default_rng(seed)
     a = rng.standard_normal(lead + (n, n))
@@ -180,11 +181,93 @@ class TestPfaffianStack:
                     assert pf[i] == pytest.approx(pfaffian(a[i]), rel=1e-13, abs=1e-15)
                 assert pf[0] == 0.0 and pf[1] == 0.0
 
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    @pytest.mark.parametrize("n", [4, 6, 8, 10, 16])
+    def test_lone_matrix_rounds_like_stack_member(self, n, complex_entries):
+        # Every member runs the same arithmetic whatever the stack's size.
+        # Members are M J M^T with one pair of J scaled by 1e-6, so their
+        # Pfaffians cancel: a lone call summing in another order would miss
+        # its stack member by far more than the tolerance.
+        scales = np.ones(n // 2)
+        scales[-1] = 1e-6
+        j = np.kron(np.diag(scales), [[0.0, 1.0], [-1.0, 0.0]])
+        for count in (1, 2, 3, 40):
+            rng = np.random.default_rng(100 * n + count)
+            m = rng.standard_normal((count, n, n))
+            if complex_entries:
+                m = m + 1j * rng.standard_normal((count, n, n))
+            a = m @ j @ np.swapaxes(m, -1, -2)
+            pf = pfaffian(a)
+            for i in range(count):
+                assert pf[i] == pytest.approx(pfaffian(a[i]), rel=1e-13)
+
+    def test_eliminate_allocates_little_beyond_its_buffers(self):
+        # with work and scratch given, a step allocates a few vectors over
+        # the stack, not gathers of the block
+        n, count = 8, 1536
+        a = _oracle_stack(n, (count,), 7, complex_entries=False).transpose(1, 2, 0)
+        work, scratch = np.empty_like(a), np.empty(linalg._scratch_size(n, count))
+        work[...] = a
+        linalg._eliminate(work, scratch, (count,))
+        work[...] = a
+        tracemalloc.start()
+        try:
+            linalg._eliminate(work, scratch, (count,))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 20 * 8 * count
+
+
+class TestHouseholderEdges:
+    """Columns that a reflection handles specially, and sizes beyond the oracle's."""
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_column_already_on_first_axis(self, rng, complex_entries):
+        # x = x_0 e_1: the trailing block is left as it is, and
+        # Pf(A) = A[0, 1] Pf(A[2:, 2:])
+        a = random_antisymmetric(8, rng, complex_entries)
+        a[2:, 0] = a[0, 2:] = 0.0
+        with np.errstate(divide="raise", invalid="raise"):
+            pf, rest = pfaffian(a), pfaffian(a[2:, 2:])
+        assert pf == pytest.approx(a[0, 1] * rest, rel=1e-13)
+        assert pf == pytest.approx(pfaffian_combinatorial(a), rel=1e-10)
+
+    @pytest.mark.parametrize("complex_entries", [False, True])
+    def test_zero_first_entry_with_nonzero_tail(self, rng, complex_entries):
+        # x_0 = 0: the phase s is 1 and the reflection is still exact
+        for n in (4, 6, 8):
+            a = random_antisymmetric(n, rng, complex_entries)
+            a[1, 0] = a[0, 1] = 0.0
+            with np.errstate(divide="raise", invalid="raise"):
+                pf = pfaffian(a)
+            assert pf == pytest.approx(pfaffian_combinatorial(a), rel=1e-10)
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_orthogonal_congruence(self, rng, n):
+        # Pf(Q A Q^T) = det(Q) Pf(A), far above the combinatorial oracle's reach
+        a = random_antisymmetric(n, rng)
+        q = random_orthogonal(n, rng)
+        det = round(np.linalg.det(q))
+        with np.errstate(divide="raise", invalid="raise"):
+            lhs, rhs = pfaffian(q @ a @ q.T), pfaffian(a)
+        assert abs(det) == 1
+        assert lhs == pytest.approx(det * rhs, rel=1e-10)
+
+    def test_square_matches_slogdet(self, rng):
+        a = random_antisymmetric(64, rng)
+        with np.errstate(divide="raise", invalid="raise"):
+            pf = pfaffian(a)
+        sign, logdet = np.linalg.slogdet(a)
+        assert sign == 1.0
+        assert 2 * math.log(abs(pf)) == pytest.approx(logdet, abs=1e-10)
+
 
 def _combinatorial_stack(n: int, count: int, seed: int) -> tuple[np.ndarray, list[float]]:
     """A real `_oracle_stack` whose last member has entries in {-1, 0, 1}, and its Pfaffians.
 
-    The last member's pivot columns are full of ties.  Up to n = 8 the
+    The last member's columns repeat magnitudes and may start with a zero
+    (x_0 = 0), which the reflection's phase must survive.  Up to n = 8 the
     Pfaffians are `pfaffian_combinatorial`'s; above, each member is
     P (B + C) P^T for a random permutation P and two such n/2 members B
     and C in direct sum, whose Pfaffian is det(P) Pf(B) Pf(C).

@@ -162,6 +162,29 @@ class TestRunProtocol:
         assert payload["pf"] == pytest.approx(payload["p"] * payload["f"], abs=1e-12)
 
 
+def _invalid_states():
+    """A state past the spectral bound (sigma_max(G) > 1/2) and one with G not antisymmetric."""
+    g = random_covariance(4, 1).g
+    broken = g.copy()
+    broken[0, 5] += 0.3
+    return [("spectrum", CovarianceMatrix(3 * g)), ("antisymmetry", CovarianceMatrix(broken))]
+
+
+class TestInvalidStateRefused:
+    @pytest.mark.parametrize("check, s", _invalid_states(), ids=["spectrum", "antisymmetry"])
+    def test_every_entry_point_raises(self, check, s):
+        split = BipartiteSplit.halves(8)
+        calls = [
+            lambda: optimal_choice(s, split, 2),
+            lambda: run_protocol(s, split, 2),
+            lambda: scan_m(s, split, 2),
+            lambda: sample_suboptimal(s, split, 2, trials=5, seed=1),
+        ]
+        for call in calls:
+            with pytest.raises(ValidationError, match=f"invalid state(.|\n)*{check}.*VIOLATED"):
+                call()
+
+
 class TestScanM:
     def test_perfect_state_all_ones(self, rng):
         split = BipartiteSplit.halves(16)
