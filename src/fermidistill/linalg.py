@@ -51,9 +51,9 @@ def pfaffian(a: np.ndarray) -> float | complex | np.ndarray:
     `a` has shape (..., n, n).  It is copied once into a batch-last
     array (n, n, count), which `_eliminate` checks and eliminates in
     place.  Raises ValidationError unless every member is square,
-    even-dimensional, finite and antisymmetric to ANTISYMMETRY_RTOL
-    times its own largest entry; the message names the first offending
-    member.  A member whose column to reflect vanishes is singular and
+    even-dimensional, finite, below 1e100 in magnitude and antisymmetric
+    to ANTISYMMETRY_RTOL times its own largest entry; the message names
+    an asymmetric member.  A member whose column to reflect vanishes
     gets exactly 0.  A 2-D input returns a Python float (complex for
     complex input); a stack returns an array of shape a.shape[:-2].
     """
@@ -89,18 +89,20 @@ def _eliminate(work: np.ndarray, scratch: np.ndarray, lead: tuple[int, ...]) -> 
     The core of `pfaffian`, for callers that keep their own buffers:
     work is overwritten and scratch, a flat array of at least
     `_scratch_size(n, count)` entries of work's dtype, holds every
-    temporary of the stack's size.  Checks finiteness (from each
-    member's max |A|, through which NaN and inf carry) and antisymmetry
-    per member; an error names the member by its index in `lead`, whose
-    C-order flattening is the last axis of work.  Each step reflects one
-    column of the live block, the same operations on every member: no
-    search, no per-member gather.
+    temporary of the stack's size.  Checks that entries are finite and
+    below 1e100 (from each member's max |A|, through which NaN and inf
+    carry) and antisymmetric; an antisymmetry error names the member by
+    its index in `lead`, whose C-order flattening is the last axis of
+    work.  Each step reflects one column of the live block, the same
+    operations on every member: no search, no per-member gather.
     """
     n, _, count = work.shape
     full = scratch[: n * n * count].reshape(n, n, count)
     scale = np.abs(work, out=full).real.max(axis=(0, 1), initial=0.0)
-    if not scale.max(initial=0.0) < math.inf:  # NaN and inf carry through max
-        raise ValidationError("matrix contains non-finite entries")
+    # NaN and inf carry through max; below 1e100 no reflection's |x|^2 <= n^2 max|A|^2 overflows
+    if not scale.max(initial=0.0) < 1e100:
+        what = "an entry of 1e100 or more" if np.isfinite(scale).all() else "non-finite entries"
+        raise ValidationError(f"matrix contains {what}")
     # |A + A^T| (for complex input it lands in the real parts)
     np.add(work, work.transpose(1, 0, 2), out=full)
     resid = np.abs(full, out=full).real.max(axis=(0, 1), initial=0.0)
@@ -121,13 +123,11 @@ def _eliminate(work: np.ndarray, scratch: np.ndarray, lead: tuple[int, ...]) -> 
         x, x0 = work[k + 1 :, k], work[k + 1, k]
         norm = np.sqrt(np.einsum("ib,ib->b", x, x.conj()).real)
         mag = np.abs(x0)
-        if work.dtype.kind == "c":  # step = s|x|, s = 1 where x_0 = 0
-            step = (x0 / (mag + (mag == 0)) + (mag == 0)) * norm
-        else:
-            step = np.copysign(norm, x0)
+        zero = np.logical_not(mag)  # x_0 = 0
+        step = (x0 / (mag + zero) + zero) * norm  # s|x|, s = 1 where x_0 = 0
         pf *= step
         den = norm * (norm + mag)
-        den += den == 0  # a vanishing column: pf is now 0, and u = y = 0
+        den += np.logical_not(den)  # a vanishing column: pf is now 0, and u = y = 0
         rows = scratch[: 3 * size * count].reshape(3, size, count)  # -y, u, y
         rows[1] = x
         rows[1, 0] += step

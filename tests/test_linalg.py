@@ -254,6 +254,27 @@ class TestHouseholderEdges:
         assert abs(det) == 1
         assert lhs == pytest.approx(det * rhs, rel=1e-10)
 
+    def test_entries_up_to_the_limit(self, rng):
+        # |x| near 1e100: |x|^2 and den = |x| (|x| + |x_0|) stay finite
+        upper = (-9e99, -5e99, -3e99, 0.7, 0.2, 0.9)
+        a = np.zeros((4, 4))
+        a[np.triu_indices(4, 1)] = upper
+        a -= a.T
+        a01, a02, a03, a12, a13, a23 = upper
+        small = random_antisymmetric(4, rng)
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
+            pf = pfaffian(np.stack([small, a]))
+        assert pf[1] == pytest.approx(a01 * a23 - a02 * a13 + a03 * a12, rel=1e-13)
+        assert pf[0] == pytest.approx(pfaffian_combinatorial(small), rel=1e-12)
+
+    @pytest.mark.parametrize("big", [1e100, 1e154, 1e200])
+    def test_entries_past_the_limit_rejected(self, rng, big):
+        # above it a column norm or den can overflow: NaN, or a finite wrong Pf
+        a = np.stack([random_antisymmetric(4, rng) for _ in range(2)])
+        a[1, 0, 1], a[1, 1, 0] = big, -big
+        with pytest.raises(ValidationError, match="an entry of 1e100 or more"):
+            pfaffian(a)
+
     def test_square_matches_slogdet(self, rng):
         a = random_antisymmetric(64, rng)
         with np.errstate(divide="raise", invalid="raise"):
