@@ -55,9 +55,9 @@ class TwoModeParams:
     def check(self):
         a, b, c, d = self.a, self.b, self.c, self.d
         q = a * a + b * b + c * c + d * d
-        if q > 2.0 + 1e-12:
-            raise ValidationError(f"parameter norm {q:.6f} exceeds 2")
-        if q > 1.0 + (a * b - c * d) ** 2 + 1e-12:
+        if not q <= 2.0 + 1e-12:  # NaN fails too
+            raise ValidationError(f"parameter norm {q:.6f} is not at most 2")
+        if not q <= 1.0 + (a * b - c * d) ** 2 + 1e-12:
             raise ValidationError("parameters violate 1 + (ab - cd)^2 >= a^2+b^2+c^2+d^2")
 
 
@@ -153,6 +153,8 @@ def four_mode_covariance(params: FourModeParams) -> CovarianceMatrix:
     Mode 1 couples to mode 3 and mode 2 to mode 4, so Y = sigma * I_4.
     """
     n1, n2, n3, n4 = params.nus
+    if not np.isfinite([*params.nus, params.sigma]).all():
+        raise ValidationError("four-mode parameters give an invalid state: one is not finite")
     out, _ = assemble_covariance(
         BlockDecomposition(_normal_form(n1, n2), params.sigma * np.eye(4), _normal_form(n3, n4))
     )

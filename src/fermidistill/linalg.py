@@ -9,9 +9,9 @@ searches for a pivot, so every step is the same contiguous operation
 over the whole stack rather than one Python loop per matrix.  It is a
 thin wrapper around the in-place core `_eliminate`; that core and
 `_orthonormalise`, which makes the random frames, run on batch-last
-buffers that `sample_suboptimal` keeps for all of its trials.  Malformed
-input raises `ValidationError`, the package's one error type for
-structural violations.
+buffers that `sample_suboptimal` keeps for all of its trials.  Complex
+input, like malformed input, raises `ValidationError`, the package's
+one error type for structural violations: a state is its real G.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def _member(index: int, lead: tuple[int, ...]) -> str:
     return f"stack member {tuple(int(i) for i in np.unravel_index(index, lead))}"
 
 
-def pfaffian(a: np.ndarray) -> float | complex | np.ndarray:
+def pfaffian(a: np.ndarray) -> float | np.ndarray:
     """Pfaffian of an even-dimensional antisymmetric matrix, or of each in a stack.
 
     Skew-symmetric Householder tridiagonalisation (Wimmer, ACM TOMS 38,
@@ -50,14 +50,16 @@ def pfaffian(a: np.ndarray) -> float | complex | np.ndarray:
 
     `a` has shape (..., n, n).  It is copied once into a batch-last
     array (n, n, count), which `_eliminate` checks and eliminates in
-    place.  Raises ValidationError unless every member is square,
-    even-dimensional, finite, below 1e100 in magnitude and antisymmetric
-    to ANTISYMMETRY_RTOL times its own largest entry; the message names
-    an asymmetric member.  A member whose column to reflect vanishes
-    gets exactly 0.  A 2-D input returns a Python float (complex for
-    complex input); a stack returns an array of shape a.shape[:-2].
+    place.  Raises ValidationError for a complex dtype, even with a zero
+    imaginary part, and unless every member is square, even-dimensional,
+    finite, below 1e100 in magnitude and antisymmetric to
+    ANTISYMMETRY_RTOL times its own largest entry.  A member whose column
+    to reflect vanishes, or underflows, gets exactly 0.  A 2-D input
+    returns a Python float; a stack, a float64 array of shape a.shape[:-2].
     """
     a = np.asarray(a)
+    if np.iscomplexobj(a):
+        raise ValidationError(f"Pfaffian takes real input, got dtype {a.dtype}")
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     n = a.shape[-1]
@@ -65,13 +67,11 @@ def pfaffian(a: np.ndarray) -> float | complex | np.ndarray:
         raise ValidationError(f"Pfaffian requires even dimension, got {n}")
     lead = a.shape[:-2]
     count = math.prod(lead)
-    complex_in = np.iscomplexobj(a)
-    dtype = complex if complex_in else float
-    work = np.array(a.reshape(count, n * n).T, dtype=dtype, order="C").reshape(n, n, count)
-    pf = _eliminate(work, np.empty(_scratch_size(n, count), dtype=dtype), lead)
+    work = np.array(a.reshape(count, n * n).T, dtype=float, order="C").reshape(n, n, count)
+    pf = _eliminate(work, np.empty(_scratch_size(n, count)), lead)
     if lead:
         return pf.reshape(lead)
-    return complex(pf[0]) if complex_in else float(pf[0])
+    return float(pf[0])
 
 
 def _scratch_size(n: int, count: int) -> int:
@@ -87,25 +87,25 @@ def _eliminate(work: np.ndarray, scratch: np.ndarray, lead: tuple[int, ...]) -> 
     """Check and eliminate the batch-last stack work (n, n, count) in place; its Pfaffians.
 
     The core of `pfaffian`, for callers that keep their own buffers:
-    work is overwritten and scratch, a flat array of at least
-    `_scratch_size(n, count)` entries of work's dtype, holds every
-    temporary of the stack's size.  Checks that entries are finite and
-    below 1e100 (from each member's max |A|, through which NaN and inf
-    carry) and antisymmetric; an antisymmetry error names the member by
-    its index in `lead`, whose C-order flattening is the last axis of
-    work.  Each step reflects one column of the live block, the same
-    operations on every member: no search, no per-member gather.
+    work is overwritten and scratch, a flat float64 array of at least
+    `_scratch_size(n, count)` entries, holds every temporary of the
+    stack's size.  Checks that entries are finite and below 1e100 (from
+    each member's max |A|, through which NaN and inf carry) and
+    antisymmetric, naming an asymmetric member by its index in `lead`,
+    whose C-order flattening is the last axis of work; a column whose
+    entries all lie below about 1e-154 underflows its norm, and the
+    Pfaffian, to 0.  Each step reflects one column of the live block,
+    the same operations on every member: no search, no per-member gather.
     """
     n, _, count = work.shape
     full = scratch[: n * n * count].reshape(n, n, count)
-    scale = np.abs(work, out=full).real.max(axis=(0, 1), initial=0.0)
+    scale = np.abs(work, out=full).max(axis=(0, 1), initial=0.0)
     # NaN and inf carry through max; below 1e100 no reflection's |x|^2 <= n^2 max|A|^2 overflows
     if not scale.max(initial=0.0) < 1e100:
         what = "an entry of 1e100 or more" if np.isfinite(scale).all() else "non-finite entries"
         raise ValidationError(f"matrix contains {what}")
-    # |A + A^T| (for complex input it lands in the real parts)
     np.add(work, work.transpose(1, 0, 2), out=full)
-    resid = np.abs(full, out=full).real.max(axis=(0, 1), initial=0.0)
+    resid = np.abs(full, out=full).max(axis=(0, 1), initial=0.0)
     bad = resid > ANTISYMMETRY_RTOL * scale
     if bad.any():
         i = int(np.argmax(bad))
@@ -113,28 +113,26 @@ def _eliminate(work: np.ndarray, scratch: np.ndarray, lead: tuple[int, ...]) -> 
             f"{_member(i, lead)} is not antisymmetric: |A + A^T|_max = {resid[i]:.3e}"
             f" exceeds {ANTISYMMETRY_RTOL:.1e} * |A|_max"
         )
-    pf = np.ones(count, dtype=work.dtype)
+    pf = np.ones(count)
     for k in range(0, n - 2, 2):
-        # H = 1 - u u^H / den maps x = A[k+1:, k] onto -s|x| e_1, for s the
-        # phase of x_0, u = x + s|x| e_1 and den = |x| (|x| + |x_0|).  Then
+        # H = 1 - u u^T / den maps x = A[k+1:, k] onto -s|x| e_1, for s the
+        # sign of x_0, u = x + s|x| e_1 and den = |x| (|x| + |x_0|).  Then
         # Pf(A) = -s|x| Pf(T'), T' the trailing block of H T H^T = T + u y^T
-        # - y u^T with T = A[k+1:, k+1:] and y = T conj(u) / den.
+        # - y u^T with T = A[k+1:, k+1:] and y = T u / den.
         size, m = n - k - 1, n - k - 2
         x, x0 = work[k + 1 :, k], work[k + 1, k]
-        norm = np.sqrt(np.einsum("ib,ib->b", x, x.conj()).real)
-        mag = np.abs(x0)
-        zero = np.logical_not(mag)  # x_0 = 0
-        step = (x0 / (mag + zero) + zero) * norm  # s|x|, s = 1 where x_0 = 0
+        norm = np.sqrt(np.einsum("ib,ib->b", x, x))
+        step = np.copysign(norm, x0)  # s|x|; at x_0 = +-0 either sign is exact
         pf *= step
-        den = norm * (norm + mag)
+        den = norm * (norm + np.abs(x0))
         den += np.logical_not(den)  # a vanishing column: pf is now 0, and u = y = 0
         rows = scratch[: 3 * size * count].reshape(3, size, count)  # -y, u, y
         rows[1] = x
         rows[1, 0] += step
-        # -y = T^T conj(u) / den, with conj(u) / den held where y goes: the
-        # sum runs over the outer axis, so a lone matrix rounds exactly like
-        # a stack member
-        w = np.divide(rows[1].conj(), den, out=rows[2])
+        # -y = T^T u / den, with u / den held where y goes: the sum runs
+        # over the outer axis, so a lone matrix rounds exactly like a stack
+        # member
+        w = np.divide(rows[1], den, out=rows[2])
         np.einsum("jib,jb->ib", work[k + 1 :, k + 2 :], w, out=rows[0, 1:])
         np.negative(rows[0, 1:], out=rows[2, 1:])
         # rank-2 update u y^T - y u^T of the trailing block in one pass

@@ -168,7 +168,7 @@ def optimal_pf_bound(lambdas) -> float:
     lam = np.asarray(lambdas, dtype=float)
     if lam.size == 0:
         raise ValidationError("need at least one singular value")
-    if np.any(lam < -1e-12) or np.any(lam > 1 + 1e-12):
+    if not np.all((-1e-12 <= lam) & (lam <= 1 + 1e-12)):  # NaN fails too
         raise ValidationError("singular values must lie in [0, 1]")
     lam = np.clip(lam, 0.0, 1.0)
     return float(np.prod((1 + lam) / 2) + np.prod((1 - lam) / 2))

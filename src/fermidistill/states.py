@@ -234,9 +234,15 @@ def validate(s: CovarianceMatrix | np.ndarray) -> ValidationReport:
     """Diagnose validity to STRUCT_ATOL: reports, never raises on a state.
 
     S = 1/2 + iG has eigenvalues 1/2 +- sigma_i(G) for G antisymmetric.
+    A G that is non-finite or has an entry of 1e100 or more, where G G^T
+    could overflow, fails one check on its entries instead.
     """
     g = _state(s).g
     report = ValidationReport()
+    top = np.abs(g).max(initial=0.0)
+    if not top < 1e100:  # NaN fails too
+        report.add("entries |G|_max", top, 0.5)
+        return report
     report.add("antisymmetry |G + G^T|_max", np.abs(g + g.T).max(initial=0.0), STRUCT_ATOL)
     a = (g - g.T) / 2
     try:
@@ -273,6 +279,14 @@ def assemble_covariance(block: BlockDecomposition) -> tuple[CovarianceMatrix, Bi
 # ---------------------------------------------------------------------------
 
 
+def _check_antisymmetric(g: np.ndarray, name: str) -> None:
+    """Refuse the G of state `name` unless |G + G^T|_max <= STRUCT_ATOL max(|G|_max, 1)."""
+    resid = np.abs(g + g.T).max(initial=0.0)
+    # |G|_max is needed only past STRUCT_ATOL; NaN fails both
+    if not (resid <= STRUCT_ATOL or resid <= STRUCT_ATOL * np.abs(g).max(initial=0.0)):
+        raise ValidationError(f"G = -i({name} - 1/2) is not antisymmetric under transposition")
+
+
 def parity_expectation(s: CovarianceMatrix | np.ndarray) -> float:
     """Expectation of the parity operator: 2^n (-1)^n Pf(G).
 
@@ -280,8 +294,7 @@ def parity_expectation(s: CovarianceMatrix | np.ndarray) -> float:
     covariance is expressed in.
     """
     g = _state(s).g
-    if not np.abs(g + g.T).max(initial=0.0) <= STRUCT_ATOL * max(np.abs(g).max(initial=0.0), 1.0):
-        raise ValidationError("G = -i(S - 1/2) is not antisymmetric under transposition")
+    _check_antisymmetric(g, "S")
     n = g.shape[0] // 2
     val = (2.0 ** n) * ((-1.0) ** n) * pfaffian((g - g.T) / 2)
     if abs(val) > 1 + STRUCT_ATOL:
@@ -315,6 +328,8 @@ def fock_fidelity(s: CovarianceMatrix | np.ndarray, e: CovarianceMatrix | np.nda
     gs, ge = _state(s).g, _state(e).g
     if gs.shape != ge.shape:
         raise ValidationError("S and E must have the same dimension")
+    _check_antisymmetric(gs, "S")
+    _check_antisymmetric(ge, "E")
     g = np.stack([gs + ge, 2 * ge])
     num, den = pfaffian((np.swapaxes(g, 1, 2) - g) / 2)
     if abs(abs(den) - 1.0) > 1e-6:
@@ -542,6 +557,8 @@ def random_covariance(n_modes: int, seed: int | np.random.Generator) -> Covarian
     The skew part's largest singular value is drawn uniformly from
     [0.1, 0.475], away from both the pure and the maximally mixed state.
     """
+    if not _is_int(n_modes) or n_modes <= 0:
+        raise ValidationError(f"n_modes must be a positive integer, got {n_modes!r}")
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((2 * n_modes, 2 * n_modes))
     g = (g - g.T) / 2
@@ -560,6 +577,10 @@ def random_x_zero_covariance(
     value above 0.05) so that protocol construction at any admissible m
     is well posed.
     """
+    if not _is_int(n_modes_per_side) or n_modes_per_side <= 0:
+        raise ValidationError(
+            f"n_modes_per_side must be a positive integer, got {n_modes_per_side!r}"
+        )
     rng = np.random.default_rng(seed)
     k = 2 * n_modes_per_side
     for _ in range(200):
@@ -595,7 +616,7 @@ def save_covariance(
 
 
 def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def load_covariance(path: str | Path) -> tuple[CovarianceMatrix, BipartiteSplit]:

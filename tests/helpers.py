@@ -69,10 +69,8 @@ def pfaffian_combinatorial(a: np.ndarray):
     return rec(tuple(range(n)))
 
 
-def random_antisymmetric(dim: int, rng, complex_entries: bool = False) -> np.ndarray:
+def random_antisymmetric(dim: int, rng) -> np.ndarray:
     a = rng.standard_normal((dim, dim))
-    if complex_entries:
-        a = a + 1j * rng.standard_normal((dim, dim))
     return (a - a.T) / 2
 
 

@@ -90,6 +90,13 @@ class TestTwoMode:
         with pytest.raises(ValidationError):
             two_mode_covariance(TwoModeParams(1.0, 1.0, 1.0, -1.0))
 
+    @pytest.mark.parametrize(
+        "params", [(0, 0, np.nan, np.inf), (0, 0, 1e308, np.nan), (np.nan,) * 4]
+    )
+    def test_nan_params_rejected_by_check(self, params):
+        with pytest.raises(ValidationError, match="parameter norm"):
+            TwoModeParams(*params).check()
+
     def test_correlation_zero_params(self):
         r = two_mode_correlation(TwoModeParams(0, 0, 0, 0))
         expected = np.zeros((4, 4))
@@ -164,6 +171,11 @@ class TestFourMode:
         blk = blocks(s, four_mode_split())
         assert np.abs(blk.x).max() == 0
         np.testing.assert_allclose(blk.y, np.eye(4), atol=0)
+
+    @pytest.mark.parametrize("params", [(0, 0, 0, 0, np.inf), (np.nan, 0, 0, 0, 0.5)])
+    def test_non_finite_params_rejected(self, params):
+        with np.errstate(all="raise"), pytest.raises(ValidationError, match="not finite"):
+            four_mode_covariance(FourModeParams(*params))
 
     def test_small_sigma_valid(self, rng):
         params = FourModeParams(0.1, -0.2, 0.15, 0.05, 0.2)

@@ -6,8 +6,9 @@ relative imports to the module that defines it, every module-level
 import is used or exported, every public name has a caller outside the
 tests, no call needs a numpy newer than the declared floor, every FFT
 in lattice.py runs inside `ToeplitzKernel` or `_odd_spectrum`, and
-complex numbers stay where states.py converts an S to or from G.  The
-sources are parsed with `ast`; nothing is imported from them or written.
+complex numbers stay where states.py converts an S to or from G (the
+dense Fock oracle apart).  The sources are parsed with `ast`; nothing
+is imported from them or written.
 """
 
 import ast
@@ -227,15 +228,16 @@ def test_lattice_ffts_stay_in_the_kernel():
 
 
 def _complex_uses(node: ast.AST) -> list[ast.AST]:
-    """Complex literals, complex dtypes, `.imag` and `.matrix` (a state's S) under node."""
+    """Complex literals and dtypes, conjugation, `.imag` and `.matrix` (a state's S) under node."""
     found = []
     for n in ast.walk(node):
         if isinstance(n, ast.Constant) and isinstance(n.value, complex):
             found.append(n)
-        elif isinstance(n, ast.Name) and n.id == "complex":
+        elif isinstance(n, ast.Name) and n.id in ("complex", "conj", "conjugate"):
             found.append(n)
         elif isinstance(n, ast.Attribute) and (
-            n.attr in ("imag", "matrix", "cdouble", "csingle") or n.attr.startswith("complex")
+            n.attr in ("imag", "matrix", "cdouble", "csingle", "conj", "conjugate")
+            or n.attr.startswith("complex")
         ):
             found.append(n)
         elif (
@@ -255,8 +257,7 @@ S_EDGES = ("CovarianceMatrix", "_real", "save_covariance", "load_covariance")
 def test_complex_arithmetic_stays_at_the_edges():
     # a state is its real antisymmetric G: in states.py complex numbers
     # appear only where an S enters or leaves, and the modules built on
-    # states never see one; linalg.py (complex input to `pfaffian`) and
-    # fock.py (the dense oracle) are exempt
+    # states never see one; fock.py (the dense oracle) is exempt
     edges = {
         id(sub)
         for node in TREES["states"].body
@@ -269,7 +270,7 @@ def test_complex_arithmetic_stays_at_the_edges():
             for n in _complex_uses(TREES[module])
             if module != "states" or id(n) not in edges
         ]
-        for module in sorted(set(TREES) - {"linalg", "fock"})
+        for module in sorted(set(TREES) - {"fock"})
     }
     assert any(id(n) in edges for n in _complex_uses(TREES["states"]))
     stray = {module: lines for module, lines in stray.items() if lines}

@@ -102,8 +102,9 @@ class TestBound:
         assert optimal_pf_bound([1, 1, 0, 0]) == pytest.approx(0.25)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ValidationError):
-            optimal_pf_bound([1.2, 0.5])
+        for lams in ([1.2, 0.5], [np.nan, 0.5]):
+            with pytest.raises(ValidationError, match=r"in \[0, 1\]"):
+                optimal_pf_bound(lams)
 
     @settings(max_examples=50, deadline=None)
     @given(

@@ -102,6 +102,17 @@ class TestValidate:
         assert not report.passed
         assert any("spectrum" in name for name, mag, tol in report.checks if mag > tol)
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf, 1e100, 1e308])
+    def test_non_finite_or_huge_entries_fail_one_check(self, value):
+        # G G^T would overflow (or carry NaN): the entries are named, and no
+        # floating-point error is raised on the way
+        g = np.zeros((4, 4))
+        g[0, 1], g[1, 0] = value, -value
+        with np.errstate(all="raise"):
+            report = validate(CovarianceMatrix(g))
+        assert [name for name, _, _ in report.checks] == ["entries |G|_max"]
+        assert not report.passed
+
     def test_reports_do_not_raise(self):
         # even garbage input produces a report rather than an exception
         report = validate(CovarianceMatrix(np.ones((4, 4))))
@@ -228,6 +239,13 @@ class TestFidelity:
     def test_each_check_named(self, rng):
         s, e = random_covariance(2, rng).matrix, random_basis_projection(2, rng).matrix
         shift = np.full((4, 4), 0.25)  # real symmetric: breaks S = 1/2 + iG
+        kink = np.zeros((4, 4))
+        kink[0, 2] = 0.3  # G = Im S no longer antisymmetric: parity_expectation's check
+        for evaluate in (parity_expectation, lambda s: fock_fidelity(s, e)):
+            with pytest.raises(ValidationError, match=r"-i\(S - 1/2\) is not antisymmetric"):
+                evaluate(s + 1j * kink)
+        with pytest.raises(ValidationError, match=r"-i\(E - 1/2\) is not antisymmetric"):
+            fock_fidelity(s, e + 1j * kink)
         with pytest.raises(ValidationError, match="reality"):
             fock_fidelity(s + shift, e)
         with pytest.raises(ValidationError, match="reality"):
@@ -693,3 +711,10 @@ class TestRandomStates:
     )
     def test_generator_draws_like_its_seed(self, draw):
         np.testing.assert_array_equal(draw(17), draw(np.random.default_rng(17)))
+
+    @pytest.mark.parametrize("n_modes", [0, -1, 2.5, True])
+    def test_samplers_need_positive_integer_modes(self, n_modes):
+        for draw in (random_covariance, random_x_zero_covariance):
+            with np.errstate(all="raise"), pytest.raises(ValidationError, match="positive integer"):
+                draw(n_modes, 1)
+        assert random_covariance(np.int64(2), 1).g.shape == (4, 4)
