@@ -53,7 +53,8 @@ class TwoModeParams:
     d: float
 
     def check(self):
-        a, b, c, d = self.a, self.b, self.c, self.d
+        # Python floats: a huge parameter squares to inf, with no numpy overflow warning
+        a, b, c, d = (float(x) for x in (self.a, self.b, self.c, self.d))
         q = a * a + b * b + c * c + d * d
         if not q <= 2.0 + 1e-12:  # NaN fails too
             raise ValidationError(f"parameter norm {q:.6f} is not at most 2")

@@ -29,7 +29,6 @@ import io
 import operator
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -611,6 +610,8 @@ def sweep(L_values, N_values, m: int = 2, seed=None, jobs: int = 1) -> list[Swee
     tasks = [(int(L), int(N), m) for L in L_values for N in N_values]
     jobs = min(jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # multiprocessing only when used
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             return list(pool.map(_sweep_point, tasks))
     return [_sweep_point(t) for t in tasks]

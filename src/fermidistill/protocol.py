@@ -192,7 +192,7 @@ def hashing_rate(p: float, f: float) -> float:
 
 
 def _evaluate(blk: BlockDecomposition, choice: ProtocolChoice) -> DistillationReport:
-    q = protocol_quantities(blk, choice.d, choice.v)
+    q = protocol_quantities(blk, choice.d)
     warnings = list(choice.warnings)
     bound = optimal_pf_bound(choice.lambdas)
     x_zero = np.abs(blk.x).max(initial=0.0) < STRUCT_ATOL
@@ -270,14 +270,18 @@ def scan_m(
 
 @dataclass(frozen=True)
 class SuboptimalSample:
-    """Best randomly drawn protocol found and where it came from."""
+    """Best randomly drawn protocol found, where it came from, and its frames d."""
 
     best_pf: float
     best_p: float
     best_f: float | None
     trial: int
     d: RealProjectionPair
-    v: np.ndarray
+
+    @property
+    def v(self) -> np.ndarray:
+        """The partial isometry from Ran D_B onto Ran D_A pairing the frames' columns."""
+        return self.d.ua @ self.d.ub.T
 
 
 def sample_suboptimal(
@@ -336,8 +340,6 @@ def sample_suboptimal(
         i = int(np.argmax(pf))
         if best is None or pf[i] > best.best_pf:
             pi, pfi = float(p[i]), float(pf[i])
-            best = SuboptimalSample(
-                pfi, pi, pfi / pi if pi > P_FLOOR else None, start + i,
-                RealProjectionPair(ua[i].copy(), ub[i].copy()), ua[i] @ ub[i].T,
-            )
+            best = SuboptimalSample(pfi, pi, pfi / pi if pi > P_FLOOR else None, start + i,
+                                    RealProjectionPair(ua[i].copy(), ub[i].copy()))
     return best

@@ -280,10 +280,17 @@ def assemble_covariance(block: BlockDecomposition) -> tuple[CovarianceMatrix, Bi
 
 
 def _check_antisymmetric(g: np.ndarray, name: str) -> None:
-    """Refuse the G of state `name` unless |G + G^T|_max <= STRUCT_ATOL max(|G|_max, 1)."""
+    """Refuse the G of state `name` unless |G + G^T|_max <= STRUCT_ATOL max(|G|_max, 1).
+
+    A G that is non-finite or has an entry of 1e100 or more is refused
+    first, as `validate` does, before G + G^T can overflow.
+    """
+    top = np.abs(g).max(initial=0.0)
+    if not top < 1e100:  # NaN fails too
+        what = "an entry of 1e100 or more" if np.isfinite(top) else "non-finite entries"
+        raise ValidationError(f"G = -i({name} - 1/2) has {what}")
     resid = np.abs(g + g.T).max(initial=0.0)
-    # |G|_max is needed only past STRUCT_ATOL; NaN fails both
-    if not (resid <= STRUCT_ATOL or resid <= STRUCT_ATOL * np.abs(g).max(initial=0.0)):
+    if not (resid <= STRUCT_ATOL or resid <= STRUCT_ATOL * top):  # NaN fails both
         raise ValidationError(f"G = -i({name} - 1/2) is not antisymmetric under transposition")
 
 
@@ -410,28 +417,16 @@ class ProtocolQuantities:
     pf: float
 
 
-def protocol_quantities(
-    blk: BlockDecomposition, d: RealProjectionPair, v: np.ndarray
-) -> ProtocolQuantities:
-    """Evaluate one protocol instance (D, V) on the state S with `blk = blocks(S, split)`.
+def protocol_quantities(blk: BlockDecomposition, d: RealProjectionPair) -> ProtocolQuantities:
+    """Evaluate the instance with frames d, whose V = d.ua d.ub^T pairs their columns.
 
-    p is the parity probability of the restricted state D S D and pf =
-    <psi_E, rho psi_E> + <psi_partner, rho psi_partner>.  V must be real,
-    with V' = d.ua^T V d.ub orthogonal.  Bob's frame becomes d.ub W^T,
-    W the polar factor of V' (V' itself up to rounding), so that V pairs
-    the frames' columns as `_protocol_quantities_stack` requires.  As
-    Pf(A M A^T) = det(A) Pf(M), this rotation absorbs the target's
-    orientation factor det(V') exactly.
+    blk = blocks(S, split).  p is the parity probability of the restricted
+    state D S D and pf = <psi_E, rho psi_E> + <psi_partner, rho psi_partner>.
+    Another pairing V' between the spans is Bob's frame turned: d.ub V'^T.
     """
-    ua, ub = d.ua, d.ub
-    v = _real(v, "V")
-    if ub.shape[1] != ua.shape[1]:
+    if d.ub.shape[1] != d.ua.shape[1]:
         raise ValidationError("frames ua and ub must have equal rank")
-    vp = ua.T @ v @ ub
-    if not np.abs(vp.T @ vp - np.eye(len(vp))).max(initial=0.0) <= 1e-8:  # NaN fails too
-        raise ValidationError("V is not a partial isometry between Ran D_B and Ran D_A")
-    w, _, wh = np.linalg.svd(vp)
-    p, pf = _protocol_quantities_stack(blk, ua[None], (ub @ (w @ wh).T)[None])
+    p, pf = _protocol_quantities_stack(blk, d.ua[None], d.ub[None])
     p, pf = float(p[0]), float(pf[0])
     return ProtocolQuantities(p=p, f=pf / p if p > P_FLOOR else None, pf=pf)
 

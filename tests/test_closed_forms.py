@@ -97,6 +97,11 @@ class TestTwoMode:
         with pytest.raises(ValidationError, match="parameter norm"):
             TwoModeParams(*params).check()
 
+    def test_huge_numpy_params_rejected_without_overflow(self):
+        # numpy scalars would square to inf with an overflow warning
+        with np.errstate(all="raise"), pytest.raises(ValidationError, match="parameter norm inf"):
+            TwoModeParams(*np.array([1e200, 0, 0, 0])).check()
+
     def test_correlation_zero_params(self):
         r = two_mode_correlation(TwoModeParams(0, 0, 0, 0))
         expected = np.zeros((4, 4))

@@ -1,3 +1,4 @@
+import concurrent.futures
 import csv
 import io
 import math
@@ -1352,7 +1353,8 @@ class TestSweepWorkers:
             def map(self, fn, tasks):
                 return map(fn, tasks)
 
-        monkeypatch.setattr(lattice, "ProcessPoolExecutor", Recorder)
+        # sweep imports the pool from concurrent.futures only when jobs > 1
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
         monkeypatch.setattr(lattice.os, "cpu_count", lambda: cpus)
         rows = sweep([16, 24, 32], [1], jobs=jobs)
         assert [row.L for row in rows] == [16, 24, 32]

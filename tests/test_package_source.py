@@ -3,8 +3,9 @@
 numpy is the only runtime dependency, no handler swallows every error,
 every name in an `__all__` list resolves to a definition, following
 relative imports to the module that defines it, every module-level
-import is used or exported, every public name has a caller outside the
-tests, no call needs a numpy newer than the declared floor, every FFT
+import is used or exported, no module imports the process pool on
+import, every public name has a caller outside the tests, no call
+needs a numpy newer than the declared floor, every FFT
 in lattice.py runs inside `ToeplitzKernel` or `_odd_spectrum`, and
 complex numbers stay where states.py converts an S to or from G (the
 dense Fock oracle apart).  The sources are parsed with `ast`; nothing
@@ -77,6 +78,36 @@ def test_imports_are_relative_numpy_or_stdlib(module):
             if top not in sys.stdlib_module_names and top not in ALLOWED_THIRD_PARTY:
                 foreign.append(f"line {node.lineno}: {name}")
     assert not foreign, f"{module} imports outside numpy and the standard library: {foreign}"
+
+
+def _module_level(node: ast.AST):
+    """The statements of node run on import: all but function bodies."""
+    for child in ast.iter_child_nodes(node):
+        if not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield child
+            yield from _module_level(child)
+
+
+@pytest.mark.parametrize("module", sorted(TREES))
+def test_process_pool_imported_only_when_used(module):
+    # multiprocessing costs every importer milliseconds and resident memory,
+    # so only a parallel sweep imports it, inside the function that runs it
+    eager = []
+    for node in _module_level(TREES[module]):
+        if isinstance(node, ast.Import):
+            names = [a.name for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [f"{node.module}.{a.name}" for a in node.names]
+        else:
+            continue
+        eager += [
+            f"line {node.lineno}: {name}"
+            for name in names
+            if name.split(".")[0] == "multiprocessing"
+            or name.startswith("concurrent.futures.process")
+            or name.endswith(".ProcessPoolExecutor")
+        ]
+    assert not eager, f"{module} imports the process pool at module level: {eager}"
 
 
 @pytest.mark.parametrize("module", sorted(TREES))

@@ -231,10 +231,9 @@ def _reference_sample(s, split, m, trials, seed):
         row = rng.standard_normal(2 * k * r)
         ua = haar_frame(row[: k * r].reshape(k, r))
         ub = haar_frame(row[k * r:].reshape(k, r))
-        v = ua @ ub.T
-        q = protocol_quantities(blocks(s, split), RealProjectionPair(ua, ub), v)
+        q = protocol_quantities(blocks(s, split), RealProjectionPair(ua, ub))
         if best is None or q.pf > best[1].pf:
-            best = (t, q, ua, ub, v)
+            best = (t, q, ua, ub, ua @ ub.T)
     return best
 
 
@@ -334,7 +333,7 @@ class TestSampleSuboptimal:
     def test_sampled_quantities_consistent(self, rng):
         s, split = random_x_zero_covariance(4, rng)
         sample = sample_suboptimal(s, split, 2, trials=4, seed=3)
-        q = protocol_quantities(blocks(s, split), sample.d, sample.v)
+        q = protocol_quantities(blocks(s, split), sample.d)
         assert q.pf == pytest.approx(sample.best_pf, abs=1e-12)
 
     def test_general_states_recorded(self, rng):
@@ -393,7 +392,7 @@ class TestTwoFrameOracle:
     @pytest.mark.parametrize("seed", [1, 2, 3])
     @pytest.mark.parametrize("kind", ["x_zero", "general"])
     def test_reflection_pairing(self, kind, seed):
-        # det V' = -1: Bob's frame must turn by V' before the stack pairs columns
+        # det V' = -1: Bob's frame turned by V' carries the target's orientation
         s, split = self._state(kind, seed)
         rng = np.random.default_rng(100 + seed)
         k = len(split.a)
@@ -401,8 +400,26 @@ class TestTwoFrameOracle:
         vp = random_orthogonal(4, rng)
         if np.linalg.det(vp) > 0:
             vp[:, 0] *= -1
-        q = protocol_quantities(blocks(s, split), d, d.ua @ vp @ d.ub.T)
+        q = protocol_quantities(blocks(s, split), RealProjectionPair(d.ua, d.ub @ vp.T))
         p, pf = _oracle_p_pf(s, split, d, vp)
+        assert q.p == pytest.approx(p, abs=1e-9)
+        assert q.pf == pytest.approx(pf, abs=1e-9)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31), modes=st.sampled_from([2, 3]),
+           proper=st.booleans())
+    def test_frames_alone_fix_orientation(self, seed, modes, proper):
+        # Bob's frame turned by an orthogonal W pairs the columns by V' = W^T,
+        # proper or improper; the frames alone carry the target's orientation
+        rng = np.random.default_rng(seed)
+        s, split = random_covariance(2 * modes, rng), BipartiteSplit.halves(4 * modes)
+        k = 2 * modes
+        ua, ub = random_orthogonal(k, rng)[:, :4], random_orthogonal(k, rng)[:, :4]
+        w = random_orthogonal(4, rng)
+        if (np.linalg.det(w) > 0) != proper:
+            w[:, 0] *= -1
+        q = protocol_quantities(blocks(s, split), RealProjectionPair(ua, ub @ w))
+        p, pf = _oracle_p_pf(s, split, RealProjectionPair(ua, ub), w.T)
         assert q.p == pytest.approx(p, abs=1e-9)
         assert q.pf == pytest.approx(pf, abs=1e-9)
 
