@@ -139,8 +139,6 @@ def _cmd_closed_form(args) -> int:
     if args.family == "fg-scan":
         x = _grid(*args.x, FG_SCAN_MAX_POINTS)
         y = _grid(*args.y, FG_SCAN_MAX_POINTS // len(x))
-        if not np.isfinite(args.sigma):
-            raise ValidationError(f"sigma must be finite, got {args.sigma}")
         lines = ["x,y,sigma,f,g,f_ge_g"]
         for row in closed_forms.f_vs_g_scan(x, y, args.sigma):
             if row["valid"]:

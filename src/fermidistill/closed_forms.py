@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import as_real
 from .states import (
     BipartiteSplit,
     BlockDecomposition,
@@ -44,7 +45,14 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class TwoModeParams:
+class _Params:
+    def __post_init__(self):  # each parameter becomes a Python float read by `as_real`
+        for name in self.__dataclass_fields__:
+            object.__setattr__(self, name, float(as_real(getattr(self, name), name)))
+
+
+@dataclass(frozen=True)
+class TwoModeParams(_Params):
     """One mode per party; X = [[0,a],[-a,0]], Z likewise with b, Y = diag(c, d)."""
 
     a: float
@@ -53,17 +61,16 @@ class TwoModeParams:
     d: float
 
     def check(self):
-        # Python floats: a huge parameter squares to inf, with no numpy overflow warning
-        a, b, c, d = (float(x) for x in (self.a, self.b, self.c, self.d))
+        a, b, c, d = self.a, self.b, self.c, self.d
         q = a * a + b * b + c * c + d * d
-        if not q <= 2.0 + 1e-12:  # NaN fails too
+        if not q <= 2.0 + 1e-12:
             raise ValidationError(f"parameter norm {q:.6f} is not at most 2")
         if not q <= 1.0 + (a * b - c * d) ** 2 + 1e-12:
             raise ValidationError("parameters violate 1 + (ab - cd)^2 >= a^2+b^2+c^2+d^2")
 
 
 @dataclass(frozen=True)
-class FourModeParams:
+class FourModeParams(_Params):
     """Two modes per party in normal form: nu per mode, uniform coupling sigma."""
 
     nu1: float
@@ -154,8 +161,6 @@ def four_mode_covariance(params: FourModeParams) -> CovarianceMatrix:
     Mode 1 couples to mode 3 and mode 2 to mode 4, so Y = sigma * I_4.
     """
     n1, n2, n3, n4 = params.nus
-    if not np.isfinite([*params.nus, params.sigma]).all():
-        raise ValidationError("four-mode parameters give an invalid state: one is not finite")
     out, _ = assemble_covariance(
         BlockDecomposition(_normal_form(n1, n2), params.sigma * np.eye(4), _normal_form(n3, n4))
     )
@@ -202,7 +207,8 @@ def f_vs_g_scan(
 
     Returns one record per grid point with keys x, y, sigma, f, g,
     f_ge_g and valid; invalid parameter combinations are kept in the
-    output but marked and carry no values.
+    output but marked and carry no values; `FourModeParams` refuses a
+    non-finite or huge x, y or sigma.
     """
     rows = []
     for x in x_values:

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import pfaffian  # noqa: F401 -- perfbench/spans.targets looks it up here
+from .linalg import as_real, pfaffian  # noqa: F401 -- perfbench/spans.targets looks pfaffian up
 from .states import (
     BipartiteSplit,
     CovarianceMatrix,
@@ -69,11 +69,12 @@ def _oracle_matrix(s: CovarianceMatrix | np.ndarray) -> tuple[np.ndarray, int]:
     """The S of a covariance-like oracle input and its mode count n.
 
     A raw array is read as given, not through `CovarianceMatrix.from_s`,
-    so the oracle stays independent of the package's conversion.  This
-    is the one shape check of every entry point that takes a covariance:
-    square, 2n x 2n, with 1 <= n <= MAX_MODES.
+    so the oracle stays independent of the package's conversion; only its
+    real and imaginary parts pass `as_real`.  The one shape check of every
+    entry point that takes a covariance: square, 2n x 2n, 1 <= n <= MAX_MODES.
     """
     m = np.asarray(getattr(s, "matrix", s), dtype=complex)
+    as_real((m.real, m.imag), "S as (Re S, Im S)")
     n = m.shape[0] // 2 if m.ndim == 2 else 0
     if m.shape != (2 * n, 2 * n) or not 1 <= n <= MAX_MODES:
         raise ValidationError(
@@ -307,6 +308,7 @@ def joint_parity(rho: np.ndarray, split: BipartiteSplit) -> JointParityResult:
     Returns outcome probabilities and unnormalized posterior operators
     P rho P for the four outcomes.
     """
+    as_real((np.real(rho), np.imag(rho)), "density matrix as (Re, Im)")
     shape = np.shape(rho)
     n = shape[0].bit_length() - 1 if shape else 0
     if n < 0 or shape != (1 << n, 1 << n):

@@ -26,13 +26,13 @@ from __future__ import annotations
 import copy
 import csv
 import io
-import operator
 import os
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
+from .linalg import as_index, as_real
 from .protocol import (
     DistillationReport,
     ProtocolChoice,
@@ -75,15 +75,9 @@ class LatticeGeometry:
     N: int
 
     def __post_init__(self):
-        # numpy integers become ints, so the FFT sizing sees plain Python
-        # integers; floats, strings and other non-integers are refused
+        # numpy integers become ints, for the FFT sizing; other non-integers are refused
         for name in ("L", "N"):
-            try:
-                object.__setattr__(self, name, operator.index(getattr(self, name)))
-            except TypeError:
-                raise ValidationError(
-                    f"{name} must be an integer, got {getattr(self, name)!r}"
-                ) from None
+            object.__setattr__(self, name, as_index(getattr(self, name), name))
         if self.L < 2:
             raise ValidationError("block length L must be >= 2")
         if self.N < 0:
@@ -145,7 +139,7 @@ def _check_memory(L: int, m: int):
     2c while its old c are held: (H + 2) c rows, the most over the solves at
     this L.  A solve of more than 2c steps grows again and can exceed it.
     """
-    h = _smooth_length(int(L))
+    h = _smooth_length(L)
     buffers = 16 * (h // 2 + 1) + 16 * h + 32 * (h // 2 + 1)  # the spectrum, one product
     asked = [a for N in (0, 1) for a in _asked(_parity_blocks(L, -(N + L)), m)]
     halves = [(1 + (b[2] != b[3]), n) for b, n in asked]
@@ -171,10 +165,11 @@ class ToeplitzKernel:
     """
 
     def __init__(self, L: int, r: int):
+        L, r = as_index(L, "kernel size L"), as_index(r, "kernel offset r")
         if L < 1:
             raise ValidationError("kernel size must be >= 1")
         # _q is a block view's input sublattice, None on the whole kernel
-        self.r, self.L, self.shape, self._q = int(r), int(L), (int(L), int(L)), None
+        self.r, self.L, self.shape, self._q = r, L, (L, L), None
         self._fft_len = _smooth_length(self.L)
         # d at the odd offsets 2i - pi + r in (r - L, r + L)
         pi = self._parity = (self.r + 1) % 2
@@ -429,7 +424,7 @@ def top_singular_triplets(kern: ToeplitzKernel, k: int) -> tuple[list[SingularTr
     10 KRYLOV_TOL sigma_1 against the full kernel.  Returns the triplets and
     the Lanczos steps of the solves that ran, one product each.
     """
-    L = kern.L
+    L, k = kern.L, as_index(k, "k")
     if k < 1:
         raise ValidationError("need k >= 1 triplets")
     if k > L:
@@ -504,9 +499,9 @@ def restricted_covariance(
     Returns the covariance, its split and the canonical choice, as
     `optimal_choice` would give them for the dense covariance.
     """
+    m, L, N = as_index(m, "m"), geometry.L, geometry.N
     if m < 2:
         raise ValidationError("protocol needs m >= 2")
-    L, N = geometry.L, geometry.N
     if 2 * m > 2 * L:
         raise ValidationError("2m may not exceed the 2L modes available")
     _check_memory(L, m)
@@ -596,18 +591,19 @@ def sweep(L_values, N_values, m: int = 2, seed=None, jobs: int = 1) -> list[Swee
     A row is a function of its (L, N, m) alone, so it does not depend on
     the point's grid position, the execution order or the number of
     workers; `seed` is accepted and ignored, like `lattice_point`'s.
-    Settings that would fail every point (m < 2, jobs < 1) are rejected
-    before the first one, and so is a grid whose largest L would not fit
-    in memory.  Workers are capped at the number of points and of CPUs.
+    Settings that would fail every point (m < 2, jobs < 1, a non-integer
+    m, jobs, L or N) are rejected before the first one, as is a grid whose
+    largest L would not fit in memory.  Workers are capped at the points and CPUs.
     """
     if not len(L_values) or not len(N_values):
         raise ValidationError("sweep needs nonempty L and N lists")
+    m, jobs = as_index(m, "m"), as_index(jobs, "jobs")
     if m < 2:
         raise ValidationError(f"protocol needs m >= 2, got {m}")
     if jobs < 1:
         raise ValidationError(f"jobs must be >= 1, got {jobs}")
-    _check_memory(max(L_values), m)
-    tasks = [(int(L), int(N), m) for L in L_values for N in N_values]
+    tasks = [(as_index(L, "L"), as_index(N, "N"), m) for L in L_values for N in N_values]
+    _check_memory(max(L for L, _, _ in tasks), m)
     jobs = min(jobs, len(tasks), os.cpu_count() or 1)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor  # multiprocessing only when used
@@ -634,11 +630,13 @@ def fit_power_law(samples, L_min: float) -> tuple[float, float, float, int, list
 
     Least squares on log(1 - value) against log(L).  Returns (a, b,
     rms_residual, points_used, warnings); points with a non-finite value
-    or one >= 1 are skipped with a warning, and fewer than 3 usable
-    points, or usable points at one L only, are an error.
+    or one >= 1 are skipped with a warning; an L that `as_real` refuses or
+    that is not positive, under 3 usable points, or all at one L, raise.
     """
     xs, ys, warnings = [], [], []
     for L, value in samples:
+        if not as_real(L, "L") > 0:
+            raise ValidationError(f"L = {L} is not a positive length")
         if L < L_min:
             continue
         if not np.isfinite(value):

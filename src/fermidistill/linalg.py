@@ -17,8 +17,11 @@ one error type for structural violations: a state is its real G.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
+
+STRUCT_ATOL = 1e-10  # structural tolerances (realness, hermiticity, ...)
 
 # Antisymmetry violations above this (relative to the largest entry) are
 # treated as data errors rather than roundoff.
@@ -30,6 +33,34 @@ RANK_RTOL = 1e-12
 
 class ValidationError(ValueError):
     """Raised when an input violates a structural invariant."""
+
+
+# Entries of this magnitude or more are refused on input, before G G^T or |x|^2 overflows.
+ENTRY_LIMIT = 1e100
+
+
+def as_real(a, name: str) -> np.ndarray:
+    """A float64 copy of the array or scalar a: the package's one entry gate for numbers.
+
+    ValidationError naming `name` for |Im| > STRUCT_ATOL or an entry NaN, inf or >= ENTRY_LIMIT."""
+    a = np.asarray(a)
+    if np.iscomplexobj(a) and not np.abs(a.imag).max(initial=0.0) <= STRUCT_ATOL:  # NaN fails too
+        raise ValidationError(f"{name} is not real")
+    a = np.array(np.real(a), dtype=float)
+    if not np.abs(a).max(initial=0.0) < ENTRY_LIMIT:  # NaN and inf fail too
+        i = np.unravel_index(np.argmin(np.abs(a) < ENTRY_LIMIT), a.shape)
+        what = "an entry of 1e100 or more" if np.isfinite(a[i]) else "a non-finite entry"
+        at = f" at {tuple(map(int, i))}" if i else ""  # a scalar has no position
+        raise ValidationError(f"{name} has {what}{at}")
+    return a
+
+
+def as_index(value, name: str) -> int:
+    """value as a Python int; ValidationError unless it is an integer (a float is not)."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
 
 
 def _member(index: int, lead: tuple[int, ...]) -> str:
@@ -51,15 +82,15 @@ def pfaffian(a: np.ndarray) -> float | np.ndarray:
     `a` has shape (..., n, n).  It is copied once into a batch-last
     array (n, n, count), which `_eliminate` checks and eliminates in
     place.  Raises ValidationError for a complex dtype, even with a zero
-    imaginary part, and unless every member is square, even-dimensional,
-    finite, below 1e100 in magnitude and antisymmetric to
-    ANTISYMMETRY_RTOL times its own largest entry.  A member whose column
-    to reflect vanishes, or underflows, gets exactly 0.  A 2-D input
-    returns a Python float; a stack, a float64 array of shape a.shape[:-2].
+    imaginary part, for entries `as_real` refuses, and unless every member
+    is square, even-dimensional and antisymmetric to ANTISYMMETRY_RTOL
+    times its own largest entry.  A member whose column to reflect
+    vanishes, or underflows, gets exactly 0.  A 2-D input returns a
+    Python float; a stack, a float64 array of shape a.shape[:-2].
     """
-    a = np.asarray(a)
     if np.iscomplexobj(a):
-        raise ValidationError(f"Pfaffian takes real input, got dtype {a.dtype}")
+        raise ValidationError(f"Pfaffian takes real input, got dtype {np.asarray(a).dtype}")
+    a = as_real(a, "matrix")
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise ValidationError(f"expected a square matrix or a stack of them, got shape {a.shape}")
     n = a.shape[-1]
@@ -67,7 +98,7 @@ def pfaffian(a: np.ndarray) -> float | np.ndarray:
         raise ValidationError(f"Pfaffian requires even dimension, got {n}")
     lead = a.shape[:-2]
     count = math.prod(lead)
-    work = np.array(a.reshape(count, n * n).T, dtype=float, order="C").reshape(n, n, count)
+    work = np.array(a.reshape(count, n * n).T, order="C").reshape(n, n, count)
     pf = _eliminate(work, np.empty(_scratch_size(n, count)), lead)
     if lead:
         return pf.reshape(lead)
@@ -89,21 +120,17 @@ def _eliminate(work: np.ndarray, scratch: np.ndarray, lead: tuple[int, ...]) -> 
     The core of `pfaffian`, for callers that keep their own buffers:
     work is overwritten and scratch, a flat float64 array of at least
     `_scratch_size(n, count)` entries, holds every temporary of the
-    stack's size.  Checks that entries are finite and below 1e100 (from
-    each member's max |A|, through which NaN and inf carry) and
-    antisymmetric, naming an asymmetric member by its index in `lead`,
-    whose C-order flattening is the last axis of work; a column whose
-    entries all lie below about 1e-154 underflows its norm, and the
-    Pfaffian, to 0.  Each step reflects one column of the live block,
-    the same operations on every member: no search, no per-member gather.
+    stack's size.  Entries passed `as_real`, so no reflection's |x|^2 <=
+    n^2 max|A|^2 overflows.  Checks antisymmetry to ANTISYMMETRY_RTOL times
+    each member's max |A|, naming a failing member by its index in `lead`,
+    whose C-order flattening is the last axis of work.  Each step reflects
+    one column of the live block, the same operations on every member; the
+    last 4 x 4 block's Pfaffian is written out, so only a column of n >= 6
+    whose entries all lie below about 1e-154 underflows to a Pfaffian of 0.
     """
     n, _, count = work.shape
     full = scratch[: n * n * count].reshape(n, n, count)
     scale = np.abs(work, out=full).max(axis=(0, 1), initial=0.0)
-    # NaN and inf carry through max; below 1e100 no reflection's |x|^2 <= n^2 max|A|^2 overflows
-    if not scale.max(initial=0.0) < 1e100:
-        what = "an entry of 1e100 or more" if np.isfinite(scale).all() else "non-finite entries"
-        raise ValidationError(f"matrix contains {what}")
     np.add(work, work.transpose(1, 0, 2), out=full)
     resid = np.abs(full, out=full).max(axis=(0, 1), initial=0.0)
     bad = resid > ANTISYMMETRY_RTOL * scale
@@ -114,7 +141,7 @@ def _eliminate(work: np.ndarray, scratch: np.ndarray, lead: tuple[int, ...]) -> 
             f" exceeds {ANTISYMMETRY_RTOL:.1e} * |A|_max"
         )
     pf = np.ones(count)
-    for k in range(0, n - 2, 2):
+    for k in range(0, n - 4, 2):
         # H = 1 - u u^T / den maps x = A[k+1:, k] onto -s|x| e_1, for s the
         # sign of x_0, u = x + s|x| e_1 and den = |x| (|x| + |x_0|).  Then
         # Pf(A) = -s|x| Pf(T'), T' the trailing block of H T H^T = T + u y^T
@@ -140,18 +167,18 @@ def _eliminate(work: np.ndarray, scratch: np.ndarray, lead: tuple[int, ...]) -> 
         block = scratch[3 * size * count : (3 * size + m * m) * count].reshape(m, m, count)
         np.einsum("xib,xjb->ijb", pair[:2], pair[1:], out=block)
         work[k + 2 :, k + 2 :] += block
-    if n:
-        # the n/2 - 1 reflections' signs, and the last 2 x 2 block
-        pf *= (-1.0) ** (n // 2 - 1) * work[n - 2, n - 1]
+    if n == 2:
+        pf *= work[0, 1]
+    elif n:
+        # the n/2 - 2 reflections' signs, and the Pfaffian of the last 4 x 4 block
+        t = work[n - 4 :, n - 4 :]
+        pf *= (-1.0) ** (n // 2) * (t[0, 1] * t[2, 3] - t[0, 2] * t[1, 3] + t[0, 3] * t[1, 2])
     return pf
 
 
 def svd(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Singular value decomposition a = u @ diag(s) @ vh, s decreasing."""
-    a = np.asarray(a)
-    if not np.all(np.isfinite(a)):
-        raise ValidationError("matrix contains non-finite entries")
-    return np.linalg.svd(a)
+    """Singular value decomposition a = u @ diag(s) @ vh, s decreasing, of a real a."""
+    return np.linalg.svd(as_real(a, "matrix"))
 
 
 def _orthonormalise(q: np.ndarray, lead: tuple[int, ...]) -> None:

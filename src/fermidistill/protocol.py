@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import RANK_RTOL, _orthonormalise, _scratch_size, svd
+from .linalg import RANK_RTOL, _orthonormalise, _scratch_size, as_index, svd
 from .states import (
     P_FLOOR,
     STRUCT_ATOL,
@@ -59,8 +59,8 @@ SAMPLE_CHUNK = 512
 
 
 def _check_target(split: BipartiteSplit, m: int) -> None:
-    """Reject a target size m that no protocol on this split can reach."""
-    if m < 2:
+    """Reject a target size m that no protocol on this split can reach, or a non-integer m."""
+    if as_index(m, "m") < 2:
         raise ValidationError("protocol needs m >= 2")
     split.check_even()
     if 2 * m > len(split.a):
@@ -253,7 +253,7 @@ def scan_m(
     s: CovarianceMatrix | np.ndarray, split: BipartiteSplit, m_max: int
 ) -> tuple[list[DistillationReport], str | None]:
     """Reports for m = 2..m_max from one SVD of Y; truncates with a reason when rank runs out."""
-    if m_max < 2:
+    if as_index(m_max, "m_max") < 2:
         raise ValidationError(f"protocol needs m >= 2, got m_max = {m_max}")
     reports, blk, y_svd = [], None, None
     for m in range(2, m_max + 1):
@@ -312,12 +312,12 @@ def sample_suboptimal(
     chunk, the last partial one included, runs in views of their first
     count trials.  The first trial with the largest pf wins.
     """
-    if trials < 1:
+    if as_index(trials, "trials") < 1:
         raise ValidationError("trials must be >= 1")
     _check_target(split, m)
     blk = _valid_blocks(s, split)
     k, r = len(split.a), 2 * m  # |A| == |B| after _check_target
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(as_index(seed, "seed"))
     size = min(SAMPLE_CHUNK, trials)
     # scratch holding the draw, frames (k, r, 2, C), Pfaffian matrices; one
     # allocation, as separate buffers were mapped afresh by most calls

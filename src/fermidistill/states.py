@@ -28,9 +28,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .linalg import ValidationError, _eliminate, _scratch_size, pfaffian, svd
+from .linalg import (STRUCT_ATOL, ValidationError, _eliminate, _scratch_size, as_index, as_real,
+                     pfaffian, svd)
 
-STRUCT_ATOL = 1e-10          # structural tolerances (hermiticity, realness, ...)
 CROSS_CHECK_ATOL = 1e-8      # agreement between independent formulas
 P_FLOOR = 1e-12              # below this success probability f is undefined
 
@@ -75,12 +75,12 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """A quasifree state as the real 2n x 2n G of S = 1/2 + iG; `validate` checks G."""
+    """A quasifree state as the real 2n x 2n G of S = 1/2 + iG (`as_real`); `validate` checks G."""
 
     g: np.ndarray
 
     def __post_init__(self):
-        g = _real(self.g, "covariance G")
+        g = as_real(self.g, "covariance G")
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2 != 0:
             raise ValidationError(f"covariance must be 2n x 2n, got {g.shape}")
         object.__setattr__(self, "g", g)
@@ -106,14 +106,6 @@ def _state(s: CovarianceMatrix | np.ndarray) -> CovarianceMatrix:
     return s if isinstance(s, CovarianceMatrix) else CovarianceMatrix.from_s(s)
 
 
-def _real(a, name: str) -> np.ndarray:
-    """a as a float array; ValidationError unless its imaginary part is within STRUCT_ATOL."""
-    a = np.asarray(a)
-    if np.iscomplexobj(a) and not np.abs(a.imag).max(initial=0.0) <= STRUCT_ATOL:
-        raise ValidationError(f"{name} is not real")
-    return np.real(a).astype(float)
-
-
 @dataclass(frozen=True)
 class BipartiteSplit:
     """Bipartition of the 2n basis indices into Alice's and Bob's."""
@@ -122,8 +114,8 @@ class BipartiteSplit:
     b: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "a", tuple(int(i) for i in self.a))
-        object.__setattr__(self, "b", tuple(int(i) for i in self.b))
+        object.__setattr__(self, "a", tuple(as_index(i, "split index") for i in self.a))
+        object.__setattr__(self, "b", tuple(as_index(i, "split index") for i in self.b))
         negative = [i for i in self.a + self.b if i < 0]
         if negative:
             raise ValidationError(f"split index {negative[0]} is negative")
@@ -136,7 +128,7 @@ class BipartiteSplit:
 
     @classmethod
     def from_alice(cls, a_indices, dim: int) -> "BipartiteSplit":
-        a = tuple(int(i) for i in a_indices)
+        a = tuple(as_index(i, "split index") for i in a_indices)
         if any(i < 0 or i >= dim for i in a):
             raise ValidationError("split indices out of range")
         alice = set(a)
@@ -168,6 +160,10 @@ class BlockDecomposition:
     y: np.ndarray
     z: np.ndarray
 
+    def __post_init__(self):
+        for name in ("x", "y", "z"):
+            object.__setattr__(self, name, as_real(getattr(self, name), f"block {name.upper()}"))
+
 
 @dataclass(frozen=True)
 class RealProjectionPair:
@@ -183,14 +179,14 @@ class RealProjectionPair:
 
     def __post_init__(self):
         for name, u in (("ua", self.ua), ("ub", self.ub)):
-            u = _real(u, name)
+            u = as_real(u, name)
             if u.ndim != 2 or u.shape[1] % 2 != 0:
                 raise ValidationError(
                     f"{name} must be 2-D with an even number of columns (whole modes), "
                     f"got shape {u.shape}"
                 )
             err = np.abs(u.T @ u - np.eye(u.shape[1])).max(initial=0.0)
-            if not err <= STRUCT_ATOL:  # NaN fails too
+            if not err <= STRUCT_ATOL:
                 raise ValidationError(f"{name} does not have orthonormal columns")
             object.__setattr__(self, name, u)
 
@@ -234,22 +230,13 @@ def validate(s: CovarianceMatrix | np.ndarray) -> ValidationReport:
     """Diagnose validity to STRUCT_ATOL: reports, never raises on a state.
 
     S = 1/2 + iG has eigenvalues 1/2 +- sigma_i(G) for G antisymmetric.
-    A G that is non-finite or has an entry of 1e100 or more, where G G^T
-    could overflow, fails one check on its entries instead.
     """
     g = _state(s).g
     report = ValidationReport()
-    top = np.abs(g).max(initial=0.0)
-    if not top < 1e100:  # NaN fails too
-        report.add("entries |G|_max", top, 0.5)
-        return report
     report.add("antisymmetry |G + G^T|_max", np.abs(g + g.T).max(initial=0.0), STRUCT_ATOL)
     a = (g - g.T) / 2
-    try:
-        top = np.sqrt(max(np.linalg.eigvalsh(a @ a.T)[-1], 0.0))  # sigma_max(a)
-        report.add("spectrum max(0, sigma_max(G) - 1/2)", max(top - 0.5, 0.0), STRUCT_ATOL)
-    except np.linalg.LinAlgError:
-        report.add("spectrum (eigensolver failed)", np.inf, STRUCT_ATOL)
+    top = np.sqrt(max(np.linalg.eigvalsh(a @ a.T)[-1], 0.0))  # sigma_max(a)
+    report.add("spectrum max(0, sigma_max(G) - 1/2)", max(top - 0.5, 0.0), STRUCT_ATOL)
     return report
 
 
@@ -280,17 +267,9 @@ def assemble_covariance(block: BlockDecomposition) -> tuple[CovarianceMatrix, Bi
 
 
 def _check_antisymmetric(g: np.ndarray, name: str) -> None:
-    """Refuse the G of state `name` unless |G + G^T|_max <= STRUCT_ATOL max(|G|_max, 1).
-
-    A G that is non-finite or has an entry of 1e100 or more is refused
-    first, as `validate` does, before G + G^T can overflow.
-    """
-    top = np.abs(g).max(initial=0.0)
-    if not top < 1e100:  # NaN fails too
-        what = "an entry of 1e100 or more" if np.isfinite(top) else "non-finite entries"
-        raise ValidationError(f"G = -i({name} - 1/2) has {what}")
+    """Refuse the G of state `name` unless |G + G^T|_max <= STRUCT_ATOL max(|G|_max, 1)."""
     resid = np.abs(g + g.T).max(initial=0.0)
-    if not (resid <= STRUCT_ATOL or resid <= STRUCT_ATOL * top):  # NaN fails both
+    if not (resid <= STRUCT_ATOL or resid <= STRUCT_ATOL * np.abs(g).max(initial=0.0)):
         raise ValidationError(f"G = -i({name} - 1/2) is not antisymmetric under transposition")
 
 
@@ -312,14 +291,16 @@ def parity_expectation(s: CovarianceMatrix | np.ndarray) -> float:
 def parity_probability(s: CovarianceMatrix | np.ndarray, orientation: int = 1) -> float:
     """Probability that a joint parity measurement lands in the target sector.
 
-    For 2m modes: p = (1 + orientation (-1)^m parity_expectation(S)) / 2.
-    orientation = +1 corresponds to a target maximally entangled state
+    For 2m modes: p = (1 + orientation (-1)^m parity_expectation(S)) / 2,
+    orientation +-1.  orientation = +1 corresponds to a target maximally entangled state
     whose off-diagonal orthogonal block has determinant +1 in this basis
     (see `target_orientation`); the (-1)^m accounts for the parity sign
     of such a target.
     """
     s = _state(s)
     n2 = s.g.shape[0]
+    if orientation not in (1, -1):
+        raise ValidationError(f"orientation must be +1 or -1, got {orientation!r}")
     if n2 % 4 != 0:
         raise ValidationError("parity probability needs an even number of modes")
     return (1.0 + orientation * (-1.0) ** (n2 // 4) * parity_expectation(s)) / 2.0
@@ -360,7 +341,7 @@ def partner_projection(
     g[np.ix_(ia, ib)] *= -1
     g[np.ix_(ib, ia)] *= -1
     # S^2 = S reads G^2 = -1/4
-    if not np.abs(g @ g + 0.25 * np.eye(len(g))).max(initial=0.0) <= STRUCT_ATOL:  # NaN fails too
+    if not np.abs(g @ g + 0.25 * np.eye(len(g))).max(initial=0.0) <= STRUCT_ATOL:
         raise ValidationError("partner projection lost idempotence")
     return CovarianceMatrix(g)
 
@@ -370,9 +351,9 @@ def maximally_entangled_projection(v: np.ndarray, split: BipartiteSplit) -> Cova
 
     v must be real orthogonal on (A, B); the diagonal blocks vanish.
     """
-    v = _real(v, "maximally entangled state: Y-block V")
+    v = as_real(v, "maximally entangled state: Y-block V")
     k = v.shape[0]
-    if v.shape != (k, k) or not np.abs(v.T @ v - np.eye(k)).max() <= STRUCT_ATOL:  # NaN fails too
+    if v.shape != (k, k) or not np.abs(v.T @ v - np.eye(k)).max() <= STRUCT_ATOL:
         raise ValidationError("Y-block of a maximally entangled state must be orthogonal")
     if len(split.a) != k or len(split.b) != k:
         raise ValidationError("split size does not match the isometry")
@@ -532,17 +513,10 @@ def restrict(
     in those frames, together with the split of the new (grouped) index
     set.
     """
-    g = _state(s).g
-    ua, ub = d.ua, d.ub
-    ia, ib = list(split.a), list(split.b)
-    frame = np.zeros((g.shape[0], ua.shape[1] + ub.shape[1]))
-    frame[ia, : ua.shape[1]] = ua
-    frame[ib, ua.shape[1]:] = ub
-    out = CovarianceMatrix(frame.T @ g @ frame)
+    blk, ua, ub = blocks(s, split), d.ua, d.ub
+    out, new_split = assemble_covariance(
+        BlockDecomposition(ua.T @ blk.x @ ua, ua.T @ blk.y @ ub, ub.T @ blk.z @ ub))
     validate(out).require("restricted covariance failed validation")
-    new_split = BipartiteSplit(
-        tuple(range(ua.shape[1])), tuple(range(ua.shape[1], ua.shape[1] + ub.shape[1]))
-    )
     return out, new_split
 
 
@@ -640,11 +614,5 @@ def load_covariance(path: str | Path) -> tuple[CovarianceMatrix, BipartiteSplit]
         pairs = None
     if pairs is None or pairs.shape != (dim * dim, 2) or pairs.dtype.kind not in "iuf":
         raise ValidationError("entries must be [re, im] pairs of numbers")
-    finite = np.isfinite(pairs).all(axis=1)
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise ValidationError(
-            f"entry {i} (row {i // dim}, column {i % dim}) is not finite: {entries[i]!r}"
-        )
     s = CovarianceMatrix.from_s(pairs.astype(float).view(complex).reshape(dim, dim))
     return s, BipartiteSplit.from_alice(split_a, dim)

@@ -147,3 +147,45 @@ def test_bench_scripts_call_the_package_as_it_is():
     assert sum("lattice.sweep(" in s for s in checked) >= 1
     assert sum("record_reference" in s and "lattice_point" in s for s in checked) >= 1
     assert len(checked) >= 15, checked
+
+
+def test_traced_calls_record_every_span_the_metrics_read():
+    """A traced benchmark run records each span `workload.layer_metrics` reads.
+
+    `layer_metrics` takes a median over the spans of `states.validate`,
+    `states.protocol_quantities`, `protocol.sample_suboptimal`,
+    `protocol.optimal_choice`, `fock.density_from_covariance` and
+    `fock.verify_all` (a median of nothing raises), and the value
+    extractors read a product's `L`, a solve's step count and the
+    positional trial count.  Small versions of the benchmark's calls run
+    under the installed tracer; each of those spans must occur and every
+    recorded value must be a positive int.
+    """
+    namespace = {"__name__": "spans"}
+    exec(compile(SPANS.read_text(), str(SPANS), "exec"), namespace)
+    tracer = namespace["Tracer"](namespace["targets"](linalg, states, protocol, lattice, fock))
+    s, split = states.random_covariance(8, 0), states.BipartiteSplit.halves(16)
+    s3, split3 = states.random_covariance(6, 1), states.BipartiteSplit.halves(12)
+    tracer.install()
+    try:
+        with tracer.operation("traced"):
+            lattice.lattice_point(lattice.LatticeGeometry(2000, 1), m=2, seed=0)
+            protocol.run_protocol(s, split, 2)
+            protocol.scan_m(s, split, 2)
+            protocol.sample_suboptimal(s, split, 2, 20, 0)
+            choice = protocol.optimal_choice(s3, split3, 3)
+            target = states.maximally_entangled_projection(choice.v, split3)
+            fock.verify_all(s3, target, split3)
+    finally:
+        tracer.uninstall()
+    names = {span[0] for span in tracer.spans}
+    expected = {
+        "states.validate", "states.protocol_quantities", "protocol.sample_suboptimal",
+        "protocol.optimal_choice", "fock.density_from_covariance", "fock.verify_all",
+        "protocol.run_protocol", "protocol.scan_m", "linalg.pfaffian", "lattice.product",
+        "lattice.top_singular_triplets", "lattice.restricted_covariance", "lattice.lattice_point",
+    }
+    assert expected <= names, sorted(expected - names)
+    values = [span[5] for span in tracer.spans if span[5] is not None]
+    assert values and all(type(v) is int and v > 0 for v in values), values
+    assert not namespace["SpanTree"](tracer.spans).check()

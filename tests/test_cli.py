@@ -229,7 +229,8 @@ class TestNonFiniteFile:
         assert main([argv[0], str(path), *argv[1:]]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert "entry 4" in err and "Traceback" not in err
+        # the entry gate names G's entry, which is S[0, 4]
+        assert "entry at (0, 4)" in err and "Traceback" not in err
 
 
 class TestClosedFormCommands:
@@ -479,7 +480,11 @@ class TestInputEdges:
             assert main(argv + extra) == 1
             captured = capsys.readouterr()
             assert captured.out == "" and not emitted.exists()
-            assert captured.err.startswith("error: four-mode parameters give an invalid state")
+            # a parameter that is not a finite number is refused as it is read
+            expected = {"nan": "nu1 has a non-finite entry"}.get(
+                params[0], "four-mode parameters give an invalid state"
+            )
+            assert captured.err.startswith(f"error: {expected}")
 
     @pytest.mark.parametrize(
         "x, y, message",
@@ -499,8 +504,9 @@ class TestInputEdges:
         assert captured.err.startswith("error: ") and message in captured.err
 
     def test_fg_scan_sigma_finite(self, capsys):
+        # f_vs_g_scan reads sigma through linalg.as_real
         assert main(["closed-form", "fg-scan", "--sigma", "inf"]) == 1
-        assert capsys.readouterr().err == "error: sigma must be finite, got inf\n"
+        assert capsys.readouterr().err == "error: sigma has a non-finite entry\n"
 
     def test_offsets_beyond_int64(self, capsys):
         # the sweep records the refused point in its row; minlen stops on it

@@ -1235,6 +1235,18 @@ class TestRestrictedCovariance:
         with pytest.raises(ValidationError, match="must be an integer"):
             LatticeGeometry(L, N)
 
+    def test_kernel_and_solve_take_integers_only(self):
+        # ToeplitzKernel(100, nan) and (1e308, 0) raised numpy's ValueError,
+        # top_singular_triplets(kern, nan) a TypeError from a slice
+        with pytest.raises(ValidationError, match="kernel offset r must be an integer"):
+            ToeplitzKernel(100, np.nan)
+        with pytest.raises(ValidationError, match="kernel size L must be an integer"):
+            ToeplitzKernel(1e308, 0)
+        with pytest.raises(ValidationError, match="k must be an integer"):
+            top_singular_triplets(ToeplitzKernel(100, -101), np.nan)
+        kern = ToeplitzKernel(np.int64(100), np.int32(-101))
+        assert (type(kern.L), type(kern.r)) == (int, int)
+
 
 class TestRejectedSettings:
     @pytest.mark.parametrize("jobs", [0, -3])

@@ -254,6 +254,16 @@ class TestHouseholderEdges:
         assert pf[1] == pytest.approx(a01 * a23 - a02 * a13 + a03 * a12, rel=1e-13)
         assert pf[0] == pytest.approx(pfaffian_combinatorial(small), rel=1e-12)
 
+    def test_tiny_first_column_keeps_its_pfaffian(self):
+        # the trailing 4 x 4 Pfaffian is written out, so a column whose
+        # entries lie below 1e-154 is never reflected and its norm never
+        # underflows (a reflection gave 0.0 here)
+        a = np.zeros((4, 4))
+        a[0, 1:], a[1, 2:], a[2, 3] = (1e-270, 2e-270, 3e-270), (1e70, 2e70), 3e70
+        a -= a.T
+        with np.errstate(all="raise"):
+            assert pfaffian(a) == pytest.approx(2e-200, rel=1e-12)
+
     @pytest.mark.parametrize("big", [1e100, 1e154, 1e200])
     def test_entries_past_the_limit_rejected(self, rng, big):
         # above it a column norm or den can overflow: NaN, or a finite wrong Pf
@@ -333,12 +343,15 @@ class TestSvd:
         np.testing.assert_allclose(s, [3.0, 1.0])
 
     def test_reconstruction_and_unitarity(self, rng):
-        a = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+        # svd takes real matrices, like every other entry point
+        a = rng.standard_normal((6, 6))
         u, s, vh = svd(a)
         np.testing.assert_allclose(u @ np.diag(s) @ vh, a, atol=1e-10)
-        np.testing.assert_allclose(u.conj().T @ u, np.eye(6), atol=1e-10)
-        np.testing.assert_allclose(vh @ vh.conj().T, np.eye(6), atol=1e-10)
+        np.testing.assert_allclose(u.T @ u, np.eye(6), atol=1e-10)
+        np.testing.assert_allclose(vh @ vh.T, np.eye(6), atol=1e-10)
         assert np.all(np.diff(s) <= 0)
+        with pytest.raises(ValidationError, match="matrix is not real"):
+            svd(a + 1j * a)
 
     def test_nonfinite_rejected(self):
         with pytest.raises(ValidationError, match="finite"):

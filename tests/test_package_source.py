@@ -6,9 +6,11 @@ relative imports to the module that defines it, every module-level
 import is used or exported, no module imports the process pool on
 import, every public name has a caller outside the tests, no call
 needs a numpy newer than the declared floor, every FFT
-in lattice.py runs inside `ToeplitzKernel` or `_odd_spectrum`, and
-complex numbers stay where states.py converts an S to or from G (the
-dense Fock oracle apart).  The sources are parsed with `ast`; nothing
+in lattice.py runs inside `ToeplitzKernel` or `_odd_spectrum`,
+complex numbers stay where states.py converts an S to or from G and
+where `linalg.as_real` reads an input as real (the dense Fock oracle
+apart), and the entry limit 1e100 is written once, as
+`linalg.ENTRY_LIMIT`.  The sources are parsed with `ast`; nothing
 is imported from them or written.
 """
 
@@ -281,17 +283,20 @@ def _complex_uses(node: ast.AST) -> list[ast.AST]:
     return found
 
 
-# where an S is converted to the state's real G or given back for files
-S_EDGES = ("CovarianceMatrix", "_real", "save_covariance", "load_covariance")
+# where an S is converted to the state's real G or given back for files,
+# and linalg's entry gate, which reads any input as real
+S_EDGES = ("CovarianceMatrix", "as_real", "save_covariance", "load_covariance")
 
 
 def test_complex_arithmetic_stays_at_the_edges():
     # a state is its real antisymmetric G: in states.py complex numbers
-    # appear only where an S enters or leaves, and the modules built on
+    # appear only where an S enters or leaves, in linalg only where the
+    # entry gate reads an input as real, and the other modules built on
     # states never see one; fock.py (the dense oracle) is exempt
     edges = {
         id(sub)
-        for node in TREES["states"].body
+        for module in ("states", "linalg")
+        for node in TREES[module].body
         if isinstance(node, (ast.ClassDef, ast.FunctionDef)) and node.name in S_EDGES
         for sub in ast.walk(node)
     }
@@ -299,10 +304,32 @@ def test_complex_arithmetic_stays_at_the_edges():
         module: [
             f"line {n.lineno}: {ast.unparse(n)}"
             for n in _complex_uses(TREES[module])
-            if module != "states" or id(n) not in edges
+            if id(n) not in edges
         ]
         for module in sorted(set(TREES) - {"fock"})
     }
     assert any(id(n) in edges for n in _complex_uses(TREES["states"]))
     stray = {module: lines for module, lines in stray.items() if lines}
     assert not stray, f"complex arithmetic outside the S <-> G edges of states.py: {stray}"
+
+
+def test_entry_limit_is_written_once():
+    # the bound on input entries is linalg.ENTRY_LIMIT alone: every check
+    # reads it through linalg.as_real rather than restating the number
+    limit = [
+        node.value
+        for node in TREES["linalg"].body
+        if isinstance(node, ast.Assign)
+        and [ast.unparse(t) for t in node.targets] == ["ENTRY_LIMIT"]
+    ]
+    assert len(limit) == 1 and ast.literal_eval(limit[0]) == 1e100
+    sites = [
+        f"{module} line {node.lineno}"
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant)
+        and type(node.value) in (int, float)
+        and node.value == 1e100
+        and node is not limit[0]
+    ]
+    assert not sites, f"1e100 restated outside linalg.ENTRY_LIMIT: {sites}"
