@@ -83,6 +83,11 @@ class FourModeParams(_Params):
     def nus(self) -> tuple[float, float, float, float]:
         return (self.nu1, self.nu2, self.nu3, self.nu4)
 
+    def check(self):
+        """The state is the direct sum of the two-mode states (nu1, nu3) and (nu2, nu4)."""
+        TwoModeParams(self.nu1, self.nu3, self.sigma, self.sigma).check()
+        TwoModeParams(self.nu2, self.nu4, self.sigma, self.sigma).check()
+
 
 def _normal_form(*nus: float) -> np.ndarray:
     """The block diagonal sum of nu_k [[0, 1], [-1, 0]], one block per mode."""
@@ -159,17 +164,20 @@ def four_mode_covariance(params: FourModeParams) -> CovarianceMatrix:
     """The 8x8 covariance in normal form; raises if invalid.
 
     Mode 1 couples to mode 3 and mode 2 to mode 4, so Y = sigma * I_4.
+    `check` then keeps every state built here in the domain of `four_mode_p`.
     """
     n1, n2, n3, n4 = params.nus
     out, _ = assemble_covariance(
         BlockDecomposition(_normal_form(n1, n2), params.sigma * np.eye(4), _normal_form(n3, n4))
     )
     validate(out).require("four-mode parameters give an invalid state")
+    params.check()
     return out
 
 
 def four_mode_p(params: FourModeParams) -> float:
-    """Success probability (1 + (sigma^2 - nu1 nu3)(sigma^2 - nu2 nu4)) / 2."""
+    """Success probability (1 + (sigma^2 - nu1 nu3)(sigma^2 - nu2 nu4)) / 2; raises if invalid."""
+    params.check()
     n1, n2, n3, n4 = params.nus
     s2 = params.sigma ** 2
     return float((1.0 + (s2 - n1 * n3) * (s2 - n2 * n4)) / 2.0)

@@ -6,12 +6,12 @@ carries physical meaning, so we use sign-exact Householder reflections
 instead of sqrt(det).  `pfaffian` takes a stack of small matrices (one
 per sampled protocol) and works on one batch-last copy of it; no step
 searches for a pivot, so every step is the same contiguous operation
-over the whole stack rather than one Python loop per matrix.  It is a
-thin wrapper around the in-place core `_eliminate`; that core and
-`_orthonormalise`, which makes the random frames, run on batch-last
-buffers that `sample_suboptimal` keeps for all of its trials.  Complex
-input, like malformed input, raises `ValidationError`, the package's
-one error type for structural violations: a state is its real G.
+over the whole stack rather than one Python loop per matrix.  It checks
+its input and hands it to the in-place kernel `_eliminate`, which checks
+nothing; that kernel and `_orthonormalise`, which makes the random frames,
+run on batch-last buffers that `sample_suboptimal` keeps for all of its
+trials.  Complex input, like malformed input, raises `ValidationError`, the
+package's one error type for structural violations: a state is its real G.
 """
 
 from __future__ import annotations
@@ -79,13 +79,13 @@ def pfaffian(a: np.ndarray) -> float | np.ndarray:
     det(H) Pf(A).  Satisfies Pf(A)^2 = det(A) with the sign fixed by the
     identity ordering of the rows, ie Pf([[0, a], [-a, 0]]) = a.
 
-    `a` has shape (..., n, n).  It is copied once into a batch-last
-    array (n, n, count), which `_eliminate` checks and eliminates in
-    place.  Raises ValidationError for a complex dtype, even with a zero
-    imaginary part, for entries `as_real` refuses, and unless every member
-    is square, even-dimensional and antisymmetric to ANTISYMMETRY_RTOL
-    times its own largest entry.  A member whose column to reflect
-    vanishes, or underflows, gets exactly 0.  A 2-D input returns a
+    `a` has shape (..., n, n).  It is copied once into a batch-last array
+    (n, n, count), checked there (the package's one antisymmetry check) and
+    eliminated in place by `_eliminate`.  Raises ValidationError for a complex
+    dtype, even with a zero imaginary part, for entries `as_real` refuses, and
+    unless every member is square, even-dimensional and antisymmetric to
+    ANTISYMMETRY_RTOL times its own largest entry.  A member whose column to
+    reflect vanishes, or underflows, gets exactly 0.  A 2-D input returns a
     Python float; a stack, a float64 array of shape a.shape[:-2].
     """
     if np.iscomplexobj(a):
@@ -99,37 +99,7 @@ def pfaffian(a: np.ndarray) -> float | np.ndarray:
     lead = a.shape[:-2]
     count = math.prod(lead)
     work = np.array(a.reshape(count, n * n).T, order="C").reshape(n, n, count)
-    pf = _eliminate(work, np.empty(_scratch_size(n, count)), lead)
-    if lead:
-        return pf.reshape(lead)
-    return float(pf[0])
-
-
-def _scratch_size(n: int, count: int) -> int:
-    """Entries of scratch `_eliminate` touches for count n x n matrices: exactly one stack.
-
-    The checks fill all n^2 entries per member; a step on the trailing m
-    x m block (m <= n - 2) needs 3(m + 1) + m^2 of them.
-    """
-    return n * n * count
-
-
-def _eliminate(work: np.ndarray, scratch: np.ndarray, lead: tuple[int, ...]) -> np.ndarray:
-    """Check and eliminate the batch-last stack work (n, n, count) in place; its Pfaffians.
-
-    The core of `pfaffian`, for callers that keep their own buffers:
-    work is overwritten and scratch, a flat float64 array of at least
-    `_scratch_size(n, count)` entries, holds every temporary of the
-    stack's size.  Entries passed `as_real`, so no reflection's |x|^2 <=
-    n^2 max|A|^2 overflows.  Checks antisymmetry to ANTISYMMETRY_RTOL times
-    each member's max |A|, naming a failing member by its index in `lead`,
-    whose C-order flattening is the last axis of work.  Each step reflects
-    one column of the live block, the same operations on every member; the
-    last 4 x 4 block's Pfaffian is written out, so only a column of n >= 6
-    whose entries all lie below about 1e-154 underflows to a Pfaffian of 0.
-    """
-    n, _, count = work.shape
-    full = scratch[: n * n * count].reshape(n, n, count)
+    full = np.empty_like(work)  # the check's buffer, then the elimination's scratch
     scale = np.abs(work, out=full).max(axis=(0, 1), initial=0.0)
     np.add(work, work.transpose(1, 0, 2), out=full)
     resid = np.abs(full, out=full).max(axis=(0, 1), initial=0.0)
@@ -140,6 +110,36 @@ def _eliminate(work: np.ndarray, scratch: np.ndarray, lead: tuple[int, ...]) -> 
             f"{_member(i, lead)} is not antisymmetric: |A + A^T|_max = {resid[i]:.3e}"
             f" exceeds {ANTISYMMETRY_RTOL:.1e} * |A|_max"
         )
+    pf = _eliminate(work, full.reshape(-1))
+    if lead:
+        return pf.reshape(lead)
+    return float(pf[0])
+
+
+def _scratch_size(n: int, count: int) -> int:
+    """Entries of scratch `_eliminate` touches for count n x n matrices, exactly.
+
+    The first step uses the most, 3(n - 1) + (n - 2)^2 = n^2 - n + 1 per member,
+    all but the first count (-y's first entry); at n <= 4 only the 4 x 4 tail runs.
+    """
+    return (n * n - n + 1) * count if n > 4 else 0
+
+
+def _eliminate(work: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Eliminate the batch-last stack work (n, n, count) in place; its Pfaffians.
+
+    The kernel of `pfaffian`, for callers that keep their own buffers:
+    work is overwritten and scratch, a flat float64 array of at least
+    `_scratch_size(n, count)` entries, holds every temporary of the
+    stack's size.  It checks nothing: every entry came through `as_real`,
+    so no reflection's |x|^2 <= n^2 max|A|^2 overflows, and every member
+    is antisymmetric, exactly as the protocol stack builds it or to
+    ANTISYMMETRY_RTOL as `pfaffian` checked it.  Each step reflects one
+    column of the live block, the same operations on every member; the
+    last 4 x 4 block's Pfaffian is written out, so only a column of n >= 6
+    whose entries all lie below about 1e-154 underflows to a Pfaffian of 0.
+    """
+    n, _, count = work.shape
     pf = np.ones(count)
     for k in range(0, n - 4, 2):
         # H = 1 - u u^T / den maps x = A[k+1:, k] onto -s|x| e_1, for s the

@@ -137,7 +137,7 @@ class BipartiteSplit:
     @classmethod
     def halves(cls, dim: int) -> "BipartiteSplit":
         """Alice gets the first half of the indices, Bob the rest."""
-        if dim % 4 != 0:
+        if as_index(dim, "dim") % 4 != 0:
             raise ValidationError("equal split needs dim divisible by 4")
         return cls(tuple(range(dim // 2)), tuple(range(dim // 2, dim)))
 
@@ -249,6 +249,7 @@ def blocks(s: CovarianceMatrix | np.ndarray, split: BipartiteSplit) -> BlockDeco
 
 def _valid_blocks(s: CovarianceMatrix | np.ndarray, split: BipartiteSplit) -> BlockDecomposition:
     """`blocks` of s once `validate(s)` passes; else ValidationError naming the failed checks."""
+    s = _state(s)
     validate(s).require("invalid state")
     return blocks(s, split)
 
@@ -431,10 +432,11 @@ def _protocol_quantities_stack(
 
     cross-checked against (|det(Y' + 1)| + |det(Y' - 1)|) / 2^(2m) when X'
     or Z' vanishes.  The three Pfaffian matrices are written batch-last
-    into mats (2r, 2r, 3, b) and eliminated in place by
-    `linalg._eliminate` with `scratch`; a caller evaluating many stacks
-    passes both, else they are allocated here.  Every check runs on every
-    member, and a failure names the first offending one.
+    into mats (2r, 2r, 3, b), exactly antisymmetric as built, and eliminated
+    in place by `linalg._eliminate` with `scratch`; a caller evaluating many
+    stacks passes both, else they are allocated here.  The frames are taken
+    as orthonormal, as `RealProjectionPair` and `_orthonormalise` make them;
+    the checks on p, the determinant form and pf name the first failing member.
     """
     b, r = ua.shape[0], ua.shape[2]
     if mats is None:
@@ -452,9 +454,6 @@ def _protocol_quantities_stack(
     # batch-last memory
     fa, fb = (u.transpose(1, 2, 0) for u in (ua, ub))
     eye = np.eye(r)[:, :, None]
-    for name, u in (("ua", fa), ("ub", fb)):
-        gram_error = np.abs(np.einsum("iab,icb->acb", u, u) - eye).max(axis=(0, 1), initial=0.0)
-        check(~(gram_error <= STRUCT_ATOL), lambda i: f"{name} does not have orthonormal columns")
     m = r // 2
 
     def compress(left: np.ndarray, g: np.ndarray, right: np.ndarray) -> np.ndarray:
@@ -482,7 +481,7 @@ def _protocol_quantities_stack(
         det_form[vanish] = np.abs(np.linalg.det(
             mats[:r, r:, 1:, vanish].transpose(2, 3, 0, 1))).sum(axis=0) / 2.0 ** r
     del xp, yp, zp  # freed before the elimination's own temporaries
-    pfs = _eliminate(mats.reshape(2 * r, 2 * r, 3 * b), scratch, (3, b)).reshape(3, b)
+    pfs = _eliminate(mats.reshape(2 * r, 2 * r, 3 * b), scratch).reshape(3, b)
 
     p = (1.0 + ((-4.0) ** m) * pfs[0]) / 2.0
     check(~((p >= -STRUCT_ATOL) & (p <= 1 + STRUCT_ATOL)),
@@ -520,6 +519,13 @@ def restrict(
     return out, new_split
 
 
+def _rng(seed: int | np.random.Generator) -> np.random.Generator:
+    """seed itself if it is a Generator, else a fresh one from the integer seed (`as_index`)."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(as_index(seed, "seed"))
+
+
 def random_covariance(n_modes: int, seed: int | np.random.Generator) -> CovarianceMatrix:
     """Random valid state: G real antisymmetric with its norm scaled into bounds.
 
@@ -528,7 +534,7 @@ def random_covariance(n_modes: int, seed: int | np.random.Generator) -> Covarian
     """
     if not _is_int(n_modes) or n_modes <= 0:
         raise ValidationError(f"n_modes must be a positive integer, got {n_modes!r}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     g = rng.standard_normal((2 * n_modes, 2 * n_modes))
     g = (g - g.T) / 2
     top = np.linalg.norm(g, 2)
@@ -550,7 +556,7 @@ def random_x_zero_covariance(
         raise ValidationError(
             f"n_modes_per_side must be a positive integer, got {n_modes_per_side!r}"
         )
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     k = 2 * n_modes_per_side
     for _ in range(200):
         y = rng.standard_normal((k, k))

@@ -1,5 +1,7 @@
+import ast
 import itertools
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +24,9 @@ from fermidistill.closed_forms import (
 from fermidistill.fock import density_from_covariance
 from fermidistill.protocol import run_protocol
 from fermidistill.states import (
+    BlockDecomposition,
     ValidationError,
+    assemble_covariance,
     blocks,
     fock_fidelity,
     maximally_entangled_projection,
@@ -184,6 +188,56 @@ class TestFourMode:
     def test_non_finite_params_rejected(self, params):
         with np.errstate(all="raise"), pytest.raises(ValidationError, match="a non-finite entry"):
             four_mode_covariance(FourModeParams(*params))
+
+    def test_params_without_a_state_refused(self):
+        # sigma = 1e99 passes the entry gate but gives no state; p was inf
+        params = FourModeParams(0, 0, 0, 0, 1e99)
+        for formula in (four_mode_p, four_mode_f, four_mode_g, max_singlet_fraction):
+            with np.errstate(all="raise"), pytest.raises(ValidationError, match="parameter norm"):
+                formula(params)
+        with pytest.raises(ValidationError, match="invalid state"):
+            four_mode_covariance(params)
+
+    def test_check_matches_the_assembled_state(self):
+        # the normal form is the direct sum of the two-mode states (nu1, nu3,
+        # sigma, sigma) and (nu2, nu4, sigma, sigma): check() passes exactly
+        # where the covariance assembled without it is valid, on a grid kept
+        # 1e-6 away from the boundary of either pair
+        def margin(a, b, sigma):
+            # TwoModeParams.check's two conditions, as slack
+            q = a * a + b * b + 2 * sigma ** 2
+            return min(2 - q, 1 + (a * b - sigma ** 2) ** 2 - q)
+
+        values = (-1.0, -0.45, 0.0, 0.3, 0.8)
+        verdicts = []
+        for nus in itertools.product(values, repeat=4):
+            for sigma in (0.0, 0.5, 0.85, 1.0):
+                slack = min(margin(nus[0], nus[2], sigma), margin(nus[1], nus[3], sigma))
+                if abs(slack) < 1e-6:
+                    continue
+                x, z = (np.kron(np.diag(pair), [[0.0, 1.0], [-1.0, 0.0]])
+                        for pair in (nus[:2], nus[2:]))
+                cov, _ = assemble_covariance(BlockDecomposition(x, sigma * np.eye(4), z))
+                try:
+                    FourModeParams(*nus, sigma).check()
+                    passed = True
+                except ValidationError:
+                    passed = False
+                assert passed == validate(cov).passed, (nus, sigma)
+                verdicts.append(passed)
+        assert 300 < sum(verdicts) < len(verdicts) - 300
+
+    def test_benchmark_closed_form_gate_params_valid(self):
+        # perfbench's closed-form gate calls four_mode_p and four_mode_f
+        # outside its failure tally, so a refusal would stop the workload
+        source = Path(__file__).resolve().parent.parent / "perfbench" / "workload.py"
+        (values,) = [ast.literal_eval(node.value) for node in ast.parse(source.read_text()).body
+                     if isinstance(node, ast.Assign)
+                     and [ast.unparse(t) for t in node.targets] == ["CLOSED_FORM_PARAMS"]]
+        params = FourModeParams(*values)
+        params.check()
+        assert 0 < four_mode_p(params) <= 1 and 0 < four_mode_f(params) <= 1
+        assert validate(four_mode_covariance(params)).passed
 
     def test_small_sigma_valid(self, rng):
         params = FourModeParams(0.1, -0.2, 0.15, 0.05, 0.2)

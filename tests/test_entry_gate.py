@@ -120,7 +120,10 @@ def geometry(L=8, N=1):
 
 TABLE = {
     "states.CovarianceMatrix": {"g": lambda p: CovarianceMatrix(p.put(G))},
-    "states.BipartiteSplit": {"a": lambda p: BipartiteSplit((p.arg(0), 1, 2, 3), (4, 5, 6, 7))},
+    "states.BipartiteSplit": {
+        "a": lambda p: BipartiteSplit((p.arg(0), 1, 2, 3), (4, 5, 6, 7)),
+        "dim": lambda p: BipartiteSplit.halves(p.arg(8)),
+    },
     "states.BlockDecomposition": blk_slots(lambda blk: blk),
     "states.RealProjectionPair": {
         "ua": lambda p: RealProjectionPair(p.put(FRAME), FRAME),
@@ -157,8 +160,10 @@ TABLE = {
     "states.target_orientation": {
         "E": lambda p: states.target_orientation(p.put(E2, "imag")),
     },
-    # the seed, a seed or a Generator, goes to numpy.random.default_rng as given
-    "states.random_covariance": {"n_modes": lambda p: states.random_covariance(p.arg(2), 0)},
+    "states.random_covariance": {
+        "n_modes": lambda p: states.random_covariance(p.arg(2), 0),
+        "seed": lambda p: states.random_covariance(2, p.arg(0)),
+    },
     "states.load_covariance": {"entry": saved},
     "states.save_covariance": state_slots(save),
     "protocol.optimal_choice": {

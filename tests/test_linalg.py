@@ -153,7 +153,9 @@ class TestPfaffianStack:
         # one work buffer and one scratch serve two full stacks and then a
         # partial-count view, as in sample_suboptimal's chunks; scratch starts
         # as NaN, so a read of a stale entry would show.  _scratch_size is
-        # exact: each stack writes every entry up to its size and none past it
+        # exact: each stack writes every entry in [count, used), and none
+        # before (-y's first entry is never formed) or past it; at n <= 4
+        # the size is 0
         size = 12
         for n in (2, 4, 6, 8, 16):
             work_buf = np.empty(n * n * size)
@@ -163,10 +165,12 @@ class TestPfaffianStack:
                 work = work_buf[: n * n * count].reshape(n, n, count)
                 work[...] = a.transpose(1, 2, 0)
                 used = linalg._scratch_size(n, count)
+                first = min(count, used)
                 scratch[used:] = np.nan
                 with np.errstate(divide="raise", invalid="raise"):
-                    pf = linalg._eliminate(work, scratch, (count,))
-                assert not np.isnan(scratch[:used]).any() and np.isnan(scratch[used:]).all()
+                    pf = linalg._eliminate(work, scratch)
+                assert np.isnan(scratch[:first]).all() and np.isnan(scratch[used:]).all()
+                assert not np.isnan(scratch[first:used]).any()
                 assert pf.shape == (count,)
                 for i in range(count):
                     assert pf[i] == pytest.approx(ref[i], rel=1e-9, abs=1e-12)
@@ -197,11 +201,11 @@ class TestPfaffianStack:
         a = _oracle_stack(n, (count,), 7).transpose(1, 2, 0)
         work, scratch = np.empty_like(a), np.empty(linalg._scratch_size(n, count))
         work[...] = a
-        linalg._eliminate(work, scratch, (count,))
+        linalg._eliminate(work, scratch)
         work[...] = a
         tracemalloc.start()
         try:
-            linalg._eliminate(work, scratch, (count,))
+            linalg._eliminate(work, scratch)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -9,9 +9,10 @@ needs a numpy newer than the declared floor, every FFT
 in lattice.py runs inside `ToeplitzKernel` or `_odd_spectrum`,
 complex numbers stay where states.py converts an S to or from G and
 where `linalg.as_real` reads an input as real (the dense Fock oracle
-apart), and the entry limit 1e100 is written once, as
-`linalg.ENTRY_LIMIT`.  The sources are parsed with `ast`; nothing
-is imported from them or written.
+apart), the entry limit 1e100 is written once, as
+`linalg.ENTRY_LIMIT`, and the antisymmetry tolerance is read only in
+`linalg.pfaffian`, whose elimination kernel raises nothing.  The
+sources are parsed with `ast`; nothing is imported from them or written.
 """
 
 import ast
@@ -333,3 +334,25 @@ def test_entry_limit_is_written_once():
         and node is not limit[0]
     ]
     assert not sites, f"1e100 restated outside linalg.ENTRY_LIMIT: {sites}"
+
+
+def test_antisymmetry_is_checked_once():
+    # linalg.pfaffian is the one antisymmetry check: ANTISYMMETRY_RTOL is
+    # read nowhere else, and the elimination kernel it shares with the
+    # protocol stack raises nothing
+    functions = {node.name: node for node in TREES["linalg"].body
+                 if isinstance(node, ast.FunctionDef)}
+    inside = {id(node) for node in ast.walk(functions["pfaffian"])}
+    reads = [
+        (module, node)
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if (isinstance(node, ast.Name) and node.id == "ANTISYMMETRY_RTOL"
+            and isinstance(node.ctx, ast.Load))
+        or (isinstance(node, ast.Attribute) and node.attr == "ANTISYMMETRY_RTOL")
+    ]
+    outside = [f"{module} line {node.lineno}" for module, node in reads if id(node) not in inside]
+    assert reads and not outside, f"ANTISYMMETRY_RTOL read outside linalg.pfaffian: {outside}"
+    raises = [node.lineno for node in ast.walk(functions["_eliminate"])
+              if isinstance(node, ast.Raise)]
+    assert not raises, f"linalg._eliminate raises at lines {raises}"

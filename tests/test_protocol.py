@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from fermidistill import protocol
 from fermidistill.fock import density_from_covariance, fock_vector, joint_parity
-from fermidistill.linalg import _scratch_size, svd
+from fermidistill.linalg import STRUCT_ATOL, _scratch_size, svd
 from fermidistill.protocol import (
     SAMPLE_CHUNK,
     InsufficientRankError,
@@ -479,6 +479,24 @@ class TestSingleEvaluationPath:
         assert reason is None and len(reports) == 3
         assert (len(block_calls), len(svd_calls)) == (1, 1)
 
+    def test_raw_covariance_converted_once(self, monkeypatch, rng):
+        # a raw S becomes a CovarianceMatrix once per call, then is validated
+        # and split into blocks as that one state
+        s, split = random_covariance(4, rng).matrix, BipartiteSplit.halves(8)
+        from_s, conversions = CovarianceMatrix.from_s.__func__, []
+
+        def counted(cls, raw):
+            conversions.append(1)
+            return from_s(cls, raw)
+
+        monkeypatch.setattr(CovarianceMatrix, "from_s", classmethod(counted))
+        for call in (lambda: optimal_choice(s, split, 2), lambda: run_protocol(s, split, 2),
+                     lambda: scan_m(s, split, 2),
+                     lambda: sample_suboptimal(s, split, 2, trials=3, seed=1)):
+            conversions.clear()
+            call()
+            assert len(conversions) == 1
+
     def test_lattice_point_extracts_blocks_once(self, monkeypatch):
         from fermidistill.lattice import LatticeGeometry, lattice_point
 
@@ -537,3 +555,72 @@ class TestSingleEvaluationPath:
         ua, ub = choice.d.ua, choice.d.ub
         reference = ua @ polar_decompose(ua.T @ y @ ub)[0] @ ub.T
         np.testing.assert_allclose(choice.v, reference, rtol=0, atol=1e-12)
+
+
+class TestTrustedInvariants:
+    """What the elimination kernel and the protocol stack take on trust holds on every path.
+
+    `linalg._eliminate` checks nothing: every stack it gets from `states` is
+    exactly antisymmetric as built.  `_protocol_quantities_stack` trusts its
+    frames: `RealProjectionPair` checked them, or `_orthonormalise` made
+    them.  Both are wrapped here and every public route is driven through them.
+    """
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        from fermidistill import states
+
+        eliminate, stack, calls = states._eliminate, states._protocol_quantities_stack, []
+
+        def exactly_antisymmetric(work, scratch):
+            assert np.array_equal(work, -work.transpose(1, 0, 2))
+            calls.append("eliminate")
+            return eliminate(work, scratch)
+
+        def orthonormal_frames(blk, ua, ub, *buffers):
+            for u in (ua, ub):
+                gram = np.swapaxes(u, 1, 2) @ u
+                assert (np.abs(gram - np.eye(u.shape[2])).max(axis=(1, 2)) <= STRUCT_ATOL).all()
+            calls.append("stack")
+            return stack(blk, ua, ub, *buffers)
+
+        monkeypatch.setattr(states, "_eliminate", exactly_antisymmetric)
+        for owner in (states, protocol):
+            monkeypatch.setattr(owner, "_protocol_quantities_stack", orthonormal_frames)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["general", "x_zero"])
+    def test_protocol_entry_points(self, calls, kind):
+        rng = np.random.default_rng(5)
+        if kind == "general":
+            s, split = random_covariance(8, rng), BipartiteSplit.halves(16)
+        else:
+            s, split = random_x_zero_covariance(4, rng)
+        run_protocol(s, split, 2)
+        reports, _ = scan_m(s, split, 4)
+        d = optimal_choice(s, split, 3).d
+        # another pairing of the same spans, as a caller may pass
+        protocol_quantities(blocks(s, split), RealProjectionPair(d.ua, d.ub[:, ::-1]))
+        assert len(reports) == 3
+        assert calls.count("stack") == calls.count("eliminate") == 5
+
+    @pytest.mark.parametrize("kind, modes", [("general", 4), ("x_zero", 4),
+                                             ("general", 2), ("x_zero", 2)])
+    def test_sampler_chunks(self, calls, monkeypatch, kind, modes):
+        # SAMPLE_CHUNK = 3 gives three full chunks and a partial one; at two
+        # modes per side the frames are square (|A| = 2m)
+        monkeypatch.setattr(protocol, "SAMPLE_CHUNK", 3)
+        rng = np.random.default_rng(6)
+        if kind == "general":
+            s, split = random_covariance(2 * modes, rng), BipartiteSplit.halves(4 * modes)
+        else:
+            s, split = random_x_zero_covariance(modes, rng)
+        sample_suboptimal(s, split, 2, trials=10, seed=3)
+        assert calls.count("stack") == calls.count("eliminate") == 4
+
+    @pytest.mark.parametrize("L", [2000, 2001])
+    def test_lattice_points(self, calls, L):
+        from fermidistill.lattice import LatticeGeometry, lattice_point
+
+        lattice_point(LatticeGeometry(L, 1), m=2)
+        assert calls == ["stack", "eliminate"]

@@ -365,21 +365,6 @@ class TestProtocolQuantitiesStack:
             assert p[i] == pytest.approx(q.p, abs=1e-13)
             assert pf[i] == pytest.approx(q.pf, abs=1e-13)
 
-    def test_failure_names_first_offending_member(self, rng):
-        s, split, ua, _, _, paired = self._stack(rng)
-        bad = paired.copy()
-        bad[3] *= 1.01
-        with pytest.raises(ValidationError, match="stack member 3: ub does not have orthonormal"):
-            _protocol_quantities_stack(blocks(s, split), ua, bad)
-
-    def test_nan_frame_and_isometry_named(self, rng):
-        # a NaN frame is caught on the public path by RealProjectionPair
-        s, split, ua, _, _, paired = self._stack(rng)
-        bad = ua.copy()
-        bad[1] = np.nan
-        with pytest.raises(ValidationError, match="stack member 1: ua does not have orthonormal"):
-            _protocol_quantities_stack(blocks(s, split), bad, paired)
-
     @pytest.mark.parametrize("vanishing", ["all", "some"])
     def test_determinant_cross_check_fires(self, rng, monkeypatch, vanishing):
         # member 3 has X' = 0 (with "some", only member 3 does); perturbing its
@@ -399,9 +384,9 @@ class TestProtocolQuantitiesStack:
         _protocol_quantities_stack(blk, ua, ub)
         eliminate = states._eliminate
 
-        def perturbed(work, scratch, lead):
-            pfs = eliminate(work, scratch, lead)
-            pfs.reshape(lead)[1, 3] += 1e-3
+        def perturbed(work, scratch):
+            pfs = eliminate(work, scratch)
+            pfs.reshape(3, -1)[1, 3] += 1e-3
             return pfs
 
         monkeypatch.setattr(states, "_eliminate", perturbed)
@@ -717,6 +702,13 @@ class TestRandomStates:
     )
     def test_generator_draws_like_its_seed(self, draw):
         np.testing.assert_array_equal(draw(17), draw(np.random.default_rng(17)))
+
+    @pytest.mark.parametrize("seed", [np.nan, 1.0, np.inf, "1"])
+    def test_samplers_need_an_integer_seed(self, seed):
+        for draw in (random_covariance, random_x_zero_covariance):
+            with pytest.raises(ValidationError, match="seed must be an integer"):
+                draw(2, seed)
+            draw(2, np.int64(3))
 
     @pytest.mark.parametrize("n_modes", [0, -1, 2.5, True])
     def test_samplers_need_positive_integer_modes(self, n_modes):
