@@ -64,7 +64,7 @@ class TwoModeParams(_Params):
         a, b, c, d = self.a, self.b, self.c, self.d
         q = a * a + b * b + c * c + d * d
         if not q <= 2.0 + 1e-12:
-            raise ValidationError(f"parameter norm {q:.6f} is not at most 2")
+            raise ValidationError(f"parameter norm {q:.6g} is not at most 2")
         if not q <= 1.0 + (a * b - c * d) ** 2 + 1e-12:
             raise ValidationError("parameters violate 1 + (ab - cd)^2 >= a^2+b^2+c^2+d^2")
 

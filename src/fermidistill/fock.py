@@ -7,11 +7,11 @@ MAX_MODES = 6 (a 64 x 64 space) as a memory/time guard.
 The Jordan-Wigner operators, and every product of them, have one
 nonzero per row: op[i, i ^ x] = values[i].  Every operator of the
 oracle is built in this Pauli-string form (x, values) straight from the
-Jordan-Wigner formula: the Majorana operators, the parity monomials and
-joint-parity projectors, the annihilator sum whose null vector is a
-Fock vector, and the monomials of the density matrix, one gather per
-flip pattern.  Dense matrices appear only in rho, its posteriors and
-the eigh calls.
+Jordan-Wigner formula: the Majorana operators, the parity monomials,
+the joint-parity projectors (row and column operations on rho), the
+annihilators whose product is a Fock vector, and the monomials of the
+density matrix, summed by one Walsh-Hadamard product.  Dense matrices
+appear only in rho, its posteriors, that product and the eigh calls.
 
 Convention note: the ladder operators are defined so that c_k^* (not
 c_k) annihilates the reference vacuum, i.e. our c_k is the creation
@@ -46,10 +46,6 @@ from .states import (
 )
 
 MAX_MODES = 6
-# Flip patterns per gather in density_from_covariance.  Two keep each
-# temporary at 2 * 4^n complex numbers (128 KiB at n = 6); four or more
-# raised the peak RSS of a process running the oracle by about 0.5 MB.
-_GATHER_BLOCK = 2
 
 __all__ = [
     "density_from_covariance",
@@ -82,14 +78,6 @@ def _oracle_matrix(s: CovarianceMatrix | np.ndarray) -> tuple[np.ndarray, int]:
             f" got shape {m.shape}"
         )
     return m, n
-
-
-def _dense(x: int, values: np.ndarray) -> np.ndarray:
-    """The matrix of the Pauli string (x, values): op[i, i ^ x] = values[i]."""
-    rows = np.arange(len(values))
-    op = np.zeros((len(rows), len(rows)), dtype=complex)
-    op[rows, rows ^ x] = values
-    return op
 
 
 @functools.cache
@@ -135,22 +123,18 @@ def _bit_tables(bits: int) -> tuple[np.ndarray, np.ndarray]:
     return pop, low
 
 
-def _wick_table(s: np.ndarray) -> np.ndarray:
-    """Pfaffian of every even-subset minor of the two-point matrix.
+@functools.cache
+def _wick_levels(dim: int) -> tuple[tuple[np.ndarray, np.ndarray, np.ndarray], ...]:
+    """Index arrays of `_wick_table`, one (level, pick, sub) per popcount k = 2, 4, ..., dim.
 
-    Indexed by bitmask over the 2n Majorana indices; odd masks hold 0.
-    Each Pfaffian is the Laplace expansion along the lowest set bit,
-    Pf(S_M) = sum_j (-1)^(pos_j - 1) S[low, j] Pf(S_{M - low - j}),
-    evaluated one popcount level at a time: every (mask, j) pair of a
-    level comes from one `np.nonzero`, and its terms, which read only
-    the finished level below, are summed per mask with one
-    `np.bincount` pair.
+    level lists the masks of k bits; their k - 1 terms follow mask by
+    mask.  pick indexes S[low, j], times (-1)^(pos_j - 1), in S and -S
+    raveled in turn, and sub is the mask without low and j.  Built once
+    per size (dim <= 2 * MAX_MODES) in int16 and returned read-only.
     """
-    dim = s.shape[0]
     pop, low = _bit_tables(dim)
-    table = np.zeros(1 << dim, dtype=complex)
-    table[0] = 1.0
     bits = np.arange(dim)
+    levels = []
     for k in range(2, dim + 1, 2):
         level = np.flatnonzero(pop == k)
         first = low[level]
@@ -158,29 +142,69 @@ def _wick_table(s: np.ndarray) -> np.ndarray:
         row, j = np.nonzero((rest[:, None] >> bits) & 1)
         sub, bit = rest[row], np.int64(1) << j
         # pos_j - 1 = set bits of the mask strictly between low and j
-        sign = 1.0 - 2.0 * (pop[sub & (bit - 1)] % 2)
-        terms = sign * s[first[row], j] * table[sub ^ bit]
-        table[level] = np.bincount(row, terms.real, len(level)) + 1j * np.bincount(
-            row, terms.imag, len(level)
-        )
+        pick = (pop[sub & (bit - 1)] % 2 * dim + first[row]) * dim + j
+        arrays = tuple(a.astype(np.int16) for a in (level, pick, sub ^ bit))
+        for a in arrays:
+            a.flags.writeable = False
+        levels.append(arrays)
+    return tuple(levels)
+
+
+def _wick_table(s: np.ndarray) -> np.ndarray:
+    """Pfaffian of every even-subset minor of the two-point matrix.
+
+    Indexed by bitmask over the 2n Majorana indices; odd masks hold 0.
+    Each Pfaffian is the Laplace expansion along the lowest set bit,
+    Pf(S_M) = sum_j (-1)^(pos_j - 1) S[low, j] Pf(S_{M - low - j}),
+    evaluated one popcount level at a time from the cached index arrays
+    of `_wick_levels`: each level's terms read only the finished level
+    below, and each mask sums its k - 1 adjacent terms.
+    """
+    dim = s.shape[0]
+    signed = np.concatenate([s.ravel(), -s.ravel()])
+    table = np.zeros(1 << dim, dtype=complex)
+    table[0] = 1.0
+    for level, pick, sub in _wick_levels(dim):
+        terms = signed.take(pick) * table.take(sub)
+        table[level] = terms.reshape(len(level), -1).sum(axis=1)
     return table
 
 
-def _monomials(xs: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pauli strings of the 2^len(xs) ordered monomials, by doubling.
+@functools.cache
+def _density_tables(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per-n tables of `density_from_covariance`: (order, factor, signs, gather).
 
-    Monomial `mask` is the product of the operators whose bits are set, in
-    ascending order; appending the operator of bit b to every monomial
-    below 2^b gives those in [2^b, 2^(b+1)).
+    Every Majorana string is c X^x Z^z, i.e. op[i, i ^ x] = c (-1)^|(i ^ x) & z|
+    with |.| the popcount: x is its flip, z the bits of i on which
+    values[i] / values[0] is -1, and c = values[0] (-1)^|x & z|.  As
+    Z^z X^x = (-1)^|z & x| X^x Z^z, the ordered monomial B_M of every
+    mask M follows by doubling as (x_M, z_M, c_M): the 4^n strings X^x Z^z,
+    each once.  order lists the masks by x_M 2^n + z_M, factor is
+    2^(|M| - n) c_M in that order, signs[z, j] = (-1)^|z & j|, and
+    gather[i, j] = (i ^ j) 2^n + j.  Built once per n, indices in int16,
+    and returned read-only.
     """
-    rows = np.arange(values.shape[1])
-    out_x = np.zeros(1 << len(xs), dtype=np.int64)
-    out_v = np.ones((1 << len(xs), len(rows)), dtype=complex)
-    for b, (x_b, v_b) in enumerate(zip(xs, values)):
+    xs, values = _majorana_strings(n)
+    pop, _ = _bit_tables(2 * n)
+    hdim = 1 << n
+    rows = np.arange(hdim)
+    unit = np.int64(1) << np.arange(n)
+    zs = ((values[:, unit] / values[:, :1]).real < 0) @ unit
+    cs = values[:, 0] * (1 - 2 * (pop[xs & zs] % 2))
+    key = np.zeros(hdim * hdim, dtype=np.int64)  # x_M 2^n + z_M
+    c = np.ones(hdim * hdim, dtype=complex)
+    for b in range(2 * n):
         size = 1 << b
-        out_x[size : 2 * size] = out_x[:size] ^ x_b
-        out_v[size : 2 * size] = out_v[:size] * v_b[rows ^ out_x[:size, None]]
-    return out_x, out_v
+        key[size : 2 * size] = key[:size] ^ (xs[b] * hdim + zs[b])
+        c[size : 2 * size] = c[:size] * cs[b] * (1 - 2 * (pop[key[:size] & xs[b]] % 2))
+    order = np.argsort(key)
+    factor = 2.0 ** (pop[order] - n) * c[order]
+    signs = 1.0 - 2.0 * (pop[rows[:, None] & rows] % 2)
+    gather = (rows[:, None] ^ rows) * hdim + rows
+    tables = order.astype(np.int16), factor, signs, gather.astype(np.int16)
+    for a in tables:
+        a.flags.writeable = False
+    return tables
 
 
 def density_from_covariance(s: CovarianceMatrix | np.ndarray) -> np.ndarray:
@@ -188,35 +212,17 @@ def density_from_covariance(s: CovarianceMatrix | np.ndarray) -> np.ndarray:
 
     rho = sum over even index sets M of 2^(|M| - n) conj(Pf S_M) B_M,
     where B_M is the ordered Majorana monomial: matching traces against
-    the Wick (Pfaffian) moments fixes each coefficient.  The monomials of
-    the first n and of the last n Pauli strings are tabulated
-    separately, and B_M for M = a + b is the product of half monomials
-    a and b.  B_j and B_{j+n} flip the same bit, so both tables share
-    the flips xa and B_M flips xa[a ^ b]: each flip pattern d (even, as
-    odd sets have Pf 0) fills rho[i, i ^ xa[d]] with one gather and sum,
-    sum_a coef[a, a ^ d] va[a, i] vb[a ^ d, i ^ xa[a]], taken a block of
-    patterns at a time to bound the memory.  Validates unit trace,
-    hermiticity and positivity before returning.
+    the Wick (Pfaffian) moments fixes each coefficient.  Each B_M is a
+    string c_M X^x Z^z (`_density_tables`), so the coefficients, put in
+    the order of (x, z), form R[x, z], and rho[i ^ x, i] = sum_z R[x, z]
+    (-1)^|i & z| is one real Walsh-Hadamard product R @ signs and one
+    gather.  Validates unit trace, hermiticity and positivity before
+    returning.
     """
     m, n = _oracle_matrix(s)
-    xs, values = _majorana_strings(n)
-    hdim = 1 << n
-    xa, va = _monomials(xs[:n], values[:n])
-    _, vb = _monomials(xs[n:], values[n:])
-    pop, _ = _bit_tables(n)
-    # coefficient of monomial a | b << n at [a, b]
-    weight = 2.0 ** (pop[:, None] + pop[None, :] - n)
-    coef = weight * np.conj(_wick_table(m)).reshape(hdim, hdim).T
-
-    rows = np.arange(hdim)
-    cols = rows ^ xa[:, None]  # [a, i] = i ^ xa[a]
-    even = np.flatnonzero(pop % 2 == 0)
-    rho = np.zeros((hdim, hdim), dtype=complex)
-    for start in range(0, len(even), _GATHER_BLOCK):
-        d = even[start : start + _GATHER_BLOCK, None]
-        b = rows ^ d  # [d, a] = a ^ d
-        shifted = vb.ravel()[(b[:, :, None] << n) | cols]  # vb[a ^ d, i ^ xa[a]]
-        rho[rows, rows ^ xa[d]] = ((coef[rows, b][:, :, None] * va) * shifted).sum(axis=1)
+    order, factor, signs, gather = _density_tables(n)
+    coef = np.conj(_wick_table(m)).take(order) * factor
+    rho = (coef.reshape(signs.shape) @ signs).take(gather)
 
     tr = np.trace(rho)
     if abs(tr - 1.0) > 1e-9:
@@ -234,36 +240,37 @@ def density_from_covariance(s: CovarianceMatrix | np.ndarray) -> np.ndarray:
 def fock_vector(e: CovarianceMatrix | np.ndarray) -> np.ndarray:
     """State vector of the pure quasifree state with basis projection E.
 
-    The vector is the common null vector of the smeared operators
-    B(g) = sum_a g_a B_a over the kernel of E, found as the null vector
-    of sum_k B(g_k)^* B(g_k) = sum_ab C_ab B_a B_b with C = conj(K) K^T
-    over the kernel columns K.  Each B_a B_b is the Pauli string
-    (x_a ^ x_b, v_a[i] v_b[i ^ x_a]), so the sum is one scatter.  The
-    vector is unique up to phase, and the phase returned here is
-    whatever the eigensolver produces.
+    The kernel columns K_k of E give the annihilators c_k = B(K_k) =
+    sum_a K_ak B_a, which anticommute and square to zero when K^T K = 0
+    ({B(f), B(g)} = f^T g).  Their ordered product c_1 ... c_n then has
+    rank one, and its range is their common null vector: the vector is
+    the product's largest column, normalised.  B_j and B_{j+n} flip the
+    same bit, so each c_k is one scatter with n flips per row.  Refuses
+    E unless its kernel has n columns, K^T K = 0 and every c_k
+    annihilates the vector.  The vector is unique up to phase, and the
+    phase returned here is that of the column.
     """
     m, n = _oracle_matrix(e)
     w, vecs = np.linalg.eigh(m)
     if np.abs(w - np.rint(w)).max() > 1e-8:
         raise ValidationError("E is not a projection (eigenvalues not 0/1)")
     kernel = vecs[:, w < 0.5]
+    if kernel.shape[1] != n:
+        raise ValidationError(f"the kernel of E has {kernel.shape[1]} columns, not n = {n}")
+    if np.abs(kernel.T @ kernel).max() > 1e-8:
+        raise ValidationError("the kernel of E is not n anticommuting annihilators: K^T K != 0")
     xs, values = _majorana_strings(n)
-    hdim = 1 << n
-    rows = np.arange(hdim)
-    cols = rows ^ xs[:, None]  # [a, i] = i ^ x_a
-    c = kernel.conj() @ kernel.T
-    # [a, b, i]: C_ab v_a[i] v_b[i ^ x_a], at column i ^ x_a ^ x_b of row i
-    terms = c[:, :, None] * values[:, None] * values[:, cols].swapaxes(0, 1)
-    flat = (rows * hdim + (cols[:, None] ^ xs[:, None])).ravel()
-    acc = np.bincount(flat, terms.real.ravel(), hdim * hdim) + 1j * np.bincount(
-        flat, terms.imag.ravel(), hdim * hdim
-    )
-    wa, va = np.linalg.eigh(acc.reshape(hdim, hdim))
-    if wa[0] > 1e-9 or (len(wa) > 1 and wa[1] < 1e-8):
-        raise ValidationError(
-            f"annihilator null space is not one-dimensional: lowest eigenvalues {wa[:3]}"
-        )
-    return va[:, 0]
+    rows = np.arange(1 << n)
+    ops = np.zeros((n, len(rows), len(rows)), dtype=complex)
+    # c_k[i, i ^ x_j] = K[j, k] v_j[i] + K[j + n, k] v_{j+n}[i], at [k, j, i]
+    left, right = kernel[:n].T[:, :, None], kernel[n:].T[:, :, None]
+    ops[:, rows, rows ^ xs[:n, None]] = left * values[:n] + right * values[n:]
+    prod = functools.reduce(np.matmul, ops)
+    col = prod[:, np.abs(prod).argmax() % len(rows)]
+    psi = col / np.linalg.norm(col)
+    if np.abs(ops @ psi).max() > 1e-8:
+        raise ValidationError("the annihilators of E have no common null vector")
+    return psi
 
 
 def _parity_string(n: int, indices) -> tuple[int, np.ndarray]:
@@ -304,9 +311,10 @@ def joint_parity(rho: np.ndarray, split: BipartiteSplit) -> JointParityResult:
     so the product of local parities is the global parity by
     construction.  The global parity theta flips no bit, so theta_B and
     theta_A theta_B are Pauli strings too, and each projector
-    (1 + la theta_A)(1 + lb theta_B)/4 is the scatter of four strings.
-    Returns outcome probabilities and unnormalized posterior operators
-    P rho P for the four outcomes.
+    (1 + la theta_A)(1 + lb theta_B)/4 is a diagonal plus one string
+    flipping Alice's bits: P rho and (P rho) P are row and column
+    operations, O(4^n) each.  Returns outcome probabilities and
+    unnormalized posterior operators P rho P for the four outcomes.
     """
     as_real((np.real(rho), np.imag(rho)), "density matrix as (Re, Im)")
     shape = np.shape(rho)
@@ -315,19 +323,21 @@ def joint_parity(rho: np.ndarray, split: BipartiteSplit) -> JointParityResult:
         raise ValidationError(f"density matrix of shape {shape} is not 2^n x 2^n")
     _, theta = _parity_string(n, range(2 * n))
     xa, theta_a = _parity_string(n, split.a)
-    rows = np.arange(1 << n)
+    flip = np.arange(1 << n) ^ xa
     theta_b = theta * theta_a  # flips xa
-    both = theta_a * theta_b[rows ^ xa]  # theta_A theta_B flips no bit
+    both = theta_a * theta_b[flip]  # theta_A theta_B flips no bit
+    rho_flip = np.asarray(rho)[flip]
     probs: dict[str, float] = {}
     post: dict[str, np.ndarray] = {}
     for ja, la in (("+", 1), ("-", -1)):
         for jb, lb in (("+", 1), ("-", -1)):
-            proj = _dense(xa, 0.25 * (la * theta_a + lb * theta_b))
-            proj[rows, rows] += 0.25 * (1 + la * lb * both)
+            # proj = diag(keep) plus the string (xa, off): proj[i, i ^ xa] = off[i]
+            keep = 0.25 * (1 + la * lb * both)
+            off = 0.25 * (la * theta_a + lb * theta_b)
             key = ja + jb
-            left = proj @ rho
+            left = keep[:, None] * rho + off[:, None] * rho_flip
             probs[key] = float(np.trace(left).real)
-            post[key] = left @ proj
+            post[key] = left * keep + left[:, flip] * off[flip]
     total = sum(probs.values())
     if abs(total - 1.0) > 1e-10:
         raise ValidationError(f"joint parity probabilities sum to {total:.12f}")
@@ -359,10 +369,12 @@ def verify_all(
 
     Covers the parity-expectation trace identity, the parity-probability
     formula, the fidelity Pfaffian, and the output-fidelity identity
-    relating posterior overlaps to the two fidelities.  All comparisons
-    are phase-insensitive.
+    relating posterior overlaps to the two fidelities.  One Fock vector
+    is built: the partner's is theta_A psi_E, since Alice's parity flips
+    the sign of G_AB, so a wrong `partner_projection` shows as a
+    deviation.  All comparisons are phase-insensitive.
     """
-    rho = density_from_covariance(s)
+    rho, psi_e = density_from_covariance(s), fock_vector(e)
     n = len(rho).bit_length() - 1
     dev: dict[str, float] = {}
 
@@ -384,13 +396,12 @@ def verify_all(
     dev["parity_probability"] = abs(p_oracle - p_formula)
 
     # fidelity with E and with its partner
-    psi_e = fock_vector(e)
     fid_e_oracle = float((psi_e.conj() @ rho @ psi_e).real)
     dev["fidelity"] = abs(fid_e_oracle - fock_fidelity(s, e))
-    e_part = partner_projection(e, split)
-    psi_t = fock_vector(e_part)
+    xa, theta_a = _parity_string(n, split.a)
+    psi_t = theta_a * psi_e[np.arange(1 << n) ^ xa]
     fid_t_oracle = float((psi_t.conj() @ rho @ psi_t).real)
-    dev["fidelity_partner"] = abs(fid_t_oracle - fock_fidelity(s, e_part))
+    dev["fidelity_partner"] = abs(fid_t_oracle - fock_fidelity(s, partner_projection(e, split)))
 
     # output fidelity: (fid_E + fid_partner)/p equals the posterior overlap
     if p_oracle > 1e-9:

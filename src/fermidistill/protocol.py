@@ -26,6 +26,7 @@ from .states import (
     RealProjectionPair,
     ValidationError,
     _protocol_quantities_stack,
+    _rng,
     _valid_blocks,
     protocol_quantities,
 )
@@ -317,7 +318,7 @@ def sample_suboptimal(
     _check_target(split, m)
     blk = _valid_blocks(s, split)
     k, r = len(split.a), 2 * m  # |A| == |B| after _check_target
-    rng = np.random.default_rng(as_index(seed, "seed"))
+    rng = _rng(seed)
     size = min(SAMPLE_CHUNK, trials)
     # scratch holding the draw, frames (k, r, 2, C), Pfaffian matrices; one
     # allocation, as separate buffers were mapped afresh by most calls

@@ -520,10 +520,12 @@ def restrict(
 
 
 def _rng(seed: int | np.random.Generator) -> np.random.Generator:
-    """seed itself if it is a Generator, else a fresh one from the integer seed (`as_index`)."""
+    """seed itself if it is a Generator, else a fresh one from the non-negative integer seed."""
     if isinstance(seed, np.random.Generator):
         return seed
-    return np.random.default_rng(as_index(seed, "seed"))
+    if (seed := as_index(seed, "seed")) < 0:
+        raise ValidationError(f"seed must be a non-negative integer, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def random_covariance(n_modes: int, seed: int | np.random.Generator) -> CovarianceMatrix:

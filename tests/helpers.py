@@ -25,7 +25,6 @@ import numpy as np
 from fermidistill.fock import (
     JointParityResult,
     _check_modes,
-    _dense,
     _majorana_strings,
     _parity_string,
 )
@@ -312,6 +311,14 @@ def wick_table_recursive(s: np.ndarray) -> dict[int, complex]:
         if bin(mask).count("1") % 2 == 0:
             value(mask)
     return table
+
+
+def _dense(x: int, values: np.ndarray) -> np.ndarray:
+    """The matrix of the Pauli string (x, values): op[i, i ^ x] = values[i]."""
+    rows = np.arange(len(values))
+    op = np.zeros((len(rows), len(rows)), dtype=complex)
+    op[rows, rows ^ x] = values
+    return op
 
 
 def majorana_ops(n: int) -> list[np.ndarray]:

@@ -198,6 +198,12 @@ class TestFourMode:
         with pytest.raises(ValidationError, match="invalid state"):
             four_mode_covariance(params)
 
+    def test_norm_message_stays_short(self):
+        # the norm is printed with :.6g; :.6f gave a 199-digit number at sigma = 1e99
+        with pytest.raises(ValidationError) as info:
+            four_mode_p(FourModeParams(0, 0, 0, 0, 1e99))
+        assert str(info.value) == "parameter norm 2e+198 is not at most 2"
+
     def test_check_matches_the_assembled_state(self):
         # the normal form is the direct sum of the two-mode states (nu1, nu3,
         # sigma, sigma) and (nu2, nu4, sigma, sigma): check() passes exactly

@@ -72,11 +72,13 @@ class TestMajorana:
 
     def test_strings_cached_read_only(self):
         # built once per size and shared, so no caller may write to them
-        for arrays in (fock._majorana_strings(3), fock._bit_tables(6)):
+        for arrays in (fock._majorana_strings(3), fock._bit_tables(6), *fock._wick_levels(12),
+                       fock._density_tables(6)):
             assert all(not x.flags.writeable for x in arrays)
             with pytest.raises(ValueError, match="read-only"):
                 arrays[0][0] = 1
         assert fock._majorana_strings(3) is fock._majorana_strings(3)
+        assert fock._density_tables(6) is fock._density_tables(6)
         for _ in range(2):
             with pytest.raises(ValidationError, match="1 <= n <= 6"):
                 fock._majorana_strings(MAX_MODES + 1)
@@ -259,6 +261,19 @@ class TestStringsAgainstDenseRoutes:
         for alice in _even_subsets(n, rng):
             _assert_joint_parity_matches(rho, BipartiteSplit.from_alice(alice, 2 * n))
 
+    @pytest.mark.parametrize("permute", [False, True], ids=["canonical", "permuted"])
+    @pytest.mark.parametrize("n", range(1, MAX_MODES + 1))
+    def test_partner_vector_is_alice_parity_times_fock_vector(self, n, permute, rng):
+        # verify_all takes theta_A psi_E as the partner's vector
+        e = random_basis_projection(n, rng).matrix
+        e = _permuted(e, rng) if permute else e
+        psi = fock_vector(e)
+        for alice in _even_subsets(n, rng):
+            split = BipartiteSplit.from_alice(alice, 2 * n)
+            partner = fock_vector(partner_projection(e, split))
+            flipped = parity_from_indices(n, split.a) @ psi
+            assert abs(abs(np.vdot(partner, flipped)) - 1.0) <= 1e-12, alice
+
     @settings(max_examples=25, deadline=None)
     @given(n=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), permute=st.booleans())
     def test_small_states(self, n, seed, permute):
@@ -336,6 +351,17 @@ class TestFockVector:
     def test_non_projection_rejected(self, rng):
         with pytest.raises(ValidationError, match="projection"):
             fock_vector(random_covariance(2, rng))
+
+    @pytest.mark.parametrize(
+        "diag, match",
+        [((1, 1, 0, 0), r"not n anticommuting annihilators: K\^T K != 0"),
+         ((1, 0, 0, 0), "the kernel of E has 3 columns, not n = 2")],
+        ids=["kernel-not-isotropic", "kernel-too-wide"],
+    )
+    def test_kernel_not_annihilators_rejected(self, diag, match):
+        # real projections, but their kernels are no n anticommuting annihilators
+        with pytest.raises(ValidationError, match=match):
+            fock_vector(np.diag(np.array(diag, dtype=float)))
 
 
 class TestParityOperator:
@@ -458,6 +484,17 @@ class TestVerifyAll:
         report = verify_all(s, e, split)
         assert report.deviations["parity_expectation"] > 1.0
         assert report.max_deviation > 1.0 and honest <= 1e-9
+
+    def test_checks_the_library_partner(self, rng, monkeypatch):
+        # the partner vector is theta_A psi_E, so a wrong partner_projection
+        # shows up as a fidelity_partner deviation
+        split = BipartiteSplit.halves(8)
+        s = random_covariance(4, rng)
+        e = maximally_entangled_projection(random_orthogonal(4, rng), split)
+        honest = verify_all(s, e, split).deviations["fidelity_partner"]
+        monkeypatch.setattr(fock, "partner_projection", lambda e, split: e)
+        wrong = verify_all(s, e, split).deviations["fidelity_partner"]
+        assert honest <= 1e-9 and wrong > 1e-3, (honest, wrong)
 
     def test_partner_overlap_identity(self, rng):
         # (fid_E + fid_partner)/p equals twice the kept posterior overlap

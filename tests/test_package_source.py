@@ -11,8 +11,10 @@ complex numbers stay where states.py converts an S to or from G and
 where `linalg.as_real` reads an input as real (the dense Fock oracle
 apart), the entry limit 1e100 is written once, as
 `linalg.ENTRY_LIMIT`, and the antisymmetry tolerance is read only in
-`linalg.pfaffian`, whose elimination kernel raises nothing.  The
-sources are parsed with `ast`; nothing is imported from them or written.
+`linalg.pfaffian`, whose elimination kernel raises nothing, and the
+dense Fock oracle imports no private name of the package and never
+calls `validate` or `CovarianceMatrix.from_s`.  The sources are parsed
+with `ast`; nothing is imported from them or written.
 """
 
 import ast
@@ -356,3 +358,27 @@ def test_antisymmetry_is_checked_once():
     raises = [node.lineno for node in ast.walk(functions["_eliminate"])
               if isinstance(node, ast.Raise)]
     assert not raises, f"linalg._eliminate raises at lines {raises}"
+
+
+def test_fock_oracle_stays_independent():
+    # fock.py checks the package's formulas, so it reads the package only
+    # through public names and never through the state checks or the S -> G
+    # conversion it is there to check (`fock.pfaffian` is imported for the
+    # benchmark tracer and never called)
+    tree = TREES["fock"]
+    private = [
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").split(".")[0] == "fermidistill")
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    calls = [
+        f"line {node.lineno}: {_dotted(node.func)}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and _dotted(node.func).split(".")[-1] in ("validate", "from_s", "pfaffian")
+    ]
+    assert not private, f"fock.py imports private package names: {private}"
+    assert not calls, f"fock.py calls the package's checks or conversion: {calls}"
