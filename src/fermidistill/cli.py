@@ -210,17 +210,8 @@ def _cmd_lattice(args) -> int:
             except (TypeError, ValueError):  # error rows and short rows
                 continue
             samples.append((L, value))
-        a, b, rms, points_used, warnings = lattice.fit_power_law(samples, args.L_min)
-        payload = {
-            "N": args.N,
-            "a": a,
-            "b": b,
-            "residual": rms,
-            "L_min": args.L_min,
-            "points_used": points_used,
-            "warnings": warnings,
-        }
-        _emit(payload, args.out)
+        fit = lattice.fit_power_law(samples, args.L_min)
+        _emit({"N": args.N, "L_min": args.L_min, **fit.to_dict()}, args.out)
         return 0
     # minlen
     L = lattice.min_length(args.N, args.x, args.L_lo, args.L_hi, m=args.m)

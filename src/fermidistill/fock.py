@@ -273,12 +273,13 @@ def fock_vector(e: CovarianceMatrix | np.ndarray) -> np.ndarray:
     return psi
 
 
+@functools.cache
 def _parity_string(n: int, indices) -> tuple[int, np.ndarray]:
     """Parity monomial 2^(k/2) i^(k/2) prod B_a over 2k indices, as a Pauli string (x, values).
 
     The product of the n-mode operators is taken in ascending index
     order; using a subset that spans one party's reference space yields
-    that party's local parity.
+    that party's local parity.  Cached read-only per (n, indices).
     """
     idx = sorted(int(i) for i in indices)
     if len(idx) % 2 != 0:
@@ -294,7 +295,9 @@ def _parity_string(n: int, indices) -> tuple[int, np.ndarray]:
     for a in idx:
         v = v * values[a][rows ^ x]
         x ^= xs[a]
-    return x, (2.0 ** half) * (1j ** half) * v
+    v *= (2.0 ** half) * (1j ** half)
+    v.flags.writeable = False
+    return x, v
 
 
 @dataclass(frozen=True)

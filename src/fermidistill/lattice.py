@@ -33,12 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import as_index, as_real
-from .protocol import (
-    DistillationReport,
-    ProtocolChoice,
-    _degenerate_cut_warning,
-    _evaluate,
-)
+from .protocol import DistillationReport, Note, ProtocolChoice, _evaluate, _payload
 from .states import (
     BipartiteSplit,
     BlockDecomposition,
@@ -63,6 +58,7 @@ __all__ = [
     "sweep",
     "sweep_to_csv",
     "fit_power_law",
+    "PowerLawFit",
     "min_length",
 ]
 
@@ -529,7 +525,7 @@ def restricted_covariance(
     validate(cov).require("assembled lattice covariance invalid")
     # the kernel's sigma come in exact pairs iff N is odd, so the cut after
     # sigma_m splits a pair iff m is odd as well
-    warnings = (_degenerate_cut_warning(2 * m),) if N % 2 and m % 2 else ()
+    warnings = (Note("degenerate_cut", (2 * m, 2 * m + 1)),) if N % 2 and m % 2 else ()
     identity = RealProjectionPair.identity(2 * m, 2 * m)
     return cov, split, ProtocolChoice(m, identity, lam, warnings, steps)
 
@@ -571,7 +567,7 @@ class SweepRow:
             r = self.report
             values = ["" if v is None else repr(float(v)) for v in (r.p, r.f, r.pf, r.rate)]
             values += [repr(float(v)) for v in r.lambdas]
-            values += [str(r.krylov_steps), "ok", "; ".join(r.warnings)]
+            values += [str(r.krylov_steps), "ok", "; ".join(map(str, r.warnings))]
         return [str(self.L), str(self.N)] + values + [f"{self.wall_ms:.3f}"]
 
 
@@ -625,13 +621,28 @@ def sweep_to_csv(rows: list[SweepRow]) -> str:
     return out.getvalue()
 
 
-def fit_power_law(samples, L_min: float) -> tuple[float, float, float, int, list[str]]:
+@dataclass(frozen=True)
+class PowerLawFit:
+    """value(L) = 1 - b / L^a from `fit_power_law`, the rms residual of its
+    log(1 - value), the points it used and a note for each point it skipped."""
+
+    a: float
+    b: float
+    residual: float
+    points_used: int
+    warnings: tuple[Note, ...]
+
+    def to_dict(self) -> dict:
+        return _payload(self)
+
+
+def fit_power_law(samples, L_min: float) -> PowerLawFit:
     """Fit value(L) = 1 - b / L^a on points with L >= L_min.
 
-    Least squares on log(1 - value) against log(L).  Returns (a, b,
-    rms_residual, points_used, warnings); points with a non-finite value
-    or one >= 1 are skipped with a warning; an L that `as_real` refuses or
-    that is not positive, under 3 usable points, or all at one L, raise.
+    Least squares on log(1 - value) against log(L).  Points with a
+    non-finite value or one >= 1 are skipped with a note; an L that
+    `as_real` refuses or that is not positive, under 3 usable points, or
+    all at one L, raise.
     """
     xs, ys, warnings = [], [], []
     for L, value in samples:
@@ -640,10 +651,10 @@ def fit_power_law(samples, L_min: float) -> tuple[float, float, float, int, list
         if L < L_min:
             continue
         if not np.isfinite(value):
-            warnings.append(f"skipped L={L}: value {value} is not finite")
+            warnings.append(Note("skipped_not_finite", (L, value)))
             continue
         if value >= 1.0:
-            warnings.append(f"skipped L={L}: value {value} >= 1")
+            warnings.append(Note("skipped_saturated", (L, value)))
             continue
         xs.append(np.log(float(L)))
         ys.append(np.log(1.0 - float(value)))
@@ -657,7 +668,7 @@ def fit_power_law(samples, L_min: float) -> tuple[float, float, float, int, list
     slope, intercept = float(coeffs[0]), float(coeffs[1])
     resid = y - (slope * x + intercept)
     rms = float(np.sqrt(np.mean(resid ** 2)))
-    return -slope, float(np.exp(intercept)), rms, len(xs), warnings
+    return PowerLawFit(-slope, float(np.exp(intercept)), rms, len(xs), tuple(warnings))
 
 
 def min_length(N: int, x: float, L_lo: int, L_hi: int, m: int = 2) -> int:

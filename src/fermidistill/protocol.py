@@ -12,7 +12,7 @@ function of f at fixed p, but much harder to optimize directly).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -32,6 +32,7 @@ from .states import (
 )
 
 __all__ = [
+    "Note",
     "ProtocolChoice",
     "DistillationReport",
     "SuboptimalSample",
@@ -57,6 +58,33 @@ BOUND_ATOL = 1e-9
 # amortise the fixed numpy overhead of a stack, small enough to bound
 # memory.
 SAMPLE_CHUNK = 512
+
+NOTE_TEXT = {
+    "degenerate_cut": "degenerate singular value at the cut (lambda_{} == lambda_{}); "
+    "the kept subspace depends on the SVD basis choice",
+    "bound_missed": "pf = {:.12e} misses the bound {:.12e} despite a vanishing diagonal block",
+    "above_reference": "pf = {:.12e} above the vanishing-block reference {:.12e} "
+    "(no optimality statement applies)",
+    "skipped_not_finite": "skipped L={}: value {} is not finite",
+    "skipped_saturated": "skipped L={}: value {} >= 1",
+}
+
+
+@dataclass(frozen=True)
+class Note:
+    """A caveat on a result: its kind, a key of NOTE_TEXT, and the numbers its text names."""
+
+    kind: str
+    values: tuple
+
+    def __str__(self) -> str:
+        return NOTE_TEXT[self.kind].format(*self.values)
+
+
+def _payload(record, *leave_out: str) -> dict:
+    """A result record's fields by name as JSON values, its notes as their text."""
+    payload = {f.name: getattr(record, f.name) for f in fields(record) if f.name not in leave_out}
+    return {**payload, "warnings": [str(note) for note in record.warnings]}
 
 
 def _check_target(split: BipartiteSplit, m: int) -> None:
@@ -84,7 +112,7 @@ class ProtocolChoice:
     m: int
     d: RealProjectionPair
     lambdas: np.ndarray
-    warnings: tuple[str, ...] = ()
+    warnings: tuple[Note, ...] = ()
     krylov_steps: int = 0
 
     @property
@@ -93,7 +121,7 @@ class ProtocolChoice:
         return self.d.ua @ self.d.ub.T
 
 
-@dataclass
+@dataclass(frozen=True)
 class DistillationReport:
     """Outcome of one protocol run; `krylov_steps` is the choice's count."""
 
@@ -102,29 +130,13 @@ class DistillationReport:
     f: float | None
     pf: float
     rate: float | None
-    lambdas: list[float]
+    lambdas: tuple[float, ...]
     distillable: bool
-    warnings: list[str] = field(default_factory=list)
+    warnings: tuple[Note, ...] = ()
     krylov_steps: int = 0
 
     def to_dict(self) -> dict:
-        return {
-            "m": self.m,
-            "p": self.p,
-            "f": self.f,
-            "pf": self.pf,
-            "rate": self.rate,
-            "lambdas": list(self.lambdas),
-            "distillable": self.distillable,
-            "warnings": list(self.warnings),
-        }
-
-
-def _degenerate_cut_warning(cut: int) -> str:
-    return (
-        f"degenerate singular value at the cut (lambda_{cut} == lambda_{cut + 1}); "
-        "the kept subspace depends on the SVD basis choice"
-    )
+        return _payload(self, "krylov_steps")
 
 
 def optimal_choice(
@@ -153,11 +165,10 @@ def _choice(y_svd: tuple[np.ndarray, np.ndarray, np.ndarray], m: int) -> Protoco
         raise InsufficientRankError(
             f"insufficient rank: singular value {cut} of Y is {sv[cut - 1]:.3e}"
         )
-    warnings = []
-    if cut < len(sv) and sv[cut - 1] - sv[cut] <= 1e-10 * sv[0]:
-        warnings.append(_degenerate_cut_warning(cut))
+    degenerate = cut < len(sv) and sv[cut - 1] - sv[cut] <= 1e-10 * sv[0]
+    warnings = (Note("degenerate_cut", (cut, cut + 1)),) if degenerate else ()
     d = RealProjectionPair(u[:, :cut], vh[:cut].T)
-    return ProtocolChoice(m=m, d=d, lambdas=sv[:cut].copy(), warnings=tuple(warnings))
+    return ProtocolChoice(m=m, d=d, lambdas=sv[:cut].copy(), warnings=warnings)
 
 
 def optimal_pf_bound(lambdas) -> float:
@@ -194,7 +205,7 @@ def hashing_rate(p: float, f: float) -> float:
 
 def _evaluate(blk: BlockDecomposition, choice: ProtocolChoice) -> DistillationReport:
     q = protocol_quantities(blk, choice.d)
-    warnings = list(choice.warnings)
+    warnings = choice.warnings
     bound = optimal_pf_bound(choice.lambdas)
     x_zero = np.abs(blk.x).max(initial=0.0) < STRUCT_ATOL
     z_zero = np.abs(blk.z).max(initial=0.0) < STRUCT_ATOL
@@ -206,15 +217,10 @@ def _evaluate(blk: BlockDecomposition, choice: ProtocolChoice) -> DistillationRe
                 f"pf = {q.pf:.12e} exceeds the optimal-protocol bound {bound:.12e}"
             )
         if abs(q.pf - bound) > BOUND_ATOL:
-            warnings.append(
-                f"pf = {q.pf:.12e} misses the bound {bound:.12e} despite a vanishing diagonal block"
-            )
+            warnings += (Note("bound_missed", (q.pf, bound)),)
     elif q.pf > bound + BOUND_ATOL:
         # outside the hypothesis the bound is only a reference point
-        warnings.append(
-            f"pf = {q.pf:.12e} above the vanishing-block reference {bound:.12e} "
-            "(no optimality statement applies)"
-        )
+        warnings += (Note("above_reference", (q.pf, bound)),)
     rate = None
     distillable = False
     if q.f is not None:
@@ -227,7 +233,7 @@ def _evaluate(blk: BlockDecomposition, choice: ProtocolChoice) -> DistillationRe
         f=q.f,
         pf=q.pf,
         rate=rate,
-        lambdas=[float(v) for v in choice.lambdas],
+        lambdas=tuple(float(v) for v in choice.lambdas),
         distillable=bool(distillable),
         warnings=warnings,
         krylov_steps=choice.krylov_steps,

@@ -418,7 +418,7 @@ def parity_from_indices(n: int, indices) -> np.ndarray:
     order; using a subset that spans one party's reference space yields
     that party's local parity.
     """
-    return _dense(*_parity_string(n, indices))
+    return _dense(*_parity_string(n, tuple(indices)))
 
 
 def parity_dense_products(n: int, indices) -> np.ndarray:

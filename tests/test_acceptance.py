@@ -242,9 +242,9 @@ def test_criterion_6_lattice_trends():
 
     worst_rms = 0.0
     for N in distances:
-        _, _, rms, _, warnings = fit_power_law(list(zip(grid, f_table[N])), L_min=20000)
-        assert not warnings
-        worst_rms = max(worst_rms, rms)
+        fit = fit_power_law(list(zip(grid, f_table[N])), L_min=20000)
+        assert fit.warnings == ()
+        worst_rms = max(worst_rms, fit.residual)
 
     lengths = [
         min_length(1, 0.9, L_lo=500, L_hi=20000),

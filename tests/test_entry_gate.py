@@ -269,7 +269,7 @@ EXEMPT = {
         ("states", "ValidationReport"), ("states", "ProtocolQuantities"),
         ("protocol", "ProtocolChoice"), ("protocol", "DistillationReport"),
         ("protocol", "SuboptimalSample"), ("fock", "OracleReport"),
-        ("lattice", "SingularTriplet"))},
+        ("lattice", "SingularTriplet"), ("protocol", "Note"), ("lattice", "PowerLawFit"))},
     "closed_forms.two_mode_split": "takes no argument",
     "closed_forms.four_mode_split": "takes no argument",
     "lattice.sweep_to_csv": "formats the rows `sweep` returns",
@@ -277,8 +277,12 @@ EXEMPT = {
 
 
 def assert_finite(out, where="result"):
-    """Every number reachable from out (arrays, records, containers) is finite."""
-    if isinstance(out, (bool, int, str, Path)) or out is None:
+    """Every number reachable from out (arrays, records, containers) is finite.
+
+    A note is a message, like the str it replaces: the note on a skipped
+    fit point names the non-finite value it skipped, by design.
+    """
+    if isinstance(out, (bool, int, str, Path, protocol.Note)) or out is None:
         return
     if isinstance(out, (float, complex, np.number, np.ndarray)):
         assert np.isfinite(np.asarray(out)).all(), f"{where} is not finite: {out!r}"

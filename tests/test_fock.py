@@ -73,12 +73,19 @@ class TestMajorana:
     def test_strings_cached_read_only(self):
         # built once per size and shared, so no caller may write to them
         for arrays in (fock._majorana_strings(3), fock._bit_tables(6), *fock._wick_levels(12),
-                       fock._density_tables(6)):
+                       fock._density_tables(6), fock._parity_string(3, (0, 1))[1:]):
             assert all(not x.flags.writeable for x in arrays)
             with pytest.raises(ValueError, match="read-only"):
                 arrays[0][0] = 1
         assert fock._majorana_strings(3) is fock._majorana_strings(3)
         assert fock._density_tables(6) is fock._density_tables(6)
+        assert fock._parity_string(3, range(6)) is fock._parity_string(3, range(6))
+        # verify_all and the joint_parity it calls share the global and Alice's strings
+        split = BipartiteSplit.halves(8)
+        e = maximally_entangled_projection(np.eye(4), split)
+        fock._parity_string.cache_clear()
+        verify_all(random_covariance(4, 0), e, split)
+        assert fock._parity_string.cache_info()[:2] == (2, 2)  # hits, misses
         for _ in range(2):
             with pytest.raises(ValidationError, match="1 <= n <= 6"):
                 fock._majorana_strings(MAX_MODES + 1)

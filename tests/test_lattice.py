@@ -1,5 +1,6 @@
 import concurrent.futures
 import csv
+import dataclasses
 import io
 import math
 import tracemalloc
@@ -32,6 +33,7 @@ from fermidistill.lattice import (
     _parity_blocks,
     _smooth_length,
 )
+from fermidistill.protocol import Note
 from fermidistill.states import ValidationError, blocks, validate
 
 from helpers import (
@@ -1085,12 +1087,12 @@ class TestRestrictedCovariance:
         # after sigma_m splits a pair iff N and m are both odd
         geometry = LatticeGeometry(L, N)
 
-        def cut_warnings(report):
-            return [w for w in report.warnings if w.startswith("degenerate singular value")]
+        def cut_notes(report):
+            return [n for n in report.warnings if n.kind == "degenerate_cut"]
 
-        fast = cut_warnings(lattice_point(geometry, m=m))
-        assert fast == cut_warnings(dense_lattice_point(geometry, m=m))
-        assert bool(fast) == bool(N % 2 and m % 2)
+        fast = cut_notes(lattice_point(geometry, m=m))
+        assert fast == cut_notes(dense_lattice_point(geometry, m=m))
+        assert fast == ([Note("degenerate_cut", (2 * m, 2 * m + 1))] if N % 2 and m % 2 else [])
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1441,9 +1443,9 @@ class TestSweep:
         assert [len(r) for r in records] == [len(header)] * 3
         cells = [dict(zip(header, r)) for r in records]
         assert [c["status"] for c in cells] == ["error", "ok", "error"]
-        # an ok row's message is its report's warnings (16, 0, m = 3 carries one)
-        warned = "; ".join(rows[1].report.warnings)
-        assert "above the vanishing-block reference" in warned
+        # an ok row's message is its report's notes (16, 0, m = 3 carries one)
+        assert [n.kind for n in rows[1].report.warnings] == ["above_reference"]
+        warned = "; ".join(map(str, rows[1].report.warnings))
         assert [c["message"] for c in cells] == [rows[0].error, warned, "failed, twice"]
         assert cells[0]["p"] == cells[0]["iters"] == ""
         assert float(cells[0]["wall_ms"]) >= 0 and cells[2]["wall_ms"] == "0.500"
@@ -1451,9 +1453,9 @@ class TestSweep:
     def test_warnings_in_message(self):
         # (20, 1) at m = 3 cuts a degenerate pair; csv.reader reads the joined cell back
         (row,) = sweep([20], [1], m=3)
-        assert row.report.warnings[0].startswith("degenerate singular value at the cut")
+        assert row.report.warnings[0] == Note("degenerate_cut", (6, 7))
         header, record = csv.reader(io.StringIO(sweep_to_csv([row])))
-        assert dict(zip(header, record))["message"] == "; ".join(row.report.warnings)
+        assert dict(zip(header, record))["message"] == "; ".join(map(str, row.report.warnings))
 
     def test_undefined_f_is_an_empty_cell(self):
         report = SimpleNamespace(
@@ -1484,13 +1486,16 @@ class TestSweep:
             sweep([], [1])
 
     def test_parallel_jobs_match_serial(self):
-        serial = sweep([16, 32], [0, 1], jobs=1)
-        parallel = sweep([16, 32], [0, 1], jobs=2)
-
         def strip_timing(text):
             return [line.rsplit(",", 1)[0] for line in text.splitlines()]
 
-        assert strip_timing(sweep_to_csv(serial)) == strip_timing(sweep_to_csv(parallel))
+        # at m = 3 the odd-N rows carry a degenerate-cut note across the process pool
+        for m in (2, 3):
+            serial = sweep([16, 32], [0, 1], m=m, jobs=1)
+            parallel = sweep([16, 32], [0, 1], m=m, jobs=2)
+            assert strip_timing(sweep_to_csv(serial)) == strip_timing(sweep_to_csv(parallel))
+            assert [r.report for r in parallel] == [r.report for r in serial]
+        assert parallel[1].report.warnings[0] == Note("degenerate_cut", (6, 7))
 
     @settings(max_examples=4, deadline=None)
     @given(
@@ -1562,34 +1567,34 @@ class TestFit:
     def test_exact_model_recovery(self):
         L = np.array([1000, 2000, 5000, 10000, 20000])
         values = 1 - 3.0 / L**1.5
-        a, b, rms, points_used, warnings = fit_power_law(list(zip(L, values)), L_min=500)
-        assert a == pytest.approx(1.5, abs=1e-9)
-        assert b == pytest.approx(3.0, abs=1e-9)
-        assert rms < 1e-9
-        assert points_used == 5
-        assert not warnings
+        fit = fit_power_law(list(zip(L, values)), L_min=500)
+        assert fit.a == pytest.approx(1.5, abs=1e-9)
+        assert fit.b == pytest.approx(3.0, abs=1e-9)
+        assert fit.residual < 1e-9
+        assert fit.points_used == 5
+        assert fit.warnings == ()
 
     def test_noisy_recovery(self, rng):
         L = np.linspace(2000, 60000, 30)
         values = 1 - 2.0 / L**1.2 + rng.normal(0, 1e-4 / L**1.2, 30) * L**0
         # noise scaled to stay below the signal
-        a, b, rms, _, _ = fit_power_law(list(zip(L, values)), L_min=1000)
-        assert a == pytest.approx(1.2, abs=1e-2)
+        fit = fit_power_law(list(zip(L, values)), L_min=1000)
+        assert fit.a == pytest.approx(1.2, abs=1e-2)
 
     def test_cutoff_changes_points(self):
         L = np.array([100, 200, 40000, 60000, 90000])
         values = 1 - 3.0 / L**1.5
         values[0] = 0.2  # small-L regime off the power law
-        a_all, _, rms_all, used_all, _ = fit_power_law(list(zip(L, values)), L_min=0)
-        a_cut, _, rms_cut, used_cut, _ = fit_power_law(list(zip(L, values)), L_min=20000)
-        assert rms_cut < rms_all
-        assert (used_all, used_cut) == (5, 3)
+        fit_all = fit_power_law(list(zip(L, values)), L_min=0)
+        fit_cut = fit_power_law(list(zip(L, values)), L_min=20000)
+        assert fit_cut.residual < fit_all.residual
+        assert (fit_all.points_used, fit_cut.points_used) == (5, 3)
 
     def test_saturated_point_skipped(self):
         samples = [(1000, 0.9), (2000, 0.95), (4000, 1.0), (8000, 0.99)]
-        a, b, rms, points_used, warnings = fit_power_law(samples, L_min=0)
-        assert any("skipped" in w for w in warnings)
-        assert points_used == 3
+        fit = fit_power_law(samples, L_min=0)
+        assert fit.warnings == (Note("skipped_saturated", (4000, 1.0)),)
+        assert fit.points_used == 3
 
     def test_too_few_points(self):
         with pytest.raises(ValidationError):
@@ -1605,9 +1610,9 @@ class TestFit:
         L = np.array([1000, 2000, 5000, 10000])
         values = list(1 - 3.0 / L**1.5)
         samples = list(zip(L, values)) + [(20000, bad)]
-        a, b, rms, points_used, warnings = fit_power_law(samples, L_min=0)
-        assert (a, b, rms, points_used) == fit_power_law(samples[:-1], L_min=0)[:4]
-        assert warnings == [f"skipped L=20000: value {bad} is not finite"]
+        fit = fit_power_law(samples, L_min=0)
+        assert dataclasses.replace(fit, warnings=()) == fit_power_law(samples[:-1], L_min=0)
+        assert fit.warnings == (Note("skipped_not_finite", (20000, bad)),)
 
 
 class TestMinLength:

@@ -13,7 +13,8 @@ apart), the entry limit 1e100 is written once, as
 `linalg.ENTRY_LIMIT`, and the antisymmetry tolerance is read only in
 `linalg.pfaffian`, whose elimination kernel raises nothing, and the
 dense Fock oracle imports no private name of the package and never
-calls `validate` or `CovarianceMatrix.from_s`.  The sources are parsed
+calls `validate` or `CovarianceMatrix.from_s`, and the text of a result's
+notes is written only in `protocol.NOTE_TEXT`.  The sources are parsed
 with `ast`; nothing is imported from them or written.
 """
 
@@ -382,3 +383,49 @@ def test_fock_oracle_stays_independent():
     ]
     assert not private, f"fock.py imports private package names: {private}"
     assert not calls, f"fock.py calls the package's checks or conversion: {calls}"
+
+
+# Phrases of the note texts in `protocol.NOTE_TEXT`, each found in no other message.
+NOTE_PHRASES = ("degenerate singular value", "kept subspace depends", "misses the bound",
+                "despite a vanishing", "vanishing-block reference", "no optimality statement",
+                "skipped L=")
+
+
+def _phrase_lines(tree: ast.Module, allowed=()) -> list[int]:
+    """Lines of string constants naming a note phrase, outside the nodes in `allowed`."""
+    inside = {id(n) for node in allowed for n in ast.walk(node)}
+    return [
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and any(phrase in node.value for phrase in NOTE_PHRASES) and id(node) not in inside
+    ]
+
+
+def _top_level(tree: ast.Module, name: str) -> ast.AST:
+    """The top-level definition of, or assignment to, `name`."""
+    for node in tree.body:
+        targets = [getattr(t, "id", None) for t in getattr(node, "targets", ())]
+        if getattr(node, "name", None) == name or name in targets:
+            return node
+    raise LookupError(name)
+
+
+def test_note_text_is_read_only_at_the_output_edge():
+    # a note's text lives in one table and is compared whole only where the
+    # CLI prints it and where each kind's text is pinned; everywhere else a
+    # note is matched by its kind and values, never by a substring
+    table = _top_level(TREES["protocol"], "NOTE_TEXT")
+    text = " ".join(n.value for n in ast.walk(table) if isinstance(n, ast.Constant))
+    assert all(phrase in text for phrase in NOTE_PHRASES)
+    found = {f"src/{stem}.py": _phrase_lines(tree, [table] if stem == "protocol" else [])
+             for stem, tree in TREES.items()}
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        if path.name in ("test_cli.py", Path(__file__).name):  # this file names the phrases
+            continue
+        tree = ast.parse(path.read_text(), filename=str(path))
+        pinned = ([_top_level(tree, "PINNED_NOTES"), _top_level(tree, "test_note_text_pinned")]
+                  if path.name == "test_protocol.py" else [])
+        found[f"tests/{path.name}"] = _phrase_lines(tree, pinned)
+    found = {path: lines for path, lines in found.items() if lines}
+    assert not found, f"note text outside the table and the output edge: {found}"

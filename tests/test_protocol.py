@@ -10,8 +10,10 @@ from fermidistill import protocol
 from fermidistill.fock import density_from_covariance, fock_vector, joint_parity
 from fermidistill.linalg import STRUCT_ATOL, _scratch_size, svd
 from fermidistill.protocol import (
+    NOTE_TEXT,
     SAMPLE_CHUNK,
     InsufficientRankError,
+    Note,
     hashing_rate,
     optimal_choice,
     optimal_pf_bound,
@@ -74,7 +76,7 @@ class TestOptimalChoice:
         g[6:, :6] = -np.diag(diag) / 2
         s = CovarianceMatrix(g)
         choice = optimal_choice(s, BipartiteSplit.halves(12), 2)
-        assert any("degenerate" in w for w in choice.warnings)
+        assert choice.warnings == (Note("degenerate_cut", (4, 5)),)
 
     def test_m_too_small(self, rng):
         s = random_covariance(4, rng)
@@ -151,7 +153,7 @@ class TestRunProtocol:
         report = run_protocol(s, split, 2)
         bound = optimal_pf_bound(report.lambdas)
         assert report.pf == pytest.approx(bound, abs=1e-9)
-        assert not any("misses the bound" in w for w in report.warnings)
+        assert "bound_missed" not in [n.kind for n in report.warnings]
 
     def test_report_serialization(self, rng):
         s, split = random_x_zero_covariance(4, rng)
@@ -161,6 +163,27 @@ class TestRunProtocol:
             "m", "p", "f", "pf", "rate", "lambdas", "distillable", "warnings",
         }
         assert payload["pf"] == pytest.approx(payload["p"] * payload["f"], abs=1e-12)
+
+
+# Each kind of note and the message its values render to, word for word as
+# the sweep CSV's message cell and the JSON `warnings` list have always read.
+PINNED_NOTES = {
+    "degenerate_cut": ((4, 5), "degenerate singular value at the cut (lambda_4 == lambda_5); "
+                       "the kept subspace depends on the SVD basis choice"),
+    "bound_missed": ((0.25, 0.3), "pf = 2.500000000000e-01 misses the bound "
+                     "3.000000000000e-01 despite a vanishing diagonal block"),
+    "above_reference": ((0.3125, 0.3), "pf = 3.125000000000e-01 above the vanishing-block "
+                        "reference 3.000000000000e-01 (no optimality statement applies)"),
+    "skipped_not_finite": ((800, float("nan")), "skipped L=800: value nan is not finite"),
+    "skipped_saturated": ((4000, 1.0), "skipped L=4000: value 1.0 >= 1"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_NOTES))
+def test_note_text_pinned(kind):
+    assert set(NOTE_TEXT) == set(PINNED_NOTES)
+    values, text = PINNED_NOTES[kind]
+    assert str(Note(kind, values)) == text
 
 
 def _invalid_states():
