@@ -534,7 +534,7 @@ def lattice_point(geometry: LatticeGeometry, m: int = 2, seed=None) -> Distillat
     """Protocol quantities for one (L, N) geometry via the iterative route, a
     function of (L, N, m), Krylov steps included; `seed` is accepted and ignored."""
     cov, split, choice = restricted_covariance(geometry, m=m)
-    return _evaluate(blocks(cov, split), choice)
+    return _evaluate(blocks(cov, split), choice)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -593,11 +593,9 @@ def sweep(L_values, N_values, m: int = 2, seed=None, jobs: int = 1) -> list[Swee
     """
     if not len(L_values) or not len(N_values):
         raise ValidationError("sweep needs nonempty L and N lists")
-    m, jobs = as_index(m, "m"), as_index(jobs, "jobs")
+    m, jobs = as_index(m, "m"), as_index(jobs, "jobs", positive=True)
     if m < 2:
         raise ValidationError(f"protocol needs m >= 2, got {m}")
-    if jobs < 1:
-        raise ValidationError(f"jobs must be >= 1, got {jobs}")
     tasks = [(as_index(L, "L"), as_index(N, "N"), m) for L in L_values for N in N_values]
     _check_memory(max(L for L, _, _ in tasks), m)
     jobs = min(jobs, len(tasks), os.cpu_count() or 1)

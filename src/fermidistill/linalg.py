@@ -55,12 +55,16 @@ def as_real(a, name: str) -> np.ndarray:
     return a
 
 
-def as_index(value, name: str) -> int:
-    """value as a Python int; ValidationError unless it is an integer (a float is not)."""
+def as_index(value, name: str, positive: bool = False) -> int:
+    """value as a Python int, above 0 if `positive`; else ValidationError (a float or bool too)."""
     try:
-        return operator.index(value)
+        index = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
     except TypeError:
-        raise ValidationError(f"{name} must be an integer, got {value!r}") from None
+        index = None
+    if index is None or (positive and index <= 0):
+        kind = "a positive integer" if positive else "an integer"
+        raise ValidationError(f"{name} must be {kind}, got {value!r}")
+    return index
 
 
 def _member(index: int, lead: tuple[int, ...]) -> str:
@@ -110,7 +114,11 @@ def pfaffian(a: np.ndarray) -> float | np.ndarray:
             f"{_member(i, lead)} is not antisymmetric: |A + A^T|_max = {resid[i]:.3e}"
             f" exceeds {ANTISYMMETRY_RTOL:.1e} * |A|_max"
         )
-    pf = _eliminate(work, full.reshape(-1))
+    try:
+        with np.errstate(over="raise"):
+            pf = _eliminate(work, full.reshape(-1))
+    except FloatingPointError:
+        raise ValidationError("matrix has a Pfaffian that overflows float64") from None
     if lead:
         return pf.reshape(lead)
     return float(pf[0])

@@ -87,15 +87,16 @@ def _payload(record, *leave_out: str) -> dict:
     return {**payload, "warnings": [str(note) for note in record.warnings]}
 
 
-def _check_target(split: BipartiteSplit, m: int) -> None:
-    """Reject a target size m that no protocol on this split can reach, or a non-integer m."""
-    if as_index(m, "m") < 2:
+def _check_target(split: BipartiteSplit, m: int) -> int:
+    """m as an int; refuses a non-integer m, or one that no protocol on this split can reach."""
+    if (m := as_index(m, "m")) < 2:
         raise ValidationError("protocol needs m >= 2")
     split.check_even()
     if 2 * m > len(split.a):
         raise InsufficientRankError(
             f"m = {m} needs rank 2m = {2 * m} but each side has only {len(split.a)} dimensions"
         )
+    return m
 
 
 @dataclass(frozen=True)
@@ -152,7 +153,7 @@ def optimal_choice(
     `scan_m` and `sample_suboptimal`, it refuses a state that fails
     `validate` with ValidationError.
     """
-    _check_target(split, m)
+    m = _check_target(split, m)
     return _choice(svd(_valid_blocks(s, split).y), m)
 
 
@@ -203,41 +204,32 @@ def hashing_rate(p: float, f: float) -> float:
     return p * max(0.0, bracket)
 
 
-def _evaluate(blk: BlockDecomposition, choice: ProtocolChoice) -> DistillationReport:
-    q = protocol_quantities(blk, choice.d)
-    warnings = choice.warnings
-    bound = optimal_pf_bound(choice.lambdas)
-    x_zero = np.abs(blk.x).max(initial=0.0) < STRUCT_ATOL
-    z_zero = np.abs(blk.z).max(initial=0.0) < STRUCT_ATOL
-    if x_zero or z_zero:
-        # with a vanishing diagonal block the product formula is provably
-        # optimal and attained, so any deviation is a bug
-        if q.pf > bound + BOUND_ATOL:
-            raise ValidationError(
-                f"pf = {q.pf:.12e} exceeds the optimal-protocol bound {bound:.12e}"
-            )
-        if abs(q.pf - bound) > BOUND_ATOL:
-            warnings += (Note("bound_missed", (q.pf, bound)),)
-    elif q.pf > bound + BOUND_ATOL:
-        # outside the hypothesis the bound is only a reference point
-        warnings += (Note("above_reference", (q.pf, bound)),)
-    rate = None
-    distillable = False
-    if q.f is not None:
-        distillable = q.f > 1.0 / (2 ** (choice.m - 1))
-        if choice.m == 2:
-            rate = hashing_rate(q.p, q.f)
-    return DistillationReport(
-        m=choice.m,
-        p=q.p,
-        f=q.f,
-        pf=q.pf,
-        rate=rate,
-        lambdas=tuple(float(v) for v in choice.lambdas),
-        distillable=bool(distillable),
-        warnings=warnings,
-        krylov_steps=choice.krylov_steps,
-    )
+def _evaluate(blk: BlockDecomposition, *choices: ProtocolChoice) -> list[DistillationReport]:
+    """A report for each choice, all from one `protocol_quantities` call (one Pfaffian stack)."""
+    vanishing = min(np.abs(blk.x).max(initial=0.0), np.abs(blk.z).max(initial=0.0)) < STRUCT_ATOL
+    reports = []
+    for choice, q in zip(choices, protocol_quantities(blk, [c.d for c in choices])):
+        warnings = choice.warnings
+        bound = optimal_pf_bound(choice.lambdas)
+        if vanishing:
+            # with a vanishing diagonal block the product formula is provably
+            # optimal and attained, so any deviation is a bug
+            if q.pf > bound + BOUND_ATOL:
+                raise ValidationError(
+                    f"pf = {q.pf:.12e} exceeds the optimal-protocol bound {bound:.12e}"
+                )
+            if abs(q.pf - bound) > BOUND_ATOL:
+                warnings += (Note("bound_missed", (q.pf, bound)),)
+        elif q.pf > bound + BOUND_ATOL:
+            # outside the hypothesis the bound is only a reference point
+            warnings += (Note("above_reference", (q.pf, bound)),)
+        rate = hashing_rate(q.p, q.f) if q.f is not None and choice.m == 2 else None
+        reports.append(DistillationReport(
+            m=choice.m, p=q.p, f=q.f, pf=q.pf, rate=rate,
+            lambdas=tuple(float(v) for v in choice.lambdas),
+            distillable=q.f is not None and q.f > 1.0 / (2 ** (choice.m - 1)),
+            warnings=warnings, krylov_steps=choice.krylov_steps))
+    return reports
 
 
 def run_protocol(
@@ -251,28 +243,29 @@ def run_protocol(
     rate is reported for m = 2 (qubit pairs); for larger m the report
     carries p, f and pf with d = 2^(m-1) implied.  An invalid state raises.
     """
-    _check_target(split, m)
+    m = _check_target(split, m)
     blk = _valid_blocks(s, split)
-    return _evaluate(blk, _choice(svd(blk.y), m))
+    return _evaluate(blk, _choice(svd(blk.y), m))[0]
 
 
 def scan_m(
     s: CovarianceMatrix | np.ndarray, split: BipartiteSplit, m_max: int
 ) -> tuple[list[DistillationReport], str | None]:
-    """Reports for m = 2..m_max from one SVD of Y; truncates with a reason when rank runs out."""
-    if as_index(m_max, "m_max") < 2:
+    """Reports for m = 2..m_max from one SVD of Y and one Pfaffian stack for every m,
+    each equal to run_protocol's; truncates with a reason when rank runs out."""
+    if (m_max := as_index(m_max, "m_max")) < 2:
         raise ValidationError(f"protocol needs m >= 2, got m_max = {m_max}")
-    reports, blk, y_svd = [], None, None
-    for m in range(2, m_max + 1):
-        try:
+    choices, reason, blk, y_svd = [], None, None, None
+    try:
+        for m in range(2, m_max + 1):
             _check_target(split, m)
             if blk is None:
                 blk = _valid_blocks(s, split)
                 y_svd = svd(blk.y)
-            reports.append(_evaluate(blk, _choice(y_svd, m)))
-        except InsufficientRankError as exc:
-            return reports, str(exc)
-    return reports, None
+            choices.append(_choice(y_svd, m))
+    except InsufficientRankError as exc:
+        reason = str(exc)
+    return (_evaluate(blk, *choices) if choices else []), reason
 
 
 @dataclass(frozen=True)
@@ -319,9 +312,7 @@ def sample_suboptimal(
     chunk, the last partial one included, runs in views of their first
     count trials.  The first trial with the largest pf wins.
     """
-    if as_index(trials, "trials") < 1:
-        raise ValidationError("trials must be >= 1")
-    _check_target(split, m)
+    trials, m = as_index(trials, "trials", positive=True), _check_target(split, m)
     blk = _valid_blocks(s, split)
     k, r = len(split.a), 2 * m  # |A| == |B| after _check_target
     rng = _rng(seed)

@@ -300,7 +300,7 @@ def parity_probability(s: CovarianceMatrix | np.ndarray, orientation: int = 1) -
     """
     s = _state(s)
     n2 = s.g.shape[0]
-    if orientation not in (1, -1):
+    if as_index(orientation, "orientation") not in (1, -1):
         raise ValidationError(f"orientation must be +1 or -1, got {orientation!r}")
     if n2 % 4 != 0:
         raise ValidationError("parity probability needs an even number of modes")
@@ -399,18 +399,31 @@ class ProtocolQuantities:
     pf: float
 
 
-def protocol_quantities(blk: BlockDecomposition, d: RealProjectionPair) -> ProtocolQuantities:
+def protocol_quantities(
+    blk: BlockDecomposition, d: RealProjectionPair | list[RealProjectionPair]
+) -> ProtocolQuantities | list[ProtocolQuantities]:
     """Evaluate the instance with frames d, whose V = d.ua d.ub^T pairs their columns.
 
     blk = blocks(S, split).  p is the parity probability of the restricted
     state D S D and pf = <psi_E, rho psi_E> + <psi_partner, rho psi_partner>.
     Another pairing V' between the spans is Bob's frame turned: d.ub V'^T.
+    A list of pairs gives a list, from one stack: a narrower pair is padded
+    with the widest pair's other columns, which do not enter its numbers.
     """
-    if d.ub.shape[1] != d.ua.shape[1]:
+    pairs = [d] if isinstance(d, RealProjectionPair) else d
+    ranks = [q.ua.shape[1] for q in pairs]
+    if ranks != [q.ub.shape[1] for q in pairs]:
         raise ValidationError("frames ua and ub must have equal rank")
-    p, pf = _protocol_quantities_stack(blk, d.ua[None], d.ub[None])
-    p, pf = float(p[0]), float(pf[0])
-    return ProtocolQuantities(p=p, f=pf / p if p > P_FLOOR else None, pf=pf)
+    wide = pairs[ranks.index(max(ranks))]
+    frames = [(q.ua, q.ub) if r == max(ranks) else (np.concatenate((wide.ua[:, r:], q.ua), 1),
+                                                    np.concatenate((wide.ub[:, r:], q.ub), 1))
+              for q, r in zip(pairs, ranks)]
+    ua, ub = (np.array(side) for side in zip(*frames))
+    p, pf = _protocol_quantities_stack(blk, ua, ub, None, None,
+                                       None if min(ranks) == max(ranks) else np.array(ranks))
+    out = [ProtocolQuantities(p=pi, f=pfi / pi if pi > P_FLOOR else None, pf=pfi)
+           for pi, pfi in zip(p.tolist(), pf.tolist())]
+    return out[0] if isinstance(d, RealProjectionPair) else out
 
 
 def _protocol_quantities_stack(
@@ -419,6 +432,7 @@ def _protocol_quantities_stack(
     ub: np.ndarray,
     mats: np.ndarray | None = None,
     scratch: np.ndarray | None = None,
+    ranks: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """p and pf for a stack of protocol instances, each given by its two frames.
 
@@ -434,7 +448,11 @@ def _protocol_quantities_stack(
     or Z' vanishes.  The three Pfaffian matrices are written batch-last
     into mats (2r, 2r, 3, b), exactly antisymmetric as built, and eliminated
     in place by `linalg._eliminate` with `scratch`; a caller evaluating many
-    stacks passes both, else they are allocated here.  The frames are taken
+    stacks passes both, else they are allocated here.  Given `ranks`, member
+    i is the instance on the last ranks[i] = 2m columns of its frames: the
+    rest of its X', Y', Z' is zeroed and its unused A and B indices, which
+    come first, are paired off by [[0, 1], [-1, 0]] blocks, whose steps are
+    exact, so its Pfaffians are the instance's.  The frames are taken
     as orthonormal, as `RealProjectionPair` and `_orthonormalise` make them;
     the checks on p, the determinant form and pf name the first failing member.
     """
@@ -444,7 +462,7 @@ def _protocol_quantities_stack(
         scratch = np.empty(_scratch_size(2 * r, 3 * b))
 
     def check(bad: np.ndarray, message) -> None:
-        if np.any(bad):
+        if bad.any():
             i = int(np.argmax(bad))
             prefix = f"stack member {i}: " if b > 1 else ""
             raise ValidationError(prefix + message(i))
@@ -454,13 +472,17 @@ def _protocol_quantities_stack(
     # batch-last memory
     fa, fb = (u.transpose(1, 2, 0) for u in (ua, ub))
     eye = np.eye(r)[:, :, None]
-    m = r // 2
+    m = (r if ranks is None else ranks) // 2  # each member's own m
 
     def compress(left: np.ndarray, g: np.ndarray, right: np.ndarray) -> np.ndarray:
         gr = (g @ right.reshape(len(right), -1)).reshape(len(g), *right.shape[1:])
         return np.einsum("iab,icb->acb", left, gr)
 
     xp, yp, zp = compress(fa, blk.x, fa), compress(fa, blk.y, fb), compress(fb, blk.z, fb)
+    if ranks is not None:
+        unused = np.arange(r)[:, None] < r - ranks  # (index, member)
+        cut = unused[:, None] | unused[None]
+        xp[cut] = yp[cut] = zp[cut] = 0.0
 
     # mats[:, :, 0] = G' = [[X', Y'], [-Y'^T, Z']] / 2, then M+ and M-, with
     # X' and Z' antisymmetrised; each lower left block is minus the upper
@@ -472,23 +494,33 @@ def _protocol_quantities_stack(
     np.subtract(yp, eye, out=mats[:r, r:, 2])
     np.negative(mats[:r, r:].transpose(1, 0, 2, 3), out=mats[r:, :r])
     mats[:, :, 0] *= 0.5
-    # with X' or Z' zero, (|det(Y' + 1)| + |det(Y' - 1)|) / 2^r is pf; read
-    # the blocks trial-first before elimination overwrites them
+    # with X' or Z' zero, (|det(Y' + 1)| + |det(Y' - 1)|) / 2^(2m) is pf; read
+    # the blocks trial-first before elimination overwrites them (a padded
+    # member's Y' +- 1 is its own block beside +-1 on the diagonal: same det)
     vanish = np.minimum(np.abs(xp).max(axis=(0, 1), initial=0.0),
                         np.abs(zp).max(axis=(0, 1), initial=0.0)) < STRUCT_ATOL
     det_form = np.full(b, np.nan)
-    if vanish.any():
-        det_form[vanish] = np.abs(np.linalg.det(
-            mats[:r, r:, 1:, vanish].transpose(2, 3, 0, 1))).sum(axis=0) / 2.0 ** r
-    del xp, yp, zp  # freed before the elimination's own temporaries
-    pfs = _eliminate(mats.reshape(2 * r, 2 * r, 3 * b), scratch).reshape(3, b)
+    try:
+        with np.errstate(over="raise"):
+            if vanish.any():
+                det_form[vanish] = np.abs(np.linalg.det(
+                    mats[:r, r:, 1:, vanish].transpose(2, 3, 0, 1))).sum(axis=0)
+                det_form /= 4.0 ** m
+            if ranks is not None:
+                # among unused indices only the pads (2i, 2i + 1): no identity of M+-
+                up = np.eye(2 * r, k=1) * (np.arange(2 * r) % 2 == 0)[:, None]
+                idle = np.concatenate((unused, unused))[:, None, None]
+                np.copyto(mats, (up - up.T)[:, :, None, None], where=idle & idle.swapaxes(0, 1))
+            del xp, yp, zp  # freed before the elimination's own temporaries
+            pfs = _eliminate(mats.reshape(2 * r, 2 * r, 3 * b), scratch).reshape(3, b)
+            p = (1.0 + ((-4.0) ** m) * pfs[0]) / 2.0
+            pf = ((-1.0) ** m) * (pfs[1] + pfs[2]) / 4.0 ** m
+    except FloatingPointError:
+        raise ValidationError("blocks X, Y, Z too large: p or pf overflows float64") from None
 
-    p = (1.0 + ((-4.0) ** m) * pfs[0]) / 2.0
     check(~((p >= -STRUCT_ATOL) & (p <= 1 + STRUCT_ATOL)),
           lambda i: f"restricted parity probability {p[i]:.3e} outside [0, 1]")
     p = np.clip(p, 0.0, 1.0)
-
-    pf = ((-1.0) ** m) * (pfs[1] + pfs[2]) / (2.0 ** r)
 
     check(vanish & (np.abs(pf - det_form) > CROSS_CHECK_ATOL),
           lambda i: "block-Pfaffian and determinant forms disagree: "
@@ -534,8 +566,7 @@ def random_covariance(n_modes: int, seed: int | np.random.Generator) -> Covarian
     The skew part's largest singular value is drawn uniformly from
     [0.1, 0.475], away from both the pure and the maximally mixed state.
     """
-    if not _is_int(n_modes) or n_modes <= 0:
-        raise ValidationError(f"n_modes must be a positive integer, got {n_modes!r}")
+    n_modes = as_index(n_modes, "n_modes", positive=True)
     rng = _rng(seed)
     g = rng.standard_normal((2 * n_modes, 2 * n_modes))
     g = (g - g.T) / 2
@@ -554,10 +585,7 @@ def random_x_zero_covariance(
     value above 0.05) so that protocol construction at any admissible m
     is well posed.
     """
-    if not _is_int(n_modes_per_side) or n_modes_per_side <= 0:
-        raise ValidationError(
-            f"n_modes_per_side must be a positive integer, got {n_modes_per_side!r}"
-        )
+    n_modes_per_side = as_index(n_modes_per_side, "n_modes_per_side", positive=True)
     rng = _rng(seed)
     k = 2 * n_modes_per_side
     for _ in range(200):
@@ -592,10 +620,6 @@ def save_covariance(
     Path(path).write_text(json.dumps(payload, sort_keys=True))
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
 def load_covariance(path: str | Path) -> tuple[CovarianceMatrix, BipartiteSplit]:
     """Read a covariance JSON file; raises ValidationError on malformed data or Re S != 1/2."""
     try:
@@ -608,10 +632,12 @@ def load_covariance(path: str | Path) -> tuple[CovarianceMatrix, BipartiteSplit]
         n, split_a, entries = payload["modes"], payload["split_a"], payload["entries"]
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"missing covariance file field: {exc}") from exc
-    if not _is_int(n) or n <= 0:
-        raise ValidationError(f"modes must be a positive integer, got {n!r}")
-    if not isinstance(split_a, list) or not all(_is_int(i) for i in split_a):
-        raise ValidationError(f"split_a must be a list of integer indices, got {split_a!r}")
+    n = as_index(n, "modes", positive=True)
+    try:  # a non-list is refused as a list of one non-integer
+        indices = [as_index(i, "split index") for i in
+                   (split_a if isinstance(split_a, list) else [None])]
+    except ValidationError:
+        raise ValidationError(f"split_a must be a list of integer indices: {split_a!r}") from None
     dim = 2 * n
     if not isinstance(entries, list) or len(entries) != dim * dim:
         got = len(entries) if isinstance(entries, list) else type(entries).__name__
@@ -623,4 +649,4 @@ def load_covariance(path: str | Path) -> tuple[CovarianceMatrix, BipartiteSplit]
     if pairs is None or pairs.shape != (dim * dim, 2) or pairs.dtype.kind not in "iuf":
         raise ValidationError("entries must be [re, im] pairs of numbers")
     s = CovarianceMatrix.from_s(pairs.astype(float).view(complex).reshape(dim, dim))
-    return s, BipartiteSplit.from_alice(split_a, dim)
+    return s, BipartiteSplit.from_alice(indices, dim)

@@ -9,6 +9,7 @@ scalar parameter, or an integer parameter.  Each of NaN, +-inf, 1e100,
 of an array, and a hypothesis test plants them at other entries too.
 Every such call must either return finite numbers or raise a
 `ValidationError` subclass, and it must raise no warning on the way.
+Every integer slot must also refuse a bool, Python's or numpy's.
 Names without a numeric input (exceptions, result records, functions of
 no argument) are listed in EXEMPT with the reason, and a static check
 keeps the table and EXEMPT equal to the `__all__` lists.
@@ -338,6 +339,32 @@ def test_every_slot_refuses_or_survives_each_value(name):
     for slot in TABLE[name].values():
         for v in PLANTED:
             refused_or_finite(slot, Plant(v))
+
+
+# Every integer argument of the table, as (name, slot): a bool is refused
+# there, though Python reads it as 0 or 1.  lattice_point's seed is accepted
+# and ignored, so it is not among them.
+INTEGER_SLOTS = [
+    ("states.BipartiteSplit", "a"), ("states.BipartiteSplit", "dim"),
+    ("states.parity_probability", "orientation"),
+    ("states.random_covariance", "n_modes"), ("states.random_covariance", "seed"),
+    ("protocol.optimal_choice", "m"), ("protocol.run_protocol", "m"),
+    ("protocol.scan_m", "m_max"),
+    *[("protocol.sample_suboptimal", slot) for slot in ("m", "trials", "seed")],
+    ("lattice.ToeplitzKernel", "L"), ("lattice.ToeplitzKernel", "r"),
+    ("lattice.LatticeGeometry", "L"), ("lattice.LatticeGeometry", "N"),
+    ("lattice.top_singular_triplets", "k"), ("lattice.restricted_covariance", "m"),
+    ("lattice.lattice_point", "m"),
+    *[("lattice.sweep", slot) for slot in ("L", "N", "m", "jobs")],
+    *[("lattice.min_length", slot) for slot in ("N", "L_lo", "L_hi", "m")],
+]
+
+
+@pytest.mark.parametrize("name, slot", INTEGER_SLOTS)
+def test_boolean_refused_as_integer(name, slot):
+    for v in (True, False, np.True_, np.False_):
+        out = call(TABLE[name][slot], Plant(v))
+        assert isinstance(out, ValidationError), (v, out)
 
 
 @pytest.mark.parametrize("name", sorted(name for name, slots in TABLE.items() if "seed" in slots))

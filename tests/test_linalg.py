@@ -1,6 +1,7 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -329,6 +330,16 @@ class TestMalformedInput:
             z = a + 1j * imag * a
             for matrix in (z[0], z):
                 with pytest.raises(ValidationError, match="real input"):
+                    pfaffian(matrix)
+
+    def test_overflowing_pfaffian_rejected(self):
+        # entries below the entry limit whose Pfaffian, about 1e396, is beyond float64
+        a = np.triu(np.full((8, 8), 1e99), 1)
+        a -= a.T
+        for matrix in (a, np.stack([np.zeros((8, 8)), a])):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ValidationError, match="matrix has a Pfaffian that overflows"):
                     pfaffian(matrix)
 
     @pytest.mark.parametrize("shape", [(3,), (2, 3), (2, 4, 2)])

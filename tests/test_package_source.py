@@ -10,7 +10,8 @@ in lattice.py runs inside `ToeplitzKernel` or `_odd_spectrum`,
 complex numbers stay where states.py converts an S to or from G and
 where `linalg.as_real` reads an input as real (the dense Fock oracle
 apart), the entry limit 1e100 is written once, as
-`linalg.ENTRY_LIMIT`, and the antisymmetry tolerance is read only in
+`linalg.ENTRY_LIMIT`, integers are tested only in `linalg.as_index`,
+and the antisymmetry tolerance is read only in
 `linalg.pfaffian`, whose elimination kernel raises nothing, and the
 dense Fock oracle imports no private name of the package and never
 calls `validate` or `CovarianceMatrix.from_s`, and the text of a result's
@@ -337,6 +338,33 @@ def test_entry_limit_is_written_once():
         and node is not limit[0]
     ]
     assert not sites, f"1e100 restated outside linalg.ENTRY_LIMIT: {sites}"
+
+
+INTEGER_TYPES = {"int", "bool", "integer", "signedinteger", "Integral", "bool_"}
+
+
+def _tests_for_integers(node: ast.AST) -> bool:
+    """An isinstance against an integer type, operator.index, __index__ or an _is_int."""
+    if isinstance(node, ast.Call) and ast.unparse(node.func) == "isinstance" and len(node.args) == 2:
+        types = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+        return any(ast.unparse(t).split(".")[-1] in INTEGER_TYPES for t in types)
+    if isinstance(node, ast.Attribute):
+        return node.attr == "__index__" or ast.unparse(node) == "operator.index"
+    return isinstance(node, ast.Name) and node.id == "_is_int"
+
+
+def test_integers_are_read_once():
+    # linalg.as_index is the one integer gate: no other module tests for
+    # integers itself, so a rule such as refusing a bool holds everywhere
+    assert any(_tests_for_integers(node) for node in ast.walk(TREES["linalg"]))
+    sites = [
+        f"{module} line {node.lineno}: {ast.unparse(node)}"
+        for module, tree in TREES.items()
+        if module != "linalg"
+        for node in ast.walk(tree)
+        if _tests_for_integers(node)
+    ]
+    assert not sites, f"integers tested outside linalg.as_index: {sites}"
 
 
 def test_antisymmetry_is_checked_once():

@@ -238,6 +238,64 @@ class TestScanM:
         assert [r.m for r in reports] == [2]
         assert "insufficient rank" in reason
 
+    @staticmethod
+    def _assert_reports_match(reports, s, split):
+        # each report of the one stack against its own run_protocol
+        for report in reports:
+            alone = run_protocol(s, split, report.m)
+            for name in ("p", "f", "pf"):
+                assert getattr(report, name) == pytest.approx(getattr(alone, name), abs=1e-12)
+            assert report.lambdas == alone.lambdas
+            assert report.warnings == alone.warnings
+            assert report.rate == alone.rate
+            assert report.distillable == alone.distillable
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31), modes=st.integers(2, 6),
+           kind=st.sampled_from(["generic", "x_zero", "maximally_entangled"]),
+           beyond=st.integers(0, 1))
+    def test_each_report_matches_run_protocol(self, seed, modes, kind, beyond):
+        # m_max = modes + 1 runs out of dimensions after m = modes
+        rng = np.random.default_rng(seed)
+        split = BipartiteSplit.halves(4 * modes)
+        if kind == "generic":
+            s = random_covariance(2 * modes, rng)
+        elif kind == "x_zero":
+            s, split = random_x_zero_covariance(modes, rng)
+        else:
+            s = maximally_entangled_projection(random_orthogonal(2 * modes, rng), split)
+        reports, reason = scan_m(s, split, modes + beyond)
+        assert [r.m for r in reports] == list(range(2, modes + 1))
+        assert (reason is None) == (beyond == 0)
+        self._assert_reports_match(reports, s, split)
+
+    def test_truncated_scan_keeps_its_reports(self):
+        # the rank-4 state of test_truncation_reason: m = 2 alone, and the reason
+        # run_protocol gives for m = 3
+        g = np.zeros((12, 12))
+        g[:6, 6:] = np.diag([0.9, 0.8, 0.6, 0.5, 0.0, 0.0]) / 2
+        g[6:, :6] = -g[:6, 6:].T
+        s, split = CovarianceMatrix(g), BipartiteSplit.halves(12)
+        reports, reason = scan_m(s, split, 3)
+        self._assert_reports_match(reports, s, split)
+        with pytest.raises(InsufficientRankError) as exc:
+            run_protocol(s, split, 3)
+        assert reason == str(exc.value)
+        assert scan_m(s, split, 4) == (reports, reason)
+
+    @pytest.mark.parametrize("m_max", [2, 4])
+    def test_one_elimination_per_scan(self, monkeypatch, m_max, rng):
+        from fermidistill import states
+
+        eliminate, calls = states._eliminate, []
+        monkeypatch.setattr(states, "_eliminate",
+                            lambda work, scratch: calls.append(work.shape) or eliminate(work, scratch))
+        s, split = random_covariance(8, rng), BipartiteSplit.halves(16)
+        reports, _ = scan_m(s, split, m_max)
+        assert len(reports) == m_max - 1
+        # 3 Pfaffian matrices of 4 m_max rows for each m
+        assert calls == [(4 * m_max, 4 * m_max, 3 * (m_max - 1))]
+
     @pytest.mark.parametrize("m_max", [1, 0, -3])
     def test_m_max_below_two_rejected(self, m_max, rng):
         s, split = random_x_zero_covariance(2, rng)
@@ -625,7 +683,8 @@ class TestTrustedInvariants:
         # another pairing of the same spans, as a caller may pass
         protocol_quantities(blocks(s, split), RealProjectionPair(d.ua, d.ub[:, ::-1]))
         assert len(reports) == 3
-        assert calls.count("stack") == calls.count("eliminate") == 5
+        # one stack each: scan_m evaluates m = 2, 3, 4 together, padded to m = 4
+        assert calls.count("stack") == calls.count("eliminate") == 3
 
     @pytest.mark.parametrize("kind, modes", [("general", 4), ("x_zero", 4),
                                              ("general", 2), ("x_zero", 2)])

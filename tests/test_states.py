@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -49,6 +50,8 @@ MALFORMED_FIELDS = [
     ("split_a", ["0"], "integer indices"),
     ("split_a", 0, "integer indices"),
     ("split_a", [0, 0], "index 0 appears more than once"),
+    ("modes", True, "positive integer"),  # JSON true, which Python reads as 1
+    ("split_a", [True], "integer indices"),
 ]
 
 
@@ -346,6 +349,31 @@ class TestProtocolQuantities:
 
 
 class TestProtocolQuantitiesStack:
+    def test_sequence_matches_single_evaluations(self, rng):
+        # pairs of unequal width in one call: a narrower pair's numbers do not
+        # depend on the widest pair's columns that pad it, related or not
+        split = BipartiteSplit.halves(16)
+        s = random_covariance(8, rng)
+        wide = random_orthogonal(8, rng)
+        other = random_orthogonal(8, rng)
+        pairs = [RealProjectionPair(wide[:, :r], wide[::-1, :r]) for r in (2, 4, 8)]
+        pairs.append(RealProjectionPair(other[:, :4], wide[:, 4:]))
+        pairs.append(RealProjectionPair(other, wide))
+        out = protocol_quantities(blocks(s, split), pairs)
+        assert len(out) == len(pairs)
+        for q, pair in zip(out, pairs):
+            alone = protocol_quantities(blocks(s, split), pair)
+            assert q.p == pytest.approx(alone.p, abs=1e-13)
+            assert q.pf == pytest.approx(alone.pf, abs=1e-13)
+
+    def test_overflowing_blocks_rejected(self):
+        # entries below the entry limit, but det(Y' +- 1) and Pf(M+-) near 1e396
+        blk = BlockDecomposition(np.zeros((4, 4)), 1e99 * np.eye(4), np.zeros((4, 4)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match="blocks X, Y, Z too large"):
+                protocol_quantities(blk, RealProjectionPair(np.eye(4), np.eye(4)))
+
     @staticmethod
     def _stack(rng, count=5):
         # Bob's frames turned by each member's pairing V', so that the
