@@ -22,9 +22,9 @@ import numpy as np
 
 from . import closed_forms, lattice
 from .fock import verify_all
+from .linalg import ValidationError, as_real
 from .protocol import BOUND_ATOL, optimal_choice, run_protocol, sample_suboptimal, scan_m
 from .states import (
-    ValidationError,
     load_covariance,
     maximally_entangled_projection,
     restrict,
@@ -123,6 +123,8 @@ def _cmd_scan_m(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    if as_real(args.tol, "--tol") < 0:
+        raise ValidationError(f"--tol must be non-negative, got {args.tol:g}")
     state, split = load_covariance(args.state)
     choice = optimal_choice(state, split, args.m)
     # restrict to the kept modes, in whose frames the canonical isometry is the identity

@@ -324,6 +324,7 @@ def joint_parity(rho: np.ndarray, split: BipartiteSplit) -> JointParityResult:
     n = shape[0].bit_length() - 1 if shape else 0
     if n < 0 or shape != (1 << n, 1 << n):
         raise ValidationError(f"density matrix of shape {shape} is not 2^n x 2^n")
+    split.check_within(2 * n)
     _, theta = _parity_string(n, range(2 * n))
     xa, theta_a = _parity_string(n, split.a)
     flip = np.arange(1 << n) ^ xa

@@ -84,7 +84,7 @@ def pfaffian(a: np.ndarray) -> float | np.ndarray:
     identity ordering of the rows, ie Pf([[0, a], [-a, 0]]) = a.
 
     `a` has shape (..., n, n).  It is copied once into a batch-last array
-    (n, n, count), checked there (the package's one antisymmetry check) and
+    (n, n, count), checked there (the one antisymmetry check of a matrix) and
     eliminated in place by `_eliminate`.  Raises ValidationError for a complex
     dtype, even with a zero imaginary part, for entries `as_real` refuses, and
     unless every member is square, even-dimensional and antisymmetric to

@@ -7,10 +7,10 @@ Validity means
     S = S^dag,   0 <= S <= 1,   conj(S) = 1 - S,
 
 equivalently S = 1/2 + i*G with G real antisymmetric and ||G|| <= 1/2.
-A state is held as its G; S appears only at the edges, converted once
-by `CovarianceMatrix.from_s` and given back by `.matrix` for files and
-the dense oracle.  Pure quasifree (Fock) states have idempotent S
-(G^2 = -1/4), called basis projections.
+A state is held as its G, checked antisymmetric by `CovarianceMatrix` alone
+and stored exactly so; S appears only at the edges, converted once by
+`from_s` and given back by `.matrix` for files and the dense oracle.
+Basis projections, the pure quasifree (Fock) states, have G^2 = -1/4.
 
 All probability/fidelity formulas reduce to Pfaffians of real
 antisymmetric matrices.  Pfaffian signs depend on the orientation of the
@@ -75,7 +75,7 @@ class ConvergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class CovarianceMatrix:
-    """A quasifree state as the real 2n x 2n G of S = 1/2 + iG (`as_real`); `validate` checks G."""
+    """A quasifree state as the real 2n x 2n G of S = 1/2 + iG (`as_real`), kept as (G - G^T)/2."""
 
     g: np.ndarray
 
@@ -83,11 +83,14 @@ class CovarianceMatrix:
         g = as_real(self.g, "covariance G")
         if g.ndim != 2 or g.shape[0] != g.shape[1] or g.shape[0] % 2 != 0:
             raise ValidationError(f"covariance must be 2n x 2n, got {g.shape}")
-        object.__setattr__(self, "g", g)
+        resid = np.abs(g + g.T).max(initial=0.0)
+        if not resid <= STRUCT_ATOL * max(1.0, np.abs(g).max(initial=0.0)):
+            raise ValidationError(f"covariance G is not antisymmetric: |G + G^T|_max = {resid:.3e}")
+        object.__setattr__(self, "g", (g - g.T) / 2)
 
     @classmethod
     def from_s(cls, s) -> "CovarianceMatrix":
-        """The state G = Im S; Re S must be 1/2 (S hermitian then means G antisymmetric)."""
+        """The state G = Im S; Re S must be 1/2 and G antisymmetric, ie S hermitian."""
         s = np.asarray(s, dtype=complex)
         out = cls(s.imag)  # the shape check, before Re S is compared with 1/2
         res = np.abs(s.real - 0.5 * np.eye(len(s))).max(initial=0.0)
@@ -129,10 +132,9 @@ class BipartiteSplit:
     @classmethod
     def from_alice(cls, a_indices, dim: int) -> "BipartiteSplit":
         a = tuple(as_index(i, "split index") for i in a_indices)
-        if any(i < 0 or i >= dim for i in a):
-            raise ValidationError("split indices out of range")
-        alice = set(a)
-        return cls(a, tuple(i for i in range(dim) if i not in alice))
+        split = cls(a, tuple(sorted(set(range(dim)).difference(a))))
+        split.check_within(dim)
+        return split
 
     @classmethod
     def halves(cls, dim: int) -> "BipartiteSplit":
@@ -140,6 +142,12 @@ class BipartiteSplit:
         if as_index(dim, "dim") % 4 != 0:
             raise ValidationError("equal split needs dim divisible by 4")
         return cls(tuple(range(dim // 2)), tuple(range(dim // 2, dim)))
+
+    def check_within(self, dim: int):
+        """Refuse an index at or past dim, the dimension of the state split."""
+        out_of_range = [i for i in self.a + self.b if i >= dim]
+        if out_of_range:
+            raise ValidationError(f"split index {out_of_range[0]} out of range for {dim} indices")
 
     def check_even(self):
         if len(self.a) != len(self.b):
@@ -227,15 +235,13 @@ class ValidationReport:
 
 
 def validate(s: CovarianceMatrix | np.ndarray) -> ValidationReport:
-    """Diagnose validity to STRUCT_ATOL: reports, never raises on a state.
+    """Diagnose the spectral bound to STRUCT_ATOL: reports, never raises on a state.
 
-    S = 1/2 + iG has eigenvalues 1/2 +- sigma_i(G) for G antisymmetric.
+    S = 1/2 + iG has eigenvalues 1/2 +- sigma_i(G), G antisymmetric as stored.
     """
     g = _state(s).g
     report = ValidationReport()
-    report.add("antisymmetry |G + G^T|_max", np.abs(g + g.T).max(initial=0.0), STRUCT_ATOL)
-    a = (g - g.T) / 2
-    top = np.sqrt(max(np.linalg.eigvalsh(a @ a.T)[-1], 0.0))  # sigma_max(a)
+    top = np.sqrt(max(np.linalg.eigvalsh(g @ g.T)[-1], 0.0))  # sigma_max(G)
     report.add("spectrum max(0, sigma_max(G) - 1/2)", max(top - 0.5, 0.0), STRUCT_ATOL)
     return report
 
@@ -243,6 +249,7 @@ def validate(s: CovarianceMatrix | np.ndarray) -> ValidationReport:
 def blocks(s: CovarianceMatrix | np.ndarray, split: BipartiteSplit) -> BlockDecomposition:
     """Real block decomposition X = 2 G_AA, Y = 2 G_AB, Z = 2 G_BB."""
     g2 = 2 * _state(s).g
+    split.check_within(len(g2))
     ia, ib = list(split.a), list(split.b)
     return BlockDecomposition(g2[np.ix_(ia, ia)], g2[np.ix_(ia, ib)], g2[np.ix_(ib, ib)])
 
@@ -267,13 +274,6 @@ def assemble_covariance(block: BlockDecomposition) -> tuple[CovarianceMatrix, Bi
 # ---------------------------------------------------------------------------
 
 
-def _check_antisymmetric(g: np.ndarray, name: str) -> None:
-    """Refuse the G of state `name` unless |G + G^T|_max <= STRUCT_ATOL max(|G|_max, 1)."""
-    resid = np.abs(g + g.T).max(initial=0.0)
-    if not (resid <= STRUCT_ATOL or resid <= STRUCT_ATOL * np.abs(g).max(initial=0.0)):
-        raise ValidationError(f"G = -i({name} - 1/2) is not antisymmetric under transposition")
-
-
 def parity_expectation(s: CovarianceMatrix | np.ndarray) -> float:
     """Expectation of the parity operator: 2^n (-1)^n Pf(G).
 
@@ -281,9 +281,8 @@ def parity_expectation(s: CovarianceMatrix | np.ndarray) -> float:
     covariance is expressed in.
     """
     g = _state(s).g
-    _check_antisymmetric(g, "S")
     n = g.shape[0] // 2
-    val = (2.0 ** n) * ((-1.0) ** n) * pfaffian((g - g.T) / 2)
+    val = (2.0 ** n) * ((-1.0) ** n) * pfaffian(g)
     if abs(val) > 1 + STRUCT_ATOL:
         raise ValidationError(f"parity expectation {val:.6f} outside [-1, 1]")
     return float(np.clip(val, -1.0, 1.0))
@@ -317,10 +316,7 @@ def fock_fidelity(s: CovarianceMatrix | np.ndarray, e: CovarianceMatrix | np.nda
     gs, ge = _state(s).g, _state(e).g
     if gs.shape != ge.shape:
         raise ValidationError("S and E must have the same dimension")
-    _check_antisymmetric(gs, "S")
-    _check_antisymmetric(ge, "E")
-    g = np.stack([gs + ge, 2 * ge])
-    num, den = pfaffian((np.swapaxes(g, 1, 2) - g) / 2)
+    num, den = pfaffian(-np.stack([gs + ge, 2 * ge]))
     if abs(abs(den) - 1.0) > 1e-6:
         raise ValidationError("E is not a basis projection (orientation Pfaffian != +-1)")
     fid = num / round(den)
@@ -338,6 +334,7 @@ def partner_projection(
     original and carries the same orientation.
     """
     g = _state(e).g.copy()
+    split.check_within(len(g))
     ia, ib = list(split.a), list(split.b)
     g[np.ix_(ia, ib)] *= -1
     g[np.ix_(ib, ia)] *= -1
@@ -359,9 +356,7 @@ def maximally_entangled_projection(v: np.ndarray, split: BipartiteSplit) -> Cova
     if len(split.a) != k or len(split.b) != k:
         raise ValidationError("split size does not match the isometry")
     dim = 2 * k
-    out_of_range = [i for i in split.a + split.b if i >= dim]
-    if out_of_range:
-        raise ValidationError(f"split index {out_of_range[0]} out of range for {dim} indices")
+    split.check_within(dim)
     g = np.zeros((dim, dim))
     a, b = np.array(split.a), np.array(split.b)
     g[a[:, None], b] = v / 2
@@ -612,6 +607,7 @@ def save_covariance(
 ):
     """Write the covariance JSON: modes, split_a, the entries of S as [re, im] pairs."""
     m = _state(s).matrix
+    split.check_within(len(m))
     payload = {
         "modes": m.shape[0] // 2,
         "split_a": list(split.a),

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -129,18 +130,21 @@ class TestProtocolCommand:
 class TestInvalidStateFile:
     @pytest.mark.parametrize("command", [["protocol", "--m", "2"], ["scan-m", "--m-max", "2"]])
     def test_refused(self, tmp_path, capsys, command):
-        # sigma_max(G) > 1/2, then G not antisymmetric: both load, neither is evaluated
+        # sigma_max(G) > 1/2 loads and is not evaluated; an S that is not
+        # hermitian (G = Im S not antisymmetric) is refused as it loads
         g = random_covariance(4, 1).g
-        broken = g.copy()
-        broken[0, 5] += 0.3
-        for name, bad in (("spectrum", 3 * g), ("antisymmetry", broken)):
-            path = tmp_path / f"{name}.json"
-            save_covariance(path, CovarianceMatrix(bad), BipartiteSplit.halves(8))
+        spectrum, antisymmetry = tmp_path / "spectrum.json", tmp_path / "antisymmetry.json"
+        save_covariance(spectrum, CovarianceMatrix(3 * g), BipartiteSplit.halves(8))
+        broken = 0.5 * np.eye(8) + 1j * g
+        broken[0, 5] += 0.3j
+        antisymmetry.write_text(json.dumps({"modes": 4, "split_a": [0, 1, 2, 3], "entries": [
+            [z.real, z.imag] for z in broken.ravel().tolist()]}))
+        for path, message in ((spectrum, "error: invalid state:\nspectrum .* VIOLATED\n"),
+                              (antisymmetry, "error: covariance G is not antisymmetric: .*\n")):
             assert main([command[0], str(path)] + command[1:]) == 1
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err.startswith("error: invalid state:")
-            assert name in captured.err and "VIOLATED" in captured.err
+            assert re.fullmatch(message, captured.err)
 
 
 class TestScanM:
@@ -162,6 +166,16 @@ class TestOracleCommand:
         path, _ = four_mode_file
         assert main(["oracle", path]) == 0
         assert "agreement" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("tol, message", [("nan", "--tol has a non-finite entry"),
+                                              ("-1", "--tol must be non-negative, got -1")],
+                             ids=["nan", "negative"])
+    def test_tol_refused(self, four_mode_file, capsys, tol, message):
+        # NaN or a negative tolerance read an agreeing oracle as DISAGREEMENT
+        assert main(["oracle", four_mode_file[0], "--tol", tol]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {message}\n"
 
     def test_unequal_split_rejected(self, tmp_path, capsys):
         path = tmp_path / "big.json"

@@ -16,6 +16,7 @@ keeps the table and EXEMPT equal to the `__all__` lists.
 """
 
 import dataclasses
+import inspect
 import json
 import tempfile
 import warnings
@@ -110,9 +111,9 @@ def saved(p):
         return states.load_covariance(path)
 
 
-def save(s):
+def save(s, split=SPLIT):
     with tempfile.TemporaryDirectory() as tmp:
-        return states.save_covariance(Path(tmp) / "out.json", s, SPLIT)
+        return states.save_covariance(Path(tmp) / "out.json", s, split)
 
 
 def geometry(L=8, N=1):
@@ -376,6 +377,39 @@ def test_negative_seed_refused_by_name(name):
         assert_finite(out)
     else:
         assert isinstance(out, ValidationError) and "seed" in str(out), out
+
+
+# Every public function taking a split, called with a split that reaches
+# past the state: index 4 of a 2-mode state (or of the 2 + 2 indices of V)
+OUTSIDE = BipartiteSplit((0, 1, 2, 3), (4, 5, 6, 7))
+SPLIT_CALLS = {
+    "states.blocks": lambda: states.blocks(S2, OUTSIDE),
+    "states.partner_projection": lambda: states.partner_projection(E2, OUTSIDE),
+    "states.restrict": lambda: states.restrict(S2, OUTSIDE, RealProjectionPair(FRAME, FRAME)),
+    "states.maximally_entangled_projection": lambda: states.maximally_entangled_projection(
+        np.eye(2), BipartiteSplit((0, 1), (4, 5))),
+    "states.save_covariance": lambda: save(S2, OUTSIDE),
+    "protocol.optimal_choice": lambda: protocol.optimal_choice(S2, OUTSIDE, 2),
+    "protocol.run_protocol": lambda: protocol.run_protocol(S2, OUTSIDE, 2),
+    "protocol.scan_m": lambda: protocol.scan_m(S2, OUTSIDE, 2),
+    "protocol.sample_suboptimal": lambda: protocol.sample_suboptimal(S2, OUTSIDE, 2, 4, 0),
+    "fock.joint_parity": lambda: fock.joint_parity(RHO, OUTSIDE),
+    "fock.verify_all": lambda: fock.verify_all(S2, E2, OUTSIDE),
+}
+
+
+def test_split_calls_cover_every_split_parameter():
+    functions = {f"{m}.{name}": getattr(module, name) for m, module in MODULES.items()
+                 for name in module.__all__ if inspect.isfunction(getattr(module, name))}
+    assert set(SPLIT_CALLS) == {name for name, f in functions.items()
+                                if "split" in inspect.signature(f).parameters}
+
+
+@pytest.mark.parametrize("name", sorted(SPLIT_CALLS))
+def test_split_past_the_state_refused(name):
+    # refused before any indexing, where numpy would raise an untyped IndexError
+    with pytest.raises(ValidationError, match="split index 4 out of range for 4 indices"):
+        SPLIT_CALLS[name]()
 
 
 @pytest.mark.parametrize("name", sorted(TABLE))

@@ -12,7 +12,8 @@ where `linalg.as_real` reads an input as real (the dense Fock oracle
 apart), the entry limit 1e100 is written once, as
 `linalg.ENTRY_LIMIT`, integers are tested only in `linalg.as_index`,
 and the antisymmetry tolerance is read only in
-`linalg.pfaffian`, whose elimination kernel raises nothing, and the
+`linalg.pfaffian`, whose elimination kernel raises nothing, a state's
+G is checked antisymmetric only in `CovarianceMatrix.__post_init__`, the
 dense Fock oracle imports no private name of the package and never
 calls `validate` or `CovarianceMatrix.from_s`, and the text of a result's
 notes is written only in `protocol.NOTE_TEXT`.  The sources are parsed
@@ -367,10 +368,42 @@ def test_integers_are_read_once():
     assert not sites, f"integers tested outside linalg.as_index: {sites}"
 
 
+def _transpose_sum(node: ast.AST) -> bool:
+    """x + x.T or x.T + x, for one expression x."""
+    return isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add) and any(
+        isinstance(t, ast.Attribute) and t.attr == "T" and ast.dump(t.value) == ast.dump(x)
+        for x, t in ((node.left, node.right), (node.right, node.left)))
+
+
 def test_antisymmetry_is_checked_once():
-    # linalg.pfaffian is the one antisymmetry check: ANTISYMMETRY_RTOL is
-    # read nowhere else, and the elimination kernel it shares with the
-    # protocol stack raises nothing
+    # linalg.pfaffian is the one antisymmetry check of a matrix:
+    # ANTISYMMETRY_RTOL is read nowhere else, and the elimination kernel it
+    # shares with the protocol stack raises nothing; a state's G is checked
+    # where it enters, so a residue |x + x^T| is taken only in
+    # CovarianceMatrix.__post_init__ and no formula checks G again
+    cov = next(node for node in TREES["states"].body
+               if isinstance(node, ast.ClassDef) and node.name == "CovarianceMatrix")
+    post_init = next(node for node in cov.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "__post_init__")
+    entry = {id(node) for node in ast.walk(post_init)}
+    residues = [
+        (module, node)
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _dotted(node.func).split(".")[-1] in ("abs", "norm")
+        and node.args and _transpose_sum(node.args[0])
+    ]
+    stray = [f"{module} line {node.lineno}" for module, node in residues if id(node) not in entry]
+    assert residues and not stray, f"|x + x^T| taken outside CovarianceMatrix: {stray}"
+    revived = [
+        f"{module} line {node.lineno}"
+        for module, tree in TREES.items()
+        for node in ast.walk(tree)
+        if "_check_antisymmetric" in (getattr(node, "name", None), getattr(node, "id", None),
+                                      getattr(node, "attr", None))
+    ]
+    assert not revived, f"_check_antisymmetric is back: {revived}"
+
     functions = {node.name: node for node in TREES["linalg"].body
                  if isinstance(node, ast.FunctionDef)}
     inside = {id(node) for node in ast.walk(functions["pfaffian"])}

@@ -187,16 +187,18 @@ def test_note_text_pinned(kind):
 
 
 def _invalid_states():
-    """A state past the spectral bound (sigma_max(G) > 1/2) and one with G not antisymmetric."""
+    """(state, message): a state past the spectral bound (sigma_max(G) > 1/2), refused
+    by `validate`, and a raw S whose G = Im S is not antisymmetric, refused on entry."""
     g = random_covariance(4, 1).g
     broken = g.copy()
     broken[0, 5] += 0.3
-    return [("spectrum", CovarianceMatrix(3 * g)), ("antisymmetry", CovarianceMatrix(broken))]
+    return [(CovarianceMatrix(3 * g), "invalid state(.|\n)*spectrum.*VIOLATED"),
+            (0.5 * np.eye(8) + 1j * broken, "covariance G is not antisymmetric")]
 
 
 class TestInvalidStateRefused:
-    @pytest.mark.parametrize("check, s", _invalid_states(), ids=["spectrum", "antisymmetry"])
-    def test_every_entry_point_raises(self, check, s):
+    @pytest.mark.parametrize("s, message", _invalid_states(), ids=["spectrum", "antisymmetry"])
+    def test_every_entry_point_raises(self, s, message):
         split = BipartiteSplit.halves(8)
         calls = [
             lambda: optimal_choice(s, split, 2),
@@ -205,7 +207,7 @@ class TestInvalidStateRefused:
             lambda: sample_suboptimal(s, split, 2, trials=5, seed=1),
         ]
         for call in calls:
-            with pytest.raises(ValidationError, match=f"invalid state(.|\n)*{check}.*VIOLATED"):
+            with pytest.raises(ValidationError, match=message):
                 call()
 
 

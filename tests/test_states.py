@@ -123,8 +123,10 @@ class TestValidate:
 
     def test_reports_do_not_raise(self):
         # even garbage input produces a report rather than an exception
-        report = validate(CovarianceMatrix(np.ones((4, 4))))
+        garbage = np.arange(16.0).reshape(4, 4)
+        report = validate(CovarianceMatrix(garbage - garbage.T))
         assert not report.passed
+        assert [name for name, _, _ in report.checks] == ["spectrum max(0, sigma_max(G) - 1/2)"]
 
 
 class TestBlocks:
@@ -247,13 +249,12 @@ class TestFidelity:
     def test_each_check_named(self, rng):
         s, e = random_covariance(2, rng).matrix, random_basis_projection(2, rng).matrix
         shift = np.full((4, 4), 0.25)  # real symmetric: breaks S = 1/2 + iG
-        kink = np.zeros((4, 4))
-        kink[0, 2] = 0.3  # G = Im S no longer antisymmetric: parity_expectation's check
-        for evaluate in (parity_expectation, lambda s: fock_fidelity(s, e)):
-            with pytest.raises(ValidationError, match=r"-i\(S - 1/2\) is not antisymmetric"):
-                evaluate(s + 1j * kink)
-        with pytest.raises(ValidationError, match=r"-i\(E - 1/2\) is not antisymmetric"):
-            fock_fidelity(s, e + 1j * kink)
+        kink = np.zeros((4, 4), complex)
+        kink[0, 2] = 0.3j  # G = Im S no longer antisymmetric: refused by from_s
+        for evaluate in (lambda k: parity_expectation(s + k), lambda k: fock_fidelity(s + k, e),
+                         lambda k: fock_fidelity(s, e + k)):
+            with pytest.raises(ValidationError, match="covariance G is not antisymmetric"):
+                evaluate(kink)
         with pytest.raises(ValidationError, match="reality"):
             fock_fidelity(s + shift, e)
         with pytest.raises(ValidationError, match="reality"):
@@ -594,13 +595,15 @@ class TestFileFormat:
     @settings(max_examples=40, deadline=None)
     @given(data=st.data(), n=st.integers(min_value=1, max_value=3))
     def test_roundtrip_property(self, tmp_path_factory, data, n):
-        # every real G with entries below ENTRY_LIMIT round-trips exactly; an S
-        # whose real part is off 1/2 is refused at load
+        # every antisymmetric real G with entries below ENTRY_LIMIT round-trips
+        # exactly; an S whose real part is off 1/2, or whose imaginary part
+        # G is not antisymmetric, is refused at load
         dim = 2 * n
         finite = st.floats(allow_nan=False, allow_infinity=False)
         below = st.floats(-ENTRY_LIMIT, ENTRY_LIMIT, exclude_min=True, exclude_max=True)
-        g = np.array(data.draw(st.lists(below, min_size=dim * dim, max_size=dim * dim)))
-        g = g.reshape(dim, dim)
+        upper = np.array(data.draw(st.lists(below, min_size=dim * dim, max_size=dim * dim)))
+        upper = np.triu(upper.reshape(dim, dim), 1)
+        g = upper - upper.T
         split_a = data.draw(st.lists(st.integers(0, dim - 1), unique=True, max_size=dim))
         split = BipartiteSplit.from_alice(split_a, dim)
         path = tmp_path_factory.mktemp("roundtrip") / "state.json"
@@ -609,12 +612,23 @@ class TestFileFormat:
         np.testing.assert_array_equal(s2.g, g)
         assert (split2.a, split2.b) == (split.a, split.b)
 
+        saved = path.read_text()
         entry = data.draw(st.integers(0, dim * dim - 1))
         off = data.draw(finite.filter(lambda x: abs(x) >= 10 * states.STRUCT_ATOL))
-        payload = json.loads(path.read_text())
+        payload = json.loads(saved)
         payload["entries"][entry][0] += off
         path.write_text(json.dumps(payload))
         with pytest.raises(ValidationError, match="reality"):
+            load_covariance(path)
+
+        # G[entry] moved by 10 to 1e7 times the tolerance, towards zero or
+        # past it, so that no entry reaches ENTRY_LIMIT
+        kick = data.draw(st.floats(10.0, 1e7)) * states.STRUCT_ATOL * max(1.0, np.abs(g).max())
+        payload = json.loads(saved)
+        im = payload["entries"][entry][1]
+        payload["entries"][entry][1] = im - kick if im > 0 else im + kick
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValidationError, match="covariance G is not antisymmetric"):
             load_covariance(path)
 
     def test_malformed_file(self, tmp_path):
@@ -648,6 +662,50 @@ class TestFileFormat:
         path.write_text(json.dumps(payload))
         with pytest.raises(ValidationError, match=message):
             load_covariance(path)
+
+
+@pytest.mark.parametrize("case", ["exact", "within", "beyond"])
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), size=st.floats(0.0, 1.0))
+def test_antisymmetry_is_checked_on_entry(tmp_path_factory, case, seed, n, size):
+    # CovarianceMatrix refuses |G + G^T|_max > STRUCT_ATOL max(1, |G|_max) and
+    # stores (G - G^T)/2: an exactly antisymmetric G bitwise, a G within the
+    # tolerance exactly antisymmetrised, which the scalar formulas then read
+    rng = np.random.default_rng(seed)
+    gs, ge = random_covariance(n, rng).g, random_basis_projection(n, rng).g
+    dim = 2 * n
+    half = np.eye(dim) / 2
+    if case == "exact":
+        g = gs * 10.0 ** rng.integers(-50, 51)
+        for stored in (CovarianceMatrix(g).g, CovarianceMatrix.from_s(half + 1j * g).g):
+            assert stored.tobytes() == g.tobytes()
+    elif case == "within":
+        raw = []
+        for g in (gs, ge):
+            noise = rng.standard_normal((dim, dim))
+            noise += noise.T
+            raw.append(g + noise * (0.4 * size * states.STRUCT_ATOL / np.abs(noise).max()))
+        for g in raw:
+            stored = CovarianceMatrix(g).g
+            assert stored.tobytes() == ((g - g.T) / 2).tobytes()
+            np.testing.assert_array_equal(stored, -stored.T)
+        s, e = (half + 1j * g for g in raw)
+        a, b = (CovarianceMatrix((g - g.T) / 2) for g in raw)
+        assert parity_expectation(s) == parity_expectation(a)
+        assert abs(parity_expectation(s) - parity_expectation(CovarianceMatrix(gs))) <= 1e-8
+        assert fock_fidelity(s, e) == fock_fidelity(a, b)
+    else:
+        i, j = rng.integers(dim, size=2)
+        g = gs.copy()
+        g[i, j] += (1 + size * 1e6) * 2 * states.STRUCT_ATOL * rng.choice([-1, 1])
+        s = half + 1j * g
+        path = tmp_path_factory.mktemp("beyond") / "state.json"
+        path.write_text(json.dumps({"modes": n, "split_a": [0], "entries": [
+            [z.real, z.imag] for z in s.ravel().tolist()]}))
+        for refuse in (lambda: CovarianceMatrix(g), lambda: CovarianceMatrix.from_s(s),
+                       lambda: load_covariance(path)):
+            with pytest.raises(ValidationError, match="covariance G is not antisymmetric"):
+                refuse()
 
 
 class TestPipelineComposition:
