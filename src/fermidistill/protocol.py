@@ -305,7 +305,10 @@ def sample_suboptimal(
 
     Trials are evaluated as stacks of C = SAMPLE_CHUNK in one workspace,
     a single allocation per call: the elimination scratch, the batch-last
-    frames (k, r, 2, C) and the Pfaffian matrices (2r, 2r, 3, C).  The
+    frames (k, r, 2, C) and the Pfaffian matrices: (2r, 2r, C) at m = 2, where
+    pf = (Pf(M0) + 1 + e_2) / 8 from the pencil Pf(M0 + tJ), e_2 from two traces
+    (`_protocol_quantities_stack`); at m >= 3 the pencil has more unknown coefficients
+    and Newton's identities lose accuracy, so each trial also takes M+- = M0 +- J.  The
     draw, filled with `standard_normal(out=)`, is a view at the front of
     the scratch; it is copied into the frames before the elimination
     runs, and the scratch grows to hold it when it is the larger.  Each
@@ -317,11 +320,12 @@ def sample_suboptimal(
     k, r = len(split.a), 2 * m  # |A| == |B| after _check_target
     rng = _rng(seed)
     size = min(SAMPLE_CHUNK, trials)
+    per = 1 if m == 2 else 3  # Pfaffian matrices per trial: M0, and M+- at m >= 3
     # scratch holding the draw, frames (k, r, 2, C), Pfaffian matrices; one
     # allocation, as separate buffers were mapped afresh by most calls
     width = 2 * k * r
-    lengths = [max(_scratch_size(2 * r, 3 * size), size * width),
-               size * width, size * 3 * (2 * r) ** 2]
+    lengths = [max(_scratch_size(2 * r, per * size), size * width),
+               size * width, size * per * (2 * r) ** 2]
     scratch, side_buf, mats_buf = np.split(np.empty(sum(lengths)), np.cumsum(lengths)[:-1])
     draw = scratch[: size * width].reshape(size, width)
     best: SuboptimalSample | None = None
@@ -333,7 +337,7 @@ def sample_suboptimal(
         _orthonormalise(sides.reshape(k, r, 2 * count), (2, count))
         # trial-first views of the batch-last frames
         ua, ub = (sides[:, :, j].transpose(2, 0, 1) for j in range(2))
-        mats = mats_buf[: (2 * r) ** 2 * 3 * count].reshape(2 * r, 2 * r, 3, count)
+        mats = mats_buf[: (2 * r) ** 2 * per * count].reshape(2 * r, 2 * r, per * count)
         p, pf = _protocol_quantities_stack(blk, ua, ub, mats, scratch)
         i = int(np.argmax(pf))
         if best is None or pf[i] > best.best_pf:

@@ -402,6 +402,10 @@ def protocol_quantities(
     blk = blocks(S, split).  p is the parity probability of the restricted
     state D S D and pf = <psi_E, rho psi_E> + <psi_partner, rho psi_partner>.
     Another pairing V' between the spans is Bob's frame turned: d.ub V'^T.
+    pf sums the pencil Pf(M0 + tJ) = Pf(J) prod_i (t + mu_i) at t = +-1, M0 the state
+    on the frames and mu_i the paired eigenvalues of J^T M0: at m = 2 Pf(M0) and two
+    traces fix it, one Pfaffian per instance; at m >= 3 more coefficients are unknown
+    and Newton's identities lose accuracy, so M+- = M0 +- J are eliminated.
     A list of pairs gives a list, from one stack: a narrower pair is padded
     with the widest pair's other columns, which do not enter its numbers.
     """
@@ -434,27 +438,32 @@ def _protocol_quantities_stack(
     ua (b, |A|, r) and ub (b, |B|, r) are the kept-mode frames of each
     member, whose columns V = ua ub^T pairs; any strides will do, so they
     may be views of batch-last memory.  With primes for compressions onto
-    the frames and M+- = [[X', Y' +- 1], [-(Y' +- 1)^T, Z']],
+    the frames, M0 = [[X', Y'], [-Y'^T, Z']] and M+- = M0 +- J, J = [[0, 1], [-1, 0]],
 
-        p = (1 + (-4)^m Pf(G')) / 2,  G' = [[X', Y'], [-Y'^T, Z']] / 2,
-        pf = (-1)^m 2^(-2m) [Pf(M+) + Pf(M-)],
+        p = (1 + (-1)^m Pf(M0)) / 2,  pf = (-1)^m 2^(-2m) [Pf(M+) + Pf(M-)],
 
     cross-checked against (|det(Y' + 1)| + |det(Y' - 1)|) / 2^(2m) when X'
-    or Z' vanishes.  The three Pfaffian matrices are written batch-last
-    into mats (2r, 2r, 3, b), exactly antisymmetric as built, and eliminated
-    in place by `linalg._eliminate` with `scratch`; a caller evaluating many
-    stacks passes both, else they are allocated here.  Given `ranks`, member
-    i is the instance on the last ranks[i] = 2m columns of its frames: the
-    rest of its X', Y', Z' is zeroed and its unused A and B indices, which
-    come first, are paired off by [[0, 1], [-1, 0]] blocks, whose steps are
-    exact, so its Pfaffians are the instance's.  The frames are taken
-    as orthonormal, as `RealProjectionPair` and `_orthonormalise` make them;
-    the checks on p, the determinant form and pf name the first failing member.
+    or Z' vanishes.  Pf(M0 + tJ) = Pf(J) prod_i (t + mu_i), the mu_i the eigenvalues
+    of J^T M0, each equal pair counted once: at m = 2, Pf(M+) + Pf(M-) = 2 (1 + e_2 +
+    Pf(M0)), e_2 = (tr(Y')^2 - tr(Y'^2) + tr(Z'X')) / 2 from tr(J^T M0) and tr(J^T M0)^2.
+    At m >= 3 more e_2j are unknown and Newton's identities lose accuracy, so M+- are
+    eliminated.  Every member's M0, then M+ and M- of each with m != 2, are written
+    batch-last into mats (2r, 2r, s), exactly antisymmetric as built, and eliminated
+    in place by `linalg._eliminate` with `scratch`; a caller evaluating many stacks
+    passes both, else they are allocated here.  Given `ranks`, member i is the instance
+    on the last ranks[i] = 2m columns of its frames: the rest of its X', Y', Z' is
+    zeroed and its unused A and B indices, which come first, are paired off by
+    [[0, 1], [-1, 0]] blocks, whose steps are exact, so its Pfaffians, and its trailing
+    4 x 4 blocks, are the instance's.  The frames are taken as orthonormal, as
+    `RealProjectionPair` and `_orthonormalise` make them; the checks on p, the
+    determinant form and pf name the first failing member.
     """
     b, r = ua.shape[0], ua.shape[2]
+    m = r // 2 if ranks is None else ranks // 2  # each member's own m, or the one all share
+    big = np.arange(b if m != 2 else 0) if ranks is None else np.flatnonzero(m != 2)  # on M+-
     if mats is None:
-        mats = np.empty((2 * r, 2 * r, 3, b))
-        scratch = np.empty(_scratch_size(2 * r, 3 * b))
+        mats = np.empty((2 * r, 2 * r, b + 2 * len(big)))
+        scratch = np.empty(_scratch_size(2 * r, mats.shape[2]))
 
     def check(bad: np.ndarray, message) -> None:
         if bad.any():
@@ -466,8 +475,6 @@ def _protocol_quantities_stack(
     # einsum over the contiguous member axis when the frames are views of
     # batch-last memory
     fa, fb = (u.transpose(1, 2, 0) for u in (ua, ub))
-    eye = np.eye(r)[:, :, None]
-    m = (r if ranks is None else ranks) // 2  # each member's own m
 
     def compress(left: np.ndarray, g: np.ndarray, right: np.ndarray) -> np.ndarray:
         gr = (g @ right.reshape(len(right), -1)).reshape(len(g), *right.shape[1:])
@@ -479,37 +486,45 @@ def _protocol_quantities_stack(
         cut = unused[:, None] | unused[None]
         xp[cut] = yp[cut] = zp[cut] = 0.0
 
-    # mats[:, :, 0] = G' = [[X', Y'], [-Y'^T, Z']] / 2, then M+ and M-, with
-    # X' and Z' antisymmetrised; each lower left block is minus the upper
-    # right one transposed
-    mats[:r, :r] = ((xp - xp.transpose(1, 0, 2)) / 2)[:, :, None]
-    mats[r:, r:] = ((zp - zp.transpose(1, 0, 2)) / 2)[:, :, None]
-    mats[:r, r:, 0] = yp
-    np.add(yp, eye, out=mats[:r, r:, 1])
-    np.subtract(yp, eye, out=mats[:r, r:, 2])
-    np.negative(mats[:r, r:].transpose(1, 0, 2, 3), out=mats[r:, :r])
-    mats[:, :, 0] *= 0.5
-    # with X' or Z' zero, (|det(Y' + 1)| + |det(Y' - 1)|) / 2^(2m) is pf; read
-    # the blocks trial-first before elimination overwrites them (a padded
-    # member's Y' +- 1 is its own block beside +-1 on the diagonal: same det)
+    # M0 with X' and Z' antisymmetrised, its lower left block minus the upper
+    # right one transposed; then M+- = M0 +- J of the members with m != 2
+    m0 = mats[:, :, :b]
+    m0[:r, :r] = (xp - xp.transpose(1, 0, 2)) / 2
+    m0[r:, r:] = (zp - zp.transpose(1, 0, 2)) / 2
+    m0[:r, r:] = yp
+    np.negative(yp.transpose(1, 0, 2), out=m0[r:, :r])
+    if len(big):
+        jay = (np.eye(2 * r, k=r) - np.eye(2 * r, k=-r))[:, :, None]
+        np.add(m0[:, :, big], jay, out=mats[:, :, b : b + len(big)])
+        np.subtract(m0[:, :, big], jay, out=mats[:, :, b + len(big) :])
+    # with X' or Z' zero, (|det(Y' + 1)| + |det(Y' - 1)|) / 2^(2m) is pf (a
+    # padded member's Y' +- 1 is its own block beside +-1 on the diagonal: same det)
     vanish = np.minimum(np.abs(xp).max(axis=(0, 1), initial=0.0),
                         np.abs(zp).max(axis=(0, 1), initial=0.0)) < STRUCT_ATOL
     det_form = np.full(b, np.nan)
     try:
         with np.errstate(over="raise"):
             if vanish.any():
-                det_form[vanish] = np.abs(np.linalg.det(
-                    mats[:r, r:, 1:, vanish].transpose(2, 3, 0, 1))).sum(axis=0)
+                yv, eye = yp[:, :, vanish].transpose(2, 0, 1), np.eye(r)
+                det_form[vanish] = np.abs(np.linalg.det(np.stack((yv + eye, yv - eye)))).sum(axis=0)
                 det_form /= 4.0 ** m
+            e2 = 0.0
+            if len(big) < b:  # each sum adds <= 4 terms in order: lone and stacked round alike
+                x4, y4, z4 = m0[r - 4 : r, r - 4 : r], m0[r - 4 : r, -4:], m0[-4:, -4:]
+                tr_y = y4.diagonal().T.sum(axis=0)
+                products = y4 * y4.transpose(1, 0, 2) - z4 * x4.transpose(1, 0, 2)
+                e2 = (tr_y * tr_y - products.sum(axis=0).sum(axis=0)) / 2
             if ranks is not None:
                 # among unused indices only the pads (2i, 2i + 1): no identity of M+-
                 up = np.eye(2 * r, k=1) * (np.arange(2 * r) % 2 == 0)[:, None]
-                idle = np.concatenate((unused, unused))[:, None, None]
-                np.copyto(mats, (up - up.T)[:, :, None, None], where=idle & idle.swapaxes(0, 1))
+                idle = np.concatenate((unused, unused))[:, np.concatenate((np.arange(b), big, big))]
+                np.copyto(mats, (up - up.T)[:, :, None], where=idle[:, None] & idle[None])
             del xp, yp, zp  # freed before the elimination's own temporaries
-            pfs = _eliminate(mats.reshape(2 * r, 2 * r, 3 * b), scratch).reshape(3, b)
-            p = (1.0 + ((-4.0) ** m) * pfs[0]) / 2.0
-            pf = ((-1.0) ** m) * (pfs[1] + pfs[2]) / 4.0 ** m
+            pfs = _eliminate(mats, scratch)
+            p = (1.0 + ((-1.0) ** m) * pfs[:b]) / 2.0
+            sums = 2.0 * (pfs[:b] + 1.0 + e2)  # Pf(M+) + Pf(M-)
+            sums[big] = pfs[b:].reshape(2, len(big)).sum(axis=0)
+            pf = ((-1.0) ** m) * sums / 4.0 ** m
     except FloatingPointError:
         raise ValidationError("blocks X, Y, Z too large: p or pf overflows float64") from None
 

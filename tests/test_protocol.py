@@ -295,8 +295,8 @@ class TestScanM:
         s, split = random_covariance(8, rng), BipartiteSplit.halves(16)
         reports, _ = scan_m(s, split, m_max)
         assert len(reports) == m_max - 1
-        # 3 Pfaffian matrices of 4 m_max rows for each m
-        assert calls == [(4 * m_max, 4 * m_max, 3 * (m_max - 1))]
+        # one Pfaffian matrix of 4 m_max rows for each m, M0, and M+- too for each m >= 3
+        assert calls == [(4 * m_max, 4 * m_max, (m_max - 1) + 2 * (m_max - 2))]
 
     @pytest.mark.parametrize("m_max", [1, 0, -3])
     def test_m_max_below_two_rejected(self, m_max, rng):
@@ -693,7 +693,12 @@ class TestTrustedInvariants:
     def test_sampler_chunks(self, calls, monkeypatch, kind, modes):
         # SAMPLE_CHUNK = 3 gives three full chunks and a partial one; at two
         # modes per side the frames are square (|A| = 2m)
+        from fermidistill import states
+
         monkeypatch.setattr(protocol, "SAMPLE_CHUNK", 3)
+        eliminate, shapes = states._eliminate, []
+        monkeypatch.setattr(states, "_eliminate",
+                            lambda work, scratch: shapes.append(work.shape) or eliminate(work, scratch))
         rng = np.random.default_rng(6)
         if kind == "general":
             s, split = random_covariance(2 * modes, rng), BipartiteSplit.halves(4 * modes)
@@ -701,6 +706,8 @@ class TestTrustedInvariants:
             s, split = random_x_zero_covariance(modes, rng)
         sample_suboptimal(s, split, 2, trials=10, seed=3)
         assert calls.count("stack") == calls.count("eliminate") == 4
+        # one Pfaffian matrix per trial at m = 2, its M0
+        assert shapes == [(8, 8, 3)] * 3 + [(8, 8, 1)]
 
     @pytest.mark.parametrize("L", [2000, 2001])
     def test_lattice_points(self, calls, L):

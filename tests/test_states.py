@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fermidistill import states
-from fermidistill.linalg import ENTRY_LIMIT
+from fermidistill.linalg import ENTRY_LIMIT, pfaffian
 from fermidistill.states import (
     BipartiteSplit,
     BlockDecomposition,
@@ -33,7 +33,8 @@ from fermidistill.states import (
 )
 from fermidistill.states import _protocol_quantities_stack
 
-from helpers import output_fidelity, random_basis_projection, random_orthogonal, twirl_coefficients
+from helpers import (haar_frame, output_fidelity, random_antisymmetric, random_basis_projection,
+                     random_orthogonal, twirl_coefficients)
 
 
 # (field, value, message) of a one-mode covariance file with one bad field
@@ -394,34 +395,98 @@ class TestProtocolQuantitiesStack:
             assert p[i] == pytest.approx(q.p, abs=1e-13)
             assert pf[i] == pytest.approx(q.pf, abs=1e-13)
 
-    @pytest.mark.parametrize("vanishing", ["all", "some"])
-    def test_determinant_cross_check_fires(self, rng, monkeypatch, vanishing):
-        # member 3 has X' = 0 (with "some", only member 3 does); perturbing its
-        # Pf(M+) after elimination leaves the determinant form to notice
+    @pytest.mark.parametrize("vanishing, m", [("all", 2), ("some", 2), ("all", 3), ("some", 3)],
+                             ids=["all", "some", "all-m3", "some-m3"])
+    def test_determinant_cross_check_fires(self, rng, monkeypatch, vanishing, m):
+        # member 3 has X' = 0 (with "some", only member 3 does); perturbing,
+        # after elimination, its Pf(M0), the one Pfaffian of an m = 2 member,
+        # or at m = 3 its Pf(M+), leaves the determinant form to notice
+        r = 2 * m
         s, split = random_x_zero_covariance(4, rng)
         blk = blocks(s, split)
-        ua = np.stack([random_orthogonal(8, rng)[:, :4] for _ in range(5)])
-        ub = np.stack([random_orthogonal(8, rng)[:, :4] for _ in range(5)])
-        vp = np.stack([random_orthogonal(4, rng) for _ in range(5)])
+        ua = np.stack([random_orthogonal(8, rng)[:, :r] for _ in range(5)])
+        ub = np.stack([random_orthogonal(8, rng)[:, :r] for _ in range(5)])
+        vp = np.stack([random_orthogonal(r, rng) for _ in range(5)])
         ub = ub @ vp.transpose(0, 2, 1)
         if vanishing == "some":
             x = np.zeros((8, 8))
             x[0, 1], x[1, 0] = 0.01, -0.01
             blk = BlockDecomposition(x, blk.y, blk.z)
             ua[3] = 0.0
-            ua[3, 2:] = random_orthogonal(6, rng)[:, :4]
+            ua[3, 2:] = random_orthogonal(6, rng)[:, :r]
         _protocol_quantities_stack(blk, ua, ub)
         eliminate = states._eliminate
+        # the stack holds the 5 members' M0, then at m = 3 their M+ and M-
+        slot = 3 if m == 2 else 5 + 3
 
         def perturbed(work, scratch):
+            assert work.shape[2] == (5 if m == 2 else 15)
             pfs = eliminate(work, scratch)
-            pfs.reshape(3, -1)[1, 3] += 1e-3
+            pfs[slot] += 1e-3
             return pfs
 
         monkeypatch.setattr(states, "_eliminate", perturbed)
         with pytest.raises(ValidationError, match="stack member 3: block-Pfaffian and determinant"
                                                   " forms disagree"):
             _protocol_quantities_stack(blk, ua, ub)
+
+
+class TestPencilIdentity:
+    """At m = 2 pf is (Pf(M0) + 1 + e_2) / 8, from the pencil Pf(M0 + tJ).
+
+    The oracle is the definition, (Pf(M+) + Pf(M-)) / 16 with M+- = M0 +- J
+    built explicitly and evaluated by the public `pfaffian`.
+    """
+
+    KINDS = ["generic", "x_zero", "z_zero", "y_unit", "y_rank_deficient", "padded"]
+
+    @staticmethod
+    def _case(kind, rng):
+        """Blocks of an 8 + 8-dimensional state and a pair of rank-4 frames on it."""
+        ua, ub = (random_orthogonal(8, rng)[:, :4] for _ in range(2))
+        if kind == "y_unit":
+            # a pure maximally entangled state, Bob's frame turned so that Y' = +-1
+            v, sign, zero = random_orthogonal(8, rng), rng.choice([-1.0, 1.0]), np.zeros((8, 8))
+            return BlockDecomposition(zero, v, zero), ua, sign * v.T @ ua
+        if kind == "y_rank_deficient":
+            rank = int(rng.integers(0, 4))
+            y = rng.standard_normal((8, rank)) @ rng.standard_normal((rank, 8))
+            g = np.block([[random_antisymmetric(8, rng), y], [-y.T, random_antisymmetric(8, rng)]])
+            g *= 0.5 * rng.uniform(0.2, 0.95) / np.linalg.norm(g, 2)
+            return blocks(CovarianceMatrix(g), BipartiteSplit.halves(16)), ua, ub
+        if kind in ("generic", "padded"):
+            return blocks(random_covariance(8, rng), BipartiteSplit.halves(16)), ua, ub
+        blk = blocks(*random_x_zero_covariance(4, rng))
+        if kind == "z_zero":  # A and B swapped
+            blk = BlockDecomposition(blk.z, -blk.y.T, blk.x)
+        return blk, ua, ub
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2**31), kind=st.sampled_from(KINDS))
+    def test_pf_is_the_two_pfaffians(self, seed, kind):
+        rng = np.random.default_rng(seed)
+        blk, ua, ub = self._case(kind, rng)
+        lone = protocol_quantities(blk, RealProjectionPair(ua, ub))
+        # the same member at a random place in a stack of 512
+        j = int(rng.integers(512))
+        if kind == "padded":
+            # the others of rank 4, 6 or 8, at least one of 8, so the member is padded
+            ranks = rng.choice([4, 6, 8], 511)
+            ranks[0] = 8
+            pairs = [RealProjectionPair(random_orthogonal(8, rng)[:, :r],
+                                        random_orthogonal(8, rng)[:, :r]) for r in ranks]
+            pairs.insert(j, RealProjectionPair(ua, ub))
+            q = protocol_quantities(blk, pairs)[j]
+            p, pf = q.p, q.pf
+        else:
+            fa, fb = (haar_frame(rng.standard_normal((512, 8, 4))) for _ in range(2))
+            fa[j], fb[j] = ua, ub
+            p, pf = (out[j] for out in _protocol_quantities_stack(blk, fa, fb))
+        assert (p, pf) == (lone.p, lone.pf)
+        x, y, z = ua.T @ blk.x @ ua, ua.T @ blk.y @ ub, ub.T @ blk.z @ ub
+        x, z = (x - x.T) / 2, (z - z.T) / 2
+        m_pm = [np.block([[x, y + t * np.eye(4)], [-(y + t * np.eye(4)).T, z]]) for t in (1, -1)]
+        assert pf == pytest.approx(pfaffian(np.stack(m_pm)).sum() / 16, abs=1e-14)
 
 
 class TestFrames:
